@@ -11,7 +11,7 @@
 use crate::procedures::*;
 use crate::schema::tables;
 use pstore_dbms::txn::{Procedure, TxnCtx, TxnError, TxnOutput};
-use pstore_dbms::value::{Key, KeyValue, Row, Value};
+use pstore_dbms::value::{Key, KeyValue, Row, Text, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
@@ -54,7 +54,7 @@ impl Default for WorkloadConfig {
 #[derive(Debug, Clone)]
 pub struct SeedStock {
     /// SKU (partitioning key).
-    pub sku: String,
+    pub sku: Text,
     /// Initial available quantity.
     pub quantity: i64,
 }
@@ -85,10 +85,10 @@ impl Procedure for SeedStock {
 /// An open cart tracked by the generator.
 #[derive(Debug, Clone)]
 struct CartState {
-    id: String,
-    customer: String,
+    id: Text,
+    customer: Text,
     /// `(line_id, sku, quantity, unit_price)` currently in the cart.
-    lines: Vec<(i64, String, i64, f64)>,
+    lines: Vec<(i64, Text, i64, f64)>,
     next_line: i64,
 }
 
@@ -97,18 +97,18 @@ pub struct WorkloadGenerator {
     cfg: WorkloadConfig,
     rng: StdRng,
     /// SKU names, precomputed once: `random_sku` on the per-transaction
-    /// path clones a table entry instead of re-deriving the hash and
-    /// formatting a fresh string every call.
-    sku_names: Vec<String>,
+    /// path copies a table entry instead of re-deriving the hash and
+    /// formatting it every call.
+    sku_names: Vec<Text>,
     clock: i64,
     next_cart: u64,
     next_checkout: u64,
     next_stock_txn: u64,
     open_carts: Vec<CartState>,
     /// Checkouts that completed and may still be browsed/cleaned up.
-    live_checkouts: Vec<String>,
+    live_checkouts: VecDeque<Text>,
     /// Finalised stock transactions awaiting archival to the warehouse.
-    completed_stock_txns: VecDeque<String>,
+    completed_stock_txns: VecDeque<Text>,
     /// Multi-transaction flows in progress, drained one txn per call.
     pending: VecDeque<B2wTxn>,
 }
@@ -131,7 +131,7 @@ impl WorkloadGenerator {
             next_checkout: 0,
             next_stock_txn: 0,
             open_carts: Vec::new(),
-            live_checkouts: Vec::new(),
+            live_checkouts: VecDeque::new(),
             completed_stock_txns: VecDeque::new(),
             pending: VecDeque::new(),
         }
@@ -164,8 +164,15 @@ impl WorkloadGenerator {
     }
 
     fn new_cart(&mut self) -> usize {
-        let id = format!("cart-{:012x}", splitmix(self.cfg.seed, self.next_cart));
-        let customer = format!("cust-{:08x}", self.rng.random_range(0..u32::MAX));
+        // `{:012x}` is a minimum width: ids run to 21 bytes, still inline.
+        let id = Text::format(format_args!(
+            "cart-{:012x}",
+            splitmix(self.cfg.seed, self.next_cart)
+        ));
+        let customer = Text::format(format_args!(
+            "cust-{:08x}",
+            self.rng.random_range(0..u32::MAX)
+        ));
         self.next_cart += 1;
         self.open_carts.push(CartState {
             id,
@@ -176,7 +183,7 @@ impl WorkloadGenerator {
         self.open_carts.len() - 1
     }
 
-    fn random_sku(&mut self) -> String {
+    fn random_sku(&mut self) -> Text {
         self.sku_names[self.rng.random_range(0..self.sku_names.len())].clone()
     }
 
@@ -211,46 +218,49 @@ impl WorkloadGenerator {
     fn start_checkout(&mut self, idx: usize) -> B2wTxn {
         let cart = self.open_carts.swap_remove(idx);
         self.clock += 1;
-        let checkout_id = format!(
+        let checkout_id = Text::format(format_args!(
             "chk-{:012x}",
             splitmix(self.cfg.seed ^ 0xC0, self.next_checkout)
-        );
+        ));
         self.next_checkout += 1;
         let amount: f64 = cart.lines.iter().map(|(_, _, q, p)| *q as f64 * p).sum();
 
-        let mut flow: Vec<B2wTxn> = Vec::new();
-        flow.push(B2wTxn::ReserveCart(ReserveCart {
+        // The flow goes straight onto the queue; its first transaction is
+        // taken back off at the end.
+        let first = self.pending.len();
+        let flow = &mut self.pending;
+        flow.push_back(B2wTxn::ReserveCart(ReserveCart {
             cart_id: cart.id.clone(),
             now: self.clock,
         }));
         // Reserve stock per line; record a stock transaction for each.
-        let mut stock_txns = Vec::new();
-        for (line_id, sku, qty, price) in &cart.lines {
-            let stx = format!(
+        let mut stock_txns = Vec::with_capacity(cart.lines.len());
+        for (_, sku, qty, _) in &cart.lines {
+            let stx = Text::format(format_args!(
                 "stx-{:012x}",
                 splitmix(self.cfg.seed ^ 0x57, self.next_stock_txn)
-            );
+            ));
             self.next_stock_txn += 1;
-            flow.push(B2wTxn::ReserveStock(ReserveStock {
+            flow.push_back(B2wTxn::ReserveStock(ReserveStock {
                 sku: sku.clone(),
                 quantity: *qty,
             }));
-            flow.push(B2wTxn::CreateStockTransaction(CreateStockTransaction {
+            flow.push_back(B2wTxn::CreateStockTransaction(CreateStockTransaction {
                 stock_txn_id: stx.clone(),
                 sku: sku.clone(),
                 cart_id: cart.id.clone(),
                 quantity: *qty,
             }));
-            stock_txns.push((*line_id, sku.clone(), *qty, *price, stx));
+            stock_txns.push(stx);
         }
-        flow.push(B2wTxn::CreateCheckout(CreateCheckout {
+        flow.push_back(B2wTxn::CreateCheckout(CreateCheckout {
             checkout_id: checkout_id.clone(),
             cart_id: cart.id.clone(),
             amount_due: amount,
             now: self.clock,
         }));
-        for (line_id, sku, qty, price, stx) in &stock_txns {
-            flow.push(B2wTxn::AddLineToCheckout(AddLineToCheckout {
+        for ((line_id, sku, qty, price), stx) in cart.lines.iter().zip(&stock_txns) {
+            flow.push_back(B2wTxn::AddLineToCheckout(AddLineToCheckout {
                 checkout_id: checkout_id.clone(),
                 line_id: *line_id,
                 sku: sku.clone(),
@@ -263,31 +273,23 @@ impl WorkloadGenerator {
         // Most checkouts pay and purchase; some cancel everything.
         let cancels = self.rng.random_range(0.0..1.0) < 0.1;
         if cancels {
-            for (line_id, sku, qty, _, stx) in &stock_txns {
-                flow.push(B2wTxn::CancelStockReservation(CancelStockReservation {
+            for ((line_id, sku, qty, _), stx) in cart.lines.iter().zip(&stock_txns) {
+                flow.push_back(B2wTxn::CancelStockReservation(CancelStockReservation {
                     sku: sku.clone(),
                     quantity: *qty,
                 }));
-                flow.push(B2wTxn::UpdateStockTransaction(UpdateStockTransaction {
+                flow.push_back(B2wTxn::UpdateStockTransaction(UpdateStockTransaction {
                     stock_txn_id: stx.clone(),
                     new_status: status::CANCELLED.into(),
                 }));
-                flow.push(B2wTxn::DeleteLineFromCheckout(DeleteLineFromCheckout {
+                flow.push_back(B2wTxn::DeleteLineFromCheckout(DeleteLineFromCheckout {
                     checkout_id: checkout_id.clone(),
                     line_id: *line_id,
                 }));
             }
-            flow.push(B2wTxn::DeleteCheckout(DeleteCheckout {
-                checkout_id: checkout_id.clone(),
-            }));
-            flow.push(B2wTxn::DeleteCart(DeleteCart {
-                cart_id: cart.id.clone(),
-            }));
-            for (_, _, _, _, stx) in &stock_txns {
-                self.completed_stock_txns.push_back(stx.clone());
-            }
+            flow.push_back(B2wTxn::DeleteCheckout(DeleteCheckout { checkout_id }));
         } else {
-            flow.push(B2wTxn::CreateCheckoutPayment(CreateCheckoutPayment {
+            flow.push_back(B2wTxn::CreateCheckoutPayment(CreateCheckoutPayment {
                 checkout_id: checkout_id.clone(),
                 payment_id: 0,
                 method: if self.rng.random_range(0.0..1.0) < 0.7 {
@@ -297,31 +299,28 @@ impl WorkloadGenerator {
                 },
                 amount,
             }));
-            for (_, sku, qty, _, stx) in &stock_txns {
-                flow.push(B2wTxn::PurchaseStock(PurchaseStock {
+            for ((_, sku, qty, _), stx) in cart.lines.iter().zip(&stock_txns) {
+                flow.push_back(B2wTxn::PurchaseStock(PurchaseStock {
                     sku: sku.clone(),
                     quantity: *qty,
                 }));
-                flow.push(B2wTxn::UpdateStockTransaction(UpdateStockTransaction {
+                flow.push_back(B2wTxn::UpdateStockTransaction(UpdateStockTransaction {
                     stock_txn_id: stx.clone(),
                     new_status: status::PURCHASED.into(),
                 }));
             }
-            flow.push(B2wTxn::GetCheckout(GetCheckout {
+            flow.push_back(B2wTxn::GetCheckout(GetCheckout {
                 checkout_id: checkout_id.clone(),
             }));
-            flow.push(B2wTxn::DeleteCart(DeleteCart {
-                cart_id: cart.id.clone(),
-            }));
-            for (_, _, _, _, stx) in &stock_txns {
-                self.completed_stock_txns.push_back(stx.clone());
-            }
-            self.live_checkouts.push(checkout_id);
+            self.live_checkouts.push_back(checkout_id);
         }
+        flow.push_back(B2wTxn::DeleteCart(DeleteCart { cart_id: cart.id }));
+        self.completed_stock_txns.extend(stock_txns);
 
-        let first = flow.remove(0);
-        self.pending.extend(flow);
-        first
+        match self.pending.remove(first) {
+            Some(txn) => txn,
+            None => unreachable!("the flow starts with ReserveCart"),
+        }
     }
 
     /// The next transaction of the workload stream.
@@ -333,8 +332,9 @@ impl WorkloadGenerator {
         // old checkouts are deleted and finalised stock transactions are
         // archived to the (out-of-band) warehouse.
         if self.live_checkouts.len() > 400 {
-            let id = self.live_checkouts.remove(0);
-            return B2wTxn::DeleteCheckout(DeleteCheckout { checkout_id: id });
+            if let Some(id) = self.live_checkouts.pop_front() {
+                return B2wTxn::DeleteCheckout(DeleteCheckout { checkout_id: id });
+            }
         }
         if self.completed_stock_txns.len() > 400 {
             if let Some(id) = self.completed_stock_txns.pop_front() {
@@ -440,8 +440,8 @@ fn splitmix(seed: u64, i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn sku_name(i: usize) -> String {
-    format!("sku-{:08x}", splitmix(0x5C0C, i as u64))
+fn sku_name(i: usize) -> Text {
+    Text::format(format_args!("sku-{:08x}", splitmix(0x5C0C, i as u64)))
 }
 
 #[cfg(test)]

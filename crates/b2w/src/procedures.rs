@@ -8,7 +8,7 @@
 
 use crate::schema::tables;
 use pstore_dbms::txn::{Procedure, TxnCtx, TxnError, TxnOutput};
-use pstore_dbms::value::{Key, KeyValue, Row, Value};
+use pstore_dbms::value::{Key, KeyValue, Row, Text, Value};
 use serde::{Deserialize, Serialize};
 
 /// Cart / line / checkout / stock-transaction status strings.
@@ -25,8 +25,8 @@ pub mod status {
     pub const PAID: &str = "PAID";
 }
 
-fn s(v: &str) -> Value {
-    Value::Str(v.to_string())
+fn s(v: impl Into<Text>) -> Value {
+    Value::Str(v.into())
 }
 
 // ---------------------------------------------------------------------
@@ -37,13 +37,13 @@ fn s(v: &str) -> Value {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AddLineToCart {
     /// Cart id (partitioning key).
-    pub cart_id: String,
+    pub cart_id: Text,
     /// Customer owning the cart.
-    pub customer_id: String,
+    pub customer_id: Text,
     /// Line number within the cart.
     pub line_id: i64,
     /// Item SKU.
-    pub sku: String,
+    pub sku: Text,
     /// Quantity added.
     pub quantity: i64,
     /// Unit price.
@@ -62,7 +62,7 @@ impl Procedure for AddLineToCart {
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let cart_key = Key::str(self.cart_id.clone());
         let line_total = self.quantity as f64 * self.unit_price;
-        let cart = match ctx.get(tables::CART, &cart_key) {
+        let cart = match ctx.get(tables::CART, &cart_key).cloned() {
             Some(mut row) => {
                 let total = match row.0[3] {
                     Value::Float(t) => t,
@@ -101,7 +101,7 @@ impl Procedure for AddLineToCart {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeleteLineFromCart {
     /// Cart id (partitioning key).
-    pub cart_id: String,
+    pub cart_id: Text,
     /// Line to remove.
     pub line_id: i64,
     /// Logical timestamp.
@@ -125,7 +125,7 @@ impl Procedure for DeleteLineFromCart {
             })?;
         // Keep the cart total consistent.
         let cart_key = Key::str(self.cart_id.clone());
-        if let Some(mut cart) = ctx.get(tables::CART, &cart_key) {
+        if let Some(mut cart) = ctx.get(tables::CART, &cart_key).cloned() {
             let qty = line.0[3].as_int().unwrap_or(0) as f64;
             let price = match line.0[4] {
                 Value::Float(p) => p,
@@ -145,7 +145,7 @@ impl Procedure for DeleteLineFromCart {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GetCart {
     /// Cart id (partitioning key).
-    pub cart_id: String,
+    pub cart_id: Text,
 }
 
 impl Procedure for GetCart {
@@ -157,9 +157,11 @@ impl Procedure for GetCart {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let cart_key = Key::str(self.cart_id.clone());
-        let cart = ctx.get_required(tables::CART, "CART", &cart_key)?;
+        let cart = ctx.get_required(tables::CART, "CART", &cart_key)?.clone();
         let mut rows = vec![(cart_key.clone(), cart)];
-        rows.extend(ctx.scan_prefix(tables::CART_LINE, &cart_key));
+        ctx.scan_prefix_with(tables::CART_LINE, &cart_key, |k, line| {
+            rows.push((k.clone(), line.clone()));
+        });
         Ok(TxnOutput::Rows(rows))
     }
 }
@@ -168,7 +170,7 @@ impl Procedure for GetCart {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeleteCart {
     /// Cart id (partitioning key).
-    pub cart_id: String,
+    pub cart_id: Text,
 }
 
 impl Procedure for DeleteCart {
@@ -192,7 +194,7 @@ impl Procedure for DeleteCart {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReserveCart {
     /// Cart id (partitioning key).
-    pub cart_id: String,
+    pub cart_id: Text,
     /// Logical timestamp.
     pub now: i64,
 }
@@ -206,7 +208,7 @@ impl Procedure for ReserveCart {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let cart_key = Key::str(self.cart_id.clone());
-        let mut cart = ctx.get_required(tables::CART, "CART", &cart_key)?;
+        let mut cart = ctx.get_required(tables::CART, "CART", &cart_key)?.clone();
         cart.0[2] = s(status::RESERVED);
         cart.0[4] = Value::Int(self.now);
         ctx.put(tables::CART, cart_key.clone(), cart);
@@ -228,7 +230,7 @@ impl Procedure for ReserveCart {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GetStock {
     /// SKU (partitioning key).
-    pub sku: String,
+    pub sku: Text,
 }
 
 impl Procedure for GetStock {
@@ -240,7 +242,7 @@ impl Procedure for GetStock {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let row = ctx.get_required(tables::STOCK, "STOCK", &Key::str(self.sku.clone()))?;
-        Ok(TxnOutput::Row(row))
+        Ok(TxnOutput::Row(row.clone()))
     }
 }
 
@@ -248,7 +250,7 @@ impl Procedure for GetStock {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GetStockQuantity {
     /// SKU (partitioning key).
-    pub sku: String,
+    pub sku: Text,
 }
 
 impl Procedure for GetStockQuantity {
@@ -269,7 +271,7 @@ impl Procedure for GetStockQuantity {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReserveStock {
     /// SKU (partitioning key).
-    pub sku: String,
+    pub sku: Text,
     /// Quantity to reserve.
     pub quantity: i64,
 }
@@ -283,7 +285,7 @@ impl Procedure for ReserveStock {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.sku.clone());
-        let mut row = ctx.get_required(tables::STOCK, "STOCK", &key)?;
+        let mut row = ctx.get_required(tables::STOCK, "STOCK", &key)?.clone();
         let available = row.0[1].as_int().unwrap_or(0);
         if available < self.quantity {
             return Err(TxnError::Aborted(format!(
@@ -303,7 +305,7 @@ impl Procedure for ReserveStock {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PurchaseStock {
     /// SKU (partitioning key).
-    pub sku: String,
+    pub sku: Text,
     /// Quantity purchased.
     pub quantity: i64,
 }
@@ -317,7 +319,7 @@ impl Procedure for PurchaseStock {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.sku.clone());
-        let mut row = ctx.get_required(tables::STOCK, "STOCK", &key)?;
+        let mut row = ctx.get_required(tables::STOCK, "STOCK", &key)?.clone();
         let reserved = row.0[2].as_int().unwrap_or(0);
         if reserved < self.quantity {
             return Err(TxnError::Aborted(format!(
@@ -337,7 +339,7 @@ impl Procedure for PurchaseStock {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CancelStockReservation {
     /// SKU (partitioning key).
-    pub sku: String,
+    pub sku: Text,
     /// Quantity to release.
     pub quantity: i64,
 }
@@ -351,7 +353,7 @@ impl Procedure for CancelStockReservation {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.sku.clone());
-        let mut row = ctx.get_required(tables::STOCK, "STOCK", &key)?;
+        let mut row = ctx.get_required(tables::STOCK, "STOCK", &key)?.clone();
         let reserved = row.0[2].as_int().unwrap_or(0);
         if reserved < self.quantity {
             return Err(TxnError::Aborted(format!(
@@ -375,11 +377,11 @@ impl Procedure for CancelStockReservation {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CreateStockTransaction {
     /// Stock-transaction id (partitioning key).
-    pub stock_txn_id: String,
+    pub stock_txn_id: Text,
     /// SKU reserved.
-    pub sku: String,
+    pub sku: Text,
     /// Cart that triggered the reservation.
-    pub cart_id: String,
+    pub cart_id: Text,
     /// Quantity reserved.
     pub quantity: i64,
 }
@@ -412,7 +414,7 @@ impl Procedure for CreateStockTransaction {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GetStockTransaction {
     /// Stock-transaction id (partitioning key).
-    pub stock_txn_id: String,
+    pub stock_txn_id: Text,
 }
 
 impl Procedure for GetStockTransaction {
@@ -428,7 +430,7 @@ impl Procedure for GetStockTransaction {
             "STOCK_TXN",
             &Key::str(self.stock_txn_id.clone()),
         )?;
-        Ok(TxnOutput::Row(row))
+        Ok(TxnOutput::Row(row.clone()))
     }
 }
 
@@ -436,9 +438,9 @@ impl Procedure for GetStockTransaction {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UpdateStockTransaction {
     /// Stock-transaction id (partitioning key).
-    pub stock_txn_id: String,
+    pub stock_txn_id: Text,
     /// New status (`PURCHASED` or `CANCELLED`).
-    pub new_status: String,
+    pub new_status: Text,
 }
 
 impl Procedure for UpdateStockTransaction {
@@ -450,7 +452,9 @@ impl Procedure for UpdateStockTransaction {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.stock_txn_id.clone());
-        let mut row = ctx.get_required(tables::STOCK_TXN, "STOCK_TXN", &key)?;
+        let mut row = ctx
+            .get_required(tables::STOCK_TXN, "STOCK_TXN", &key)?
+            .clone();
         row.0[4] = s(&self.new_status);
         ctx.put(tables::STOCK_TXN, key, row);
         Ok(TxnOutput::None)
@@ -465,9 +469,9 @@ impl Procedure for UpdateStockTransaction {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CreateCheckout {
     /// Checkout id (partitioning key).
-    pub checkout_id: String,
+    pub checkout_id: Text,
     /// Cart being checked out.
-    pub cart_id: String,
+    pub cart_id: Text,
     /// Amount due.
     pub amount_due: f64,
     /// Logical timestamp.
@@ -502,11 +506,11 @@ impl Procedure for CreateCheckout {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CreateCheckoutPayment {
     /// Checkout id (partitioning key).
-    pub checkout_id: String,
+    pub checkout_id: Text,
     /// Payment sequence number.
     pub payment_id: i64,
     /// Payment method (e.g. `CARD`, `BOLETO`).
-    pub method: String,
+    pub method: Text,
     /// Amount covered by this payment.
     pub amount: f64,
 }
@@ -520,7 +524,9 @@ impl Procedure for CreateCheckoutPayment {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let checkout_key = Key::str(self.checkout_id.clone());
-        let mut checkout = ctx.get_required(tables::CHECKOUT, "CHECKOUT", &checkout_key)?;
+        let mut checkout = ctx
+            .get_required(tables::CHECKOUT, "CHECKOUT", &checkout_key)?
+            .clone();
         ctx.insert_new(
             tables::CHECKOUT_PAYMENT,
             "CHECKOUT_PAYMENT",
@@ -543,17 +549,17 @@ impl Procedure for CreateCheckoutPayment {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AddLineToCheckout {
     /// Checkout id (partitioning key).
-    pub checkout_id: String,
+    pub checkout_id: Text,
     /// Line number within the checkout.
     pub line_id: i64,
     /// Item SKU.
-    pub sku: String,
+    pub sku: Text,
     /// Quantity.
     pub quantity: i64,
     /// Line price.
     pub price: f64,
     /// Stock transaction backing the reservation.
-    pub stock_txn_id: String,
+    pub stock_txn_id: Text,
 }
 
 impl Procedure for AddLineToCheckout {
@@ -591,7 +597,7 @@ impl Procedure for AddLineToCheckout {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeleteLineFromCheckout {
     /// Checkout id (partitioning key).
-    pub checkout_id: String,
+    pub checkout_id: Text,
     /// Line to remove.
     pub line_id: i64,
 }
@@ -618,7 +624,7 @@ impl Procedure for DeleteLineFromCheckout {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GetCheckout {
     /// Checkout id (partitioning key).
-    pub checkout_id: String,
+    pub checkout_id: Text,
 }
 
 impl Procedure for GetCheckout {
@@ -630,10 +636,13 @@ impl Procedure for GetCheckout {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.checkout_id.clone());
-        let checkout = ctx.get_required(tables::CHECKOUT, "CHECKOUT", &key)?;
+        let checkout = ctx
+            .get_required(tables::CHECKOUT, "CHECKOUT", &key)?
+            .clone();
         let mut rows = vec![(key.clone(), checkout)];
-        rows.extend(ctx.scan_prefix(tables::CHECKOUT_LINE, &key));
-        rows.extend(ctx.scan_prefix(tables::CHECKOUT_PAYMENT, &key));
+        for table in [tables::CHECKOUT_LINE, tables::CHECKOUT_PAYMENT] {
+            ctx.scan_prefix_with(table, &key, |k, row| rows.push((k.clone(), row.clone())));
+        }
         Ok(TxnOutput::Rows(rows))
     }
 }
@@ -642,7 +651,7 @@ impl Procedure for GetCheckout {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeleteCheckout {
     /// Checkout id (partitioning key).
-    pub checkout_id: String,
+    pub checkout_id: Text,
 }
 
 impl Procedure for DeleteCheckout {
@@ -672,7 +681,7 @@ impl Procedure for DeleteCheckout {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArchiveStockTransaction {
     /// Stock-transaction id (partitioning key).
-    pub stock_txn_id: String,
+    pub stock_txn_id: Text,
 }
 
 impl Procedure for ArchiveStockTransaction {
@@ -797,14 +806,14 @@ mod tests {
                 "SeedStock"
             }
             fn routing_key(&self) -> KeyValue {
-                KeyValue::Str(self.0.clone())
+                KeyValue::Str(self.0.as_str().into())
             }
             fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
                 ctx.put(
                     tables::STOCK,
                     Key::str(self.0.clone()),
                     Row(vec![
-                        Value::Str(self.0.clone()),
+                        Value::Str(self.0.as_str().into()),
                         Value::Int(self.1),
                         Value::Int(0),
                         Value::Int(0),
@@ -825,7 +834,7 @@ mod tests {
                 cart_id: "cart-1".into(),
                 customer_id: "cust-1".into(),
                 line_id: line,
-                sku: format!("sku-{line}"),
+                sku: format!("sku-{line}").into(),
                 quantity: 2,
                 unit_price: 10.0,
                 now: 100 + line,

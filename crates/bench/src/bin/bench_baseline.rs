@@ -1,29 +1,26 @@
-//! Tracked performance baseline: times a fixed grid of detailed-sim
-//! cells through the [`pstore_bench::sweep`] runner and writes
-//! `BENCH_sim.json` — cells/s, simulated-txns/s and peak RSS — so
-//! regressions in the simulator hot path show up as a diff against the
-//! committed file.
+//! Simulator smoke run: times a fixed grid of detailed-sim cells through
+//! the [`pstore_bench::sweep`] runner and prints one JSON row per shard
+//! count — cells/s, simulated-txns/s and peak RSS. Performance is measured
+//! by `benchmark/run.sh` (see `benchmark/README.md`); this bin remains as
+//! the determinism probe of the sweep runner and the sharded engine: its
+//! counters must not depend on `--threads` or `--shards`.
 //!
-//! Usage: `bench_baseline [--quick] [--threads N] [--out PATH]
-//! [--shards LIST] [--check-against PATH]`
+//! Usage: `bench_baseline [--quick] [--threads N] [--shards LIST]
+//! [--out PATH] [--quiet] [--trace PATH] [--summary PATH]
+//! [--expose-metrics PORT]`
 //!
-//! `--quick` runs a smaller grid for CI smoke (numbers are not
-//! comparable to the committed full-run baseline). Default output path
-//! is `BENCH_sim.json` in the current directory.
+//! Any other argument, `--help` included, prints this usage and exits 2
+//! before anything runs. The rows go to stdout; a file is written only
+//! where `--out` says.
+//!
+//! `--quick` runs a smaller grid for CI smoke.
 //!
 //! `--shards 1,2,4` runs the whole grid once per executor shard count
 //! and emits a JSON array with one row per count (default: the
 //! `PSTORE_SHARDS` environment variable, else `1`). The simulation
 //! counters (`committed_txns`, `dropped_txns`) must be identical across
 //! rows — the engine is deterministic in the shard count — so only the
-//! timing fields vary.
-//!
-//! `--check-against PATH` reads a previously committed baseline and
-//! fails (exit 1) if this run's shards=1 `sim_txns_per_wall_s` fell
-//! below 95% of the committed value: the serial engine must not pay for
-//! the sharded machinery it isn't using. The gate is best-of-3 — the
-//! serial grid is re-timed up to twice before failing, so transient
-//! host-scheduler noise doesn't masquerade as a regression.
+//! timing fields vary; the run fails (exit 1) if they are not.
 
 #![allow(clippy::expect_used, clippy::unwrap_used)] // experiment bin aborts loudly
 
@@ -32,7 +29,6 @@ use pstore_bench::RunReporter;
 use pstore_core::controller::baselines::StaticController;
 use pstore_core::params::SystemParams;
 use pstore_sim::detailed::{run_detailed, DetailedSimConfig, DetailedSimResult};
-use std::io::Write;
 use std::time::Duration;
 use std::time::Instant;
 
@@ -102,38 +98,42 @@ fn parse_shard_list(list: &str) -> Vec<u32> {
     shards
 }
 
-/// Pulls the shards=1 `sim_txns_per_wall_s` out of a committed baseline
-/// file. Accepts both the current array-of-rows format (a `"shards"`
-/// field precedes the throughput in each row) and the legacy
-/// single-object format (no `"shards"` field — implicitly serial).
-fn baseline_serial_txns_per_s(text: &str) -> Option<f64> {
-    let mut current_shards: Option<u32> = None;
-    for line in text.lines() {
-        if let Some(rest) = line.split("\"shards\":").nth(1) {
-            current_shards = rest.trim().trim_end_matches(',').parse().ok();
-        }
-        if let Some(rest) = line.split("\"sim_txns_per_wall_s\":").nth(1) {
-            if current_shards.unwrap_or(1) == 1 {
-                return rest.trim().trim_end_matches(',').parse().ok();
+const USAGE: &str = "usage: bench_baseline [--quick] [--threads N] [--shards LIST] \
+[--out PATH] [--quiet] [--trace PATH] [--summary PATH] [--expose-metrics PORT]";
+
+/// Refuses anything that is not a flag this bin or [`RunReporter`] reads,
+/// so that a typo (or `--help`) cannot start a run.
+fn reject_unknown_arguments(args: &[String]) {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--quick" | "--quiet" => {}
+            "--threads" | "--shards" | "--out" | "--trace" | "--summary" | "--expose-metrics" => {
+                // The value; its absence is reported by whoever reads it.
+                rest.next();
+            }
+            _ => {
+                eprintln!("error: unrecognised argument `{arg}`\n{USAGE}");
+                std::process::exit(2);
             }
         }
     }
-    None
 }
 
 fn main() {
-    let reporter = RunReporter::from_args();
     let args: Vec<String> = std::env::args().collect();
-    let out_path = args.iter().position(|a| a == "--out").map_or_else(
-        || std::path::PathBuf::from("BENCH_sim.json"),
-        |i| match args.get(i + 1) {
+    reject_unknown_arguments(&args);
+    let reporter = RunReporter::from_args();
+    let out_path = args
+        .iter()
+        .position(|a| a == "--out")
+        .map(|i| match args.get(i + 1) {
             Some(p) => std::path::PathBuf::from(p),
             None => {
                 eprintln!("error: --out requires a file path argument");
                 std::process::exit(2);
             }
-        },
-    );
+        });
     let shard_counts: Vec<u32> = args.iter().position(|a| a == "--shards").map_or_else(
         || {
             // Mirror the simulator's own PSTORE_SHARDS default so an
@@ -148,17 +148,6 @@ fn main() {
             }
         },
     );
-    let check_against =
-        args.iter()
-            .position(|a| a == "--check-against")
-            .map(|i| match args.get(i + 1) {
-                Some(p) => std::path::PathBuf::from(p),
-                None => {
-                    eprintln!("error: --check-against requires a baseline file path");
-                    std::process::exit(2);
-                }
-            });
-
     // The grid: static clusters at varied sizes/loads/seeds, covering the
     // uncontended dispatch path, a migrating-free steady state, and a
     // saturated node (drop path). Each cell is independent — the same
@@ -191,7 +180,7 @@ fn main() {
 
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut rows: Vec<String> = Vec::with_capacity(shard_counts.len());
-    let mut serial_txns_per_s: Option<f64> = None;
+    let mut counters: Vec<(u64, u64)> = Vec::with_capacity(shard_counts.len());
     for &shards in &shard_counts {
         let cells: Vec<Cell<DetailedSimResult>> = grid
             .iter()
@@ -214,9 +203,7 @@ fn main() {
         let dropped: u64 = results.iter().map(|r| r.dropped).sum();
         #[allow(clippy::cast_precision_loss)] // counters far below 2^52
         let (cells_per_s, txns_per_s) = (n_cells as f64 / wall_s, committed as f64 / wall_s);
-        if shards == 1 {
-            serial_txns_per_s.get_or_insert(txns_per_s);
-        }
+        counters.push((committed, dropped));
         // Peak RSS is process-wide and monotone, so later rows inherit
         // the high-water mark of earlier ones; still worth recording.
         let rss_json = peak_rss_kb().map_or_else(|| "null".to_string(), |kb| kb.to_string());
@@ -235,70 +222,16 @@ fn main() {
     }
 
     let json = format!("[\n{}\n]\n", rows.join(",\n"));
-    let mut file = std::fs::File::create(&out_path).expect("create BENCH_sim.json");
-    file.write_all(json.as_bytes())
-        .expect("write BENCH_sim.json");
     print!("{json}");
-    reporter.progress(&format!("bench_baseline: wrote {}", out_path.display()));
-
-    if let Some(baseline_path) = check_against {
-        let Some(measured) = serial_txns_per_s else {
-            eprintln!("error: --check-against needs a shards=1 row (add 1 to --shards)");
-            std::process::exit(2);
-        };
-        let text = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {}: {e}", baseline_path.display());
-            std::process::exit(2);
-        });
-        let Some(committed_baseline) = baseline_serial_txns_per_s(&text) else {
-            eprintln!(
-                "error: no shards=1 sim_txns_per_wall_s in {}",
-                baseline_path.display()
-            );
-            std::process::exit(2);
-        };
-        let floor = 0.95 * committed_baseline;
-        // Best-of-3: wall-clock throughput on a shared host can dip well
-        // below 95% from scheduler noise alone, and a genuine regression
-        // slows every attempt, so retry the serial grid before failing.
-        let mut best = measured;
-        for attempt in 2..=3 {
-            if best >= floor {
-                break;
-            }
-            reporter.progress(&format!(
-                "bench_baseline: shards=1 throughput {best:.0} below floor {floor:.0}, \
-                 retrying (attempt {attempt}/3, host noise vs real regression)"
-            ));
-            let cells: Vec<Cell<DetailedSimResult>> = grid
-                .iter()
-                .map(|&(nodes, load, seed)| {
-                    let cfg = cell_cfg(seconds, load, seed);
-                    Cell::new(format!("recheck{nodes}@{load}tps/seed{seed}"), move || {
-                        run_detailed(&cfg, &mut StaticController::new(nodes))
-                    })
-                })
-                .collect();
-            let start = Instant::now();
-            let results = sweep.run(cells);
-            let wall_s = start.elapsed().as_secs_f64();
-            let committed: u64 = results.iter().map(|r| r.committed).sum();
-            #[allow(clippy::cast_precision_loss)] // counters far below 2^52
-            let txns_per_s = committed as f64 / wall_s;
-            best = best.max(txns_per_s);
-        }
-        if best < floor {
-            eprintln!(
-                "FAIL: shards=1 throughput {best:.0} sim txns/s (best of 3) is below 95% of \
-                 the committed baseline {committed_baseline:.0} (floor {floor:.0}) — the \
-                 serial engine regressed"
-            );
-            std::process::exit(1);
-        }
-        reporter.progress(&format!(
-            "bench_baseline: shards=1 throughput {best:.0} >= 95% of committed \
-             {committed_baseline:.0} — ok"
-        ));
+    if let Some(path) = out_path {
+        std::fs::write(&path, &json).expect("write the --out file");
+        reporter.progress(&format!("bench_baseline: wrote {}", path.display()));
+    }
+    if counters.iter().any(|c| *c != counters[0]) {
+        eprintln!(
+            "FAIL: (committed, dropped) differ across shard counts {shard_counts:?}: {counters:?}"
+        );
+        std::process::exit(1);
     }
     reporter.finish();
 }

@@ -1555,7 +1555,7 @@ mod tests {
             "Put"
         }
         fn routing_key(&self) -> KeyValue {
-            KeyValue::Str(self.key.clone())
+            KeyValue::Str(self.key.as_str().into())
         }
         fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
             ctx.put(
@@ -1576,11 +1576,11 @@ mod tests {
             "Get"
         }
         fn routing_key(&self) -> KeyValue {
-            KeyValue::Str(self.key.clone())
+            KeyValue::Str(self.key.as_str().into())
         }
         fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
             let row = ctx.get_required(0, "KV", &Key::str(self.key.clone()))?;
-            Ok(TxnOutput::Row(row))
+            Ok(TxnOutput::Row(row.clone()))
         }
     }
 
@@ -1833,13 +1833,13 @@ mod tests {
             KeyValue::Int(0),
             KeyValue::Int(-7),
             KeyValue::Int(i64::MAX),
-            KeyValue::Str(String::new()),
+            KeyValue::Str("".into()),
             KeyValue::Str("cart-00deadbeef42".into()),
             // Longer than the 59-byte stack-buffer fast path.
-            KeyValue::Str("x".repeat(200)),
+            KeyValue::Str("x".repeat(200).into()),
         ];
         for i in 0..64 {
-            parts.push(KeyValue::Str(format!("key-{i}")));
+            parts.push(KeyValue::Str(format!("key-{i}").into()));
         }
         for part in parts {
             assert_eq!(

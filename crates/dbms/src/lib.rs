@@ -25,7 +25,7 @@
 //! use pstore_dbms::catalog::{columns, Catalog, ColumnType, TableSchema};
 //! use pstore_dbms::cluster::{Cluster, ClusterConfig};
 //! use pstore_dbms::txn::{Procedure, TxnCtx, TxnError, TxnOutput};
-//! use pstore_dbms::value::{Key, KeyValue, Row, Value};
+//! use pstore_dbms::value::{Key, KeyValue, Row, Text, Value};
 //!
 //! let mut catalog = Catalog::new();
 //! let kv = catalog.add_table(TableSchema::new(
@@ -34,13 +34,26 @@
 //!     1,
 //! ));
 //!
-//! struct Put(String, i64);
+//! // Ids are `Text`: up to 22 bytes inline, so copying one into a key or
+//! // a row allocates nothing.
+//! struct Put(Text, i64);
 //! impl Procedure for Put {
 //!     fn name(&self) -> &'static str { "Put" }
 //!     fn routing_key(&self) -> KeyValue { KeyValue::Str(self.0.clone()) }
 //!     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
-//!         ctx.put(0, Key::str(self.0.clone()), Row(vec![Value::Int(self.1)]));
+//!         ctx.put(0, Key::str(&self.0), Row(vec![Value::Int(self.1)]));
 //!         Ok(TxnOutput::None)
+//!     }
+//! }
+//!
+//! struct Get(Text);
+//! impl Procedure for Get {
+//!     fn name(&self) -> &'static str { "Get" }
+//!     fn routing_key(&self) -> KeyValue { KeyValue::Str(self.0.clone()) }
+//!     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
+//!         // Reads borrow the stored row; only what is returned is copied.
+//!         let row = ctx.get_required(0, "KV", &Key::str(&self.0))?;
+//!         Ok(TxnOutput::Value(row.0[0].clone()))
 //!     }
 //! }
 //!
@@ -51,6 +64,8 @@
 //! cluster.run_reconfiguration_to_completion(1_000_000).unwrap();
 //! assert_eq!(cluster.active_nodes(), 4);
 //! assert_eq!(cluster.total_rows(), 1);
+//! let got = cluster.execute(&Get("cart-1".into())).unwrap();
+//! assert_eq!(got, TxnOutput::Value(Value::Int(42)));
 //! # let _ = kv;
 //! ```
 
@@ -72,4 +87,4 @@ pub use catalog::{Catalog, TableId, TableSchema};
 pub use cluster::{ChunkResult, Cluster, ClusterConfig, ReconfigError, ShardReport};
 pub use shard::TxnFate;
 pub use txn::{Procedure, TxnCtx, TxnError, TxnOutput};
-pub use value::{Key, KeyValue, Row, Value};
+pub use value::{Key, KeyValue, Row, Text, Value};

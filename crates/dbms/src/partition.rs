@@ -9,29 +9,19 @@ use crate::catalog::TableId;
 use crate::value::{Key, Row};
 use std::collections::{BTreeMap, HashMap};
 
-/// All rows of one virtual slot, organised per table.
+/// All rows of one virtual slot.
 #[derive(Debug, Clone, Default)]
 pub struct SlotData {
-    /// `tables[table_id]` maps primary key to row.
-    tables: Vec<BTreeMap<Key, Row>>,
+    /// Rows of every table, ordered by `(table, key)`. One tree per slot,
+    /// not one per table: a slot holds a handful of rows of each table, and
+    /// a tree's smallest node has room for eleven, so per-table trees
+    /// would spend most of the database's memory on nearly empty nodes.
+    rows: BTreeMap<(TableId, Key), Row>,
     /// Estimated resident bytes of this slot.
     bytes: usize,
 }
 
 impl SlotData {
-    fn with_tables(n: usize) -> Self {
-        SlotData {
-            tables: vec![BTreeMap::new(); n],
-            bytes: 0,
-        }
-    }
-
-    fn ensure_tables(&mut self, n: usize) {
-        if self.tables.len() < n {
-            self.tables.resize_with(n, BTreeMap::new);
-        }
-    }
-
     /// Estimated resident bytes.
     pub fn bytes(&self) -> usize {
         self.bytes
@@ -39,12 +29,12 @@ impl SlotData {
 
     /// Total rows across tables.
     pub fn rows(&self) -> usize {
-        self.tables.iter().map(BTreeMap::len).sum()
+        self.rows.len()
     }
 
     /// Whether the slot holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.tables.iter().all(BTreeMap::is_empty)
+        self.rows.is_empty()
     }
 }
 
@@ -164,16 +154,6 @@ impl PartitionStore {
         }
     }
 
-    fn slot_mut(&mut self, slot: u64) -> &mut SlotData {
-        let n = self.num_tables;
-        let entry = self
-            .slots
-            .entry(slot)
-            .or_insert_with(|| SlotData::with_tables(n));
-        entry.ensure_tables(n);
-        entry
-    }
-
     /// Records a logical access (for the §8.1 skew statistics).
     pub fn record_access(&mut self) {
         self.accesses += 1;
@@ -213,15 +193,15 @@ impl PartitionStore {
 
     /// Looks up a row.
     pub fn get(&self, slot: u64, table: TableId, key: &Key) -> Option<&Row> {
-        self.slots.get(&slot)?.tables.get(table)?.get(key)
+        self.slots.get(&slot)?.rows.get(&(table, key.clone()))
     }
 
     /// Inserts or replaces a row; returns the previous row if any.
     pub fn put(&mut self, slot: u64, table: TableId, key: Key, row: Row) -> Option<Row> {
         let key_sz = key.size_estimate();
         let row_sz = row.size_estimate();
-        let data = self.slot_mut(slot);
-        let old = data.tables[table].insert(key, row);
+        let data = self.slots.entry(slot).or_default();
+        let old = data.rows.insert((table, key), row);
         match &old {
             None => data.bytes += key_sz + row_sz,
             // Replace: the key stays resident, only the row size changes.
@@ -233,23 +213,32 @@ impl PartitionStore {
     /// Removes a row; returns it if present.
     pub fn delete(&mut self, slot: u64, table: TableId, key: &Key) -> Option<Row> {
         let data = self.slots.get_mut(&slot)?;
-        let old = data.tables.get_mut(table)?.remove(key)?;
+        let old = data.rows.remove(&(table, key.clone()))?;
         data.bytes = data
             .bytes
             .saturating_sub(key.size_estimate() + old.size_estimate());
         Some(old)
     }
 
+    /// The rows in `table` within `slot` whose key starts with `prefix`, in
+    /// key order, borrowed.
+    pub fn prefix_rows<'a>(
+        &'a self,
+        slot: u64,
+        table: TableId,
+        prefix: &'a Key,
+    ) -> impl Iterator<Item = (&'a Key, &'a Row)> {
+        self.slots
+            .get(&slot)
+            .into_iter()
+            .flat_map(move |data| data.rows.range((table, prefix.clone())..))
+            .take_while(move |((t, k), _)| *t == table && k.starts_with(prefix))
+            .map(|((_, k), row)| (k, row))
+    }
+
     /// All rows in `table` within `slot` whose key starts with `prefix`.
     pub fn scan_prefix(&self, slot: u64, table: TableId, prefix: &Key) -> Vec<(Key, Row)> {
-        let Some(data) = self.slots.get(&slot) else {
-            return Vec::new();
-        };
-        let Some(tbl) = data.tables.get(table) else {
-            return Vec::new();
-        };
-        tbl.range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
+        self.prefix_rows(slot, table, prefix)
             .map(|(k, r)| (k.clone(), r.clone()))
             .collect()
     }
@@ -266,19 +255,14 @@ impl PartitionStore {
         };
         let mut out = Vec::new();
         let mut moved = 0usize;
-        'outer: for (tid, tbl) in data.tables.iter_mut().enumerate() {
-            while let Some((k, _)) = tbl.first_key_value() {
-                let k = k.clone();
-                let Some(row) = tbl.remove(&k) else {
-                    unreachable!("key just observed");
-                };
-                let sz = k.size_estimate() + row.size_estimate();
-                moved += sz;
-                data.bytes = data.bytes.saturating_sub(sz);
-                out.push((tid, k, row));
-                if moved >= budget_bytes {
-                    break 'outer;
-                }
+        // Table by table, each in key order.
+        while let Some(((tid, k), row)) = data.rows.pop_first() {
+            let sz = k.size_estimate() + row.size_estimate();
+            moved += sz;
+            data.bytes = data.bytes.saturating_sub(sz);
+            out.push((tid, k, row));
+            if moved >= budget_bytes {
+                break;
             }
         }
         let empty = data.is_empty();
@@ -328,18 +312,19 @@ impl PartitionStore {
     pub fn export_slot_table(&self, slot: u64, table: TableId) -> Vec<(Key, Row)> {
         self.slots
             .get(&slot)
-            .and_then(|d| d.tables.get(table))
-            .map(|t| t.iter().map(|(k, r)| (k.clone(), r.clone())).collect())
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|data| &data.rows)
+            .filter(|((t, _), _)| *t == table)
+            .map(|((_, k), row)| (k.clone(), row.clone()))
+            .collect()
     }
 
     /// Recomputes resident bytes from the actual rows (integrity audits).
     pub fn recompute_bytes(&self) -> usize {
         self.slots
             .values()
-            .flat_map(|d| d.tables.iter())
-            .flat_map(|t| t.iter())
-            .map(|(k, r)| k.size_estimate() + r.size_estimate())
+            .flat_map(|data| &data.rows)
+            .map(|((_, k), row)| k.size_estimate() + row.size_estimate())
             .sum()
     }
 }
@@ -386,6 +371,42 @@ mod tests {
         let lines = p.scan_prefix(3, 0, &Key::str("cart-7"));
         assert_eq!(lines.len(), 5);
         assert!(lines.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn tables_of_a_slot_are_separate_namespaces() {
+        let mut p = PartitionStore::new(3);
+        for table in 0..3 {
+            for i in 0..2 {
+                p.put(
+                    3,
+                    table,
+                    Key::str_int("cart-7", i),
+                    row(10 * table as i64 + i),
+                );
+            }
+        }
+        // A prefix scan stops at the table's edge although the next
+        // table's keys carry the same prefix.
+        let lines = p.scan_prefix(3, 1, &Key::str("cart-7"));
+        assert_eq!(
+            lines,
+            vec![
+                (Key::str_int("cart-7", 0), row(10)),
+                (Key::str_int("cart-7", 1), row(11)),
+            ]
+        );
+        assert_eq!(p.export_slot_table(3, 2).len(), 2);
+        assert_eq!(p.delete(3, 1, &Key::str_int("cart-7", 0)), Some(row(10)));
+        assert_eq!(p.get(3, 0, &Key::str_int("cart-7", 0)), Some(&row(0)));
+        // Chunks leave table by table, each in key order.
+        let (rows, _, emptied) = p.extract_chunk(3, usize::MAX);
+        assert!(emptied);
+        let order: Vec<(TableId, i64)> = rows
+            .iter()
+            .map(|(t, _, r)| (*t, r.0[0].as_int().unwrap()))
+            .collect();
+        assert_eq!(order, vec![(0, 0), (0, 1), (1, 11), (2, 20), (2, 21)]);
     }
 
     #[test]

@@ -242,7 +242,7 @@ mod tests {
                 "Put"
             }
             fn routing_key(&self) -> KeyValue {
-                KeyValue::Str(self.0.clone())
+                KeyValue::Str(self.0.as_str().into())
             }
             fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
                 ctx.put(0, Key::str(self.0.clone()), Row(vec![Value::Int(1)]));

@@ -176,6 +176,10 @@ pub struct TxnCtx<'a> {
     /// Destination store and the set of keys already migrated, when the
     /// routing slot is in flight.
     dest: Option<(&'a mut PartitionStore, &'a HashSet<(TableId, Key)>)>,
+    /// The routing component last hashed and found to map to `slot`. A
+    /// procedure touches one entity, so every key after its first carries
+    /// this same component and is checked by comparison, not by hashing.
+    checked: Option<KeyValue>,
     /// Set when any access hit the destination side (lets the engine track
     /// migration-overlap statistics).
     pub touched_dest: bool,
@@ -202,6 +206,7 @@ impl<'a> TxnCtx<'a> {
             num_slots,
             source: store,
             dest: None,
+            checked: None,
             touched_dest: false,
             rwset: RwSet::default(),
             capture: false,
@@ -223,6 +228,7 @@ impl<'a> TxnCtx<'a> {
             num_slots,
             source,
             dest: Some((dest, moved)),
+            checked: None,
             touched_dest: false,
             rwset: RwSet::default(),
             capture: false,
@@ -249,18 +255,21 @@ impl<'a> TxnCtx<'a> {
     /// Panics on a cross-partition access — that is a bug in the procedure
     /// (in H-Store such a transaction would have had to be declared
     /// multi-partition, which this engine, like the B2W workload, forbids).
-    fn check_slot(&self, key: &Key) {
+    fn check_slot(&mut self, key: &Key) {
+        let part = key.routing_part();
+        if self.checked.as_ref() == Some(part) {
+            return;
+        }
         // Allocation-free: hashes the routing component from a stack
         // buffer, so per-access slot checks stay off the heap.
-        let s = key
-            .routing_part()
-            .with_hash_bytes(|b| crate::hash::bucket_of(b, self.num_slots));
+        let s = part.with_hash_bytes(|b| crate::hash::bucket_of(b, self.num_slots));
         assert_eq!(
             s, self.slot,
             "single-partition violation: key {key} hashes to slot {s}, \
              transaction executes on slot {}",
             self.slot
         );
+        self.checked = Some(part.clone());
     }
 
     /// Tallies a read into the read/write set (telemetry builds only).
@@ -288,59 +297,56 @@ impl<'a> TxnCtx<'a> {
     #[inline(always)]
     fn note_write(&mut self, _dest: bool) {}
 
-    fn side_of(&self, table: TableId, key: &Key) -> Side {
+    fn side_of(&mut self, table: TableId, key: &Key) -> Side {
         self.check_slot(key);
         match &self.dest {
+            // A set lookup and nothing cheaper: a key first written while
+            // its slot is in flight lands at the source, possibly below
+            // rows already extracted, so no cursor or range over what has
+            // moved can answer this. Cloning an inline key is a copy.
             Some((_, moved)) if moved.contains(&(table, key.clone())) => Side::Dest,
             _ => Side::Source,
         }
     }
 
-    /// Reads a row.
-    pub fn get(&mut self, table: TableId, key: &Key) -> Option<Row> {
-        match self.side_of(table, key) {
-            Side::Source => {
-                self.note_read(false);
-                if self.capture {
-                    let v = self.source.version_of(self.slot, table, key);
-                    self.key_reads
-                        .push((table, key.clone(), captured_read_version(v)));
-                }
-                self.source.get(self.slot, table, key).cloned()
-            }
-            Side::Dest => {
-                self.note_read(true);
-                self.touched_dest = true;
-                let (row, v) = {
-                    let Some((dest, _)) = self.dest.as_ref() else {
-                        unreachable!("dest side implies dest view");
-                    };
-                    (
-                        dest.get(self.slot, table, key).cloned(),
-                        if self.capture {
-                            dest.version_of(self.slot, table, key)
-                        } else {
-                            0
-                        },
-                    )
-                };
-                if self.capture {
-                    self.key_reads
-                        .push((table, key.clone(), captured_read_version(v)));
-                }
-                row
-            }
+    fn store(&self, side: Side) -> &PartitionStore {
+        match (side, &self.dest) {
+            (Side::Source, _) => self.source,
+            (Side::Dest, Some((dest, _))) => dest,
+            (Side::Dest, None) => unreachable!("dest side implies dest view"),
         }
     }
 
-    /// Reads a row, aborting with `NotFound` if absent.
+    fn store_mut(&mut self, side: Side) -> &mut PartitionStore {
+        match (side, &mut self.dest) {
+            (Side::Source, _) => self.source,
+            (Side::Dest, Some((dest, _))) => dest,
+            (Side::Dest, None) => unreachable!("dest side implies dest view"),
+        }
+    }
+
+    /// Reads a row in place. Procedures that go on to write it clone it:
+    /// that one `Vec` is the row they put back.
+    pub fn get(&mut self, table: TableId, key: &Key) -> Option<&Row> {
+        let side = self.side_of(table, key);
+        self.note_read(side == Side::Dest);
+        self.touched_dest |= side == Side::Dest;
+        if self.capture {
+            let v = self.store(side).version_of(self.slot, table, key);
+            self.key_reads
+                .push((table, key.clone(), captured_read_version(v)));
+        }
+        self.store(side).get(self.slot, table, key)
+    }
+
+    /// Reads a row in place, aborting with `NotFound` if absent.
     pub fn get_required(
         &mut self,
         table: TableId,
         table_name: &'static str,
         key: &Key,
-    ) -> Result<Row, TxnError> {
-        self.get(table, key).ok_or(TxnError::NotFound {
+    ) -> Result<&Row, TxnError> {
+        self.get(table, key).ok_or_else(|| TxnError::NotFound {
             table: table_name,
             key: key.clone(),
         })
@@ -348,33 +354,13 @@ impl<'a> TxnCtx<'a> {
 
     /// Inserts or replaces a row.
     pub fn put(&mut self, table: TableId, key: Key, row: Row) -> Option<Row> {
-        match self.side_of(table, &key) {
-            Side::Source => {
-                self.note_write(false);
-                let v = self.source.bump_version(self.slot, table, &key);
-                if self.capture {
-                    self.key_writes.push((table, key.clone(), v));
-                }
-                self.source.put(self.slot, table, key, row)
-            }
-            Side::Dest => {
-                self.note_write(true);
-                self.touched_dest = true;
-                let v = {
-                    let Some((dest, _)) = self.dest.as_mut() else {
-                        unreachable!("dest side implies dest view");
-                    };
-                    dest.bump_version(self.slot, table, &key)
-                };
-                if self.capture {
-                    self.key_writes.push((table, key.clone(), v));
-                }
-                let Some((dest, _)) = self.dest.as_mut() else {
-                    unreachable!("dest side implies dest view");
-                };
-                dest.put(self.slot, table, key, row)
-            }
+        let side = self.side_of(table, &key);
+        let v = self.note_install(side, table, &key);
+        if self.capture {
+            self.key_writes.push((table, key.clone(), v));
         }
+        let slot = self.slot;
+        self.store_mut(side).put(slot, table, key, row)
     }
 
     /// Inserts a new row, aborting with `AlreadyExists` if present.
@@ -397,73 +383,72 @@ impl<'a> TxnCtx<'a> {
 
     /// Deletes a row, returning it if present.
     pub fn delete(&mut self, table: TableId, key: &Key) -> Option<Row> {
-        match self.side_of(table, key) {
-            Side::Source => {
-                self.note_write(false);
-                let v = self.source.bump_version(self.slot, table, key);
-                if self.capture {
-                    self.key_writes.push((table, key.clone(), v));
-                }
-                self.source.delete(self.slot, table, key)
-            }
-            Side::Dest => {
-                self.note_write(true);
-                self.touched_dest = true;
-                let v = {
-                    let Some((dest, _)) = self.dest.as_mut() else {
-                        unreachable!("dest side implies dest view");
-                    };
-                    dest.bump_version(self.slot, table, key)
-                };
-                if self.capture {
-                    self.key_writes.push((table, key.clone(), v));
-                }
-                let Some((dest, _)) = self.dest.as_mut() else {
-                    unreachable!("dest side implies dest view");
-                };
-                dest.delete(self.slot, table, key)
-            }
+        let side = self.side_of(table, key);
+        let v = self.note_install(side, table, key);
+        if self.capture {
+            self.key_writes.push((table, key.clone(), v));
         }
+        let slot = self.slot;
+        self.store_mut(side).delete(slot, table, key)
+    }
+
+    /// Tallies a write or delete at `side` and advances the key's version
+    /// there; returns the version installed.
+    fn note_install(&mut self, side: Side, table: TableId, key: &Key) -> u64 {
+        self.note_write(side == Side::Dest);
+        self.touched_dest |= side == Side::Dest;
+        let slot = self.slot;
+        self.store_mut(side).bump_version(slot, table, key)
+    }
+
+    /// Visits, in key order and in place, every row with the given key
+    /// prefix, merged across migration sides.
+    pub fn scan_prefix_with(
+        &mut self,
+        table: TableId,
+        prefix: &Key,
+        mut visit: impl FnMut(&Key, &Row),
+    ) {
+        self.check_slot(prefix);
+        let slot = self.slot;
+        let (source, capture, key_reads) = (&*self.source, self.capture, &mut self.key_reads);
+        let dest = self.dest.as_ref().map(|(dest, moved)| (&**dest, *moved));
+        let mut dest_rows = dest
+            .into_iter()
+            .flat_map(|(dest, _)| dest.prefix_rows(slot, table, prefix))
+            .peekable();
+        let hit_dest = dest_rows.peek().is_some();
+        merge_by_key(
+            source.prefix_rows(slot, table, prefix),
+            dest_rows,
+            |k, row| {
+                if capture {
+                    let v = match dest {
+                        Some((dest, moved)) if moved.contains(&(table, k.clone())) => {
+                            dest.version_of(slot, table, k)
+                        }
+                        _ => source.version_of(slot, table, k),
+                    };
+                    key_reads.push((table, k.clone(), captured_read_version(v)));
+                }
+                visit(k, row);
+            },
+        );
+        self.touched_dest |= hit_dest;
+        self.note_read(hit_dest);
     }
 
     /// All rows with the given key prefix, merged across migration sides.
     pub fn scan_prefix(&mut self, table: TableId, prefix: &Key) -> Vec<(Key, Row)> {
-        self.check_slot(prefix);
-        let mut rows = self.source.scan_prefix(self.slot, table, prefix);
-        let mut hit_dest = false;
-        if let Some((dest, _)) = &self.dest {
-            let dest_rows = dest.scan_prefix(self.slot, table, prefix);
-            if !dest_rows.is_empty() {
-                hit_dest = true;
-                self.touched_dest = true;
-                rows.extend(dest_rows);
-                rows.sort_by(|a, b| a.0.cmp(&b.0));
-                rows.dedup_by(|a, b| a.0 == b.0);
-            }
-        }
-        self.note_read(hit_dest);
-        if self.capture {
-            for (k, _) in &rows {
-                let v = match &self.dest {
-                    Some((dest, moved)) if moved.contains(&(table, k.clone())) => {
-                        dest.version_of(self.slot, table, k)
-                    }
-                    _ => self.source.version_of(self.slot, table, k),
-                };
-                self.key_reads
-                    .push((table, k.clone(), captured_read_version(v)));
-            }
-        }
+        let mut rows = Vec::new();
+        self.scan_prefix_with(table, prefix, |k, row| rows.push((k.clone(), row.clone())));
         rows
     }
 
     /// Deletes every row with the given key prefix; returns how many.
     pub fn delete_prefix(&mut self, table: TableId, prefix: &Key) -> u64 {
-        let keys: Vec<Key> = self
-            .scan_prefix(table, prefix)
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
+        let mut keys = Vec::new();
+        self.scan_prefix_with(table, prefix, |k, _| keys.push(k.clone()));
         let mut n = 0;
         for k in keys {
             if self.delete(table, &k).is_some() {
@@ -471,6 +456,36 @@ impl<'a> TxnCtx<'a> {
             }
         }
         n
+    }
+}
+
+/// Visits two key-ordered row streams as one key-ordered stream. A key
+/// both hold is visited once, with the row of `first`.
+fn merge_by_key<'r>(
+    first: impl Iterator<Item = (&'r Key, &'r Row)>,
+    second: impl Iterator<Item = (&'r Key, &'r Row)>,
+    mut visit: impl FnMut(&'r Key, &'r Row),
+) {
+    use std::cmp::Ordering;
+    let (mut first, mut second) = (first.peekable(), second.peekable());
+    loop {
+        let order = match (first.peek(), second.peek()) {
+            (Some((a, _)), Some((b, _))) => a.cmp(b),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return,
+        };
+        let next = match order {
+            Ordering::Less => first.next(),
+            Ordering::Greater => second.next(),
+            Ordering::Equal => {
+                second.next();
+                first.next()
+            }
+        };
+        if let Some((k, row)) = next {
+            visit(k, row);
+        }
     }
 }
 
@@ -498,7 +513,7 @@ mod tests {
         let k = Key::str("a");
         assert_eq!(ctx.get(0, &k), None);
         ctx.put(0, k.clone(), row(1));
-        assert_eq!(ctx.get(0, &k), Some(row(1)));
+        assert_eq!(ctx.get(0, &k), Some(&row(1)));
         assert_eq!(ctx.delete(0, &k), Some(row(1)));
         assert!(!ctx.touched_dest);
     }
@@ -516,9 +531,9 @@ mod tests {
         let moved: HashSet<(TableId, Key)> = [(0usize, moved_key.clone())].into();
 
         let mut ctx = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
-        assert_eq!(ctx.get(0, &moved_key), Some(row(10)));
+        assert_eq!(ctx.get(0, &moved_key), Some(&row(10)));
         assert!(ctx.touched_dest);
-        assert_eq!(ctx.get(0, &staying_key), Some(row(20)));
+        assert_eq!(ctx.get(0, &staying_key), Some(&row(20)));
 
         // Writes follow the same routing: updating the moved key lands at
         // the destination, new keys land at the source.
@@ -534,13 +549,26 @@ mod tests {
         let slot = slot_of("cart");
         let mut src = PartitionStore::new(1);
         let mut dst = PartitionStore::new(1);
-        src.put(slot, 0, Key::str_int("cart", 2), row(2));
-        dst.put(slot, 0, Key::str_int("cart", 1), row(1));
-        let moved: HashSet<(TableId, Key)> = [(0usize, Key::str_int("cart", 1))].into();
+        // Lines 1 and 3 have moved; 2 and 4 have not, and 5 was written
+        // after the chunk that took its neighbours.
+        for line in [2, 4, 5] {
+            src.put(slot, 0, Key::str_int("cart", line), row(line));
+        }
+        for line in [1, 3] {
+            dst.put(slot, 0, Key::str_int("cart", line), row(line));
+        }
+        let moved: HashSet<(TableId, Key)> = [1, 3]
+            .map(|line| (0usize, Key::str_int("cart", line)))
+            .into();
         let mut ctx = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
         let rows = ctx.scan_prefix(0, &Key::str("cart"));
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, Key::str_int("cart", 1)); // sorted merge
+        let expected: Vec<(Key, Row)> = (1..=5)
+            .map(|line| (Key::str_int("cart", line), row(line)))
+            .collect();
+        assert_eq!(rows, expected); // sorted merge
+        assert!(ctx.touched_dest);
+        assert_eq!(ctx.delete_prefix(0, &Key::str("cart")), 5);
+        assert_eq!(src.total_rows() + dst.total_rows(), 0);
     }
 
     #[test]

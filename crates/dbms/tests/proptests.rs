@@ -10,8 +10,10 @@ use pstore_dbms::catalog::{columns, Catalog, ColumnType, TableSchema};
 use pstore_dbms::cluster::{Cluster, ClusterConfig};
 use pstore_dbms::skew::{imbalance, node_loads, plan_rebalance, SkewConfig};
 use pstore_dbms::txn::{Procedure, TxnCtx, TxnError, TxnOutput};
-use pstore_dbms::value::{Key, KeyValue, Row, Value};
+use pstore_dbms::value::{Key, KeyValue, Row, Text, Value};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 fn kv_catalog() -> Catalog {
     let mut cat = Catalog::new();
@@ -29,7 +31,7 @@ impl Procedure for Put {
         "Put"
     }
     fn routing_key(&self) -> KeyValue {
-        KeyValue::Str(self.0.clone())
+        KeyValue::Str(self.0.as_str().into())
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         ctx.put(0, Key::str(self.0.clone()), Row(vec![Value::Int(self.1)]));
@@ -43,11 +45,11 @@ impl Procedure for Get {
         "Get"
     }
     fn routing_key(&self) -> KeyValue {
-        KeyValue::Str(self.0.clone())
+        KeyValue::Str(self.0.as_str().into())
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         match ctx.get(0, &Key::str(self.0.clone())) {
-            Some(r) => Ok(TxnOutput::Row(r)),
+            Some(r) => Ok(TxnOutput::Row(r.clone())),
             None => Ok(TxnOutput::None),
         }
     }
@@ -59,7 +61,7 @@ impl Procedure for Del {
         "Del"
     }
     fn routing_key(&self) -> KeyValue {
-        KeyValue::Str(self.0.clone())
+        KeyValue::Str(self.0.as_str().into())
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let n = u64::from(ctx.delete(0, &Key::str(self.0.clone())).is_some());
@@ -91,6 +93,128 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn key_name(k: u8) -> String {
     format!("key-{k:03}")
+}
+
+/// Byte lengths on both sides of every representation edge: 22 is the
+/// longest inline `Text`, 59 the longest string `with_hash_bytes` hashes
+/// from its stack buffer.
+const EDGE_LENGTHS: [usize; 12] = [0, 1, 21, 22, 23, 24, 25, 58, 59, 60, 61, 80];
+
+/// Strings of 0–80 bytes: any length, the edge lengths exactly, and
+/// multi-byte characters (which may straddle an edge).
+fn text_strategy() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-c]{0,80}",
+        "[a-cé€]{0,30}",
+        ("[ab]{80}", 0usize..EDGE_LENGTHS.len())
+            .prop_map(|(s, i)| s[..EDGE_LENGTHS[i]].to_string()),
+    ]
+}
+
+fn key_value_strategy() -> impl Strategy<Value = KeyValue> {
+    prop_oneof![
+        (-3i64..4).prop_map(KeyValue::Int),
+        "[a-c]{0,3}".prop_map(|s| KeyValue::Str(s.into())),
+        text_strategy().prop_map(|s| KeyValue::Str(s.into())),
+    ]
+}
+
+fn hash_of(v: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A `Text` is indistinguishable from the `String` it was made from,
+    /// whichever side of the inline/heap boundary it lands on and
+    /// whichever constructor made it.
+    #[test]
+    fn text_behaves_as_the_string_it_holds(a in text_strategy(), b in text_strategy()) {
+        let (ta, tb) = (Text::from(a.as_str()), Text::from(b.as_str()));
+        prop_assert_eq!(ta.as_str(), a.as_str());
+        prop_assert_eq!(ta.len(), a.len());
+        prop_assert_eq!(ta.is_empty(), a.is_empty());
+        prop_assert_eq!(ta == tb, a == b);
+        prop_assert_eq!(ta.cmp(&tb), a.cmp(&b));
+        prop_assert_eq!(hash_of(&ta), hash_of(&a));
+        prop_assert_eq!(ta.to_string(), a.clone());
+        prop_assert_eq!(format!("{ta:?}"), format!("{a:?}"));
+        prop_assert_eq!(format!("{ta:>30}|{ta:<5}"), format!("{a:>30}|{a:<5}"));
+        // One canonical form per string: every way of building it agrees.
+        let mid = (0..=a.len() / 2).rev().find(|&i| a.is_char_boundary(i)).unwrap_or(0);
+        for built in [
+            Text::from(a.clone()),
+            Text::format(format_args!("{a}")),
+            Text::format(format_args!("{}{}", &a[..mid], &a[mid..])),
+            ta.clone(),
+        ] {
+            prop_assert_eq!(&built, &ta);
+            prop_assert_eq!(built.cmp(&tb), a.cmp(&b));
+            prop_assert_eq!(hash_of(&built), hash_of(&ta));
+        }
+        // The modelled size is the paper's, not the real one.
+        prop_assert_eq!(Value::from(a.as_str()).size_estimate(), 24 + a.len());
+        prop_assert_eq!(KeyValue::Str(ta).size_estimate(), 24 + a.len());
+    }
+
+    /// The allocation-free routing hash sees the bytes the allocating one
+    /// does, on both sides of its stack buffer's edge.
+    #[test]
+    fn with_hash_bytes_matches_routing_bytes(part in key_value_strategy()) {
+        let expected = Key::new(vec![part.clone()]).routing_bytes();
+        prop_assert!(part.with_hash_bytes(|b| b == expected.as_slice()));
+        if let KeyValue::Str(s) = &part {
+            let mut layout = vec![4u8];
+            layout.extend((s.len() as u32).to_le_bytes());
+            layout.extend(s.as_bytes());
+            prop_assert_eq!(expected, layout);
+        }
+    }
+
+    /// A `Key` orders, compares, hashes and prints as the `Vec` of its
+    /// components did, for one, two (inline) and three (spilled) of them;
+    /// in particular a prefix sorts directly before its extensions, which
+    /// is what prefix scans walk.
+    #[test]
+    fn key_behaves_as_the_vec_of_its_parts(
+        a in prop::collection::vec(key_value_strategy(), 1..4),
+        b in prop::collection::vec(key_value_strategy(), 1..4),
+        extra in key_value_strategy(),
+    ) {
+        let (ka, kb) = (Key::new(a.clone()), Key::new(b.clone()));
+        prop_assert_eq!(ka.parts(), a.as_slice());
+        prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
+        prop_assert_eq!(ka == kb, a == b);
+        prop_assert_eq!(ka.starts_with(&kb), a.starts_with(&b));
+        if a == b {
+            prop_assert_eq!(hash_of(&ka), hash_of(&kb));
+        }
+        prop_assert_eq!(format!("{ka:?}"), format!("Key({a:?})"));
+        prop_assert_eq!(format!("{ka:#?}"), format!("Key(\n{}\n)", indent(&format!("{a:#?},"))));
+        prop_assert_eq!(ka.size_estimate(), a.iter().map(KeyValue::size_estimate).sum::<usize>());
+
+        let mut longer = a.clone();
+        longer.push(extra);
+        let extended = Key::new(longer);
+        prop_assert!(ka < extended);
+        prop_assert!(extended.starts_with(&ka));
+        // Nothing sorts between a key and its extensions but other
+        // extensions: `kb` is below the prefix, an extension, or above all.
+        if kb > ka && !kb.starts_with(&ka) {
+            prop_assert!(kb > extended);
+        }
+    }
+}
+
+/// Indents every line by four spaces, as `{:#?}` nests a field.
+fn indent(s: &str) -> String {
+    s.lines()
+        .map(|l| format!("    {l}"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 proptest! {
@@ -196,4 +320,113 @@ proptest! {
             prop_assert_eq!(c2.slot_of_key(&key), c7.slot_of_key(&key));
         }
     }
+}
+
+/// Slots of a handful of B2W-shaped ids, recorded at the commit before
+/// values went inline: a changed byte in a key's hash input moves every
+/// row of the database.
+#[test]
+fn routing_slots_of_b2w_ids_are_pinned() {
+    let ids = [
+        "cart-0000deadbeef",
+        "cart-9e3779b97f4a7c15",
+        "sku-0001f3a9",
+        "sku-bf58476d1ce4e5b9",
+        "chk-00c0ffee1234",
+        "chk-fedcba9876543210",
+        "stx-000000000057",
+        "stx-8badf00d8badf00d",
+    ];
+    for (num_slots, expected) in [
+        (3_600, [968u64, 586, 2327, 1086, 310, 131, 1679, 153]),
+        (7_200, [968, 586, 5927, 4686, 3910, 131, 1679, 153]),
+    ] {
+        let cluster = Cluster::new(
+            kv_catalog(),
+            ClusterConfig {
+                partitions_per_node: 6,
+                num_slots,
+            },
+            3,
+        );
+        let slots = ids.map(|id| cluster.slot_of_routing(&KeyValue::Str(id.into())));
+        assert_eq!(slots, expected, "{num_slots} slots");
+        let by_key = ids.map(|id| cluster.slot_of_key(&Key::str_int(id, 7)));
+        assert_eq!(by_key, expected, "{num_slots} slots, composite keys");
+    }
+}
+
+/// Modelled sizes of one row of each B2W table, recorded at the same
+/// commit. The paper's database size D and the migration chunk budget are
+/// expressed in these bytes; they do not follow the real representation.
+#[test]
+fn modelled_sizes_of_b2w_rows_are_pinned() {
+    let s = |v: &str| Value::from(v);
+    let (int, float) = (Value::Int, Value::Float);
+    let cart = "cart-0000deadbeef";
+    let (chk, sku, stx) = ("chk-00c0ffee1234", "sku-0001f3a9", "stx-8badf00d8badf00d");
+    let rows = [
+        (
+            "CART",
+            Key::str(cart),
+            vec![s(cart), s("cust-0badcafe"), s("OPEN"), float(59.5), int(17)],
+            41,
+            138,
+        ),
+        (
+            "CART_LINE",
+            Key::str_int(cart, 2),
+            vec![s(cart), int(2), s(sku), int(3), float(19.75), s("RESERVED")],
+            49,
+            149,
+        ),
+        (
+            "CHECKOUT",
+            Key::str(chk),
+            vec![s(chk), s(cart), s("PAID"), float(59.5), int(18)],
+            40,
+            141,
+        ),
+        (
+            "CHECKOUT_LINE",
+            Key::str_int(chk, 2),
+            vec![s(chk), int(2), s(sku), int(3), float(19.75), s(stx)],
+            48,
+            160,
+        ),
+        (
+            "CHECKOUT_PAYMENT",
+            Key::str_int(chk, 0),
+            vec![s(chk), int(0), s("BOLETO"), float(59.5), s("OPEN")],
+            48,
+            130,
+        ),
+        (
+            "STOCK",
+            Key::str(sku),
+            vec![s(sku), int(999_997), int(3), int(0), s("WH-1")],
+            36,
+            104,
+        ),
+        (
+            "STOCK_TXN",
+            Key::str(stx),
+            vec![s(stx), s(sku), s(cart), int(3), s("PURCHASED")],
+            44,
+            178,
+        ),
+    ];
+    for (table, key, row, key_size, row_size) in rows {
+        assert_eq!(key.size_estimate(), key_size, "{table} key");
+        assert_eq!(Row(row).size_estimate(), row_size, "{table} row");
+    }
+    let line = (
+        Key::str_int(cart, 2),
+        Row(vec![s(cart), int(2), Value::Null, Value::Bool(true)]),
+    );
+    assert_eq!(
+        format!("{line:?}"),
+        r#"(Key([Str("cart-0000deadbeef"), Int(2)]), Row([Str("cart-0000deadbeef"), Int(2), Null, Bool(true)]))"#
+    );
+    assert_eq!(line.0.to_string(), "('cart-0000deadbeef', 2)");
 }

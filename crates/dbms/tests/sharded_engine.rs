@@ -44,7 +44,7 @@ impl Procedure for Put {
         "Put"
     }
     fn routing_key(&self) -> KeyValue {
-        KeyValue::Str(self.key.clone())
+        KeyValue::Str(self.key.as_str().into())
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         ctx.put(
@@ -65,11 +65,11 @@ impl Procedure for Get {
         "Get"
     }
     fn routing_key(&self) -> KeyValue {
-        KeyValue::Str(self.key.clone())
+        KeyValue::Str(self.key.as_str().into())
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let row = ctx.get_required(0, "KV", &Key::str(self.key.clone()))?;
-        Ok(TxnOutput::Row(row))
+        Ok(TxnOutput::Row(row.clone()))
     }
 }
 

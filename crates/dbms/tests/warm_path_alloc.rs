@@ -5,9 +5,10 @@
 //! The engine's dispatch path — routing-key hashing, slot lookup, dense
 //! slot-access counters, procedure statistics — must stay off the heap
 //! once warm: it runs once per simulated transaction, hundreds of
-//! thousands of times per experiment cell. Workload *content* (B2W
-//! transactions own their key strings) is excluded by design; its
-//! allocation budget is bounded separately below.
+//! thousands of times per experiment cell. What a real workload adds on
+//! top (rows written and returned; ids and keys are inline and cost
+//! nothing) has its own budget, over the whole B2W stream, generator
+//! included: `crates/b2w/tests/stream_alloc.rs`.
 
 use pstore_dbms::catalog::{columns, Catalog, ColumnType, TableSchema};
 use pstore_dbms::cluster::{Cluster, ClusterConfig};

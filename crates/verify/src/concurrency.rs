@@ -468,7 +468,7 @@ impl Procedure for EnginePut {
         "EnginePut"
     }
     fn routing_key(&self) -> KeyValue {
-        KeyValue::Str(self.key.clone())
+        KeyValue::Str(self.key.as_str().into())
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         ctx.put(
@@ -490,11 +490,11 @@ impl Procedure for EngineGet {
         "EngineGet"
     }
     fn routing_key(&self) -> KeyValue {
-        KeyValue::Str(self.key.clone())
+        KeyValue::Str(self.key.as_str().into())
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let row = ctx.get_required(0, "KV", &Key::str(self.key.clone()))?;
-        Ok(TxnOutput::Row(row))
+        Ok(TxnOutput::Row(row.clone()))
     }
 }
 

@@ -35,7 +35,7 @@ fn main() {
     // Normal traffic plus three viral products everyone is checking: 30%
     // of all requests hit three SKUs — the hot-tuple skew E-Store was
     // built for, which P-Store's uniform model does not handle.
-    let viral: Vec<String> = [17, 171, 1234]
+    let viral: Vec<_> = [17, 171, 1234]
         .iter()
         .map(|&i| gen.seed_stock_procedures()[i].sku.clone())
         .collect();

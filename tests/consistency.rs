@@ -7,7 +7,7 @@ use pstore::b2w::procedures::GetStock;
 use pstore::b2w::schema::{b2w_catalog, tables};
 use pstore::dbms::cluster::{Cluster, ClusterConfig};
 use pstore::dbms::txn::{Procedure, TxnCtx, TxnError, TxnOutput};
-use pstore::dbms::value::{Key, KeyValue, Value};
+use pstore::dbms::value::{Key, KeyValue, Text, Value};
 
 fn seeded_cluster(nodes: u32, skus: usize, carts: usize) -> (Cluster, WorkloadGenerator) {
     let mut gen = WorkloadGenerator::new(WorkloadConfig {
@@ -49,7 +49,7 @@ fn stock_units_are_conserved_through_migrations_under_traffic() {
     let (mut cluster, mut gen) = seeded_cluster(2, 300, 100);
     // Stock conservation: reserve/purchase/cancel only move units between
     // the three columns; migration must never duplicate or lose them.
-    let probe: Vec<String> = gen
+    let probe: Vec<Text> = gen
         .seed_stock_procedures()
         .iter()
         .step_by(37)
@@ -87,7 +87,7 @@ fn cart_totals_stay_consistent_with_their_lines() {
     // Audit every open cart on every node: the cart's total must equal the
     // sum over its lines of quantity * unit price.
     struct AuditCart {
-        cart_id: String,
+        cart_id: Text,
     }
     impl Procedure for AuditCart {
         fn name(&self) -> &'static str {
@@ -154,5 +154,212 @@ fn migration_preserves_row_and_byte_totals_without_traffic() {
         cluster.run_reconfiguration_to_completion(8_192).unwrap();
         assert_eq!(cluster.total_rows(), rows);
         assert_eq!(cluster.total_bytes(), bytes);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Twin-database long haul: the correctness oracle for engine changes.
+// ---------------------------------------------------------------------
+
+/// Cluster sizing of one twin run.
+#[derive(Clone, Copy)]
+struct TwinSizing {
+    skus: usize,
+    carts: usize,
+    slots: usize,
+    /// Byte budget of one migration chunk.
+    chunk_bytes: usize,
+    /// Length of the transaction stream.
+    txns: usize,
+    /// Reconfigurations the moving twin must complete.
+    min_reconfigs: u64,
+}
+
+/// The Fig 9 `--quick` database: slots of ~700 bytes, so a chunk moves a
+/// whole slot. 3→6 relocates 1 800 slots at one chunk per 16 transactions,
+/// hence the stream length: ten reconfigurations need ≈ 290 k transactions.
+const FIG9_QUICK: TwinSizing = TwinSizing {
+    skus: 2_000,
+    carts: 600,
+    slots: 3_600,
+    chunk_bytes: 8 * 1024,
+    txns: 300_000,
+    min_reconfigs: 10,
+};
+
+/// Few, fat slots and small chunks: every slot stays in flight for many
+/// transactions, so rows are created, read and deleted on both sides of
+/// a half-moved slot — the moved-key set's job.
+const FAT_SLOTS: TwinSizing = TwinSizing {
+    skus: 2_000,
+    carts: 600,
+    slots: 36,
+    chunk_bytes: 2 * 1024,
+    txns: 150_000,
+    min_reconfigs: 10,
+};
+
+const TXNS_PER_CHUNK: usize = 16;
+const SMALL: u32 = 3;
+const LARGE: u32 = 6;
+
+/// The benchmark's `Mover`: one chunk per call, machine pairs visited
+/// round-robin, the next move (3→6, 6→3, …) started when none runs.
+#[derive(Default)]
+struct Mover {
+    next_pair: usize,
+    completed: u64,
+    /// Chunks that left their slot in flight (moved part of it).
+    partial_chunks: u64,
+}
+
+impl Mover {
+    fn step(&mut self, cluster: &mut Cluster, chunk_bytes: usize) {
+        if !cluster.reconfiguring() {
+            let target = if cluster.active_nodes() == SMALL {
+                LARGE
+            } else {
+                SMALL
+            };
+            cluster.begin_reconfiguration(target).unwrap();
+            self.next_pair = 0;
+        }
+        let pairs = cluster.pair_transfers();
+        let pair = (0..pairs.len())
+            .map(|i| (self.next_pair + i) % pairs.len())
+            .find(|&i| !pairs[i].is_done())
+            .expect("a running reconfiguration has an unfinished pair");
+        self.next_pair = pair + 1;
+        let moved = cluster.migrate_chunk(pair, chunk_bytes).unwrap();
+        self.partial_chunks += u64::from(moved.rows > 0 && !moved.slot_completed);
+        self.completed += u64::from(moved.reconfig_done);
+    }
+}
+
+/// 64-bit FNV-1a over a stream of byte strings (each terminated, so that
+/// field boundaries count).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn field(&mut self, bytes: &[u8]) {
+        for &b in bytes.iter().chain(&[0xff]) {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Runs one generator stream through two identically loaded clusters, one
+/// of which never migrates while the other is permanently reconfiguring,
+/// and checks that they cannot be told apart. Returns the FNV digest of
+/// `(name, routing key, result)` over the first `digest_txns` transactions.
+fn run_twins(seed: u64, sizing: TwinSizing, digest_txns: usize) -> u64 {
+    let mut gen = WorkloadGenerator::new(WorkloadConfig {
+        seed,
+        num_skus: sizing.skus,
+        initial_carts: sizing.carts,
+        ..WorkloadConfig::default()
+    });
+    let cfg = ClusterConfig {
+        partitions_per_node: 6,
+        num_slots: sizing.slots,
+    };
+    let mut still = Cluster::new(b2w_catalog(), cfg.clone(), SMALL);
+    let mut moving = Cluster::new(b2w_catalog(), cfg, SMALL);
+    for p in gen.seed_stock_procedures() {
+        still.execute(&p).unwrap();
+        moving.execute(&p).unwrap();
+    }
+    for t in gen.initial_load() {
+        still.execute(&t).unwrap();
+        moving.execute(&t).unwrap();
+    }
+
+    let mut mover = Mover::default();
+    let mut digest = Fnv::new();
+    for i in 0..sizing.txns {
+        let txn = gen.next_txn();
+        let expected = still.execute(&txn);
+        let got = moving.execute(&txn);
+        assert!(
+            expected.is_ok(),
+            "seed {seed:#x} txn {i} ({}) failed on the unmoved twin: {expected:?}",
+            txn.name()
+        );
+        assert_eq!(
+            got,
+            expected,
+            "seed {seed:#x} txn {i} ({}): the migrating twin answered differently",
+            txn.name()
+        );
+        if i < digest_txns {
+            digest.field(txn.name().as_bytes());
+            let routing = match txn.routing_key() {
+                KeyValue::Str(s) => s.to_string(),
+                KeyValue::Int(n) => n.to_string(),
+            };
+            digest.field(routing.as_bytes());
+            digest.field(format!("{expected:?}").as_bytes());
+        }
+        if i % TXNS_PER_CHUNK == TXNS_PER_CHUNK - 1 {
+            mover.step(&mut moving, sizing.chunk_bytes);
+        }
+    }
+    assert!(
+        mover.completed >= sizing.min_reconfigs,
+        "seed {seed:#x}: only {} reconfigurations completed",
+        mover.completed
+    );
+    if sizing.slots < 100 {
+        assert!(
+            mover.partial_chunks > 1_000,
+            "seed {seed:#x}: slots were in flight for only {} chunks",
+            mover.partial_chunks
+        );
+    }
+    if moving.reconfiguring() {
+        moving
+            .run_reconfiguration_to_completion(sizing.chunk_bytes)
+            .unwrap();
+    }
+
+    still.verify_integrity().unwrap();
+    moving.verify_integrity().unwrap();
+    assert_eq!(moving.total_rows(), still.total_rows(), "seed {seed:#x}");
+    assert_eq!(moving.total_bytes(), still.total_bytes(), "seed {seed:#x}");
+    for table in 0..b2w_catalog().len() {
+        assert_eq!(
+            moving.export_table(table).unwrap(),
+            still.export_table(table).unwrap(),
+            "seed {seed:#x}: table {table} differs between the twins"
+        );
+    }
+    digest.0
+}
+
+/// Recorded at the commit before values went inline: any drift in the
+/// generated stream, in a routing key's text or in a result's `Debug`
+/// form changes it.
+const STREAM_DIGEST_B2D1: u64 = 0x4b4c_05e5_669d_9aa7;
+
+#[test]
+fn migrating_twin_is_indistinguishable_from_an_unmoved_one() {
+    for seed in [0xB2D1u64, 0x0709, 0x5EED] {
+        let digest = run_twins(seed, FIG9_QUICK, 50_000);
+        if seed == 0xB2D1 {
+            assert_eq!(
+                digest, STREAM_DIGEST_B2D1,
+                "the first 50 000 transactions of seed 0xB2D1 drifted: {digest:#018x}"
+            );
+        }
+    }
+}
+
+#[test]
+fn twins_agree_while_fat_slots_stay_in_flight() {
+    for seed in [0xB2D1u64, 0x0709, 0x5EED] {
+        run_twins(seed, FAT_SLOTS, 0);
     }
 }

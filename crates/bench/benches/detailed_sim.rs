@@ -23,8 +23,6 @@ fn bench_cfg(sim_seconds: usize, load_txn_s: f64, seed: u64) -> DetailedSimConfi
             interval: Duration::from_secs(30),
             max_machines: 10,
         },
-        load: vec![load_txn_s; sim_seconds],
-        seed,
         workload: WorkloadConfig {
             num_skus: 4_000,
             initial_carts: 800,
@@ -39,9 +37,8 @@ fn bench_cfg(sim_seconds: usize, load_txn_s: f64, seed: u64) -> DetailedSimConfi
         max_queue_delay_s: 2.0,
         warmup_txns: 5_000,
         txn_sample_every: 0,
-        shards: 1,
-        shard_spans: false,
         prov_events: false,
+        ..DetailedSimConfig::paper_defaults(vec![load_txn_s; sim_seconds], seed)
     }
 }
 

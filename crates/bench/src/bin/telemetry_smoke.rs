@@ -39,8 +39,6 @@ fn main() {
             interval: Duration::from_secs(30),
             max_machines: 10,
         },
-        load: load.clone(),
-        seed: 0x5710,
         workload: pstore_b2w::generator::WorkloadConfig {
             num_skus: 4_000,
             initial_carts: 800,
@@ -55,9 +53,8 @@ fn main() {
         max_queue_delay_s: 2.0,
         warmup_txns: 20_000,
         txn_sample_every: 0,
-        shards: 1,
-        shard_spans: false,
         prov_events: false,
+        ..DetailedSimConfig::paper_defaults(load, 0x5710)
     };
 
     reporter.progress("running a small detailed simulation under P-Store...");

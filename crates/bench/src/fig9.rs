@@ -5,7 +5,7 @@
 
 use crate::sweep::{Cell, Sweep};
 use pstore_core::params::SystemParams;
-use pstore_sim::detailed::{run_detailed, shards_from_env, DetailedSimConfig, DetailedSimResult};
+use pstore_sim::detailed::{run_detailed, DetailedSimConfig, DetailedSimResult};
 use pstore_sim::scenarios::{pstore_spar, reactive_default, static_alloc, ExperimentTrace};
 
 /// Which §8.2 approach to run.
@@ -50,22 +50,15 @@ pub struct Fig9Config {
     pub seed: u64,
     /// Scale down the workload for smoke runs.
     pub quick: bool,
-    /// Executor shards per simulated cluster (`1` = serial inline
-    /// engine). The engine is deterministic across shard counts, so
-    /// this must not change any figure output — the determinism tests
-    /// compare runs at different values.
-    pub shards: u32,
 }
 
 impl Fig9Config {
-    /// The paper's setting: a randomly chosen 3-day period. Shard count
-    /// comes from `PSTORE_SHARDS` (default 1).
+    /// The paper's setting: a randomly chosen 3-day period.
     pub fn paper(seed: u64) -> Self {
         Fig9Config {
             days: 3,
             seed,
             quick: false,
-            shards: shards_from_env(),
         }
     }
 }
@@ -79,7 +72,6 @@ pub fn sim_config(cfg: &Fig9Config, trace: &ExperimentTrace) -> DetailedSimConfi
         sim.num_slots = 3_600;
         sim.warmup_txns = 40_000;
     }
-    sim.shards = cfg.shards;
     sim
 }
 

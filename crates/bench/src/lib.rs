@@ -111,7 +111,8 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Shared run harness for the experiment binaries: uniform handling of
+/// Shared run harness for the experiment binaries and the one place their
+/// arguments are parsed (anything else is refused with exit status 2):
 /// `--quick` (smaller runs), `--quiet` (suppress progress chatter),
 /// `--threads N` (worker threads for the [`sweep`] runner; default:
 /// `RAYON_NUM_THREADS`, else available parallelism), `--trace <path>`
@@ -142,47 +143,55 @@ pub struct RunReporter {
 }
 
 impl RunReporter {
-    /// Parses the process arguments and, when `--trace`, `--summary` or
+    /// Parses the process arguments — the one flag grammar of every
+    /// experiment binary — and, when `--trace`, `--summary` or
     /// `--expose-metrics` is present, installs a telemetry sink (JSONL
     /// writer, live-metrics tee, or both) for the rest of the run.
     ///
     /// # Panics
-    /// Exits with a message if a flag is given without its argument or
-    /// the trace file cannot be created.
+    /// Prints the usage and exits with status 2, before anything runs or
+    /// is written, on any other argument (`--help` included) or a flag
+    /// without its value; exits likewise if the trace file cannot be
+    /// created.
     #[must_use]
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick");
-        let quiet = args.iter().any(|a| a == "--quiet");
-        let threads = args.iter().position(|a| a == "--threads").map_or(0, |i| {
-            match args.get(i + 1).map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => n,
-                _ => {
-                    eprintln!("error: --threads requires a positive integer argument");
-                    std::process::exit(2);
+        fn usage_exit(msg: &str) -> ! {
+            let bin = std::env::args().next().unwrap_or_default();
+            eprintln!(
+                "error: {msg}\nusage: {bin} [--quick] [--quiet] [--threads N] \
+                 [--trace PATH] [--summary PATH] [--expose-metrics PORT]"
+            );
+            std::process::exit(2)
+        }
+        let (mut quick, mut quiet, mut threads) = (false, false, 0usize);
+        let (mut trace_path, mut summary_path, mut expose_port) = (None, None, None);
+        let mut args = std::env::args().skip(1);
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" => quick = true,
+                "--quiet" => quiet = true,
+                "--threads" => match args.next().map(|v| v.parse::<usize>()) {
+                    Some(Ok(n)) if n > 0 => threads = n,
+                    _ => usage_exit("--threads requires a positive integer argument"),
+                },
+                "--trace" | "--summary" => {
+                    let Some(path) = args.next() else {
+                        usage_exit(&format!("{arg} requires a file path argument"));
+                    };
+                    let slot = if arg == "--trace" {
+                        &mut trace_path
+                    } else {
+                        &mut summary_path
+                    };
+                    *slot = Some(std::path::PathBuf::from(path));
                 }
+                "--expose-metrics" => match args.next().map(|v| v.parse::<u16>()) {
+                    Some(Ok(port)) => expose_port = Some(port),
+                    _ => usage_exit("--expose-metrics requires a port number (0 = ephemeral)"),
+                },
+                _ => usage_exit(&format!("unrecognised argument `{arg}`")),
             }
-        });
-        let path_arg = |flag: &str| {
-            args.iter().position(|a| a == flag).map(|i| {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("error: {flag} requires a file path argument");
-                    std::process::exit(2);
-                };
-                std::path::PathBuf::from(path)
-            })
-        };
-        let mut trace_path = path_arg("--trace");
-        let summary_path = path_arg("--summary");
-        let expose_port = args.iter().position(|a| a == "--expose-metrics").map(|i| {
-            match args.get(i + 1).map(|v| v.parse::<u16>()) {
-                Some(Ok(port)) => port,
-                _ => {
-                    eprintln!("error: --expose-metrics requires a port number (0 = ephemeral)");
-                    std::process::exit(2);
-                }
-            }
-        });
+        }
 
         // `--summary` derives its numbers from a trace read-back; when no
         // `--trace` destination was named, write to a temp file and clean

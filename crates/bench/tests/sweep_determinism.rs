@@ -10,10 +10,6 @@ use pstore_bench::fig9::{run_all_sweep, Fig9Config};
 use pstore_bench::sweep::{Cell, Sweep};
 use pstore_core::controller::baselines::StaticController;
 use pstore_core::params::SystemParams;
-use pstore_dbms::catalog::{columns, ColumnType, TableSchema};
-use pstore_dbms::{
-    Catalog, Cluster, ClusterConfig, KeyValue, Procedure, TxnCtx, TxnError, TxnOutput,
-};
 use pstore_sim::detailed::{run_detailed, DetailedSimConfig, DetailedSimResult};
 use std::time::Duration;
 
@@ -28,8 +24,6 @@ fn tiny_cfg(nodes_hint: u64, load_txn_s: f64, seed: u64) -> DetailedSimConfig {
             interval: Duration::from_secs(30),
             max_machines: 10,
         },
-        load: vec![load_txn_s; 20],
-        seed: seed ^ (nodes_hint << 8),
         workload: WorkloadConfig {
             num_skus: 1_000,
             initial_carts: 200,
@@ -44,16 +38,14 @@ fn tiny_cfg(nodes_hint: u64, load_txn_s: f64, seed: u64) -> DetailedSimConfig {
         max_queue_delay_s: 2.0,
         warmup_txns: 1_000,
         txn_sample_every: 0,
-        shards: 1,
-        shard_spans: false,
         prov_events: false,
+        ..DetailedSimConfig::paper_defaults(vec![load_txn_s; 20], seed ^ (nodes_hint << 8))
     }
 }
 
 /// The grid every test below runs: varied cluster sizes, loads and seeds,
-/// including a saturated single node (exercises the drop path). `tweak`
-/// adjusts each cell's config after the grid defaults are applied.
-fn grid_cells_with(tweak: impl Fn(&mut DetailedSimConfig)) -> Vec<Cell<DetailedSimResult>> {
+/// including a saturated single node (exercises the drop path).
+fn grid_cells() -> Vec<Cell<DetailedSimResult>> {
     let grid: [(u32, f64, u64); 6] = [
         (4, 300.0, 1),
         (4, 300.0, 2),
@@ -64,17 +56,12 @@ fn grid_cells_with(tweak: impl Fn(&mut DetailedSimConfig)) -> Vec<Cell<DetailedS
     ];
     grid.iter()
         .map(|&(nodes, load, seed)| {
-            let mut cfg = tiny_cfg(u64::from(nodes), load, seed);
-            tweak(&mut cfg);
+            let cfg = tiny_cfg(u64::from(nodes), load, seed);
             Cell::new(format!("static{nodes}/seed{seed}"), move || {
                 run_detailed(&cfg, &mut StaticController::new(nodes))
             })
         })
         .collect()
-}
-
-fn grid_cells() -> Vec<Cell<DetailedSimResult>> {
-    grid_cells_with(|_| {})
 }
 
 /// Full-fidelity fingerprint of a result vector: the `Debug` rendering
@@ -114,112 +101,8 @@ fn fig9_quick_is_identical_serial_vs_parallel() {
         days: 1,
         seed: 42,
         quick: true,
-        shards: 1,
     };
     let (_, serial) = run_all_sweep(&cfg, &Sweep::new(1));
     let (_, parallel) = run_all_sweep(&cfg, &Sweep::new(8));
     assert_eq!(fingerprint(&serial), fingerprint(&parallel));
-}
-
-/// The engine-level determinism claim at figure granularity: `fig9
-/// --quick` must be byte-identical at shards {1, 2, 4} — every
-/// per-second metric, SLA counter and reconfiguration span, i.e. the
-/// CSV and summary JSON the binary derives from these results. As
-/// expensive as the serial-vs-parallel test above, so ignored by
-/// default and run by `scripts/static_analysis.sh` in release mode.
-#[test]
-#[ignore = "expensive: run with --release -- --ignored"]
-fn fig9_quick_is_identical_across_shard_counts() {
-    let run = |shards: u32| {
-        let cfg = Fig9Config {
-            days: 1,
-            seed: 42,
-            quick: true,
-            shards,
-        };
-        let (_, results) = run_all_sweep(&cfg, &Sweep::new(0));
-        fingerprint(&results)
-    };
-    let serial = run(1);
-    assert_eq!(serial, run(2), "fig9 diverged between shards 1 and 2");
-    assert_eq!(serial, run(4), "fig9 diverged between shards 1 and 4");
-}
-
-/// Quick (non-ignored) engine-level determinism: the tiny grid run
-/// on 4-shard clusters matches the serial-engine run bit-for-bit.
-#[test]
-fn detailed_sim_cells_are_identical_at_one_and_four_shards() {
-    let sharded_cells = || {
-        grid_cells_with(|cfg| {
-            cfg.shards = 4;
-        })
-    };
-    let serial = fingerprint(&Sweep::new(2).run(grid_cells()));
-    let sharded = fingerprint(&Sweep::new(2).run(sharded_cells()));
-    assert_eq!(
-        serial, sharded,
-        "sweep results diverged between shards=1 and shards=4 engines"
-    );
-}
-
-/// A panic on an executor shard propagates to the cell that drives the
-/// cluster and is caught and attributed by `Sweep::run_fallible` like
-/// any other cell failure — with the shard named in the message.
-#[test]
-fn panicking_shard_is_attributed_like_a_panicking_cell() {
-    struct Kaboom;
-    impl Procedure for Kaboom {
-        fn name(&self) -> &'static str {
-            "Kaboom"
-        }
-        fn routing_key(&self) -> KeyValue {
-            KeyValue::Str("kaboom-key".into())
-        }
-        fn execute(&self, _ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
-            panic!("kaboom: injected shard fault");
-        }
-    }
-    let cells: Vec<Cell<u64>> = (0..2)
-        .map(|i| {
-            Cell::new(format!("engine-cell-{i}"), move || {
-                let mut cat = Catalog::new();
-                cat.add_table(TableSchema::new(
-                    "KV",
-                    columns(&[("k", ColumnType::Str)]),
-                    1,
-                ));
-                let mut c = Cluster::with_shards(
-                    cat,
-                    ClusterConfig {
-                        partitions_per_node: 4,
-                        num_slots: 64,
-                    },
-                    2,
-                    2,
-                );
-                if i == 1 {
-                    let slot = c.slot_of_routing(&Kaboom.routing_key());
-                    c.submit(Kaboom, slot);
-                    let mut fates = Vec::new();
-                    c.drain_fates_into(&mut fates);
-                }
-                i
-            })
-        })
-        .collect();
-    let results = Sweep::new(2).run_fallible(cells);
-    assert_eq!(results[0], Ok(0));
-    let failure = results[1].as_ref().expect_err("cell 1 must fail");
-    assert_eq!(failure.index, 1);
-    assert_eq!(failure.label, "engine-cell-1");
-    assert!(
-        failure
-            .message
-            .starts_with("executor shard 0 panicked: kaboom")
-            || failure
-                .message
-                .starts_with("executor shard 1 panicked: kaboom"),
-        "panic not attributed to a shard: {}",
-        failure.message
-    );
 }

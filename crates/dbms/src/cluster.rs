@@ -10,58 +10,15 @@
 //! against the slot while it is in flight (key-granularity switchover).
 //! Chunk *pacing* — how often chunks run and how long they occupy the
 //! partition — is the simulator's job; this module provides the mechanism.
-//!
-//! # Sharded execution
-//!
-//! The storage is owned by `S` executor shards ([`ShardState`]): shard
-//! `s` holds every partition whose local index `l` satisfies
-//! `l % S == s`, on every node. With `S == 1` (the default, and
-//! [`Cluster::new`]'s only mode) the shard runs *inline* — no threads, no
-//! queues, the serial engine unchanged. With `S > 1`
-//! ([`Cluster::with_shards`]) each shard runs on its own thread behind a
-//! pair of bounded SPSC [`Mailbox`]es, and this struct becomes the
-//! *coordinator*: it owns routing, plans, statistics, and telemetry, and
-//! ships work to shards as [`Command`]s.
-//!
-//! Determinism at any shard count comes from three rules:
-//!
-//! 1. **Single-shard execution.** A slot's local index never changes, and
-//!    a migrating slot's source and destination share it, so every
-//!    transaction and every migration chunk is handled entirely by one
-//!    shard — no cross-thread locking on the execute path.
-//! 2. **Submission-order settlement.** [`Cluster::submit`] records which
-//!    shard received each transaction; fates are collected back in
-//!    exactly that global order, so statistics, per-procedure counters,
-//!    and the simulator's telemetry merge are byte-identical to the
-//!    serial engine's.
-//! 3. **Fence/epoch protocol.** Global structural operations (node
-//!    allocation, plan commit, snapshot reads) run only when every shard
-//!    has quiesced at a [`Command::Fence`] and acked; shards hold at the
-//!    [`FenceGate`] until the coordinator releases the epoch (CON-05).
-//!
-//! Shard threads emit no telemetry and draw no randomness; all
-//! observable effects return as [`Reply`]s and are folded in by the
-//! coordinator, on the coordinator's thread.
 
 use crate::catalog::{Catalog, TableId};
 use crate::hash::bucket_of;
-use crate::mailbox::{Mailbox, TrySendError};
-use crate::shard::{
-    worker_loop, Command, FenceData, FenceGate, FenceOp, Reply, ShardPanic, ShardState, TxnFate,
-};
-use crate::sync::Arc;
+use crate::storage::{Storage, TxnFate};
 use crate::txn::{Procedure, TxnError, TxnOutput};
 use crate::value::Key;
 use pstore_core::partition_plan::SlotPlan;
-use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
-
-/// Command/reply ring capacity per shard. Large enough that a simulator
-/// batching one second of arrivals rarely blocks, small enough to bound
-/// memory; the blocking send path drains replies while waiting, so a
-/// full ring degrades to lockstep rather than deadlock.
-const MAILBOX_CAPACITY: usize = 1024;
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,9 +70,8 @@ impl PairTransfer {
     }
 }
 
-/// An in-progress reconfiguration. The coordinator tracks *which* slots
-/// are in flight (and their source/destination) for routing; the owning
-/// shard tracks the moved-key sets.
+/// An in-progress reconfiguration: *which* slots are in flight (and their
+/// source/destination) for routing; [`Storage`] tracks the moved-key sets.
 #[derive(Debug)]
 struct Reconfig {
     new_plan: SlotPlan,
@@ -186,33 +142,6 @@ pub struct ClusterStats {
     pub reconfigurations: u64,
 }
 
-/// Per-shard execution attribution, from [`Cluster::shard_reports`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardReport {
-    /// Transactions executed by the shard.
-    pub txns: u64,
-    /// Wall-clock microseconds the shard spent applying commands
-    /// (always 0 for the inline backend, which does not meter itself).
-    pub busy_us: u64,
-}
-
-/// One executor-shard thread and its command/reply rings.
-struct Worker {
-    cmd: Arc<Mailbox<Command>>,
-    reply: Arc<Mailbox<Reply>>,
-    handle: Option<crate::sync::thread::JoinHandle<()>>,
-}
-
-/// Where the storage lives: inline in the coordinator (serial engine,
-/// `shards == 1`) or spread over executor threads.
-enum Backend {
-    Inline(ShardState),
-    Threaded {
-        workers: Vec<Worker>,
-        gate: Arc<FenceGate>,
-    },
-}
-
 /// A shared-nothing, partitioned, main-memory cluster.
 pub struct Cluster {
     catalog: Catalog,
@@ -231,77 +160,33 @@ pub struct Cluster {
     /// the execute path — [`slot_access_report`](Self::slot_access_report)
     /// reads this instead of re-aggregating every partition's counters.
     slot_access_totals: Vec<u64>,
-    /// Executor shard count (1 = inline serial engine).
-    num_shards: u32,
     /// Nodes currently holding resources.
     allocated: u32,
-    backend: Backend,
-    /// Shard of each outstanding (submitted, un-settled) transaction, in
-    /// global submission order — the ordered-merge discipline that makes
-    /// fate collection deterministic.
-    pending_order: VecDeque<u32>,
-    /// Fates already collected but not yet handed to the caller.
-    drained: VecDeque<TxnFate>,
-    /// Monotone fence epoch (interior-mutable so read-only snapshot ops
-    /// can fence without `&mut self`).
-    fence_epoch: Cell<u64>,
+    storage: Storage,
     reconfig: Option<Reconfig>,
     stats: ClusterStats,
     /// Per-procedure (committed, aborted) counters.
     procedure_stats: HashMap<&'static str, (u64, u64)>,
-    /// Coordinator mirror of the shards' per-key version tracking flag
-    /// (see [`set_track_versions`](Self::set_track_versions)): sampled
-    /// transactions are only captured at key level while this is on.
-    versions_on: bool,
     /// Trace id for the next transaction, set by a sampling caller (the
     /// simulator): `execute_at_slot` emits that transaction's `txn_rwset`
     /// (and `txn_restart`, if it was rerouted to a migration destination)
-    /// under this id, then clears it. Applies to the inline execute path
-    /// only — fates from [`submit`](Self::submit) carry the same data for
-    /// the caller to emit itself.
+    /// under this id, then clears it.
     #[cfg(feature = "telemetry")]
     txn_trace_id: Option<u64>,
-    /// Opt-in runtime instrumentation of the threaded backend: mailbox
-    /// depth/occupancy histograms on the command/reply rings and a
-    /// `fence` latency span per fence round. Off by default — the warm
-    /// path then carries no sampling and default-config traces stay
-    /// byte-stable (see [`set_runtime_gauges`](Self::set_runtime_gauges)).
-    #[cfg(feature = "telemetry")]
-    runtime_gauges: bool,
 }
 
 impl Cluster {
-    /// Boots a serial (single-shard, inline) cluster of `initial_nodes`
-    /// nodes.
+    /// Boots a cluster of `initial_nodes` nodes.
     ///
     /// # Panics
     /// Panics on zero nodes or too few slots.
     pub fn new(catalog: Catalog, cfg: ClusterConfig, initial_nodes: u32) -> Self {
-        Self::with_shards(catalog, cfg, initial_nodes, 1)
-    }
-
-    /// Boots a cluster whose storage is split over `shards` executor
-    /// shards. `shards == 1` is the serial engine (inline, no threads);
-    /// larger counts spawn one executor thread per shard. The count is
-    /// clamped to `partitions_per_node` — beyond that shards would own no
-    /// partitions.
-    ///
-    /// # Panics
-    /// Panics on zero nodes, zero shards, or too few slots.
-    pub fn with_shards(
-        catalog: Catalog,
-        cfg: ClusterConfig,
-        initial_nodes: u32,
-        shards: u32,
-    ) -> Self {
         assert!(initial_nodes > 0, "need at least one node");
         assert!(
             cfg.num_slots >= initial_nodes as usize,
             "need at least one slot per node"
         );
         assert!(cfg.partitions_per_node > 0, "need at least one partition");
-        assert!(shards > 0, "need at least one executor shard");
-        let shards = shards.min(cfg.partitions_per_node);
         let plan = SlotPlan::balanced(initial_nodes, cfg.num_slots);
         let num_tables = catalog.len();
         let route_node = plan.assignments().to_vec();
@@ -309,110 +194,49 @@ impl Cluster {
         let route_local: Vec<u32> = (0..cfg.num_slots as u64)
             .map(|slot| bucket_of(&slot.to_le_bytes(), cfg.partitions_per_node as u64) as u32)
             .collect();
-        let make_state = |shard: u32| {
-            ShardState::new(
-                shard,
-                shards,
-                cfg.partitions_per_node,
-                num_tables,
-                cfg.num_slots as u64,
-                initial_nodes,
-            )
-        };
-        let backend = if shards == 1 {
-            Backend::Inline(make_state(0))
-        } else {
-            let gate = Arc::new(FenceGate::new());
-            let workers = (0..shards)
-                .map(|s| {
-                    let cmd = Arc::new(Mailbox::new(MAILBOX_CAPACITY));
-                    let reply = Arc::new(Mailbox::new(MAILBOX_CAPACITY));
-                    let state = make_state(s);
-                    let (c, r, g) = (Arc::clone(&cmd), Arc::clone(&reply), Arc::clone(&gate));
-                    let handle = crate::sync::thread::spawn(move || worker_loop(state, &c, &r, &g));
-                    Worker {
-                        cmd,
-                        reply,
-                        handle: Some(handle),
-                    }
-                })
-                .collect();
-            Backend::Threaded { workers, gate }
-        };
+        let storage = Storage::new(
+            cfg.partitions_per_node,
+            num_tables,
+            cfg.num_slots as u64,
+            initial_nodes,
+        );
         Cluster {
             catalog,
             plan,
             route_node,
             route_local,
             slot_access_totals: vec![0; cfg.num_slots],
-            num_shards: shards,
             allocated: initial_nodes,
-            backend,
-            pending_order: VecDeque::new(),
-            drained: VecDeque::new(),
-            fence_epoch: Cell::new(0),
+            storage,
             cfg,
             reconfig: None,
             stats: ClusterStats::default(),
             procedure_stats: HashMap::new(),
-            versions_on: false,
             #[cfg(feature = "telemetry")]
             txn_trace_id: None,
-            #[cfg(feature = "telemetry")]
-            runtime_gauges: false,
         }
     }
 
-    /// Enables or disables the runtime gauges of the threaded backend:
-    /// every [`send_cmd`](Self::submit) samples the command ring's depth
-    /// and occupancy into `mailbox.cmd.*` registry histograms (and reply
-    /// receives into `mailbox.reply.*`), and every fence round opens a
-    /// `fence` span carrying the epoch and the measured quiesce time.
-    /// Off by default so the default-config trace and registry stay
-    /// byte-identical across shard counts; the simulator turns it on
-    /// together with per-shard spans.
-    #[cfg(feature = "telemetry")]
-    pub fn set_runtime_gauges(&mut self, on: bool) {
-        self.runtime_gauges = on;
-    }
-
-    /// Whether runtime mailbox/fence instrumentation is on.
-    #[cfg(feature = "telemetry")]
-    pub fn runtime_gauges(&self) -> bool {
-        self.runtime_gauges
-    }
-
-    /// Enables or disables per-key version counting across every shard —
+    /// Enables or disables per-key version counting across every store —
     /// the substrate of the sampled ISO-01..03 serializability histories.
     /// Off by default: the warm path then carries no version bookkeeping
     /// and sampled `txn_rwset` events keep their side-tally-only shape,
-    /// so golden traces stay byte-stable. On the threaded backend this
-    /// fences (the flag flip must not race in-flight execution), which
-    /// requires collecting outstanding fates first; enable it before
-    /// submitting traffic.
+    /// so golden traces stay byte-stable.
     pub fn set_track_versions(&mut self, on: bool) {
-        self.versions_on = on;
-        if let Backend::Inline(state) = &mut self.backend {
-            state.set_track_versions(on);
-            return;
-        }
-        self.settle_outstanding();
-        self.fence_all(FenceOp::TrackVersions(on));
+        self.storage.set_track_versions(on);
     }
 
     /// Whether per-key version counting is on.
     pub fn track_versions(&self) -> bool {
-        self.versions_on
+        self.storage.track_versions()
     }
 
-    /// Tags the next [`execute_at_slot`](Self::execute_at_slot) or
-    /// [`submit`](Self::submit) call with a per-transaction trace id.
-    /// On the execute path the engine emits that transaction's
+    /// Tags the next [`execute_at_slot`](Self::execute_at_slot) call with
+    /// a per-transaction trace id: the engine emits that transaction's
     /// `txn_rwset` record (and `txn_restart` when it touched a migration
-    /// destination) into the telemetry stream, then clears the tag; on
-    /// the submit path the tag only arms key-level capture (when
-    /// [`track_versions`](Self::track_versions) is on) — the caller emits
-    /// from the returned fate. The simulator sets this only for sampled
+    /// destination) into the telemetry stream — with key-level read/write
+    /// sets when [`track_versions`](Self::track_versions) is on — then
+    /// clears the tag. The simulator sets this only for sampled
     /// transactions, keeping untagged executions free of per-txn trace
     /// traffic.
     #[cfg(feature = "telemetry")]
@@ -423,11 +247,6 @@ impl Cluster {
     /// The catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// The executor shard count (1 = inline serial engine).
-    pub fn num_shards(&self) -> u32 {
-        self.num_shards
     }
 
     /// Current (committed) number of nodes. During a scale-out this is
@@ -449,16 +268,7 @@ impl Cluster {
         self.reconfig.is_some()
     }
 
-    /// Total fence epochs issued so far. Always 0 on the inline backend,
-    /// which never fences; on the sharded backend the difference across a
-    /// time window counts the fences (snapshot ops, reconfiguration
-    /// barriers) the window crossed.
-    pub fn fence_epochs(&self) -> u64 {
-        self.fence_epoch.get()
-    }
-
-    /// Execution counters. Transactions submitted via
-    /// [`submit`](Self::submit) are counted when their fate is collected.
+    /// Execution counters.
     pub fn stats(&self) -> ClusterStats {
         self.stats
     }
@@ -500,16 +310,7 @@ impl Cluster {
         (self.node_of_slot(slot), self.local_of_slot(slot))
     }
 
-    /// The executor shard serving `slot`: `local_of_slot(slot) % shards`.
-    /// Stable across migrations — a slot's local index never changes, so
-    /// neither does its shard.
-    pub fn shard_of_slot(&self, slot: u64) -> u32 {
-        self.local_of_slot(slot) % self.num_shards
-    }
-
     /// Executes a stored procedure, routing by its partitioning key.
-    /// Inline (serial) backend only; sharded clusters use
-    /// [`submit`](Self::submit) / [`drain_fates_into`](Self::drain_fates_into).
     ///
     /// # Errors
     /// Propagates the procedure's [`TxnError`] on abort.
@@ -527,10 +328,8 @@ impl Cluster {
     /// Propagates the procedure's [`TxnError`] on abort.
     ///
     /// # Panics
-    /// Panics on a threaded (sharded) backend — a `&dyn Procedure` cannot
-    /// cross threads; use [`submit`](Self::submit). Debug builds assert
-    /// that `slot` matches the procedure's routing key; a mismatched slot
-    /// in release builds misroutes the transaction.
+    /// Debug builds assert that `slot` matches the procedure's routing
+    /// key; a mismatched slot in release builds misroutes the transaction.
     #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
     pub fn execute_at_slot(
         &mut self,
@@ -547,15 +346,12 @@ impl Cluster {
         #[cfg(feature = "telemetry")]
         let trace_id = self.txn_trace_id.take();
         #[cfg(feature = "telemetry")]
-        let capture = trace_id.is_some() && self.versions_on;
+        let capture = trace_id.is_some() && self.storage.track_versions();
         #[cfg(not(feature = "telemetry"))]
         let capture = false;
-        let fate = match &mut self.backend {
-            Backend::Inline(state) => state.execute(proc, slot, node, local, in_flight, capture),
-            Backend::Threaded { .. } => {
-                panic!("execute_at_slot requires the inline backend; use submit/drain_fates_into")
-            }
-        };
+        let fate = self
+            .storage
+            .execute(proc, slot, node, local, in_flight, capture);
         account(&mut self.stats, &mut self.procedure_stats, &fate);
         #[cfg(feature = "telemetry")]
         if let Some(id) = trace_id {
@@ -577,74 +373,6 @@ impl Cluster {
         fate.result
     }
 
-    /// Submits a transaction for execution on its slot's shard. Works on
-    /// both backends: inline executes immediately; threaded enqueues on
-    /// the owning shard's mailbox. The fate (result, read/write set,
-    /// restart flag) is returned by
-    /// [`drain_fates_into`](Self::drain_fates_into) in global submission
-    /// order, which is what keeps every output byte-identical at any
-    /// shard count.
-    ///
-    /// # Panics
-    /// Debug builds assert that `slot` matches the procedure's routing
-    /// key. Panics (attributed) if the owning shard has panicked.
-    #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
-    pub fn submit<P: Procedure + Send + 'static>(&mut self, proc: P, slot: u64) {
-        debug_assert_eq!(
-            slot,
-            self.slot_of_routing(&proc.routing_key()),
-            "caller-resolved slot disagrees with the routing key"
-        );
-        let (node, local, in_flight) = self.routing_of(slot);
-        self.slot_access_totals[slot as usize] += 1;
-        // The trace tag arms key-level capture on this submission path; the
-        // fate carries the captured sets back through drain_fates_into, and
-        // the caller (the simulator's pipeline flush) does the emitting.
-        #[cfg(feature = "telemetry")]
-        let capture = self.txn_trace_id.take().is_some() && self.versions_on;
-        #[cfg(not(feature = "telemetry"))]
-        let capture = false;
-        match &mut self.backend {
-            Backend::Inline(state) => {
-                let fate = state.execute(&proc, slot, node, local, in_flight, capture);
-                account(&mut self.stats, &mut self.procedure_stats, &fate);
-                self.drained.push_back(fate);
-            }
-            Backend::Threaded { .. } => {
-                let shard = local % self.num_shards;
-                self.send_cmd(
-                    shard,
-                    Command::Execute {
-                        proc: Box::new(proc),
-                        slot,
-                        node,
-                        local,
-                        in_flight,
-                        capture,
-                    },
-                );
-                self.pending_order.push_back(shard);
-            }
-        }
-    }
-
-    /// Collects the fates of all submitted transactions, in submission
-    /// order, appending them to `out`. Blocks until every outstanding
-    /// transaction has executed.
-    ///
-    /// # Panics
-    /// Panics (attributed to the shard) if an executor shard panicked.
-    pub fn drain_fates_into(&mut self, out: &mut Vec<TxnFate>) {
-        self.settle_outstanding();
-        out.extend(self.drained.drain(..));
-    }
-
-    /// Submitted transactions whose fates the caller has not collected
-    /// yet (both in-flight and already settled).
-    pub fn pending_fates(&self) -> usize {
-        self.pending_order.len() + self.drained.len()
-    }
-
     /// `(node, local, in_flight)` routing of a slot.
     #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
     fn routing_of(&self, slot: u64) -> (u32, u32, Option<(u32, u32)>) {
@@ -658,183 +386,6 @@ impl Cluster {
             self.route_local[slot as usize],
             in_flight,
         )
-    }
-
-    /// Sends a command to a shard, draining settled fates (in submission
-    /// order) while the ring is full so the pipeline cannot deadlock:
-    /// every drained reply frees ring space somewhere, and a full command
-    /// ring implies that shard has replies outstanding.
-    fn send_cmd(&mut self, shard: u32, mut command: Command) {
-        #[cfg(feature = "telemetry")]
-        if self.runtime_gauges && pstore_telemetry::enabled() {
-            if let Backend::Threaded { workers, .. } = &self.backend {
-                // Sampled before the enqueue: the pre-send depth is the
-                // backlog this command queues behind.
-                workers[shard as usize].cmd.record_depth("mailbox.cmd");
-            }
-        }
-        let mut spins = 0u32;
-        loop {
-            let Backend::Threaded { workers, .. } = &self.backend else {
-                unreachable!("send_cmd requires the threaded backend");
-            };
-            match workers[shard as usize].cmd.try_send(command) {
-                Ok(()) => return,
-                Err(TrySendError::Closed(_)) => {
-                    panic!("executor shard {shard} shut down (command ring closed)")
-                }
-                Err(TrySendError::Full(c)) => {
-                    command = c;
-                    if let Some(s) = self.pending_order.pop_front() {
-                        let reply = self.recv_reply(s);
-                        self.intake_reply(s, reply);
-                    } else {
-                        crate::sync::backoff(spins);
-                        spins = spins.saturating_add(1);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Blocking receive of one reply from a shard.
-    fn recv_reply(&self, shard: u32) -> Reply {
-        let Backend::Threaded { workers, .. } = &self.backend else {
-            unreachable!("recv_reply requires the threaded backend");
-        };
-        #[cfg(feature = "telemetry")]
-        if self.runtime_gauges && pstore_telemetry::enabled() {
-            // Pre-receive depth: how many replies the coordinator let
-            // accumulate before draining this ring.
-            workers[shard as usize].reply.record_depth("mailbox.reply");
-        }
-        match workers[shard as usize].reply.recv() {
-            Some(r) => r,
-            None => panic!("executor shard {shard} disconnected (reply ring closed)"),
-        }
-    }
-
-    /// Folds one expected-fate reply into the coordinator's state.
-    fn intake_reply(&mut self, shard: u32, reply: Reply) {
-        match reply {
-            Reply::Fate(fate) => {
-                account(&mut self.stats, &mut self.procedure_stats, &fate);
-                self.drained.push_back(fate);
-            }
-            Reply::Panicked { message } => panic!("{}", ShardPanic { shard, message }),
-            other => panic!("shard protocol violation: expected a fate, got {other:?}"),
-        }
-    }
-
-    /// Collects every outstanding fate, in submission order.
-    fn settle_outstanding(&mut self) {
-        while let Some(s) = self.pending_order.pop_front() {
-            let reply = self.recv_reply(s);
-            self.intake_reply(s, reply);
-        }
-    }
-
-    /// Runs one fence round: sends `ops[s]` to shard `s`, waits for every
-    /// ack (all shards quiesced and holding), then releases the epoch.
-    /// Returns each shard's result, in shard order.
-    ///
-    /// Requires a settled engine (`pending_order` empty): outstanding
-    /// transactions would otherwise execute *behind* the fence on their
-    /// shard while the coordinator considers the world stopped.
-    fn fence_with(&self, ops: Vec<FenceOp>) -> Vec<FenceData> {
-        let Backend::Threaded { workers, gate } = &self.backend else {
-            unreachable!("fence requires the threaded backend");
-        };
-        assert!(
-            self.pending_order.is_empty(),
-            "fence requires a settled engine: drain fates first"
-        );
-        assert_eq!(ops.len(), workers.len(), "one fence op per shard");
-        let epoch = self.fence_epoch.get() + 1;
-        self.fence_epoch.set(epoch);
-        #[cfg(feature = "telemetry")]
-        let fence_span = if self.runtime_gauges && pstore_telemetry::enabled() {
-            // pstore-lint: allow(SA-03): wall clock measures the real
-            // stop-the-world cost of this fence for the profiler; it never
-            // feeds simulated state, and runtime gauges are off on the
-            // deterministic default path.
-            let started = std::time::Instant::now();
-            let id = pstore_telemetry::begin_span(
-                pstore_telemetry::event::span_names::FENCE,
-                &[("epoch", pstore_telemetry::Value::from(epoch))],
-            );
-            Some((id, started))
-        } else {
-            None
-        };
-        for (shard, (w, op)) in workers.iter().zip(ops).enumerate() {
-            if w.cmd.send(Command::Fence { epoch, op }).is_err() {
-                panic!("executor shard {shard} shut down (fence refused)");
-            }
-        }
-        let data: Vec<FenceData> = workers
-            .iter()
-            .enumerate()
-            .map(|(s, w)| match w.reply.recv() {
-                Some(Reply::FenceAck { epoch: e, data }) => {
-                    assert_eq!(e, epoch, "fence epoch mismatch from shard {s}");
-                    data
-                }
-                Some(Reply::Panicked { message }) => panic!(
-                    "{}",
-                    ShardPanic {
-                        #[allow(clippy::cast_possible_truncation)] // shard counts fit u32
-                        shard: s as u32,
-                        message
-                    }
-                ),
-                Some(other) => {
-                    panic!("shard protocol violation: expected a fence ack, got {other:?}")
-                }
-                None => panic!("executor shard {s} disconnected during fence"),
-            })
-            .collect();
-        gate.release(epoch);
-        #[cfg(feature = "telemetry")]
-        if let Some((id, started)) = fence_span {
-            let quiesce_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            pstore_telemetry::end_span(
-                pstore_telemetry::event::span_names::FENCE,
-                id,
-                &[("quiesce_us", pstore_telemetry::Value::from(quiesce_us))],
-            );
-        }
-        data
-    }
-
-    /// [`fence_with`](Self::fence_with) with the same op for every shard.
-    fn fence_all(&self, op: FenceOp) -> Vec<FenceData> {
-        let Backend::Threaded { workers, .. } = &self.backend else {
-            unreachable!("fence requires the threaded backend");
-        };
-        self.fence_with(vec![op; workers.len()])
-    }
-
-    /// Per-shard execution attribution (transaction counts, busy wall
-    /// time), for the profiler's per-shard spans and registry gauges.
-    /// Requires a settled engine on the threaded backend.
-    pub fn shard_reports(&self) -> Vec<ShardReport> {
-        match &self.backend {
-            Backend::Inline(state) => vec![ShardReport {
-                txns: state.txns(),
-                busy_us: 0,
-            }],
-            Backend::Threaded { .. } => self
-                .fence_all(FenceOp::ShardReport)
-                .into_iter()
-                .map(|d| match d {
-                    FenceData::ShardReport { txns, busy_us } => ShardReport { txns, busy_us },
-                    other => {
-                        panic!("shard protocol violation: expected a shard report, got {other:?}")
-                    }
-                })
-                .collect(),
-        }
     }
 
     /// Per-procedure `(committed, aborted)` counters, sorted by call count
@@ -931,9 +482,7 @@ impl Cluster {
     }
 
     fn install_reconfig(&mut self, new_plan: SlotPlan, pairs: Vec<PairTransfer>) {
-        // Allocate any nodes the new plan references. On the threaded
-        // backend this is the first fence of the reconfiguration: every
-        // shard grows its store matrix while quiesced.
+        // Allocate any nodes the new plan references.
         let max_node = new_plan
             .assignments()
             .iter()
@@ -943,13 +492,7 @@ impl Cluster {
             .max(new_plan.machines().saturating_sub(1));
         let needed = max_node + 1;
         if needed > self.allocated {
-            match &mut self.backend {
-                Backend::Inline(state) => state.ensure_nodes(needed),
-                Backend::Threaded { .. } => {
-                    self.settle_outstanding();
-                    self.fence_all(FenceOp::EnsureNodes(needed));
-                }
-            }
+            self.storage.ensure_nodes(needed);
             self.allocated = needed;
         }
         let pending = pairs.iter().filter(|p| !p.is_done()).count();
@@ -1009,47 +552,17 @@ impl Cluster {
     }
 
     /// Re-aggregates the per-slot access counts by walking every
-    /// partition's own counters — on the threaded backend, a fence that
-    /// collects each shard's merged counters. Kept as the audit oracle:
-    /// the incremental totals must always match this rebuild, including
-    /// after concurrent runs (the per-shard counters partition the slot
-    /// space, so their merge is exact, not approximate).
-    ///
-    /// Requires a settled engine (drain fates first) on the threaded
-    /// backend.
+    /// partition's own counters. Kept as the audit oracle: the incremental
+    /// totals must always match this rebuild.
     pub fn rebuild_slot_access_report(&self) -> HashMap<u64, u64> {
-        let mut out: HashMap<u64, u64> = HashMap::new();
-        match &self.backend {
-            Backend::Inline(state) => {
-                for (slot, count) in state.slot_counts() {
-                    *out.entry(slot).or_default() += count;
-                }
-            }
-            Backend::Threaded { .. } => {
-                for data in self.fence_all(FenceOp::SlotAccessCounts) {
-                    let FenceData::SlotCounts(counts) = data else {
-                        panic!("shard protocol violation: expected slot counts, got {data:?}");
-                    };
-                    for (slot, count) in counts {
-                        *out.entry(slot).or_default() += count;
-                    }
-                }
-            }
-        }
-        out
+        self.storage.slot_counts()
     }
 
     /// Clears all per-slot access counters (start a fresh monitoring
     /// window).
     pub fn reset_slot_accesses(&mut self) {
         self.slot_access_totals.fill(0);
-        match &mut self.backend {
-            Backend::Inline(state) => state.reset_slot_accesses(),
-            Backend::Threaded { .. } => {
-                self.settle_outstanding();
-                self.fence_all(FenceOp::ResetSlotAccesses);
-            }
-        }
+        self.storage.reset_slot_accesses();
     }
 
     /// The pair transfers of the running reconfiguration.
@@ -1058,9 +571,6 @@ impl Cluster {
     }
 
     /// Moves up to `budget_bytes` of the next slot of pair `pair_idx`.
-    /// Runs on the slot's own shard (source and destination partitions
-    /// share a local index, hence a shard); outstanding fates are settled
-    /// first so the chunk observes every earlier transaction.
     ///
     /// # Errors
     /// Returns [`ReconfigError::NotRunning`] outside a reconfiguration.
@@ -1073,12 +583,8 @@ impl Cluster {
         pair_idx: usize,
         budget_bytes: usize,
     ) -> Result<ChunkResult, ReconfigError> {
-        if self.reconfig.is_none() {
-            return Err(ReconfigError::NotRunning);
-        }
-        self.settle_outstanding();
         let Some(reconfig) = self.reconfig.as_mut() else {
-            unreachable!("checked above");
+            return Err(ReconfigError::NotRunning);
         };
         let pair = &mut reconfig.pairs[pair_idx];
         if pair.is_done() {
@@ -1097,43 +603,15 @@ impl Cluster {
 
         // Per-chunk work span: nests inside the open reconfiguration
         // span and makes extract/install cost visible to the profiler.
-        // Emitted coordinator-side so the trace is identical at every
-        // shard count.
         #[cfg(feature = "telemetry")]
         let step_span = if pstore_telemetry::enabled() {
             pstore_telemetry::begin_span("chunk_step", &[])
         } else {
             0
         };
-        let (n_rows, bytes, emptied) = match &mut self.backend {
-            Backend::Inline(state) => state.migrate_chunk(slot, from, to, local, budget_bytes),
-            Backend::Threaded { .. } => {
-                let shard = local % self.num_shards;
-                self.send_cmd(
-                    shard,
-                    Command::Chunk {
-                        slot,
-                        from,
-                        to,
-                        local,
-                        budget: budget_bytes,
-                    },
-                );
-                match self.recv_reply(shard) {
-                    Reply::Chunk {
-                        rows,
-                        bytes,
-                        emptied,
-                    } => (rows, bytes, emptied),
-                    Reply::Panicked { message } => {
-                        panic!("{}", ShardPanic { shard, message })
-                    }
-                    other => {
-                        panic!("shard protocol violation: expected a chunk reply, got {other:?}")
-                    }
-                }
-            }
-        };
+        let (n_rows, bytes, emptied) =
+            self.storage
+                .migrate_chunk(slot, from, to, local, budget_bytes);
         #[cfg(feature = "telemetry")]
         pstore_telemetry::end_span("chunk_step", step_span, &[]);
 
@@ -1272,60 +750,27 @@ impl Cluster {
         // plan — re-sync defensively and assert the invariant.
         debug_assert_eq!(self.route_node, self.plan.assignments());
         self.route_node.copy_from_slice(self.plan.assignments());
-        // Drop drained nodes on scale-in. The plan swap above is
-        // coordinator-only state; the truncation is the shards' part and
-        // rides a fence (every shard quiesced, dropped stores empty).
+        // Drop drained nodes on scale-in.
         if target < self.allocated {
-            match &mut self.backend {
-                Backend::Inline(state) => state.drop_nodes(target),
-                Backend::Threaded { .. } => {
-                    self.fence_all(FenceOp::DropNodes(target));
-                }
-            }
+            self.storage.drop_nodes(target);
             self.allocated = target;
         }
         self.stats.reconfigurations += 1;
     }
 
-    /// Per-partition reports from every shard, merged into (node, local)
-    /// order. Requires a settled engine on the threaded backend.
-    fn all_reports(&self) -> Vec<(u32, u32, u64, usize, usize)> {
-        match &self.backend {
-            Backend::Inline(state) => state.report(),
-            Backend::Threaded { .. } => {
-                let mut out: Vec<(u32, u32, u64, usize, usize)> = self
-                    .fence_all(FenceOp::Report)
-                    .into_iter()
-                    .flat_map(|d| match d {
-                        FenceData::Report(v) => v,
-                        other => {
-                            panic!("shard protocol violation: expected a report, got {other:?}")
-                        }
-                    })
-                    .collect();
-                out.sort_unstable_by_key(|r| (r.0, r.1));
-                out
-            }
-        }
-    }
-
-    /// Estimated total resident bytes across the cluster. Requires a
-    /// settled engine on the threaded backend.
+    /// Estimated total resident bytes across the cluster.
     pub fn total_bytes(&self) -> usize {
-        self.all_reports().iter().map(|r| r.3).sum()
+        self.storage.report().iter().map(|r| r.3).sum()
     }
 
-    /// Total resident rows across the cluster. Requires a settled engine
-    /// on the threaded backend.
+    /// Total resident rows across the cluster.
     pub fn total_rows(&self) -> usize {
-        self.all_reports().iter().map(|r| r.4).sum()
+        self.storage.report().iter().map(|r| r.4).sum()
     }
 
     /// Exports every row of a table as a snapshot, ordered by key — the
     /// extraction side of the paper's §4.2 archival story (historical data
-    /// moves to a separate warehouse out of band). On the threaded
-    /// backend the snapshot rides a fence: every shard contributes its
-    /// rows while quiesced.
+    /// moves to a separate warehouse out of band).
     ///
     /// # Errors
     /// Refuses while a reconfiguration is running (rows would be split
@@ -1337,25 +782,15 @@ impl Cluster {
         if self.reconfig.is_some() {
             return Err(ReconfigError::AlreadyRunning);
         }
-        let mut out: Vec<(Key, crate::value::Row)> = match &self.backend {
-            Backend::Inline(state) => state.export_table(table),
-            Backend::Threaded { .. } => self
-                .fence_all(FenceOp::ExportTable(table))
-                .into_iter()
-                .flat_map(|d| match d {
-                    FenceData::Rows(v) => v,
-                    other => panic!("shard protocol violation: expected rows, got {other:?}"),
-                })
-                .collect(),
-        };
+        let mut out = self.storage.export_table(table);
         out.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
     }
 
     /// Per-partition statistics: `(node, local_partition, accesses, bytes,
-    /// rows)`. Requires a settled engine on the threaded backend.
+    /// rows)`, in `(node, local_partition)` order.
     pub fn partition_report(&self) -> Vec<(u32, u32, u64, usize, usize)> {
-        self.all_reports()
+        self.storage.report()
     }
 
     /// Full integrity audit: every resident row lives in the slot its key
@@ -1369,19 +804,7 @@ impl Cluster {
         if self.reconfig.is_some() {
             return Err("verify_integrity requires a settled cluster".into());
         }
-        let snapshots = match &self.backend {
-            Backend::Inline(state) => state.integrity(),
-            Backend::Threaded { .. } => self
-                .fence_all(FenceOp::Integrity)
-                .into_iter()
-                .flat_map(|d| match d {
-                    FenceData::Integrity(v) => v,
-                    other => {
-                        panic!("shard protocol violation: expected integrity, got {other:?}")
-                    }
-                })
-                .collect(),
-        };
+        let snapshots = self.storage.integrity();
         for snap in &snapshots {
             for &slot in &snap.resident_slots {
                 let (owner, local) = self.partition_of_slot(slot);
@@ -1405,69 +828,22 @@ impl Cluster {
     }
 
     /// Bytes that a reconfiguration to `target` nodes would move (the data
-    /// on slots that change owners under the minimal rebalance). Requires
-    /// a settled engine on the threaded backend.
+    /// on slots that change owners under the minimal rebalance).
     pub fn bytes_to_move(&self, target: u32) -> usize {
         let (_, transfers) = self.plan.rebalance_to(target);
-        let slots: Vec<u64> = transfers
+        transfers
             .iter()
             .flat_map(|t| t.slots.iter())
-            .map(|&s| s as u64)
-            .collect();
-        match &self.backend {
-            Backend::Inline(state) => slots
-                .iter()
-                .map(|&slot| {
-                    let (node, local) = self.partition_of_slot(slot);
-                    state.slot_bytes_at(slot, node, local)
-                })
-                .sum(),
-            Backend::Threaded { .. } => {
-                let mut per_shard: Vec<Vec<(u64, u32, u32)>> =
-                    vec![Vec::new(); self.num_shards as usize];
-                for &slot in &slots {
-                    let (node, local) = self.partition_of_slot(slot);
-                    per_shard[(local % self.num_shards) as usize].push((slot, node, local));
-                }
-                self.fence_with(per_shard.into_iter().map(FenceOp::SlotBytes).collect())
-                    .into_iter()
-                    .flat_map(|d| match d {
-                        FenceData::SlotBytes(v) => v,
-                        other => {
-                            panic!("shard protocol violation: expected slot bytes, got {other:?}")
-                        }
-                    })
-                    .sum()
-            }
-        }
+            .map(|&s| {
+                let slot = s as u64;
+                let (node, local) = self.partition_of_slot(slot);
+                self.storage.slot_bytes_at(slot, node, local)
+            })
+            .sum()
     }
 }
 
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        if let Backend::Threaded { workers, gate } = &mut self.backend {
-            // Closing both rings unblocks every worker wherever it is:
-            // recv returns None, a blocked reply send returns Err, and a
-            // fence hold re-checks the closed command ring. Releasing all
-            // epochs covers a shard parked at an unreleased fence.
-            for w in workers.iter() {
-                w.cmd.close();
-                w.reply.close();
-            }
-            gate.release(u64::MAX);
-            for w in workers.iter_mut() {
-                if let Some(handle) = w.handle.take() {
-                    // A panicked worker already reported (or tried to);
-                    // its join error carries nothing new.
-                    let _ = handle.join();
-                }
-            }
-        }
-    }
-}
-
-/// Folds a fate into the aggregate and per-procedure counters (the
-/// coordinator-intake half of execution accounting).
+/// Folds a fate into the aggregate and per-procedure counters.
 fn account(
     stats: &mut ClusterStats,
     procedure_stats: &mut HashMap<&'static str, (u64, u64)>,
@@ -1489,15 +865,12 @@ fn account(
     }
 }
 
-/// Builds the sampled `txn_rwset` event for a fate traced under `id` —
-/// shared by both emission paths (the inline engine in
-/// [`Cluster::execute_at_slot`] and the simulator's pipeline flush), so
-/// traces stay byte-identical at any shard count. The key-level `rset` /
-/// `wset` fields appear only when the fate captured any key accesses
-/// (sampling on *and* version tracking enabled), which keeps pre-existing
-/// golden traces byte-stable.
+/// Builds the sampled `txn_rwset` event for a fate traced under `id`. The
+/// key-level `rset` / `wset` fields appear only when the fate captured any
+/// key accesses (sampling on *and* version tracking enabled), which keeps
+/// pre-existing golden traces byte-stable.
 #[cfg(feature = "telemetry")]
-pub fn txn_rwset_event(id: u64, slot: u64, fate: &TxnFate) -> pstore_telemetry::Event {
+fn txn_rwset_event(id: u64, slot: u64, fate: &TxnFate) -> pstore_telemetry::Event {
     let mut ev = pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_RWSET)
         .with("id", id)
         .with("slot", slot)
@@ -1868,17 +1241,26 @@ mod tests {
 
     #[test]
     fn execute_at_slot_matches_execute() {
-        let mut c = cluster(3);
-        for i in 0..50 {
-            let put = Put {
-                key: format!("key-{i}"),
+        // Resolving the slot first is the plain engine minus one hash:
+        // same results, same stats, same counters, same stores.
+        let mut a = cluster(3);
+        let mut b = cluster(3);
+        for i in 0..80 {
+            let key = format!("key-{i}");
+            let ra = a.execute(&Put {
+                key: key.clone(),
                 value: i,
-            };
-            let slot = c.slot_of_routing(&put.routing_key());
-            c.execute_at_slot(&put, slot).unwrap();
+            });
+            let put = Put { key, value: i };
+            let slot = b.slot_of_routing(&put.routing_key());
+            assert_eq!(ra, b.execute_at_slot(&put, slot));
         }
-        check_all_keys(&mut c, 50);
-        assert_eq!(c.slot_access_report(), c.rebuild_slot_access_report());
+        check_all_keys(&mut b, 80);
+        check_all_keys(&mut a, 80);
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.slot_access_report(), b.slot_access_report());
+        assert_eq!(b.slot_access_report(), b.rebuild_slot_access_report());
+        assert_eq!(a.export_table(0).unwrap(), b.export_table(0).unwrap());
     }
 
     #[test]
@@ -1916,169 +1298,93 @@ mod tests {
     }
 
     #[test]
-    fn inline_submit_matches_execute() {
-        // The pipelined API on the serial backend is the plain engine
-        // with deferred fates: same stats, same stores, same results.
-        let mut a = cluster(3);
-        let mut b = cluster(3);
-        let mut fates = Vec::new();
-        for i in 0..80 {
-            let key = format!("key-{i}");
-            let ra = a.execute(&Put {
-                key: key.clone(),
-                value: i,
-            });
-            let put = Put { key, value: i };
-            let slot = b.slot_of_routing(&put.routing_key());
-            b.submit(put, slot);
-            b.drain_fates_into(&mut fates);
-            assert_eq!(ra, fates.pop().unwrap().result);
-        }
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.slot_access_report(), b.slot_access_report());
-        assert_eq!(a.export_table(0).unwrap(), b.export_table(0).unwrap());
-    }
-
-    fn sharded_cluster(nodes: u32, shards: u32) -> Cluster {
-        Cluster::with_shards(
+    fn execute_at_slot_through_a_live_scale_out() {
+        // Every transaction's outcome through a 2 -> 5 scale-out with
+        // traffic against in-flight slots between chunk moves, and
+        // export / recount / integrity agreement once it commits.
+        let mut c = Cluster::new(
             test_catalog(),
             ClusterConfig {
                 partitions_per_node: 4,
                 num_slots: 64,
             },
-            nodes,
-            shards,
-        )
-    }
-
-    #[test]
-    fn threaded_backend_matches_inline_through_a_reconfiguration() {
-        let mut inline = sharded_cluster(2, 1);
-        let mut sharded = sharded_cluster(2, 4);
-        assert_eq!(sharded.num_shards(), 4);
-        let mut fates_a = Vec::new();
-        let mut fates_b = Vec::new();
-        let drive = |c: &mut Cluster, fates: &mut Vec<TxnFate>| {
-            for i in 0..200 {
-                let put = Put {
-                    key: format!("key-{i}"),
-                    value: i,
-                };
-                let slot = c.slot_of_routing(&put.routing_key());
-                c.submit(put, slot);
-            }
-            c.drain_fates_into(fates);
-            c.begin_reconfiguration(5).unwrap();
-            while c.reconfiguring() {
-                let pairs = c.pair_transfers().len();
-                for p in 0..pairs {
-                    if c.reconfiguring() {
-                        let _ = c.migrate_chunk(p, 700).unwrap();
-                    }
-                }
-                // Traffic against in-flight slots, via the pipelined API.
-                for i in 0..40 {
-                    let get = Get {
-                        key: format!("key-{i}"),
-                    };
-                    let slot = c.slot_of_routing(&get.routing_key());
-                    c.submit(get, slot);
-                }
-                c.drain_fates_into(fates);
-            }
+            2,
+        );
+        let at_slot = |c: &mut Cluster, proc: &dyn Procedure| {
+            let slot = c.slot_of_routing(&proc.routing_key());
+            c.execute_at_slot(proc, slot)
         };
-        drive(&mut inline, &mut fates_a);
-        drive(&mut sharded, &mut fates_b);
-        assert_eq!(fates_a.len(), fates_b.len());
-        for (a, b) in fates_a.iter().zip(&fates_b) {
-            assert_eq!(a.result, b.result);
-            assert_eq!(a.slot, b.slot);
-            assert_eq!(a.rwset, b.rwset);
-            assert_eq!(a.touched_dest, b.touched_dest);
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..200i64 {
+            let key = format!("key-{i}");
+            let put = Put {
+                key: key.clone(),
+                value: i,
+            };
+            assert_eq!(at_slot(&mut c, &put), Ok(TxnOutput::None));
+            model.insert(key, i);
         }
-        assert_eq!(inline.stats(), sharded.stats());
-        assert_eq!(inline.active_nodes(), sharded.active_nodes());
-        inline.verify_integrity().unwrap();
-        sharded.verify_integrity().unwrap();
-        assert_eq!(
-            inline.export_table(0).unwrap(),
-            sharded.export_table(0).unwrap()
-        );
-        assert_eq!(inline.partition_report(), sharded.partition_report());
-        assert_eq!(
-            inline.rebuild_slot_access_report(),
-            sharded.rebuild_slot_access_report()
-        );
-        let reports = sharded.shard_reports();
-        assert_eq!(reports.len(), 4);
-        assert_eq!(
-            reports.iter().map(|r| r.txns).sum::<u64>(),
-            inline.shard_reports()[0].txns
-        );
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn runtime_gauges_sample_mailboxes_and_fences_only_when_on() {
-        use pstore_telemetry::event::span_names;
-
-        let drive = |gauges: bool| {
-            pstore_telemetry::reset_registry();
-            let (sink, handle) = pstore_telemetry::MemorySink::new();
-            let _guard = pstore_telemetry::install(std::rc::Rc::new(sink));
-            let mut c = sharded_cluster(2, 4);
-            c.set_runtime_gauges(gauges);
-            assert_eq!(c.runtime_gauges(), gauges);
-            let mut fates = Vec::new();
-            for i in 0..50 {
-                let put = Put {
-                    key: format!("key-{i}"),
-                    value: i,
-                };
-                let slot = c.slot_of_routing(&put.routing_key());
-                c.submit(put, slot);
+        c.begin_reconfiguration(5).unwrap();
+        let mut round = 0i64;
+        while c.reconfiguring() {
+            for p in 0..c.pair_transfers().len() {
+                if c.reconfiguring() {
+                    // Less than a slot's rows, so slots stay half-moved
+                    // while the traffic below runs.
+                    let _ = c.migrate_chunk(p, 48).unwrap();
+                }
             }
-            c.drain_fates_into(&mut fates);
-            // shard_reports fences on the threaded backend.
-            let _ = c.shard_reports();
-            let depth = pstore_telemetry::with_registry(|r| {
-                r.histogram("mailbox.cmd.depth").map(|h| h.count())
-            });
-            let occupancy = pstore_telemetry::with_registry(|r| {
-                r.histogram("mailbox.cmd.occupancy").map(|h| h.count())
-            });
-            let reply_depth = pstore_telemetry::with_registry(|r| {
-                r.histogram("mailbox.reply.depth").map(|h| h.count())
-            });
-            let fence_begins = handle
-                .of_kind(pstore_telemetry::kinds::SPAN_BEGIN)
-                .iter()
-                .filter(|e| e.field_str("name") == Some(span_names::FENCE))
-                .count();
-            let fence_ends: Vec<u64> = handle
-                .of_kind(pstore_telemetry::kinds::SPAN_END)
-                .iter()
-                .filter(|e| e.field_str("name") == Some(span_names::FENCE))
-                .map(|e| e.field_u64("quiesce_us").unwrap_or(u64::MAX))
-                .collect();
-            pstore_telemetry::reset_registry();
-            (depth, occupancy, reply_depth, fence_begins, fence_ends)
-        };
-
-        // Off (the default): no registry samples, no fence spans.
-        let (depth, occupancy, reply_depth, begins, ends) = drive(false);
-        assert_eq!((depth, occupancy, reply_depth), (None, None, None));
-        assert_eq!((begins, ends.len()), (0, 0));
-
-        // On: every command send and reply receive samples its ring, and
-        // each fence round opens and closes one `fence` span carrying the
-        // measured quiesce time.
-        let (depth, occupancy, reply_depth, begins, ends) = drive(true);
-        assert_eq!(depth, occupancy);
-        assert!(depth.unwrap_or(0) >= 50, "cmd sends sampled: {depth:?}");
-        assert!(reply_depth.unwrap_or(0) >= 50, "replies sampled");
-        assert!(begins >= 1, "fence span expected");
-        assert_eq!(begins, ends.len(), "fence spans must pair");
-        assert!(ends.iter().all(|&q| q < u64::MAX), "quiesce_us recorded");
+            for i in 0..40i64 {
+                let key = format!("key-{i}");
+                let get = Get { key: key.clone() };
+                assert_eq!(
+                    at_slot(&mut c, &get),
+                    Ok(TxnOutput::Row(Row(vec![Value::Int(model[&key])])))
+                );
+                // Overwrite half of them mid-flight; the new value must
+                // be what the next round reads, whichever side holds it.
+                if i % 2 == 0 {
+                    let value = 1_000 * (round + 1) + i;
+                    assert_eq!(
+                        at_slot(
+                            &mut c,
+                            &Put {
+                                key: key.clone(),
+                                value
+                            }
+                        ),
+                        Ok(TxnOutput::None)
+                    );
+                    model.insert(key, value);
+                }
+            }
+            round += 1;
+            assert!(round < 10_000, "migration did not converge");
+        }
+        let stats = c.stats();
+        assert_eq!(stats.aborted, 0);
+        assert_eq!(stats.committed, 200 + 60 * round.unsigned_abs());
+        assert!(stats.touched_migrating > 0, "no access met moved data");
+        assert_eq!(c.active_nodes(), 5);
+        c.verify_integrity().unwrap();
+        let exported: Vec<(String, i64)> = c
+            .export_table(0)
+            .unwrap()
+            .into_iter()
+            .map(|(k, row)| match (&k.parts()[0], &row.0[0]) {
+                (KeyValue::Str(s), Value::Int(v)) => (s.to_string(), *v),
+                other => panic!("unexpected row shape {other:?}"),
+            })
+            .collect();
+        assert_eq!(exported, model.into_iter().collect::<Vec<_>>());
+        let report = c.partition_report();
+        assert_eq!(report.len(), 5 * 4);
+        assert_eq!(report.iter().map(|r| r.4).sum::<usize>(), 200);
+        assert_eq!(
+            report.iter().map(|r| r.2).sum::<u64>(),
+            stats.committed,
+            "every transaction is one partition access"
+        );
+        assert_eq!(c.rebuild_slot_access_report(), c.slot_access_report());
     }
 }

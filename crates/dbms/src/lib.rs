@@ -74,17 +74,14 @@
 pub mod catalog;
 pub mod cluster;
 pub mod hash;
-pub mod mailbox;
 pub mod partition;
-pub mod shard;
 pub mod skew;
 pub mod stats;
-pub mod sync;
+mod storage;
 pub mod txn;
 pub mod value;
 
 pub use catalog::{Catalog, TableId, TableSchema};
-pub use cluster::{ChunkResult, Cluster, ClusterConfig, ReconfigError, ShardReport};
-pub use shard::TxnFate;
+pub use cluster::{ChunkResult, Cluster, ClusterConfig, ReconfigError};
 pub use txn::{Procedure, TxnCtx, TxnError, TxnOutput};
 pub use value::{Key, KeyValue, Row, Text, Value};

@@ -1,0 +1,326 @@
+//! The cluster's storage: one [`PartitionStore`] per `(node, local
+//! partition)`, plus the moved-key sets of in-flight slots.
+//!
+//! `local_of_slot` is a pure hash of the slot id — independent of the
+//! slot→node assignment — so a slot's local index never changes, and a
+//! migrating slot's source and destination partitions share it.
+//!
+//! Everything in this module is pure state manipulation: it emits no
+//! telemetry and draws no randomness. [`crate::cluster::Cluster`] owns
+//! routing, plans, statistics and telemetry, and calls in here with the
+//! routing already resolved.
+
+use crate::catalog::TableId;
+use crate::partition::PartitionStore;
+use crate::txn::{KeyAccess, Procedure, RwSet, TxnCtx, TxnError, TxnOutput};
+use crate::value::{Key, Row};
+use std::collections::{HashMap, HashSet};
+
+/// The outcome of one executed transaction. The cluster folds it into
+/// its statistics and (for sampled transactions) telemetry.
+#[derive(Debug)]
+pub(crate) struct TxnFate {
+    /// The procedure's result.
+    pub result: Result<TxnOutput, TxnError>,
+    /// Whether any access resolved against the migration destination.
+    pub touched_dest: bool,
+    /// Procedure name (for per-procedure counters).
+    pub proc: &'static str,
+    /// The recorded read/write set.
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub rwset: RwSet,
+    /// Whether the slot was in-flight (migrating) at execution time.
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub migrating: bool,
+    /// Key-level `(table, key, version-observed)` reads, in program
+    /// order. Empty unless the transaction was captured (sampled with
+    /// version tracking on).
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub key_reads: Vec<KeyAccess>,
+    /// Key-level `(table, key, version-installed)` writes, in program
+    /// order. Empty unless the transaction was captured.
+    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    pub key_writes: Vec<KeyAccess>,
+}
+
+/// Integrity-audit snapshot of one partition store.
+#[derive(Debug)]
+pub(crate) struct StoreIntegrity {
+    /// Owning node.
+    pub node: u32,
+    /// Local partition index.
+    pub local: u32,
+    /// Slots with resident data.
+    pub resident_slots: Vec<u64>,
+    /// Incrementally-maintained byte estimate.
+    pub claimed_bytes: usize,
+    /// Bytes recomputed from the actual rows.
+    pub actual_bytes: usize,
+}
+
+/// Every partition store of the cluster, indexed `stores[node][local]`.
+#[derive(Debug)]
+pub(crate) struct Storage {
+    partitions_per_node: u32,
+    num_tables: usize,
+    num_slots: u64,
+    stores: Vec<Vec<PartitionStore>>,
+    /// Moved-key sets of in-flight slots.
+    moved: HashMap<u64, HashSet<(TableId, Key)>>,
+    /// Whether per-key version counting is on (applied to every store,
+    /// including ones created by later `ensure_nodes` growth).
+    track_versions: bool,
+}
+
+impl Storage {
+    /// Creates the stores of `nodes` initial nodes.
+    pub fn new(partitions_per_node: u32, num_tables: usize, num_slots: u64, nodes: u32) -> Self {
+        let mut storage = Storage {
+            partitions_per_node,
+            num_tables,
+            num_slots,
+            stores: Vec::new(),
+            moved: HashMap::new(),
+            track_versions: false,
+        };
+        storage.ensure_nodes(nodes);
+        storage
+    }
+
+    /// Enables or disables per-key version counting across every store
+    /// (current and future).
+    pub fn set_track_versions(&mut self, on: bool) {
+        self.track_versions = on;
+        for store in self.stores.iter_mut().flatten() {
+            store.set_track_versions(on);
+        }
+    }
+
+    /// Whether per-key version counting is on.
+    pub fn track_versions(&self) -> bool {
+        self.track_versions
+    }
+
+    /// Grows the store matrix to `count` nodes.
+    pub fn ensure_nodes(&mut self, count: u32) {
+        while self.stores.len() < count as usize {
+            self.stores.push(
+                (0..self.partitions_per_node)
+                    .map(|_| {
+                        let mut store = PartitionStore::new(self.num_tables);
+                        store.set_track_versions(self.track_versions);
+                        store
+                    })
+                    .collect(),
+            );
+        }
+    }
+
+    /// Truncates to `keep` nodes; the dropped stores must be empty.
+    pub fn drop_nodes(&mut self, keep: u32) {
+        if (keep as usize) < self.stores.len() {
+            for node in &self.stores[keep as usize..] {
+                for store in node {
+                    debug_assert_eq!(store.total_rows(), 0, "dropping a non-empty node");
+                }
+            }
+            self.stores.truncate(keep as usize);
+        }
+    }
+
+    /// Executes one transaction on partition `local` of `node` — or, for
+    /// an in-flight slot, across partition `local` of its `(from, to)`
+    /// migration endpoints.
+    pub fn execute(
+        &mut self,
+        proc: &dyn Procedure,
+        slot: u64,
+        node: u32,
+        local: u32,
+        in_flight: Option<(u32, u32)>,
+        capture: bool,
+    ) -> TxnFate {
+        let num_slots = self.num_slots;
+        let l = local as usize;
+        let (result, touched_dest, rwset, key_reads, key_writes) = match in_flight {
+            None => {
+                let store = &mut self.stores[node as usize][l];
+                store.record_slot_access(slot);
+                let mut ctx = TxnCtx::settled(slot, num_slots, store);
+                ctx.set_capture(capture);
+                let result = proc.execute(&mut ctx);
+                (
+                    result,
+                    ctx.touched_dest,
+                    ctx.rwset,
+                    ctx.key_reads,
+                    ctx.key_writes,
+                )
+            }
+            Some((from, to)) => {
+                debug_assert_ne!(from, to);
+                let (src, dst) = two_nodes(&mut self.stores, from as usize, to as usize);
+                let source = &mut src[l];
+                source.record_slot_access(slot);
+                let dest = &mut dst[l];
+                // The moved set may not exist yet if no chunk of this
+                // slot has run; an empty set routes everything to the
+                // source. `HashSet::new` does not allocate, so the
+                // fallback is free.
+                let empty = HashSet::new();
+                let moved = self.moved.get(&slot).unwrap_or(&empty);
+                let mut ctx = TxnCtx::migrating(slot, num_slots, source, dest, moved);
+                ctx.set_capture(capture);
+                let result = proc.execute(&mut ctx);
+                (
+                    result,
+                    ctx.touched_dest,
+                    ctx.rwset,
+                    ctx.key_reads,
+                    ctx.key_writes,
+                )
+            }
+        };
+        TxnFate {
+            result,
+            touched_dest,
+            proc: proc.name(),
+            rwset,
+            migrating: in_flight.is_some(),
+            key_reads,
+            key_writes,
+        }
+    }
+
+    /// Moves up to `budget` bytes of `slot` from `from` to `to`,
+    /// maintaining the moved-key set. Returns `(rows, bytes, emptied)`;
+    /// on `emptied` the moved set is retired (the cluster flips
+    /// routing).
+    pub fn migrate_chunk(
+        &mut self,
+        slot: u64,
+        from: u32,
+        to: u32,
+        local: u32,
+        budget: usize,
+    ) -> (usize, usize, bool) {
+        let l = local as usize;
+        let moved = self.moved.entry(slot).or_default();
+        let (src, dst) = two_nodes(&mut self.stores, from as usize, to as usize);
+        let (rows, bytes, emptied) = src[l].extract_chunk(slot, budget.max(1));
+        for (tid, key, _) in &rows {
+            moved.insert((*tid, key.clone()));
+        }
+        // A moving key's version counter travels with it so the sampled
+        // history stays one chain across the migration; when the slot
+        // empties, tombstone-only counters follow in one batch.
+        if self.track_versions {
+            let versions: Vec<((TableId, Key), u64)> = rows
+                .iter()
+                .filter_map(|(tid, key, _)| {
+                    src[l]
+                        .take_version(slot, *tid, key)
+                        .map(|v| ((*tid, key.clone()), v))
+                })
+                .collect();
+            dst[l].install_versions(slot, versions);
+            if emptied {
+                let tail = src[l].take_slot_versions(slot);
+                dst[l].install_versions(slot, tail);
+            }
+        }
+        let n_rows = rows.len();
+        dst[l].install_rows(slot, rows);
+        if emptied {
+            self.moved.remove(&slot);
+        }
+        (n_rows, bytes, emptied)
+    }
+
+    /// Per-partition report: `(node, local, accesses, bytes, rows)` for
+    /// every store, in `(node, local)` order.
+    #[allow(clippy::cast_possible_truncation)] // node/partition indices fit u32
+    pub fn report(&self) -> Vec<(u32, u32, u64, usize, usize)> {
+        let mut out = Vec::new();
+        for (n, node) in self.stores.iter().enumerate() {
+            for (l, store) in node.iter().enumerate() {
+                out.push((
+                    n as u32,
+                    l as u32,
+                    store.accesses(),
+                    store.total_bytes(),
+                    store.total_rows(),
+                ));
+            }
+        }
+        out
+    }
+
+    /// Per-slot access counts merged across every partition's own
+    /// counters.
+    pub fn slot_counts(&self) -> HashMap<u64, u64> {
+        let mut merged: HashMap<u64, u64> = HashMap::new();
+        for store in self.stores.iter().flatten() {
+            for (slot, count) in store.slot_accesses() {
+                *merged.entry(slot).or_default() += count;
+            }
+        }
+        merged
+    }
+
+    /// Resets every per-slot access counter (new monitoring window).
+    pub fn reset_slot_accesses(&mut self) {
+        for store in self.stores.iter_mut().flatten() {
+            store.reset_slot_accesses();
+        }
+    }
+
+    /// Resident bytes of `slot` on `(node, local)`.
+    pub fn slot_bytes_at(&self, slot: u64, node: u32, local: u32) -> usize {
+        self.stores[node as usize][local as usize].slot_bytes(slot)
+    }
+
+    /// Clones every row of `table` (unsorted).
+    pub fn export_table(&self, table: TableId) -> Vec<(Key, Row)> {
+        let mut out = Vec::new();
+        for store in self.stores.iter().flatten() {
+            for slot in store.resident_slots().collect::<Vec<_>>() {
+                out.extend(store.export_slot_table(slot, table));
+            }
+        }
+        out
+    }
+
+    /// Integrity snapshot of every store.
+    #[allow(clippy::cast_possible_truncation)] // node/partition indices fit u32
+    pub fn integrity(&self) -> Vec<StoreIntegrity> {
+        let mut out = Vec::new();
+        for (n, node) in self.stores.iter().enumerate() {
+            for (l, store) in node.iter().enumerate() {
+                let mut resident: Vec<u64> = store.resident_slots().collect();
+                resident.sort_unstable();
+                out.push(StoreIntegrity {
+                    node: n as u32,
+                    local: l as u32,
+                    resident_slots: resident,
+                    claimed_bytes: store.total_bytes(),
+                    actual_bytes: store.recompute_bytes(),
+                });
+            }
+        }
+        out
+    }
+}
+
+/// Splits two distinct nodes' store rows out of the matrix for
+/// simultaneous mutation (migration source and destination).
+fn two_nodes<T>(nodes: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
+    assert_ne!(a, b, "nodes must be distinct");
+    if a < b {
+        let (lo, hi) = nodes.split_at_mut(b);
+        (&mut lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = nodes.split_at_mut(a);
+        (&mut hi[0], &mut lo[b])
+    }
+}

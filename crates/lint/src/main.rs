@@ -49,7 +49,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// One-line summaries for `--list-rules`.
-const RULES: [(&str, &str); 8] = [
+const RULES: [(&str, &str); 7] = [
     (
         "SA-00",
         "waiver hygiene: every waiver names a known rule and carries a reason",
@@ -77,10 +77,6 @@ const RULES: [(&str, &str); 8] = [
     (
         "SA-06",
         "#[allow] of workspace-denied lints carries a justification",
-    ),
-    (
-        "SA-07",
-        "pstore-dbms sync only via the crate::sync loom shim (tests too)",
     ),
 ];
 

@@ -6,7 +6,6 @@ pub mod sa03;
 pub mod sa04;
 pub mod sa05;
 pub mod sa06;
-pub mod sa07;
 
 use crate::lexer::{matching_close, Tok};
 use std::collections::BTreeSet;

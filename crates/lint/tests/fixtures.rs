@@ -1,4 +1,4 @@
-//! Fixture-corpus integration tests: every rule SA-00..07 has a firing
+//! Fixture-corpus integration tests: every rule SA-00..06 has a firing
 //! `bad` tree and a clean `good` twin under `tests/fixtures/`, and the
 //! assertions pin the exact rule ids and line numbers so diagnostics
 //! cannot silently drift. A final test lints the real workspace and
@@ -146,8 +146,6 @@ fn sa03_ordered_iteration_passes() {
 
 #[test]
 fn sa04_raw_primitives_and_spawn_fire() {
-    // The fixture lives in `crates/sim` so only SA-04 is exercised;
-    // the same code in `crates/dbms` would additionally trip SA-07.
     let report = lint("sa04_bad");
     let f = "crates/sim/src/lib.rs";
     assert_eq!(
@@ -195,40 +193,6 @@ fn sa06_undocumented_allow_fires() {
 #[test]
 fn sa06_justified_allow_passes() {
     assert_clean("sa06_good");
-}
-
-#[test]
-fn sa07_dbms_sync_outside_shim_fires_even_in_tests() {
-    let report = lint("sa07_bad");
-    let f = "crates/dbms/src/lib.rs";
-    assert_eq!(
-        triples(&report),
-        vec![
-            ("SA-07".into(), f.into(), 1),
-            ("SA-07".into(), f.into(), 8),
-            ("SA-07".into(), f.into(), 15),
-        ]
-    );
-    // The three findings are exactly the gaps SA-04 leaves open: Arc,
-    // a non-spawn thread item, and sync use inside `#[cfg(test)]`.
-    assert!(report.findings[0].message.contains("std::sync::Arc"));
-    assert!(report.findings[1]
-        .message
-        .contains("std::thread::yield_now"));
-    assert!(report.findings[2].message.contains("std::sync::Mutex"));
-    assert!(report
-        .findings
-        .iter()
-        .all(|x| x.message.contains("crate::sync")));
-}
-
-#[test]
-fn sa07_shim_routing_passes_and_waiver_suppresses() {
-    let report = assert_clean("sa07_good");
-    assert_eq!(report.waived.len(), 1);
-    assert_eq!(report.waived[0].finding.rule, "SA-07");
-    assert_eq!(report.waived[0].finding.line, 15);
-    assert!(report.waived[0].reason.contains("host-capacity query"));
 }
 
 #[test]

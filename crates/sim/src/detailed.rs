@@ -37,7 +37,6 @@ use pstore_core::controller::{Action, Observation, Strategy};
 use pstore_core::params::SystemParams;
 use pstore_core::schedule::MigrationSchedule;
 use pstore_dbms::cluster::{Cluster, ClusterConfig};
-use pstore_dbms::shard::TxnFate;
 use pstore_dbms::txn::Procedure;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -91,38 +90,14 @@ pub struct DetailedSimConfig {
     /// committed run goldens — unchanged; the per-second attribution
     /// aggregates on `SecondMetrics` stay on regardless. Sampled events
     /// are all stamped at the arrival's processing time (end times travel
-    /// as fields) so TEL-04's monotone-time invariant holds, and they are
-    /// emitted at the next pipeline flush in arrival order, so the trace
-    /// is identical at every shard count.
+    /// as fields) so TEL-04's monotone-time invariant holds.
     pub txn_sample_every: u64,
-    /// Executor shard count for the engine: 1 (the default) runs the
-    /// serial inline engine; larger counts spawn one executor thread per
-    /// shard ([`Cluster::with_shards`]). Clamped to `partitions_per_node`.
-    /// Every simulation output is byte-identical at any shard count.
-    pub shards: u32,
-    /// Emit one `shard_exec` span per executor shard at the end of the
-    /// run (transaction count + busy time), plus `shard.N.*` registry
-    /// gauges, so the span profiler can attribute time per shard. Off by
-    /// default: the trace then carries no shard-count-dependent records,
-    /// which is what keeps runs byte-identical across shard counts.
-    pub shard_spans: bool,
     /// Emit the provisioning-observatory event family (`prov_run`,
     /// `prov_interval`, `prov_forecast`, `prov_decision`, `prov_reconfig`,
     /// `prov_chunk`) for this run. Off by default — like `txn_sample_every`,
     /// the gate keeps the default-config trace goldens byte-identical; see
     /// [`prov_events_from_env`].
     pub prov_events: bool,
-}
-
-/// Executor shard count from the `PSTORE_SHARDS` environment variable
-/// (default 1 — the serial engine). Used by [`DetailedSimConfig::paper_defaults`]
-/// and the benchmark binaries so shard count can be swept without code
-/// changes.
-pub fn shards_from_env() -> u32 {
-    std::env::var("PSTORE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .map_or(1, |n| n.max(1))
 }
 
 /// Provisioning-observatory switch from the `PSTORE_PROV_EVENTS`
@@ -158,8 +133,6 @@ impl DetailedSimConfig {
             max_queue_delay_s: 2.0,
             warmup_txns: 150_000,
             txn_sample_every: 0,
-            shards: shards_from_env(),
-            shard_spans: false,
             prov_events: prov_events_from_env(),
         }
     }
@@ -225,141 +198,6 @@ impl Ord for Timed {
     }
 }
 
-/// A sampled arrival whose lifecycle events are deferred to the next
-/// pipeline flush. All timing attribution is computed sim-side at arrival
-/// time; only the engine-dependent fields (commit/abort, read/write set,
-/// restart flag) wait for the fate, which arrives in submission order.
-/// Deferring *all* sampled events — dropped arrivals too — preserves
-/// arrival-order interleaving in the trace, which is what makes the
-/// telemetry stream byte-identical at every shard count.
-#[cfg(feature = "telemetry")]
-struct SampledTxn {
-    id: u64,
-    at: f64,
-    slot: u64,
-    kind: SampledKind,
-}
-
-#[cfg(feature = "telemetry")]
-enum SampledKind {
-    /// Shed by the client timeout; never executed. `exec` carries the
-    /// mean service time the client-side observation assumes.
-    Dropped { queue: f64, stall: f64, exec: f64 },
-    /// Executed; `idx` is the position of its fate in the next drained
-    /// batch (submissions since the last flush).
-    Executed {
-        idx: usize,
-        queue: f64,
-        stall: f64,
-        service: f64,
-        end: f64,
-    },
-}
-
-/// Drains every outstanding fate (in submission order), folds commit/abort
-/// totals, and emits the deferred sampled-transaction events. Called
-/// after every event-heap pop — so the engine pipeline never crosses a
-/// scheduled event boundary — and once after the loop.
-fn flush_pipeline(
-    cluster: &mut Cluster,
-    fates: &mut Vec<TxnFate>,
-    #[cfg(feature = "telemetry")] deferred: &mut Vec<SampledTxn>,
-    committed: &mut u64,
-    aborted: &mut u64,
-) {
-    // A window of nothing but dropped arrivals has no fates to drain but
-    // may still hold deferred (timeout-abort) events to emit.
-    #[cfg(feature = "telemetry")]
-    let idle = cluster.pending_fates() == 0 && deferred.is_empty();
-    #[cfg(not(feature = "telemetry"))]
-    let idle = cluster.pending_fates() == 0;
-    if idle {
-        return;
-    }
-    fates.clear();
-    cluster.drain_fates_into(fates);
-    for fate in fates.iter() {
-        if fate.result.is_ok() {
-            *committed += 1;
-        } else {
-            *aborted += 1;
-        }
-    }
-    #[cfg(feature = "telemetry")]
-    {
-        for s in deferred.iter() {
-            pstore_telemetry::set_time(s.at);
-            pstore_telemetry::emit(
-                pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_ARRIVE)
-                    .with("id", s.id)
-                    .with("slot", s.slot),
-            );
-            match s.kind {
-                SampledKind::Dropped { queue, stall, exec } => {
-                    emit_txn_wait(s.id, queue + stall, stall);
-                    pstore_telemetry::emit(
-                        pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_ABORT)
-                            .with("id", s.id)
-                            .with("reason", "timeout")
-                            .with("total", queue + exec + stall)
-                            .with("queue", queue)
-                            .with("exec", exec)
-                            .with("stall", stall)
-                            .with("end", s.at + queue + exec + stall),
-                    );
-                }
-                SampledKind::Executed {
-                    idx,
-                    queue,
-                    stall,
-                    service,
-                    end,
-                } => {
-                    let fate = &fates[idx];
-                    let ok = fate.result.is_ok();
-                    if fate.touched_dest {
-                        // The Squall-style switchover: an access resolved
-                        // against the destination means the transaction
-                        // was rerouted mid-migration — the engine-level
-                        // analogue of a restart-on-moved-data.
-                        pstore_telemetry::emit(
-                            pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_RESTART)
-                                .with("id", s.id)
-                                .with("slot", s.slot),
-                        );
-                    }
-                    pstore_telemetry::emit(pstore_dbms::cluster::txn_rwset_event(
-                        s.id, s.slot, fate,
-                    ));
-                    emit_txn_wait(s.id, queue + stall, stall);
-                    pstore_telemetry::emit(
-                        pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_EXECUTE)
-                            .with("id", s.id)
-                            .with("service", service),
-                    );
-                    let terminal = if ok {
-                        pstore_telemetry::kinds::TXN_COMMIT
-                    } else {
-                        pstore_telemetry::kinds::TXN_ABORT
-                    };
-                    let mut ev = pstore_telemetry::Event::new(terminal)
-                        .with("id", s.id)
-                        .with("total", queue + service + stall)
-                        .with("queue", queue)
-                        .with("exec", service)
-                        .with("stall", stall)
-                        .with("end", end);
-                    if !ok {
-                        ev = ev.with("reason", "business");
-                    }
-                    pstore_telemetry::emit(ev);
-                }
-            }
-        }
-        deferred.clear();
-    }
-}
-
 struct ActiveMigration {
     schedule: MigrationSchedule,
     /// Machine pairs per round.
@@ -387,10 +225,6 @@ struct ActiveMigration {
     chunks_moved: u64,
     rows_moved: u64,
     bytes_moved: u64,
-    /// Cluster fence-epoch counter when the move began, so the completed
-    /// move can report fence epochs crossed (0 on the inline backend).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    fence_base: u64,
 }
 
 /// Runs a detailed simulation under the given provisioning strategy.
@@ -411,7 +245,7 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
         }
     };
 
-    let mut cluster = Cluster::with_shards(
+    let mut cluster = Cluster::new(
         b2w_catalog(),
         ClusterConfig {
             partitions_per_node: p,
@@ -420,7 +254,6 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
         strategy
             .initial_machines()
             .clamp(1, cfg.params.max_machines),
-        cfg.shards.clamp(1, p),
     );
     // The provisioning-observatory gate rides the run: prov_* emission in
     // the controllers (via `ProvScorer`) and in this loop is thread-local,
@@ -438,13 +271,6 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
                 .with("policy", strategy.name()),
         );
     }
-    // Runtime gauges (mailbox depth histograms, fence spans) ride the
-    // same opt-in as per-shard spans: both exist to look inside the
-    // threaded engine, and both must stay off for byte-stable defaults.
-    #[cfg(feature = "telemetry")]
-    if cfg.shard_spans && pstore_telemetry::enabled() {
-        cluster.set_runtime_gauges(true);
-    }
     // Key-level version tracking rides the sampling switch: goldens run
     // with `txn_sample_every = 0` and keep the engine version-free (and
     // their traces byte-stable); sampled runs get per-key version
@@ -455,9 +281,6 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
         cluster.set_track_versions(true);
     }
     let mut gen = WorkloadGenerator::new(cfg.workload.clone());
-    // Fate scratch buffer for the submit/drain pipeline (reused between
-    // flushes so the steady state allocates nothing).
-    let mut fates: Vec<TxnFate> = Vec::new();
     #[cfg(feature = "telemetry")]
     let warmup_span = if pstore_telemetry::enabled() {
         pstore_telemetry::begin_span("warmup", &[])
@@ -466,40 +289,21 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
     };
     for proc in gen.seed_stock_procedures() {
         let slot = cluster.slot_of_routing(&proc.routing_key());
-        cluster.submit(proc, slot);
+        let seeded = cluster.execute_at_slot(&proc, slot);
+        assert!(seeded.is_ok(), "stock seeding failed");
     }
-    cluster.drain_fates_into(&mut fates);
-    assert!(
-        fates.iter().all(|f| f.result.is_ok()),
-        "stock seeding failed"
-    );
-    fates.clear();
     for txn in gen.initial_load() {
         let slot = cluster.slot_of_routing(&txn.routing_key());
-        cluster.submit(txn, slot);
+        let loaded = cluster.execute_at_slot(&txn, slot);
+        assert!(loaded.is_ok(), "initial cart load failed");
     }
-    cluster.drain_fates_into(&mut fates);
-    assert!(
-        fates.iter().all(|f| f.result.is_ok()),
-        "initial cart load failed"
-    );
-    fates.clear();
     // Untimed warm-up: run the generator until carts/checkouts/stock-txn
     // populations reach steady state so the database size is stable.
-    // Pipelined: shards execute concurrently while the generator keeps
-    // producing; fates are discarded in batches.
     for _ in 0..cfg.warmup_txns {
         let txn = gen.next_txn();
         let slot = cluster.slot_of_routing(&txn.routing_key());
-        cluster.submit(txn, slot);
-        if cluster.pending_fates() >= 4096 {
-            fates.clear();
-            cluster.drain_fates_into(&mut fates);
-        }
+        let _ = cluster.execute_at_slot(&txn, slot);
     }
-    fates.clear();
-    cluster.drain_fates_into(&mut fates);
-    fates.clear();
     #[cfg(feature = "telemetry")]
     pstore_telemetry::end_span("warmup", warmup_span, &[]);
 
@@ -548,14 +352,6 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
     // is what the old per-arrival heap seq numbers did.
     let mut arrivals: Vec<f64> = Vec::new();
     let mut next_arrival = 0usize;
-    // Sampled arrivals awaiting their fates; emitted at the next flush.
-    #[cfg(feature = "telemetry")]
-    let mut deferred: Vec<SampledTxn> = Vec::new();
-    // Submissions since the last flush — the index a deferred sampled
-    // arrival uses to find its fate in the drained batch.
-    #[cfg(feature = "telemetry")]
-    let mut submitted_since_flush = 0usize;
-
     loop {
         // Arrivals due before the next scheduled event run first; ties go
         // to the heap event (arrival times are strictly inside a second,
@@ -570,8 +366,8 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
                     arrival_seq += 1;
                 }
                 let txn = gen.next_txn();
-                // Resolve the routing slot once; submit reuses it instead
-                // of re-hashing the routing key.
+                // Resolve the routing slot once; execution reuses it
+                // instead of re-hashing the routing key.
                 let slot = cluster.slot_of_routing(&txn.routing_key());
                 let (node, local) = cluster.partition_of_slot(slot);
                 let (n, l) = (node as usize, local as usize);
@@ -592,6 +388,17 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
                 let sampled = cfg.txn_sample_every > 0
                     && arrival_seq.is_multiple_of(cfg.txn_sample_every)
                     && pstore_telemetry::enabled();
+                // A sampled transaction's lifecycle events are all stamped
+                // at its arrival (end times travel as fields).
+                #[cfg(feature = "telemetry")]
+                if sampled {
+                    pstore_telemetry::set_time(at);
+                    pstore_telemetry::emit(
+                        pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_ARRIVE)
+                            .with("id", arrival_seq)
+                            .with("slot", slot),
+                    );
+                }
                 if wait > cfg.max_queue_delay_s {
                     // Client timeout: the request is shed, observed at the
                     // timeout latency, and never executes.
@@ -601,33 +408,32 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
                     recorder.record_attributed(at, queue, cfg.service_mean_s, stall);
                     #[cfg(feature = "telemetry")]
                     if sampled {
-                        deferred.push(SampledTxn {
-                            id: arrival_seq,
-                            at,
-                            slot,
-                            kind: SampledKind::Dropped {
-                                queue,
-                                stall,
-                                exec: cfg.service_mean_s,
-                            },
-                        });
+                        let exec = cfg.service_mean_s;
+                        emit_txn_wait(arrival_seq, queue + stall, stall);
+                        pstore_telemetry::emit(
+                            pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_ABORT)
+                                .with("id", arrival_seq)
+                                .with("reason", "timeout")
+                                .with("total", queue + exec + stall)
+                                .with("queue", queue)
+                                .with("exec", exec)
+                                .with("stall", stall)
+                                .with("end", at + queue + exec + stall),
+                        );
                     }
                     continue;
                 }
-                // Ship the transaction to its slot's shard; the fate comes
-                // back (in submission order) at the next flush. All timing
-                // is decided here, sim-side, so the RNG draw sequence is
-                // independent of shard count. Sampled transactions carry a
-                // trace tag so the engine captures their key-level
-                // read/write sets into the fate.
+                // Sampled transactions carry a trace tag: the engine then
+                // emits their `txn_rwset` (and `txn_restart`) itself.
                 #[cfg(feature = "telemetry")]
                 if sampled {
                     cluster.set_txn_trace_id(arrival_seq);
                 }
-                cluster.submit(txn, slot);
-                #[cfg(feature = "telemetry")]
-                {
-                    submitted_since_flush += 1;
+                let ok = cluster.execute_at_slot(&txn, slot).is_ok();
+                if ok {
+                    committed += 1;
+                } else {
+                    aborted += 1;
                 }
                 let service = cfg.service_mean_s
                     * (1.0 + rng.random_range(-cfg.service_jitter..cfg.service_jitter));
@@ -639,18 +445,28 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
                 recorder.record_attributed(at, queue, service, stall);
                 #[cfg(feature = "telemetry")]
                 if sampled {
-                    deferred.push(SampledTxn {
-                        id: arrival_seq,
-                        at,
-                        slot,
-                        kind: SampledKind::Executed {
-                            idx: submitted_since_flush - 1,
-                            queue,
-                            stall,
-                            service,
-                            end: *b,
-                        },
-                    });
+                    emit_txn_wait(arrival_seq, queue + stall, stall);
+                    pstore_telemetry::emit(
+                        pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_EXECUTE)
+                            .with("id", arrival_seq)
+                            .with("service", service),
+                    );
+                    let terminal = if ok {
+                        pstore_telemetry::kinds::TXN_COMMIT
+                    } else {
+                        pstore_telemetry::kinds::TXN_ABORT
+                    };
+                    let mut ev = pstore_telemetry::Event::new(terminal)
+                        .with("id", arrival_seq)
+                        .with("total", queue + service + stall)
+                        .with("queue", queue)
+                        .with("exec", service)
+                        .with("stall", stall)
+                        .with("end", *b);
+                    if !ok {
+                        ev = ev.with("reason", "business");
+                    }
+                    pstore_telemetry::emit(ev);
                 }
                 continue;
             }
@@ -658,22 +474,6 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
         let Some(Reverse(Timed { time, event, .. })) = heap.pop() else {
             break;
         };
-        // Settle the engine pipeline before handling any scheduled event:
-        // monitor ticks read partition reports, chunk events migrate, and
-        // the deferred sampled events must precede anything stamped at
-        // `time` (their arrival times are all earlier — TEL-04).
-        flush_pipeline(
-            &mut cluster,
-            &mut fates,
-            #[cfg(feature = "telemetry")]
-            &mut deferred,
-            &mut committed,
-            &mut aborted,
-        );
-        #[cfg(feature = "telemetry")]
-        {
-            submitted_since_flush = 0;
-        }
         if time >= horizon && heap.is_empty() {
             break;
         }
@@ -846,8 +646,7 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
                                 .with("duration_s", time - started)
                                 .with("chunks", m.chunks_moved)
                                 .with("rows", m.rows_moved)
-                                .with("bytes", m.bytes_moved)
-                                .with("fences", cluster.fence_epochs() - m.fence_base),
+                                .with("bytes", m.bytes_moved),
                         );
                     }
                     migration = None;
@@ -875,50 +674,11 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
         }
     }
 
-    // Settle whatever the final partial window left in flight.
-    flush_pipeline(
-        &mut cluster,
-        &mut fates,
-        #[cfg(feature = "telemetry")]
-        &mut deferred,
-        &mut committed,
-        &mut aborted,
-    );
     // A migration still in flight when the run ends would leave the
     // engine's reconfig span dangling (TEL-01) and the root close below
     // out of LIFO order (TEL-02); close it explicitly, marked truncated.
     if migration.is_some() {
         cluster.end_truncated_reconfig_span();
-    }
-    // Per-shard execution attribution (opt-in): one zero-length
-    // `shard_exec` span per shard carrying its transaction count and busy
-    // wall time, plus `shard.N.*` registry gauges, so the span profiler
-    // can attribute engine time per executor thread. Gated behind
-    // `shard_spans` because the record count would otherwise vary with
-    // shard count and break cross-shard byte-identity.
-    #[cfg(feature = "telemetry")]
-    if cfg.shard_spans && pstore_telemetry::enabled() {
-        for (i, rep) in cluster.shard_reports().iter().enumerate() {
-            let span = pstore_telemetry::begin_span(
-                "shard_exec",
-                &[("shard", pstore_telemetry::Value::from(i as u64))],
-            );
-            pstore_telemetry::end_span(
-                "shard_exec",
-                span,
-                &[
-                    ("txns", pstore_telemetry::Value::from(rep.txns)),
-                    ("busy_us", pstore_telemetry::Value::from(rep.busy_us)),
-                ],
-            );
-            pstore_telemetry::with_registry(|reg| {
-                #[allow(clippy::cast_precision_loss)] // counters far below 2^53
-                {
-                    reg.set_gauge(&format!("shard.{i}.txns"), rep.txns as f64);
-                    reg.set_gauge(&format!("shard.{i}.busy_us"), rep.busy_us as f64);
-                }
-            });
-        }
     }
     // Flush the recorder's trailing seconds before the root span closes,
     // so their `second` events land inside the run and trace analyses
@@ -1016,9 +776,6 @@ fn start_migration(
     seq: &mut u64,
 ) -> ActiveMigration {
     let before = cluster.active_nodes();
-    // Captured before the reconfiguration installs, so barrier fences of
-    // the move itself are counted in its `prov_reconfig` summary.
-    let fence_base = cluster.fence_epochs();
     let db_bytes = cluster.total_bytes() as f64;
     cluster
         .begin_reconfiguration(target)
@@ -1052,7 +809,6 @@ fn start_migration(
         chunks_moved: 0,
         rows_moved: 0,
         bytes_moved: 0,
-        fence_base,
     };
     // Start round 0 (skipping over rounds whose pairs have no slots).
     m.current_round = usize::MAX; // advance_round starts at 0
@@ -1161,8 +917,6 @@ mod tests {
                 interval: Duration::from_secs(30),
                 max_machines: 10,
             },
-            load,
-            seed,
             workload: WorkloadConfig {
                 num_skus: 4_000,
                 initial_carts: 800,
@@ -1178,9 +932,8 @@ mod tests {
             max_queue_delay_s: 2.0,
             warmup_txns: 20_000,
             txn_sample_every: 0,
-            shards: 1,
-            shard_spans: false,
             prov_events: false,
+            ..DetailedSimConfig::paper_defaults(load, seed)
         }
     }
 
@@ -1514,52 +1267,6 @@ mod tests {
         let pa: Vec<f64> = a.seconds.iter().map(|s| s.p99).collect();
         let pb: Vec<f64> = b.seconds.iter().map(|s| s.p99).collect();
         assert_eq!(pa, pb);
-    }
-
-    #[test]
-    fn sharded_run_matches_serial_exactly() {
-        // The tentpole determinism claim at simulator granularity: the
-        // same run on the threaded engine (4 shards) and the serial
-        // inline engine must agree on every observable, to the bit —
-        // including through a reconfiguration (the reactive controller
-        // scales out mid-run under this load).
-        let mut load: Vec<f64> = (0..60).map(|s| 300.0 + 400.0 * s as f64 / 60.0).collect();
-        load.extend(vec![700.0; 120]);
-        let run = |shards: u32| {
-            let mut cfg = test_cfg(load.clone(), 7);
-            cfg.shards = shards;
-            let mut strat = ReactiveController::new(ReactiveConfig {
-                q: 285.0,
-                q_hat: 350.0,
-                trigger_fraction: 0.9,
-                headroom: 0.2,
-                smoothing_window: 2,
-                scale_in_patience: 10,
-                max_machines: 10,
-                initial_machines: 2,
-            });
-            run_detailed(&cfg, &mut strat)
-        };
-        let serial = run(1);
-        let sharded = run(4);
-        assert!(
-            !serial.reconfig_spans.is_empty(),
-            "load curve should force a reconfiguration"
-        );
-        assert_eq!(serial.committed, sharded.committed);
-        assert_eq!(serial.aborted, sharded.aborted);
-        assert_eq!(serial.dropped, sharded.dropped);
-        assert_eq!(serial.violations, sharded.violations);
-        assert_eq!(serial.reconfig_spans, sharded.reconfig_spans);
-        assert_eq!(serial.procedure_mix, sharded.procedure_mix);
-        assert_eq!(serial.seconds.len(), sharded.seconds.len());
-        for (a, b) in serial.seconds.iter().zip(&sharded.seconds) {
-            assert_eq!(a.p99, b.p99, "second {}", a.second);
-            assert_eq!(a.mean, b.mean, "second {}", a.second);
-            assert_eq!(a.throughput, b.throughput, "second {}", a.second);
-            assert_eq!(a.machines, b.machines, "second {}", a.second);
-            assert_eq!(a.attr_stall, b.attr_stall, "second {}", a.second);
-        }
     }
 
     #[cfg(feature = "telemetry")]

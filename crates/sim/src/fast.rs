@@ -249,7 +249,7 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
                     );
                     // The slot model moves no real data: the provenance
                     // summary carries timing and endpoints, zero
-                    // chunk/row/byte/fence counts.
+                    // chunk/row/byte counts.
                     #[cfg(feature = "telemetry")]
                     if pstore_telemetry::prov_enabled() {
                         let now = slot as f64 * cfg.slot_duration_s;
@@ -262,8 +262,7 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
                                 .with("duration_s", now - mv.started_at)
                                 .with("chunks", 0u64)
                                 .with("rows", 0u64)
-                                .with("bytes", 0u64)
-                                .with("fences", 0u64),
+                                .with("bytes", 0u64),
                         );
                     }
                     in_move = None;

@@ -262,7 +262,7 @@ fn prov_trace() -> String {
             "\n",
             r#"{"seq":19,"t":3,"kind":"prov_chunk","id":1,"from":0,"to":2,"bytes":4096}"#,
             "\n",
-            r#"{"seq":20,"t":3,"kind":"prov_reconfig","id":1,"from":2,"to":3,"start":1,"duration_s":2,"chunks":1,"rows":16,"bytes":4096,"fences":1}"#,
+            r#"{"seq":20,"t":3,"kind":"prov_reconfig","id":1,"from":2,"to":3,"start":1,"duration_s":2,"chunks":1,"rows":16,"bytes":4096}"#,
             "\n",
             r#"{"seq":21,"t":4,"kind":"prov_interval","interval":3,"observed":2500,"machines":3,"reconfiguring":false}"#,
             "\n",

@@ -14,13 +14,13 @@
 //! 5. telemetry span traces generated through the live span API plus
 //!    randomized histogram merges (`TEL-*`),
 //! 6. with the `telemetry` feature: serializability of the sampled
-//!    key-level version histories from fixed-seed detailed-sim runs at
-//!    shards {1, 2, 4} with reconfiguration traffic (`ISO-01..03`) —
-//!    set `PSTORE_ISO_REPORT=<path>` to also write a JSON report of the
+//!    key-level version histories from a fixed-seed detailed-sim run
+//!    with reconfiguration traffic (`ISO-01..03`) — set
+//!    `PSTORE_ISO_REPORT=<path>` to also write a JSON report of the
 //!    checked histories (CI uploads it as an artifact),
 //! 7. with the `telemetry` feature: the provisioning observatory's
 //!    `prov_*` event family from fixed-seed reactive *and* predictive
-//!    runs at shards {1, 4} (`PRV-01..03`): ledger conservation,
+//!    runs (`PRV-01..03`): ledger conservation,
 //!    decision→reconfiguration causality, forecast bookkeeping — set
 //!    `PSTORE_PROV_REPORT=<path>` to also write a JSON report.
 
@@ -47,18 +47,6 @@ const TELEMETRY_SCENARIOS: usize = 64;
 /// Parallel thread count for the concurrency sweep (each checker also
 /// runs at 1 thread, the forced worker-reuse case).
 const CONCURRENCY_THREADS: usize = 4;
-/// Executor shard counts for the sharded-engine sweep: the serial
-/// inline backend and the threaded backend.
-const SHARD_COUNTS: [u32; 2] = [1, 4];
-/// Executor shard counts for the serializability (iso) sweep: serial
-/// witness, plus two threaded widths so shard routing is exercised.
-#[cfg(feature = "telemetry")]
-const ISO_SHARD_COUNTS: [u32; 3] = [1, 2, 4];
-/// Executor shard counts for the provisioning-observatory (prov) sweep:
-/// the serial inline backend and the threaded backend.
-#[cfg(feature = "telemetry")]
-const PROV_SHARD_COUNTS: [u32; 2] = [1, 4];
-
 fn main() {
     let mut all = Vec::new();
 
@@ -107,32 +95,18 @@ fn main() {
     );
     all.extend(stats.violations);
 
-    let stats = sharded_engine_sweep();
-    report_phase(
-        &format!(
-            "sharded engine sweep: mailbox handoff + reconfig fence at shards {} and {}, plus a detailed sim run on both backends",
-            SHARD_COUNTS[0], SHARD_COUNTS[1]
-        ),
-        &stats,
-    );
-    all.extend(stats.violations);
-
     #[cfg(feature = "telemetry")]
     {
         let stats = iso_sweep();
         report_phase(
-            &format!(
-                "iso sweep: serializability of sampled key histories at shards {ISO_SHARD_COUNTS:?} with migrations"
-            ),
+            "iso sweep: serializability of sampled key histories with migrations",
             &stats,
         );
         all.extend(stats.violations);
 
         let stats = prov_sweep();
         report_phase(
-            &format!(
-                "prov sweep: provisioning ledger, decision causality, forecast bookkeeping at shards {PROV_SHARD_COUNTS:?}, reactive and predictive"
-            ),
+            "prov sweep: provisioning ledger, decision causality, forecast bookkeeping, reactive and predictive",
             &stats,
         );
         all.extend(stats.violations);
@@ -441,35 +415,16 @@ fn concurrency_sweep() -> CheckStats {
     stats
 }
 
-/// Phase 7: the sharded execution engine (`CON-04`/`CON-05`) — mailbox
-/// routing and the reconfiguration fence on the *production* threaded
-/// `Cluster` at every shard count in [`SHARD_COUNTS`], then one detailed
-/// simulation run on the serial and the 4-shard backend, which must be
-/// bit-identical (and, with the `telemetry` feature, whose sampled
-/// traces must pass the full TEL/TXN battery). The exhaustive
-/// interleaving layer runs separately as `RUSTFLAGS="--cfg loom" cargo
-/// test -p pstore-dbms --release --test loom_models`.
-fn sharded_engine_sweep() -> CheckStats {
-    let mut stats = CheckStats::default();
-    for shards in SHARD_COUNTS {
-        stats.absorb(concurrency::check_mailbox_handoff(shards));
-        stats.absorb(concurrency::check_reconfig_fence(shards));
-    }
-    stats.absorb(concurrency::check_sharded_sim());
-    stats
-}
-
-/// Phase 8 (telemetry builds only): the `ISO-01..03` serializability
-/// sweep. Replays the sharded-engine ramp scenario — fixed seed,
-/// reactive scale-out, live chunk migrations — at every shard count in
-/// [`ISO_SHARD_COUNTS`], decodes the sampled key-level version
+/// Phase 7 (telemetry builds only): the `ISO-01..03` serializability
+/// sweep. Replays the ramp scenario — fixed seed, reactive scale-out,
+/// live chunk migrations — decodes the sampled key-level version
 /// histories out of the captured trace, and checks DSG acyclicity,
-/// commit-order equivalence, and restart/version integrity. The
-/// shards=1 run must additionally be a *serial witness*: every
-/// dependency edge points forward in commit order, because the inline
-/// engine executes transactions one at a time in exactly that order.
-/// A run that captures no histories (or induces no edges) fails — a
-/// vacuous pass proves nothing.
+/// commit-order equivalence, and restart/version integrity. The run
+/// must additionally be a *serial witness*: every dependency edge
+/// points forward in commit order, because the engine executes
+/// transactions one at a time in exactly that order. A run that
+/// captures no histories (or induces no edges) fails — a vacuous pass
+/// proves nothing.
 ///
 /// When `PSTORE_ISO_REPORT` names a path, a JSON summary of each
 /// checked history (transaction/key/edge counts, violations) is written
@@ -481,52 +436,46 @@ fn iso_sweep() -> CheckStats {
 
     let mut stats = CheckStats::default();
     let mut report_lines: Vec<String> = Vec::new();
-    for shards in ISO_SHARD_COUNTS {
-        let artifact = format!("detailed sim key history shards={shards}");
-        let (_result, events) = concurrency::captured_sim_run(shards);
-        let histories = match iso::histories_of(&events) {
-            Ok(h) => h,
-            Err(e) => {
-                stats.absorb(vec![Violation::new(
+    let artifact = "detailed sim key history".to_string();
+    let (_result, events) = iso::captured_ramp_run();
+    match iso::histories_of(&events) {
+        Ok(histories) => {
+            let d = iso::dsg_stats(&histories);
+            let mut violations = iso::check_key_histories(&artifact, &histories);
+            if d.txns == 0 || d.wr + d.ww + d.rw == 0 {
+                violations.push(Violation::new(
                     InvariantId::IsoDsgAcyclic,
-                    artifact,
-                    format!("undecodable key history: {e}"),
-                )]);
-                continue;
+                    artifact.clone(),
+                    format!(
+                        "vacuous history: {} sampled txns, {} dependency edges — nothing was checked",
+                        d.txns,
+                        d.wr + d.ww + d.rw
+                    ),
+                ));
             }
-        };
-        let d = iso::dsg_stats(&histories);
-        let mut violations = iso::check_key_histories(&artifact, &histories);
-        if d.txns == 0 || d.wr + d.ww + d.rw == 0 {
-            violations.push(Violation::new(
-                InvariantId::IsoDsgAcyclic,
-                artifact.clone(),
-                format!(
-                    "vacuous history: {} sampled txns, {} dependency edges — nothing was checked",
-                    d.txns,
-                    d.wr + d.ww + d.rw
-                ),
-            ));
-        }
-        if shards == 1 {
             for err in iso::serial_witness_errors(&histories) {
                 violations.push(Violation::new(
                     InvariantId::IsoReadCommitOrder,
                     artifact.clone(),
-                    format!("shards=1 commit order is not a serial witness: {err}"),
+                    format!("commit order is not a serial witness: {err}"),
                 ));
             }
+            report_lines.push(format!(
+                "{{\"txns\":{},\"keys\":{},\"wr\":{},\"ww\":{},\"rw\":{},\"violations\":{}}}",
+                d.txns,
+                d.keys,
+                d.wr,
+                d.ww,
+                d.rw,
+                violations.len()
+            ));
+            stats.absorb(violations);
         }
-        report_lines.push(format!(
-            "{{\"shards\":{shards},\"txns\":{},\"keys\":{},\"wr\":{},\"ww\":{},\"rw\":{},\"violations\":{}}}",
-            d.txns,
-            d.keys,
-            d.wr,
-            d.ww,
-            d.rw,
-            violations.len()
-        ));
-        stats.absorb(violations);
+        Err(e) => stats.absorb(vec![Violation::new(
+            InvariantId::IsoDsgAcyclic,
+            artifact,
+            format!("undecodable key history: {e}"),
+        )]),
     }
     if let Ok(path) = std::env::var("PSTORE_ISO_REPORT") {
         let body = format!(
@@ -541,19 +490,18 @@ fn iso_sweep() -> CheckStats {
     stats
 }
 
-/// Phase 9 (telemetry builds only): the `PRV-01..03` provisioning
+/// Phase 8 (telemetry builds only): the `PRV-01..03` provisioning
 /// sweep. Replays fixed-seed detailed runs with provenance events on —
 /// the reactive ramp and a predictive flat-then-step scenario under the
-/// P-Store controller with an oracle forecaster — at every shard count
-/// in [`PROV_SHARD_COUNTS`], and checks the captured `prov_*` stream:
-/// ledger conservation against the raw per-interval integral (PRV-01),
-/// decision→reconfiguration causality and lead preservation (PRV-02),
-/// and exactly-once forecast scoring against real observations
-/// (PRV-03). A trace with no decisions, no reconfigurations or (for
-/// the reactive run) no forecast scores fails — a vacuous pass proves
-/// nothing — and the predictive run must contain at least one planned
-/// decision with a real lead, or the lead-preservation check never
-/// fired.
+/// P-Store controller with an oracle forecaster — and checks the
+/// captured `prov_*` stream: ledger conservation against the raw
+/// per-interval integral (PRV-01), decision→reconfiguration causality
+/// and lead preservation (PRV-02), and exactly-once forecast scoring
+/// against real observations (PRV-03). A trace with no decisions, no
+/// reconfigurations or (for the reactive run) no forecast scores fails —
+/// a vacuous pass proves nothing — and the predictive run must contain
+/// at least one planned decision with a real lead, or the
+/// lead-preservation check never fired.
 ///
 /// When `PSTORE_PROV_REPORT` names a path, a JSON summary of each
 /// checked trace (decision/reconfig/score counts, violations) is
@@ -565,46 +513,44 @@ fn prov_sweep() -> CheckStats {
 
     let mut stats = CheckStats::default();
     let mut report_lines: Vec<String> = Vec::new();
-    for shards in PROV_SHARD_COUNTS {
-        for predictive in [false, true] {
-            let policy = if predictive { "predictive" } else { "reactive" };
-            let artifact = format!("detailed sim prov trace policy={policy} shards={shards}");
-            let (_result, events) = prov::captured_prov_run(shards, predictive);
-            let runs = prov::raw_runs(&events);
-            let decisions: usize = runs.iter().map(|r| r.decisions.len()).sum();
-            let reconfigs: usize = runs.iter().map(|r| r.reconfigs.len()).sum();
-            let scores: usize = runs.iter().map(|r| r.scores.len()).sum();
-            let leads: usize = runs
-                .iter()
-                .flat_map(|r| &r.decisions)
-                .filter(|d| d.lead >= 1)
-                .count();
-            let mut violations = prov::check_events(&artifact, &events);
-            if decisions == 0 || reconfigs == 0 || scores == 0 {
-                violations.push(Violation::new(
-                    InvariantId::ProvDecisionCausality,
-                    artifact.clone(),
-                    format!(
-                        "vacuous trace: {decisions} decisions, {reconfigs} reconfigs, \
-                         {scores} forecast scores — nothing was checked"
-                    ),
-                ));
-            }
-            if predictive && leads == 0 {
-                violations.push(Violation::new(
-                    InvariantId::ProvDecisionCausality,
-                    artifact.clone(),
-                    "predictive run issued no decision with lead >= 1 — the \
-                     lead-preservation check never fired"
-                        .to_string(),
-                ));
-            }
-            report_lines.push(format!(
-                "{{\"policy\":\"{policy}\",\"shards\":{shards},\"decisions\":{decisions},\"reconfigs\":{reconfigs},\"scores\":{scores},\"lead_decisions\":{leads},\"violations\":{}}}",
-                violations.len()
+    for predictive in [false, true] {
+        let policy = if predictive { "predictive" } else { "reactive" };
+        let artifact = format!("detailed sim prov trace policy={policy}");
+        let (_result, events) = prov::captured_prov_run(predictive);
+        let runs = prov::raw_runs(&events);
+        let decisions: usize = runs.iter().map(|r| r.decisions.len()).sum();
+        let reconfigs: usize = runs.iter().map(|r| r.reconfigs.len()).sum();
+        let scores: usize = runs.iter().map(|r| r.scores.len()).sum();
+        let leads: usize = runs
+            .iter()
+            .flat_map(|r| &r.decisions)
+            .filter(|d| d.lead >= 1)
+            .count();
+        let mut violations = prov::check_events(&artifact, &events);
+        if decisions == 0 || reconfigs == 0 || scores == 0 {
+            violations.push(Violation::new(
+                InvariantId::ProvDecisionCausality,
+                artifact.clone(),
+                format!(
+                    "vacuous trace: {decisions} decisions, {reconfigs} reconfigs, \
+                     {scores} forecast scores — nothing was checked"
+                ),
             ));
-            stats.absorb(violations);
         }
+        if predictive && leads == 0 {
+            violations.push(Violation::new(
+                InvariantId::ProvDecisionCausality,
+                artifact.clone(),
+                "predictive run issued no decision with lead >= 1 — the \
+                 lead-preservation check never fired"
+                    .to_string(),
+            ));
+        }
+        report_lines.push(format!(
+            "{{\"policy\":\"{policy}\",\"decisions\":{decisions},\"reconfigs\":{reconfigs},\"scores\":{scores},\"lead_decisions\":{leads},\"violations\":{}}}",
+            violations.len()
+        ));
+        stats.absorb(violations);
     }
     if let Ok(path) = std::env::var("PSTORE_PROV_REPORT") {
         let body = format!(

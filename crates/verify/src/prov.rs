@@ -27,8 +27,8 @@
 //!   interval.
 //!
 //! The `pstore-verify` binary replays fixed-seed reactive and
-//! predictive runs at shard counts {1, 4} through these checkers (the
-//! `prov` sweep in `main.rs`).
+//! predictive runs through these checkers (the `prov` sweep in
+//! `main.rs`).
 
 use pstore_core::{InvariantId, Violation};
 use pstore_telemetry::{kinds, prov, Event};
@@ -488,7 +488,6 @@ pub fn check_events(artifact: &str, events: &[Event]) -> Vec<Violation> {
 /// real lead. Shared with the prov sweep in `main.rs`.
 #[cfg(feature = "telemetry")]
 pub fn captured_prov_run(
-    shards: u32,
     predictive: bool,
 ) -> (pstore_sim::detailed::DetailedSimResult, Vec<Event>) {
     use pstore_core::controller::forecaster::OracleForecaster;
@@ -519,7 +518,6 @@ pub fn captured_prov_run(
     cfg.workload.initial_carts = 600;
     cfg.num_slots = 360;
     cfg.warmup_txns = 20_000;
-    cfg.shards = shards; // paper_defaults reads PSTORE_SHARDS; pin it
     cfg.prov_events = true;
 
     let mut reactive;
@@ -612,7 +610,6 @@ mod tests {
             .with("chunks", chunks)
             .with("rows", chunks * 10)
             .with("bytes", bytes)
-            .with("fences", 2u64)
     }
 
     fn score(model: &str, horizon: u64, interval: u64, observed: f64) -> Event {

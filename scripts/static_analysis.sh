@@ -33,17 +33,15 @@ step "cargo clippy (telemetry feature) -- -D warnings"
 cargo clippy -q -p pstore-bench -p pstore-sim --all-targets \
     --features telemetry -- -D warnings
 
-step "pstore-lint: project-specific static analysis (SA-01..07)"
+step "pstore-lint: project-specific static analysis (SA-01..06)"
 # Source-level rules clippy cannot express: invariant-registry coherence,
 # telemetry kind/span discipline, determinism, concurrency hygiene,
-# SAFETY comments, #[allow] justifications, dbms sync-shim routing. See
-# docs/static_analysis.md.
+# SAFETY comments, #[allow] justifications. See docs/static_analysis.md.
 cargo run -q --release -p pstore-lint
 
-step "pstore-verify invariant sweep (incl. sharded engine at shards 1 and 4)"
-# The telemetry feature arms the sharded-sim stream comparison: serial
-# and threaded backends must emit identical telemetry after span-id
-# renumbering, checked by every TEL/TXN checker on both streams.
+step "pstore-verify invariant sweep"
+# The telemetry feature arms the ISO-01..03 and PRV-01..03 phases, which
+# replay captured detailed-simulator traces.
 cargo run -q --release -p pstore-verify --features telemetry
 
 step "microbenchmarks compile (cargo bench --no-run)"
@@ -57,13 +55,13 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --seconds 2 --seed 0x0709 > /dev/null
 benchmark/run.sh --seconds 2 --seed 0x5EED > /dev/null
 
-step "sweep determinism (--threads 1 vs 2; bench_baseline itself checks shards 1 vs 4)"
+step "sweep determinism (--threads 1 vs 2)"
 BENCH_T1="$(mktemp /tmp/pstore-bench-t1.XXXXXX.json)"
 BENCH_T2="$(mktemp /tmp/pstore-bench-t2.XXXXXX.json)"
 cargo run -q --release -p pstore-bench --bin bench_baseline -- \
-    --quick --threads 1 --shards 1,4 --quiet --out "$BENCH_T1" > /dev/null
+    --quick --threads 1 --quiet > "$BENCH_T1"
 cargo run -q --release -p pstore-bench --bin bench_baseline -- \
-    --quick --threads 2 --shards 1,4 --quiet --out "$BENCH_T2" > /dev/null
+    --quick --threads 2 --quiet > "$BENCH_T2"
 # Timing fields legitimately differ; the simulation counters must not.
 diff <(grep -E 'committed_txns|dropped_txns|"cells"' "$BENCH_T1") \
      <(grep -E 'committed_txns|dropped_txns|"cells"' "$BENCH_T2")
@@ -135,10 +133,6 @@ if [[ "$QUICK" == "0" ]]; then
     # Exhaustively explores the pool's interleavings with its primitives
     # swapped to the vendored loom types (see docs/invariants.md).
     RUSTFLAGS="--cfg loom" cargo test -q -p rayon --release
-    step "loom model checking: sharded-engine invariants (CON-04..05)"
-    # Mailbox handoff and reconfig fence, with should_panic seeded-bug
-    # twins; the dbms crate's sync shim swaps to loom types here.
-    RUSTFLAGS="--cfg loom" cargo test -q -p pstore-dbms --release --test loom_models
     if cargo miri --version > /dev/null 2>&1; then
         step "cargo miri test: UB check on core crates + dbms engine"
         cargo miri test -q -p pstore-core -p pstore-forecast -p pstore-dbms

@@ -36,8 +36,6 @@ fn bench_cfg(sim_seconds: usize, load_txn_s: f64, seed: u64) -> DetailedSimConfi
         migration_cpu_fraction: 0.05,
         max_queue_delay_s: 2.0,
         warmup_txns: 5_000,
-        txn_sample_every: 0,
-        prov_events: false,
         ..DetailedSimConfig::paper_defaults(vec![load_txn_s; sim_seconds], seed)
     }
 }

@@ -24,7 +24,6 @@ fn bench_fastsim(c: &mut Criterion) {
         slot_duration_s: 60.0,
         tick_every_slots: 5,
         record_timeline: false,
-        prov_events: false,
     };
     let load = weekly_wave();
 

@@ -41,8 +41,6 @@ fn cell_cfg(seconds: usize, load_txn_s: f64, seed: u64) -> DetailedSimConfig {
         migration_cpu_fraction: 0.05,
         max_queue_delay_s: 2.0,
         warmup_txns: 5_000,
-        txn_sample_every: 0,
-        prov_events: false,
         ..DetailedSimConfig::paper_defaults(vec![load_txn_s; seconds], seed)
     }
 }

@@ -52,8 +52,6 @@ fn main() {
         migration_cpu_fraction: 0.05,
         max_queue_delay_s: 2.0,
         warmup_txns: 20_000,
-        txn_sample_every: 0,
-        prov_events: false,
         ..DetailedSimConfig::paper_defaults(load, 0x5710)
     };
 
@@ -130,7 +128,7 @@ fn main() {
             );
             assert!(value.parse::<f64>().is_ok(), "non-numeric sample: {line}");
         }
-        if cfg!(feature = "telemetry") {
+        if pstore_telemetry::COMPILED_IN {
             assert!(
                 body.contains("pstore_reconfigurations_total"),
                 "exposition is missing the reconfiguration counter:\n{body}"

@@ -105,12 +105,6 @@ pub fn section(title: &str) {
     );
 }
 
-/// Whether the binary was invoked with `--quick` (smaller, faster runs for
-/// smoke-testing; EXPERIMENTS.md numbers come from full runs).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
 /// Shared run harness for the experiment binaries and the one place their
 /// arguments are parsed (anything else is refused with exit status 2):
 /// `--quick` (smaller runs), `--quiet` (suppress progress chatter),
@@ -128,6 +122,11 @@ pub fn quick_mode() -> bool {
 /// --bin fig9_comparison -- --trace /tmp/fig9.jsonl`); without it the
 /// instrumentation compiles away and `--trace` writes an empty file (a
 /// warning is printed). The emitted file is readable by `pstore-trace`.
+///
+/// This is also the one place the environment chooses what a trace
+/// contains: `PSTORE_PROV_EVENTS=1` (or `true`/`on`) adds the
+/// provisioning-observatory `prov_*` family to the installed
+/// [`TraceSpec`](pstore_telemetry::TraceSpec).
 pub struct RunReporter {
     quick: bool,
     quiet: bool,
@@ -204,8 +203,7 @@ impl RunReporter {
             );
         }
 
-        #[cfg(not(feature = "telemetry"))]
-        if trace_path.is_some() || expose_port.is_some() {
+        if !pstore_telemetry::COMPILED_IN && (trace_path.is_some() || expose_port.is_some()) {
             eprintln!(
                 "warning: --trace/--summary/--expose-metrics given but this binary was \
                  built without the `telemetry` feature; traces and metrics will be empty"
@@ -223,6 +221,12 @@ impl RunReporter {
                 };
                 std::rc::Rc::new(sink) as std::rc::Rc<dyn pstore_telemetry::Sink>
             });
+        let spec = pstore_telemetry::TraceSpec {
+            prov: std::env::var("PSTORE_PROV_EVENTS")
+                .is_ok_and(|v| matches!(v.as_str(), "1" | "true" | "on")),
+            ..Default::default()
+        };
+        let install = |sink| pstore_telemetry::install_with(sink, spec);
         let (sink_guard, exposer) = if let Some(port) = expose_port {
             // Tee every event into the live-metrics aggregate (and through
             // to the JSONL file when tracing too), then serve it.
@@ -238,12 +242,9 @@ impl RunReporter {
                 "metrics: serving Prometheus text on http://{}/metrics",
                 exposer.addr()
             );
-            (
-                Some(pstore_telemetry::install(std::rc::Rc::new(tee))),
-                Some(exposer),
-            )
+            (Some(install(std::rc::Rc::new(tee))), Some(exposer))
         } else {
-            (jsonl.map(pstore_telemetry::install), None)
+            (jsonl.map(install), None)
         };
         RunReporter {
             quick,

@@ -16,7 +16,8 @@
 //!   with its cell index and sorts; nothing is emitted on completion
 //!   order).
 //! * **Telemetry events** emitted by a cell are captured into a
-//!   per-cell in-memory sink on the worker thread, then forwarded to
+//!   per-cell in-memory sink on the worker thread (installed with the
+//!   calling thread's `TraceSpec`), then forwarded to
 //!   the main thread's sink in cell order after all cells finish. Span
 //!   ids are renumbered to `(cell + 1) << 32 | ordinal` during the
 //!   replay — the raw ids from the global allocator depend on thread
@@ -157,10 +158,11 @@ impl Sweep {
     /// order. See the module docs for the determinism contract.
     ///
     /// Telemetry capture turns on exactly when the calling thread has a
-    /// sink installed (e.g. `--trace` in a figure binary); otherwise
-    /// the cells run uninstrumented, same as the serial path.
+    /// sink installed (e.g. `--trace` in a figure binary), and captures
+    /// under that sink's `TraceSpec`; otherwise the cells run
+    /// uninstrumented, same as the serial path.
     pub fn run<R: Send + 'static>(&self, cells: Vec<Cell<R>>) -> Vec<R> {
-        let capture = tel::enabled();
+        let capture = tel::installed().then(tel::spec);
         let pool = match rayon::ThreadPoolBuilder::new()
             .num_threads(self.threads)
             .build()
@@ -182,7 +184,7 @@ impl Sweep {
         // Single-threaded deterministic merge, in cell order.
         let mut results = Vec::with_capacity(outcomes.len());
         for (cell_idx, outcome) in outcomes.into_iter().enumerate() {
-            if capture {
+            if capture.is_some() {
                 forward_cell_events(cell_idx, outcome.events);
                 tel::with_registry(|r| r.merge(&outcome.metrics));
             }
@@ -229,21 +231,21 @@ impl Sweep {
 }
 
 /// Runs one cell on the current (worker) thread, capturing its
-/// telemetry into a private sink and a freshly cleared registry when
-/// `capture` is set.
-fn run_cell<R>(cell: Cell<R>, capture: bool) -> CellOutcome<R> {
-    if !capture {
+/// telemetry into a private sink (installed with the `capture` spec) and
+/// a freshly cleared registry when `capture` is set.
+fn run_cell<R>(cell: Cell<R>, capture: Option<tel::TraceSpec>) -> CellOutcome<R> {
+    let Some(spec) = capture else {
         return CellOutcome {
             result: (cell.run)(),
             events: Vec::new(),
             metrics: tel::MetricsRegistry::new(),
         };
-    }
+    };
     let (sink, handle) = tel::MemorySink::new();
     // Worker threads are reused across cells; start each cell from a
     // clean registry so metrics cannot leak between cells.
     tel::reset_registry();
-    let guard = tel::install(Rc::new(sink));
+    let guard = tel::install_with(Rc::new(sink), spec);
     let result = (cell.run)();
     drop(guard);
     let events = handle.events();
@@ -383,7 +385,7 @@ mod tests {
 
     #[test]
     fn without_a_sink_cells_run_uninstrumented() {
-        assert!(!tel::enabled());
+        assert!(!tel::installed());
         tel::reset_registry();
         let results = Sweep::new(2).run((0..4).map(synthetic_cell).collect());
         assert_eq!(results, vec![0, 10, 20, 30]);

@@ -37,8 +37,6 @@ fn tiny_cfg(nodes_hint: u64, load_txn_s: f64, seed: u64) -> DetailedSimConfig {
         migration_cpu_fraction: 0.05,
         max_queue_delay_s: 2.0,
         warmup_txns: 1_000,
-        txn_sample_every: 0,
-        prov_events: false,
         ..DetailedSimConfig::paper_defaults(vec![load_txn_s; 20], seed ^ (nodes_hint << 8))
     }
 }
@@ -105,4 +103,22 @@ fn fig9_quick_is_identical_serial_vs_parallel() {
     let (_, serial) = run_all_sweep(&cfg, &Sweep::new(1));
     let (_, parallel) = run_all_sweep(&cfg, &Sweep::new(8));
     assert_eq!(fingerprint(&serial), fingerprint(&parallel));
+}
+
+/// Cells capture under the caller's `TraceSpec`: the sweep hands the spec
+/// installed with the calling thread's sink to every per-cell sink.
+#[test]
+fn cells_capture_under_the_callers_trace_spec() {
+    let spec = pstore_telemetry::TraceSpec {
+        prov: true,
+        txn_sample_every: 7,
+    };
+    let (sink, _handle) = pstore_telemetry::MemorySink::new();
+    let guard = pstore_telemetry::install_with(std::rc::Rc::new(sink), spec);
+    let cells = (0..3)
+        .map(|_| Cell::new("spec", pstore_telemetry::spec))
+        .collect();
+    let seen = Sweep::new(2).run(cells);
+    drop(guard);
+    assert_eq!(seen, vec![spec; 3]);
 }

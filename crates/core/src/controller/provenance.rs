@@ -9,11 +9,12 @@
 //! (emitting `prov_decision`, the PRV-02 causality anchor). The
 //! bookkeeping itself is pure and always runs — it is deterministic and
 //! bounded by [`SCORED_HORIZONS`] — while the events are only emitted
-//! when the calling crate's `telemetry` feature is on *and*
-//! `pstore_telemetry::prov_enabled()` holds, so default-config traces
-//! stay byte-identical.
+//! when `pstore_telemetry::prov_enabled()` holds (telemetry compiled in,
+//! a sink installed, and its `TraceSpec` asking for the `prov_*` family),
+//! so default traces stay byte-identical.
 
 use super::Observation;
+use pstore_telemetry as tel;
 
 /// Horizons (in monitoring intervals) at which controllers record their
 /// predictions for later scoring.
@@ -38,22 +39,18 @@ impl ProvScorer {
     /// the measured load, then drops entries at or before it (intervals
     /// skipped while the cluster was busy are never scored twice).
     pub fn score(&mut self, model: &str, obs: &Observation) {
-        let _ = model;
-        #[cfg(feature = "telemetry")]
-        {
-            if pstore_telemetry::prov_enabled() {
-                for &(_, horizon, predicted) in
-                    self.pending.iter().filter(|&&(t, _, _)| t == obs.interval)
-                {
-                    pstore_telemetry::emit(
-                        pstore_telemetry::Event::new(pstore_telemetry::kinds::PROV_FORECAST)
-                            .with("interval", obs.interval)
-                            .with("horizon", horizon)
-                            .with("model", model)
-                            .with("predicted", predicted)
-                            .with("observed", obs.load),
-                    );
-                }
+        if tel::prov_enabled() {
+            for &(_, horizon, predicted) in
+                self.pending.iter().filter(|&&(t, _, _)| t == obs.interval)
+            {
+                tel::emit(
+                    tel::Event::new(tel::kinds::PROV_FORECAST)
+                        .with("interval", obs.interval)
+                        .with("horizon", horizon)
+                        .with("model", model)
+                        .with("predicted", predicted)
+                        .with("observed", obs.load),
+                );
             }
         }
         self.pending.retain(|&(t, _, _)| t > obs.interval);
@@ -90,24 +87,20 @@ impl ProvScorer {
         rate: f64,
     ) -> u64 {
         self.next_decision += 1;
-        let _ = (obs, target, reason, trigger, peak, cost, lead, rate);
-        #[cfg(feature = "telemetry")]
-        {
-            if pstore_telemetry::prov_enabled() {
-                pstore_telemetry::emit(
-                    pstore_telemetry::Event::new(pstore_telemetry::kinds::PROV_DECISION)
-                        .with("id", self.next_decision)
-                        .with("interval", obs.interval)
-                        .with("machines", obs.machines)
-                        .with("target", target)
-                        .with("reason", reason)
-                        .with("trigger", trigger)
-                        .with("peak", peak)
-                        .with("cost", cost)
-                        .with("lead", lead)
-                        .with("rate", rate),
-                );
-            }
+        if tel::prov_enabled() {
+            tel::emit(
+                tel::Event::new(tel::kinds::PROV_DECISION)
+                    .with("id", self.next_decision)
+                    .with("interval", obs.interval)
+                    .with("machines", obs.machines)
+                    .with("target", target)
+                    .with("reason", reason)
+                    .with("trigger", trigger)
+                    .with("peak", peak)
+                    .with("cost", cost)
+                    .with("lead", lead)
+                    .with("rate", rate),
+            );
         }
         self.next_decision
     }
@@ -147,7 +140,17 @@ mod tests {
         assert_eq!(s.pending, vec![(6, 1, 1.0), (7, 2, 2.0)]);
     }
 
-    #[cfg(feature = "telemetry")]
+    /// A capturing sink whose spec asks for the `prov_*` family.
+    fn install_prov_sink() -> (tel::SinkGuard, tel::MemorySinkHandle) {
+        let (sink, handle) = tel::MemorySink::new();
+        let spec = tel::TraceSpec {
+            prov: true,
+            ..Default::default()
+        };
+        let guard = tel::install_with(std::rc::Rc::new(sink), spec);
+        (guard, handle)
+    }
+
     #[test]
     fn decision_ids_are_sequential_and_emitted_only_when_gated() {
         let o = obs(0, 100.0);
@@ -155,33 +158,33 @@ mod tests {
         // Ids are handed out even with provenance off...
         assert_eq!(s.decision(&o, 3, "planned", 100.0, 200.0, 0.0, 2, 1.0), 1);
 
-        let (sink, handle) = pstore_telemetry::MemorySink::new();
-        let _guard = pstore_telemetry::install(std::rc::Rc::new(sink));
-        let was = pstore_telemetry::set_prov_enabled(true);
+        let (_guard, handle) = install_prov_sink();
         let a = s.decision(&o, 3, "planned", 100.0, 200.0, 0.0, 2, 1.0);
         let b = s.decision(&o, 4, "emergency", 400.0, 400.0, 0.0, 0, 8.0);
-        pstore_telemetry::set_prov_enabled(was);
         assert_eq!((a, b), (2, 3));
-        // ...but only the gated ones hit the sink.
-        let events = handle.of_kind(pstore_telemetry::kinds::PROV_DECISION);
+        // ...but only the gated ones hit the sink (none at all in a build
+        // without the instrumentation).
+        let events = handle.of_kind(tel::kinds::PROV_DECISION);
+        if !tel::COMPILED_IN {
+            return assert!(events.is_empty());
+        }
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].field_u64("id"), Some(2));
         assert_eq!(events[0].field_u64("lead"), Some(2));
         assert_eq!(events[1].field_str("reason"), Some("emergency"));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn scoring_emits_one_forecast_per_pending_triple() {
-        let (sink, handle) = pstore_telemetry::MemorySink::new();
-        let _guard = pstore_telemetry::install(std::rc::Rc::new(sink));
-        let was = pstore_telemetry::set_prov_enabled(true);
+        let (_guard, handle) = install_prov_sink();
         let mut s = ProvScorer::new();
         s.predict(0, &[110.0, 120.0]);
         s.score("m", &obs(1, 100.0));
         s.score("m", &obs(2, 130.0));
-        pstore_telemetry::set_prov_enabled(was);
-        let events = handle.of_kind(pstore_telemetry::kinds::PROV_FORECAST);
+        let events = handle.of_kind(tel::kinds::PROV_FORECAST);
+        if !tel::COMPILED_IN {
+            return assert!(events.is_empty());
+        }
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].field_u64("interval"), Some(1));
         assert_eq!(events[0].field_f64("predicted"), Some(110.0));

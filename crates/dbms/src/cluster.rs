@@ -17,6 +17,7 @@ use crate::storage::{Storage, TxnFate};
 use crate::txn::{Procedure, TxnError, TxnOutput};
 use crate::value::Key;
 use pstore_core::partition_plan::SlotPlan;
+use pstore_telemetry as tel;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -79,7 +80,6 @@ struct Reconfig {
     in_flight: HashMap<u64, (u32, u32)>,
     pending_pairs: usize,
     /// Telemetry span covering this reconfiguration (0 = no span).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     span_id: u64,
 }
 
@@ -167,12 +167,6 @@ pub struct Cluster {
     stats: ClusterStats,
     /// Per-procedure (committed, aborted) counters.
     procedure_stats: HashMap<&'static str, (u64, u64)>,
-    /// Trace id for the next transaction, set by a sampling caller (the
-    /// simulator): `execute_at_slot` emits that transaction's `txn_rwset`
-    /// (and `txn_restart`, if it was rerouted to a migration destination)
-    /// under this id, then clears it.
-    #[cfg(feature = "telemetry")]
-    txn_trace_id: Option<u64>,
 }
 
 impl Cluster {
@@ -212,8 +206,6 @@ impl Cluster {
             reconfig: None,
             stats: ClusterStats::default(),
             procedure_stats: HashMap::new(),
-            #[cfg(feature = "telemetry")]
-            txn_trace_id: None,
         }
     }
 
@@ -229,19 +221,6 @@ impl Cluster {
     /// Whether per-key version counting is on.
     pub fn track_versions(&self) -> bool {
         self.storage.track_versions()
-    }
-
-    /// Tags the next [`execute_at_slot`](Self::execute_at_slot) call with
-    /// a per-transaction trace id: the engine emits that transaction's
-    /// `txn_rwset` record (and `txn_restart` when it touched a migration
-    /// destination) into the telemetry stream — with key-level read/write
-    /// sets when [`track_versions`](Self::track_versions) is on — then
-    /// clears the tag. The simulator sets this only for sampled
-    /// transactions, keeping untagged executions free of per-txn trace
-    /// traffic.
-    #[cfg(feature = "telemetry")]
-    pub fn set_txn_trace_id(&mut self, id: u64) {
-        self.txn_trace_id = Some(id);
     }
 
     /// The catalog.
@@ -330,11 +309,30 @@ impl Cluster {
     /// # Panics
     /// Debug builds assert that `slot` matches the procedure's routing
     /// key; a mismatched slot in release builds misroutes the transaction.
-    #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
     pub fn execute_at_slot(
         &mut self,
         proc: &dyn Procedure,
         slot: u64,
+    ) -> Result<TxnOutput, TxnError> {
+        self.execute_traced(proc, slot, None)
+    }
+
+    /// [`execute_at_slot`](Self::execute_at_slot), tagging a transaction
+    /// its caller sampled with a `trace_id`: with telemetry on, the engine
+    /// then also emits that transaction's `txn_rwset` record (and
+    /// `txn_restart` when it touched a migration destination) under the id
+    /// — with key-level read/write sets when
+    /// [`track_versions`](Self::track_versions) is on. Untagged
+    /// executions carry no per-transaction trace traffic.
+    ///
+    /// # Errors
+    /// Propagates the procedure's [`TxnError`] on abort.
+    #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
+    pub fn execute_traced(
+        &mut self,
+        proc: &dyn Procedure,
+        slot: u64,
+        trace_id: Option<u64>,
     ) -> Result<TxnOutput, TxnError> {
         debug_assert_eq!(
             slot,
@@ -343,31 +341,25 @@ impl Cluster {
         );
         let (node, local, in_flight) = self.routing_of(slot);
         self.slot_access_totals[slot as usize] += 1;
-        #[cfg(feature = "telemetry")]
-        let trace_id = self.txn_trace_id.take();
-        #[cfg(feature = "telemetry")]
         let capture = trace_id.is_some() && self.storage.track_versions();
-        #[cfg(not(feature = "telemetry"))]
-        let capture = false;
         let fate = self
             .storage
             .execute(proc, slot, node, local, in_flight, capture);
         account(&mut self.stats, &mut self.procedure_stats, &fate);
-        #[cfg(feature = "telemetry")]
         if let Some(id) = trace_id {
-            if pstore_telemetry::enabled() {
+            if tel::enabled() {
                 if fate.touched_dest {
                     // The Squall-style switchover: an access resolved
                     // against the destination means the transaction was
                     // rerouted mid-migration — the engine-level analogue
                     // of a restart-on-moved-data.
-                    pstore_telemetry::emit(
-                        pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_RESTART)
+                    tel::emit(
+                        tel::Event::new(tel::kinds::TXN_RESTART)
                             .with("id", id)
                             .with("slot", slot),
                     );
                 }
-                pstore_telemetry::emit(txn_rwset_event(id, slot, &fate));
+                tel::emit(txn_rwset_event(id, slot, &fate));
             }
         }
         fate.result
@@ -496,23 +488,20 @@ impl Cluster {
             self.allocated = needed;
         }
         let pending = pairs.iter().filter(|p| !p.is_done()).count();
-        #[cfg(feature = "telemetry")]
-        let span_id = if pstore_telemetry::enabled() {
+        let span_id = if tel::enabled() {
             // pstore-lint: allow(SA-02): the reconfig span covers the whole
             // migration lifetime — opened here, closed in commit_reconfig /
             // end_truncated_reconfig_span; TEL-01/02 verify pairing at runtime.
-            pstore_telemetry::begin_span(
-                pstore_telemetry::kinds::SPAN_RECONFIG,
+            tel::begin_span(
+                tel::kinds::SPAN_RECONFIG,
                 &[
-                    ("from", pstore_telemetry::Value::from(self.plan.machines())),
-                    ("to", pstore_telemetry::Value::from(new_plan.machines())),
+                    ("from", tel::Value::from(self.plan.machines())),
+                    ("to", tel::Value::from(new_plan.machines())),
                 ],
             )
         } else {
             0
         };
-        #[cfg(not(feature = "telemetry"))]
-        let span_id = 0u64;
         self.reconfig = Some(Reconfig {
             new_plan,
             pairs,
@@ -603,20 +592,18 @@ impl Cluster {
 
         // Per-chunk work span: nests inside the open reconfiguration
         // span and makes extract/install cost visible to the profiler.
-        #[cfg(feature = "telemetry")]
-        let step_span = if pstore_telemetry::enabled() {
-            pstore_telemetry::begin_span("chunk_step", &[])
+        let step_span = if tel::enabled() {
+            tel::begin_span("chunk_step", &[])
         } else {
             0
         };
         let (n_rows, bytes, emptied) =
             self.storage
                 .migrate_chunk(slot, from, to, local, budget_bytes);
-        #[cfg(feature = "telemetry")]
-        pstore_telemetry::end_span("chunk_step", step_span, &[]);
+        tel::end_span("chunk_step", step_span, &[]);
 
-        pstore_telemetry::tel_event!(
-            pstore_telemetry::kinds::CHUNK_MOVE,
+        tel::tel_event!(
+            tel::kinds::CHUNK_MOVE,
             "from" => from,
             "to" => to,
             "slot" => slot,
@@ -624,9 +611,8 @@ impl Cluster {
             "rows" => n_rows,
             "slot_completed" => emptied,
         );
-        #[cfg(feature = "telemetry")]
-        if pstore_telemetry::enabled() {
-            pstore_telemetry::with_registry(|r| {
+        if tel::enabled() {
+            tel::with_registry(|r| {
                 r.inc_counter("reconfig.chunks_moved", 1);
                 r.inc_counter("reconfig.bytes_moved", bytes as u64);
                 r.inc_counter("reconfig.rows_moved", n_rows as u64);
@@ -712,19 +698,15 @@ impl Cluster {
     /// cells can legally reset the sim clock (TEL-04). No-op when nothing
     /// is in flight or telemetry is off.
     pub fn end_truncated_reconfig_span(&mut self) {
-        #[cfg(feature = "telemetry")]
         if let Some(reconfig) = self.reconfig.as_mut() {
-            if reconfig.span_id != 0 {
-                // pstore-lint: allow(SA-02): closes the cross-function
-                // reconfig span opened in start_migration (truncated end);
-                // TEL-01/02 verify pairing at runtime.
-                pstore_telemetry::end_span(
-                    pstore_telemetry::kinds::SPAN_RECONFIG,
-                    reconfig.span_id,
-                    &[("truncated", pstore_telemetry::Value::from(true))],
-                );
-                reconfig.span_id = 0;
-            }
+            // pstore-lint: allow(SA-02): closes the cross-function
+            // reconfig span opened in start_migration (truncated end);
+            // TEL-01/02 verify pairing at runtime.
+            tel::end_span(
+                tel::kinds::SPAN_RECONFIG,
+                std::mem::take(&mut reconfig.span_id),
+                &[("truncated", tel::Value::from(true))],
+            );
         }
     }
 
@@ -733,15 +715,10 @@ impl Cluster {
             unreachable!("commit requires reconfig");
         };
         debug_assert_eq!(reconfig.pending_pairs, 0);
-        #[cfg(feature = "telemetry")]
         // pstore-lint: allow(SA-02): closes the cross-function reconfig
         // span opened in start_migration; TEL-01/02 verify pairing at
         // runtime.
-        pstore_telemetry::end_span(
-            pstore_telemetry::kinds::SPAN_RECONFIG,
-            reconfig.span_id,
-            &[],
-        );
+        tel::end_span(tel::kinds::SPAN_RECONFIG, reconfig.span_id, &[]);
         let target = reconfig.new_plan.machines();
         self.plan = reconfig.new_plan;
         // Completed moves already flipped their routing-cache entries to
@@ -869,9 +846,8 @@ fn account(
 /// key-level `rset` / `wset` fields appear only when the fate captured any
 /// key accesses (sampling on *and* version tracking enabled), which keeps
 /// pre-existing golden traces byte-stable.
-#[cfg(feature = "telemetry")]
-fn txn_rwset_event(id: u64, slot: u64, fate: &TxnFate) -> pstore_telemetry::Event {
-    let mut ev = pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_RWSET)
+fn txn_rwset_event(id: u64, slot: u64, fate: &TxnFate) -> tel::Event {
+    let mut ev = tel::Event::new(tel::kinds::TXN_RWSET)
         .with("id", id)
         .with("slot", slot)
         .with("proc", fate.proc)
@@ -891,9 +867,8 @@ fn txn_rwset_event(id: u64, slot: u64, fate: &TxnFate) -> pstore_telemetry::Even
 }
 
 /// String-encodes a captured key-access list for a `txn_rwset` field.
-#[cfg(feature = "telemetry")]
 fn encode_accesses(accesses: &[crate::txn::KeyAccess]) -> String {
-    pstore_telemetry::encode_key_versions(
+    tel::encode_key_versions(
         accesses
             .iter()
             .map(|(table, key, version)| (*table as u64, key.to_string(), *version)),

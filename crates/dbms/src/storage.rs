@@ -27,19 +27,15 @@ pub(crate) struct TxnFate {
     /// Procedure name (for per-procedure counters).
     pub proc: &'static str,
     /// The recorded read/write set.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub rwset: RwSet,
     /// Whether the slot was in-flight (migrating) at execution time.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub migrating: bool,
     /// Key-level `(table, key, version-observed)` reads, in program
     /// order. Empty unless the transaction was captured (sampled with
     /// version tracking on).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub key_reads: Vec<KeyAccess>,
     /// Key-level `(table, key, version-installed)` writes, in program
     /// order. Empty unless the transaction was captured.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub key_writes: Vec<KeyAccess>,
 }
 

@@ -87,9 +87,9 @@ enum Side {
 
 /// Counts of row accesses made by one transaction, split by migration
 /// side — the read/write-set record behind the `txn_rwset` trace event
-/// and the TXN-01 invariant. The counters only tick in telemetry builds;
-/// without the feature every access point compiles down to the bare
-/// store operation.
+/// and the TXN-01 invariant. The counters only tick in telemetry builds
+/// (`pstore_telemetry::COMPILED_IN`); without the feature every access
+/// point folds down to the bare store operation.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RwSet {
     /// Rows read, both sides (each prefix scan counts as one read).
@@ -272,30 +272,29 @@ impl<'a> TxnCtx<'a> {
         self.checked = Some(part.clone());
     }
 
-    /// Tallies a read into the read/write set (telemetry builds only).
-    #[cfg(feature = "telemetry")]
+    /// Tallies a read into the read/write set (telemetry builds only:
+    /// the branch is on a constant, so other builds carry no tally).
+    #[inline]
     fn note_read(&mut self, dest: bool) {
-        self.rwset.reads += 1;
-        if dest {
-            self.rwset.dest_reads += 1;
+        if pstore_telemetry::COMPILED_IN {
+            self.rwset.reads += 1;
+            if dest {
+                self.rwset.dest_reads += 1;
+            }
         }
     }
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn note_read(&mut self, _dest: bool) {}
 
     /// Tallies a write/delete into the read/write set (telemetry builds
     /// only).
-    #[cfg(feature = "telemetry")]
+    #[inline]
     fn note_write(&mut self, dest: bool) {
-        self.rwset.writes += 1;
-        if dest {
-            self.rwset.dest_writes += 1;
+        if pstore_telemetry::COMPILED_IN {
+            self.rwset.writes += 1;
+            if dest {
+                self.rwset.dest_writes += 1;
+            }
         }
     }
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn note_write(&mut self, _dest: bool) {}
 
     fn side_of(&mut self, table: TableId, key: &Key) -> Side {
         self.check_slot(key);
@@ -613,7 +612,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn rwset_tallies_accesses_by_side() {
         let slot = slot_of("cart-9");
         let moved_key = Key::str_int("cart-9", 1);
@@ -629,6 +627,9 @@ mod tests {
         ctx.put(0, moved_key.clone(), row(11)); // dest write
         let _ = ctx.scan_prefix(0, &Key::str("cart-9")); // read hitting dest
         let _ = ctx.delete(0, &staying_key); // source write
+        if !pstore_telemetry::COMPILED_IN {
+            return assert_eq!(ctx.rwset, RwSet::default());
+        }
         assert_eq!(
             ctx.rwset,
             RwSet {
@@ -641,10 +642,12 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "telemetry"))]
     fn rwset_stays_zero_without_telemetry() {
-        // The tally methods compile to no-ops without the feature: the
+        // The tally methods fold to no-ops without the feature: the
         // record stays at its default regardless of access activity.
+        if pstore_telemetry::COMPILED_IN {
+            return;
+        }
         let slot = slot_of("a");
         let mut store = PartitionStore::new(1);
         let mut ctx = TxnCtx::settled(slot, SLOTS, &mut store);

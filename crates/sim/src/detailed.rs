@@ -27,17 +27,19 @@
     clippy::cast_sign_loss,
     clippy::expect_used
 )]
+use crate::control::{ControlLoop, MoveLedger};
 use crate::latency::{
     average_machines, count_sla_violations, LatencyRecorder, SecondMetrics, SlaViolations,
     SLA_THRESHOLD_S,
 };
 use pstore_b2w::generator::{WorkloadConfig, WorkloadGenerator};
 use pstore_b2w::schema::b2w_catalog;
-use pstore_core::controller::{Action, Observation, Strategy};
+use pstore_core::controller::{ReconfigRequest, Strategy};
 use pstore_core::params::SystemParams;
-use pstore_core::schedule::MigrationSchedule;
+use pstore_core::schedule::{MigrationSchedule, Transfer};
 use pstore_dbms::cluster::{Cluster, ClusterConfig};
 use pstore_dbms::txn::Procedure;
+use pstore_telemetry as tel;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
@@ -82,31 +84,6 @@ pub struct DetailedSimConfig {
     /// assumes a stable database; a growing one stretches early moves
     /// because the migration rate is calibrated to `D` at start size).
     pub warmup_txns: usize,
-    /// Emit the per-transaction lifecycle event family
-    /// (`txn_arrive`/`txn_queue`/`txn_stall`/`txn_execute`/`txn_commit`/
-    /// `txn_abort`, plus the engine-derived `txn_rwset`/`txn_restart`) for
-    /// every Nth arrival. `0` (the default) disables per-txn emission
-    /// entirely, keeping the trace event count — and therefore the
-    /// committed run goldens — unchanged; the per-second attribution
-    /// aggregates on `SecondMetrics` stay on regardless. Sampled events
-    /// are all stamped at the arrival's processing time (end times travel
-    /// as fields) so TEL-04's monotone-time invariant holds.
-    pub txn_sample_every: u64,
-    /// Emit the provisioning-observatory event family (`prov_run`,
-    /// `prov_interval`, `prov_forecast`, `prov_decision`, `prov_reconfig`,
-    /// `prov_chunk`) for this run. Off by default — like `txn_sample_every`,
-    /// the gate keeps the default-config trace goldens byte-identical; see
-    /// [`prov_events_from_env`].
-    pub prov_events: bool,
-}
-
-/// Provisioning-observatory switch from the `PSTORE_PROV_EVENTS`
-/// environment variable (default off). Used by
-/// [`DetailedSimConfig::paper_defaults`] and
-/// [`FastSimConfig::paper_defaults`](crate::FastSimConfig) so the `prov_*`
-/// event family can be enabled without code changes.
-pub fn prov_events_from_env() -> bool {
-    std::env::var("PSTORE_PROV_EVENTS").is_ok_and(|v| matches!(v.as_str(), "1" | "true" | "on"))
 }
 
 impl DetailedSimConfig {
@@ -132,8 +109,6 @@ impl DetailedSimConfig {
             migration_cpu_fraction: 0.05,
             max_queue_delay_s: 2.0,
             warmup_txns: 150_000,
-            txn_sample_every: 0,
-            prov_events: prov_events_from_env(),
         }
     }
 }
@@ -167,7 +142,7 @@ enum Event {
     /// Per-second bookkeeping: generate next second's arrivals.
     Second(u64),
     /// Controller monitoring tick.
-    Monitor(usize),
+    Monitor,
     /// A chunk of the (from, to) migration stream.
     Chunk { from: u32, to: u32 },
 }
@@ -198,10 +173,26 @@ impl Ord for Timed {
     }
 }
 
+/// The pending non-arrival events, earliest first; ties pop in push order.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<Timed>>,
+    seq: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, time: f64, event: Event) {
+        self.seq += 1;
+        self.heap.push(Reverse(Timed {
+            time,
+            seq: self.seq,
+            event,
+        }));
+    }
+}
+
 struct ActiveMigration {
     schedule: MigrationSchedule,
-    /// Machine pairs per round.
-    rounds: Vec<Vec<(u32, u32)>>,
     current_round: usize,
     /// (from, to) -> engine pair index.
     pair_index: HashMap<(u32, u32), usize>,
@@ -210,80 +201,492 @@ struct ActiveMigration {
     rate_multiplier: f64,
     /// Byte rate of one stream at multiplier 1 (`db_bytes / D`).
     stream_rate: f64,
-    started_at: f64,
-    /// Provenance: the `prov_decision` id that requested this move
-    /// (0 = unattributed), its endpoints, and running move totals for the
-    /// `prov_reconfig` summary emitted when the move completes. Tracked
-    /// unconditionally (cheap, and keeps the constructor uniform) but only
-    /// read by the telemetry-gated emission sites.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    decision_id: u64,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    from_machines: u32,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    to_machines: u32,
-    chunks_moved: u64,
-    rows_moved: u64,
-    bytes_moved: u64,
+    /// Start time, endpoints, requesting decision and running move totals.
+    ledger: MoveLedger,
 }
 
 /// Runs a detailed simulation under the given provisioning strategy.
 pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> DetailedSimResult {
     cfg.params.validate();
     assert!(cfg.monitor_interval_s > 0.0, "monitor interval must be > 0");
-    let p = cfg.params.partitions_per_node;
-
     // Root span for the whole run; the sim clock starts at 0 so setup
     // and warm-up events are stamped (at t=0, they take no sim time).
-    #[cfg(feature = "telemetry")]
-    let run_span = {
-        pstore_telemetry::set_time(0.0);
-        if pstore_telemetry::enabled() {
-            pstore_telemetry::begin_span("detailed_sim", &[])
+    let run_span = if tel::enabled() {
+        tel::set_time(0.0);
+        tel::begin_span("detailed_sim", &[])
+    } else {
+        0
+    };
+    let mut sim = Sim::new(cfg, strategy);
+    sim.run();
+    let result = sim.finish();
+    tel::end_span("detailed_sim", run_span, &[]);
+    result
+}
+
+/// The state of one detailed run, with one method per kind of event.
+struct Sim<'a> {
+    cfg: &'a DetailedSimConfig,
+    strategy: &'a mut dyn Strategy,
+    control: ControlLoop,
+    cluster: Cluster,
+    gen: WorkloadGenerator,
+    rng: StdRng,
+    /// Busy-until time of every partition, `[node][local]`.
+    busy: Vec<Vec<f64>>,
+    /// Latency-attribution state, parallel to `busy`. `mig_backlog` is the
+    /// outstanding chunk-burst service time injected into each partition;
+    /// `stall_frontier` is the partition's busy-until as of the last burst.
+    /// An arrival inside the frontier window has up to `mig_backlog` of its
+    /// wait attributed to migration interference; once a partition drains
+    /// past its frontier the backlog resets — later waits are pure queueing.
+    mig_backlog: Vec<Vec<f64>>,
+    stall_frontier: Vec<Vec<f64>>,
+    recorder: LatencyRecorder,
+    queue: EventQueue,
+    /// The current second's arrival times, sorted ascending, drained by
+    /// cursor. Arrivals vastly outnumber every other event, so keeping them
+    /// out of the heap turns n pushes and n pops of `O(log heap)` each into
+    /// one sort of an already-allocated buffer per second. A stable sort
+    /// preserves generation order on (measure-zero) exact-time ties, which
+    /// is what the old per-arrival heap seq numbers did.
+    arrivals: Vec<f64>,
+    next_arrival: usize,
+    /// Arrival ordinal, doubling as the sampled per-txn trace id.
+    arrival_seq: u64,
+    /// The trace's per-transaction sampling period (0 = none).
+    sample_every: u64,
+    arrivals_in_window: u64,
+    migration: Option<ActiveMigration>,
+    reconfig_spans: Vec<(f64, f64)>,
+    committed: u64,
+    aborted: u64,
+    dropped: u64,
+}
+
+impl<'a> Sim<'a> {
+    /// Boots and warms the cluster and schedules the first events.
+    fn new(cfg: &'a DetailedSimConfig, strategy: &'a mut dyn Strategy) -> Self {
+        let p = cfg.params.partitions_per_node;
+        let (control, initial) =
+            ControlLoop::start(&cfg.params, cfg.monitor_interval_s, strategy, true);
+        let mut cluster = Cluster::new(
+            b2w_catalog(),
+            ClusterConfig {
+                partitions_per_node: p,
+                num_slots: cfg.num_slots,
+            },
+            initial,
+        );
+        // Key-level version tracking rides the sampling switch: default
+        // traces keep the engine version-free (and stay byte-stable);
+        // sampled runs get per-key version histories so the ISO-01..03
+        // serializability checkers have real WR/WW/RW evidence to work with.
+        let sample_every = if tel::enabled() {
+            tel::spec().txn_sample_every
         } else {
             0
+        };
+        if sample_every > 0 {
+            cluster.set_track_versions(true);
         }
-    };
+        let mut gen = WorkloadGenerator::new(cfg.workload.clone());
+        warm_up(&mut cluster, &mut gen, cfg.warmup_txns);
+        let mut recorder = LatencyRecorder::new();
+        recorder.set_machines(cluster.active_nodes() as f64);
+        let idle = vec![vec![0.0f64; p as usize]; cfg.params.max_machines as usize];
+        let mut queue = EventQueue::default();
+        queue.push(0.0, Event::Second(0));
+        queue.push(0.0, Event::Monitor);
+        Sim {
+            cfg,
+            strategy,
+            control,
+            cluster,
+            gen,
+            rng: StdRng::seed_from_u64(cfg.seed ^ 0xD15C),
+            busy: idle.clone(),
+            mig_backlog: idle.clone(),
+            stall_frontier: idle,
+            recorder,
+            queue,
+            arrivals: Vec::new(),
+            next_arrival: 0,
+            arrival_seq: 0,
+            sample_every,
+            arrivals_in_window: 0,
+            migration: None,
+            reconfig_spans: Vec::new(),
+            committed: 0,
+            aborted: 0,
+            dropped: 0,
+        }
+    }
 
-    let mut cluster = Cluster::new(
-        b2w_catalog(),
-        ClusterConfig {
-            partitions_per_node: p,
-            num_slots: cfg.num_slots,
-        },
-        strategy
-            .initial_machines()
-            .clamp(1, cfg.params.max_machines),
-    );
-    // The provisioning-observatory gate rides the run: prov_* emission in
-    // the controllers (via `ProvScorer`) and in this loop is thread-local,
-    // so the flag is scoped to the run and restored on exit.
-    #[cfg(feature = "telemetry")]
-    let prov_was = pstore_telemetry::set_prov_enabled(cfg.prov_events);
-    #[cfg(feature = "telemetry")]
-    if pstore_telemetry::prov_enabled() {
-        pstore_telemetry::emit(
-            pstore_telemetry::Event::new(pstore_telemetry::kinds::PROV_RUN)
-                .with("q", cfg.params.q)
-                .with("d_s", cfg.params.d.as_secs_f64())
-                .with("interval_s", cfg.monitor_interval_s)
-                .with("initial", cluster.active_nodes())
-                .with("policy", strategy.name()),
+    fn horizon(&self) -> f64 {
+        self.cfg.load.len() as f64
+    }
+
+    /// The event loop: runs until the load curve is exhausted.
+    fn run(&mut self) {
+        loop {
+            // Arrivals due before the next scheduled event run first; ties go
+            // to the heap event (arrival times are strictly inside a second,
+            // so they can never tie with the integer-timed Second events that
+            // bound their window).
+            if let Some(&at) = self.arrivals.get(self.next_arrival) {
+                if self.queue.heap.peek().is_none_or(|r| at < r.0.time) {
+                    self.arrival(at);
+                    continue;
+                }
+            }
+            let Some(Reverse(Timed { time, event, .. })) = self.queue.heap.pop() else {
+                break;
+            };
+            if time >= self.horizon() && self.queue.heap.is_empty() {
+                break;
+            }
+            // Stamp telemetry events with simulation time rather than wall time.
+            if tel::enabled() {
+                tel::set_time(time);
+            }
+            match event {
+                Event::Second(s) => self.second(time, s),
+                Event::Monitor => self.monitor(time),
+                Event::Chunk { from, to } => self.chunk(time, from, to),
+            }
+        }
+    }
+
+    /// One client request arriving at `at`: queue, execute, record.
+    fn arrival(&mut self, at: f64) {
+        let cfg = self.cfg;
+        self.next_arrival += 1;
+        self.arrivals_in_window += 1;
+        self.arrival_seq += 1;
+        let id = self.arrival_seq;
+        let txn = self.gen.next_txn();
+        // Resolve the routing slot once; execution reuses it instead of
+        // re-hashing the routing key.
+        let slot = self.cluster.slot_of_routing(&txn.routing_key());
+        let (node, local) = self.cluster.partition_of_slot(slot);
+        let (n, l) = (node as usize, local as usize);
+        let wait = (self.busy[n][l] - at).max(0.0);
+        // Migration-interference share of the wait (see the state comments
+        // on `Sim`): bounded by the wait itself, by the outstanding burst
+        // backlog, and by the remaining frontier window.
+        let frontier = self.stall_frontier[n][l];
+        let backlog = if at >= frontier {
+            self.mig_backlog[n][l] = 0.0;
+            0.0
+        } else {
+            self.mig_backlog[n][l]
+        };
+        let stall_cap = backlog.min((frontier - at).max(0.0));
+        let sampled =
+            tel::COMPILED_IN && self.sample_every > 0 && id.is_multiple_of(self.sample_every);
+        // A sampled transaction's lifecycle events are all stamped at its
+        // arrival (end times travel as fields).
+        if sampled {
+            tel::set_time(at);
+            tel::emit(
+                tel::Event::new(tel::kinds::TXN_ARRIVE)
+                    .with("id", id)
+                    .with("slot", slot),
+            );
+        }
+        if wait > cfg.max_queue_delay_s {
+            // Client timeout: the request is shed, observed at the timeout
+            // latency, and never executes.
+            self.dropped += 1;
+            let stall = cfg.max_queue_delay_s.min(stall_cap);
+            let queue = cfg.max_queue_delay_s - stall;
+            self.recorder
+                .record_attributed(at, queue, cfg.service_mean_s, stall);
+            if sampled {
+                let exec = cfg.service_mean_s;
+                emit_txn_wait(id, queue + stall, stall);
+                tel::emit(
+                    tel::Event::new(tel::kinds::TXN_ABORT)
+                        .with("id", id)
+                        .with("reason", "timeout")
+                        .with("total", queue + exec + stall)
+                        .with("queue", queue)
+                        .with("exec", exec)
+                        .with("stall", stall)
+                        .with("end", at + queue + exec + stall),
+                );
+            }
+            return;
+        }
+        // Sampled transactions carry a trace tag: the engine then emits
+        // their `txn_rwset` (and `txn_restart`) itself.
+        let trace_id = sampled.then_some(id);
+        let ok = self.cluster.execute_traced(&txn, slot, trace_id).is_ok();
+        if ok {
+            self.committed += 1;
+        } else {
+            self.aborted += 1;
+        }
+        let service = cfg.service_mean_s
+            * (1.0
+                + self
+                    .rng
+                    .random_range(-cfg.service_jitter..cfg.service_jitter));
+        let b = &mut self.busy[n][l];
+        let start = b.max(at);
+        *b = start + service;
+        let end = *b;
+        let stall = wait.min(stall_cap);
+        let queue = wait - stall;
+        self.recorder.record_attributed(at, queue, service, stall);
+        if sampled {
+            emit_txn_wait(id, queue + stall, stall);
+            tel::emit(
+                tel::Event::new(tel::kinds::TXN_EXECUTE)
+                    .with("id", id)
+                    .with("service", service),
+            );
+            let terminal = if ok {
+                tel::kinds::TXN_COMMIT
+            } else {
+                tel::kinds::TXN_ABORT
+            };
+            let mut ev = tel::Event::new(terminal)
+                .with("id", id)
+                .with("total", queue + service + stall)
+                .with("queue", queue)
+                .with("exec", service)
+                .with("stall", stall)
+                .with("end", end);
+            if !ok {
+                ev = ev.with("reason", "business");
+            }
+            tel::emit(ev);
+        }
+    }
+
+    /// Second boundary `s` at `time`: generates that second's arrivals.
+    fn second(&mut self, time: f64, s: u64) {
+        self.recorder.advance_to(time);
+        if (s as f64) < self.horizon() {
+            // Generate this second's Poisson arrivals into the reused
+            // buffer (the previous second's are always fully drained: they
+            // are strictly earlier than this event).
+            debug_assert_eq!(self.next_arrival, self.arrivals.len());
+            let lambda = self.cfg.load[s as usize].max(0.0);
+            let n = sample_poisson(&mut self.rng, lambda);
+            self.arrivals.clear();
+            self.next_arrival = 0;
+            for _ in 0..n {
+                self.arrivals.push(time + self.rng.random_range(0.0..1.0));
+            }
+            self.arrivals.sort_by(f64::total_cmp);
+            self.queue.push(time + 1.0, Event::Second(s + 1));
+        }
+    }
+
+    /// Controller monitoring tick at `time`.
+    fn monitor(&mut self, time: f64) {
+        self.recorder.advance_to(time);
+        let window = self.cfg.monitor_interval_s;
+        let measured = self.arrivals_in_window as f64 / window;
+        self.arrivals_in_window = 0;
+        // Each monitor tick also samples the §8.1 uniformity figures
+        // (Table 2's companion analysis): access and data skew land in the
+        // metrics registry as gauges and in the trace as `skew_sample`
+        // events.
+        record_skew_sample(&self.cluster);
+        let request = self.control.step(
+            &mut *self.strategy,
+            measured,
+            self.cluster.active_nodes(),
+            self.migration.is_some(),
         );
+        if let Some(req) = request {
+            self.start_migration(&req, time);
+        }
+        if time + window < self.horizon() {
+            self.queue.push(time + window, Event::Monitor);
+        }
     }
-    // Key-level version tracking rides the sampling switch: goldens run
-    // with `txn_sample_every = 0` and keep the engine version-free (and
-    // their traces byte-stable); sampled runs get per-key version
-    // histories so the ISO-01..03 serializability checkers have real
-    // WR/WW/RW evidence to work with.
-    #[cfg(feature = "telemetry")]
-    if cfg.txn_sample_every > 0 && pstore_telemetry::enabled() {
-        cluster.set_track_versions(true);
+
+    /// Initialises engine + schedule state for the reconfiguration `req`
+    /// and schedules the first round's chunk events.
+    fn start_migration(&mut self, req: &ReconfigRequest, now: f64) {
+        let before = self.cluster.active_nodes();
+        let db_bytes = self.cluster.total_bytes() as f64;
+        self.cluster
+            .begin_reconfiguration(req.target)
+            .expect("reconfiguration accepted");
+        let pair_index: HashMap<(u32, u32), usize> = self
+            .cluster
+            .pair_transfers()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| ((p.from, p.to), i))
+            .collect();
+        let params = &self.cfg.params;
+        let mut m = ActiveMigration {
+            schedule: MigrationSchedule::plan(before, req.target),
+            // Start round 0 (skipping over rounds whose pairs have no
+            // slots): `advance_round` steps before it looks.
+            current_round: usize::MAX,
+            pair_index,
+            active_streams: 0,
+            rate_multiplier: req.rate_multiplier.max(0.1),
+            // A machine-pair stream is P parallel partition streams, each at
+            // the single-thread rate db / D (Equation 3's accounting).
+            stream_rate: params.partitions_per_node as f64 * db_bytes / params.d.as_secs_f64(),
+            ledger: MoveLedger::open(req, before, now),
+        };
+        advance_round(&mut m, &self.cluster, now, &mut self.queue);
+        self.recorder.set_reconfiguring(true);
+        self.recorder
+            .set_machines(m.schedule.machines_in_round(0) as f64);
+        self.migration = Some(m);
     }
-    let mut gen = WorkloadGenerator::new(cfg.workload.clone());
-    #[cfg(feature = "telemetry")]
-    let warmup_span = if pstore_telemetry::enabled() {
-        pstore_telemetry::begin_span("warmup", &[])
+
+    /// One chunk of the `(from, to)` migration stream at `time`.
+    fn chunk(&mut self, time: f64, from: u32, to: u32) {
+        let cfg = self.cfg;
+        let Some(m) = self.migration.as_mut() else {
+            return;
+        };
+        // A chunk is a byte budget; it may span several (possibly empty)
+        // slots of this pair's stream. Pacing and occupancy are
+        // proportional to the bytes actually carried, so the whole move
+        // takes T(B, A) regardless of slot sizes.
+        let chunk_bytes = (m.stream_rate * cfg.chunk_pacing_s).max(1.0) as usize;
+        let mut moved = 0usize;
+        let mut moved_rows = 0usize;
+        let mut pair_done;
+        let mut reconfig_done = false;
+        if let Some(&pair_idx) = m.pair_index.get(&(from, to)) {
+            let mut remaining = chunk_bytes;
+            loop {
+                let result = self
+                    .cluster
+                    .migrate_chunk(pair_idx, remaining.max(1))
+                    .expect("migration running");
+                moved += result.bytes;
+                moved_rows += result.rows;
+                reconfig_done = result.reconfig_done;
+                pair_done = result.pair_done;
+                if pair_done || reconfig_done {
+                    break;
+                }
+                if result.bytes >= remaining || !result.slot_completed {
+                    break; // budget consumed mid-slot
+                }
+                remaining -= result.bytes;
+            }
+        } else {
+            // The engine had no slots for this schedule pair.
+            pair_done = true;
+        }
+        if moved > 0 {
+            m.ledger.chunks += 1;
+            m.ledger.rows += moved_rows as u64;
+            m.ledger.bytes += moved as u64;
+            if tel::prov_enabled() {
+                tel::emit(
+                    tel::Event::new(tel::kinds::PROV_CHUNK)
+                        .with("id", m.ledger.decision_id)
+                        .with("from", from)
+                        .with("to", to)
+                        .with("bytes", moved),
+                );
+            }
+        }
+
+        // Partition occupancy on both sides: a machine-pair transfer runs P
+        // parallel partition streams, so every partition of both endpoints
+        // carries the per-stream overhead, proportional to the data carried.
+        let fill = (moved as f64 / chunk_bytes as f64).min(1.0);
+        let burst = cfg.migration_cpu_fraction * cfg.chunk_pacing_s * fill;
+        if burst > 0.0 {
+            for node in [from, to] {
+                let n = node as usize;
+                for (local, part) in self.busy[n].iter_mut().enumerate() {
+                    *part = part.max(time) + burst;
+                    // Arrivals landing before the new frontier see this
+                    // burst as migration stall, not queueing.
+                    self.mig_backlog[n][local] += burst;
+                    self.stall_frontier[n][local] = *part;
+                }
+            }
+        }
+
+        if reconfig_done {
+            self.reconfig_spans.push((m.ledger.started_at, time));
+            m.ledger.emit_prov_reconfig(time);
+            self.migration = None;
+            self.recorder.set_reconfiguring(false);
+            self.recorder
+                .set_machines(self.cluster.active_nodes() as f64);
+        } else if pair_done {
+            m.active_streams -= 1;
+            if m.active_streams == 0 {
+                // Advance to the next round with live pairs.
+                advance_round(m, &self.cluster, time, &mut self.queue);
+                self.recorder.set_machines(
+                    m.schedule.machines_in_round(
+                        m.current_round
+                            .min(m.schedule.total_rounds().saturating_sub(1)),
+                    ) as f64,
+                );
+            }
+        } else {
+            // Pace the next chunk proportionally to what was moved.
+            let frac = fill.max(0.05);
+            let next = time + cfg.chunk_pacing_s * frac / m.rate_multiplier;
+            self.queue.push(next, Event::Chunk { from, to });
+        }
+    }
+
+    /// Closes the run and assembles its result.
+    fn finish(mut self) -> DetailedSimResult {
+        // A migration still in flight when the run ends would leave the
+        // engine's reconfig span dangling (TEL-01) and the caller's root
+        // close out of LIFO order (TEL-02); close it explicitly, marked
+        // truncated.
+        if self.migration.is_some() {
+            self.cluster.end_truncated_reconfig_span();
+        }
+        // Flush the recorder's trailing seconds before the root span
+        // closes, so their `second` events land inside the run and trace
+        // analyses (`pstore-trace slo`) attribute them to it rather than to
+        // a phantom between-runs segment.
+        let seconds = self.recorder.finish();
+        let violations = count_sla_violations(&seconds, SLA_THRESHOLD_S);
+        let avg_machines = average_machines(&seconds);
+        let procedure_mix = self
+            .cluster
+            .procedure_report()
+            .into_iter()
+            .map(|(name, c, a)| (name.to_string(), c, a))
+            .collect();
+        DetailedSimResult {
+            strategy: self.strategy.name().to_string(),
+            seconds,
+            violations,
+            avg_machines,
+            reconfig_spans: self.reconfig_spans,
+            committed: self.committed,
+            aborted: self.aborted,
+            dropped: self.dropped,
+            procedure_mix,
+        }
+    }
+}
+
+/// Loads the initial database, then runs the generator untimed until
+/// carts/checkouts/stock-txn populations reach steady state so the
+/// database size is stable.
+fn warm_up(cluster: &mut Cluster, gen: &mut WorkloadGenerator, warmup_txns: usize) {
+    let warmup_span = if tel::enabled() {
+        tel::begin_span("warmup", &[])
     } else {
         0
     };
@@ -297,432 +700,27 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
         let loaded = cluster.execute_at_slot(&txn, slot);
         assert!(loaded.is_ok(), "initial cart load failed");
     }
-    // Untimed warm-up: run the generator until carts/checkouts/stock-txn
-    // populations reach steady state so the database size is stable.
-    for _ in 0..cfg.warmup_txns {
+    for _ in 0..warmup_txns {
         let txn = gen.next_txn();
         let slot = cluster.slot_of_routing(&txn.routing_key());
         let _ = cluster.execute_at_slot(&txn, slot);
     }
-    #[cfg(feature = "telemetry")]
-    pstore_telemetry::end_span("warmup", warmup_span, &[]);
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xD15C);
-    let mut busy = vec![vec![0.0f64; p as usize]; cfg.params.max_machines as usize];
-    // Latency-attribution state, parallel to `busy`. `mig_backlog` is the
-    // outstanding chunk-burst service time injected into each partition;
-    // `stall_frontier` is the partition's busy-until as of the last burst.
-    // An arrival inside the frontier window has up to `mig_backlog` of its
-    // wait attributed to migration interference; once a partition drains
-    // past its frontier the backlog resets — later waits are pure queueing.
-    let mut mig_backlog = vec![vec![0.0f64; p as usize]; cfg.params.max_machines as usize];
-    let mut stall_frontier = vec![vec![0.0f64; p as usize]; cfg.params.max_machines as usize];
-    // Arrival ordinal, doubling as the sampled per-txn trace id.
-    #[cfg(feature = "telemetry")]
-    let mut arrival_seq = 0u64;
-    let mut recorder = LatencyRecorder::new();
-    recorder.set_machines(cluster.active_nodes() as f64);
-
-    let mut heap: BinaryHeap<Reverse<Timed>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<Reverse<Timed>>, seq: &mut u64, time: f64, event: Event| {
-        *seq += 1;
-        heap.push(Reverse(Timed {
-            time,
-            seq: *seq,
-            event,
-        }));
-    };
-
-    push(&mut heap, &mut seq, 0.0, Event::Second(0));
-    push(&mut heap, &mut seq, 0.0, Event::Monitor(0));
-
-    let horizon = cfg.load.len() as f64;
-    let mut migration: Option<ActiveMigration> = None;
-    let mut reconfig_spans: Vec<(f64, f64)> = Vec::new();
-    let mut arrivals_in_window = 0u64;
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
-    let mut dropped = 0u64;
-    // The current second's arrival times, sorted ascending, drained by
-    // cursor. Arrivals vastly outnumber every other event, so keeping them
-    // out of the heap turns n pushes and n pops of `O(log heap)` each into
-    // one sort of an already-allocated buffer per second. A stable sort
-    // preserves generation order on (measure-zero) exact-time ties, which
-    // is what the old per-arrival heap seq numbers did.
-    let mut arrivals: Vec<f64> = Vec::new();
-    let mut next_arrival = 0usize;
-    loop {
-        // Arrivals due before the next scheduled event run first; ties go
-        // to the heap event (arrival times are strictly inside a second,
-        // so they can never tie with the integer-timed Second events that
-        // bound their window).
-        if let Some(&at) = arrivals.get(next_arrival) {
-            if heap.peek().is_none_or(|r| at < r.0.time) {
-                next_arrival += 1;
-                arrivals_in_window += 1;
-                #[cfg(feature = "telemetry")]
-                {
-                    arrival_seq += 1;
-                }
-                let txn = gen.next_txn();
-                // Resolve the routing slot once; execution reuses it
-                // instead of re-hashing the routing key.
-                let slot = cluster.slot_of_routing(&txn.routing_key());
-                let (node, local) = cluster.partition_of_slot(slot);
-                let (n, l) = (node as usize, local as usize);
-                let wait = (busy[n][l] - at).max(0.0);
-                // Migration-interference share of the wait (see the state
-                // comments above): bounded by the wait itself, by the
-                // outstanding burst backlog, and by the remaining frontier
-                // window.
-                let frontier = stall_frontier[n][l];
-                let backlog = if at >= frontier {
-                    mig_backlog[n][l] = 0.0;
-                    0.0
-                } else {
-                    mig_backlog[n][l]
-                };
-                let stall_cap = backlog.min((frontier - at).max(0.0));
-                #[cfg(feature = "telemetry")]
-                let sampled = cfg.txn_sample_every > 0
-                    && arrival_seq.is_multiple_of(cfg.txn_sample_every)
-                    && pstore_telemetry::enabled();
-                // A sampled transaction's lifecycle events are all stamped
-                // at its arrival (end times travel as fields).
-                #[cfg(feature = "telemetry")]
-                if sampled {
-                    pstore_telemetry::set_time(at);
-                    pstore_telemetry::emit(
-                        pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_ARRIVE)
-                            .with("id", arrival_seq)
-                            .with("slot", slot),
-                    );
-                }
-                if wait > cfg.max_queue_delay_s {
-                    // Client timeout: the request is shed, observed at the
-                    // timeout latency, and never executes.
-                    dropped += 1;
-                    let stall = cfg.max_queue_delay_s.min(stall_cap);
-                    let queue = cfg.max_queue_delay_s - stall;
-                    recorder.record_attributed(at, queue, cfg.service_mean_s, stall);
-                    #[cfg(feature = "telemetry")]
-                    if sampled {
-                        let exec = cfg.service_mean_s;
-                        emit_txn_wait(arrival_seq, queue + stall, stall);
-                        pstore_telemetry::emit(
-                            pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_ABORT)
-                                .with("id", arrival_seq)
-                                .with("reason", "timeout")
-                                .with("total", queue + exec + stall)
-                                .with("queue", queue)
-                                .with("exec", exec)
-                                .with("stall", stall)
-                                .with("end", at + queue + exec + stall),
-                        );
-                    }
-                    continue;
-                }
-                // Sampled transactions carry a trace tag: the engine then
-                // emits their `txn_rwset` (and `txn_restart`) itself.
-                #[cfg(feature = "telemetry")]
-                if sampled {
-                    cluster.set_txn_trace_id(arrival_seq);
-                }
-                let ok = cluster.execute_at_slot(&txn, slot).is_ok();
-                if ok {
-                    committed += 1;
-                } else {
-                    aborted += 1;
-                }
-                let service = cfg.service_mean_s
-                    * (1.0 + rng.random_range(-cfg.service_jitter..cfg.service_jitter));
-                let b = &mut busy[n][l];
-                let start = b.max(at);
-                *b = start + service;
-                let stall = wait.min(stall_cap);
-                let queue = wait - stall;
-                recorder.record_attributed(at, queue, service, stall);
-                #[cfg(feature = "telemetry")]
-                if sampled {
-                    emit_txn_wait(arrival_seq, queue + stall, stall);
-                    pstore_telemetry::emit(
-                        pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_EXECUTE)
-                            .with("id", arrival_seq)
-                            .with("service", service),
-                    );
-                    let terminal = if ok {
-                        pstore_telemetry::kinds::TXN_COMMIT
-                    } else {
-                        pstore_telemetry::kinds::TXN_ABORT
-                    };
-                    let mut ev = pstore_telemetry::Event::new(terminal)
-                        .with("id", arrival_seq)
-                        .with("total", queue + service + stall)
-                        .with("queue", queue)
-                        .with("exec", service)
-                        .with("stall", stall)
-                        .with("end", *b);
-                    if !ok {
-                        ev = ev.with("reason", "business");
-                    }
-                    pstore_telemetry::emit(ev);
-                }
-                continue;
-            }
-        }
-        let Some(Reverse(Timed { time, event, .. })) = heap.pop() else {
-            break;
-        };
-        if time >= horizon && heap.is_empty() {
-            break;
-        }
-        // Stamp telemetry events with simulation time rather than wall time.
-        #[cfg(feature = "telemetry")]
-        pstore_telemetry::set_time(time);
-        match event {
-            Event::Second(s) => {
-                recorder.advance_to(time);
-                if (s as f64) < horizon {
-                    // Generate this second's Poisson arrivals into the
-                    // reused buffer (the previous second's are always fully
-                    // drained: they are strictly earlier than this event).
-                    debug_assert_eq!(next_arrival, arrivals.len());
-                    let lambda = cfg.load[s as usize].max(0.0);
-                    let n = sample_poisson(&mut rng, lambda);
-                    arrivals.clear();
-                    next_arrival = 0;
-                    for _ in 0..n {
-                        arrivals.push(time + rng.random_range(0.0..1.0));
-                    }
-                    arrivals.sort_by(f64::total_cmp);
-                    push(&mut heap, &mut seq, time + 1.0, Event::Second(s + 1));
-                }
-            }
-            Event::Monitor(k) => {
-                recorder.advance_to(time);
-                let window = cfg.monitor_interval_s;
-                let measured = arrivals_in_window as f64 / window;
-                arrivals_in_window = 0;
-                // Each monitor tick also samples the §8.1 uniformity
-                // figures (Table 2's companion analysis): access and data
-                // skew land in the metrics registry as gauges and in the
-                // trace as `skew_sample` events.
-                #[cfg(feature = "telemetry")]
-                record_skew_sample(&cluster);
-                #[cfg(feature = "telemetry")]
-                if pstore_telemetry::prov_enabled() {
-                    pstore_telemetry::emit(
-                        pstore_telemetry::Event::new(pstore_telemetry::kinds::PROV_INTERVAL)
-                            .with("interval", k)
-                            .with("observed", measured)
-                            .with("machines", cluster.active_nodes())
-                            .with("reconfiguring", migration.is_some()),
-                    );
-                }
-                let obs = Observation {
-                    interval: k,
-                    load: measured,
-                    machines: cluster.active_nodes(),
-                    reconfiguring: migration.is_some(),
-                };
-                // The tick span closes before any reconfiguration span
-                // opens in `start_migration`, keeping spans LIFO-nested.
-                #[cfg(feature = "telemetry")]
-                let tick_span = if pstore_telemetry::enabled() {
-                    pstore_telemetry::begin_span("tick", &[])
-                } else {
-                    0
-                };
-                let action = strategy.tick(&obs);
-                #[cfg(feature = "telemetry")]
-                pstore_telemetry::end_span("tick", tick_span, &[]);
-                if let Action::Reconfigure(req) = action {
-                    if migration.is_none() && req.target != cluster.active_nodes() {
-                        let target = req.target.clamp(1, cfg.params.max_machines);
-                        if target != cluster.active_nodes() {
-                            migration = Some(start_migration(
-                                &mut cluster,
-                                target,
-                                req.rate_multiplier,
-                                req.decision_id,
-                                cfg,
-                                time,
-                                &mut heap,
-                                &mut seq,
-                            ));
-                            recorder.set_reconfiguring(true);
-                            if let Some(m) = &migration {
-                                recorder.set_machines(m.schedule.machines_in_round(0) as f64);
-                            }
-                        }
-                    }
-                }
-                if time + window < horizon {
-                    push(&mut heap, &mut seq, time + window, Event::Monitor(k + 1));
-                }
-            }
-            Event::Chunk { from, to } => {
-                let Some(m) = migration.as_mut() else {
-                    continue;
-                };
-                // A chunk is a byte budget; it may span several (possibly
-                // empty) slots of this pair's stream. Pacing and occupancy
-                // are proportional to the bytes actually carried, so the
-                // whole move takes T(B, A) regardless of slot sizes.
-                let chunk_bytes = (m.stream_rate * cfg.chunk_pacing_s).max(1.0) as usize;
-                let mut moved = 0usize;
-                let mut moved_rows = 0usize;
-                let mut pair_done;
-                let mut reconfig_done = false;
-                if let Some(&pair_idx) = m.pair_index.get(&(from, to)) {
-                    let mut remaining = chunk_bytes;
-                    loop {
-                        let result = cluster
-                            .migrate_chunk(pair_idx, remaining.max(1))
-                            .expect("migration running");
-                        moved += result.bytes;
-                        moved_rows += result.rows;
-                        reconfig_done = result.reconfig_done;
-                        pair_done = result.pair_done;
-                        if pair_done || reconfig_done {
-                            break;
-                        }
-                        if result.bytes >= remaining || !result.slot_completed {
-                            break; // budget consumed mid-slot
-                        }
-                        remaining -= result.bytes;
-                    }
-                } else {
-                    // The engine had no slots for this schedule pair.
-                    pair_done = true;
-                }
-                if moved > 0 {
-                    m.chunks_moved += 1;
-                    m.rows_moved += moved_rows as u64;
-                    m.bytes_moved += moved as u64;
-                    #[cfg(feature = "telemetry")]
-                    if pstore_telemetry::prov_enabled() {
-                        pstore_telemetry::emit(
-                            pstore_telemetry::Event::new(pstore_telemetry::kinds::PROV_CHUNK)
-                                .with("id", m.decision_id)
-                                .with("from", from)
-                                .with("to", to)
-                                .with("bytes", moved),
-                        );
-                    }
-                }
-
-                // Partition occupancy on both sides: a machine-pair
-                // transfer runs P parallel partition streams, so every
-                // partition of both endpoints carries the per-stream
-                // overhead, proportional to the data carried.
-                let fill = (moved as f64 / chunk_bytes as f64).min(1.0);
-                let burst = cfg.migration_cpu_fraction * cfg.chunk_pacing_s * fill;
-                if burst > 0.0 {
-                    for node in [from, to] {
-                        let n = node as usize;
-                        for (local, part) in busy[n].iter_mut().enumerate() {
-                            *part = part.max(time) + burst;
-                            // Arrivals landing before the new frontier see
-                            // this burst as migration stall, not queueing.
-                            mig_backlog[n][local] += burst;
-                            stall_frontier[n][local] = *part;
-                        }
-                    }
-                }
-
-                if reconfig_done {
-                    let started = m.started_at;
-                    reconfig_spans.push((started, time));
-                    #[cfg(feature = "telemetry")]
-                    if pstore_telemetry::prov_enabled() {
-                        pstore_telemetry::emit(
-                            pstore_telemetry::Event::new(pstore_telemetry::kinds::PROV_RECONFIG)
-                                .with("id", m.decision_id)
-                                .with("from", m.from_machines)
-                                .with("to", m.to_machines)
-                                .with("start", started)
-                                .with("duration_s", time - started)
-                                .with("chunks", m.chunks_moved)
-                                .with("rows", m.rows_moved)
-                                .with("bytes", m.bytes_moved),
-                        );
-                    }
-                    migration = None;
-                    recorder.set_reconfiguring(false);
-                    recorder.set_machines(cluster.active_nodes() as f64);
-                } else if pair_done {
-                    m.active_streams -= 1;
-                    if m.active_streams == 0 {
-                        // Advance to the next round with live pairs.
-                        advance_round(m, &cluster, time, &mut heap, &mut seq);
-                        recorder.set_machines(
-                            m.schedule.machines_in_round(
-                                m.current_round
-                                    .min(m.schedule.total_rounds().saturating_sub(1)),
-                            ) as f64,
-                        );
-                    }
-                } else {
-                    // Pace the next chunk proportionally to what was moved.
-                    let frac = fill.max(0.05);
-                    let next = time + cfg.chunk_pacing_s * frac / m.rate_multiplier;
-                    push(&mut heap, &mut seq, next, Event::Chunk { from, to });
-                }
-            }
-        }
-    }
-
-    // A migration still in flight when the run ends would leave the
-    // engine's reconfig span dangling (TEL-01) and the root close below
-    // out of LIFO order (TEL-02); close it explicitly, marked truncated.
-    if migration.is_some() {
-        cluster.end_truncated_reconfig_span();
-    }
-    // Flush the recorder's trailing seconds before the root span closes,
-    // so their `second` events land inside the run and trace analyses
-    // (`pstore-trace slo`) attribute them to it rather than to a phantom
-    // between-runs segment.
-    let seconds = recorder.finish();
-    #[cfg(feature = "telemetry")]
-    pstore_telemetry::end_span("detailed_sim", run_span, &[]);
-    #[cfg(feature = "telemetry")]
-    pstore_telemetry::set_prov_enabled(prov_was);
-    let violations = count_sla_violations(&seconds, SLA_THRESHOLD_S);
-    let avg_machines = average_machines(&seconds);
-    let procedure_mix = cluster
-        .procedure_report()
-        .into_iter()
-        .map(|(name, c, a)| (name.to_string(), c, a))
-        .collect();
-    DetailedSimResult {
-        strategy: strategy.name().to_string(),
-        seconds,
-        violations,
-        avg_machines,
-        reconfig_spans,
-        committed,
-        aborted,
-        dropped,
-        procedure_mix,
-    }
+    tel::end_span("warmup", warmup_span, &[]);
 }
 
 /// Emits the wait portion of a sampled transaction's lifecycle: one
 /// `txn_queue` event (total wait and its migration-stall share) plus a
 /// `txn_stall` event when migration interference contributed at all.
-#[cfg(feature = "telemetry")]
 fn emit_txn_wait(id: u64, wait: f64, stall: f64) {
-    pstore_telemetry::emit(
-        pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_QUEUE)
+    tel::emit(
+        tel::Event::new(tel::kinds::TXN_QUEUE)
             .with("id", id)
             .with("wait", wait)
             .with("stall", stall),
     );
     if stall > 0.0 {
-        pstore_telemetry::emit(
-            pstore_telemetry::Event::new(pstore_telemetry::kinds::TXN_STALL)
+        tel::emit(
+            tel::Event::new(tel::kinds::TXN_STALL)
                 .with("id", id)
                 .with("stall", stall),
         );
@@ -732,10 +730,9 @@ fn emit_txn_wait(id: u64, wait: f64, stall: f64) {
 /// Records access- and data-skew summaries over the cluster's partitions
 /// into the telemetry registry (gauges under `skew.access.*` /
 /// `skew.data.*`) and emits one `skew_sample` event per quantity.
-#[cfg(feature = "telemetry")]
 fn record_skew_sample(cluster: &Cluster) {
     use pstore_dbms::stats::SkewSummary;
-    if !pstore_telemetry::enabled() {
+    if !tel::enabled() {
         return;
     }
     let report = cluster.partition_report();
@@ -747,13 +744,13 @@ fn record_skew_sample(cluster: &Cluster) {
         let Some(summary) = SkewSummary::from_values(values) else {
             continue;
         };
-        pstore_telemetry::with_registry(|reg| {
+        tel::with_registry(|reg| {
             for (name, value) in summary.gauge_entries(prefix) {
                 reg.set_gauge(&name, value);
             }
         });
-        pstore_telemetry::emit(
-            pstore_telemetry::Event::new(pstore_telemetry::kinds::SKEW_SAMPLE)
+        tel::emit(
+            tel::Event::new(tel::kinds::SKEW_SAMPLE)
                 .with("metric", prefix)
                 .with("partitions", summary.partitions)
                 .with("max_over_mean", summary.max_over_mean)
@@ -762,78 +759,18 @@ fn record_skew_sample(cluster: &Cluster) {
     }
 }
 
-/// Initialises engine + schedule state for a reconfiguration and schedules
-/// the first round's chunk events.
-#[allow(clippy::too_many_arguments)] // one-shot constructor threading sim state
-fn start_migration(
-    cluster: &mut Cluster,
-    target: u32,
-    rate_multiplier: f64,
-    decision_id: u64,
-    cfg: &DetailedSimConfig,
-    now: f64,
-    heap: &mut BinaryHeap<Reverse<Timed>>,
-    seq: &mut u64,
-) -> ActiveMigration {
-    let before = cluster.active_nodes();
-    let db_bytes = cluster.total_bytes() as f64;
-    cluster
-        .begin_reconfiguration(target)
-        .expect("reconfiguration accepted");
-    let schedule = MigrationSchedule::plan(before, target);
-    let rounds: Vec<Vec<(u32, u32)>> = schedule
-        .rounds()
-        .iter()
-        .map(|r| r.transfers.iter().map(|t| (t.from, t.to)).collect())
-        .collect();
-    let pair_index: HashMap<(u32, u32), usize> = cluster
-        .pair_transfers()
-        .iter()
-        .enumerate()
-        .map(|(i, p)| ((p.from, p.to), i))
-        .collect();
-    let mut m = ActiveMigration {
-        schedule,
-        rounds,
-        current_round: 0,
-        pair_index,
-        active_streams: 0,
-        rate_multiplier: rate_multiplier.max(0.1),
-        // A machine-pair stream is P parallel partition streams, each at
-        // the single-thread rate db / D (Equation 3's accounting).
-        stream_rate: cfg.params.partitions_per_node as f64 * db_bytes / cfg.params.d.as_secs_f64(),
-        started_at: now,
-        decision_id,
-        from_machines: before,
-        to_machines: target,
-        chunks_moved: 0,
-        rows_moved: 0,
-        bytes_moved: 0,
-    };
-    // Start round 0 (skipping over rounds whose pairs have no slots).
-    m.current_round = usize::MAX; // advance_round starts at 0
-    advance_round(&mut m, cluster, now, heap, seq);
-    m
-}
-
 /// Starts the next round that has at least one live pair. Returns with
 /// `active_streams > 0` unless every remaining round is empty (in which
 /// case the engine must already have committed — the caller's next chunk
 /// event resolves it).
-fn advance_round(
-    m: &mut ActiveMigration,
-    cluster: &Cluster,
-    now: f64,
-    heap: &mut BinaryHeap<Reverse<Timed>>,
-    seq: &mut u64,
-) {
+fn advance_round(m: &mut ActiveMigration, cluster: &Cluster, now: f64, queue: &mut EventQueue) {
     loop {
         m.current_round = m.current_round.wrapping_add(1);
-        let Some(round) = m.rounds.get(m.current_round) else {
+        let Some(round) = m.schedule.rounds().get(m.current_round) else {
             return;
         };
         let mut started = 0usize;
-        for &(from, to) in round {
+        for &Transfer { from, to } in &round.transfers {
             let live = m
                 .pair_index
                 .get(&(from, to))
@@ -841,12 +778,7 @@ fn advance_round(
                 .unwrap_or(false);
             if live {
                 started += 1;
-                *seq += 1;
-                heap.push(Reverse(Timed {
-                    time: now,
-                    seq: *seq,
-                    event: Event::Chunk { from, to },
-                }));
+                queue.push(now, Event::Chunk { from, to });
             }
         }
         if started > 0 {
@@ -903,6 +835,7 @@ mod tests {
     use pstore_core::controller::forecaster::OracleForecaster;
     use pstore_core::controller::pstore::{PStoreConfig, PStoreController};
     use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
+    use pstore_core::controller::{Action, Observation};
     use pstore_core::planner::{Planner, PlannerConfig};
     use std::time::Duration;
 
@@ -923,16 +856,8 @@ mod tests {
                 ..WorkloadConfig::default()
             },
             num_slots: 360,
-            monitor_interval_s: 30.0,
-            // Matches paper_defaults' calibration (see that constant).
-            service_mean_s: 6.0 / 490.0,
-            service_jitter: 0.3,
             chunk_pacing_s: 2.0,
-            migration_cpu_fraction: 0.05,
-            max_queue_delay_s: 2.0,
             warmup_txns: 20_000,
-            txn_sample_every: 0,
-            prov_events: false,
             ..DetailedSimConfig::paper_defaults(load, seed)
         }
     }
@@ -1269,50 +1194,38 @@ mod tests {
         assert_eq!(pa, pb);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn prov_events_trace_the_control_loop_when_enabled() {
-        use pstore_telemetry::kinds;
+        use tel::kinds;
+        if !tel::COMPILED_IN {
+            return; // nothing is emitted; `tests/trace_contract.rs` pins that
+        }
 
         // Same ramp that forces the reactive controller to scale out.
         let mut load: Vec<f64> = (0..120).map(|s| 250.0 + 550.0 * s as f64 / 120.0).collect();
         load.extend(vec![800.0; 240]);
-        let reactive = || {
-            ReactiveController::new(ReactiveConfig {
-                q: 285.0,
-                q_hat: 350.0,
-                trigger_fraction: 0.9,
-                headroom: 0.2,
-                smoothing_window: 2,
-                scale_in_patience: 10,
-                max_machines: 10,
-                initial_machines: 2,
-            })
-        };
+        let mut reactive = ReactiveController::new(ReactiveConfig {
+            trigger_fraction: 0.9,
+            headroom: 0.2,
+            smoothing_window: 2,
+            scale_in_patience: 10,
+            ..ReactiveConfig::default()
+        });
 
-        // Off by default: a captured run emits no prov_* events.
-        let (sink, handle) = pstore_telemetry::MemorySink::new();
+        // Opted in (the default spec's trace, without a single `prov_*`
+        // event, is pinned in `tests/trace_contract.rs`), the full
+        // provenance chain appears, and every reconfiguration summary
+        // points back at the decision that issued it (the PRV-02 contract
+        // the verifier checks).
+        let (sink, handle) = tel::MemorySink::new();
         {
-            let _guard = pstore_telemetry::install(std::rc::Rc::new(sink));
-            run_detailed(&test_cfg(load.clone(), 4), &mut reactive());
+            let spec = tel::TraceSpec {
+                prov: true,
+                ..Default::default()
+            };
+            let _guard = tel::install_with(std::rc::Rc::new(sink), spec);
+            run_detailed(&test_cfg(load, 4), &mut reactive);
         }
-        assert!(handle.of_kind(kinds::PROV_RUN).is_empty());
-        assert!(handle.of_kind(kinds::PROV_DECISION).is_empty());
-
-        // Opted in: the full provenance chain appears, and every
-        // reconfiguration summary points back at the decision that
-        // issued it (the PRV-02 contract the verifier checks).
-        let (sink, handle) = pstore_telemetry::MemorySink::new();
-        {
-            let _guard = pstore_telemetry::install(std::rc::Rc::new(sink));
-            let mut cfg = test_cfg(load, 4);
-            cfg.prov_events = true;
-            run_detailed(&cfg, &mut reactive());
-        }
-        assert!(
-            !pstore_telemetry::prov_enabled(),
-            "run_detailed must restore the prov gate"
-        );
         let runs = handle.of_kind(kinds::PROV_RUN);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].field_str("policy"), Some("Reactive"));

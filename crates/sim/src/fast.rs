@@ -23,10 +23,12 @@
 // The fast simulator quantises migration progress into rounds and f32
 // timelines.
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-use pstore_core::controller::{Action, Observation, Strategy};
+use crate::control::{ControlLoop, MoveLedger};
+use pstore_core::controller::Strategy;
 use pstore_core::cost_model::{eff_cap, move_time};
 use pstore_core::params::SystemParams;
 use pstore_core::schedule::MigrationSchedule;
+use pstore_telemetry as tel;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a fast simulation.
@@ -41,12 +43,6 @@ pub struct FastSimConfig {
     /// Whether to record the per-slot machine/capacity timelines
     /// (needed for Fig 13; costs memory on very long runs).
     pub record_timeline: bool,
-    /// Emit the provisioning-observatory event family (`prov_run`,
-    /// `prov_interval`, `prov_decision` via the controllers,
-    /// `prov_reconfig`). Off by default so default-config traces stay
-    /// byte-identical; see
-    /// [`prov_events_from_env`](crate::detailed::prov_events_from_env).
-    pub prov_events: bool,
 }
 
 impl FastSimConfig {
@@ -57,7 +53,6 @@ impl FastSimConfig {
             slot_duration_s: 60.0,
             tick_every_slots: 5,
             record_timeline: true,
-            prov_events: crate::detailed::prov_events_from_env(),
         }
     }
 }
@@ -102,22 +97,14 @@ impl FastSimResult {
 /// An in-progress move in the slot model.
 struct MoveState {
     schedule: MigrationSchedule,
-    from: u32,
-    to: u32,
     /// Total duration in slots.
     duration_slots: f64,
     /// Slots elapsed so far.
     elapsed: f64,
     /// Telemetry span covering the move (0 when telemetry is off).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     span_id: u64,
-    /// Provenance: the `prov_decision` id that requested this move
-    /// (0 = unattributed) and its start time, for the `prov_reconfig`
-    /// summary emitted on completion.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    decision_id: u64,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    started_at: f64,
+    /// Endpoints, start time and requesting decision.
+    ledger: MoveLedger,
 }
 
 /// Runs the slot-based simulation of a strategy over a per-slot load curve
@@ -129,103 +116,53 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
     let p = cfg.params.partitions_per_node;
     let d_s = cfg.params.d.as_secs_f64();
 
-    let mut machines = strategy
-        .initial_machines()
-        .clamp(1, cfg.params.max_machines);
+    // Root span for the whole run (profiled by `pstore-trace profile`).
+    let run_span = if tel::enabled() {
+        tel::set_time(0.0);
+        tel::begin_span("fast_sim", &[])
+    } else {
+        0
+    };
+    let tick_s = cfg.slot_duration_s * cfg.tick_every_slots as f64;
+    let (mut control, mut machines) = ControlLoop::start(&cfg.params, tick_s, strategy, false);
     let mut in_move: Option<MoveState> = None;
     let mut cost = 0.0f64;
     let mut insufficient = 0u64;
     let mut reconfigs = 0u64;
-    let mut tick_idx = 0usize;
     let mut machines_timeline = Vec::new();
     let mut capacity_timeline = Vec::new();
 
-    // Root span for the whole run (profiled by `pstore-trace profile`).
-    #[cfg(feature = "telemetry")]
-    let run_span = {
-        pstore_telemetry::set_time(0.0);
-        if pstore_telemetry::enabled() {
-            pstore_telemetry::begin_span("fast_sim", &[])
-        } else {
-            0
-        }
-    };
-    // Provisioning-observatory gate, scoped to the run (see the detailed
-    // simulator for the full event-family contract).
-    #[cfg(feature = "telemetry")]
-    let prov_was = pstore_telemetry::set_prov_enabled(cfg.prov_events);
-    #[cfg(feature = "telemetry")]
-    if pstore_telemetry::prov_enabled() {
-        pstore_telemetry::emit(
-            pstore_telemetry::Event::new(pstore_telemetry::kinds::PROV_RUN)
-                .with("q", cfg.params.q)
-                .with("d_s", d_s)
-                .with(
-                    "interval_s",
-                    cfg.slot_duration_s * cfg.tick_every_slots as f64,
-                )
-                .with("initial", machines)
-                .with("policy", strategy.name()),
-        );
-    }
-
     for (slot, &demand) in load.iter().enumerate() {
-        #[cfg(feature = "telemetry")]
-        {
-            #[allow(clippy::cast_precision_loss)] // slot counts are far below 2^53
-            pstore_telemetry::set_time(slot as f64 * cfg.slot_duration_s);
+        #[allow(clippy::cast_precision_loss)] // slot counts are far below 2^53
+        let now = slot as f64 * cfg.slot_duration_s;
+        if tel::enabled() {
+            tel::set_time(now);
         }
         // Controller decision at tick boundaries.
         if slot % cfg.tick_every_slots == 0 {
             let window =
                 &load[slot.saturating_sub(cfg.tick_every_slots)..=slot.min(load.len() - 1)];
             let measured = window.iter().sum::<f64>() / window.len() as f64;
-            #[cfg(feature = "telemetry")]
-            if pstore_telemetry::prov_enabled() {
-                pstore_telemetry::emit(
-                    pstore_telemetry::Event::new(pstore_telemetry::kinds::PROV_INTERVAL)
-                        .with("interval", tick_idx)
-                        .with("observed", measured)
-                        .with("machines", machines)
-                        .with("reconfiguring", in_move.is_some()),
-                );
-            }
-            let obs = Observation {
-                interval: tick_idx,
-                load: measured,
-                machines,
-                reconfiguring: in_move.is_some(),
-            };
-            tick_idx += 1;
-            if let Action::Reconfigure(req) = strategy.tick(&obs) {
-                let target = req.target.clamp(1, cfg.params.max_machines);
-                if in_move.is_none() && target != machines {
-                    let t_s = move_time(machines, target, p, d_s) / req.rate_multiplier.max(0.1);
-                    #[cfg(feature = "telemetry")]
-                    let span_id = if pstore_telemetry::enabled() {
-                        pstore_telemetry::begin_span(
-                            pstore_telemetry::kinds::SPAN_RECONFIG,
-                            &[
-                                ("from", pstore_telemetry::Value::from(machines)),
-                                ("to", pstore_telemetry::Value::from(target)),
-                            ],
-                        )
-                    } else {
-                        0
-                    };
-                    #[cfg(not(feature = "telemetry"))]
-                    let span_id = 0u64;
-                    in_move = Some(MoveState {
-                        schedule: MigrationSchedule::plan(machines, target),
-                        from: machines,
-                        to: target,
-                        duration_slots: (t_s / cfg.slot_duration_s).max(1e-9),
-                        elapsed: 0.0,
-                        span_id,
-                        decision_id: req.decision_id,
-                        started_at: slot as f64 * cfg.slot_duration_s,
-                    });
-                }
+            if let Some(req) = control.step(strategy, measured, machines, in_move.is_some()) {
+                let t_s = move_time(machines, req.target, p, d_s) / req.rate_multiplier.max(0.1);
+                let span_id = if tel::enabled() {
+                    tel::begin_span(
+                        tel::kinds::SPAN_RECONFIG,
+                        &[
+                            ("from", tel::Value::from(machines)),
+                            ("to", tel::Value::from(req.target)),
+                        ],
+                    )
+                } else {
+                    0
+                };
+                in_move = Some(MoveState {
+                    schedule: MigrationSchedule::plan(machines, req.target),
+                    duration_slots: (t_s / cfg.slot_duration_s).max(1e-9),
+                    elapsed: 0.0,
+                    span_id,
+                    ledger: MoveLedger::open(&req, machines, now),
+                });
             }
         }
 
@@ -236,35 +173,13 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
                 let total_rounds = mv.schedule.total_rounds().max(1);
                 let round = ((f * total_rounds as f64) as usize).min(total_rounds - 1);
                 let alloc = mv.schedule.machines_in_round(round) as f64;
-                let capacity = eff_cap(mv.from, mv.to, f, cfg.params.q_hat);
+                let capacity = eff_cap(mv.ledger.from, mv.ledger.to, f, cfg.params.q_hat);
                 mv.elapsed += 1.0;
                 if mv.elapsed >= mv.duration_slots {
-                    machines = mv.to;
+                    machines = mv.ledger.to;
                     reconfigs += 1;
-                    #[cfg(feature = "telemetry")]
-                    pstore_telemetry::end_span(
-                        pstore_telemetry::kinds::SPAN_RECONFIG,
-                        mv.span_id,
-                        &[],
-                    );
-                    // The slot model moves no real data: the provenance
-                    // summary carries timing and endpoints, zero
-                    // chunk/row/byte counts.
-                    #[cfg(feature = "telemetry")]
-                    if pstore_telemetry::prov_enabled() {
-                        let now = slot as f64 * cfg.slot_duration_s;
-                        pstore_telemetry::emit(
-                            pstore_telemetry::Event::new(pstore_telemetry::kinds::PROV_RECONFIG)
-                                .with("id", mv.decision_id)
-                                .with("from", mv.from)
-                                .with("to", mv.to)
-                                .with("start", mv.started_at)
-                                .with("duration_s", now - mv.started_at)
-                                .with("chunks", 0u64)
-                                .with("rows", 0u64)
-                                .with("bytes", 0u64),
-                        );
-                    }
+                    tel::end_span(tel::kinds::SPAN_RECONFIG, mv.span_id, &[]);
+                    mv.ledger.emit_prov_reconfig(now);
                     in_move = None;
                 }
                 (alloc, capacity)
@@ -284,22 +199,18 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
 
     // A move still in flight when the trace ends would leave a dangling
     // span (TEL-02); close it explicitly, marked truncated.
-    #[cfg(feature = "telemetry")]
     if let Some(mv) = &in_move {
         // pstore-lint: allow(SA-02): second end site for the in-move
         // reconfig span — the loop above closes moves that complete, this
         // closes one truncated by trace end; exactly one of the two runs
         // per span, and TEL-01/02 verify pairing at runtime.
-        pstore_telemetry::end_span(
-            pstore_telemetry::kinds::SPAN_RECONFIG,
+        tel::end_span(
+            tel::kinds::SPAN_RECONFIG,
             mv.span_id,
-            &[("truncated", pstore_telemetry::Value::from(true))],
+            &[("truncated", tel::Value::from(true))],
         );
     }
-    #[cfg(feature = "telemetry")]
-    pstore_telemetry::end_span("fast_sim", run_span, &[]);
-    #[cfg(feature = "telemetry")]
-    pstore_telemetry::set_prov_enabled(prov_was);
+    tel::end_span("fast_sim", run_span, &[]);
 
     FastSimResult {
         strategy: strategy.name().to_string(),
@@ -320,6 +231,7 @@ mod tests {
     use pstore_core::controller::forecaster::OracleForecaster;
     use pstore_core::controller::pstore::{PStoreConfig, PStoreController};
     use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
+    use pstore_core::controller::{Action, Observation};
     use pstore_core::planner::{Planner, PlannerConfig};
     use std::time::Duration;
 
@@ -336,7 +248,6 @@ mod tests {
             slot_duration_s: 60.0,
             tick_every_slots: 5,
             record_timeline: true,
-            prov_events: false,
         }
     }
 

@@ -206,7 +206,6 @@ impl LatencyRecorder {
             "win_p95" => metrics.win_p95,
             "win_p99" => metrics.win_p99,
         );
-        #[cfg(feature = "telemetry")]
         if pstore_telemetry::enabled() {
             pstore_telemetry::with_registry(|r| {
                 let phase = if metrics.reconfiguring {

@@ -10,10 +10,12 @@
 //!   itself uses for §8.3.
 //!
 //! [`latency`] provides the shared per-second percentile and SLA
-//! accounting.
+//! accounting; both simulators drive one controller-tick step (the
+//! private `control` module).
 
 #![warn(missing_docs)]
 
+mod control;
 pub mod detailed;
 pub mod fast;
 pub mod latency;

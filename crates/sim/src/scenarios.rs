@@ -392,7 +392,6 @@ mod tests {
             slot_duration_s: 60.0,
             tick_every_slots: 5,
             record_timeline: false,
-            prov_events: false,
         };
         // Short synthetic month: train + 3 eval days.
         let raw = pstore_forecast::generators::B2wLoadModel {

@@ -43,7 +43,6 @@ proptest! {
             slot_duration_s: 60.0,
             tick_every_slots: 5,
             record_timeline: true,
-            prov_events: false,
         };
         let r = run_fast(&cfg, &load, &mut StaticController::new(machines));
         prop_assert_eq!(r.total_slots, load.len() as u64);
@@ -83,7 +82,6 @@ proptest! {
             slot_duration_s: 60.0,
             tick_every_slots: 5,
             record_timeline: true,
-            prov_events: false,
         };
         let planner = Planner::new(PlannerConfig {
             q: 285.0,
@@ -135,7 +133,6 @@ proptest! {
             slot_duration_s: 60.0,
             tick_every_slots: 5,
             record_timeline: true,
-            prov_events: false,
         };
         let load = vec![100.0; 2 * 1440];
         let mut strat = SimpleController::new(288, 8 * 12, 23 * 12, day_machines, 2);

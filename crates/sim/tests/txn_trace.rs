@@ -1,5 +1,5 @@
 //! End-to-end check of the sampled per-transaction lifecycle trace: a
-//! detailed simulation with `txn_sample_every` set must produce a trace
+//! detailed simulation under a `TraceSpec` that samples must produce a trace
 //! that the TEL-06 (lifecycle/attribution) and TXN-01 (read/write-set)
 //! checkers in `pstore-verify` accept, alongside the existing span and
 //! ordering invariants.
@@ -13,7 +13,7 @@ use pstore_b2w::generator::WorkloadConfig;
 use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
 use pstore_core::params::SystemParams;
 use pstore_sim::detailed::{run_detailed, DetailedSimConfig};
-use pstore_telemetry::{kinds, slo, MemorySink};
+use pstore_telemetry::{kinds, slo, MemorySink, TraceSpec};
 use pstore_verify::iso;
 use pstore_verify::telemetry::{
     check_trace_order, check_trace_spans, check_txn_lifecycle, check_txn_rwsets,
@@ -52,10 +52,6 @@ fn ramp_cfg() -> DetailedSimConfig {
         migration_cpu_fraction: 0.05,
         max_queue_delay_s: 2.0,
         warmup_txns: 20_000,
-        // Sample roughly one arrival in seven — enough lifecycle traffic
-        // to exercise every event kind without bloating the trace.
-        txn_sample_every: 7,
-        prov_events: false,
         ..DetailedSimConfig::paper_defaults(load, 0xBEEF)
     }
 }
@@ -77,7 +73,13 @@ fn controller() -> ReactiveController {
 fn captured_ramp_run() -> Vec<pstore_telemetry::Event> {
     let cfg = ramp_cfg();
     let (sink, handle) = MemorySink::new();
-    let _guard = pstore_telemetry::install(Rc::new(sink));
+    // Sample roughly one arrival in seven — enough lifecycle traffic to
+    // exercise every event kind without bloating the trace.
+    let spec = TraceSpec {
+        txn_sample_every: 7,
+        ..TraceSpec::default()
+    };
+    let _guard = pstore_telemetry::install_with(Rc::new(sink), spec);
     let mut strat = controller();
     let result = run_detailed(&cfg, &mut strat);
     assert!(

@@ -14,16 +14,18 @@
 //!    trace back, validate span pairing/nesting, and render a run report
 //!    (reconfiguration timeline, per-phase histograms, top counters).
 //!
-//! # Zero cost when disabled
+//! # The switch surface
 //!
-//! Instrumented crates (`pstore-sim`, `pstore-dbms`, `pstore-core`,
-//! `pstore-forecast`, `pstore-bench`) each declare their own `telemetry`
-//! cargo feature and guard every call site with it — directly with
-//! `#[cfg(feature = "telemetry")]` or via the [`tel_event!`] /
-//! [`tel_span!`] macros, whose bodies carry that `cfg` and therefore
-//! resolve against the *calling* crate's features. With the feature off
-//! the instrumentation compiles to nothing: no sink lookup, no
-//! allocation, no branch.
+//! What a run emits is decided in this crate and nowhere else
+//! (docs/observability.md, "Switch surface"). The build: the `instrument`
+//! feature — the one target every other crate's `telemetry` feature
+//! forwards to — sets [`COMPILED_IN`]; instrumentation sites are ordinary
+//! code behind [`enabled`], [`prov_enabled`] or the [`tel_event!`] /
+//! [`tel_span!`] macros, which without the feature are constant `false`,
+//! so the sites fold away: no sink lookup, no allocation, no branch. The pipe itself — [`install`], [`emit`],
+//! [`forward`], spans, sinks — works in both builds. The run: the
+//! [`TraceSpec`] installed with the sink ([`install_with`]) selects the
+//! optional event families; library code never reads the environment.
 //!
 //! # Threading model
 //!
@@ -66,7 +68,29 @@ thread_local! {
     static SINK: RefCell<Option<Rc<dyn Sink>>> = const { RefCell::new(None) };
     static CLOCK: Cell<f64> = const { Cell::new(f64::NAN) };
     static REGISTRY: RefCell<MetricsRegistry> = RefCell::new(MetricsRegistry::new());
-    static PROV: Cell<bool> = const { Cell::new(false) };
+    static SPEC: Cell<TraceSpec> = const { Cell::new(TraceSpec { prov: false, txn_sample_every: 0 }) };
+}
+
+/// Whether the instrumentation sites of the simulator stack are compiled
+/// in (this crate's `instrument` feature, reached through any crate's
+/// `telemetry` feature).
+pub const COMPILED_IN: bool = cfg!(feature = "instrument");
+
+/// Which optional event families a traced run emits on top of the default
+/// trace. Installed together with the sink ([`install_with`]) and restored
+/// with it; the default spec is the default trace the committed goldens
+/// were cut from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TraceSpec {
+    /// Emit the provisioning-observatory family (`prov_run`,
+    /// `prov_interval`, `prov_forecast`, `prov_decision`, `prov_reconfig`,
+    /// `prov_chunk`).
+    pub prov: bool,
+    /// Emit the per-transaction lifecycle family (`txn_arrive`,
+    /// `txn_queue`, `txn_stall`, `txn_execute`, `txn_commit`, `txn_abort`,
+    /// plus the engine's `txn_rwset`/`txn_restart` with key-level version
+    /// histories) for every Nth arrival of a detailed run; `0` emits none.
+    pub txn_sample_every: u64,
 }
 
 /// Global event sequence (total order across threads within a process).
@@ -84,48 +108,60 @@ pub fn wall_now_us() -> u64 {
     u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Installs `sink` as this thread's event sink. The returned guard
-/// restores the previous sink when dropped; keep it alive for the
-/// duration of the run or test.
+/// Installs `sink` as this thread's event sink with the default
+/// [`TraceSpec`]. The returned guard restores the previous sink and spec
+/// when dropped; keep it alive for the duration of the run or test.
 #[must_use = "dropping the guard immediately uninstalls the sink"]
 pub fn install(sink: Rc<dyn Sink>) -> SinkGuard {
-    let previous = SINK.with(|s| s.borrow_mut().replace(sink));
-    SinkGuard { previous }
+    install_with(sink, TraceSpec::default())
 }
 
-/// Restores the previously installed sink on drop.
+/// [`install`] with an explicit [`TraceSpec`].
+#[must_use = "dropping the guard immediately uninstalls the sink"]
+pub fn install_with(sink: Rc<dyn Sink>, spec: TraceSpec) -> SinkGuard {
+    SinkGuard {
+        previous: SINK.with(|s| s.borrow_mut().replace(sink)),
+        previous_spec: SPEC.with(|s| s.replace(spec)),
+    }
+}
+
+/// Restores the previously installed sink and spec on drop.
 pub struct SinkGuard {
     previous: Option<Rc<dyn Sink>>,
+    previous_spec: TraceSpec,
 }
 
 impl Drop for SinkGuard {
     fn drop(&mut self) {
         let restored = self.previous.take();
         SINK.with(|s| *s.borrow_mut() = restored);
+        SPEC.with(|s| s.set(self.previous_spec));
     }
 }
 
-/// True when a sink is installed on this thread. The macros check this
-/// before building an event, so uninstrumented runs with the feature on
-/// still skip all field formatting.
-pub fn enabled() -> bool {
+/// True when a sink is installed on this thread, in either build.
+pub fn installed() -> bool {
     SINK.with(|s| s.borrow().is_some())
 }
 
-/// Enables or disables the provisioning-observatory event family
-/// (`prov_*`) on this thread, returning the previous setting so callers
-/// can restore it. Off by default: default-config traces stay
-/// byte-identical, and a run opts in (e.g. via `PSTORE_PROV_EVENTS=1`)
-/// to get decision-provenance events. Thread-local for the same reason
-/// the sink is: parallel tests must not contaminate each other.
-pub fn set_prov_enabled(on: bool) -> bool {
-    PROV.with(|p| p.replace(on))
+/// The [`TraceSpec`] installed with this thread's sink (the default spec
+/// when none is).
+pub fn spec() -> TraceSpec {
+    SPEC.with(Cell::get)
 }
 
-/// True when the provisioning-observatory family is enabled *and* a sink
-/// is installed on this thread.
+/// The instrumentation sites' predicate: compiled in *and* a sink is
+/// installed on this thread. Constant `false` without the `instrument`
+/// feature; with it, untraced runs still skip all event construction.
+#[inline]
+pub fn enabled() -> bool {
+    COMPILED_IN && installed()
+}
+
+/// [`enabled`] and the installed spec asks for the `prov_*` family.
+#[inline]
 pub fn prov_enabled() -> bool {
-    PROV.with(Cell::get) && enabled()
+    enabled() && spec().prov
 }
 
 /// Sets the thread's simulated-time clock; subsequent events carry `t`.
@@ -179,34 +215,30 @@ pub fn flush() {
     });
 }
 
-/// Allocates a fresh globally unique span id (never 0).
-pub fn next_span_id() -> u64 {
-    SPAN_IDS.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Emits a `span_begin` event for a new span and returns its id.
-/// `extras` become additional fields on the begin event.
+/// Emits a `span_begin` event for a new span and returns its id — or,
+/// with no sink installed, returns the "no span" id 0 without building
+/// anything. `extras` become additional fields on the begin event.
 pub fn begin_span(name: &str, extras: &[(&str, Value)]) -> u64 {
-    let id = next_span_id();
-    let mut ev = Event::new(kinds::SPAN_BEGIN)
-        .with("id", id)
-        .with("name", name);
-    for (k, v) in extras {
-        ev = ev.with(k, v.clone());
+    if !installed() {
+        return 0;
     }
-    emit(ev);
+    let id = SPAN_IDS.fetch_add(1, Ordering::Relaxed);
+    emit_span(kinds::SPAN_BEGIN, name, id, extras);
     id
 }
 
 /// Emits the matching `span_end` for `id`. Ignores id 0 so callers can
-/// keep a "no span" sentinel without branching.
+/// keep a "no span" sentinel without branching (inlined, so a site whose
+/// id is the constant 0 disappears).
+#[inline]
 pub fn end_span(name: &str, id: u64, extras: &[(&str, Value)]) {
-    if id == 0 {
-        return;
+    if id != 0 {
+        emit_span(kinds::SPAN_END, name, id, extras);
     }
-    let mut ev = Event::new(kinds::SPAN_END)
-        .with("id", id)
-        .with("name", name);
+}
+
+fn emit_span(kind: &str, name: &str, id: u64, extras: &[(&str, Value)]) {
+    let mut ev = Event::new(kind).with("id", id).with("name", name);
     for (k, v) in extras {
         ev = ev.with(k, v.clone());
     }
@@ -218,17 +250,16 @@ pub fn end_span(name: &str, id: u64, extras: &[(&str, Value)]) {
 /// reconfiguration tracked across simulator events), use
 /// [`begin_span`]/[`end_span`] with a stored id instead.
 pub struct SpanGuard {
-    name: String,
+    name: &'static str,
     id: u64,
 }
 
 impl SpanGuard {
     /// Opens a span named `name`.
-    pub fn enter(name: &str) -> Self {
-        let id = begin_span(name, &[]);
+    pub fn enter(name: &'static str) -> Self {
         SpanGuard {
-            name: name.to_string(),
-            id,
+            name,
+            id: begin_span(name, &[]),
         }
     }
 
@@ -240,7 +271,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        end_span(&self.name, self.id, &[]);
+        end_span(self.name, self.id, &[]);
     }
 }
 
@@ -258,7 +289,7 @@ pub fn reset_registry() {
 /// gauge in this thread's registry, then flushes the sink. Histograms
 /// are summarised as `<name>.p50/.p95/.p99/.max/.count` fields.
 pub fn emit_metrics_snapshot() {
-    if !enabled() {
+    if !installed() {
         return;
     }
     let ev = with_registry(|r| {
@@ -283,9 +314,9 @@ pub fn emit_metrics_snapshot() {
     flush();
 }
 
-/// Builds and emits an [`Event`] — but only when the **calling** crate's
-/// `telemetry` feature is enabled; otherwise the whole statement
-/// compiles away. Skips event construction when no sink is installed.
+/// Builds and emits an [`Event`] when [`enabled`]; otherwise nothing is
+/// built and the field expressions are not evaluated (in a build without
+/// the `instrument` feature the whole statement folds away).
 ///
 /// ```ignore
 /// tel_event!(kinds::CHUNK_MOVE, "from" => from_node, "to" => to_node);
@@ -293,20 +324,16 @@ pub fn emit_metrics_snapshot() {
 #[macro_export]
 macro_rules! tel_event {
     ($kind:expr $(, $key:literal => $value:expr)* $(,)?) => {
-        #[cfg(feature = "telemetry")]
-        {
-            if $crate::enabled() {
-                $crate::emit(
-                    $crate::Event::new($kind)$(.with($key, $value))*
-                );
-            }
+        if $crate::enabled() {
+            $crate::emit(
+                $crate::Event::new($kind)$(.with($key, $value))*
+            );
         }
     };
 }
 
 /// Opens an RAII span bound to `$guard` for the rest of the enclosing
-/// scope — only when the calling crate's `telemetry` feature is enabled;
-/// otherwise `$guard` is `()`.
+/// scope when [`enabled`]; otherwise `$guard` is `None`.
 ///
 /// ```ignore
 /// tel_span!(guard, "planner");
@@ -314,22 +341,12 @@ macro_rules! tel_event {
 #[macro_export]
 macro_rules! tel_span {
     ($guard:ident, $name:expr) => {
-        #[cfg(feature = "telemetry")]
-        let $guard = $crate::SpanGuard::enter($name);
-        #[cfg(not(feature = "telemetry"))]
-        let $guard = ();
+        let $guard = if $crate::enabled() {
+            Some($crate::SpanGuard::enter($name))
+        } else {
+            None
+        };
         let _ = &$guard;
-    };
-}
-
-/// Runs `$body` only when the calling crate's `telemetry` feature is
-/// enabled — for instrumentation too stateful for [`tel_event!`]
-/// (storing span ids, updating the registry).
-#[macro_export]
-macro_rules! tel_scope {
-    ($body:block) => {
-        #[cfg(feature = "telemetry")]
-        $body
     };
 }
 
@@ -339,7 +356,7 @@ mod tests {
 
     #[test]
     fn emit_without_sink_is_noop() {
-        assert!(!enabled());
+        assert!(!installed());
         emit(Event::new("orphan")); // must not panic
     }
 
@@ -348,13 +365,13 @@ mod tests {
         let (sink, handle) = MemorySink::new();
         {
             let _guard = install(Rc::new(sink));
-            assert!(enabled());
+            assert!(installed());
             set_time(3.25);
             emit(Event::new("a").with("x", 1u64));
             clear_time();
             emit(Event::new("b"));
         }
-        assert!(!enabled());
+        assert!(!installed());
         let events = handle.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].t, Some(3.25));

@@ -3,7 +3,7 @@
 //!
 //! The control loop — forecast, plan, decide, migrate — emits the
 //! `prov_*` event family (opt-in via
-//! [`set_prov_enabled`](crate::set_prov_enabled)): `prov_run` describes
+//! [`TraceSpec::prov`](crate::TraceSpec)): `prov_run` describes
 //! the run (capacity `Q`, lead time `D`, monitoring interval),
 //! `prov_interval` records each interval's observed demand and active
 //! machine count, `prov_forecast` joins every prediction with the

@@ -522,47 +522,6 @@ pub fn serial_witness_errors(histories: &[TxnHistory]) -> Vec<String> {
     errors
 }
 
-/// One fixed-seed detailed run with sampling on (`txn_sample_every = 7`),
-/// under a capturing sink: a load ramp that forces the reactive
-/// controller into a live scale-out, so sampled transactions meet chunk
-/// migrations. The iso sweep in `main.rs` checks the key-level histories
-/// of this trace.
-#[cfg(feature = "telemetry")]
-pub fn captured_ramp_run() -> (pstore_sim::detailed::DetailedSimResult, Vec<Event>) {
-    use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
-    use pstore_sim::detailed::{run_detailed, DetailedSimConfig};
-
-    let mut load: Vec<f64> = (0..60)
-        .map(|s| 300.0 + 400.0 * f64::from(s) / 60.0)
-        .collect();
-    load.extend(vec![700.0; 120]);
-    let mut cfg = DetailedSimConfig::paper_defaults(load, 0xBEEF);
-    // The paper's 300 s decision interval would outlast this 180 s ramp;
-    // tighten it so the reactive controller actually scales out mid-run.
-    cfg.params.interval = std::time::Duration::from_secs(30);
-    cfg.params.d = std::time::Duration::from_secs(300);
-    cfg.workload.num_skus = 2_000;
-    cfg.workload.initial_carts = 600;
-    cfg.num_slots = 360;
-    cfg.warmup_txns = 20_000;
-    cfg.txn_sample_every = 7;
-    let mut strat = ReactiveController::new(ReactiveConfig {
-        q: 285.0,
-        q_hat: 350.0,
-        trigger_fraction: 0.9,
-        headroom: 0.2,
-        smoothing_window: 2,
-        scale_in_patience: 10,
-        max_machines: 10,
-        initial_machines: 2,
-    });
-    let (sink, handle) = pstore_telemetry::MemorySink::new();
-    let guard = pstore_telemetry::install(std::rc::Rc::new(sink));
-    let result = run_detailed(&cfg, &mut strat);
-    drop(guard);
-    (result, handle.events())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -64,6 +64,53 @@ pub mod telemetry;
 
 pub use pstore_core::{InvariantId, Violation};
 
+use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
+use pstore_core::controller::Strategy;
+use pstore_sim::detailed::{run_detailed, DetailedSimConfig, DetailedSimResult};
+use pstore_telemetry::{Event, TraceSpec};
+
+/// One small fixed-seed detailed-simulator run of `strategy` over `load`
+/// under a capturing sink installed with `spec` — the scenario the ISO and
+/// PRV sweeps replay. Captures nothing unless telemetry is compiled in.
+pub fn captured_run(
+    load: Vec<f64>,
+    spec: TraceSpec,
+    strategy: &mut dyn Strategy,
+) -> (DetailedSimResult, Vec<Event>) {
+    let mut cfg = DetailedSimConfig::paper_defaults(load, 0xBEEF);
+    // The paper's 300 s decision interval would outlast these few-minute
+    // loads; tighten it so the controller actually reconfigures mid-run.
+    cfg.params.interval = std::time::Duration::from_secs(30);
+    cfg.params.d = std::time::Duration::from_secs(300);
+    cfg.workload.num_skus = 2_000;
+    cfg.workload.initial_carts = 600;
+    cfg.num_slots = 360;
+    cfg.warmup_txns = 20_000;
+    let (sink, handle) = pstore_telemetry::MemorySink::new();
+    let guard = pstore_telemetry::install_with(std::rc::Rc::new(sink), spec);
+    let result = run_detailed(&cfg, strategy);
+    drop(guard);
+    (result, handle.events())
+}
+
+/// [`captured_run`] of the reactive ramp: load climbs 300 → 700 txn/s over
+/// 60 s and holds, forcing the reactive controller into a live scale-out,
+/// so transactions meet chunk migrations.
+pub fn captured_ramp_run(spec: TraceSpec) -> (DetailedSimResult, Vec<Event>) {
+    let mut load: Vec<f64> = (0..60)
+        .map(|s| 300.0 + 400.0 * f64::from(s) / 60.0)
+        .collect();
+    load.extend(vec![700.0; 120]);
+    let mut reactive = ReactiveController::new(ReactiveConfig {
+        trigger_fraction: 0.9,
+        headroom: 0.2,
+        smoothing_window: 2,
+        scale_in_patience: 10,
+        ..ReactiveConfig::default()
+    });
+    captured_run(load, spec, &mut reactive)
+}
+
 /// Outcome of one checker sweep: artifacts examined and violations found.
 #[derive(Debug, Clone, Default)]
 pub struct CheckStats {

@@ -95,8 +95,7 @@ fn main() {
     );
     all.extend(stats.violations);
 
-    #[cfg(feature = "telemetry")]
-    {
+    if pstore_telemetry::COMPILED_IN {
         let stats = iso_sweep();
         report_phase(
             "iso sweep: serializability of sampled key histories with migrations",
@@ -429,7 +428,6 @@ fn concurrency_sweep() -> CheckStats {
 /// When `PSTORE_ISO_REPORT` names a path, a JSON summary of each
 /// checked history (transaction/key/edge counts, violations) is written
 /// there for CI to upload.
-#[cfg(feature = "telemetry")]
 fn iso_sweep() -> CheckStats {
     use pstore_core::InvariantId;
     use pstore_verify::iso;
@@ -437,7 +435,11 @@ fn iso_sweep() -> CheckStats {
     let mut stats = CheckStats::default();
     let mut report_lines: Vec<String> = Vec::new();
     let artifact = "detailed sim key history".to_string();
-    let (_result, events) = iso::captured_ramp_run();
+    // Sample roughly one arrival in seven.
+    let (_result, events) = pstore_verify::captured_ramp_run(pstore_telemetry::TraceSpec {
+        txn_sample_every: 7,
+        ..Default::default()
+    });
     match iso::histories_of(&events) {
         Ok(histories) => {
             let d = iso::dsg_stats(&histories);
@@ -506,7 +508,6 @@ fn iso_sweep() -> CheckStats {
 /// When `PSTORE_PROV_REPORT` names a path, a JSON summary of each
 /// checked trace (decision/reconfig/score counts, violations) is
 /// written there for CI to upload.
-#[cfg(feature = "telemetry")]
 fn prov_sweep() -> CheckStats {
     use pstore_core::InvariantId;
     use pstore_verify::prov;

@@ -486,79 +486,41 @@ pub fn check_events(artifact: &str, events: &[Event]) -> Vec<Violation> {
 /// `predictive`) a flat-then-step load under the P-Store controller with
 /// an oracle forecaster, so the trace contains planned decisions with a
 /// real lead. Shared with the prov sweep in `main.rs`.
-#[cfg(feature = "telemetry")]
 pub fn captured_prov_run(
     predictive: bool,
 ) -> (pstore_sim::detailed::DetailedSimResult, Vec<Event>) {
     use pstore_core::controller::forecaster::OracleForecaster;
     use pstore_core::controller::pstore::{PStoreConfig, PStoreController};
-    use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
-    use pstore_core::controller::Strategy;
     use pstore_core::planner::{Planner, PlannerConfig};
-    use pstore_sim::detailed::{per_interval_load, run_detailed, DetailedSimConfig};
 
-    let load: Vec<f64> = if predictive {
-        // Flat 250 txn/s, then a step to 800: the oracle sees the step a
-        // full horizon ahead, so the planner issues lead >= 1 decisions.
-        let mut l = vec![250.0; 120];
-        l.extend(vec![800.0; 120]);
-        l
-    } else {
-        // The iso sweep's ramp: 300 -> 700 over 60 s, then steady.
-        let mut l: Vec<f64> = (0..60)
-            .map(|s| 300.0 + 400.0 * f64::from(s) / 60.0)
-            .collect();
-        l.extend(vec![700.0; 120]);
-        l
+    let spec = pstore_telemetry::TraceSpec {
+        prov: true,
+        ..Default::default()
     };
-    let mut cfg = DetailedSimConfig::paper_defaults(load, 0xBEEF);
-    cfg.params.interval = std::time::Duration::from_secs(30);
-    cfg.params.d = std::time::Duration::from_secs(300);
-    cfg.workload.num_skus = 2_000;
-    cfg.workload.initial_carts = 600;
-    cfg.num_slots = 360;
-    cfg.warmup_txns = 20_000;
-    cfg.prov_events = true;
-
-    let mut reactive;
-    let mut pstore;
-    let strategy: &mut dyn Strategy = if predictive {
-        let per_interval = per_interval_load(&cfg.load, cfg.monitor_interval_s);
-        pstore = PStoreController::new(
-            Planner::new(PlannerConfig {
-                q: 285.0,
-                d_intervals: 300.0 / 30.0,
-                partitions_per_node: 6,
-                max_machines: 10,
-            }),
-            OracleForecaster::new(per_interval),
-            PStoreConfig {
-                horizon: 10,
-                prediction_inflation: 1.0,
-                scale_in_confirmations: 3,
-                emergency_rate_multiplier: 1.0,
-                initial_machines: 1,
-            },
-        );
-        &mut pstore
-    } else {
-        reactive = ReactiveController::new(ReactiveConfig {
+    if !predictive {
+        return crate::captured_ramp_run(spec);
+    }
+    // Flat 250 txn/s, then a step to 800: the oracle sees the step a
+    // full horizon ahead, so the planner issues lead >= 1 decisions.
+    let mut load = vec![250.0; 120];
+    load.extend(vec![800.0; 120]);
+    let mut pstore = PStoreController::new(
+        Planner::new(PlannerConfig {
             q: 285.0,
-            q_hat: 350.0,
-            trigger_fraction: 0.9,
-            headroom: 0.2,
-            smoothing_window: 2,
-            scale_in_patience: 10,
+            d_intervals: 300.0 / 30.0,
+            partitions_per_node: 6,
             max_machines: 10,
-            initial_machines: 2,
-        });
-        &mut reactive
-    };
-    let (sink, handle) = pstore_telemetry::MemorySink::new();
-    let guard = pstore_telemetry::install(std::rc::Rc::new(sink));
-    let result = run_detailed(&cfg, strategy);
-    drop(guard);
-    (result, handle.events())
+        }),
+        OracleForecaster::new(pstore_sim::detailed::per_interval_load(&load, 30.0)),
+        PStoreConfig {
+            horizon: 10,
+            prediction_inflation: 1.0,
+            scale_in_confirmations: 3,
+            emergency_rate_multiplier: 1.0,
+            initial_machines: 1,
+        },
+    );
+    crate::captured_run(load, spec, &mut pstore)
 }
 
 #[cfg(test)]

@@ -34,7 +34,6 @@ fn main() {
         slot_duration_s: 60.0,
         tick_every_slots: 5,
         record_timeline: true,
-        prov_events: false,
     };
 
     let pstore = run_fast(

@@ -35,7 +35,6 @@ fn main() {
         slot_duration_s: 60.0,
         tick_every_slots: 5,
         record_timeline: false,
-        prov_events: false,
     };
 
     println!(

@@ -33,6 +33,13 @@ step "cargo clippy (telemetry feature) -- -D warnings"
 cargo clippy -q -p pstore-bench -p pstore-sim --all-targets \
     --features telemetry -- -D warnings
 
+step "one observation surface: no telemetry cfg, no env reads in the system crates"
+# What gets emitted is decided in pstore-telemetry (its `instrument`
+# feature and the installed TraceSpec) and what the environment says is
+# read by the binaries; the system crates do neither.
+grep -rn 'feature = "telemetry"' crates/{sim,dbms,core,forecast}/src && exit 1
+grep -rn 'std::env::var' crates/{sim,dbms,core,forecast,b2w}/src && exit 1
+
 step "pstore-lint: project-specific static analysis (SA-01..06)"
 # Source-level rules clippy cannot express: invariant-registry coherence,
 # telemetry kind/span discipline, determinism, concurrency hygiene,
@@ -127,7 +134,7 @@ rm -rf "$GOLDEN_TMP"
 if [[ "$QUICK" == "0" ]]; then
     step "property-test suites"
     cargo test -q -p pstore-verify --tests
-    step "pstore-sim tests with telemetry feature"
+    step "pstore-sim tests with telemetry feature (incl. the trace_contract pins)"
     cargo test -q -p pstore-sim --features telemetry
     step "loom model checking: thread-pool concurrency invariants (CON-01..03)"
     # Exhaustively explores the pool's interleavings with its primitives

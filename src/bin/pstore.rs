@@ -250,7 +250,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         slot_duration_s: 60.0,
         tick_every_slots: 5,
         record_timeline: false,
-        prov_events: false,
     };
 
     let r = match strategy {

@@ -36,7 +36,6 @@ fn setup(eval_days: usize, seed: u64) -> Setup {
             slot_duration_s: 60.0,
             tick_every_slots: 5,
             record_timeline: false,
-            prov_events: false,
         },
         train: scaled.values()[..eval_start].to_vec(),
         eval: scaled.values()[eval_start..].to_vec(),

@@ -7,7 +7,7 @@
 
 use pstore_forecast::model::LoadPredictor;
 use pstore_forecast::online::OnlinePredictor;
-use pstore_forecast::spar::{SparConfig, SparModel};
+use pstore_forecast::spar::{FitScratch, SparConfig, SparModel};
 
 /// A source of load forecasts fed by the measured load stream.
 pub trait LoadForecaster: Send {
@@ -17,6 +17,19 @@ pub trait LoadForecaster: Send {
     /// Forecasts the next `horizon` intervals, or `None` if not yet ready
     /// (e.g. the model is still accumulating training data).
     fn forecast(&mut self, horizon: usize) -> Option<Vec<f64>>;
+
+    /// [`forecast`](Self::forecast) into a buffer the caller keeps: `true`
+    /// with the forecast in `out`, or `false` if not yet ready. This is
+    /// what the controller calls each tick; a source that can forecast
+    /// without allocating overrides it.
+    fn forecast_into(&mut self, horizon: usize, out: &mut Vec<f64>) -> bool {
+        let Some(predictions) = self.forecast(horizon) else {
+            return false;
+        };
+        out.clear();
+        out.extend(predictions);
+        true
+    }
 
     /// Source name for experiment output.
     fn name(&self) -> &str;
@@ -33,9 +46,12 @@ impl SparForecaster {
     pub fn new(config: SparConfig, refit_every: usize, max_history: usize) -> Self {
         let min_train = config.min_history() + config.taus.iter().copied().max().unwrap_or(1) + 1;
         let fit_cfg = config.clone();
+        // The weekly refit reuses its 2 MB regression system.
+        let mut scratch = FitScratch::default();
         let inner = OnlinePredictor::new(
             Box::new(move |data: &[f64]| {
-                SparModel::fit(data, &fit_cfg).map(|m| Box::new(m) as Box<dyn LoadPredictor>)
+                SparModel::fit_with(data, &fit_cfg, &mut scratch)
+                    .map(|m| Box::new(m) as Box<dyn LoadPredictor>)
             }),
             min_train,
             refit_every,
@@ -63,6 +79,10 @@ impl LoadForecaster for SparForecaster {
 
     fn forecast(&mut self, horizon: usize) -> Option<Vec<f64>> {
         self.inner.forecast(horizon)
+    }
+
+    fn forecast_into(&mut self, horizon: usize, out: &mut Vec<f64>) -> bool {
+        self.inner.forecast_into(horizon, out)
     }
 
     fn name(&self) -> &str {

@@ -56,6 +56,10 @@ pub struct PStoreController<F: LoadForecaster> {
     stats: ControllerStats,
     label: String,
     prov: ProvScorer,
+    /// The latest raw forecast and the planning curve built from it; kept
+    /// so a tick reuses their storage.
+    predictions: Vec<f64>,
+    curve: Vec<f64>,
 }
 
 /// Counters describing what the controller did (for experiment reporting).
@@ -91,6 +95,8 @@ impl<F: LoadForecaster> PStoreController<F> {
             stats: ControllerStats::default(),
             label,
             prov: ProvScorer::new(),
+            predictions: Vec::new(),
+            curve: Vec::new(),
         }
     }
 
@@ -152,27 +158,48 @@ impl<F: LoadForecaster> Strategy for PStoreController<F> {
             self.stats.busy_cycles += 1;
             return Action::None;
         }
-        let Some(predictions) = self.forecaster.forecast(self.cfg.horizon) else {
+        if !self
+            .forecaster
+            .forecast_into(self.cfg.horizon, &mut self.predictions)
+        {
             self.stats.cold_cycles += 1;
             return Action::None;
-        };
+        }
         // Score the *raw* predictions later; inflation is a planning knob,
         // not part of the model's accuracy.
-        self.prov.predict(obs.interval, &predictions);
+        self.prov.predict(obs.interval, &self.predictions);
 
         // Build the planning curve: measured load now, inflated predictions
         // after (§8.2: predictions inflated by 15% to absorb model error).
-        let mut curve = Vec::with_capacity(predictions.len() + 1);
+        let mut curve = std::mem::take(&mut self.curve);
+        curve.clear();
         curve.push(obs.load);
         curve.extend(
-            predictions
+            self.predictions
                 .iter()
                 .map(|p| (p * self.cfg.prediction_inflation).max(0.0)),
         );
+        let action = self.decide(&curve, obs);
+        self.curve = curve;
+        action
+    }
 
-        let Some(plan) = self.planner.best_moves(&curve, obs.machines) else {
+    fn name(&self) -> &str {
+        &self.label
+    }
+
+    fn initial_machines(&self) -> u32 {
+        self.cfg.initial_machines
+    }
+}
+
+impl<F: LoadForecaster> PStoreController<F> {
+    /// Plans over `curve` and turns the plan's first move into this
+    /// cycle's action.
+    fn decide(&mut self, curve: &[f64], obs: &Observation) -> Action {
+        let Some(plan) = self.planner.best_moves(curve, obs.machines) else {
             self.scale_in_streak = 0;
-            return self.emergency(&curve, obs);
+            return self.emergency(curve, obs);
         };
 
         let Some(first) = plan.first_reconfiguration() else {
@@ -263,14 +290,6 @@ impl<F: LoadForecaster> Strategy for PStoreController<F> {
             reason: ReconfigReason::Planned,
             decision_id,
         })
-    }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
-
-    fn initial_machines(&self) -> u32 {
-        self.cfg.initial_machines
     }
 }
 

@@ -7,10 +7,22 @@
 //! substructure: the cheapest way to hold `A` machines at time `t` extends
 //! the cheapest way to hold some `B` at time `t - T(B, A)` with the move
 //! `B -> A`, which is exactly the recurrence memoised here.
+//!
+//! The controller runs this search at every monitoring tick, so everything
+//! about a move that depends on `(B, A)` alone — its duration in intervals
+//! (Eq 3), its cost (Eq 4 / Algorithm 4) and the effective capacity the
+//! load must stay under at each interval of the move (Eq 7) — is worked
+//! out once, when the planner is built, with the very expressions of
+//! [`crate::cost_model`]. The recurrence then only looks values up and
+//! compares them, so a plan and its cost are the same `f64`s the formulas
+//! give. The `(t, A)` memo is scratch the planner keeps between calls; a
+//! call allocates nothing but the sequence it returns. Table size is the
+//! sum of all move durations, `O(max_machines² · D / P)` values.
 
 use crate::cost_model::{avg_machines_allocated, cap, eff_cap, machines_for_load, move_time};
 use crate::moves::{Move, MoveSeq};
 use crate::params::SystemParams;
+use std::cell::RefCell;
 
 /// Planner configuration, in planning-interval units.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,6 +80,33 @@ impl Default for PlannerOptions {
 pub struct Planner {
     cfg: PlannerConfig,
     opts: PlannerOptions,
+    /// `cap(n)` for `n` in `0..=max_machines` (Eq 5).
+    caps: Vec<f64>,
+    /// One entry per `(b, a)`, both in `0..=max_machines`, at
+    /// `b * (max_machines + 1) + a`; row and column 0 are never read.
+    moves: Vec<MoveEntry>,
+    /// The capacity limits of every move, back to back; see
+    /// [`MoveEntry::limits`].
+    limits: Vec<f64>,
+    /// Memo over `(t, A)`, kept only for its allocation: every search
+    /// starts by clearing it.
+    memo: RefCell<Vec<Option<Cell>>>,
+}
+
+/// What the recurrence needs to know about the move `b -> a`.
+#[derive(Debug, Clone, Copy, Default)]
+struct MoveEntry {
+    /// Intervals the move occupies: Eq 3 rounded up, at least one (the
+    /// "do nothing" move is stretched to an interval, Algorithm 2 line 9).
+    dur: usize,
+    /// Machine-intervals the move costs (Eq 4 with the rounded duration, so
+    /// the program's accounting sums to machine-intervals over the horizon).
+    cost: f64,
+    /// Where in `Planner::limits` the move's `dur` limits start: the load
+    /// of the move's `i`-th interval must not exceed the `i`-th of them
+    /// (Eq 7 at migration progress `f = i / dur`, or `cap(a)` throughout
+    /// for the naive ablation).
+    limits: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -75,6 +114,29 @@ struct Cell {
     cost: f64,
     prev_time: usize,
     prev_nodes: u32,
+}
+
+/// The inputs of one search, fixed while the recurrence runs.
+struct Search<'a> {
+    load: &'a [f64],
+    n0: u32,
+    /// Largest machine count considered; a memo row holds `0..=z`.
+    z: u32,
+}
+
+impl Search<'_> {
+    fn memo_index(&self, t: usize, a: u32) -> usize {
+        t * (self.z as usize + 1) + a as usize
+    }
+}
+
+/// Equation 3 in whole intervals, rounded up; 0 for the "do nothing" move.
+#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of a non-negative time
+fn move_intervals(cfg: &PlannerConfig, b: u32, a: u32) -> usize {
+    if b == a {
+        return 0;
+    }
+    move_time(b, a, cfg.partitions_per_node, cfg.d_intervals).ceil() as usize
 }
 
 impl Planner {
@@ -95,12 +157,53 @@ impl Planner {
         assert!(cfg.d_intervals > 0.0, "D must be positive");
         assert!(cfg.partitions_per_node > 0, "P must be positive");
         assert!(cfg.max_machines > 0, "max_machines must be positive");
-        Planner { cfg, opts }
+
+        let stride = cfg.max_machines as usize + 1;
+        let caps = (0..=cfg.max_machines).map(|n| cap(n, cfg.q)).collect();
+        let mut moves = vec![MoveEntry::default(); stride * stride];
+        let mut limits = Vec::new();
+        for b in 1..=cfg.max_machines {
+            for a in 1..=cfg.max_machines {
+                let dur = move_intervals(&cfg, b, a).max(1);
+                let cost = if b == a {
+                    b as f64 // stretched noop: B machines for 1 interval
+                } else if opts.jit_allocation_cost {
+                    dur as f64 * avg_machines_allocated(b, a)
+                } else {
+                    dur as f64 * b.max(a) as f64
+                };
+                moves[b as usize * stride + a as usize] = MoveEntry {
+                    dur,
+                    cost,
+                    limits: limits.len(),
+                };
+                limits.extend((1..=dur).map(|i| {
+                    if opts.effective_capacity_aware {
+                        eff_cap(b, a, i as f64 / dur as f64, cfg.q)
+                    } else {
+                        cap(a, cfg.q)
+                    }
+                }));
+            }
+        }
+        Planner {
+            cfg,
+            opts,
+            caps,
+            moves,
+            limits,
+            memo: RefCell::new(Vec::new()),
+        }
     }
 
     /// The configuration.
     pub fn config(&self) -> &PlannerConfig {
         &self.cfg
+    }
+
+    /// The ablation options the move tables were built with.
+    pub fn options(&self) -> PlannerOptions {
+        self.opts
     }
 
     /// Machines needed to serve `load` at target throughput `Q`.
@@ -111,27 +214,8 @@ impl Planner {
     /// Duration of a move in whole intervals (Equation 3 rounded up; the
     /// "do nothing" move reports 0 here and is stretched to one interval
     /// inside the recurrence, per Algorithm 2 line 9).
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of a non-negative time
     pub fn move_intervals(&self, b: u32, a: u32) -> usize {
-        if b == a {
-            return 0;
-        }
-        move_time(b, a, self.cfg.partitions_per_node, self.cfg.d_intervals).ceil() as usize
-    }
-
-    /// Cost of a move in machine-intervals (Equation 4 with the
-    /// interval-rounded duration, so the dynamic program's accounting sums
-    /// to machine-intervals over the horizon).
-    fn move_cost_intervals(&self, b: u32, a: u32) -> f64 {
-        if b == a {
-            return b as f64; // stretched noop: B machines for 1 interval
-        }
-        let machines = if self.opts.jit_allocation_cost {
-            avg_machines_allocated(b, a)
-        } else {
-            b.max(a) as f64
-        };
-        self.move_intervals(b, a).max(1) as f64 * machines
+        move_intervals(&self.cfg, b, a)
     }
 
     /// Algorithm 1: the optimal sequence of moves for the predicted load.
@@ -143,11 +227,18 @@ impl Planner {
     /// exceeds `max_machines * Q`) — the controller then falls back to a
     /// reactive emergency scale-out (§4.3.1).
     pub fn best_moves(&self, load: &[f64], n0: u32) -> Option<MoveSeq> {
+        self.best_moves_with_cost(load, n0).map(|(seq, _)| seq)
+    }
+
+    /// [`best_moves`](Self::best_moves) together with the plan's cost in
+    /// machine-intervals as the recurrence accounts it (Algorithm 2): `n0`
+    /// for the current interval plus every move's cost, in plan order.
+    pub fn best_moves_with_cost(&self, load: &[f64], n0: u32) -> Option<(MoveSeq, f64)> {
         assert!(n0 >= 1, "must start with at least one machine");
         assert!(!load.is_empty(), "load horizon must be non-empty");
         let t_max = load.len() - 1;
         if t_max == 0 {
-            return (load[0] <= cap(n0, self.cfg.q)).then(MoveSeq::default);
+            return (load[0] <= cap(n0, self.cfg.q)).then(|| (MoveSeq::default(), n0 as f64));
         }
 
         // Profiler span over the DP search (begin/end via RAII so every
@@ -159,17 +250,20 @@ impl Planner {
         let z = machines_for_load(peak, self.cfg.q)
             .max(n0)
             .clamp(1, self.cfg.max_machines);
+        let search = Search { load, n0, z };
 
         // Memo over (t, A); `None` = not computed. The table is shared
         // across the final-count loop below — `cost(t, A)` is independent
         // of the loop index, so sharing is a pure optimisation over
         // Algorithm 1's per-iteration reset.
-        let mut memo: Vec<Option<Cell>> = vec![None; (t_max + 1) * (z as usize + 1)];
+        let mut memo = self.memo.borrow_mut();
+        memo.clear();
+        memo.resize(search.memo_index(t_max + 1, 0), None);
 
         for end_nodes in 1..=z {
-            let c = self.cost(t_max, end_nodes, load, n0, z, &mut memo);
+            let c = self.cost(&search, t_max, end_nodes, &mut memo);
             if c.is_finite() {
-                let seq = self.backtrack(t_max, end_nodes, z, &memo);
+                let seq = backtrack(&search, t_max, end_nodes, &memo);
                 pstore_telemetry::tel_event!(
                     pstore_telemetry::kinds::PLANNER,
                     "horizon" => t_max,
@@ -195,7 +289,7 @@ impl Planner {
                         self.verify_feasible(&seq, load)
                     );
                 }
-                return Some(seq);
+                return Some((seq, c));
             }
         }
         pstore_telemetry::tel_event!(
@@ -207,26 +301,22 @@ impl Planner {
         None
     }
 
+    fn entry(&self, b: u32, a: u32) -> &MoveEntry {
+        &self.moves[b as usize * self.caps.len() + a as usize]
+    }
+
     /// Algorithm 2: minimum cost of a feasible series of moves ending with
     /// `a` nodes at time `t`.
-    fn cost(
-        &self,
-        t: usize,
-        a: u32,
-        load: &[f64],
-        n0: u32,
-        z: u32,
-        memo: &mut Vec<Option<Cell>>,
-    ) -> f64 {
+    fn cost(&self, s: &Search<'_>, t: usize, a: u32, memo: &mut [Option<Cell>]) -> f64 {
         // Constraint violations and insufficient capacity are infinitely
         // expensive.
-        if t == 0 && a != n0 {
+        if t == 0 && a != s.n0 {
             return f64::INFINITY;
         }
-        if load[t] > cap(a, self.cfg.q) {
+        if s.load[t] > self.caps[a as usize] {
             return f64::INFINITY;
         }
-        let idx = t * (z as usize + 1) + a as usize;
+        let idx = s.memo_index(t, a);
         if let Some(cell) = memo[idx] {
             return cell.cost;
         }
@@ -242,13 +332,12 @@ impl Planner {
                 prev_time: 0,
                 prev_nodes: 0,
             };
-            for b in 1..=z {
-                let c = self.sub_cost(t, b, a, load, n0, z, memo);
+            for b in 1..=s.z {
+                let c = self.sub_cost(s, t, b, a, memo);
                 if c < best.cost {
-                    let dur = self.move_intervals(b, a).max(1);
                     best = Cell {
                         cost: c,
-                        prev_time: t - dur,
+                        prev_time: t - self.entry(b, a).dur,
                         prev_nodes: b,
                     };
                 }
@@ -261,62 +350,21 @@ impl Planner {
 
     /// Algorithm 3: minimum cost ending at time `t` when the last move goes
     /// from `b` to `a` nodes.
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's signature
-    fn sub_cost(
-        &self,
-        t: usize,
-        b: u32,
-        a: u32,
-        load: &[f64],
-        n0: u32,
-        z: u32,
-        memo: &mut Vec<Option<Cell>>,
-    ) -> f64 {
-        // A move must last at least one interval.
-        let dur = self.move_intervals(b, a).max(1);
-        let Some(start) = t.checked_sub(dur) else {
+    fn sub_cost(&self, s: &Search<'_>, t: usize, b: u32, a: u32, memo: &mut [Option<Cell>]) -> f64 {
+        let mv = self.entry(b, a);
+        let Some(start) = t.checked_sub(mv.dur) else {
             // The move would need to start in the past.
             return f64::INFINITY;
         };
         // During the move, predicted load must stay under the *effective*
-        // capacity (Equation 7), with migration progress f = i / T(B, A).
-        // (The naive ablation checks only the post-move capacity.)
-        for i in 1..=dur {
-            let capacity = if self.opts.effective_capacity_aware {
-                let f = i as f64 / dur as f64;
-                eff_cap(b, a, f, self.cfg.q)
-            } else {
-                cap(a, self.cfg.q)
-            };
-            if load[start + i] > capacity {
-                return f64::INFINITY;
-            }
+        // capacity (Equation 7). (The naive ablation's limits are all the
+        // post-move capacity.)
+        let limits = &self.limits[mv.limits..mv.limits + mv.dur];
+        let during = &s.load[start + 1..=t];
+        if during.iter().zip(limits).any(|(load, limit)| load > limit) {
+            return f64::INFINITY;
         }
-        let prior = self.cost(start, b, load, n0, z, memo);
-        prior + self.move_cost_intervals(b, a)
-    }
-
-    /// Walks the memo backwards from `(t, n)` to `t = 0`, emitting moves in
-    /// forward order.
-    fn backtrack(&self, t_end: usize, n_end: u32, z: u32, memo: &[Option<Cell>]) -> MoveSeq {
-        let mut moves = Vec::new();
-        let mut t = t_end;
-        let mut n = n_end;
-        while t > 0 {
-            let Some(cell) = memo[t * (z as usize + 1) + n as usize] else {
-                unreachable!("backtrack visits only memoised states");
-            };
-            moves.push(Move {
-                start: cell.prev_time,
-                end: t,
-                from: cell.prev_nodes,
-                to: n,
-            });
-            t = cell.prev_time;
-            n = cell.prev_nodes;
-        }
-        moves.reverse();
-        MoveSeq::new(moves)
+        self.cost(s, start, b, memo) + mv.cost
     }
 
     /// Checks that a move sequence keeps (effective) capacity above the
@@ -345,6 +393,29 @@ impl Planner {
         }
         Ok(())
     }
+}
+
+/// Walks the memo backwards from `(t_end, n_end)` to `t = 0` and returns
+/// the moves in forward order.
+fn backtrack(s: &Search<'_>, t_end: usize, n_end: u32, memo: &[Option<Cell>]) -> MoveSeq {
+    // Every move lasts at least an interval, so `t_end` bounds their number
+    // and the sequence is the search's one allocation.
+    let mut moves = Vec::with_capacity(t_end);
+    let (mut t, mut n) = (t_end, n_end);
+    while t > 0 {
+        let Some(cell) = memo[s.memo_index(t, n)] else {
+            unreachable!("backtrack visits only memoised states");
+        };
+        moves.push(Move {
+            start: cell.prev_time,
+            end: t,
+            from: cell.prev_nodes,
+            to: n,
+        });
+        (t, n) = (cell.prev_time, cell.prev_nodes);
+    }
+    moves.reverse();
+    MoveSeq::new(moves)
 }
 
 #[cfg(test)]

@@ -1,12 +1,257 @@
 //! Property-based tests for the P-Store core algorithms.
 
 use proptest::prelude::*;
-use pstore_core::cost_model::{avg_machines_allocated, cap, eff_cap, move_time};
+use pstore_core::cost_model::{avg_machines_allocated, cap, eff_cap, machines_for_load, move_time};
+use pstore_core::moves::{Move, MoveSeq};
 use pstore_core::partition_plan::SlotPlan;
-use pstore_core::planner::{Planner, PlannerConfig};
+use pstore_core::planner::{Planner, PlannerConfig, PlannerOptions};
 use pstore_core::schedule::MigrationSchedule;
 
+/// Algorithms 1–3 transcribed with the cost model's arithmetic evaluated at
+/// every step — the planner as it was before its move tables, kept as the
+/// reference the table-driven one must equal move for move and bit for bit.
+struct ReferencePlanner {
+    cfg: PlannerConfig,
+    opts: PlannerOptions,
+    /// Seeded bug: check the load one interval early against each Eq 7
+    /// capacity. The comparison below must notice.
+    eq7_off_by_one: bool,
+}
+
+#[derive(Clone, Copy)]
+struct RefEntry {
+    cost: f64,
+    prev_time: usize,
+    prev_nodes: u32,
+}
+
+struct RefSearch<'a> {
+    load: &'a [f64],
+    n0: u32,
+    z: u32,
+    memo: Vec<Option<RefEntry>>,
+}
+
+impl ReferencePlanner {
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of a non-negative time
+    fn move_intervals(&self, b: u32, a: u32) -> usize {
+        if b == a {
+            return 0;
+        }
+        move_time(b, a, self.cfg.partitions_per_node, self.cfg.d_intervals).ceil() as usize
+    }
+
+    fn move_cost_intervals(&self, b: u32, a: u32) -> f64 {
+        if b == a {
+            return b as f64; // stretched noop: B machines for 1 interval
+        }
+        let machines = if self.opts.jit_allocation_cost {
+            avg_machines_allocated(b, a)
+        } else {
+            b.max(a) as f64
+        };
+        self.move_intervals(b, a).max(1) as f64 * machines
+    }
+
+    /// Algorithm 1, returning the plan and its cost.
+    fn best_moves(&self, load: &[f64], n0: u32) -> Option<(MoveSeq, f64)> {
+        let t_max = load.len() - 1;
+        if t_max == 0 {
+            return (load[0] <= cap(n0, self.cfg.q)).then(|| (MoveSeq::default(), n0 as f64));
+        }
+        let peak = load.iter().copied().fold(0.0, f64::max);
+        let z = machines_for_load(peak, self.cfg.q)
+            .max(n0)
+            .clamp(1, self.cfg.max_machines);
+        let mut s = RefSearch {
+            load,
+            n0,
+            z,
+            memo: vec![None; (t_max + 1) * (z as usize + 1)],
+        };
+        for end_nodes in 1..=z {
+            let c = self.cost(&mut s, t_max, end_nodes);
+            if c.is_finite() {
+                let mut moves = Vec::new();
+                let (mut t, mut n) = (t_max, end_nodes);
+                while t > 0 {
+                    let Some(cell) = s.memo[t * (z as usize + 1) + n as usize] else {
+                        unreachable!("backtrack visits only memoised states");
+                    };
+                    moves.push(Move {
+                        start: cell.prev_time,
+                        end: t,
+                        from: cell.prev_nodes,
+                        to: n,
+                    });
+                    (t, n) = (cell.prev_time, cell.prev_nodes);
+                }
+                moves.reverse();
+                return Some((MoveSeq::new(moves), c));
+            }
+        }
+        None
+    }
+
+    /// Algorithm 2.
+    fn cost(&self, s: &mut RefSearch<'_>, t: usize, a: u32) -> f64 {
+        if t == 0 && a != s.n0 {
+            return f64::INFINITY;
+        }
+        if s.load[t] > cap(a, self.cfg.q) {
+            return f64::INFINITY;
+        }
+        let idx = t * (s.z as usize + 1) + a as usize;
+        if let Some(cell) = s.memo[idx] {
+            return cell.cost;
+        }
+        let cell = if t == 0 {
+            RefEntry {
+                cost: a as f64,
+                prev_time: 0,
+                prev_nodes: a,
+            }
+        } else {
+            let mut best = RefEntry {
+                cost: f64::INFINITY,
+                prev_time: 0,
+                prev_nodes: 0,
+            };
+            for b in 1..=s.z {
+                let c = self.sub_cost(s, t, b, a);
+                if c < best.cost {
+                    best = RefEntry {
+                        cost: c,
+                        prev_time: t - self.move_intervals(b, a).max(1),
+                        prev_nodes: b,
+                    };
+                }
+            }
+            best
+        };
+        s.memo[idx] = Some(cell);
+        cell.cost
+    }
+
+    /// Algorithm 3.
+    fn sub_cost(&self, s: &mut RefSearch<'_>, t: usize, b: u32, a: u32) -> f64 {
+        let dur = self.move_intervals(b, a).max(1);
+        let Some(start) = t.checked_sub(dur) else {
+            return f64::INFINITY;
+        };
+        for i in 1..=dur {
+            let capacity = if self.opts.effective_capacity_aware {
+                eff_cap(b, a, i as f64 / dur as f64, self.cfg.q)
+            } else {
+                cap(a, self.cfg.q)
+            };
+            let at = start + i - usize::from(self.eq7_off_by_one);
+            if s.load[at] > capacity {
+                return f64::INFINITY;
+            }
+        }
+        self.cost(s, start, b) + self.move_cost_intervals(b, a)
+    }
+}
+
+/// One random planning problem.
+#[derive(Debug, Clone)]
+struct PlanCase {
+    cfg: PlannerConfig,
+    opts: PlannerOptions,
+    n0: u32,
+    load: Vec<f64>,
+}
+
+/// Configurations up to 64 machines with both ablation flags, horizons up
+/// to 60 intervals, and diurnal-ish loads from a trickle to beyond the
+/// hardware; `n0` is what the first load needs, one more, anything within
+/// the hardware, or more machines than the hardware has.
+fn plan_case() -> impl Strategy<Value = PlanCase> {
+    let cfg = (50.0f64..400.0, 0.3f64..40.0, 1u32..=8, 1u32..=64);
+    let opts = (any::<bool>(), any::<bool>());
+    let shape = (0.05f64..1.1, 0.0f64..1.0, 0.0f64..1.0);
+    let noise = prop::collection::vec(-1.0f64..1.0, 1..=61);
+    let start = (0u32..4, 0u32..64);
+    (cfg, opts, shape, noise, start).prop_map(
+        |((q, d_intervals, partitions_per_node, max_machines), opts, shape, noise, start)| {
+            let (level, swing, phase) = shape;
+            let len = noise.len() as f64;
+            let load: Vec<f64> = noise
+                .iter()
+                .enumerate()
+                .map(|(t, eps)| {
+                    let wave = (std::f64::consts::TAU * (t as f64 / len + phase)).cos();
+                    let base = q * max_machines as f64 * level;
+                    base * (1.0 - swing * 0.5 * (1.0 + wave)) * (1.0 + 0.05 * eps)
+                })
+                .collect();
+            let needed = machines_for_load(load[0], q);
+            let n0 = match start {
+                (0, _) => needed,
+                (1, _) => needed + 1,
+                (2, r) => 1 + r % max_machines,
+                (_, r) => max_machines + 1 + r % 3,
+            };
+            PlanCase {
+                cfg: PlannerConfig {
+                    q,
+                    d_intervals,
+                    partitions_per_node,
+                    max_machines,
+                },
+                opts: PlannerOptions {
+                    effective_capacity_aware: opts.0,
+                    jit_allocation_cost: opts.1,
+                },
+                n0,
+                load,
+            }
+        },
+    )
+}
+
+/// Panics unless the planner and the reference return the same plan, move
+/// for move, at the same cost, bit for bit.
+fn assert_planner_equals_reference(case: &PlanCase, eq7_off_by_one: bool) {
+    let reference = ReferencePlanner {
+        cfg: case.cfg.clone(),
+        opts: case.opts,
+        eq7_off_by_one,
+    };
+    let planner = Planner::with_options(case.cfg.clone(), case.opts);
+    let want = reference.best_moves(&case.load, case.n0);
+    // Twice: the second search runs on the memo the first one left behind.
+    for _ in 0..2 {
+        let got = planner.best_moves_with_cost(&case.load, case.n0);
+        assert_eq!(
+            got.as_ref().map(|(seq, cost)| (seq, cost.to_bits())),
+            want.as_ref().map(|(seq, cost)| (seq, cost.to_bits())),
+            "planner and reference disagree on {case:?}"
+        );
+    }
+    assert_eq!(
+        planner.best_moves(&case.load, case.n0),
+        want.map(|(seq, _)| seq)
+    );
+}
+
 proptest! {
+    /// The table-driven planner is the arithmetic one: same plan, same
+    /// cost bits, feasible or not.
+    #[test]
+    fn planner_equals_arithmetic_reference(case in plan_case()) {
+        assert_planner_equals_reference(&case, false);
+    }
+
+    /// The comparison above can fail: against a reference with Eq 7 checked
+    /// one interval off, some generated case must disagree.
+    #[test]
+    #[should_panic(expected = "planner and reference disagree")]
+    fn planner_comparison_catches_an_eq7_off_by_one(case in plan_case()) {
+        assert_planner_equals_reference(&case, true);
+    }
+
     /// Every schedule is structurally valid: each pair exactly once, rounds
     /// are matchings, machines only used while allocated, minimum rounds.
     #[test]

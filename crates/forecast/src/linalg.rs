@@ -6,6 +6,12 @@
 //! sufficient and easy to audit. The solver uses Householder QR, which is
 //! numerically robust for the mildly ill-conditioned design matrices that
 //! arise when periodic lag columns are strongly correlated.
+//!
+//! There is one solver, [`lstsq_in_place`]: it reduces a caller-built
+//! `[A | b]` buffer where it lies and walks it only along its rows. SPAR's
+//! weekly refit on the control path builds its 19 000-row system straight
+//! into a buffer it keeps and calls that; [`lstsq`] and [`ridge`] copy a
+//! [`Matrix`] into a fresh buffer and call the same function.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -193,80 +199,15 @@ impl std::error::Error for SolveError {}
 /// Solves the linear least-squares problem `min ||a x - b||` using
 /// Householder QR with column-pivot-free elimination.
 ///
-/// Returns the coefficient vector `x` of length `a.cols()`.
+/// Returns the coefficient vector `x` of length `a.cols()`. Copies the
+/// system and hands it to [`lstsq_in_place`].
 ///
 /// # Errors
 /// Returns [`SolveError::Underdetermined`] when there are fewer observations
 /// than parameters and [`SolveError::RankDeficient`] when a pivot collapses
 /// numerically (collinear regressors).
 pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
-    assert_eq!(a.rows(), b.len(), "rhs length must match rows");
-    let (m, n) = (a.rows(), a.cols());
-    if m < n {
-        return Err(SolveError::Underdetermined { rows: m, cols: n });
-    }
-
-    // Work on copies: `r` is reduced in place to the upper-triangular factor
-    // while the same Householder reflections are applied to `qtb`.
-    let mut r = a.clone();
-    let mut qtb = b.to_vec();
-
-    for k in 0..n {
-        // Householder vector for column k, rows k..m.
-        let mut norm = 0.0f64;
-        for i in k..m {
-            norm += r[(i, k)] * r[(i, k)];
-        }
-        let norm = norm.sqrt();
-        if norm < 1e-12 {
-            return Err(SolveError::RankDeficient { column: k });
-        }
-        let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
-        let mut v: Vec<f64> = (k..m).map(|i| r[(i, k)]).collect();
-        v[0] -= alpha;
-        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-        if vnorm2 < 1e-24 {
-            // Column already reduced; just set the diagonal.
-            r[(k, k)] = alpha;
-            continue;
-        }
-
-        // Apply the reflection H = I - 2 v v^T / (v^T v) to the trailing
-        // columns of `r` and to `qtb`.
-        for c in k..n {
-            let mut dot = 0.0;
-            for (vi, i) in v.iter().zip(k..m) {
-                dot += vi * r[(i, c)];
-            }
-            let scale = 2.0 * dot / vnorm2;
-            for (vi, i) in v.iter().zip(k..m) {
-                r[(i, c)] -= scale * vi;
-            }
-        }
-        let mut dot = 0.0;
-        for (vi, i) in v.iter().zip(k..m) {
-            dot += vi * qtb[i];
-        }
-        let scale = 2.0 * dot / vnorm2;
-        for (vi, i) in v.iter().zip(k..m) {
-            qtb[i] -= scale * vi;
-        }
-    }
-
-    // Back substitution on the upper-triangular system R x = Q^T b.
-    let mut x = vec![0.0; n];
-    for k in (0..n).rev() {
-        let mut s = qtb[k];
-        for c in k + 1..n {
-            s -= r[(k, c)] * x[c];
-        }
-        let diag = r[(k, k)];
-        if diag.abs() < 1e-12 {
-            return Err(SolveError::RankDeficient { column: k });
-        }
-        x[k] = s / diag;
-    }
-    Ok(x)
+    ridge(a, b, 0.0)
 }
 
 /// Solves the ridge-regularised least squares `min ||a x - b||^2 + lambda ||x||^2`.
@@ -274,28 +215,154 @@ pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
 /// Implemented by augmenting the design matrix with `sqrt(lambda) * I`, which
 /// keeps the QR path and guarantees full rank for any `lambda > 0`. Useful
 /// when periodic lag columns are nearly collinear (e.g. an almost perfectly
-/// periodic training signal).
+/// periodic training signal). Copies the system and hands it to
+/// [`lstsq_in_place`].
 ///
 /// # Errors
 /// Propagates [`SolveError`] from the underlying solver (only possible when
 /// `lambda == 0`).
 pub fn ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, SolveError> {
+    assert_eq!(a.rows(), b.len(), "rhs length must match rows");
+    let mut system = Vec::with_capacity((a.rows() + a.cols()) * (a.cols() + 1));
+    for (r, rhs) in b.iter().enumerate() {
+        system.extend_from_slice(a.row(r));
+        system.push(*rhs);
+    }
+    push_ridge_rows(&mut system, a.cols(), lambda);
+    lstsq_in_place(&mut system, a.cols(), &mut Vec::new())
+}
+
+/// Appends the `cols` rows `[sqrt(lambda) * I | 0]` that turn a
+/// least-squares system laid out for [`lstsq_in_place`] into its
+/// ridge-regularised form; nothing for `lambda == 0`.
+///
+/// # Panics
+/// Panics on a negative `lambda`.
+pub fn push_ridge_rows(system: &mut Vec<f64>, cols: usize, lambda: f64) {
     assert!(lambda >= 0.0, "lambda must be non-negative");
     if lambda == 0.0 {
-        return lstsq(a, b);
-    }
-    let (m, n) = (a.rows(), a.cols());
-    let mut aug = Matrix::zeros(m + n, n);
-    for r in 0..m {
-        aug.row_mut(r).copy_from_slice(a.row(r));
+        return;
     }
     let s = lambda.sqrt();
-    for k in 0..n {
-        aug[(m + k, k)] = s;
+    let first = system.len();
+    system.resize(first + cols * (cols + 1), 0.0);
+    for k in 0..cols {
+        system[first + k * (cols + 1) + k] = s;
     }
-    let mut rhs = b.to_vec();
-    rhs.resize(m + n, 0.0);
-    lstsq(&aug, &rhs)
+}
+
+/// Solves `min ||A x - b||` for a system the caller has laid out row by
+/// row, `[a_i1 .. a_in | b_i]`, `cols + 1` values per row, and reduces it
+/// in place (the contents of `system` afterwards are the triangular factor
+/// and reflected right-hand side, of no use to the caller). `scratch` is
+/// working storage that a caller solving repeatedly keeps between calls;
+/// its contents do not matter.
+///
+/// Each Householder step makes two passes over the rows at and below the
+/// pivot, both along the rows as they lie in memory: one accumulating the
+/// reflection's dot product with every trailing column (the right-hand
+/// side is simply the last of them), one applying the update — and picking
+/// up the next column and its sum of squares on the way, so no pass ever
+/// walks down a column of the row-major system. Every scalar is still the
+/// sum of the same terms added in the same (ascending row) order as the
+/// textbook column-at-a-time loop, so the solution is that loop's, bit for
+/// bit.
+///
+/// # Errors
+/// As [`lstsq`].
+///
+/// # Panics
+/// Panics if `cols` is zero or `system` is not a whole number of rows.
+pub fn lstsq_in_place(
+    system: &mut [f64],
+    cols: usize,
+    scratch: &mut Vec<f64>,
+) -> Result<Vec<f64>, SolveError> {
+    let (n, width) = (cols, cols + 1);
+    assert!(n > 0, "a system needs at least one column");
+    assert_eq!(system.len() % width, 0, "system must be whole rows");
+    let m = system.len() / width;
+    if m < n {
+        return Err(SolveError::Underdetermined { rows: m, cols: n });
+    }
+
+    // `column[k..]` is column k from its pivot down and `norm2` its sum of
+    // squares whenever step k begins; `scale` has one slot per column.
+    scratch.clear();
+    scratch.resize(m + width, 0.0);
+    let (column, scale) = scratch.split_at_mut(m);
+    let gather = |system: &[f64], column: &mut [f64], k: usize| {
+        let mut norm2 = 0.0f64;
+        for (slot, row) in column[k..]
+            .iter_mut()
+            .zip(system[k * width..].chunks_exact(width))
+        {
+            *slot = row[k];
+            norm2 += row[k] * row[k];
+        }
+        norm2
+    };
+
+    let mut norm2 = gather(system, column, 0);
+    for k in 0..n {
+        // Householder vector for column k, rows k..m.
+        let norm = norm2.sqrt();
+        if norm < 1e-12 {
+            return Err(SolveError::RankDeficient { column: k });
+        }
+        let alpha = if column[k] >= 0.0 { -norm } else { norm };
+        let v = &mut column[k..];
+        v[0] -= alpha;
+        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
+        let below = &mut system[k * width..];
+        if vnorm2 < 1e-24 {
+            // Column already reduced; just set the diagonal.
+            below[k] = alpha;
+            norm2 = gather(system, column, k + 1);
+            continue;
+        }
+
+        // Apply the reflection H = I - 2 v v^T / (v^T v) to the trailing
+        // columns and the right-hand side.
+        let scale = &mut scale[k..];
+        scale.fill(0.0);
+        for (row, vi) in below.chunks_exact(width).zip(v.iter()) {
+            for (dot, x) in scale.iter_mut().zip(&row[k..]) {
+                *dot += vi * x;
+            }
+        }
+        for dot in scale.iter_mut() {
+            *dot = 2.0 * *dot / vnorm2;
+        }
+        norm2 = 0.0;
+        for (i, (row, vi)) in below.chunks_exact_mut(width).zip(v.iter_mut()).enumerate() {
+            for (x, s) in row[k..].iter_mut().zip(scale.iter()) {
+                *x -= s * *vi;
+            }
+            if i > 0 {
+                // Column k + 1 (or, after the last step, the right-hand
+                // side, which nobody reads) for the next step.
+                *vi = row[k + 1];
+                norm2 += row[k + 1] * row[k + 1];
+            }
+        }
+    }
+
+    // Back substitution on the upper-triangular system R x = Q^T b.
+    let mut x = vec![0.0; n];
+    for k in (0..n).rev() {
+        let row = &system[k * width..(k + 1) * width];
+        let mut s = row[n];
+        for c in k + 1..n {
+            s -= row[c] * x[c];
+        }
+        let diag = row[k];
+        if diag.abs() < 1e-12 {
+            return Err(SolveError::RankDeficient { column: k });
+        }
+        x[k] = s / diag;
+    }
+    Ok(x)
 }
 
 /// Cholesky factorisation of a symmetric positive-definite matrix.

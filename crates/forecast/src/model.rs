@@ -58,6 +58,14 @@ pub trait LoadPredictor: Send + Sync {
         (1..=h).map(|tau| self.predict(history, tau)).collect()
     }
 
+    /// [`predict_horizon`](Self::predict_horizon) into a buffer the caller
+    /// keeps (cleared first). Models consulted at every controller tick
+    /// override it to forecast without allocating.
+    fn predict_horizon_into(&self, history: &[f64], h: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.predict_horizon(history, h));
+    }
+
     /// Human-readable model name (used in experiment output).
     fn name(&self) -> &str;
 }

@@ -5,15 +5,26 @@
 //! enough measurements accumulate; coefficients are refreshed periodically
 //! (weekly in the paper's deployment). [`OnlinePredictor`] implements that
 //! life-cycle around any [`LoadPredictor`] fit function.
+//!
+//! `observe` runs at every controller tick, so it is O(1): the model sees
+//! the last `max_history` samples, but the store behind that window holds
+//! up to twice as many and drops the older half in one move each time it
+//! fills, rather than shifting the whole window on every sample. A fit
+//! function is `FnMut` so it can own working storage that outlives a fit
+//! (SPAR's regression buffers), and a scheduled refit that fails waits a
+//! full refit period before the next attempt while the last good model
+//! keeps serving.
 
 use crate::model::{FitError, LoadPredictor};
 
 /// Function that fits a predictor to a training window.
-pub type FitFn = Box<dyn Fn(&[f64]) -> Result<Box<dyn LoadPredictor>, FitError> + Send + Sync>;
+pub type FitFn = Box<dyn FnMut(&[f64]) -> Result<Box<dyn LoadPredictor>, FitError> + Send>;
 
 /// A self-(re)fitting predictor fed by a stream of load measurements.
 pub struct OnlinePredictor {
     fit: FitFn,
+    /// The newest samples, oldest first: at least the window (the last
+    /// `max_history` of them), at most twice that.
     history: Vec<f64>,
     model: Option<Box<dyn LoadPredictor>>,
     min_train: usize,
@@ -53,47 +64,61 @@ impl OnlinePredictor {
     /// long enough).
     pub fn seed(&mut self, data: &[f64]) {
         self.history.extend_from_slice(data);
-        self.trim();
+        self.compact();
         self.try_fit();
     }
 
     /// Records a new load measurement and refits on schedule.
     pub fn observe(&mut self, value: f64) {
         self.history.push(value);
-        self.trim();
+        self.compact();
         self.observations_since_fit += 1;
         let due = self.model.is_none() || self.observations_since_fit >= self.refit_every;
-        if due && self.history.len() >= self.min_train {
+        if due && self.history_len() >= self.min_train {
             self.try_fit();
         }
     }
 
-    fn trim(&mut self) {
-        if self.history.len() > self.max_history {
+    /// Drops everything older than the window once the store holds two
+    /// windows' worth.
+    fn compact(&mut self) {
+        if self.history.len() >= self.max_history.saturating_mul(2) {
             let excess = self.history.len() - self.max_history;
             self.history.drain(..excess);
         }
     }
 
+    /// The retained history the model sees.
+    fn window(&self) -> &[f64] {
+        newest(&self.history, self.max_history)
+    }
+
     fn try_fit(&mut self) {
-        if self.history.len() < self.min_train {
+        let window = newest(&self.history, self.max_history);
+        if window.len() < self.min_train {
             return;
         }
-        match (self.fit)(&self.history) {
+        match (self.fit)(window) {
             Ok(m) => {
                 self.model = Some(m);
                 self.observations_since_fit = 0;
                 pstore_telemetry::tel_event!(
                     pstore_telemetry::kinds::FORECAST_RETRAIN,
-                    "history" => self.history.len(),
+                    "history" => window.len(),
                     "ok" => true,
                 );
             }
             Err(_) => {
                 self.fit_failures += 1;
+                // With a model to fall back on, the next attempt waits for
+                // the next scheduled refit; without one, every observation
+                // retries, as data may simply still be accumulating.
+                if self.model.is_some() {
+                    self.observations_since_fit = 0;
+                }
                 pstore_telemetry::tel_event!(
                     pstore_telemetry::kinds::FORECAST_RETRAIN,
-                    "history" => self.history.len(),
+                    "history" => window.len(),
                     "ok" => false,
                 );
             }
@@ -104,7 +129,7 @@ impl OnlinePredictor {
     pub fn is_ready(&self) -> bool {
         self.model
             .as_ref()
-            .is_some_and(|m| self.history.len() >= m.min_history())
+            .is_some_and(|m| self.history_len() >= m.min_history())
     }
 
     /// Forecasts the next `h` slots, or `None` until enough data has been
@@ -116,26 +141,37 @@ impl OnlinePredictor {
     /// `FOR-01`. Non-finite values are passed through unmasked (they would
     /// indicate a broken fit and must stay visible to the checkers).
     pub fn forecast(&self, h: usize) -> Option<Vec<f64>> {
-        let model = self.model.as_ref()?;
-        if self.history.len() < model.min_history() {
-            return None;
+        let mut curve = Vec::new();
+        self.forecast_into(h, &mut curve).then_some(curve)
+    }
+
+    /// [`forecast`](Self::forecast) into a buffer the caller keeps; `false`
+    /// (and an untouched buffer) until enough data has been observed.
+    pub fn forecast_into(&self, h: usize, curve: &mut Vec<f64>) -> bool {
+        let Some(model) = self.model.as_ref() else {
+            return false;
+        };
+        let window = self.window();
+        if window.len() < model.min_history() {
+            return false;
         }
-        let raw = model.predict_horizon(&self.history, h);
-        let curve: Vec<f64> = raw
-            .into_iter()
-            .map(|v| if v < 0.0 { 0.0 } else { v })
-            .collect();
+        model.predict_horizon_into(window, h, curve);
+        for v in curve.iter_mut() {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
         pstore_telemetry::tel_event!(
             pstore_telemetry::kinds::FORECAST_PREDICT,
             "horizon" => h,
             "peak" => curve.iter().copied().fold(0.0, f64::max),
         );
-        Some(curve)
+        true
     }
 
     /// Number of retained measurements.
     pub fn history_len(&self) -> usize {
-        self.history.len()
+        self.history.len().min(self.max_history)
     }
 
     /// Number of failed fit attempts (diagnostic).
@@ -149,10 +185,15 @@ impl OnlinePredictor {
     }
 }
 
+/// The last `n` samples (all of them when there are fewer).
+fn newest(samples: &[f64], n: usize) -> &[f64] {
+    &samples[samples.len().saturating_sub(n)..]
+}
+
 impl std::fmt::Debug for OnlinePredictor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OnlinePredictor")
-            .field("history_len", &self.history.len())
+            .field("history_len", &self.history_len())
             .field("ready", &self.is_ready())
             .field("fit_failures", &self.fit_failures)
             .finish()
@@ -222,6 +263,63 @@ mod tests {
         }
         assert!(p.is_ready());
         assert_eq!(p.fit_failures(), 0);
+    }
+
+    /// Predicts its tag: shows which fit is being served.
+    struct Tagged(f64);
+
+    impl LoadPredictor for Tagged {
+        fn min_history(&self) -> usize {
+            1
+        }
+        fn predict(&self, _history: &[f64], _tau: usize) -> f64 {
+            self.0
+        }
+        fn name(&self) -> &str {
+            "tagged"
+        }
+    }
+
+    #[test]
+    fn failed_refit_backs_off_a_full_period_once_a_model_serves() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // Attempts 1-2 fail (cold start), 3 fits model 1, 4-5 fail
+        // (scheduled refits), 6 fits model 2.
+        let attempts = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&attempts);
+        let fit: FitFn =
+            Box::new(
+                move |_: &[f64]| match counter.fetch_add(1, Ordering::Relaxed) + 1 {
+                    3 => Ok(Box::new(Tagged(1.0)) as Box<dyn LoadPredictor>),
+                    6 => Ok(Box::new(Tagged(2.0)) as Box<dyn LoadPredictor>),
+                    _ => Err(FitError::Numerical("scripted failure".into())),
+                },
+            );
+        let (min_train, refit_every) = (3, 5);
+        let mut p = OnlinePredictor::new(fit, min_train, refit_every, 100);
+        // `(attempts, failures, served tag)` after each observation.
+        let mut seen = Vec::new();
+        for i in 0..20 {
+            p.observe(i as f64);
+            let served = p.forecast(1).map(|f| f[0]);
+            seen.push((attempts.load(Ordering::Relaxed), p.fit_failures(), served));
+        }
+        let mut want = vec![
+            // Too little data, then a retry per observation until one fits.
+            (0, 0, None),
+            (0, 0, None),
+            (1, 1, None),
+            (2, 2, None),
+            (3, 2, Some(1.0)),
+        ];
+        // Each failed scheduled refit is one attempt, then a quiet period
+        // with model 1 still serving.
+        want.extend([(3, 2, Some(1.0)); 4]);
+        want.extend([(4, 3, Some(1.0)); 5]);
+        want.extend([(5, 4, Some(1.0)); 5]);
+        want.push((6, 4, Some(2.0)));
+        assert_eq!(seen, want);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! assert!((pred - data[data.len() - 48]).abs() < 1e-6);
 //! ```
 
-use crate::linalg::{ridge, Matrix};
+use crate::linalg::{lstsq_in_place, push_ridge_rows};
 use crate::model::{FitError, LoadPredictor};
 
 /// Configuration for a SPAR fit.
@@ -104,6 +104,15 @@ pub struct SparModel {
     b: Vec<f64>,
 }
 
+/// Working storage for [`SparModel::fit_with`]: the regression system and
+/// the solver's scratch. A forecaster that refits on a schedule keeps one,
+/// so a refit after the first writes into memory it already owns.
+#[derive(Debug, Clone, Default)]
+pub struct FitScratch {
+    system: Vec<f64>,
+    solver: Vec<f64>,
+}
+
 impl SparModel {
     /// Fits SPAR coefficients on `train` with least squares (Eq 8).
     ///
@@ -112,6 +121,21 @@ impl SparModel {
     /// than `n*T + m` plus the largest pooled `tau`, or
     /// [`FitError::Numerical`] if the regression is degenerate.
     pub fn fit(train: &[f64], config: &SparConfig) -> Result<Self, FitError> {
+        Self::fit_with(train, config, &mut FitScratch::default())
+    }
+
+    /// [`fit`](Self::fit) over caller-kept working storage: features,
+    /// targets and ridge rows are written straight into `scratch` and
+    /// factorised there. The coefficients do not depend on what the
+    /// scratch held before.
+    ///
+    /// # Errors
+    /// As [`fit`](Self::fit).
+    pub fn fit_with(
+        train: &[f64],
+        config: &SparConfig,
+        scratch: &mut FitScratch,
+    ) -> Result<Self, FitError> {
         let cfg = config.clone();
         validate(&cfg);
         let taus = if cfg.taus.is_empty() {
@@ -139,28 +163,32 @@ impl SparModel {
             .div_ceil(rows_wanted)
             .max(1);
 
+        // One row `[periodic lags | recent offsets | target]` per origin
+        // and pooled tau; the offsets are the origin's, shared by its rows.
         let cols = cfg.n_periods + cfg.m_recent;
-        let mut rows_feat: Vec<f64> = Vec::new();
-        let mut targets: Vec<f64> = Vec::new();
+        let system = &mut scratch.system;
+        system.clear();
         for t in (first_origin..=last_origin).step_by(stride) {
-            let offsets = recent_offsets(train, t, &cfg);
-            for &tau in &taus {
-                for k in 1..=cfg.n_periods {
-                    rows_feat.push(train[t + tau - k * cfg.period]);
+            let origin_offsets = system.len() + cfg.n_periods;
+            for (i, &tau) in taus.iter().enumerate() {
+                system.extend((1..=cfg.n_periods).map(|k| train[t + tau - k * cfg.period]));
+                if i == 0 {
+                    system.extend(recent_offsets(train, t, &cfg));
+                } else {
+                    system.extend_from_within(origin_offsets..origin_offsets + cfg.m_recent);
                 }
-                rows_feat.extend_from_slice(&offsets);
-                targets.push(train[t + tau]);
+                system.push(train[t + tau]);
             }
         }
-        let nrows = targets.len();
+        let nrows = system.len() / (cols + 1);
         if nrows < cols {
             return Err(FitError::NotEnoughData {
                 required,
                 available: train.len(),
             });
         }
-        let a = Matrix::from_rows(nrows, cols, &rows_feat);
-        let x = ridge(&a, &targets, cfg.ridge_lambda)
+        push_ridge_rows(system, cols, cfg.ridge_lambda);
+        let x = lstsq_in_place(system, cols, &mut scratch.solver)
             .map_err(|e| FitError::Numerical(e.to_string()))?;
         Ok(SparModel {
             a: x[..cfg.n_periods].to_vec(),
@@ -197,17 +225,19 @@ fn validate(cfg: &SparConfig) {
 
 /// The `dy(t - j)` features for `j = 1..=m` at forecast origin `t`
 /// (an index into `data`, with `data[t]` the latest observation).
-fn recent_offsets(data: &[f64], t: usize, cfg: &SparConfig) -> Vec<f64> {
-    (1..=cfg.m_recent)
-        .map(|j| {
-            let idx = t - j;
-            let periodic_mean = (1..=cfg.n_periods)
-                .map(|k| data[idx - k * cfg.period])
-                .sum::<f64>()
-                / cfg.n_periods as f64;
-            data[idx] - periodic_mean
-        })
-        .collect()
+fn recent_offsets<'a>(
+    data: &'a [f64],
+    t: usize,
+    cfg: &'a SparConfig,
+) -> impl Iterator<Item = f64> + 'a {
+    (1..=cfg.m_recent).map(move |j| {
+        let idx = t - j;
+        let periodic_mean = (1..=cfg.n_periods)
+            .map(|k| data[idx - k * cfg.period])
+            .sum::<f64>()
+            / cfg.n_periods as f64;
+        data[idx] - periodic_mean
+    })
 }
 
 impl LoadPredictor for SparModel {
@@ -236,14 +266,19 @@ impl LoadPredictor for SparModel {
             let idx = t + tau - (k + 1) * self.config.period;
             y += a_k * history[idx];
         }
-        let offsets = recent_offsets(history, t, &self.config);
-        for (b_j, dy) in self.b.iter().zip(&offsets) {
+        for (b_j, dy) in self.b.iter().zip(recent_offsets(history, t, &self.config)) {
             y += b_j * dy;
         }
         y
     }
 
     fn predict_horizon(&self, history: &[f64], h: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.predict_horizon_into(history, h, &mut out);
+        out
+    }
+
+    fn predict_horizon_into(&self, history: &[f64], h: usize, out: &mut Vec<f64>) {
         // Offsets are shared by every tau; compute them once.
         assert!(
             h <= self.config.period,
@@ -254,19 +289,22 @@ impl LoadPredictor for SparModel {
             "history shorter than required"
         );
         let t = history.len() - 1;
-        let offsets = recent_offsets(history, t, &self.config);
-        let transient: f64 = self.b.iter().zip(&offsets).map(|(b, d)| b * d).sum();
-        (1..=h)
-            .map(|tau| {
-                let periodic: f64 = self
-                    .a
-                    .iter()
-                    .enumerate()
-                    .map(|(k, a_k)| a_k * history[t + tau - (k + 1) * self.config.period])
-                    .sum();
-                periodic + transient
-            })
-            .collect()
+        let transient: f64 = self
+            .b
+            .iter()
+            .zip(recent_offsets(history, t, &self.config))
+            .map(|(b, d)| b * d)
+            .sum();
+        out.clear();
+        out.extend((1..=h).map(|tau| {
+            let periodic: f64 = self
+                .a
+                .iter()
+                .enumerate()
+                .map(|(k, a_k)| a_k * history[t + tau - (k + 1) * self.config.period])
+                .sum();
+            periodic + transient
+        }));
     }
 
     fn name(&self) -> &str {

@@ -23,6 +23,27 @@ step() {
     echo "==> $*"
 }
 
+# Temporary files go under $TMPDIR (default /tmp). One EXIT trap for the
+# whole script; steps register what they leave behind.
+TMP="${TMPDIR:-/tmp}"
+LOCK_SNAPSHOT=""
+TEMP_FILES=()
+# Building or testing the benchmark package in place rewrites
+# benchmark/Cargo.lock (it drops a stale `loom` edge); this puts the
+# committed bytes back, however the step that took the snapshot ended.
+restore_benchmark_lock() {
+    if [[ -n "$LOCK_SNAPSHOT" ]]; then
+        cp "$LOCK_SNAPSHOT" benchmark/Cargo.lock
+        rm -f "$LOCK_SNAPSHOT"
+        LOCK_SNAPSHOT=""
+    fi
+}
+cleanup() {
+    restore_benchmark_lock
+    rm -rf ${TEMP_FILES[@]+"${TEMP_FILES[@]}"}
+}
+trap cleanup EXIT
+
 step "cargo fmt --check"
 cargo fmt --all --check
 
@@ -58,13 +79,16 @@ step "benchmark: unit tests + the suite against benchmark/expected.json at both 
 # The suite (a run without --workload) compares every exact outcome with
 # benchmark/expected.json and exits non-zero on any difference; timings
 # are the driver's business (BENCHMARK.json), not this gate's.
+LOCK_SNAPSHOT="$(mktemp "$TMP"/pstore-bench-lock.XXXXXX)"
+cp benchmark/Cargo.lock "$LOCK_SNAPSHOT"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --seconds 2 --seed 0x0709 > /dev/null
 benchmark/run.sh --seconds 2 --seed 0x5EED > /dev/null
+restore_benchmark_lock
 
 step "sweep determinism (--threads 1 vs 2)"
-BENCH_T1="$(mktemp /tmp/pstore-bench-t1.XXXXXX.json)"
-BENCH_T2="$(mktemp /tmp/pstore-bench-t2.XXXXXX.json)"
+BENCH_T1="$(mktemp "$TMP"/pstore-bench-t1.XXXXXX.json)"
+BENCH_T2="$(mktemp "$TMP"/pstore-bench-t2.XXXXXX.json)"
 cargo run -q --release -p pstore-bench --bin bench_baseline -- \
     --quick --threads 1 --quiet > "$BENCH_T1"
 cargo run -q --release -p pstore-bench --bin bench_baseline -- \
@@ -75,9 +99,9 @@ diff <(grep -E 'committed_txns|dropped_txns|"cells"' "$BENCH_T1") \
 rm -f "$BENCH_T1" "$BENCH_T2"
 
 step "telemetry smoke: traced run + live exposition + pstore-trace validation"
-TRACE_FILE="$(mktemp /tmp/pstore-smoke.XXXXXX.jsonl)"
-SMOKE_SUMMARY="$(mktemp /tmp/pstore-smoke.XXXXXX.summary.json)"
-trap 'rm -f "$TRACE_FILE" "$SMOKE_SUMMARY"' EXIT
+TRACE_FILE="$(mktemp "$TMP"/pstore-smoke.XXXXXX.jsonl)"
+SMOKE_SUMMARY="$(mktemp "$TMP"/pstore-smoke.XXXXXX.summary.json)"
+TEMP_FILES+=("$TRACE_FILE" "$SMOKE_SUMMARY")
 # --expose-metrics 0 serves live Prometheus text on an ephemeral port;
 # the smoke binary scrapes itself once and asserts the format.
 cargo run -q --release -p pstore-bench --features telemetry \
@@ -98,7 +122,8 @@ cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
     diff "$SMOKE_SUMMARY" "$TRACE_FILE"
 
 step "trace-diff regression gate vs results/golden/ (two --quick runs)"
-GOLDEN_TMP="$(mktemp -d /tmp/pstore-golden.XXXXXX)"
+GOLDEN_TMP="$(mktemp -d "$TMP"/pstore-golden.XXXXXX)"
+TEMP_FILES+=("$GOLDEN_TMP")
 cargo run -q --release -p pstore-bench --features telemetry \
     --bin fig9_comparison -- --quick --quiet \
     --trace "$GOLDEN_TMP/fig9_quick.jsonl" \
@@ -161,6 +186,16 @@ if [[ "$QUICK" == "0" ]]; then
     step "fig9 serial-vs-parallel determinism (release, ~4 min)"
     cargo test -q --release -p pstore-bench --test sweep_determinism \
         -- --ignored
+fi
+
+step "the gate left the benchmark as committed"
+# A PR that claims a gain may not edit the benchmark, and the likeliest way
+# to do so by accident is to commit what a local run rewrote. Anything
+# listed here was changed by hand or by a tool run outside this script.
+if [[ -n "$(git status --porcelain -- benchmark BENCHMARK.json)" ]]; then
+    git status --porcelain -- benchmark BENCHMARK.json
+    echo "benchmark/ or BENCHMARK.json differs from HEAD" >&2
+    exit 1
 fi
 
 echo

@@ -71,13 +71,13 @@ impl PairTransfer {
     }
 }
 
-/// An in-progress reconfiguration: *which* slots are in flight (and their
-/// source/destination) for routing; [`Storage`] tracks the moved-key sets.
+/// An in-progress reconfiguration: the plan it moves towards and what is
+/// left of each pair's stream. Which slots are half-moved is in the
+/// cluster's `route_dest`; [`Storage`] tracks their moved-key sets.
 #[derive(Debug)]
 struct Reconfig {
     new_plan: SlotPlan,
     pairs: Vec<PairTransfer>,
-    in_flight: HashMap<u64, (u32, u32)>,
     pending_pairs: usize,
     /// Telemetry span covering this reconfiguration (0 = no span).
     span_id: u64,
@@ -112,6 +112,14 @@ pub enum ReconfigError {
         /// The rejected size.
         target: u32,
     },
+    /// The running reconfiguration has no pair of that index (a driver
+    /// holding an index from an earlier reconfiguration).
+    NoSuchPair {
+        /// The rejected index.
+        pair: usize,
+        /// How many pairs the running reconfiguration has.
+        pairs: usize,
+    },
 }
 
 impl fmt::Display for ReconfigError {
@@ -123,11 +131,17 @@ impl fmt::Display for ReconfigError {
             ReconfigError::InvalidTarget { target } => {
                 write!(f, "invalid target cluster size {target}")
             }
+            ReconfigError::NoSuchPair { pair, pairs } => {
+                write!(f, "no pair {pair}: the reconfiguration has {pairs}")
+            }
         }
     }
 }
 
 impl std::error::Error for ReconfigError {}
+
+/// The `route_dest` entry of a slot that is not in flight.
+const SETTLED: u32 = u32::MAX;
 
 /// Aggregate execution counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -156,6 +170,11 @@ pub struct Cluster {
     /// Dense slot → local-partition cache. `local_of_slot` is a pure hash
     /// of the slot id, so this never changes after construction.
     route_local: Vec<u32>,
+    /// Dense slot → migration destination, [`SETTLED`] for every slot but
+    /// the ones a chunk left half-moved (at most one per pair): set by the
+    /// chunk that leaves rows behind, cleared by the one that empties the
+    /// slot. The source of an in-flight slot is its `route_node` entry.
+    route_dest: Vec<u32>,
     /// Cluster-wide per-slot access counters, maintained incrementally on
     /// the execute path — [`slot_access_report`](Self::slot_access_report)
     /// reads this instead of re-aggregating every partition's counters.
@@ -199,6 +218,7 @@ impl Cluster {
             plan,
             route_node,
             route_local,
+            route_dest: vec![SETTLED; cfg.num_slots],
             slot_access_totals: vec![0; cfg.num_slots],
             allocated: initial_nodes,
             storage,
@@ -368,16 +388,10 @@ impl Cluster {
     /// `(node, local, in_flight)` routing of a slot.
     #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
     fn routing_of(&self, slot: u64) -> (u32, u32, Option<(u32, u32)>) {
-        let in_flight = self
-            .reconfig
-            .as_ref()
-            .and_then(|r| r.in_flight.get(&slot))
-            .copied();
-        (
-            self.route_node[slot as usize],
-            self.route_local[slot as usize],
-            in_flight,
-        )
+        let node = self.route_node[slot as usize];
+        let dest = self.route_dest[slot as usize];
+        let in_flight = (dest != SETTLED).then_some((node, dest));
+        (node, self.route_local[slot as usize], in_flight)
     }
 
     /// Per-procedure `(committed, aborted)` counters, sorted by call count
@@ -505,7 +519,6 @@ impl Cluster {
         self.reconfig = Some(Reconfig {
             new_plan,
             pairs,
-            in_flight: HashMap::new(),
             pending_pairs: pending,
             span_id,
         });
@@ -562,10 +575,8 @@ impl Cluster {
     /// Moves up to `budget_bytes` of the next slot of pair `pair_idx`.
     ///
     /// # Errors
-    /// Returns [`ReconfigError::NotRunning`] outside a reconfiguration.
-    ///
-    /// # Panics
-    /// Panics if `pair_idx` is out of range.
+    /// Returns [`ReconfigError::NotRunning`] outside a reconfiguration and
+    /// [`ReconfigError::NoSuchPair`] for an index the running one lacks.
     #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
     pub fn migrate_chunk(
         &mut self,
@@ -575,7 +586,13 @@ impl Cluster {
         let Some(reconfig) = self.reconfig.as_mut() else {
             return Err(ReconfigError::NotRunning);
         };
-        let pair = &mut reconfig.pairs[pair_idx];
+        let pairs = reconfig.pairs.len();
+        let Some(pair) = reconfig.pairs.get(pair_idx) else {
+            return Err(ReconfigError::NoSuchPair {
+                pair: pair_idx,
+                pairs,
+            });
+        };
         if pair.is_done() {
             return Ok(ChunkResult {
                 bytes: 0,
@@ -588,7 +605,6 @@ impl Cluster {
         let slot = pair.slots[pair.next];
         let (from, to) = (pair.from, pair.to);
         let local = self.route_local[slot as usize];
-        reconfig.in_flight.entry(slot).or_insert((from, to));
 
         // Per-chunk work span: nests inside the open reconfiguration
         // span and makes extract/install cost visible to the profiler.
@@ -626,8 +642,9 @@ impl Cluster {
         let mut pair_done = false;
         let mut reconfig_done = false;
         if emptied {
-            // Slot fully relocated: switch routing, clear tracking.
-            reconfig.in_flight.remove(&slot);
+            // Slot fully relocated: switch routing. One that moved whole
+            // was never marked in flight; clearing covers both.
+            self.route_dest[slot as usize] = SETTLED;
             self.route_node[slot as usize] = to;
             let pair = &mut reconfig.pairs[pair_idx];
             pair.next += 1;
@@ -640,6 +657,9 @@ impl Cluster {
                     reconfig_done = true;
                 }
             }
+        } else {
+            // Rows left behind: in flight until a later chunk empties it.
+            self.route_dest[slot as usize] = to;
         }
         Ok(ChunkResult {
             bytes,
@@ -727,6 +747,7 @@ impl Cluster {
         // plan — re-sync defensively and assert the invariant.
         debug_assert_eq!(self.route_node, self.plan.assignments());
         self.route_node.copy_from_slice(self.plan.assignments());
+        debug_assert!(self.route_dest.iter().all(|&d| d == SETTLED));
         // Drop drained nodes on scale-in.
         if target < self.allocated {
             self.storage.drop_nodes(target);
@@ -1102,6 +1123,37 @@ mod tests {
                 .unwrap_err(),
             ReconfigError::NotRunning
         );
+        // A pair index the running reconfiguration lacks (one kept from
+        // an earlier, wider one) is refused and changes nothing.
+        load_keys(&mut c, 100);
+        let pairs = c.pair_transfers().len();
+        for pair in [pairs, pairs + 7, usize::MAX] {
+            assert_eq!(
+                c.migrate_chunk(pair, 100).unwrap_err(),
+                ReconfigError::NoSuchPair { pair, pairs }
+            );
+        }
+        assert_eq!(c.pair_transfers().len(), pairs);
+        assert!(c.pair_transfers().iter().all(|p| p.next == 0));
+        // Once the last chunk has committed there is nothing to drive,
+        // whatever the index.
+        let mut last = None;
+        while c.reconfiguring() {
+            let pair = (0..pairs)
+                .find(|&p| !c.pair_transfers()[p].is_done())
+                .unwrap();
+            last = Some((pair, c.migrate_chunk(pair, 100).unwrap()));
+        }
+        let (pair, chunk) = last.unwrap();
+        assert!(chunk.reconfig_done);
+        for pair in [pair, 0, pairs] {
+            assert_eq!(
+                c.migrate_chunk(pair, 100).unwrap_err(),
+                ReconfigError::NotRunning
+            );
+        }
+        assert_eq!(c.active_nodes(), 3);
+        check_all_keys(&mut c, 100);
     }
 
     #[test]
@@ -1202,16 +1254,89 @@ mod tests {
     fn routing_cache_tracks_plan_across_reconfigurations() {
         let mut c = cluster(2);
         load_keys(&mut c, 200);
+        let settled = |c: &Cluster| c.route_dest.iter().all(|&d| d == SETTLED);
         for &target in &[5u32, 3, 1, 4] {
             c.begin_reconfiguration(target).unwrap();
+            assert!(settled(&c), "a slot in flight before any chunk");
             c.run_reconfiguration_to_completion(2048).unwrap();
             for slot in 0..64usize {
                 let owner = c.current_plan().owner(slot);
                 assert_eq!(c.node_of_slot(slot as u64), owner);
                 assert!(owner < target);
             }
+            assert!(settled(&c), "a slot in flight after the commit");
         }
+        // A caller's plan, in chunks below a slot's size: while it runs
+        // the marked slots are the half-moved ones, each pair's current
+        // slot at most, and they route to their source until they empty.
+        let mut owners = c.current_plan().assignments().to_vec();
+        owners.rotate_left(1);
+        c.begin_plan_reconfiguration(SlotPlan::from_assignments(owners, 4))
+            .unwrap();
+        assert!(settled(&c), "a slot in flight before any chunk");
+        let mut half_moved = 0;
+        while c.reconfiguring() {
+            for p in 0..c.pair_transfers().len() {
+                if c.reconfiguring() {
+                    let _ = c.migrate_chunk(p, 48).unwrap();
+                }
+            }
+            for (slot, &dest) in c.route_dest.iter().enumerate() {
+                if dest != SETTLED {
+                    half_moved += 1;
+                    let pair = c
+                        .pair_transfers()
+                        .iter()
+                        .find(|p| p.current_slot() == Some(slot as u64))
+                        .expect("a marked slot is some pair's current one");
+                    assert_eq!((pair.from, pair.to), (c.route_node[slot], dest));
+                }
+            }
+        }
+        assert!(half_moved > 0, "no slot was ever left half-moved");
+        assert!(settled(&c), "a slot in flight after the commit");
         check_all_keys(&mut c, 200);
+    }
+
+    #[test]
+    fn a_slot_moved_whole_is_never_in_flight() {
+        // The benchmark's ratio: a chunk budget of 1.9 average slots, a
+        // chunk every 16 transactions, 3 -> 6 -> 3. Every slot fits the
+        // budget, so each leaves in one call and no transaction — they
+        // touch every slot between any two chunks — meets moved data.
+        let mut c = cluster(3);
+        load_keys(&mut c, 2560);
+        let budget = c.total_bytes() / 64 * 19 / 10;
+        for slot in 0..64 {
+            let (node, local) = c.partition_of_slot(slot);
+            assert!(c.storage.slot_bytes_at(slot, node, local) <= budget);
+        }
+        let mut txns = 0usize;
+        for target in [6, 3] {
+            c.begin_reconfiguration(target).unwrap();
+            while c.reconfiguring() {
+                let pairs = c.pair_transfers();
+                let pair = (0..pairs.len()).find(|&p| !pairs[p].is_done()).unwrap();
+                let chunk = c.migrate_chunk(pair, budget).unwrap();
+                assert!(chunk.slot_completed && chunk.rows > 0);
+                assert!(c.route_dest.iter().all(|&d| d == SETTLED));
+                for _ in 0..16 {
+                    let key = format!("key-{}", txns * 37 % 2560);
+                    c.execute(&Get { key: key.clone() }).unwrap();
+                    c.execute(&Put {
+                        key,
+                        value: txns as i64,
+                    })
+                    .unwrap();
+                    txns += 1;
+                }
+            }
+        }
+        assert_eq!(c.stats().touched_migrating, 0);
+        assert_eq!(c.stats().aborted, 0);
+        assert_eq!(c.stats().reconfigurations, 2);
+        assert_eq!(c.total_rows(), 2560);
+        c.verify_integrity().unwrap();
     }
 
     #[test]

@@ -7,7 +7,14 @@
 
 use crate::catalog::TableId;
 use crate::value::{Key, Row};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+/// The keys of one in-flight slot whose rows already live at the
+/// migration destination. A slot has one only between a chunk that left
+/// part of it behind and the chunk that empties it: a slot that moves
+/// whole is never in flight.
+pub type MovedKeys = HashSet<(TableId, Key)>;
 
 /// All rows of one virtual slot.
 #[derive(Debug, Clone, Default)]
@@ -35,6 +42,20 @@ impl SlotData {
     /// Whether the slot holds no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// Inserts or replaces a row, keeping the byte estimate; returns the
+    /// previous row if any.
+    fn insert(&mut self, table: TableId, key: Key, row: Row) -> Option<Row> {
+        let key_sz = key.size_estimate();
+        let row_sz = row.size_estimate();
+        let old = self.rows.insert((table, key), row);
+        match &old {
+            None => self.bytes += key_sz + row_sz,
+            // Replace: the key stays resident, only the row size changes.
+            Some(o) => self.bytes = (self.bytes + row_sz).saturating_sub(o.size_estimate()),
+        }
+        old
     }
 }
 
@@ -198,16 +219,7 @@ impl PartitionStore {
 
     /// Inserts or replaces a row; returns the previous row if any.
     pub fn put(&mut self, slot: u64, table: TableId, key: Key, row: Row) -> Option<Row> {
-        let key_sz = key.size_estimate();
-        let row_sz = row.size_estimate();
-        let data = self.slots.entry(slot).or_default();
-        let old = data.rows.insert((table, key), row);
-        match &old {
-            None => data.bytes += key_sz + row_sz,
-            // Replace: the key stays resident, only the row size changes.
-            Some(o) => data.bytes = (data.bytes + row_sz).saturating_sub(o.size_estimate()),
-        }
-        old
+        self.slots.entry(slot).or_default().insert(table, key, row)
     }
 
     /// Removes a row; returns it if present.
@@ -243,8 +255,12 @@ impl PartitionStore {
             .collect()
     }
 
-    /// Removes and returns up to `budget_bytes` worth of rows from `slot`
-    /// (for chunked migration). Returns `(rows, bytes, slot_now_empty)`.
+    /// Removes and returns up to `budget_bytes` worth of rows from `slot`,
+    /// one row at a time in `(table, key)` order, stopping at the row
+    /// that reaches the budget. Returns `(rows, bytes, slot_now_empty)`.
+    /// This defines what a chunk holds;
+    /// [`migrate_chunk_to`](Self::migrate_chunk_to) takes the same rows
+    /// without visiting them and is tested against this.
     pub fn extract_chunk(
         &mut self,
         slot: u64,
@@ -277,6 +293,115 @@ impl PartitionStore {
         for (tid, key, row) in rows {
             self.put(slot, tid, key, row);
         }
+    }
+
+    /// Moves up to `budget` bytes (at least one row) of `slot` from this
+    /// store to `dst`, the same local partition of another node. `moved`
+    /// holds the moved-key sets of the in-flight slots. Returns `(rows,
+    /// bytes, emptied)`; on `emptied` the slot has left this store and has
+    /// no moved set (the cluster flips its routing).
+    ///
+    /// The chunk is the rows [`extract_chunk`](Self::extract_chunk) would
+    /// pop, taken as a tree instead: all of the slot's when it fits the
+    /// budget, else cut off at the first row past it. Where `dst` holds
+    /// nothing of the slot yet the tree lands as it is. So a slot that
+    /// fits the budget changes owner in two hash-table operations, no
+    /// row touched and no moved set built, and only a slot larger than a
+    /// chunk is ever in flight. Both "nodes" share an address space and a
+    /// move's simulated duration comes from its modelled bytes, so nothing
+    /// simulated can tell a handed-over tree from a copied one.
+    pub fn migrate_chunk_to(
+        &mut self,
+        dst: &mut PartitionStore,
+        moved: &mut HashMap<u64, MovedKeys>,
+        slot: u64,
+        budget: usize,
+    ) -> (usize, usize, bool) {
+        let budget = budget.max(1);
+        let (chunk, bytes, emptied) = match self.slots.entry(slot) {
+            Entry::Vacant(_) => (BTreeMap::new(), 0, true),
+            Entry::Occupied(held) if held.get().bytes <= budget => {
+                let data = held.remove();
+                (data.rows, data.bytes, true)
+            }
+            Entry::Occupied(mut held) => {
+                let data = held.get_mut();
+                let mut bytes = 0usize;
+                let mut rest = data.rows.iter();
+                for ((_, key), row) in rest.by_ref() {
+                    bytes += key.size_estimate() + row.size_estimate();
+                    if bytes >= budget {
+                        break;
+                    }
+                }
+                match rest.next().map(|(at, _)| at.clone()) {
+                    Some(at) => {
+                        let stay = data.rows.split_off(&at);
+                        data.bytes = data.bytes.saturating_sub(bytes);
+                        (std::mem::replace(&mut data.rows, stay), bytes, false)
+                    }
+                    // The budget ends inside the last row: all of it goes.
+                    None => (held.remove().rows, bytes, true),
+                }
+            }
+        };
+        let n_rows = chunk.len();
+
+        // Transactions find a moved key through the slot's moved set
+        // while the rest is still here; once nothing is, nobody asks.
+        if emptied {
+            moved.remove(&slot);
+        } else {
+            let moved_keys = moved.entry(slot).or_default();
+            moved_keys.reserve(n_rows);
+            moved_keys.extend(chunk.keys().cloned());
+        }
+
+        // A moving key's version counter travels with it so the sampled
+        // history stays one chain across the migration; the last chunk
+        // takes every counter left, tombstones included — the slot's map
+        // as it is, where none went ahead. (All of this finds an empty
+        // map, and does nothing, while tracking is off.)
+        if !emptied {
+            let carried: Vec<((TableId, Key), u64)> = chunk
+                .keys()
+                .filter_map(|(tid, key)| {
+                    let v = self.take_version(slot, *tid, key)?;
+                    Some(((*tid, key.clone()), v))
+                })
+                .collect();
+            dst.install_versions(slot, carried);
+        } else if let Some(tables) = self.versions.remove(&slot) {
+            match dst.versions.entry(slot) {
+                Entry::Vacant(none_ahead) => {
+                    none_ahead.insert(tables);
+                }
+                Entry::Occupied(mut ahead) => {
+                    let ahead = ahead.get_mut();
+                    if ahead.len() < tables.len() {
+                        ahead.resize_with(tables.len(), HashMap::new);
+                    }
+                    for (into, counters) in ahead.iter_mut().zip(tables) {
+                        into.extend(counters);
+                    }
+                }
+            }
+        }
+
+        match dst.slots.entry(slot) {
+            // A slot emptied by deletes leaves here and arrives nowhere.
+            Entry::Vacant(_) if chunk.is_empty() => {}
+            Entry::Vacant(landing) => {
+                landing.insert(SlotData { rows: chunk, bytes });
+            }
+            Entry::Occupied(mut held) => {
+                let data = held.get_mut();
+                for ((tid, key), row) in chunk {
+                    data.insert(tid, key, row);
+                }
+            }
+        }
+        (n_rows, bytes, emptied)
     }
 
     /// Removes an entire slot (used when committing a plan switch for an

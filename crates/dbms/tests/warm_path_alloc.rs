@@ -12,10 +12,12 @@
 
 use pstore_dbms::catalog::{columns, Catalog, ColumnType, TableSchema};
 use pstore_dbms::cluster::{Cluster, ClusterConfig};
+use pstore_dbms::partition::PartitionStore;
 use pstore_dbms::txn::{Procedure, TxnCtx, TxnError, TxnOutput};
-use pstore_dbms::value::{Key, KeyValue};
+use pstore_dbms::value::{Key, KeyValue, Row, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap};
 
 /// Counts every allocation and reallocation routed through the global
 /// allocator, **per thread**: the harness runs tests (and its own
@@ -209,4 +211,86 @@ fn slot_access_reset_keeps_buffers_and_stays_allocation_free() {
         );
     });
     assert_eq!(n, 0, "reset + warm re-count allocated {n} times");
+}
+
+/// The row `i` of the chunk-move tests: an inline two-part key and a
+/// two-column row, 72 modelled bytes.
+fn cart_line(i: usize) -> (Key, Row) {
+    let i = i as i64;
+    (
+        Key::str_int("cart-7", i),
+        Row(vec![Value::Int(i), Value::Int(-i)]),
+    )
+}
+
+/// A source holding `rows` rows of `slot`, and a destination that has
+/// held other slots: its slot table has room for one more.
+fn chunk_move_stores(slot: u64, rows: usize) -> (PartitionStore, PartitionStore) {
+    let (mut src, mut dst) = (PartitionStore::new(1), PartitionStore::new(1));
+    for i in 0..rows {
+        let (key, row) = cart_line(i);
+        src.put(slot, 0, key, row);
+    }
+    for other in 100..105 {
+        let (key, row) = cart_line(other);
+        dst.put(other as u64, 0, key, row);
+    }
+    (src, dst)
+}
+
+/// A slot that fits the chunk budget changes owner as it is: no row is
+/// touched, so nothing is allocated, whatever the slot's size.
+#[test]
+fn a_slot_handed_over_whole_allocates_nothing() {
+    for rows in [30, 300] {
+        let (mut src, mut dst) = chunk_move_stores(9, rows);
+        let mut moved = HashMap::new();
+        let bytes = src.slot_bytes(9);
+        let (n, out) = allocations(|| src.migrate_chunk_to(&mut dst, &mut moved, 9, bytes));
+        assert_eq!(out, (rows, bytes, true));
+        assert_eq!(n, 0, "handing over a {rows}-row slot allocated {n} times");
+        assert_eq!((src.total_rows(), dst.slot_bytes(9)), (0, bytes));
+        assert!(moved.is_empty());
+    }
+}
+
+/// A chunk that takes part of a slot is cut off the source's tree. Where
+/// the destination holds nothing of the slot it lands as it is: the
+/// cut's spine and the moved set, sized once, whatever the chunk's size.
+/// Where part of the slot went ahead its rows are inserted one by one:
+/// what a tree of them allocates, and the moved set's growth.
+#[test]
+fn a_partial_chunk_allocates_a_constant_beyond_its_rows() {
+    for rows in [40, 400] {
+        let lines: Vec<(Key, Row)> = (rows..2 * rows).map(cart_line).collect();
+        let (tree_allocs, tree) = allocations(|| {
+            let mut tree = BTreeMap::new();
+            for (key, row) in lines {
+                tree.insert((0usize, key), row);
+            }
+            tree
+        });
+        assert_eq!(tree.len(), rows);
+
+        let (mut src, mut dst) = chunk_move_stores(9, 3 * rows);
+        let mut moved = HashMap::new();
+        let budget = src.slot_bytes(9) / 3;
+        let (first, out) = allocations(|| src.migrate_chunk_to(&mut dst, &mut moved, 9, budget));
+        assert_eq!(out, (rows, budget, false));
+        assert_eq!(moved[&9].len(), rows);
+        // The moved-set map's first table, the set's own, and a node per
+        // level of the tree that was cut.
+        assert!(
+            first <= 8,
+            "a first chunk of {rows} rows allocated {first} times"
+        );
+
+        let (second, out) = allocations(|| src.migrate_chunk_to(&mut dst, &mut moved, 9, budget));
+        assert_eq!(out, (rows, budget, false));
+        assert_eq!(moved[&9].len(), 2 * rows);
+        assert!(
+            second <= tree_allocs + 8,
+            "a second chunk of {rows} rows allocated {second} times, a tree of them {tree_allocs}"
+        );
+    }
 }

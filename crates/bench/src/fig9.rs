@@ -93,8 +93,8 @@ pub fn run_approach(
     result
 }
 
-/// Runs all four approaches over one shared trace on the default
-/// ([`Sweep::new`] with 0) thread pool. Returns the trace and results in
+/// Runs all four approaches over one shared trace at the default
+/// ([`Sweep::new`] with 0) thread count. Returns the trace and results in
 /// [`Approach::ALL`] order.
 pub fn run_all(cfg: &Fig9Config) -> (ExperimentTrace, Vec<DetailedSimResult>) {
     run_all_sweep(cfg, &Sweep::new(0))

@@ -109,7 +109,7 @@ pub fn section(title: &str) {
 /// arguments are parsed (anything else is refused with exit status 2):
 /// `--quick` (smaller runs), `--quiet` (suppress progress chatter),
 /// `--threads N` (worker threads for the [`sweep`] runner; default:
-/// `RAYON_NUM_THREADS`, else available parallelism), `--trace <path>`
+/// available parallelism), `--trace <path>`
 /// (write a telemetry JSONL trace of the run and print a summary at
 /// exit), `--summary <path>` (write a `pstore-run-summary/v1` JSON
 /// digest at exit — the input format of `pstore-trace diff`), and
@@ -271,7 +271,7 @@ impl RunReporter {
     }
 
     /// The `--threads N` argument (0 when absent: the sweep runner
-    /// resolves via `RAYON_NUM_THREADS`, else available parallelism).
+    /// resolves it to the available parallelism).
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads

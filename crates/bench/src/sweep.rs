@@ -3,18 +3,21 @@
 //! Every figure in §8 of the paper is assembled from *independent*
 //! simulator runs — a `(scenario, strategy, seed)` grid where each cell
 //! is deterministic given its inputs and shares nothing with its
-//! neighbours. [`Sweep`] fans those cells across a thread pool and
-//! reassembles the outputs so the result is **byte-identical to a
+//! neighbours. [`Sweep`] fans those cells across scoped worker threads
+//! and reassembles the outputs so the result is **byte-identical to a
 //! serial run**, at any thread count.
+//!
+//! pstore-lint: sync-shim — this file holds the reproduction's only
+//! threads (SA-04): the private `parallel_map` below, one caller.
 //!
 //! # Determinism contract
 //!
 //! For a fixed cell list and fixed per-cell seeds, everything observable
 //! after [`Sweep::run`] returns is independent of the thread count:
 //!
-//! * **Results** come back in cell order (the pool tags each result
-//!   with its cell index and sorts; nothing is emitted on completion
-//!   order).
+//! * **Results** come back in cell order (each result is tagged with
+//!   its cell index and the tagged results are sorted; nothing is
+//!   emitted on completion order).
 //! * **Telemetry events** emitted by a cell are captured into a
 //!   per-cell in-memory sink on the worker thread (installed with the
 //!   calling thread's `TraceSpec`), then forwarded to
@@ -30,22 +33,22 @@
 //!   would be order-independent anyway; gauge last-write-wins and
 //!   `f64` sum accumulation are not, which is why the merge is ordered.
 //!
-//! Worker threads never touch shared state while cells run — capture is
-//! per-thread (`pstore-telemetry`'s sink and registry are thread-local)
-//! and the merge happens single-threaded afterwards. Keeping the shared
-//! state this small is deliberate: it is the surface a future `loom`
-//! model has to cover (see ROADMAP).
+//! The only state workers share while cells run is the queue of cells
+//! not yet started — capture is per-thread (`pstore-telemetry`'s sink
+//! and registry are thread-local) and the merge happens single-threaded
+//! after the scope has joined every worker. Workers are real OS threads
+//! even at one thread: that is what makes one thread byte-identical to N.
 //!
 //! # Thread-count resolution
 //!
 //! [`Sweep::from_reporter`] (or [`Sweep::new`] with 0) resolves the
-//! thread count as: explicit `--threads N` argument → the
-//! `RAYON_NUM_THREADS` environment variable → available parallelism.
+//! thread count as: explicit `--threads N` argument → available
+//! parallelism.
 
-use rayon::prelude::*;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::{Mutex, PoisonError};
 
 use pstore_telemetry as tel;
 
@@ -119,6 +122,44 @@ struct CellOutcome<R> {
     metrics: tel::MetricsRegistry,
 }
 
+/// Applies `f` to every item on up to `threads` scoped worker threads
+/// and returns the results in input order. Workers take the next
+/// `(index, item)` from one locked iterator; the scope's join is the only
+/// happens-before edge between a worker's results and the caller, and
+/// sorting by index makes the output independent of which worker ran
+/// what. A worker's panic resumes on the caller once the others finish.
+fn parallel_map<T: Send, R: Send>(
+    threads: usize,
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.clamp(1, items.len().max(1));
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut tagged: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The lock is held for `next()` alone, never while
+                        // `f` runs, so a panicking item cannot poison it.
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((index, item)) = next else { break };
+                        done.push((index, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
+    tagged.sort_unstable_by_key(|&(index, _)| index);
+    tagged.into_iter().map(|(_, result)| result).collect()
+}
+
 /// The sweep runner: a thread count plus the capture/merge machinery.
 #[derive(Debug, Clone, Copy)]
 pub struct Sweep {
@@ -127,7 +168,7 @@ pub struct Sweep {
 
 impl Sweep {
     /// Creates a runner with an explicit thread count; 0 means "auto"
-    /// (`RAYON_NUM_THREADS`, else available parallelism).
+    /// (available parallelism).
     #[must_use]
     pub fn new(threads: usize) -> Self {
         Sweep { threads }
@@ -140,22 +181,18 @@ impl Sweep {
         Sweep::new(reporter.threads())
     }
 
-    /// The thread count the pool will use (resolved, never 0).
+    /// The thread count a run will use (resolved, never 0).
     #[must_use]
     pub fn threads(&self) -> usize {
         if self.threads == 0 {
-            // Mirrors the pool's own resolution.
-            match rayon::ThreadPoolBuilder::new().num_threads(0).build() {
-                Ok(pool) => pool.current_num_threads(),
-                Err(_) => 1,
-            }
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
             self.threads
         }
     }
 
-    /// Runs every cell on the pool and returns their results in cell
-    /// order. See the module docs for the determinism contract.
+    /// Runs every cell on worker threads and returns their results in
+    /// cell order. See the module docs for the determinism contract.
     ///
     /// Telemetry capture turns on exactly when the calling thread has a
     /// sink installed (e.g. `--trace` in a figure binary), and captures
@@ -163,23 +200,7 @@ impl Sweep {
     /// uninstrumented, same as the serial path.
     pub fn run<R: Send + 'static>(&self, cells: Vec<Cell<R>>) -> Vec<R> {
         let capture = tel::installed().then(tel::spec);
-        let pool = match rayon::ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-        {
-            Ok(p) => p,
-            Err(_) => {
-                // Unreachable with the vendored pool; degrade to serial
-                // in-place execution rather than crash the experiment.
-                return cells.into_iter().map(|c| (c.run)()).collect();
-            }
-        };
-        let outcomes: Vec<CellOutcome<R>> = pool.install(|| {
-            cells
-                .into_par_iter()
-                .map(move |cell| run_cell(cell, capture))
-                .collect()
-        });
+        let outcomes = parallel_map(self.threads(), cells, |cell| run_cell(cell, capture));
 
         // Single-threaded deterministic merge, in cell order.
         let mut results = Vec::with_capacity(outcomes.len());
@@ -194,7 +215,7 @@ impl Sweep {
     }
 
     /// Fault-injected variant of [`Sweep::run`]: a panicking cell does
-    /// not poison the pool or abort the sweep — it comes back as
+    /// not abort the sweep — it comes back as
     /// `Err(`[`CellFailure`]`)` in its own slot while every other cell
     /// completes normally.
     ///
@@ -333,11 +354,43 @@ mod tests {
 
     #[test]
     fn results_come_back_in_cell_order_at_any_thread_count() {
-        for threads in [1, 2, 8] {
-            let cells: Vec<Cell<u64>> = (0..20).map(|i| Cell::new("c", move || i)).collect();
-            let results = Sweep::new(threads).run(cells);
-            assert_eq!(results, (0..20).collect::<Vec<u64>>(), "threads={threads}");
+        // 0 threads means "auto", which resolves to at least one.
+        assert!(Sweep::new(0).threads() >= 1);
+        for threads in [0, 1, 2, 8] {
+            // No cells, fewer cells than threads, more cells than threads.
+            for n in [0, 1, 20] {
+                let cells: Vec<Cell<u64>> = (0..n).map(|i| Cell::new("c", move || i)).collect();
+                let results = Sweep::new(threads).run(cells);
+                assert_eq!(results, (0..n).collect::<Vec<u64>>(), "threads={threads}");
+            }
         }
+    }
+
+    /// Forces the schedule in which one worker runs cells 0 and 2 and the
+    /// other runs cell 1, so concatenating per-worker results is out of
+    /// cell order whichever worker is joined first.
+    #[test]
+    fn results_are_ordered_by_cell_not_by_worker() {
+        let both_taken = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let (third_started, wait_for_third) = std::sync::mpsc::channel();
+        let rendezvous = both_taken.clone();
+        let cells = vec![
+            Cell::new("first", move || {
+                rendezvous.wait();
+                0u64
+            }),
+            // Holds its worker until the other one has moved on to cell 2.
+            Cell::new("second", move || {
+                both_taken.wait();
+                wait_for_third.recv().unwrap();
+                1
+            }),
+            Cell::new("third", move || {
+                third_started.send(()).unwrap();
+                2
+            }),
+        ];
+        assert_eq!(Sweep::new(2).run(cells), vec![0, 1, 2]);
     }
 
     #[test]
@@ -440,14 +493,23 @@ mod tests {
     }
 
     /// Regression (ISSUE 4 satellite): one panicking cell must not
-    /// poison the pool — the other cells of the same sweep complete, and
-    /// the pool machinery stays healthy for subsequent sweeps.
+    /// poison the workers — under `run_fallible` the other cells of the
+    /// same sweep complete, under plain `run` the panic resumes on the
+    /// caller, and either way later sweeps are unaffected.
     #[test]
     fn panicking_cell_does_not_poison_the_pool() {
-        let mut cells: Vec<Cell<u64>> = (0..8u64)
-            .map(|i| Cell::new(format!("ok-{i}"), move || i))
-            .collect();
-        cells[3] = Cell::new("bad", || panic!("boom"));
+        let grid = || {
+            let mut cells: Vec<Cell<u64>> = (0..8u64)
+                .map(|i| Cell::new(format!("ok-{i}"), move || i))
+                .collect();
+            cells[3] = Cell::new("bad", || panic!("boom"));
+            cells
+        };
+        let resumed = catch_unwind(|| Sweep::new(4).run(grid()));
+        assert_eq!(
+            resumed.map_err(|p| panic_message(p.as_ref())),
+            Err("boom".to_string())
+        );
         let expected: Vec<Result<u64, CellFailure>> = (0..8u64)
             .map(|i| {
                 if i == 3 {
@@ -461,8 +523,8 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(Sweep::new(4).run_fallible(cells), expected);
-        // The pool machinery still works afterwards on the same thread.
+        assert_eq!(Sweep::new(4).run_fallible(grid()), expected);
+        // Sweeping still works afterwards on the same thread.
         let again = Sweep::new(4).run((0..4u64).map(|i| Cell::new("c", move || i)).collect());
         assert_eq!(again, vec![0, 1, 2, 3]);
     }

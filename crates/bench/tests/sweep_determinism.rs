@@ -89,11 +89,10 @@ fn repeated_parallel_runs_are_identical() {
 
 /// The real thing, scaled to one day: `fig9 --quick --threads 1` vs
 /// `--threads 8` must agree byte-for-byte. Minutes-long in debug builds,
-/// so ignored by default; CI's bench-smoke job covers the binary-level
-/// equivalent on every push, and `scripts/static_analysis.sh` runs this
-/// via `cargo test --release -- --ignored`.
+/// so ignored by default; the full `scripts/static_analysis.sh` gate runs
+/// it via `cargo test --release -- --ignored`.
 #[test]
-#[ignore = "expensive: run with --release -- --ignored (covered by CI bench-smoke)"]
+#[ignore = "expensive: run with --release -- --ignored (the full static-analysis gate does)"]
 fn fig9_quick_is_identical_serial_vs_parallel() {
     let cfg = Fig9Config {
         days: 1,

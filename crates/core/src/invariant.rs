@@ -105,10 +105,9 @@ pub enum InvariantId {
     /// event's latency attribution sums (`queue + exec + stall == total`
     /// within tolerance).
     TelemetryTxnLifecycle,
-    /// CON-01: the sweep pool's work queue executes every cell exactly
-    /// once and reassembles results in cell order, at any thread count
-    /// and under any interleaving (loom model: claim counter + take-once
-    /// slots; runtime check: fault-injected sweeps lose no cell).
+    /// CON-01: the sweep's work queue executes every cell exactly once
+    /// and reassembles results in cell order, at any thread count
+    /// (runtime check: fault-injected sweeps lose no cell).
     ConcurrencyQueueIntegrity,
     /// CON-02: every cell's result (and captured telemetry) is fully
     /// visible to the merging thread before the ordered merge starts —

@@ -1,7 +1,7 @@
 //! `pstore-lint`: project-specific static analysis for the workspace.
 //!
-//! The dynamic correctness layers (the `pstore-verify` sweep, the loom
-//! models, the trace-diff gate) catch violations when a run *executes*
+//! The dynamic correctness layers (the `pstore-verify` sweep, the
+//! trace-diff gate) catch violations when a run *executes*
 //! them. This crate is the source-level complement: it enforces the
 //! conventions those layers depend on before any schedule can exhibit a
 //! violation, in the spirit of predictive analyses like IsoPredict.
@@ -20,8 +20,8 @@
 //!   `HashSet` iteration feeding serialized or printed output in the
 //!   deterministic crates (`core`, `dbms`, `sim`, `forecast`, `b2w`).
 //! * **SA-04** — concurrency hygiene: no `std::thread::spawn` and no raw
-//!   `std::sync` primitives outside `vendor/` and `cfg(loom)` sync
-//!   shims, so every interleaving stays loom-modellable.
+//!   `std::sync` primitives outside `vendor/` and marked sync shims, so
+//!   threads and locks live in a handful of named files.
 //! * **SA-05** — every `unsafe` site carries a `// SAFETY:` comment; the
 //!   run also emits a workspace unsafe inventory.
 //! * **SA-06** — every `#[allow(...)]` of a workspace-denied lint
@@ -129,16 +129,15 @@ impl SourceFile {
         }
     }
 
-    /// True when the file declares itself a loom sync shim: it carries a
-    /// `pstore-lint: sync-shim` marker comment *and* really switches on
-    /// `cfg(loom)`. SA-04 exempts such files — they are the one sanctioned
-    /// doorway to `std::sync`.
+    /// True when the file declares itself a sync shim with a
+    /// `pstore-lint: sync-shim` marker comment. SA-04 exempts such files
+    /// — they are the sanctioned doorways to `std::sync` and
+    /// `std::thread`.
     pub fn is_sync_shim(&self) -> bool {
         self.lexed
             .comments
             .iter()
             .any(|c| c.text.contains("pstore-lint: sync-shim"))
-            && self.text.contains("cfg(loom)")
     }
 }
 

@@ -68,7 +68,7 @@ const RULES: [(&str, &str); 7] = [
     ),
     (
         "SA-04",
-        "concurrency hygiene: sync primitives only via cfg(loom) shims/vendor",
+        "concurrency hygiene: threads and sync primitives only in marked shims/vendor",
     ),
     (
         "SA-05",

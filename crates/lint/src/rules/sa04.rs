@@ -1,23 +1,22 @@
-//! SA-04 — concurrency hygiene: keep every thread and lock loom-modellable.
+//! SA-04 — concurrency hygiene: threads and locks live in named places.
 //!
-//! The CON-01..03 story works because every synchronisation primitive
-//! the pool touches can be swapped to `loom` types under `cfg(loom)`
-//! and model-checked exhaustively. Ad-hoc `std::sync` usage breaks that
-//! guarantee silently: the primitive exists in release builds but not
-//! in the model. So, outside `vendor/` and designated sync shims, this
-//! rule flags in production sources:
+//! A simulated cluster is single-threaded and the sweep over independent
+//! cells is the reproduction's only parallelism, so a thread or a lock
+//! anywhere else is either a mistake or a design change that should be
+//! argued for. Outside `vendor/` and designated sync shims, this rule
+//! flags in production sources:
 //!
-//! * `std::thread::spawn` (and bare `thread::spawn`) — threads must
-//!   come from the vendored pool or a shimmed `thread::scope`;
+//! * `std::thread::{spawn, Builder, scope}` (and the bare `thread::…`
+//!   forms) — threads come from the sweep's scoped map
+//!   (`crates/bench/src/sweep.rs`);
 //! * imports or paths naming raw `std::sync` primitives (`Mutex`,
 //!   `RwLock`, `Condvar`, `Barrier`, `Once`, `OnceLock`, `mpsc`, the
-//!   atomics) — route them through a `cfg(loom)` sync shim so future
-//!   loom models cover them. `Arc` is allowed: it is reference
-//!   counting, not scheduling-relevant synchronisation.
+//!   atomics) — route them through the crate's sync shim so its
+//!   cross-thread surface is one readable list. `Arc` is allowed: it is
+//!   reference counting, not scheduling-relevant synchronisation.
 //!
 //! A sync shim announces itself with a `pstore-lint: sync-shim` marker
-//! comment **and** must actually contain `cfg(loom)`; see
-//! `vendor/rayon/src/lib.rs` (`mod sync`) and
+//! comment; see `crates/bench/src/sweep.rs` and
 //! `crates/telemetry/src/sync.rs`. Test code is exempt.
 
 use crate::lexer::TokKind;
@@ -84,9 +83,8 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
                     file: f.rel_path.clone(),
                     line: toks[i].line,
                     message: format!(
-                        "thread::{} outside the vendored pool — spawn through a cfg(loom) \
-                         sync shim (vendor/rayon `mod sync`) so loom models can explore \
-                         the interleavings",
+                        "thread::{} outside a sync shim — the sweep's scoped map \
+                         (crates/bench/src/sweep.rs) is the one place that spawns threads",
                         toks[i + 3].text
                     ),
                 });
@@ -107,9 +105,8 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
                     file: f.rel_path.clone(),
                     line: toks[i].line,
                     message: format!(
-                        "std::thread::{} outside the vendored pool — spawn through a \
-                         cfg(loom) sync shim (vendor/rayon `mod sync`) so loom models can \
-                         explore the interleavings",
+                        "std::thread::{} outside a sync shim — the sweep's scoped map \
+                         (crates/bench/src/sweep.rs) is the one place that spawns threads",
                         toks[i + 6].text
                     ),
                 });
@@ -143,12 +140,10 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
                         file: f.rel_path.clone(),
                         line: toks[i].line,
                         message: format!(
-                            "raw std::sync primitive{} ({}) outside a cfg(loom) sync shim — \
-                             route through a shim module (marker `pstore-lint: sync-shim`) \
-                             so the loom models cover {}",
+                            "raw std::sync primitive{} ({}) outside a sync shim — route \
+                             through the crate's shim module (marker `pstore-lint: sync-shim`)",
                             if named.len() > 1 { "s" } else { "" },
                             named.join(", "),
-                            if named.len() > 1 { "them" } else { "it" },
                         ),
                     });
                 }

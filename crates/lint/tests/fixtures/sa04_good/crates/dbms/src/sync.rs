@@ -1,8 +1,4 @@
 //! pstore-lint: sync-shim — the crate's gateway to synchronisation
-//! primitives; loom-modelled under `cfg(loom)`.
+//! primitives.
 
-#[cfg(not(loom))]
 pub use std::sync::Mutex;
-
-#[cfg(loom)]
-pub use loom::sync::Mutex;

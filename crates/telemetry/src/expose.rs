@@ -48,8 +48,9 @@ impl Exposer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         // pstore-lint: allow(SA-04): the exposition thread blocks in socket
-        // accept(), which loom cannot model; its shared state (stop flag,
-        // LiveMetrics mutex) still goes through the crate::sync shim.
+        // accept() for the life of the run, which no scoped map can host; its
+        // shared state (stop flag, LiveMetrics mutex) still goes through the
+        // crate::sync gateway.
         let thread = std::thread::Builder::new()
             .name("pstore-expose".to_string())
             .spawn(move || serve(&listener, &shared, &stop_flag))?;

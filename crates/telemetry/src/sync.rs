@@ -1,34 +1,10 @@
-//! Synchronisation shim for the telemetry crate.
+//! Synchronisation gateway for the telemetry crate.
 //!
 //! pstore-lint: sync-shim — this module is the crate's single sanctioned
-//! gateway to synchronisation primitives (SA-04). Under `cfg(loom)` the
-//! scheduling-relevant types come from the vendored loom model checker,
-//! so the cross-thread paths (`LiveSink` → `Exposer`) can be explored
-//! exhaustively; under normal builds they are plain `std::sync` types.
-//!
-//! Two items deliberately stay `std` under both cfgs:
-//!
-//! * [`AtomicU64`] — the crate's uses are const-initialised statics
-//!   (`SEQ`, `SPAN_IDS`), which loom atomics cannot express (their
-//!   constructors register with the model runtime). Both counters are
-//!   `Relaxed`-only ID generators carrying no synchronisation protocol,
-//!   so there is no interleaving for loom to explore.
-//! * [`OnceLock`] — loom has no once-cell; `WALL_EPOCH` is written once
-//!   before any reader can observe it and never mutated after.
+//! gateway to synchronisation primitives (SA-04): everything here is a
+//! plain `std::sync` re-export, named in one place so the crate's
+//! cross-thread surface (`LiveSink` → `Exposer`, the `SEQ`/`SPAN_IDS`
+//! id counters, `WALL_EPOCH`) can be read off this list.
 
-#![allow(unexpected_cfgs)]
-// `cfg(loom)` is set via RUSTFLAGS by the loom sweep, not by a cargo
-// feature, so rustc cannot know it is expected without this allow.
-
-#[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(not(loom))]
-pub use std::sync::{Arc, Mutex};
-
-#[cfg(loom)]
-pub use loom::sync::atomic::{AtomicBool, Ordering};
-#[cfg(loom)]
-pub use loom::sync::{Arc, Mutex};
-
-pub use std::sync::atomic::AtomicU64;
-pub use std::sync::OnceLock;
+pub use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+pub use std::sync::{Arc, Mutex, OnceLock};

@@ -89,7 +89,7 @@ fn main() {
     let stats = concurrency_sweep();
     report_phase(
         &format!(
-            "concurrency sweep: fault-injected pool + merge + isolation at threads 1 and {CONCURRENCY_THREADS}"
+            "concurrency sweep: fault-injected sweep + merge + isolation at threads 1 and {CONCURRENCY_THREADS}"
         ),
         &stats,
     );
@@ -401,9 +401,7 @@ fn telemetry_sweep() -> CheckStats {
 
 /// Phase 6: the `CON-*` runtime checks — fault-injected sweeps, the
 /// merge happens-before edge and registry isolation, each at 1 thread
-/// (forced worker reuse) and at [`CONCURRENCY_THREADS`]. The exhaustive
-/// interleaving exploration of the same invariants runs separately as
-/// `RUSTFLAGS="--cfg loom" cargo test -p rayon --release`.
+/// (forced worker reuse) and at [`CONCURRENCY_THREADS`].
 fn concurrency_sweep() -> CheckStats {
     let mut stats = CheckStats::default();
     for threads in [1, CONCURRENCY_THREADS] {

@@ -1,5 +1,4 @@
-//! ISO-01/02 seeded-bug twin tests, mirroring the twin pattern of the
-//! loom models in `vendor/rayon/tests/loom_models.rs`: each anomaly has
+//! ISO-01/02 seeded-bug twin tests: each anomaly has
 //! a positive test proving the checker names the violating cycle/edge,
 //! and a `#[should_panic(expected = "ISO-xx seeded bug")]` twin that
 //! asserts the seeded history is clean — which must fail, proving the

@@ -5,11 +5,11 @@
 #   scripts/sanitizers.sh            # thread + address sanitizers
 #   scripts/sanitizers.sh thread     # one sanitizer only
 #
-# ThreadSanitizer exercises the *real* thread interleavings that the loom
-# models explore symbolically: the vendored rayon pool, the fault-injected
-# parallel sweeps, and the telemetry sink/exposer handoff. AddressSanitizer
-# covers the same targets for memory errors that miri cannot reach once
-# real threads are involved.
+# ThreadSanitizer exercises the real thread interleavings of the sweep's
+# scoped parallel map, the fault-injected parallel sweeps built on it, and
+# the telemetry sink/exposer handoff. AddressSanitizer covers the same
+# targets for memory errors that miri cannot reach once real threads are
+# involved.
 #
 # Requirements (both checked; the script SKIPS cleanly when absent, like
 # the miri step of static_analysis.sh, so offline toolchains still pass):
@@ -41,11 +41,10 @@ fi
 HOST="$(rustc +nightly -vV | sed -n 's/^host: //p')"
 
 # The sanitizer-instrumented targets. Each entry is "<cargo args>": the
-# vendored pool's own tests, the fault-injected sweep suite that drives
-# it from pstore-bench, and the telemetry sink/exposer tests. (The
-# engine in pstore-dbms is single-threaded; miri covers it.)
+# sweep's parallel map with its fault-injected suite (pstore-bench holds
+# every thread the sweep spawns), and the telemetry sink/exposer tests.
+# (The engine in pstore-dbms is single-threaded; miri covers it.)
 TARGETS=(
-    "-p rayon --lib"
     "-p pstore-bench --lib"
     "-p pstore-telemetry --lib"
 )
@@ -63,7 +62,7 @@ for SAN in "${SANITIZERS[@]}"; do
     done
     step "pstore-verify sweep incl. ISO serializability phase ($SAN sanitizer)"
     # The full invariant sweep under real instrumented threads: the
-    # CON-01..03 runtime checkers drive the production sweep pool, and
+    # CON-01..03 runtime checkers drive the production sweep, and
     # the ISO/PRV phases run whole simulations inside it.
     RUSTFLAGS="-Zsanitizer=$SAN" \
     CARGO_TARGET_DIR="target/san-$SAN" \

@@ -29,7 +29,7 @@ TMP="${TMPDIR:-/tmp}"
 LOCK_SNAPSHOT=""
 TEMP_FILES=()
 # Building or testing the benchmark package in place rewrites
-# benchmark/Cargo.lock (it drops a stale `loom` edge); this puts the
+# benchmark/Cargo.lock (it drops a stale edge); this puts the
 # committed bytes back, however the step that took the snapshot ended.
 restore_benchmark_lock() {
     if [[ -n "$LOCK_SNAPSHOT" ]]; then
@@ -85,18 +85,6 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --seconds 2 --seed 0x0709 > /dev/null
 benchmark/run.sh --seconds 2 --seed 0x5EED > /dev/null
 restore_benchmark_lock
-
-step "sweep determinism (--threads 1 vs 2)"
-BENCH_T1="$(mktemp "$TMP"/pstore-bench-t1.XXXXXX.json)"
-BENCH_T2="$(mktemp "$TMP"/pstore-bench-t2.XXXXXX.json)"
-cargo run -q --release -p pstore-bench --bin bench_baseline -- \
-    --quick --threads 1 --quiet > "$BENCH_T1"
-cargo run -q --release -p pstore-bench --bin bench_baseline -- \
-    --quick --threads 2 --quiet > "$BENCH_T2"
-# Timing fields legitimately differ; the simulation counters must not.
-diff <(grep -E 'committed_txns|dropped_txns|"cells"' "$BENCH_T1") \
-     <(grep -E 'committed_txns|dropped_txns|"cells"' "$BENCH_T2")
-rm -f "$BENCH_T1" "$BENCH_T2"
 
 step "telemetry smoke: traced run + live exposition + pstore-trace validation"
 TRACE_FILE="$(mktemp "$TMP"/pstore-smoke.XXXXXX.jsonl)"
@@ -161,10 +149,6 @@ if [[ "$QUICK" == "0" ]]; then
     cargo test -q -p pstore-verify --tests
     step "pstore-sim tests with telemetry feature (incl. the trace_contract pins)"
     cargo test -q -p pstore-sim --features telemetry
-    step "loom model checking: thread-pool concurrency invariants (CON-01..03)"
-    # Exhaustively explores the pool's interleavings with its primitives
-    # swapped to the vendored loom types (see docs/invariants.md).
-    RUSTFLAGS="--cfg loom" cargo test -q -p rayon --release
     if cargo miri --version > /dev/null 2>&1; then
         step "cargo miri test: UB check on core crates + dbms engine"
         cargo miri test -q -p pstore-core -p pstore-forecast -p pstore-dbms
@@ -183,9 +167,9 @@ if [[ "$QUICK" == "0" ]]; then
     else
         step "cargo miri test: skipped (miri not installed on this toolchain)"
     fi
-    step "fig9 serial-vs-parallel determinism (release, ~4 min)"
-    cargo test -q --release -p pstore-bench --test sweep_determinism \
-        -- --ignored
+    step "sweep determinism: the parallel map's unit tests, detailed-sim cells and fig9 serial vs parallel (release, ~1 min)"
+    cargo test -q --release -p pstore-bench --lib --test sweep_determinism \
+        -- --include-ignored
 fi
 
 step "the gate left the benchmark as committed"

@@ -62,25 +62,29 @@ impl Procedure for AddLineToCart {
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let cart_key = Key::str(self.cart_id.clone());
         let line_total = self.quantity as f64 * self.unit_price;
-        let cart = match ctx.get(tables::CART, &cart_key).cloned() {
-            Some(mut row) => {
-                let total = match row.0[3] {
-                    Value::Float(t) => t,
-                    _ => 0.0,
-                };
-                row.0[3] = Value::Float(total + line_total);
-                row.0[4] = Value::Int(self.now);
-                row
-            }
-            None => Row(vec![
-                s(&self.cart_id),
-                s(&self.customer_id),
-                s(status::OPEN),
-                Value::Float(line_total),
-                Value::Int(self.now),
-            ]),
-        };
-        ctx.put(tables::CART, cart_key, cart);
+        let known = ctx.update(tables::CART, "CART", &cart_key, |cart| {
+            let total = match cart.0[3] {
+                Value::Float(t) => t,
+                _ => 0.0,
+            };
+            cart.0[3] = Value::Float(total + line_total);
+            cart.0[4] = Value::Int(self.now);
+            Ok(())
+        });
+        if known.is_err() {
+            // The cart's first line creates it.
+            ctx.put(
+                tables::CART,
+                cart_key,
+                Row(vec![
+                    s(&self.cart_id),
+                    s(&self.customer_id),
+                    s(status::OPEN),
+                    Value::Float(line_total),
+                    Value::Int(self.now),
+                ]),
+            );
+        }
         ctx.put(
             tables::CART_LINE,
             Key::str_int(self.cart_id.clone(), self.line_id),
@@ -123,9 +127,9 @@ impl Procedure for DeleteLineFromCart {
                 table: "CART_LINE",
                 key: line_key,
             })?;
-        // Keep the cart total consistent.
+        // Keep the cart total consistent, if there is a cart.
         let cart_key = Key::str(self.cart_id.clone());
-        if let Some(mut cart) = ctx.get(tables::CART, &cart_key).cloned() {
+        let _ = ctx.update(tables::CART, "CART", &cart_key, |cart| {
             let qty = line.0[3].as_int().unwrap_or(0) as f64;
             let price = match line.0[4] {
                 Value::Float(p) => p,
@@ -135,8 +139,8 @@ impl Procedure for DeleteLineFromCart {
                 cart.0[3] = Value::Float((t - qty * price).max(0.0));
             }
             cart.0[4] = Value::Int(self.now);
-            ctx.put(tables::CART, cart_key, cart);
-        }
+            Ok(())
+        });
         Ok(TxnOutput::None)
     }
 }
@@ -158,7 +162,8 @@ impl Procedure for GetCart {
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let cart_key = Key::str(self.cart_id.clone());
         let cart = ctx.get_required(tables::CART, "CART", &cart_key)?.clone();
-        let mut rows = vec![(cart_key.clone(), cart)];
+        let mut rows = Vec::with_capacity(1 + ctx.prefix_len(tables::CART_LINE, &cart_key));
+        rows.push((cart_key.clone(), cart));
         ctx.scan_prefix_with(tables::CART_LINE, &cart_key, |k, line| {
             rows.push((k.clone(), line.clone()));
         });
@@ -208,16 +213,14 @@ impl Procedure for ReserveCart {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let cart_key = Key::str(self.cart_id.clone());
-        let mut cart = ctx.get_required(tables::CART, "CART", &cart_key)?.clone();
-        cart.0[2] = s(status::RESERVED);
-        cart.0[4] = Value::Int(self.now);
-        ctx.put(tables::CART, cart_key.clone(), cart);
-        let mut n = 0u64;
-        for (k, mut line) in ctx.scan_prefix(tables::CART_LINE, &cart_key) {
+        ctx.update(tables::CART, "CART", &cart_key, |cart| {
+            cart.0[2] = s(status::RESERVED);
+            cart.0[4] = Value::Int(self.now);
+            Ok(())
+        })?;
+        let n = ctx.update_prefix(tables::CART_LINE, &cart_key, |line| {
             line.0[5] = s(status::RESERVED);
-            ctx.put(tables::CART_LINE, k, line);
-            n += 1;
-        }
+        });
         Ok(TxnOutput::Count(n))
     }
 }
@@ -285,19 +288,19 @@ impl Procedure for ReserveStock {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.sku.clone());
-        let mut row = ctx.get_required(tables::STOCK, "STOCK", &key)?.clone();
-        let available = row.0[1].as_int().unwrap_or(0);
-        if available < self.quantity {
-            return Err(TxnError::Aborted(format!(
-                "insufficient stock for {}: {} < {}",
-                self.sku, available, self.quantity
-            )));
-        }
-        let reserved = row.0[2].as_int().unwrap_or(0);
-        row.0[1] = Value::Int(available - self.quantity);
-        row.0[2] = Value::Int(reserved + self.quantity);
-        ctx.put(tables::STOCK, key, row);
-        Ok(TxnOutput::None)
+        ctx.update(tables::STOCK, "STOCK", &key, |row| {
+            let available = row.0[1].as_int().unwrap_or(0);
+            if available < self.quantity {
+                return Err(TxnError::Aborted(format!(
+                    "insufficient stock for {}: {} < {}",
+                    self.sku, available, self.quantity
+                )));
+            }
+            let reserved = row.0[2].as_int().unwrap_or(0);
+            row.0[1] = Value::Int(available - self.quantity);
+            row.0[2] = Value::Int(reserved + self.quantity);
+            Ok(TxnOutput::None)
+        })
     }
 }
 
@@ -319,19 +322,19 @@ impl Procedure for PurchaseStock {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.sku.clone());
-        let mut row = ctx.get_required(tables::STOCK, "STOCK", &key)?.clone();
-        let reserved = row.0[2].as_int().unwrap_or(0);
-        if reserved < self.quantity {
-            return Err(TxnError::Aborted(format!(
-                "cannot purchase unreserved stock for {}",
-                self.sku
-            )));
-        }
-        let purchased = row.0[3].as_int().unwrap_or(0);
-        row.0[2] = Value::Int(reserved - self.quantity);
-        row.0[3] = Value::Int(purchased + self.quantity);
-        ctx.put(tables::STOCK, key, row);
-        Ok(TxnOutput::None)
+        ctx.update(tables::STOCK, "STOCK", &key, |row| {
+            let reserved = row.0[2].as_int().unwrap_or(0);
+            if reserved < self.quantity {
+                return Err(TxnError::Aborted(format!(
+                    "cannot purchase unreserved stock for {}",
+                    self.sku
+                )));
+            }
+            let purchased = row.0[3].as_int().unwrap_or(0);
+            row.0[2] = Value::Int(reserved - self.quantity);
+            row.0[3] = Value::Int(purchased + self.quantity);
+            Ok(TxnOutput::None)
+        })
     }
 }
 
@@ -353,19 +356,19 @@ impl Procedure for CancelStockReservation {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.sku.clone());
-        let mut row = ctx.get_required(tables::STOCK, "STOCK", &key)?.clone();
-        let reserved = row.0[2].as_int().unwrap_or(0);
-        if reserved < self.quantity {
-            return Err(TxnError::Aborted(format!(
-                "cannot release more than reserved for {}",
-                self.sku
-            )));
-        }
-        let available = row.0[1].as_int().unwrap_or(0);
-        row.0[1] = Value::Int(available + self.quantity);
-        row.0[2] = Value::Int(reserved - self.quantity);
-        ctx.put(tables::STOCK, key, row);
-        Ok(TxnOutput::None)
+        ctx.update(tables::STOCK, "STOCK", &key, |row| {
+            let reserved = row.0[2].as_int().unwrap_or(0);
+            if reserved < self.quantity {
+                return Err(TxnError::Aborted(format!(
+                    "cannot release more than reserved for {}",
+                    self.sku
+                )));
+            }
+            let available = row.0[1].as_int().unwrap_or(0);
+            row.0[1] = Value::Int(available + self.quantity);
+            row.0[2] = Value::Int(reserved - self.quantity);
+            Ok(TxnOutput::None)
+        })
     }
 }
 
@@ -452,12 +455,10 @@ impl Procedure for UpdateStockTransaction {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.stock_txn_id.clone());
-        let mut row = ctx
-            .get_required(tables::STOCK_TXN, "STOCK_TXN", &key)?
-            .clone();
-        row.0[4] = s(&self.new_status);
-        ctx.put(tables::STOCK_TXN, key, row);
-        Ok(TxnOutput::None)
+        ctx.update(tables::STOCK_TXN, "STOCK_TXN", &key, |row| {
+            row.0[4] = s(&self.new_status);
+            Ok(TxnOutput::None)
+        })
     }
 }
 
@@ -524,6 +525,12 @@ impl Procedure for CreateCheckoutPayment {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let checkout_key = Key::str(self.checkout_id.clone());
+        // Not an `update`: the checkout is read, the payment inserted, the
+        // checkout written, in that order. Updating it first would mark a
+        // checkout paid whose payment is then refused; updating it last
+        // would read it a second time (one more read in the tally) or,
+        // without the first read, report `AlreadyExists` where a missing
+        // checkout reports `NotFound` today.
         let mut checkout = ctx
             .get_required(tables::CHECKOUT, "CHECKOUT", &checkout_key)?
             .clone();
@@ -639,8 +646,11 @@ impl Procedure for GetCheckout {
         let checkout = ctx
             .get_required(tables::CHECKOUT, "CHECKOUT", &key)?
             .clone();
-        let mut rows = vec![(key.clone(), checkout)];
-        for table in [tables::CHECKOUT_LINE, tables::CHECKOUT_PAYMENT] {
+        let parts = [tables::CHECKOUT_LINE, tables::CHECKOUT_PAYMENT];
+        let len: usize = parts.iter().map(|&table| ctx.prefix_len(table, &key)).sum();
+        let mut rows = Vec::with_capacity(1 + len);
+        rows.push((key.clone(), checkout));
+        for table in parts {
             ctx.scan_prefix_with(table, &key, |k, row| rows.push((k.clone(), row.clone())));
         }
         Ok(TxnOutput::Rows(rows))

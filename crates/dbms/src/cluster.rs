@@ -12,7 +12,7 @@
 //! partition — is the simulator's job; this module provides the mechanism.
 
 use crate::catalog::{Catalog, TableId};
-use crate::hash::bucket_of;
+use crate::hash::{bucket_of, FxBuild};
 use crate::storage::{Storage, TxnFate};
 use crate::txn::{Procedure, TxnError, TxnOutput};
 use crate::value::Key;
@@ -175,9 +175,10 @@ pub struct Cluster {
     /// chunk that leaves rows behind, cleared by the one that empties the
     /// slot. The source of an in-flight slot is its `route_node` entry.
     route_dest: Vec<u32>,
-    /// Cluster-wide per-slot access counters, maintained incrementally on
-    /// the execute path — [`slot_access_report`](Self::slot_access_report)
-    /// reads this instead of re-aggregating every partition's counters.
+    /// Per-slot access counters: one increment per executed transaction,
+    /// committed or aborted (the detailed tier of E-Store-style two-tier
+    /// monitoring). Dense, indexed by slot id, sized at construction: no
+    /// hashing on the per-transaction path, and a reset keeps the buffer.
     slot_access_totals: Vec<u64>,
     /// Nodes currently holding resources.
     allocated: u32,
@@ -185,7 +186,7 @@ pub struct Cluster {
     reconfig: Option<Reconfig>,
     stats: ClusterStats,
     /// Per-procedure (committed, aborted) counters.
-    procedure_stats: HashMap<&'static str, (u64, u64)>,
+    procedure_stats: HashMap<&'static str, (u64, u64), FxBuild>,
 }
 
 impl Cluster {
@@ -225,7 +226,7 @@ impl Cluster {
             cfg,
             reconfig: None,
             stats: ClusterStats::default(),
-            procedure_stats: HashMap::new(),
+            procedure_stats: HashMap::default(),
         }
     }
 
@@ -320,15 +321,20 @@ impl Cluster {
 
     /// Executes a stored procedure whose routing slot the caller has
     /// already resolved (e.g. a simulator that needed the slot for queue
-    /// placement before deciding to execute) — skips re-hashing the
-    /// routing key.
+    /// placement before deciding to execute). Routing then costs the
+    /// caller's hash and no second one here; the routing component is
+    /// still hashed once more inside, by the transaction's first row
+    /// access (`TxnCtx::check_slot`) — in release builds the only check
+    /// that the supplied slot is the key's.
     ///
     /// # Errors
     /// Propagates the procedure's [`TxnError`] on abort.
     ///
     /// # Panics
     /// Debug builds assert that `slot` matches the procedure's routing
-    /// key; a mismatched slot in release builds misroutes the transaction.
+    /// key. In release builds a mismatched slot is counted and routed as
+    /// given, and the transaction panics with a single-partition
+    /// violation at its first row access.
     pub fn execute_at_slot(
         &mut self,
         proc: &dyn Procedure,
@@ -532,12 +538,9 @@ impl Cluster {
         &self.plan
     }
 
-    /// Aggregated per-slot access counts across all partitions since the
-    /// last [`reset_slot_accesses`](Self::reset_slot_accesses) — the input
-    /// to skew-driven rebalancing. Served from the incrementally-maintained
-    /// cluster-wide counters (no walk over nodes and partitions); see
-    /// [`rebuild_slot_access_report`](Self::rebuild_slot_access_report) for
-    /// the from-scratch audit path.
+    /// Per-slot access counts since the last
+    /// [`reset_slot_accesses`](Self::reset_slot_accesses), non-zero entries
+    /// only — the input to skew-driven rebalancing.
     pub fn slot_access_report(&self) -> HashMap<u64, u64> {
         self.slot_access_totals
             .iter()
@@ -553,18 +556,10 @@ impl Cluster {
         &self.slot_access_totals
     }
 
-    /// Re-aggregates the per-slot access counts by walking every
-    /// partition's own counters. Kept as the audit oracle: the incremental
-    /// totals must always match this rebuild.
-    pub fn rebuild_slot_access_report(&self) -> HashMap<u64, u64> {
-        self.storage.slot_counts()
-    }
-
     /// Clears all per-slot access counters (start a fresh monitoring
     /// window).
     pub fn reset_slot_accesses(&mut self) {
         self.slot_access_totals.fill(0);
-        self.storage.reset_slot_accesses();
     }
 
     /// The pair transfers of the running reconfiguration.
@@ -844,7 +839,7 @@ impl Cluster {
 /// Folds a fate into the aggregate and per-procedure counters.
 fn account(
     stats: &mut ClusterStats,
-    procedure_stats: &mut HashMap<&'static str, (u64, u64)>,
+    procedure_stats: &mut HashMap<&'static str, (u64, u64), FxBuild>,
     fate: &TxnFate,
 ) {
     let proc_entry = procedure_stats.entry(fate.proc).or_insert((0, 0));
@@ -1185,45 +1180,107 @@ mod tests {
         assert_eq!(c.export_table(0).unwrap().len(), 120);
     }
 
-    #[test]
-    fn incremental_slot_access_report_matches_rebuild() {
-        // The report is maintained incrementally on the execute path; it
-        // must agree with a from-scratch walk over every partition's own
-        // counters at all times — settled, mid-migration, and after a
-        // window reset.
-        let mut c = cluster(2);
-        load_keys(&mut c, 300);
-        assert_eq!(c.slot_access_report(), c.rebuild_slot_access_report());
-        assert!(!c.slot_access_report().is_empty());
+    /// What the access counters must read: one count per executed
+    /// procedure, committed or aborted, at the slot its routing key
+    /// hashes to — kept by the test, beside the cluster.
+    #[derive(Default)]
+    struct Tally(HashMap<u64, u64>);
 
-        c.begin_reconfiguration(4).unwrap();
-        let mut i = 0usize;
-        while c.reconfiguring() {
-            let pairs = c.pair_transfers().len();
-            let _ = c.migrate_chunk(i % pairs, 512).unwrap();
-            let _ = c.execute(&Get {
-                key: format!("key-{}", i % 300),
-            });
-            c.execute(&Put {
-                key: format!("mid-{i}"),
-                value: 0,
-            })
-            .unwrap();
-            i += 1;
-            assert!(i < 100_000, "migration did not converge");
+    impl Tally {
+        fn count(&mut self, c: &Cluster, proc: &dyn Procedure) {
+            *self
+                .0
+                .entry(c.slot_of_routing(&proc.routing_key()))
+                .or_default() += 1;
         }
-        assert_eq!(c.slot_access_report(), c.rebuild_slot_access_report());
+
+        fn execute(
+            &mut self,
+            c: &mut Cluster,
+            proc: &dyn Procedure,
+        ) -> Result<TxnOutput, TxnError> {
+            self.count(c, proc);
+            c.execute(proc)
+        }
+
+        /// The sparse report and the dense counters, entry by entry.
+        fn assert_matches(&self, c: &Cluster, when: &str) {
+            assert_eq!(c.slot_access_report(), self.0, "{when}");
+            for (slot, &count) in c.slot_access_counts().iter().enumerate() {
+                let expected = self.0.get(&(slot as u64)).copied().unwrap_or(0);
+                assert_eq!(count, expected, "{when}: slot {slot}");
+            }
+        }
+    }
+
+    #[test]
+    fn slot_access_report_matches_a_test_side_tally() {
+        // The counters against what was executed: settled, between the
+        // chunks of a reconfiguration that hands slots over whole and of
+        // one that leaves them half-moved, and after a window reset.
+        // Aborted transactions count: they ran on the slot too.
+        let mut c = cluster(2);
+        let mut tally = Tally::default();
+        for i in 0..300 {
+            let put = Put {
+                key: format!("key-{i}"),
+                value: i,
+            };
+            tally.execute(&mut c, &put).unwrap();
+        }
+        for i in 0..20 {
+            let missing = Get {
+                key: format!("nope-{i}"),
+            };
+            assert!(tally.execute(&mut c, &missing).is_err());
+        }
+        tally.assert_matches(&c, "settled");
+        assert_eq!(tally.0.values().sum::<u64>(), 320);
+
+        for (target, budget, half_moved) in [(4, 4096, false), (3, 48, true)] {
+            let met_moved_data = c.stats().touched_migrating;
+            c.begin_reconfiguration(target).unwrap();
+            let mut i = 0usize;
+            while c.reconfiguring() {
+                let pairs = c.pair_transfers().len();
+                let _ = c.migrate_chunk(i % pairs, budget).unwrap();
+                for j in 0..8 {
+                    let get = Get {
+                        key: format!("key-{}", (8 * i + j) % 300),
+                    };
+                    tally.execute(&mut c, &get).unwrap();
+                }
+                let missing = Get {
+                    key: format!("nope-{i}"),
+                };
+                assert!(tally.execute(&mut c, &missing).is_err());
+                let put = Put {
+                    key: format!("mid-{target}-{i}"),
+                    value: 0,
+                };
+                tally.execute(&mut c, &put).unwrap();
+                tally.assert_matches(&c, "mid-migration");
+                i += 1;
+                assert!(i < 100_000, "migration did not converge");
+            }
+            assert_eq!(
+                c.stats().touched_migrating > met_moved_data,
+                half_moved,
+                "to {target} nodes in {budget}-byte chunks"
+            );
+        }
 
         c.reset_slot_accesses();
-        assert_eq!(c.slot_access_report(), HashMap::new());
-        assert_eq!(c.rebuild_slot_access_report(), HashMap::new());
-        load_keys(&mut c, 50);
-        assert_eq!(c.slot_access_report(), c.rebuild_slot_access_report());
-        // The dense view agrees with the sparse report entry-by-entry.
-        let report = c.slot_access_report();
-        for (slot, &count) in c.slot_access_counts().iter().enumerate() {
-            assert_eq!(report.get(&(slot as u64)).copied().unwrap_or(0), count);
+        tally.0.clear();
+        tally.assert_matches(&c, "after a reset");
+        for i in 0..50 {
+            let get = Get {
+                key: format!("key-{i}"),
+            };
+            tally.execute(&mut c, &get).unwrap();
         }
+        tally.assert_matches(&c, "a new window");
+        assert_eq!(tally.0.values().sum::<u64>(), 50);
     }
 
     #[test]
@@ -1345,21 +1402,20 @@ mod tests {
         // same results, same stats, same counters, same stores.
         let mut a = cluster(3);
         let mut b = cluster(3);
+        let mut tally = Tally::default();
         for i in 0..80 {
             let key = format!("key-{i}");
-            let ra = a.execute(&Put {
-                key: key.clone(),
-                value: i,
-            });
             let put = Put { key, value: i };
+            let ra = tally.execute(&mut a, &put);
             let slot = b.slot_of_routing(&put.routing_key());
             assert_eq!(ra, b.execute_at_slot(&put, slot));
         }
+        tally.assert_matches(&a, "execute");
+        tally.assert_matches(&b, "execute_at_slot");
         check_all_keys(&mut b, 80);
         check_all_keys(&mut a, 80);
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.slot_access_report(), b.slot_access_report());
-        assert_eq!(b.slot_access_report(), b.rebuild_slot_access_report());
         assert_eq!(a.export_table(0).unwrap(), b.export_table(0).unwrap());
     }
 
@@ -1410,7 +1466,9 @@ mod tests {
             },
             2,
         );
-        let at_slot = |c: &mut Cluster, proc: &dyn Procedure| {
+        let mut tally = Tally::default();
+        let mut at_slot = |c: &mut Cluster, proc: &dyn Procedure| {
+            tally.count(c, proc);
             let slot = c.slot_of_routing(&proc.routing_key());
             c.execute_at_slot(proc, slot)
         };
@@ -1485,6 +1543,6 @@ mod tests {
             stats.committed,
             "every transaction is one partition access"
         );
-        assert_eq!(c.rebuild_slot_access_report(), c.slot_access_report());
+        tally.assert_matches(&c, "after a live scale-out");
     }
 }

@@ -6,15 +6,16 @@
 //! key's rows always share its slot.
 
 use crate::catalog::TableId;
+use crate::hash::FxBuild;
 use crate::value::{Key, Row};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{btree_map, BTreeMap, HashMap, HashSet};
 
 /// The keys of one in-flight slot whose rows already live at the
 /// migration destination. A slot has one only between a chunk that left
 /// part of it behind and the chunk that empties it: a slot that moves
 /// whole is never in flight.
-pub type MovedKeys = HashSet<(TableId, Key)>;
+pub type MovedKeys = HashSet<(TableId, Key), FxBuild>;
 
 /// All rows of one virtual slot.
 #[derive(Debug, Clone, Default)]
@@ -59,25 +60,54 @@ impl SlotData {
     }
 }
 
+/// Hands a row of a slot to `rewrite` where it lies, and moves the slot's
+/// byte estimate `bytes` by what that did to the row's size.
+fn rewrite_in_place<R>(bytes: &mut usize, row: &mut Row, rewrite: impl FnOnce(&mut Row) -> R) -> R {
+    let before = row.size_estimate();
+    let out = rewrite(row);
+    *bytes = (*bytes + row.size_estimate()).saturating_sub(before);
+    out
+}
+
+/// Write-version counters per slot, then table, then key.
+type Versions = HashMap<u64, Vec<HashMap<Key, u64, FxBuild>>, FxBuild>;
+
+/// Advances a key's counter in `versions` and returns the new version;
+/// does nothing and returns 0 unless versions are `tracked`.
+fn bump(
+    versions: &mut Versions,
+    tracked: bool,
+    num_tables: usize,
+    slot: u64,
+    table: TableId,
+    key: &Key,
+) -> u64 {
+    if !tracked {
+        return 0;
+    }
+    let n = num_tables.max(table + 1);
+    let tables = versions.entry(slot).or_default();
+    if tables.len() < n {
+        tables.resize_with(n, HashMap::default);
+    }
+    let v = tables[table].entry(key.clone()).or_insert(0);
+    *v += 1;
+    *v
+}
+
 /// The storage engine of one partition.
 #[derive(Debug, Default)]
 pub struct PartitionStore {
     num_tables: usize,
-    slots: HashMap<u64, SlotData>,
+    slots: HashMap<u64, SlotData, FxBuild>,
     accesses: u64,
-    /// Per-slot access counters (the detailed tier of E-Store-style
-    /// two-tier monitoring; cheap enough to keep always on at slot
-    /// granularity). Dense, indexed by slot id and grown on demand:
-    /// incrementing is a bounds check and an add, with no hashing on the
-    /// per-transaction path. A reset keeps the allocation.
-    slot_accesses: Vec<u64>,
     /// Per-key write-version counters, keyed by slot (so a slot's history
     /// migrates as a unit) then table. Only maintained while
     /// [`track_versions`] is set (the ISO-01..03 serializability sweep);
     /// the default keeps the warm path free of version bookkeeping.
     ///
     /// [`track_versions`]: PartitionStore::set_track_versions
-    versions: HashMap<u64, Vec<HashMap<Key, u64>>>,
+    versions: Versions,
     track_versions: bool,
 }
 
@@ -86,10 +116,9 @@ impl PartitionStore {
     pub fn new(num_tables: usize) -> Self {
         PartitionStore {
             num_tables,
-            slots: HashMap::new(),
+            slots: HashMap::default(),
             accesses: 0,
-            slot_accesses: Vec::new(),
-            versions: HashMap::new(),
+            versions: HashMap::default(),
             track_versions: false,
         }
     }
@@ -122,20 +151,14 @@ impl PartitionStore {
 
     /// Advances a key's write version and returns the new (installed)
     /// version. No-op returning 0 when tracking is off. Called by the
-    /// transaction layer only — migration re-installs rows without
-    /// bumping, so a key's history survives chunk moves intact.
+    /// transaction layer only, beside its `put`, `update` and `delete`
+    /// ([`insert_new`](Self::insert_new) and
+    /// [`update_prefix`](Self::update_prefix) advance it by themselves) —
+    /// migration re-installs rows without bumping, so a key's history
+    /// survives chunk moves intact.
     pub fn bump_version(&mut self, slot: u64, table: TableId, key: &Key) -> u64 {
-        if !self.track_versions {
-            return 0;
-        }
-        let n = self.num_tables.max(table + 1);
-        let tables = self.versions.entry(slot).or_default();
-        if tables.len() < n {
-            tables.resize_with(n, HashMap::new);
-        }
-        let v = tables[table].entry(key.clone()).or_insert(0);
-        *v += 1;
-        *v
+        let (tracked, tables) = (self.track_versions, self.num_tables);
+        bump(&mut self.versions, tracked, tables, slot, table, key)
     }
 
     /// Removes and returns a key's version counter (migration handoff).
@@ -168,43 +191,17 @@ impl PartitionStore {
         let n = self.num_tables.max(max_table);
         let tables = self.versions.entry(slot).or_default();
         if tables.len() < n {
-            tables.resize_with(n, HashMap::new);
+            tables.resize_with(n, HashMap::default);
         }
         for ((tid, key), v) in entries {
             tables[tid].insert(key, v);
         }
     }
 
-    /// Records a logical access (for the §8.1 skew statistics).
+    /// Records a logical access: one executed transaction (for the §8.1
+    /// skew statistics; which slot it went to is the cluster's count).
     pub fn record_access(&mut self) {
         self.accesses += 1;
-    }
-
-    /// Records an access attributed to a specific slot (hot-spot
-    /// detection).
-    #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
-    pub fn record_slot_access(&mut self, slot: u64) {
-        self.accesses += 1;
-        let idx = slot as usize;
-        if idx >= self.slot_accesses.len() {
-            self.slot_accesses.resize(idx + 1, 0);
-        }
-        self.slot_accesses[idx] += 1;
-    }
-
-    /// Per-slot access counters accumulated so far (non-zero entries only).
-    pub fn slot_accesses(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.slot_accesses
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(s, &c)| (s as u64, c))
-    }
-
-    /// Resets the per-slot counters (start of a new monitoring window).
-    /// Keeps the dense allocation so warm-path recording never reallocates.
-    pub fn reset_slot_accesses(&mut self) {
-        self.slot_accesses.fill(0);
     }
 
     /// Logical accesses recorded so far.
@@ -220,6 +217,78 @@ impl PartitionStore {
     /// Inserts or replaces a row; returns the previous row if any.
     pub fn put(&mut self, slot: u64, table: TableId, key: Key, row: Row) -> Option<Row> {
         self.slots.entry(slot).or_default().insert(table, key, row)
+    }
+
+    /// Inserts a row unless its key is taken, in one descent, as a
+    /// transaction's write of it: while versions are tracked the key's
+    /// counter advances. Returns the version installed (0 while tracking
+    /// is off).
+    ///
+    /// # Errors
+    /// Hands the key back when a row already holds it; nothing is written.
+    pub fn insert_new(
+        &mut self,
+        slot: u64,
+        table: TableId,
+        key: Key,
+        row: Row,
+    ) -> Result<u64, Key> {
+        let data = self.slots.entry(slot).or_default();
+        match data.rows.entry((table, key)) {
+            btree_map::Entry::Occupied(held) => Err(held.key().1.clone()),
+            btree_map::Entry::Vacant(free) => {
+                let key = &free.key().1;
+                data.bytes += key.size_estimate() + row.size_estimate();
+                let (tracked, tables) = (self.track_versions, self.num_tables);
+                let installed = bump(&mut self.versions, tracked, tables, slot, table, key);
+                free.insert(row);
+                Ok(installed)
+            }
+        }
+    }
+
+    /// Hands a row to `rewrite` where it lies, keeping the slot's byte
+    /// estimate in step with the row's size; `None` if there is no such
+    /// row.
+    pub fn update<R>(
+        &mut self,
+        slot: u64,
+        table: TableId,
+        key: &Key,
+        rewrite: impl FnOnce(&mut Row) -> R,
+    ) -> Option<R> {
+        let data = self.slots.get_mut(&slot)?;
+        let row = data.rows.get_mut(&(table, key.clone()))?;
+        Some(rewrite_in_place(&mut data.bytes, row, rewrite))
+    }
+
+    /// Hands every row [`prefix_rows`](Self::prefix_rows) yields to
+    /// `rewrite`, in key order and where it lies, as a transaction's write
+    /// of it: the byte estimate follows the row's size and, while versions
+    /// are tracked, the key's counter advances. `rewrite` is given the key,
+    /// the row, and the version the write installs (0 while tracking is
+    /// off). Returns how many rows there were.
+    pub fn update_prefix(
+        &mut self,
+        slot: u64,
+        table: TableId,
+        prefix: &Key,
+        mut rewrite: impl FnMut(&Key, &mut Row, u64),
+    ) -> u64 {
+        let Some(data) = self.slots.get_mut(&slot) else {
+            return 0;
+        };
+        let (tracked, tables) = (self.track_versions, self.num_tables);
+        let mut n = 0;
+        for ((t, key), row) in data.rows.range_mut((table, prefix.clone())..) {
+            if *t != table || !key.starts_with(prefix) {
+                break;
+            }
+            let installed = bump(&mut self.versions, tracked, tables, slot, table, key);
+            rewrite_in_place(&mut data.bytes, row, |row| rewrite(key, row, installed));
+            n += 1;
+        }
+        n
     }
 
     /// Removes a row; returns it if present.
@@ -313,7 +382,7 @@ impl PartitionStore {
     pub fn migrate_chunk_to(
         &mut self,
         dst: &mut PartitionStore,
-        moved: &mut HashMap<u64, MovedKeys>,
+        moved: &mut HashMap<u64, MovedKeys, FxBuild>,
         slot: u64,
         budget: usize,
     ) -> (usize, usize, bool) {
@@ -379,7 +448,7 @@ impl PartitionStore {
                 Entry::Occupied(mut ahead) => {
                     let ahead = ahead.get_mut();
                     if ahead.len() < tables.len() {
-                        ahead.resize_with(tables.len(), HashMap::new);
+                        ahead.resize_with(tables.len(), HashMap::default);
                     }
                     for (into, counters) in ahead.iter_mut().zip(tables) {
                         into.extend(counters);
@@ -453,6 +522,9 @@ impl PartitionStore {
             .sum()
     }
 }
+
+#[cfg(test)]
+mod update_twins;
 
 #[cfg(test)]
 mod tests {

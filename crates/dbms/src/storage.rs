@@ -19,6 +19,7 @@
 //! quantity.
 
 use crate::catalog::TableId;
+use crate::hash::FxBuild;
 use crate::partition::{MovedKeys, PartitionStore};
 use crate::txn::{KeyAccess, Procedure, RwSet, TxnCtx, TxnError, TxnOutput};
 use crate::value::{Key, Row};
@@ -71,7 +72,7 @@ pub(crate) struct Storage {
     stores: Vec<Vec<PartitionStore>>,
     /// Moved-key sets of in-flight slots: the ones a chunk left half
     /// moved. Empty while every slot fits the chunk budget.
-    moved: HashMap<u64, MovedKeys>,
+    moved: HashMap<u64, MovedKeys, FxBuild>,
     /// Whether per-key version counting is on (applied to every store,
     /// including ones created by later `ensure_nodes` growth).
     track_versions: bool,
@@ -85,7 +86,7 @@ impl Storage {
             num_tables,
             num_slots,
             stores: Vec::new(),
-            moved: HashMap::new(),
+            moved: HashMap::default(),
             track_versions: false,
         };
         storage.ensure_nodes(nodes);
@@ -150,7 +151,7 @@ impl Storage {
         let (result, touched_dest, rwset, key_reads, key_writes) = match in_flight {
             None => {
                 let store = &mut self.stores[node as usize][l];
-                store.record_slot_access(slot);
+                store.record_access();
                 let mut ctx = TxnCtx::settled(slot, num_slots, store);
                 ctx.set_capture(capture);
                 let result = proc.execute(&mut ctx);
@@ -166,13 +167,13 @@ impl Storage {
                 debug_assert_ne!(from, to);
                 let (src, dst) = two_nodes(&mut self.stores, from as usize, to as usize);
                 let source = &mut src[l];
-                source.record_slot_access(slot);
+                source.record_access();
                 let dest = &mut dst[l];
                 // A slot is in flight once a chunk has left part of it
                 // behind, so its moved set exists; were it missing, an
                 // empty one routes everything to the source, and
-                // `HashSet::new` does not allocate.
-                let empty = MovedKeys::new();
+                // an empty `HashSet` does not allocate.
+                let empty = MovedKeys::default();
                 let moved = self.moved.get(&slot).unwrap_or(&empty);
                 let mut ctx = TxnCtx::migrating(slot, num_slots, source, dest, moved);
                 ctx.set_capture(capture);
@@ -232,25 +233,6 @@ impl Storage {
             }
         }
         out
-    }
-
-    /// Per-slot access counts merged across every partition's own
-    /// counters.
-    pub fn slot_counts(&self) -> HashMap<u64, u64> {
-        let mut merged: HashMap<u64, u64> = HashMap::new();
-        for store in self.stores.iter().flatten() {
-            for (slot, count) in store.slot_accesses() {
-                *merged.entry(slot).or_default() += count;
-            }
-        }
-        merged
-    }
-
-    /// Resets every per-slot access counter (new monitoring window).
-    pub fn reset_slot_accesses(&mut self) {
-        for store in self.stores.iter_mut().flatten() {
-            store.reset_slot_accesses();
-        }
     }
 
     /// Resident bytes of `slot` on `(node, local)`.

@@ -8,9 +8,8 @@
 //! are rejected, matching the B2W workload's single-key procedures, §7).
 
 use crate::catalog::TableId;
-use crate::partition::PartitionStore;
+use crate::partition::{MovedKeys, PartitionStore};
 use crate::value::{Key, KeyValue, Row, Value};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Result payload of a committed transaction.
@@ -175,7 +174,7 @@ pub struct TxnCtx<'a> {
     source: &'a mut PartitionStore,
     /// Destination store and the set of keys already migrated, when the
     /// routing slot is in flight.
-    dest: Option<(&'a mut PartitionStore, &'a HashSet<(TableId, Key)>)>,
+    dest: Option<(&'a mut PartitionStore, &'a MovedKeys)>,
     /// The routing component last hashed and found to map to `slot`. A
     /// procedure touches one entity, so every key after its first carries
     /// this same component and is checked by comparison, not by hashing.
@@ -221,7 +220,7 @@ impl<'a> TxnCtx<'a> {
         num_slots: u64,
         source: &'a mut PartitionStore,
         dest: &'a mut PartitionStore,
-        moved: &'a HashSet<(TableId, Key)>,
+        moved: &'a MovedKeys,
     ) -> Self {
         TxnCtx {
             slot,
@@ -324,9 +323,16 @@ impl<'a> TxnCtx<'a> {
         }
     }
 
-    /// Reads a row in place. Procedures that go on to write it clone it:
-    /// that one `Vec` is the row they put back.
+    /// Reads a row in place. A procedure that goes on to rewrite it uses
+    /// [`update`](Self::update) instead of cloning it and putting it back.
     pub fn get(&mut self, table: TableId, key: &Key) -> Option<&Row> {
+        let side = self.note_get(table, key);
+        self.store(side).get(self.slot, table, key)
+    }
+
+    /// Tallies (and, while capturing, records) a read of `key`; returns
+    /// the side it resolves to.
+    fn note_get(&mut self, table: TableId, key: &Key) -> Side {
         let side = self.side_of(table, key);
         self.note_read(side == Side::Dest);
         self.touched_dest |= side == Side::Dest;
@@ -335,7 +341,7 @@ impl<'a> TxnCtx<'a> {
             self.key_reads
                 .push((table, key.clone(), captured_read_version(v)));
         }
-        self.store(side).get(self.slot, table, key)
+        side
     }
 
     /// Reads a row in place, aborting with `NotFound` if absent.
@@ -354,15 +360,13 @@ impl<'a> TxnCtx<'a> {
     /// Inserts or replaces a row.
     pub fn put(&mut self, table: TableId, key: Key, row: Row) -> Option<Row> {
         let side = self.side_of(table, &key);
-        let v = self.note_install(side, table, &key);
-        if self.capture {
-            self.key_writes.push((table, key.clone(), v));
-        }
+        self.note_install(side, table, &key);
         let slot = self.slot;
         self.store_mut(side).put(slot, table, key, row)
     }
 
-    /// Inserts a new row, aborting with `AlreadyExists` if present.
+    /// Inserts a new row, aborting with `AlreadyExists` if present: the
+    /// read that looks and the write that lands, in one descent.
     pub fn insert_new(
         &mut self,
         table: TableId,
@@ -370,34 +374,120 @@ impl<'a> TxnCtx<'a> {
         key: Key,
         row: Row,
     ) -> Result<(), TxnError> {
-        if self.get(table, &key).is_some() {
-            return Err(TxnError::AlreadyExists {
+        let side = self.note_get(table, &key);
+        let captured = self.capture.then(|| key.clone());
+        let slot = self.slot;
+        match self.store_mut(side).insert_new(slot, table, key, row) {
+            Ok(installed) => {
+                self.note_write(side == Side::Dest);
+                if let Some(key) = captured {
+                    self.key_writes.push((table, key, installed));
+                }
+                Ok(())
+            }
+            Err(key) => Err(TxnError::AlreadyExists {
                 table: table_name,
                 key,
-            });
+            }),
         }
-        self.put(table, key, row);
-        Ok(())
+    }
+
+    /// Rewrites a row where it lies: what `get_required`, a clone of the
+    /// row and a `put` of the clone did, without the clone and in one
+    /// descent, and tallied as those two — one read, then one write.
+    /// Aborts with `NotFound` if the row is absent.
+    ///
+    /// `rewrite` may abort the transaction by returning `Err`; like a
+    /// procedure it is written check-then-write, so a row it refuses is
+    /// a row it has not touched, and an abort writes nothing.
+    ///
+    /// # Errors
+    /// `NotFound`, or whatever `rewrite` returns.
+    pub fn update<R>(
+        &mut self,
+        table: TableId,
+        table_name: &'static str,
+        key: &Key,
+        rewrite: impl FnOnce(&mut Row) -> Result<R, TxnError>,
+    ) -> Result<R, TxnError> {
+        let side = self.note_get(table, key);
+        let slot = self.slot;
+        let out = self
+            .store_mut(side)
+            .update(slot, table, key, rewrite)
+            .ok_or_else(|| TxnError::NotFound {
+                table: table_name,
+                key: key.clone(),
+            })??;
+        self.note_install(side, table, key);
+        Ok(out)
+    }
+
+    /// Rewrites, where they lie, all rows with the given key prefix, on
+    /// both migration sides; returns how many. Tallied as the
+    /// `scan_prefix` and the `put` per row it stands for: one read, a
+    /// write per row.
+    pub fn update_prefix(
+        &mut self,
+        table: TableId,
+        prefix: &Key,
+        mut rewrite: impl FnMut(&mut Row),
+    ) -> u64 {
+        self.check_slot(prefix);
+        let (slot, capture) = (self.slot, self.capture);
+        let (reads, writes) = (&mut self.key_reads, &mut self.key_writes);
+        let (first_read, first_write) = (reads.len(), writes.len());
+        let mut rewrite_at = |store: &mut PartitionStore| {
+            store.update_prefix(slot, table, prefix, |key, row, installed| {
+                if capture {
+                    // The version read is the one this write supersedes.
+                    let observed = installed.saturating_sub(1);
+                    reads.push((table, key.clone(), captured_read_version(observed)));
+                    writes.push((table, key.clone(), installed));
+                }
+                rewrite(row);
+            })
+        };
+        // A row lies at the destination exactly when its key is in the
+        // moved set, so each store's rows are that side's keys.
+        let at_source = rewrite_at(self.source);
+        let at_dest = match &mut self.dest {
+            Some((dest, _)) => rewrite_at(dest),
+            None => 0,
+        };
+        if capture && at_source > 0 && at_dest > 0 {
+            // The scan reads, and the puts write, in key order across the
+            // sides; the keys are distinct and of one table.
+            reads[first_read..].sort_unstable_by(|a, b| a.1.cmp(&b.1));
+            writes[first_write..].sort_unstable_by(|a, b| a.1.cmp(&b.1));
+        }
+        self.touched_dest |= at_dest > 0;
+        self.note_read(at_dest > 0);
+        if pstore_telemetry::COMPILED_IN {
+            self.rwset.writes += at_source + at_dest;
+            self.rwset.dest_writes += at_dest;
+        }
+        at_source + at_dest
     }
 
     /// Deletes a row, returning it if present.
     pub fn delete(&mut self, table: TableId, key: &Key) -> Option<Row> {
         let side = self.side_of(table, key);
-        let v = self.note_install(side, table, key);
-        if self.capture {
-            self.key_writes.push((table, key.clone(), v));
-        }
+        self.note_install(side, table, key);
         let slot = self.slot;
         self.store_mut(side).delete(slot, table, key)
     }
 
-    /// Tallies a write or delete at `side` and advances the key's version
-    /// there; returns the version installed.
-    fn note_install(&mut self, side: Side, table: TableId, key: &Key) -> u64 {
+    /// Tallies a write or delete of `key` at `side`, advances the key's
+    /// version there and, while capturing, records the version installed.
+    fn note_install(&mut self, side: Side, table: TableId, key: &Key) {
         self.note_write(side == Side::Dest);
         self.touched_dest |= side == Side::Dest;
         let slot = self.slot;
-        self.store_mut(side).bump_version(slot, table, key)
+        let v = self.store_mut(side).bump_version(slot, table, key);
+        if self.capture {
+            self.key_writes.push((table, key.clone(), v));
+        }
     }
 
     /// Visits, in key order and in place, every row with the given key
@@ -435,6 +525,17 @@ impl<'a> TxnCtx<'a> {
         );
         self.touched_dest |= hit_dest;
         self.note_read(hit_dest);
+    }
+
+    /// How many rows [`scan_prefix_with`](Self::scan_prefix_with) would
+    /// visit, for sizing what collects them. It looks at no row, so it is
+    /// not an access: nothing is tallied or captured.
+    pub fn prefix_len(&mut self, table: TableId, prefix: &Key) -> usize {
+        self.check_slot(prefix);
+        let at_dest = self.dest.as_ref().map_or(0, |(dest, _)| {
+            dest.prefix_rows(self.slot, table, prefix).count()
+        });
+        self.source.prefix_rows(self.slot, table, prefix).count() + at_dest
     }
 
     /// All rows with the given key prefix, merged across migration sides.
@@ -527,7 +628,7 @@ mod tests {
         let mut dst = PartitionStore::new(1);
         dst.put(slot, 0, moved_key.clone(), row(10));
         src.put(slot, 0, staying_key.clone(), row(20));
-        let moved: HashSet<(TableId, Key)> = [(0usize, moved_key.clone())].into();
+        let moved = MovedKeys::from_iter([(0usize, moved_key.clone())]);
 
         let mut ctx = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
         assert_eq!(ctx.get(0, &moved_key), Some(&row(10)));
@@ -556,9 +657,7 @@ mod tests {
         for line in [1, 3] {
             dst.put(slot, 0, Key::str_int("cart", line), row(line));
         }
-        let moved: HashSet<(TableId, Key)> = [1, 3]
-            .map(|line| (0usize, Key::str_int("cart", line)))
-            .into();
+        let moved = MovedKeys::from_iter([1, 3].map(|line| (0usize, Key::str_int("cart", line))));
         let mut ctx = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
         let rows = ctx.scan_prefix(0, &Key::str("cart"));
         let expected: Vec<(Key, Row)> = (1..=5)
@@ -577,7 +676,7 @@ mod tests {
         let mut dst = PartitionStore::new(1);
         let k = Key::str("dup");
         dst.put(slot, 0, k.clone(), row(1));
-        let moved: HashSet<(TableId, Key)> = [(0usize, k.clone())].into();
+        let moved = MovedKeys::from_iter([(0usize, k.clone())]);
         let mut ctx = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
         let err = ctx.insert_new(0, "T", k.clone(), row(2)).unwrap_err();
         assert!(matches!(err, TxnError::AlreadyExists { .. }));
@@ -620,7 +719,7 @@ mod tests {
         let mut dst = PartitionStore::new(1);
         dst.put(slot, 0, moved_key.clone(), row(10));
         src.put(slot, 0, staying_key.clone(), row(20));
-        let moved: HashSet<(TableId, Key)> = [(0usize, moved_key.clone())].into();
+        let moved = MovedKeys::from_iter([(0usize, moved_key.clone())]);
         let mut ctx = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
         let _ = ctx.get(0, &moved_key); // dest read
         let _ = ctx.get(0, &staying_key); // source read
@@ -668,7 +767,7 @@ mod tests {
         dst.set_track_versions(true);
         dst.put(slot, 0, moved_key.clone(), row(10));
         src.put(slot, 0, staying_key.clone(), row(20));
-        let moved: HashSet<(TableId, Key)> = [(0usize, moved_key.clone())].into();
+        let moved = MovedKeys::from_iter([(0usize, moved_key.clone())]);
         let mut ctx = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
         ctx.set_capture(true);
         let _ = ctx.get(0, &staying_key); // never txn-written: observes 0

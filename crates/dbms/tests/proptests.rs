@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use pstore_core::partition_plan::SlotPlan;
 use pstore_dbms::catalog::{columns, Catalog, ColumnType, TableSchema};
 use pstore_dbms::cluster::{Cluster, ClusterConfig};
+use pstore_dbms::hash::FxBuild;
 use pstore_dbms::partition::{MovedKeys, PartitionStore};
 use pstore_dbms::skew::{imbalance, node_loads, plan_rebalance, SkewConfig};
 use pstore_dbms::txn::{Procedure, TxnCtx, TxnError, TxnOutput};
@@ -480,7 +481,7 @@ fn observe(store: &PartitionStore, case: &MoveCase) -> impl PartialEq + std::fmt
 type ChunkMover = fn(
     &mut PartitionStore,
     &mut PartitionStore,
-    &mut HashMap<u64, MovedKeys>,
+    &mut HashMap<u64, MovedKeys, FxBuild>,
     u64,
     usize,
 ) -> (usize, usize, bool);
@@ -491,7 +492,7 @@ type ChunkMover = fn(
 fn row_by_row(
     src: &mut PartitionStore,
     dst: &mut PartitionStore,
-    moved: &mut HashMap<u64, MovedKeys>,
+    moved: &mut HashMap<u64, MovedKeys, FxBuild>,
     slot: u64,
     budget: usize,
 ) -> (usize, usize, bool) {
@@ -526,7 +527,7 @@ fn row_by_row(
 fn handed_over_a_row_early(
     src: &mut PartitionStore,
     dst: &mut PartitionStore,
-    moved: &mut HashMap<u64, MovedKeys>,
+    moved: &mut HashMap<u64, MovedKeys, FxBuild>,
     slot: u64,
     budget: usize,
 ) -> (usize, usize, bool) {
@@ -544,7 +545,7 @@ fn handed_over_a_row_early(
 fn handed_over_empty_slots_too(
     src: &mut PartitionStore,
     dst: &mut PartitionStore,
-    moved: &mut HashMap<u64, MovedKeys>,
+    moved: &mut HashMap<u64, MovedKeys, FxBuild>,
     slot: u64,
     budget: usize,
 ) -> (usize, usize, bool) {
@@ -563,7 +564,7 @@ fn handed_over_empty_slots_too(
 fn assert_moves_row_by_row(case: &MoveCase, mover: ChunkMover) {
     let (mut src, mut dst) = move_stores(case);
     let (mut ref_src, mut ref_dst) = move_stores(case);
-    let (mut moved, mut ref_moved) = (HashMap::new(), HashMap::new());
+    let (mut moved, mut ref_moved) = (HashMap::default(), HashMap::default());
     let slots = case.slots.len();
     // The steps, then whatever is left of each slot in one chunk, then a
     // chunk of a slot that is already gone.

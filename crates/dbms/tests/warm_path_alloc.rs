@@ -5,7 +5,8 @@
 //! The engine's dispatch path — routing-key hashing, slot lookup, dense
 //! slot-access counters, procedure statistics — must stay off the heap
 //! once warm: it runs once per simulated transaction, hundreds of
-//! thousands of times per experiment cell. What a real workload adds on
+//! thousands of times per experiment cell. So must a row rewritten where
+//! it lies and an insert that is refused. What a real workload adds on
 //! top (rows written and returned; ids and keys are inline and cost
 //! nothing) has its own budget, over the whole B2W stream, generator
 //! included: `crates/b2w/tests/stream_alloc.rs`.
@@ -167,6 +168,56 @@ fn slot_of_routing_never_allocates_for_typical_keys() {
     assert_eq!(n, 0, "slot_of_routing allocated {n} times");
 }
 
+/// A row rewritten in place costs the heap nothing (the `get`, clone and
+/// `put` it replaces allocated the clone), and neither does an insert
+/// refused because the key is taken — nor the error that says so, its key
+/// being inline.
+#[test]
+fn a_warm_update_and_a_refused_insert_allocate_nothing() {
+    let mut store = PartitionStore::new(1);
+    let keys: Vec<Key> = (0..PROBE_KEYS).map(|i| Key::str_int("cart-7", i)).collect();
+    for (i, key) in (0..).zip(&keys) {
+        store.put(0, 0, key.clone(), Row(vec![Value::Int(i), Value::Int(0)]));
+    }
+    // One routing component for every key: any slot count will do.
+    let mut ctx = TxnCtx::settled(0, 1, &mut store);
+    let (n, sum) = allocations(|| {
+        let mut sum = 0;
+        for key in &keys {
+            sum += ctx
+                .update(0, "KV", key, |row| {
+                    let bumped = row.0[0].as_int().unwrap_or(0) + 1;
+                    row.0[1] = Value::Int(bumped);
+                    Ok(bumped)
+                })
+                .unwrap();
+        }
+        sum
+    });
+    assert_eq!(sum, (1..=PROBE_KEYS).sum::<i64>());
+    assert_eq!(n, 0, "{PROBE_KEYS} warm updates allocated {n} times");
+
+    // The rows to offer are built first: they are the caller's.
+    let offered: Vec<(Key, Row)> = keys
+        .iter()
+        .map(|k| (k.clone(), Row(vec![Value::Null])))
+        .collect();
+    let (n, refused) = allocations(|| {
+        offered
+            .into_iter()
+            .map(|(key, row)| ctx.insert_new(0, "KV", key, row))
+            .filter(|r| matches!(r, Err(TxnError::AlreadyExists { table: "KV", .. })))
+            .count()
+    });
+    assert_eq!(refused, keys.len());
+    assert_eq!(n, 0, "{refused} refused inserts allocated {n} times");
+    assert_eq!(
+        store.get(0, 0, &keys[3]),
+        Some(&Row(vec![Value::Int(3), Value::Int(4)]))
+    );
+    assert_eq!(store.total_bytes(), store.recompute_bytes());
+}
+
 /// With no sink installed the span helpers return the id-0 sentinel
 /// without building a name, an event or anything else — `tel_span!` sits
 /// on the planner's path in every `--features telemetry` build, traced or
@@ -244,7 +295,7 @@ fn chunk_move_stores(slot: u64, rows: usize) -> (PartitionStore, PartitionStore)
 fn a_slot_handed_over_whole_allocates_nothing() {
     for rows in [30, 300] {
         let (mut src, mut dst) = chunk_move_stores(9, rows);
-        let mut moved = HashMap::new();
+        let mut moved = HashMap::default();
         let bytes = src.slot_bytes(9);
         let (n, out) = allocations(|| src.migrate_chunk_to(&mut dst, &mut moved, 9, bytes));
         assert_eq!(out, (rows, bytes, true));
@@ -273,7 +324,7 @@ fn a_partial_chunk_allocates_a_constant_beyond_its_rows() {
         assert_eq!(tree.len(), rows);
 
         let (mut src, mut dst) = chunk_move_stores(9, 3 * rows);
-        let mut moved = HashMap::new();
+        let mut moved = HashMap::default();
         let budget = src.slot_bytes(9) / 3;
         let (first, out) = allocations(|| src.migrate_chunk_to(&mut dst, &mut moved, 9, budget));
         assert_eq!(out, (rows, budget, false));

@@ -6,6 +6,11 @@
 #
 # Every step must pass; the script stops at the first failure.
 #
+# Each run appends one line per step to target/static_analysis_timings.tsv:
+# run start (UTC), mode, step, whole seconds, ok/failed. Nothing reads the
+# file and nothing is gated on it; it is there so that the next claim about
+# what the gate costs has data.
+#
 # Runtime sanitizers (TSan/ASan over the thread-bearing crates) live in
 # scripts/sanitizers.sh — separate because they need a nightly toolchain
 # with rust-src and rebuild std, which is too slow for this gate.
@@ -14,11 +19,29 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
+MODE=full
 if [[ "${1:-}" == "--quick" ]]; then
     QUICK=1
+    MODE=quick
 fi
 
+TIMINGS=target/static_analysis_timings.tsv
+RUN_STARTED="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+CURRENT_STEP=""
+STEP_STARTED=0
+# finish_step <ok|failed>: one line for the step that just ended, if any.
+finish_step() {
+    if [[ -n "$CURRENT_STEP" ]]; then
+        mkdir -p "$(dirname "$TIMINGS")"
+        printf '%s\t%s\t%s\t%s\t%s\n' "$RUN_STARTED" "$MODE" "$CURRENT_STEP" \
+            "$((SECONDS - STEP_STARTED))" "$1" >> "$TIMINGS"
+        CURRENT_STEP=""
+    fi
+}
 step() {
+    finish_step ok
+    CURRENT_STEP="$*"
+    STEP_STARTED=$SECONDS
     echo
     echo "==> $*"
 }
@@ -39,6 +62,8 @@ restore_benchmark_lock() {
     fi
 }
 cleanup() {
+    # The step the script ended in: the last one, or the one that failed.
+    if [[ $? -eq 0 ]]; then finish_step ok; else finish_step failed; fi
     restore_benchmark_lock
     rm -rf ${TEMP_FILES[@]+"${TEMP_FILES[@]}"}
 }

@@ -9,7 +9,6 @@
 use crate::schema::tables;
 use pstore_dbms::txn::{Procedure, TxnCtx, TxnError, TxnOutput};
 use pstore_dbms::value::{Key, KeyValue, Row, Text, Value};
-use serde::{Deserialize, Serialize};
 
 /// Cart / line / checkout / stock-transaction status strings.
 pub mod status {
@@ -34,7 +33,7 @@ fn s(v: impl Into<Text>) -> Value {
 // ---------------------------------------------------------------------
 
 /// `AddLineToCart`: add an item to a cart, creating the cart on first use.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AddLineToCart {
     /// Cart id (partitioning key).
     pub cart_id: Text,
@@ -102,7 +101,7 @@ impl Procedure for AddLineToCart {
 }
 
 /// `DeleteLineFromCart`: remove an item from a cart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeleteLineFromCart {
     /// Cart id (partitioning key).
     pub cart_id: Text,
@@ -146,7 +145,7 @@ impl Procedure for DeleteLineFromCart {
 }
 
 /// `GetCart`: retrieve a cart and its lines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GetCart {
     /// Cart id (partitioning key).
     pub cart_id: Text,
@@ -172,7 +171,7 @@ impl Procedure for GetCart {
 }
 
 /// `DeleteCart`: drop a cart and all its lines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeleteCart {
     /// Cart id (partitioning key).
     pub cart_id: Text,
@@ -196,7 +195,7 @@ impl Procedure for DeleteCart {
 }
 
 /// `ReserveCart`: mark a cart and its lines reserved for checkout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReserveCart {
     /// Cart id (partitioning key).
     pub cart_id: Text,
@@ -230,7 +229,7 @@ impl Procedure for ReserveCart {
 // ---------------------------------------------------------------------
 
 /// `GetStock`: full inventory record for a SKU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GetStock {
     /// SKU (partitioning key).
     pub sku: Text,
@@ -250,7 +249,7 @@ impl Procedure for GetStock {
 }
 
 /// `GetStockQuantity`: available quantity of a SKU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GetStockQuantity {
     /// SKU (partitioning key).
     pub sku: Text,
@@ -271,7 +270,7 @@ impl Procedure for GetStockQuantity {
 
 /// `ReserveStock`: move quantity from available to reserved; aborts when
 /// insufficient stock remains.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReserveStock {
     /// SKU (partitioning key).
     pub sku: Text,
@@ -305,7 +304,7 @@ impl Procedure for ReserveStock {
 }
 
 /// `PurchaseStock`: move quantity from reserved to purchased.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PurchaseStock {
     /// SKU (partitioning key).
     pub sku: Text,
@@ -339,7 +338,7 @@ impl Procedure for PurchaseStock {
 }
 
 /// `CancelStockReservation`: return reserved quantity to available.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CancelStockReservation {
     /// SKU (partitioning key).
     pub sku: Text,
@@ -377,7 +376,7 @@ impl Procedure for CancelStockReservation {
 // ---------------------------------------------------------------------
 
 /// `CreateStockTransaction`: record that an item in a cart was reserved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CreateStockTransaction {
     /// Stock-transaction id (partitioning key).
     pub stock_txn_id: Text,
@@ -414,7 +413,7 @@ impl Procedure for CreateStockTransaction {
 }
 
 /// `GetStockTransaction`: retrieve a stock transaction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GetStockTransaction {
     /// Stock-transaction id (partitioning key).
     pub stock_txn_id: Text,
@@ -438,7 +437,7 @@ impl Procedure for GetStockTransaction {
 }
 
 /// `UpdateStockTransaction`: mark a stock transaction purchased/cancelled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateStockTransaction {
     /// Stock-transaction id (partitioning key).
     pub stock_txn_id: Text,
@@ -467,7 +466,7 @@ impl Procedure for UpdateStockTransaction {
 // ---------------------------------------------------------------------
 
 /// `CreateCheckout`: start the checkout process for a cart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CreateCheckout {
     /// Checkout id (partitioning key).
     pub checkout_id: Text,
@@ -504,7 +503,7 @@ impl Procedure for CreateCheckout {
 }
 
 /// `CreateCheckoutPayment`: attach payment information to a checkout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CreateCheckoutPayment {
     /// Checkout id (partitioning key).
     pub checkout_id: Text,
@@ -553,7 +552,7 @@ impl Procedure for CreateCheckoutPayment {
 }
 
 /// `AddLineToCheckout`: copy a reserved cart line into a checkout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AddLineToCheckout {
     /// Checkout id (partitioning key).
     pub checkout_id: Text,
@@ -601,7 +600,7 @@ impl Procedure for AddLineToCheckout {
 
 /// `DeleteLineFromCheckout`: remove an item from a checkout (e.g. when its
 /// reservation failed).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeleteLineFromCheckout {
     /// Checkout id (partitioning key).
     pub checkout_id: Text,
@@ -628,7 +627,7 @@ impl Procedure for DeleteLineFromCheckout {
 }
 
 /// `GetCheckout`: retrieve a checkout with its lines and payments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GetCheckout {
     /// Checkout id (partitioning key).
     pub checkout_id: Text,
@@ -658,7 +657,7 @@ impl Procedure for GetCheckout {
 }
 
 /// `DeleteCheckout`: drop a checkout with its lines and payments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeleteCheckout {
     /// Checkout id (partitioning key).
     pub checkout_id: Text,
@@ -688,7 +687,7 @@ impl Procedure for DeleteCheckout {
 /// Not part of Table 4 — it models the out-of-band archival the paper
 /// describes in §4.2 ("historical data is moved to a separate data
 /// warehouse"), which is what keeps the active database size stable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveStockTransaction {
     /// Stock-transaction id (partitioning key).
     pub stock_txn_id: Text,
@@ -713,7 +712,7 @@ impl Procedure for ArchiveStockTransaction {
 // ---------------------------------------------------------------------
 
 /// Any B2W transaction — the unit of the benchmark's traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)]
 pub enum B2wTxn {
     AddLineToCart(AddLineToCart),

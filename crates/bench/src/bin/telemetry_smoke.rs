@@ -112,33 +112,5 @@ fn main() {
         "smoke run must reconfigure at least once"
     );
 
-    // With `--expose-metrics <port>` (0 = ephemeral), scrape the live
-    // endpoint once and check it serves well-formed Prometheus text with
-    // the counters the run above must have bumped.
-    if let Some(addr) = reporter.metrics_addr() {
-        let body = pstore_telemetry::expose::scrape(addr).expect("scrape live metrics");
-        for line in body.lines() {
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (name, value) = line.rsplit_once(' ').expect("metric line has a value");
-            assert!(
-                name.starts_with("pstore_"),
-                "unexpected metric family: {line}"
-            );
-            assert!(value.parse::<f64>().is_ok(), "non-numeric sample: {line}");
-        }
-        if pstore_telemetry::COMPILED_IN {
-            assert!(
-                body.contains("pstore_reconfigurations_total"),
-                "exposition is missing the reconfiguration counter:\n{body}"
-            );
-        }
-        println!(
-            "scraped {} bytes of Prometheus text from {addr}",
-            body.len()
-        );
-    }
-
     reporter.finish();
 }

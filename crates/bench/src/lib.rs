@@ -111,11 +111,8 @@ pub fn section(title: &str) {
 /// `--threads N` (worker threads for the [`sweep`] runner; default:
 /// available parallelism), `--trace <path>`
 /// (write a telemetry JSONL trace of the run and print a summary at
-/// exit), `--summary <path>` (write a `pstore-run-summary/v1` JSON
-/// digest at exit — the input format of `pstore-trace diff`), and
-/// `--expose-metrics <port>` (serve live Prometheus-text metrics on
-/// `127.0.0.1:<port>` for the duration of the run; port 0 picks an
-/// ephemeral port, printed to stderr).
+/// exit) and `--summary <path>` (write a `pstore-run-summary/v1` JSON
+/// digest at exit — the input format of `pstore-trace diff`).
 ///
 /// Tracing only produces events when the workspace is built with the
 /// `telemetry` feature (`cargo run -p pstore-bench --features telemetry
@@ -136,16 +133,14 @@ pub struct RunReporter {
     // Set when `--summary` was given without `--trace`: the trace goes to
     // a temp file that is deleted after the summary is derived from it.
     trace_is_temp: bool,
-    exposer: Option<pstore_telemetry::Exposer>,
     // Keeps the telemetry sink installed for the lifetime of the run.
     _sink_guard: Option<pstore_telemetry::SinkGuard>,
 }
 
 impl RunReporter {
     /// Parses the process arguments — the one flag grammar of every
-    /// experiment binary — and, when `--trace`, `--summary` or
-    /// `--expose-metrics` is present, installs a telemetry sink (JSONL
-    /// writer, live-metrics tee, or both) for the rest of the run.
+    /// experiment binary — and, when `--trace` or `--summary` is present,
+    /// installs a JSONL telemetry sink for the rest of the run.
     ///
     /// # Panics
     /// Prints the usage and exits with status 2, before anything runs or
@@ -158,12 +153,12 @@ impl RunReporter {
             let bin = std::env::args().next().unwrap_or_default();
             eprintln!(
                 "error: {msg}\nusage: {bin} [--quick] [--quiet] [--threads N] \
-                 [--trace PATH] [--summary PATH] [--expose-metrics PORT]"
+                 [--trace PATH] [--summary PATH]"
             );
             std::process::exit(2)
         }
         let (mut quick, mut quiet, mut threads) = (false, false, 0usize);
-        let (mut trace_path, mut summary_path, mut expose_port) = (None, None, None);
+        let (mut trace_path, mut summary_path) = (None, None);
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -184,10 +179,6 @@ impl RunReporter {
                     };
                     *slot = Some(std::path::PathBuf::from(path));
                 }
-                "--expose-metrics" => match args.next().map(|v| v.parse::<u16>()) {
-                    Some(Ok(port)) => expose_port = Some(port),
-                    _ => usage_exit("--expose-metrics requires a port number (0 = ephemeral)"),
-                },
                 _ => usage_exit(&format!("unrecognised argument `{arg}`")),
             }
         }
@@ -203,10 +194,10 @@ impl RunReporter {
             );
         }
 
-        if !pstore_telemetry::COMPILED_IN && (trace_path.is_some() || expose_port.is_some()) {
+        if !pstore_telemetry::COMPILED_IN && trace_path.is_some() {
             eprintln!(
-                "warning: --trace/--summary/--expose-metrics given but this binary was \
-                 built without the `telemetry` feature; traces and metrics will be empty"
+                "warning: --trace/--summary given but this binary was built without the \
+                 `telemetry` feature; the trace will be empty"
             );
         }
 
@@ -226,26 +217,6 @@ impl RunReporter {
                 .is_ok_and(|v| matches!(v.as_str(), "1" | "true" | "on")),
             ..Default::default()
         };
-        let install = |sink| pstore_telemetry::install_with(sink, spec);
-        let (sink_guard, exposer) = if let Some(port) = expose_port {
-            // Tee every event into the live-metrics aggregate (and through
-            // to the JSONL file when tracing too), then serve it.
-            let (tee, shared) = pstore_telemetry::TimeSeriesSink::create(jsonl);
-            let exposer = match pstore_telemetry::Exposer::bind(port, shared) {
-                Ok(e) => e,
-                Err(e) => {
-                    eprintln!("error: cannot bind metrics port {port}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            eprintln!(
-                "metrics: serving Prometheus text on http://{}/metrics",
-                exposer.addr()
-            );
-            (Some(install(std::rc::Rc::new(tee))), Some(exposer))
-        } else {
-            (jsonl.map(install), None)
-        };
         RunReporter {
             quick,
             quiet,
@@ -253,8 +224,7 @@ impl RunReporter {
             trace_path,
             summary_path,
             trace_is_temp,
-            exposer,
-            _sink_guard: sink_guard,
+            _sink_guard: jsonl.map(|sink| pstore_telemetry::install_with(sink, spec)),
         }
     }
 
@@ -277,13 +247,6 @@ impl RunReporter {
         self.threads
     }
 
-    /// The address of the live metrics endpoint when `--expose-metrics`
-    /// was given (useful with port 0, where the OS picks the port).
-    #[must_use]
-    pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
-        self.exposer.as_ref().map(pstore_telemetry::Exposer::addr)
-    }
-
     /// Prints a progress line to stderr unless `--quiet` was given.
     pub fn progress(&self, msg: &str) {
         if !self.quiet {
@@ -292,13 +255,10 @@ impl RunReporter {
     }
 
     /// Finalises the run: snapshots the metrics registry into the trace,
-    /// flushes the sink, stops the metrics endpoint, prints a compact
+    /// flushes the sink, prints a compact
     /// summary of the emitted trace and, with `--summary <path>`, writes
     /// a `pstore-run-summary/v1` JSON digest for `pstore-trace diff`.
-    pub fn finish(mut self) {
-        if let Some(exposer) = self.exposer.as_mut() {
-            exposer.shutdown();
-        }
+    pub fn finish(self) {
         let Some(path) = self.trace_path.clone() else {
             return;
         };
@@ -311,7 +271,7 @@ impl RunReporter {
         drop(self);
         match pstore_telemetry::trace::read_jsonl(&path) {
             Ok((events, line_errors)) => {
-                let report = pstore_telemetry::trace::RunReport::from_events(&events);
+                let report = pstore_telemetry::trace::RunReport::from_trace(&events);
                 if !trace_is_temp {
                     eprintln!(
                         "trace: {} events -> {} ({} reconfigurations, {} chunk moves, \
@@ -329,7 +289,7 @@ impl RunReporter {
                     if let Some(parent) = spath.parent() {
                         let _ = std::fs::create_dir_all(parent);
                     }
-                    let summary = pstore_telemetry::RunSummary::from_events(&events);
+                    let summary = pstore_telemetry::RunSummary::from_trace(&events);
                     match std::fs::write(spath, summary.to_json()) {
                         Ok(()) => eprintln!("summary: wrote {}", spath.display()),
                         Err(e) => {

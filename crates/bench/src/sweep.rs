@@ -285,21 +285,22 @@ fn forward_cell_events(cell_idx: usize, events: Vec<tel::Event>) {
     let cell = u64::try_from(cell_idx).unwrap_or(u64::MAX);
     let mut id_map: HashMap<u64, u64> = HashMap::new();
     let mut next_local: u64 = 0;
-    for mut ev in events {
-        if ev.kind == tel::kinds::SPAN_BEGIN || ev.kind == tel::kinds::SPAN_END {
-            for (key, value) in &mut ev.fields {
-                if key == "id" {
-                    if let tel::Value::U64(old) = value {
-                        let new = *id_map.entry(*old).or_insert_with(|| {
-                            next_local += 1;
-                            ((cell + 1) << 32) | next_local
-                        });
-                        *value = tel::Value::U64(new);
-                    }
-                }
-            }
+    for ev in events {
+        // Everything but span events is forwarded as captured, undecoded.
+        let is_span = ev.kind == tel::kinds::SPAN_BEGIN || ev.kind == tel::kinds::SPAN_END;
+        let Some(mut entry) = is_span.then(|| tel::Entry::decode(&ev).ok()).flatten() else {
+            tel::forward(ev);
+            continue;
+        };
+        if let tel::Record::SpanBegin(tel::SpanBegin { id, .. })
+        | tel::Record::SpanEnd(tel::SpanEnd { id, .. }) = &mut entry.record
+        {
+            *id = *id_map.entry(*id).or_insert_with(|| {
+                next_local += 1;
+                ((cell + 1) << 32) | next_local
+            });
         }
-        tel::forward(ev);
+        tel::forward(entry.to_event());
     }
 }
 
@@ -311,10 +312,14 @@ mod tests {
     /// records metrics derived from its seed.
     fn synthetic_cell(seed: u64) -> Cell<u64> {
         Cell::new(format!("cell-{seed}"), move || {
-            let span = tel::begin_span("work", &[("seed", tel::Value::U64(seed))]);
+            let span = tel::begin_span_with(tel::SpanBegin {
+                seed: Some(seed),
+                ..tel::SpanBegin::new(0, tel::SpanName::Work)
+            });
             #[allow(clippy::cast_precision_loss)] // tiny test values
             for i in 0..5u64 {
-                tel::emit(tel::Event::new("tick").with("i", i).with("seed", seed));
+                // Any registered kind serves: the tests compare streams.
+                tel::emit(tel::TxnArrive { id: i, slot: seed });
                 tel::with_registry(|r| {
                     r.inc_counter("ticks", 1);
                     r.record_histogram("lat", 1e-3 * (seed + 1) as f64 * (i + 1) as f64);
@@ -322,7 +327,7 @@ mod tests {
             }
             #[allow(clippy::cast_precision_loss)] // tiny test values
             tel::with_registry(|r| r.set_gauge("last_seed", seed as f64));
-            tel::end_span("work", span, &[]);
+            tel::end_span(tel::SpanName::Work, span);
             seed * 10
         })
     }

@@ -20,8 +20,6 @@ pub use provenance::ProvScorer;
 pub use pstore::{PStoreConfig, PStoreController};
 pub use reactive::{ReactiveConfig, ReactiveController};
 
-use serde::{Deserialize, Serialize};
-
 /// A snapshot of the running system handed to a controller each monitoring
 /// interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,7 +35,7 @@ pub struct Observation {
 }
 
 /// Why a reconfiguration was requested.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReconfigReason {
     /// Scheduled by the predictive planner ahead of a load change.
     Planned,

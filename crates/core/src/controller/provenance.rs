@@ -43,14 +43,13 @@ impl ProvScorer {
             for &(_, horizon, predicted) in
                 self.pending.iter().filter(|&&(t, _, _)| t == obs.interval)
             {
-                tel::emit(
-                    tel::Event::new(tel::kinds::PROV_FORECAST)
-                        .with("interval", obs.interval)
-                        .with("horizon", horizon)
-                        .with("model", model)
-                        .with("predicted", predicted)
-                        .with("observed", obs.load),
-                );
+                tel::emit(tel::ProvForecast {
+                    interval: tel::count(obs.interval),
+                    horizon: tel::count(horizon),
+                    model: model.into(),
+                    predicted,
+                    observed: obs.load,
+                });
             }
         }
         self.pending.retain(|&(t, _, _)| t > obs.interval);
@@ -88,19 +87,18 @@ impl ProvScorer {
     ) -> u64 {
         self.next_decision += 1;
         if tel::prov_enabled() {
-            tel::emit(
-                tel::Event::new(tel::kinds::PROV_DECISION)
-                    .with("id", self.next_decision)
-                    .with("interval", obs.interval)
-                    .with("machines", obs.machines)
-                    .with("target", target)
-                    .with("reason", reason)
-                    .with("trigger", trigger)
-                    .with("peak", peak)
-                    .with("cost", cost)
-                    .with("lead", lead)
-                    .with("rate", rate),
-            );
+            tel::emit(tel::ProvDecision {
+                id: self.next_decision,
+                interval: tel::count(obs.interval),
+                machines: obs.machines.into(),
+                target: target.into(),
+                reason: reason.into(),
+                trigger,
+                peak,
+                cost,
+                lead: tel::count(lead),
+                rate,
+            });
         }
         self.next_decision
     }

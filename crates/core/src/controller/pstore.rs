@@ -123,14 +123,13 @@ impl<F: LoadForecaster> PStoreController<F> {
             return Action::None;
         }
         self.stats.emergency_moves += 1;
-        pstore_telemetry::tel_event!(
-            pstore_telemetry::kinds::SCALE_DECISION,
-            "interval" => obs.interval,
-            "machines" => obs.machines,
-            "target" => target,
-            "rate" => self.cfg.emergency_rate_multiplier,
-            "reason" => "emergency",
-        );
+        pstore_telemetry::tel_event!(pstore_telemetry::ScaleDecision {
+            interval: pstore_telemetry::count(obs.interval),
+            machines: obs.machines.into(),
+            target: target.into(),
+            rate: self.cfg.emergency_rate_multiplier,
+            reason: "emergency".into(),
+        });
         let decision_id = self.prov.decision(
             obs,
             target,
@@ -218,26 +217,24 @@ impl<F: LoadForecaster> PStoreController<F> {
             self.scale_in_streak += 1;
             if self.scale_in_streak < self.cfg.scale_in_confirmations {
                 self.stats.suppressed_scale_ins += 1;
-                pstore_telemetry::tel_event!(
-                    pstore_telemetry::kinds::SCALE_DECISION,
-                    "interval" => obs.interval,
-                    "machines" => obs.machines,
-                    "target" => first.to,
-                    "rate" => 1.0,
-                    "reason" => "scale-in-suppressed",
-                );
+                pstore_telemetry::tel_event!(pstore_telemetry::ScaleDecision {
+                    interval: pstore_telemetry::count(obs.interval),
+                    machines: obs.machines.into(),
+                    target: first.to.into(),
+                    rate: 1.0,
+                    reason: "scale-in-suppressed".into(),
+                });
                 return Action::None;
             }
             self.scale_in_streak = 0;
             self.stats.planned_moves += 1;
-            pstore_telemetry::tel_event!(
-                pstore_telemetry::kinds::SCALE_DECISION,
-                "interval" => obs.interval,
-                "machines" => obs.machines,
-                "target" => first.to,
-                "rate" => 1.0,
-                "reason" => "planned",
-            );
+            pstore_telemetry::tel_event!(pstore_telemetry::ScaleDecision {
+                interval: pstore_telemetry::count(obs.interval),
+                machines: obs.machines.into(),
+                target: first.to.into(),
+                rate: 1.0,
+                reason: "planned".into(),
+            });
             let peak = curve.iter().copied().fold(0.0, f64::max);
             let decision_id = self.prov.decision(
                 obs,
@@ -259,14 +256,13 @@ impl<F: LoadForecaster> PStoreController<F> {
 
         self.scale_in_streak = 0;
         self.stats.planned_moves += 1;
-        pstore_telemetry::tel_event!(
-            pstore_telemetry::kinds::SCALE_DECISION,
-            "interval" => obs.interval,
-            "machines" => obs.machines,
-            "target" => first.to,
-            "rate" => 1.0,
-            "reason" => "planned",
-        );
+        pstore_telemetry::tel_event!(pstore_telemetry::ScaleDecision {
+            interval: pstore_telemetry::count(obs.interval),
+            machines: obs.machines.into(),
+            target: first.to.into(),
+            rate: 1.0,
+            reason: "planned".into(),
+        });
         // Lead: how many intervals ahead the demand rise that forces this
         // scale-out sits on the planning curve (0 = it is already here).
         let peak = curve.iter().copied().fold(0.0, f64::max);

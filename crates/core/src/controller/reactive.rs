@@ -120,14 +120,13 @@ impl Strategy for ReactiveController {
             self.low_streak = 0;
             let target = self.sized_target(load).max(obs.machines);
             if target > obs.machines {
-                pstore_telemetry::tel_event!(
-                    pstore_telemetry::kinds::SCALE_DECISION,
-                    "interval" => obs.interval,
-                    "machines" => obs.machines,
-                    "target" => target,
-                    "rate" => 1.0,
-                    "reason" => "reactive-out",
-                );
+                pstore_telemetry::tel_event!(pstore_telemetry::ScaleDecision {
+                    interval: pstore_telemetry::count(obs.interval),
+                    machines: obs.machines.into(),
+                    target: target.into(),
+                    rate: 1.0,
+                    reason: "reactive-out".into(),
+                });
                 let decision_id =
                     self.prov
                         .decision(obs, target, "reactive-out", high_mark, load, 0.0, 0, 1.0);
@@ -148,14 +147,13 @@ impl Strategy for ReactiveController {
             self.low_streak += 1;
             if self.low_streak >= self.cfg.scale_in_patience {
                 self.low_streak = 0;
-                pstore_telemetry::tel_event!(
-                    pstore_telemetry::kinds::SCALE_DECISION,
-                    "interval" => obs.interval,
-                    "machines" => obs.machines,
-                    "target" => shrunk,
-                    "rate" => 1.0,
-                    "reason" => "reactive-in",
-                );
+                pstore_telemetry::tel_event!(pstore_telemetry::ScaleDecision {
+                    interval: pstore_telemetry::count(obs.interval),
+                    machines: obs.machines.into(),
+                    target: shrunk.into(),
+                    rate: 1.0,
+                    reason: "reactive-in".into(),
+                });
                 let decision_id =
                     self.prov
                         .decision(obs, shrunk, "reactive-in", high_mark, load, 0.0, 0, 1.0);

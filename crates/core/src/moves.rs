@@ -1,7 +1,6 @@
 //! Moves: reconfigurations between cluster sizes (§4.3).
 
 use crate::invariant::{InvariantId, Violation};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single move: a reconfiguration from `from` machines to `to` machines
@@ -9,7 +8,7 @@ use std::fmt;
 ///
 /// `from == to` is the "do nothing" move, which by construction always lasts
 /// exactly one interval (Algorithm 2, line 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Move {
     /// First interval of the move (inclusive).
     pub start: usize,
@@ -59,7 +58,7 @@ impl fmt::Display for Move {
 
 /// A contiguous, non-overlapping sequence of moves ordered by starting time
 /// — the output of the predictive elasticity planner (Algorithm 1).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MoveSeq {
     moves: Vec<Move>,
 }

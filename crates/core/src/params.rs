@@ -1,6 +1,5 @@
 //! System parameters discovered offline (§4.1 / §8.1 of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Empirically discovered parameters of the database/workload pair.
@@ -14,7 +13,7 @@ use std::time::Duration;
 /// * `D = 4646 s` — time to migrate the whole database once with a single
 ///   sender/receiver thread pair without impacting latency (incl. 10%
 ///   buffer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemParams {
     /// Target throughput per node `Q` (load units per second). Planning
     /// keeps predicted load under `Q * nodes`.

@@ -8,11 +8,10 @@
 //! between machines. Keeping slot counts per machine within ±1 of each
 //! other preserves the even-data invariant the migration model assumes.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Assignment of virtual hash slots to machines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotPlan {
     /// `slots[i]` = machine owning virtual slot `i`.
     slots: Vec<u32>,
@@ -22,7 +21,7 @@ pub struct SlotPlan {
 
 /// A batch of slots moving from one machine to another as part of a
 /// reconfiguration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotTransfer {
     /// Sending machine.
     pub from: u32,

@@ -243,7 +243,7 @@ impl Planner {
 
         // Profiler span over the DP search (begin/end via RAII so every
         // return path closes it).
-        pstore_telemetry::tel_span!(planner_span, "planner_dp");
+        pstore_telemetry::tel_span!(planner_span, pstore_telemetry::SpanName::PlannerDp);
 
         // Z: machines needed for the predicted peak, bounded by hardware.
         let peak = load.iter().copied().fold(0.0, f64::max);
@@ -264,14 +264,13 @@ impl Planner {
             let c = self.cost(&search, t_max, end_nodes, &mut memo);
             if c.is_finite() {
                 let seq = backtrack(&search, t_max, end_nodes, &memo);
-                pstore_telemetry::tel_event!(
-                    pstore_telemetry::kinds::PLANNER,
-                    "horizon" => t_max,
-                    "n0" => n0,
-                    "feasible" => true,
-                    "cost" => c,
-                    "end_machines" => end_nodes,
-                );
+                pstore_telemetry::tel_event!(pstore_telemetry::Planner {
+                    horizon: pstore_telemetry::count(t_max),
+                    n0: n0.into(),
+                    feasible: true,
+                    cost: Some(c),
+                    end_machines: Some(end_nodes.into()),
+                });
                 #[cfg(feature = "check-invariants")]
                 {
                     let violations = crate::moves::check_moves(seq.moves());
@@ -292,12 +291,13 @@ impl Planner {
                 return Some((seq, c));
             }
         }
-        pstore_telemetry::tel_event!(
-            pstore_telemetry::kinds::PLANNER,
-            "horizon" => t_max,
-            "n0" => n0,
-            "feasible" => false,
-        );
+        pstore_telemetry::tel_event!(pstore_telemetry::Planner {
+            horizon: pstore_telemetry::count(t_max),
+            n0: n0.into(),
+            feasible: false,
+            cost: None,
+            end_machines: None,
+        });
         None
     }
 

@@ -31,12 +31,11 @@
 
 use crate::cost_model::{eff_cap, move_time};
 use crate::invariant::{InvariantId, Violation};
-use serde::{Deserialize, Serialize};
 
 /// A single machine-to-machine transfer of `1/(A*B)` of the database.
 /// With `P` partitions per machine it runs as `P` parallel partition
 /// streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
     /// Sending machine id.
     pub from: u32,
@@ -45,7 +44,7 @@ pub struct Transfer {
 }
 
 /// One round of parallel transfers (a matching: no machine appears twice).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Round {
     /// The concurrent transfers of this round.
     pub transfers: Vec<Transfer>,
@@ -56,7 +55,7 @@ pub struct Round {
 /// Machine ids: `0..min(B, A)` are the machines present before and after;
 /// on scale-out ids `B..A` are the new machines, on scale-in ids `A..B` are
 /// the machines being drained and removed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationSchedule {
     b: u32,
     a: u32,
@@ -76,12 +75,11 @@ impl MigrationSchedule {
     pub fn plan(b: u32, a: u32) -> Self {
         assert!(b > 0 && a > 0, "machine counts must be positive");
         let schedule = Self::plan_unchecked(b, a);
-        pstore_telemetry::tel_event!(
-            pstore_telemetry::kinds::SCHEDULE_PLANNED,
-            "from" => b,
-            "to" => a,
-            "rounds" => schedule.rounds.len(),
-        );
+        pstore_telemetry::tel_event!(pstore_telemetry::SchedulePlanned {
+            from: b.into(),
+            to: a.into(),
+            rounds: pstore_telemetry::count(schedule.rounds.len()),
+        });
         #[cfg(feature = "check-invariants")]
         {
             let violations = schedule.check_violations();
@@ -391,7 +389,7 @@ impl Round {
 }
 
 /// One partition-to-partition stream of a machine-pair transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionStream {
     /// Sending machine.
     pub from_machine: u32,
@@ -402,7 +400,7 @@ pub struct PartitionStream {
 }
 
 /// One sampled point of the Fig 4 trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryPoint {
     /// Elapsed time since the move began, in the unit of `d`.
     pub time: f64,

@@ -1,10 +1,9 @@
 //! Table schemas and the database catalog.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Column data type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// 64-bit integer.
     Int,
@@ -17,7 +16,7 @@ pub enum ColumnType {
 }
 
 /// A column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name.
     pub name: String,
@@ -34,7 +33,7 @@ pub type TableId = usize;
 /// key* is, as in H-Store, a single column whose value routes transactions.
 /// For single-partition execution the partitioning column must be the first
 /// primary-key component, so all rows of one logical entity co-locate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     /// Table name (unique in the catalog).
     pub name: String,
@@ -76,7 +75,7 @@ impl TableSchema {
 }
 
 /// The set of tables in the database.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Catalog {
     tables: Vec<TableSchema>,
     by_name: HashMap<String, TableId>,

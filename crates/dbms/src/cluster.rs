@@ -379,13 +379,9 @@ impl Cluster {
                     // against the destination means the transaction was
                     // rerouted mid-migration — the engine-level analogue
                     // of a restart-on-moved-data.
-                    tel::emit(
-                        tel::Event::new(tel::kinds::TXN_RESTART)
-                            .with("id", id)
-                            .with("slot", slot),
-                    );
+                    tel::emit(tel::TxnRestart { id, slot });
                 }
-                tel::emit(txn_rwset_event(id, slot, &fate));
+                tel::emit(txn_rwset_record(id, slot, &fate));
             }
         }
         fate.result
@@ -509,16 +505,14 @@ impl Cluster {
         }
         let pending = pairs.iter().filter(|p| !p.is_done()).count();
         let span_id = if tel::enabled() {
-            // pstore-lint: allow(SA-02): the reconfig span covers the whole
-            // migration lifetime — opened here, closed in commit_reconfig /
-            // end_truncated_reconfig_span; TEL-01/02 verify pairing at runtime.
-            tel::begin_span(
-                tel::kinds::SPAN_RECONFIG,
-                &[
-                    ("from", tel::Value::from(self.plan.machines())),
-                    ("to", tel::Value::from(new_plan.machines())),
-                ],
-            )
+            // The reconfig span covers the whole migration lifetime — opened
+            // here, closed in commit_reconfig / end_truncated_reconfig_span;
+            // TEL-01/02 verify the pairing on every traced run.
+            tel::begin_span_with(tel::SpanBegin::reconfig(
+                0,
+                self.plan.machines().into(),
+                new_plan.machines().into(),
+            ))
         } else {
             0
         };
@@ -604,24 +598,23 @@ impl Cluster {
         // Per-chunk work span: nests inside the open reconfiguration
         // span and makes extract/install cost visible to the profiler.
         let step_span = if tel::enabled() {
-            tel::begin_span("chunk_step", &[])
+            tel::begin_span(tel::SpanName::ChunkStep)
         } else {
             0
         };
         let (n_rows, bytes, emptied) =
             self.storage
                 .migrate_chunk(slot, from, to, local, budget_bytes);
-        tel::end_span("chunk_step", step_span, &[]);
+        tel::end_span(tel::SpanName::ChunkStep, step_span);
 
-        tel::tel_event!(
-            tel::kinds::CHUNK_MOVE,
-            "from" => from,
-            "to" => to,
-            "slot" => slot,
-            "bytes" => bytes,
-            "rows" => n_rows,
-            "slot_completed" => emptied,
-        );
+        tel::tel_event!(tel::ChunkMove {
+            from: from.into(),
+            to: to.into(),
+            slot,
+            bytes: tel::count(bytes),
+            rows: tel::count(n_rows),
+            slot_completed: emptied,
+        });
         if tel::enabled() {
             tel::with_registry(|r| {
                 r.inc_counter("reconfig.chunks_moved", 1);
@@ -714,13 +707,9 @@ impl Cluster {
     /// is in flight or telemetry is off.
     pub fn end_truncated_reconfig_span(&mut self) {
         if let Some(reconfig) = self.reconfig.as_mut() {
-            // pstore-lint: allow(SA-02): closes the cross-function
-            // reconfig span opened in start_migration (truncated end);
-            // TEL-01/02 verify pairing at runtime.
-            tel::end_span(
-                tel::kinds::SPAN_RECONFIG,
+            tel::end_span_truncated(
+                tel::SpanName::Reconfig,
                 std::mem::take(&mut reconfig.span_id),
-                &[("truncated", tel::Value::from(true))],
             );
         }
     }
@@ -730,10 +719,7 @@ impl Cluster {
             unreachable!("commit requires reconfig");
         };
         debug_assert_eq!(reconfig.pending_pairs, 0);
-        // pstore-lint: allow(SA-02): closes the cross-function reconfig
-        // span opened in start_migration; TEL-01/02 verify pairing at
-        // runtime.
-        tel::end_span(tel::kinds::SPAN_RECONFIG, reconfig.span_id, &[]);
+        tel::end_span(tel::SpanName::Reconfig, reconfig.span_id);
         let target = reconfig.new_plan.machines();
         self.plan = reconfig.new_plan;
         // Completed moves already flipped their routing-cache entries to
@@ -858,37 +844,32 @@ fn account(
     }
 }
 
-/// Builds the sampled `txn_rwset` event for a fate traced under `id`. The
+/// Builds the sampled `txn_rwset` record for a fate traced under `id`. The
 /// key-level `rset` / `wset` fields appear only when the fate captured any
 /// key accesses (sampling on *and* version tracking enabled), which keeps
 /// pre-existing golden traces byte-stable.
-fn txn_rwset_event(id: u64, slot: u64, fate: &TxnFate) -> tel::Event {
-    let mut ev = tel::Event::new(tel::kinds::TXN_RWSET)
-        .with("id", id)
-        .with("slot", slot)
-        .with("proc", fate.proc)
-        .with("reads", fate.rwset.reads)
-        .with("writes", fate.rwset.writes)
-        .with("dest_reads", fate.rwset.dest_reads)
-        .with("dest_writes", fate.rwset.dest_writes)
-        .with("migrating", fate.migrating)
-        .with("restarted", fate.touched_dest)
-        .with("committed", fate.result.is_ok());
-    if !fate.key_reads.is_empty() || !fate.key_writes.is_empty() {
-        ev = ev
-            .with("rset", encode_accesses(&fate.key_reads))
-            .with("wset", encode_accesses(&fate.key_writes));
-    }
-    ev
-}
-
-/// String-encodes a captured key-access list for a `txn_rwset` field.
-fn encode_accesses(accesses: &[crate::txn::KeyAccess]) -> String {
-    tel::encode_key_versions(
+fn txn_rwset_record(id: u64, slot: u64, fate: &TxnFate) -> tel::TxnRwset {
+    let key_versions = |accesses: &[crate::txn::KeyAccess]| -> Vec<tel::KeyVersion> {
         accesses
             .iter()
-            .map(|(table, key, version)| (*table as u64, key.to_string(), *version)),
-    )
+            .map(|(table, key, version)| (*table as u64, key.to_string(), *version))
+            .collect()
+    };
+    let captured = !fate.key_reads.is_empty() || !fate.key_writes.is_empty();
+    tel::TxnRwset {
+        id,
+        slot,
+        proc: fate.proc.into(),
+        reads: fate.rwset.reads,
+        writes: fate.rwset.writes,
+        dest_reads: fate.rwset.dest_reads,
+        dest_writes: fate.rwset.dest_writes,
+        migrating: fate.migrating,
+        restarted: fate.touched_dest,
+        committed: fate.result.is_ok(),
+        rset: captured.then(|| key_versions(&fate.key_reads)),
+        wset: captured.then(|| key_versions(&fate.key_writes)),
+    }
 }
 
 #[cfg(test)]

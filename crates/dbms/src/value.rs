@@ -6,7 +6,6 @@
 //! which keeps the per-transaction path off the allocator; longer strings
 //! and wider keys spill to the heap and behave identically.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -19,7 +18,7 @@ const INLINE_CAP: usize = 22;
 /// It compares, orders, hashes and prints exactly as the `str` it holds;
 /// which representation holds it is decided by length alone, so equal
 /// strings always have equal representations.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Text(Repr);
 
 #[derive(Clone)]
@@ -211,7 +210,7 @@ impl fmt::Debug for Text {
 }
 
 /// A typed column value.
-#[derive(Debug, Clone, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, PartialOrd)]
 pub enum Value {
     /// SQL NULL.
     Null,
@@ -322,7 +321,7 @@ impl From<bool> for Value {
 /// Floats are rejected from keys (no total order / hash stability). Keys
 /// compare, order and hash as the slice of their components, whichever
 /// way they are stored.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Key(Parts);
 
 /// One- and two-component keys (every key of the B2W schema) live inline;
@@ -335,7 +334,7 @@ enum Parts {
 }
 
 /// A value usable inside a key.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KeyValue {
     /// Integer key component.
     Int(i64),
@@ -523,7 +522,7 @@ impl fmt::Display for Key {
 }
 
 /// A row: a tuple of column values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row(pub Vec<Value>);
 
 impl Row {

@@ -224,16 +224,17 @@ fn a_warm_update_and_a_refused_insert_allocate_nothing() {
 /// not.
 #[test]
 fn span_helpers_never_allocate_without_a_sink() {
-    use pstore_telemetry::{begin_span, end_span, SpanGuard, Value};
+    use pstore_telemetry::{begin_span, end_span, end_span_truncated, SpanGuard, SpanName};
 
     assert!(!pstore_telemetry::installed());
     let (n, ids) = allocations(|| {
         let mut ids = 0u64;
         for _ in 0..PROBE_KEYS {
-            let guard = SpanGuard::enter("planner_dp");
+            let guard = SpanGuard::enter(SpanName::PlannerDp);
             ids += guard.id();
-            let id = begin_span("reconfig", &[("from", Value::U64(2))]);
-            end_span("reconfig", id, &[]);
+            let id = begin_span(SpanName::Reconfig);
+            end_span(SpanName::Reconfig, id);
+            end_span_truncated(SpanName::Reconfig, id);
             ids += id;
         }
         ids

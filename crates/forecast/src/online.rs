@@ -102,11 +102,10 @@ impl OnlinePredictor {
             Ok(m) => {
                 self.model = Some(m);
                 self.observations_since_fit = 0;
-                pstore_telemetry::tel_event!(
-                    pstore_telemetry::kinds::FORECAST_RETRAIN,
-                    "history" => window.len(),
-                    "ok" => true,
-                );
+                pstore_telemetry::tel_event!(pstore_telemetry::ForecastRetrain {
+                    history: pstore_telemetry::count(window.len()),
+                    ok: true,
+                });
             }
             Err(_) => {
                 self.fit_failures += 1;
@@ -116,11 +115,10 @@ impl OnlinePredictor {
                 if self.model.is_some() {
                     self.observations_since_fit = 0;
                 }
-                pstore_telemetry::tel_event!(
-                    pstore_telemetry::kinds::FORECAST_RETRAIN,
-                    "history" => window.len(),
-                    "ok" => false,
-                );
+                pstore_telemetry::tel_event!(pstore_telemetry::ForecastRetrain {
+                    history: pstore_telemetry::count(window.len()),
+                    ok: false,
+                });
             }
         }
     }
@@ -161,11 +159,10 @@ impl OnlinePredictor {
                 *v = 0.0;
             }
         }
-        pstore_telemetry::tel_event!(
-            pstore_telemetry::kinds::FORECAST_PREDICT,
-            "horizon" => h,
-            "peak" => curve.iter().copied().fold(0.0, f64::max),
-        );
+        pstore_telemetry::tel_event!(pstore_telemetry::ForecastPredict {
+            horizon: pstore_telemetry::count(h),
+            peak: curve.iter().copied().fold(0.0, f64::max),
+        });
         true
     }
 

@@ -1,6 +1,5 @@
 //! Regularly sampled time series of load measurements.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
@@ -10,7 +9,7 @@ use std::time::Duration;
 /// interval. Index `0` corresponds to `start_slot` ticks of `interval` since
 /// an arbitrary epoch, so two series produced by the same generator can be
 /// aligned.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TimeSeries {
     interval: Duration,
     start_slot: u64,

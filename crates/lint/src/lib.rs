@@ -6,16 +6,13 @@
 //! conventions those layers depend on before any schedule can exhibit a
 //! violation, in the spirit of predictive analyses like IsoPredict.
 //!
-//! Seven rules with stable ids (see `docs/static_analysis.md` for the
-//! full catalogue, waiver syntax and JSON schema):
+//! Six rules with stable ids (see `docs/static_analysis.md` for the full
+//! catalogue, waiver syntax and JSON schema; SA-02 is retired — the typed
+//! event schema turned what it checked into a compile error):
 //!
 //! * **SA-01** — invariant-registry coherence: every `InvariantId` code
 //!   must have a checker reference in `pstore-verify`, a section in
 //!   `docs/invariants.md` and a test mention; dead doc codes fail too.
-//! * **SA-02** — telemetry discipline: `tel_event!` / `tel_span!` /
-//!   `begin_span` / `end_span` kind and span names must be registered in
-//!   `crates/telemetry/src/event.rs`, and manual begin/end calls must
-//!   pair up per function body.
 //! * **SA-03** — determinism: no wall-clock reads and no `HashMap` /
 //!   `HashSet` iteration feeding serialized or printed output in the
 //!   deterministic crates (`core`, `dbms`, `sim`, `forecast`, `b2w`).
@@ -47,11 +44,9 @@ pub use waiver::Waiver;
 
 /// Stable rule identifiers. `SA-00` is the meta-rule for malformed
 /// waivers.
-pub const RULE_IDS: [&str; 7] = [
-    "SA-00", "SA-01", "SA-02", "SA-03", "SA-04", "SA-05", "SA-06",
-];
+pub const RULE_IDS: [&str; 6] = ["SA-00", "SA-01", "SA-03", "SA-04", "SA-05", "SA-06"];
 
-/// True if `id` names a known rule (`SA-00` … `SA-06`).
+/// True if `id` names a known rule (`SA-00` … `SA-06`, less the retired `SA-02`).
 pub fn is_known_rule(id: &str) -> bool {
     RULE_IDS.contains(&id)
 }
@@ -344,7 +339,6 @@ impl LintReport {
 pub fn run(ws: &Workspace) -> LintReport {
     let mut raw: Vec<Finding> = Vec::new();
     raw.extend(rules::sa01::check(ws));
-    raw.extend(rules::sa02::check(ws));
     raw.extend(rules::sa03::check(ws));
     raw.extend(rules::sa04::check(ws));
     let (sa05, unsafe_inventory) = rules::sa05::check(ws);

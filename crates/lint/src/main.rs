@@ -49,7 +49,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// One-line summaries for `--list-rules`.
-const RULES: [(&str, &str); 7] = [
+const RULES: [(&str, &str); 6] = [
     (
         "SA-00",
         "waiver hygiene: every waiver names a known rule and carries a reason",
@@ -57,10 +57,6 @@ const RULES: [(&str, &str); 7] = [
     (
         "SA-01",
         "invariant-registry coherence across core, verify, docs and tests",
-    ),
-    (
-        "SA-02",
-        "telemetry kinds/span names registered; begin/end pairing per fn body",
     ),
     (
         "SA-03",

@@ -1,7 +1,6 @@
 //! The SA-* rule implementations plus shared token-level helpers.
 
 pub mod sa01;
-pub mod sa02;
 pub mod sa03;
 pub mod sa04;
 pub mod sa05;
@@ -187,76 +186,6 @@ pub fn fn_bodies(toks: &[Tok]) -> Vec<FnBody> {
     out
 }
 
-/// The innermost function body containing token index `at`, if any.
-pub fn innermost_fn(bodies: &[FnBody], at: usize) -> Option<&FnBody> {
-    bodies
-        .iter()
-        .filter(|b| b.open < at && at < b.close)
-        .min_by_key(|b| b.close - b.open)
-}
-
-/// A macro invocation `name!(...)` with the token range of its
-/// argument list.
-pub struct MacroCall {
-    /// Token index of the macro name.
-    pub name_idx: usize,
-    /// Token index of the opening delimiter.
-    pub open: usize,
-    /// Token index of the closing delimiter.
-    pub close: usize,
-    /// Line of the macro name.
-    pub line: u32,
-}
-
-/// Finds every `name!(…)` / `name![…]` / `name!{…}` invocation of one
-/// macro name.
-pub fn macro_calls(toks: &[Tok], name: &str) -> Vec<MacroCall> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if toks[i].is_ident(name)
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
-            && toks
-                .get(i + 2)
-                .is_some_and(|t| t.is_punct('(') || t.is_punct('[') || t.is_punct('{'))
-        {
-            if let Some(close) = matching_close(toks, i + 2) {
-                out.push(MacroCall {
-                    name_idx: i,
-                    open: i + 2,
-                    close,
-                    line: toks[i].line,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Splits an argument token range `(open, close)` exclusive of the
-/// delimiters into top-level comma-separated argument ranges.
-pub fn split_args(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut start = open + 1;
-    for (i, t) in toks.iter().enumerate().take(close).skip(open + 1) {
-        match t.kind {
-            crate::lexer::TokKind::Punct('(' | '[' | '{') => depth += 1,
-            crate::lexer::TokKind::Punct(')' | ']' | '}') => depth -= 1,
-            crate::lexer::TokKind::Punct(',') if depth == 0 => {
-                if i > start {
-                    out.push((start, i));
-                }
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if close > start {
-        out.push((start, close));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,26 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn fn_bodies_and_innermost() {
+    fn nested_fn_bodies_are_both_found() {
         let l = lex("fn outer() { fn inner() { x(); } y(); }");
         let bodies = fn_bodies(&l.toks);
         assert_eq!(bodies.len(), 2);
-        let x_idx = l
-            .toks
-            .iter()
-            .position(|t| t.is_ident("x"))
-            .unwrap_or_default();
-        let b = innermost_fn(&bodies, x_idx);
-        assert!(b.is_some_and(|b| b.close - b.open < 8));
-    }
-
-    #[test]
-    fn macro_calls_and_args() {
-        let l = lex("tel_event!(kinds::PLANNER, \"a\" => 1, \"b\" => f(1, 2));");
-        let calls = macro_calls(&l.toks, "tel_event");
-        assert_eq!(calls.len(), 1);
-        let args = split_args(&l.toks, calls[0].open, calls[0].close);
-        assert_eq!(args.len(), 3);
+        assert!(bodies[0].open < bodies[1].open && bodies[1].close < bodies[0].close);
     }
 
     #[test]

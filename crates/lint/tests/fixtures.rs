@@ -99,32 +99,6 @@ fn sa01_ranges_and_variant_names_satisfy_coherence() {
 }
 
 #[test]
-fn sa02_unregistered_names_and_unpaired_spans_fire() {
-    let report = lint("sa02_bad");
-    let f = "crates/dbms/src/lib.rs";
-    assert_eq!(
-        triples(&report),
-        vec![
-            ("SA-02".into(), f.into(), 4),
-            ("SA-02".into(), f.into(), 5),
-            ("SA-02".into(), f.into(), 6),
-            ("SA-02".into(), f.into(), 7),
-            ("SA-02".into(), f.into(), 8),
-        ]
-    );
-    assert!(report.findings[0].message.contains("kinds::MISSING"));
-    assert!(report.findings[1].message.contains("untracked"));
-    assert!(report.findings[4]
-        .message
-        .contains("1 begin_span but 0 end_span"));
-}
-
-#[test]
-fn sa02_registered_and_paired_spans_pass() {
-    assert_clean("sa02_good");
-}
-
-#[test]
 fn sa03_wall_clock_and_hash_iteration_fire() {
     let report = lint("sa03_bad");
     let f = "crates/sim/src/lib.rs";

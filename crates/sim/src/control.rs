@@ -32,14 +32,13 @@ impl ControlLoop {
     ) -> (Self, u32) {
         let initial = strategy.initial_machines().clamp(1, params.max_machines);
         if tel::prov_enabled() {
-            tel::emit(
-                tel::Event::new(tel::kinds::PROV_RUN)
-                    .with("q", params.q)
-                    .with("d_s", params.d.as_secs_f64())
-                    .with("interval_s", interval_s)
-                    .with("initial", initial)
-                    .with("policy", strategy.name()),
-            );
+            tel::emit(tel::ProvRun {
+                q: params.q,
+                d_s: params.d.as_secs_f64(),
+                interval_s,
+                initial: initial.into(),
+                policy: strategy.name().into(),
+            });
         }
         let control = ControlLoop {
             max_machines: params.max_machines,
@@ -68,23 +67,22 @@ impl ControlLoop {
         };
         self.interval += 1;
         if tel::prov_enabled() {
-            tel::emit(
-                tel::Event::new(tel::kinds::PROV_INTERVAL)
-                    .with("interval", obs.interval)
-                    .with("observed", load)
-                    .with("machines", machines)
-                    .with("reconfiguring", reconfiguring),
-            );
+            tel::emit(tel::ProvInterval {
+                interval: tel::count(obs.interval),
+                observed: load,
+                machines: machines.into(),
+                reconfiguring,
+            });
         }
         // The tick span closes before the caller opens any reconfiguration
         // span, keeping spans LIFO-nested.
         let tick_span = if self.tick_span && tel::enabled() {
-            tel::begin_span("tick", &[])
+            tel::begin_span(tel::SpanName::Tick)
         } else {
             0
         };
         let action = strategy.tick(&obs);
-        tel::end_span("tick", tick_span, &[]);
+        tel::end_span(tel::SpanName::Tick, tick_span);
         let Action::Reconfigure(req) = action else {
             return None;
         };
@@ -125,17 +123,16 @@ impl MoveLedger {
     /// Emits the `prov_reconfig` summary of a move that completed at `now`.
     pub(crate) fn emit_prov_reconfig(&self, now: f64) {
         if tel::prov_enabled() {
-            tel::emit(
-                tel::Event::new(tel::kinds::PROV_RECONFIG)
-                    .with("id", self.decision_id)
-                    .with("from", self.from)
-                    .with("to", self.to)
-                    .with("start", self.started_at)
-                    .with("duration_s", now - self.started_at)
-                    .with("chunks", self.chunks)
-                    .with("rows", self.rows)
-                    .with("bytes", self.bytes),
-            );
+            tel::emit(tel::ProvReconfig {
+                id: self.decision_id,
+                from: self.from.into(),
+                to: self.to.into(),
+                start: self.started_at,
+                duration_s: now - self.started_at,
+                chunks: self.chunks,
+                rows: self.rows,
+                bytes: self.bytes,
+            });
         }
     }
 }

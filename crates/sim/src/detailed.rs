@@ -213,14 +213,14 @@ pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> Det
     // and warm-up events are stamped (at t=0, they take no sim time).
     let run_span = if tel::enabled() {
         tel::set_time(0.0);
-        tel::begin_span("detailed_sim", &[])
+        tel::begin_span(tel::SpanName::DetailedSim)
     } else {
         0
     };
     let mut sim = Sim::new(cfg, strategy);
     sim.run();
     let result = sim.finish();
-    tel::end_span("detailed_sim", run_span, &[]);
+    tel::end_span(tel::SpanName::DetailedSim, run_span);
     result
 }
 
@@ -389,11 +389,7 @@ impl<'a> Sim<'a> {
         // arrival (end times travel as fields).
         if sampled {
             tel::set_time(at);
-            tel::emit(
-                tel::Event::new(tel::kinds::TXN_ARRIVE)
-                    .with("id", id)
-                    .with("slot", slot),
-            );
+            tel::emit(tel::TxnArrive { id, slot });
         }
         if wait > cfg.max_queue_delay_s {
             // Client timeout: the request is shed, observed at the timeout
@@ -406,16 +402,15 @@ impl<'a> Sim<'a> {
             if sampled {
                 let exec = cfg.service_mean_s;
                 emit_txn_wait(id, queue + stall, stall);
-                tel::emit(
-                    tel::Event::new(tel::kinds::TXN_ABORT)
-                        .with("id", id)
-                        .with("reason", "timeout")
-                        .with("total", queue + exec + stall)
-                        .with("queue", queue)
-                        .with("exec", exec)
-                        .with("stall", stall)
-                        .with("end", at + queue + exec + stall),
-                );
+                tel::emit(tel::TxnAbort {
+                    id,
+                    total: queue + exec + stall,
+                    queue,
+                    exec,
+                    stall,
+                    end: at + queue + exec + stall,
+                    reason: Some("timeout".into()),
+                });
             }
             return;
         }
@@ -442,27 +437,28 @@ impl<'a> Sim<'a> {
         self.recorder.record_attributed(at, queue, service, stall);
         if sampled {
             emit_txn_wait(id, queue + stall, stall);
-            tel::emit(
-                tel::Event::new(tel::kinds::TXN_EXECUTE)
-                    .with("id", id)
-                    .with("service", service),
-            );
-            let terminal = if ok {
-                tel::kinds::TXN_COMMIT
+            tel::emit(tel::TxnExecute { id, service });
+            let total = queue + service + stall;
+            if ok {
+                tel::emit(tel::TxnCommit {
+                    id,
+                    total,
+                    queue,
+                    exec: service,
+                    stall,
+                    end,
+                });
             } else {
-                tel::kinds::TXN_ABORT
-            };
-            let mut ev = tel::Event::new(terminal)
-                .with("id", id)
-                .with("total", queue + service + stall)
-                .with("queue", queue)
-                .with("exec", service)
-                .with("stall", stall)
-                .with("end", end);
-            if !ok {
-                ev = ev.with("reason", "business");
+                tel::emit(tel::TxnAbort {
+                    id,
+                    total,
+                    queue,
+                    exec: service,
+                    stall,
+                    end,
+                    reason: Some("business".into()),
+                });
             }
-            tel::emit(ev);
         }
     }
 
@@ -590,13 +586,12 @@ impl<'a> Sim<'a> {
             m.ledger.rows += moved_rows as u64;
             m.ledger.bytes += moved as u64;
             if tel::prov_enabled() {
-                tel::emit(
-                    tel::Event::new(tel::kinds::PROV_CHUNK)
-                        .with("id", m.ledger.decision_id)
-                        .with("from", from)
-                        .with("to", to)
-                        .with("bytes", moved),
-                );
+                tel::emit(tel::ProvChunk {
+                    id: m.ledger.decision_id,
+                    from: from.into(),
+                    to: to.into(),
+                    bytes: tel::count(moved),
+                });
             }
         }
 
@@ -686,7 +681,7 @@ impl<'a> Sim<'a> {
 /// database size is stable.
 fn warm_up(cluster: &mut Cluster, gen: &mut WorkloadGenerator, warmup_txns: usize) {
     let warmup_span = if tel::enabled() {
-        tel::begin_span("warmup", &[])
+        tel::begin_span(tel::SpanName::Warmup)
     } else {
         0
     };
@@ -705,25 +700,16 @@ fn warm_up(cluster: &mut Cluster, gen: &mut WorkloadGenerator, warmup_txns: usiz
         let slot = cluster.slot_of_routing(&txn.routing_key());
         let _ = cluster.execute_at_slot(&txn, slot);
     }
-    tel::end_span("warmup", warmup_span, &[]);
+    tel::end_span(tel::SpanName::Warmup, warmup_span);
 }
 
 /// Emits the wait portion of a sampled transaction's lifecycle: one
 /// `txn_queue` event (total wait and its migration-stall share) plus a
 /// `txn_stall` event when migration interference contributed at all.
 fn emit_txn_wait(id: u64, wait: f64, stall: f64) {
-    tel::emit(
-        tel::Event::new(tel::kinds::TXN_QUEUE)
-            .with("id", id)
-            .with("wait", wait)
-            .with("stall", stall),
-    );
+    tel::emit(tel::TxnQueue { id, wait, stall });
     if stall > 0.0 {
-        tel::emit(
-            tel::Event::new(tel::kinds::TXN_STALL)
-                .with("id", id)
-                .with("stall", stall),
-        );
+        tel::emit(tel::TxnStall { id, stall });
     }
 }
 
@@ -749,13 +735,12 @@ fn record_skew_sample(cluster: &Cluster) {
                 reg.set_gauge(&name, value);
             }
         });
-        tel::emit(
-            tel::Event::new(tel::kinds::SKEW_SAMPLE)
-                .with("metric", prefix)
-                .with("partitions", summary.partitions)
-                .with("max_over_mean", summary.max_over_mean)
-                .with("stddev_over_mean", summary.stddev_over_mean),
-        );
+        tel::emit(tel::SkewSample {
+            metric: prefix.into(),
+            partitions: tel::count(summary.partitions),
+            max_over_mean: summary.max_over_mean,
+            stddev_over_mean: summary.stddev_over_mean,
+        });
     }
 }
 

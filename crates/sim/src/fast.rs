@@ -29,7 +29,6 @@ use pstore_core::cost_model::{eff_cap, move_time};
 use pstore_core::params::SystemParams;
 use pstore_core::schedule::MigrationSchedule;
 use pstore_telemetry as tel;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a fast simulation.
 #[derive(Debug, Clone)]
@@ -58,7 +57,7 @@ impl FastSimConfig {
 }
 
 /// Result of a fast simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FastSimResult {
     /// Strategy name.
     pub strategy: String,
@@ -119,7 +118,7 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
     // Root span for the whole run (profiled by `pstore-trace profile`).
     let run_span = if tel::enabled() {
         tel::set_time(0.0);
-        tel::begin_span("fast_sim", &[])
+        tel::begin_span(tel::SpanName::FastSim)
     } else {
         0
     };
@@ -146,13 +145,11 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
             if let Some(req) = control.step(strategy, measured, machines, in_move.is_some()) {
                 let t_s = move_time(machines, req.target, p, d_s) / req.rate_multiplier.max(0.1);
                 let span_id = if tel::enabled() {
-                    tel::begin_span(
-                        tel::kinds::SPAN_RECONFIG,
-                        &[
-                            ("from", tel::Value::from(machines)),
-                            ("to", tel::Value::from(req.target)),
-                        ],
-                    )
+                    tel::begin_span_with(tel::SpanBegin::reconfig(
+                        0,
+                        machines.into(),
+                        req.target.into(),
+                    ))
                 } else {
                     0
                 };
@@ -178,7 +175,7 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
                 if mv.elapsed >= mv.duration_slots {
                     machines = mv.ledger.to;
                     reconfigs += 1;
-                    tel::end_span(tel::kinds::SPAN_RECONFIG, mv.span_id, &[]);
+                    tel::end_span(tel::SpanName::Reconfig, mv.span_id);
                     mv.ledger.emit_prov_reconfig(now);
                     in_move = None;
                 }
@@ -200,17 +197,9 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
     // A move still in flight when the trace ends would leave a dangling
     // span (TEL-02); close it explicitly, marked truncated.
     if let Some(mv) = &in_move {
-        // pstore-lint: allow(SA-02): second end site for the in-move
-        // reconfig span — the loop above closes moves that complete, this
-        // closes one truncated by trace end; exactly one of the two runs
-        // per span, and TEL-01/02 verify pairing at runtime.
-        tel::end_span(
-            tel::kinds::SPAN_RECONFIG,
-            mv.span_id,
-            &[("truncated", tel::Value::from(true))],
-        );
+        tel::end_span_truncated(tel::SpanName::Reconfig, mv.span_id);
     }
-    tel::end_span("fast_sim", run_span, &[]);
+    tel::end_span(tel::SpanName::FastSim, run_span);
 
     FastSimResult {
         strategy: strategy.name().to_string(),

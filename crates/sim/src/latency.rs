@@ -10,7 +10,6 @@
 // seconds and sample indices.
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 use pstore_telemetry::Histogram;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The paper's SLA threshold: 500 ms.
@@ -23,7 +22,7 @@ pub const SLA_THRESHOLD_S: f64 = 0.5;
 pub const QUANTILE_WINDOW_S: usize = 30;
 
 /// Latency percentiles of one wall-clock second.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct SecondMetrics {
     /// Second index since the start of the run.
     pub second: u64,
@@ -42,27 +41,20 @@ pub struct SecondMetrics {
     /// Whether a reconfiguration was in progress.
     pub reconfiguring: bool,
     /// Summed end-to-end latency (txn-seconds) completed this second.
-    #[serde(default)]
     pub attr_total: f64,
     /// Txn-seconds of pure queueing (wait minus migration stall).
-    #[serde(default)]
     pub attr_queue: f64,
     /// Txn-seconds of execution (service time).
-    #[serde(default)]
     pub attr_exec: f64,
     /// Txn-seconds of migration interference (wait spent behind chunk
     /// service bursts). `attr_queue + attr_exec + attr_stall ==
     /// attr_total` exactly, by construction (the TEL-06 identity).
-    #[serde(default)]
     pub attr_stall: f64,
     /// Median over the trailing [`QUANTILE_WINDOW_S`]-second window.
-    #[serde(default)]
     pub win_p50: f64,
     /// 95th percentile over the trailing window.
-    #[serde(default)]
     pub win_p95: f64,
     /// 99th percentile over the trailing window.
-    #[serde(default)]
     pub win_p99: f64,
 }
 
@@ -188,24 +180,23 @@ impl LatencyRecorder {
         self.attr_queue = 0.0;
         self.attr_exec = 0.0;
         self.attr_stall = 0.0;
-        pstore_telemetry::tel_event!(
-            pstore_telemetry::kinds::SECOND,
-            "second" => metrics.second,
-            "throughput" => metrics.throughput,
-            "p50" => metrics.p50,
-            "p95" => metrics.p95,
-            "p99" => metrics.p99,
-            "mean" => metrics.mean,
-            "machines" => metrics.machines,
-            "reconfiguring" => metrics.reconfiguring,
-            "attr_total" => metrics.attr_total,
-            "attr_queue" => metrics.attr_queue,
-            "attr_exec" => metrics.attr_exec,
-            "attr_stall" => metrics.attr_stall,
-            "win_p50" => metrics.win_p50,
-            "win_p95" => metrics.win_p95,
-            "win_p99" => metrics.win_p99,
-        );
+        pstore_telemetry::tel_event!(pstore_telemetry::Second {
+            second: metrics.second,
+            throughput: metrics.throughput,
+            p50: metrics.p50,
+            p95: metrics.p95,
+            p99: metrics.p99,
+            mean: metrics.mean,
+            machines: metrics.machines,
+            reconfiguring: metrics.reconfiguring,
+            attr_total: metrics.attr_total,
+            attr_queue: metrics.attr_queue,
+            attr_exec: metrics.attr_exec,
+            attr_stall: metrics.attr_stall,
+            win_p50: metrics.win_p50,
+            win_p95: metrics.win_p95,
+            win_p99: metrics.win_p99,
+        });
         if pstore_telemetry::enabled() {
             pstore_telemetry::with_registry(|r| {
                 let phase = if metrics.reconfiguring {
@@ -218,11 +209,10 @@ impl LatencyRecorder {
             });
             if metrics.p99 > SLA_THRESHOLD_S {
                 pstore_telemetry::with_registry(|r| r.inc_counter("sla.violation_seconds", 1));
-                pstore_telemetry::emit(
-                    pstore_telemetry::Event::new(pstore_telemetry::kinds::SLA_VIOLATION)
-                        .with("second", metrics.second)
-                        .with("p99", metrics.p99),
-                );
+                pstore_telemetry::emit(pstore_telemetry::SlaViolation {
+                    second: metrics.second,
+                    p99: metrics.p99,
+                });
             }
         }
         self.seconds.push(metrics);
@@ -237,7 +227,7 @@ impl LatencyRecorder {
 }
 
 /// SLA-violation counts per percentile (the rows of Table 2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlaViolations {
     /// Seconds in which p50 exceeded the threshold.
     pub p50: u64,

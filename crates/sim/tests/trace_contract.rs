@@ -11,6 +11,7 @@
 //! sink at all — the instrumentation is gone, not merely quiet.
 
 use pstore_b2w::generator::WorkloadConfig;
+use pstore_core::controller::baselines::StaticController;
 use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
 use pstore_core::params::SystemParams;
 use pstore_sim::detailed::{run_detailed, DetailedSimConfig};
@@ -112,6 +113,25 @@ fn detailed_run() {
     };
     let result = run_detailed(&cfg, &mut reactive());
     assert_eq!(result.reconfig_spans, vec![(120.0, 132.0)]);
+}
+
+/// 800 txn/s for 20 s on one machine that serves about 490: queues pass
+/// the 2 s client timeout within seconds and arrivals are shed — the only
+/// run here whose trace holds `txn_abort` events.
+fn overloaded_run() {
+    let cfg = DetailedSimConfig {
+        params: params(),
+        workload: WorkloadConfig {
+            num_skus: 2_000,
+            initial_carts: 600,
+            ..WorkloadConfig::default()
+        },
+        num_slots: 360,
+        warmup_txns: 10_000,
+        ..DetailedSimConfig::paper_defaults(vec![800.0; 20], 0xC0DE)
+    };
+    let result = run_detailed(&cfg, &mut StaticController::new(1));
+    assert!(result.dropped > 0, "the overload shed nothing");
 }
 
 /// Two days of a smooth daily wave in the slot model: 20 reconfigurations.
@@ -258,6 +278,44 @@ fn detailed_sampled_trace_is_pinned() {
         &[DETAILED_DEFAULT, family],
         0xd404_127c_2743_f692,
     );
+}
+
+/// `txn_abort` has one spelling — `id, total, queue, exec, stall, end,
+/// reason` — whichever site emits it; this run pins the timeout one.
+#[test]
+fn overloaded_sampled_trace_pins_timeout_aborts() {
+    let spec = TraceSpec {
+        txn_sample_every: 7,
+        ..TraceSpec::default()
+    };
+    let events = captured(spec, overloaded_run);
+    let counts: &[(&str, usize)] = &[
+        ("second", 20),
+        ("skew_sample", 2),
+        ("sla_violation", 20),
+        ("span_begin", 3),
+        ("span_end", 3),
+        ("txn_abort", 848),
+        ("txn_arrive", 2_282),
+        ("txn_commit", 1_434),
+        ("txn_execute", 1_517),
+        ("txn_queue", 2_282),
+        ("txn_rwset", 1_517),
+    ];
+    assert_trace(
+        "detailed/overloaded",
+        &events,
+        &[counts],
+        0xc95c_ff4a_8c9b_c7b4,
+    );
+    // 83 of the 848 aborts are business aborts of executed transactions
+    // (1 517 executed, 1 434 committed); the rest were shed at the timeout.
+    let timeout = ("reason".to_string(), Value::from("timeout"));
+    let shed = events
+        .iter()
+        .filter(|ev| ev.kind == kinds::TXN_ABORT && ev.fields.last() == Some(&timeout))
+        .count();
+    assert_eq!(shed, if COMPILED_IN { 765 } else { 0 });
 }
 
 #[test]

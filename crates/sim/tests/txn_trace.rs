@@ -114,7 +114,9 @@ fn sampled_txn_trace_satisfies_tel06_and_txn01() {
 
     // And the slo engine must see exactly one run whose attribution
     // includes migration-interference time from the scale-out.
-    let runs = slo::analyze(&events);
+    let (trace, undecodable) = pstore_telemetry::decode_trace(&events);
+    assert_eq!(undecodable, vec![]);
+    let runs = slo::analyze(&trace);
     assert_eq!(
         runs.len(),
         1,

@@ -8,8 +8,15 @@
 //! pstore-trace provisioning <trace.jsonl> [--width N] [--summary <out.json>]
 //! pstore-trace diff     <baseline> <candidate> [--tolerances <file>]
 //!                       [--bless] [--verbose]
+//! pstore-trace schema   [--check <doc.md>]
 //! pstore-trace <trace.jsonl>                          # legacy = report
 //! ```
+//!
+//! `schema` prints the event-kind/field and span-name tables generated
+//! from the one schema in `crates/telemetry/src/event.rs`; `--check`
+//! compares them with the text between the `<!-- schema:begin -->` and
+//! `<!-- schema:end -->` lines of a document (docs/observability.md) and
+//! exits 1 when they differ.
 //!
 //! `slo` prints the latency-attribution table (queue/exec/migration-stall
 //! txn-seconds per simulator run), every SLA-violation window with the
@@ -36,13 +43,14 @@
 //! the golden-refresh workflow after an intentional metrics change.
 //!
 //! Exit codes: 0 = clean; 1 = regression or structural problems
-//! (unmatched/misnested spans, unparseable lines, ordering violations);
+//! (unmatched/misnested spans, lines that do not parse or do not match
+//! the schema of their kind, ordering violations, a stale schema table);
 //! 2 = usage or I/O error. CI's telemetry smoke and trace-diff steps
 //! rely on these.
 
 use pstore_telemetry::summary::{diff, RunSummary, ToleranceTable};
 use pstore_telemetry::trace::{order_errors, read_jsonl, LineError, RunReport};
-use pstore_telemetry::{prov, slo, timeline, Event, Profile, ProfileClock};
+use pstore_telemetry::{prov, slo, timeline, Entry, Profile, ProfileClock};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -53,6 +61,7 @@ const USAGE: &str = "usage: pstore-trace <subcommand> ...
   slo      <trace.jsonl> [--width N] [--summary <out.json>]
   provisioning <trace.jsonl> [--width N] [--summary <out.json>]
   diff     <baseline.jsonl|.json> <candidate.jsonl|.json> [--tolerances <file>] [--bless] [--verbose]
+  schema   [--check <doc.md>]
   <trace.jsonl>   (legacy: same as report)";
 
 fn main() -> ExitCode {
@@ -68,6 +77,7 @@ fn main() -> ExitCode {
         "slo" => cmd_slo(&args[1..]),
         "provisioning" => cmd_provisioning(&args[1..]),
         "diff" => cmd_diff(&args[1..]),
+        "schema" => cmd_schema(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             ExitCode::SUCCESS
@@ -79,29 +89,6 @@ fn main() -> ExitCode {
         // Legacy single-argument form: treat the argument as a trace path.
         _ => cmd_report(&args[..]),
     }
-}
-
-/// Reads a trace, printing line errors to stderr. `Err` carries the exit
-/// code (2 on I/O failure).
-fn load_trace(path: &Path) -> Result<(Vec<Event>, Vec<LineError>), ExitCode> {
-    let (events, line_errors) = match read_jsonl(path) {
-        Ok(read) => read,
-        Err(e) => {
-            eprintln!("pstore-trace: cannot read {}: {e}", path.display());
-            return Err(ExitCode::from(2));
-        }
-    };
-    if !line_errors.is_empty() {
-        eprintln!(
-            "pstore-trace: {} unparseable line(s) in {}:",
-            line_errors.len(),
-            path.display()
-        );
-        for e in line_errors.iter().take(10) {
-            eprintln!("  line {}: {}", e.line, e.msg);
-        }
-    }
-    Ok((events, line_errors))
 }
 
 /// A parsed flag: name plus optional value.
@@ -120,8 +107,8 @@ fn parse_path_and_flags<'a>(
             if !allowed.contains(&arg.as_str()) {
                 return Err(format!("unknown flag \"{arg}\""));
             }
-            // Flags taking a value: --width, --tolerances, --summary.
-            let takes_value = matches!(arg.as_str(), "--width" | "--tolerances" | "--summary");
+            // Flags taking a value: --width, --summary.
+            let takes_value = matches!(arg.as_str(), "--width" | "--summary");
             let value = if takes_value {
                 Some(
                     it.next()
@@ -142,24 +129,95 @@ fn parse_path_and_flags<'a>(
     Ok((path, flags))
 }
 
-fn cmd_report(args: &[String]) -> ExitCode {
-    let (path, _) = match parse_path_and_flags(args, &[]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("pstore-trace report: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+/// What every trace subcommand starts from: its arguments parsed against
+/// the flags it allows, and the trace read and decoded.
+struct Opened<'a> {
+    sub: &'a str,
+    path: PathBuf,
+    flags: Vec<Flag<'a>>,
+    /// `--width N`, or the default.
+    width: usize,
+    trace: Vec<Entry>,
+    line_errors: Vec<LineError>,
+}
+
+/// Opens the trace of subcommand `sub`, printing line errors to stderr.
+/// `Err` carries the exit code: 2 on a usage or I/O error.
+fn open<'a>(sub: &'a str, args: &'a [String], allowed: &[&str]) -> Result<Opened<'a>, ExitCode> {
+    let usage = |msg: String| {
+        eprintln!("pstore-trace {sub}: {msg}");
+        ExitCode::from(2)
     };
-    let (events, line_errors) = match load_trace(&path) {
-        Ok(read) => read,
+    let (path, flags) =
+        parse_path_and_flags(args, allowed).map_err(|e| usage(format!("{e}\n{USAGE}")))?;
+    let width = match flags.iter().find(|(f, _)| *f == "--width") {
+        Some((_, Some(value))) => value
+            .parse::<usize>()
+            .map_err(|_| usage(format!("--width wants an integer, got \"{value}\"")))?,
+        _ => timeline::DEFAULT_WIDTH,
+    };
+    let (trace, line_errors) = read_jsonl(&path).map_err(|e| {
+        eprintln!("pstore-trace: cannot read {}: {e}", path.display());
+        ExitCode::from(2)
+    })?;
+    if !line_errors.is_empty() {
+        eprintln!(
+            "pstore-trace: {} unparseable line(s) in {}:",
+            line_errors.len(),
+            path.display()
+        );
+        for e in line_errors.iter().take(10) {
+            eprintln!("  line {}: {}", e.line, e.msg);
+        }
+    }
+    Ok(Opened {
+        sub,
+        path,
+        flags,
+        width,
+        trace,
+        line_errors,
+    })
+}
+
+impl Opened<'_> {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// With `--summary <out.json>`, writes `metrics` there as a
+    /// `pstore-run-summary/v1` document. `Err` is exit code 2.
+    fn write_summary(&self, metrics: Vec<(String, f64)>) -> Result<(), ExitCode> {
+        let Some((_, Some(out))) = self.flags.iter().find(|(f, _)| *f == "--summary") else {
+            return Ok(());
+        };
+        let summary = RunSummary {
+            metrics: metrics.into_iter().collect(),
+        };
+        if let Err(e) = std::fs::write(out, summary.to_json()) {
+            eprintln!("pstore-trace {}: cannot write {out}: {e}", self.sub);
+            return Err(ExitCode::from(2));
+        }
+        println!("{} summary written to {out}", self.sub);
+        Ok(())
+    }
+
+    /// 1 when any line failed to parse or decode, else 0.
+    fn exit_code(&self) -> ExitCode {
+        ExitCode::from(u8::from(!self.line_errors.is_empty()))
+    }
+}
+
+fn cmd_report(args: &[String]) -> ExitCode {
+    let opened = match open("report", args, &[]) {
+        Ok(opened) => opened,
         Err(code) => return code,
     };
-
-    let report = RunReport::from_events(&events);
+    let report = RunReport::from_trace(&opened.trace);
     print!("{}", report.render());
 
-    let ordering = order_errors(&events);
-    let mut failed = !line_errors.is_empty();
+    let ordering = order_errors(&opened.trace);
+    let mut failed = !opened.line_errors.is_empty();
     if !report.span_errors.is_empty() {
         failed = true;
         eprintln!(
@@ -174,167 +232,75 @@ fn cmd_report(args: &[String]) -> ExitCode {
             eprintln!("  {e}");
         }
     }
-    if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    ExitCode::from(u8::from(failed))
 }
 
 fn cmd_profile(args: &[String]) -> ExitCode {
-    let (path, flags) = match parse_path_and_flags(args, &["--wall", "--folded"]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("pstore-trace profile: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let opened = match open("profile", args, &["--wall", "--folded"]) {
+        Ok(opened) => opened,
+        Err(code) => return code,
     };
-    let clock = if flags.iter().any(|(f, _)| *f == "--wall") {
+    let clock = if opened.has("--wall") {
         ProfileClock::Wall
     } else {
         ProfileClock::Sim
     };
-    let folded = flags.iter().any(|(f, _)| *f == "--folded");
-    let (events, line_errors) = match load_trace(&path) {
-        Ok(read) => read,
-        Err(code) => return code,
-    };
-    let prof = Profile::from_events(&events, clock);
-    if folded {
+    let prof = Profile::from_trace(&opened.trace, clock);
+    if opened.has("--folded") {
         print!("{}", prof.folded());
     } else {
         print!("{}", prof.render(clock));
     }
-    if line_errors.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    opened.exit_code()
 }
 
 fn cmd_timeline(args: &[String]) -> ExitCode {
-    let (path, flags) = match parse_path_and_flags(args, &["--width"]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("pstore-trace timeline: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut width = timeline::DEFAULT_WIDTH;
-    if let Some((_, Some(value))) = flags.iter().find(|(f, _)| *f == "--width") {
-        match value.parse::<usize>() {
-            Ok(w) => width = w,
-            Err(_) => {
-                eprintln!("pstore-trace timeline: --width wants an integer, got \"{value}\"");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let (events, line_errors) = match load_trace(&path) {
-        Ok(read) => read,
+    let opened = match open("timeline", args, &["--width"]) {
+        Ok(opened) => opened,
         Err(code) => return code,
     };
     // Traces carrying prov_* events get the decision overlay for free;
     // for everything else decision_times is empty and the output is
     // byte-identical to the plain renderer.
-    let decisions = prov::decision_times(&prov::analyze(&events));
+    let decisions = prov::decision_times(&prov::analyze(&opened.trace));
     print!(
         "{}",
-        timeline::render_with_decisions(&events, width, &[], &decisions)
+        timeline::render(&opened.trace, opened.width, &[], &decisions)
     );
-    if line_errors.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    opened.exit_code()
 }
 
 fn cmd_slo(args: &[String]) -> ExitCode {
-    let (path, flags) = match parse_path_and_flags(args, &["--width", "--summary"]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("pstore-trace slo: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut width = timeline::DEFAULT_WIDTH;
-    if let Some((_, Some(value))) = flags.iter().find(|(f, _)| *f == "--width") {
-        match value.parse::<usize>() {
-            Ok(w) => width = w,
-            Err(_) => {
-                eprintln!("pstore-trace slo: --width wants an integer, got \"{value}\"");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let summary_out = flags
-        .iter()
-        .find(|(f, _)| *f == "--summary")
-        .and_then(|(_, v)| *v)
-        .map(PathBuf::from);
-    let (events, line_errors) = match load_trace(&path) {
-        Ok(read) => read,
+    let opened = match open("slo", args, &["--width", "--summary"]) {
+        Ok(opened) => opened,
         Err(code) => return code,
     };
-    let runs = slo::analyze(&events);
+    let runs = slo::analyze(&opened.trace);
     print!("{}", slo::render(&runs));
     println!();
+    let violations = slo::violation_times(&runs);
     print!(
         "{}",
-        timeline::render_with_violations(&events, width, &slo::violation_times(&runs))
+        timeline::render(&opened.trace, opened.width, &violations, &[])
     );
-    if let Some(out) = summary_out {
-        let mut summary = RunSummary::default();
-        for (name, value) in slo::metrics(&runs) {
-            summary.metrics.insert(name, value);
-        }
-        if let Err(e) = std::fs::write(&out, summary.to_json()) {
-            eprintln!("pstore-trace slo: cannot write {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        println!("slo summary written to {}", out.display());
+    if let Err(code) = opened.write_summary(slo::metrics(&runs)) {
+        return code;
     }
-    if line_errors.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    opened.exit_code()
 }
 
 fn cmd_provisioning(args: &[String]) -> ExitCode {
-    let (path, flags) = match parse_path_and_flags(args, &["--width", "--summary"]) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("pstore-trace provisioning: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut width = timeline::DEFAULT_WIDTH;
-    if let Some((_, Some(value))) = flags.iter().find(|(f, _)| *f == "--width") {
-        match value.parse::<usize>() {
-            Ok(w) => width = w,
-            Err(_) => {
-                eprintln!("pstore-trace provisioning: --width wants an integer, got \"{value}\"");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let summary_out = flags
-        .iter()
-        .find(|(f, _)| *f == "--summary")
-        .and_then(|(_, v)| *v)
-        .map(PathBuf::from);
-    let (events, line_errors) = match load_trace(&path) {
-        Ok(read) => read,
+    let opened = match open("provisioning", args, &["--width", "--summary"]) {
+        Ok(opened) => opened,
         Err(code) => return code,
     };
-    let runs = prov::analyze(&events);
+    let runs = prov::analyze(&opened.trace);
     if runs.is_empty() {
         eprintln!(
             "pstore-trace provisioning: no prov_* events in {} \
              (provisioning telemetry is emission-gated; run with prov \
              events enabled)",
-            path.display()
+            opened.path.display()
         );
         return ExitCode::from(1);
     }
@@ -342,32 +308,17 @@ fn cmd_provisioning(args: &[String]) -> ExitCode {
     println!();
     print!(
         "{}",
-        timeline::render_with_decisions(
-            &events,
-            width,
-            &slo::violation_times(&slo::analyze(&events)),
+        timeline::render(
+            &opened.trace,
+            opened.width,
+            &slo::violation_times(&slo::analyze(&opened.trace)),
             &prov::decision_times(&runs),
         )
     );
-    if let Some(out) = summary_out {
-        let mut summary = RunSummary::default();
-        for (name, value) in prov::metrics(&runs) {
-            summary.metrics.insert(name, value);
-        }
-        if let Err(e) = std::fs::write(&out, summary.to_json()) {
-            eprintln!(
-                "pstore-trace provisioning: cannot write {}: {e}",
-                out.display()
-            );
-            return ExitCode::from(2);
-        }
-        println!("provisioning summary written to {}", out.display());
+    if let Err(code) = opened.write_summary(prov::metrics(&runs)) {
+        return code;
     }
-    if line_errors.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    opened.exit_code()
 }
 
 fn cmd_diff(args: &[String]) -> ExitCode {
@@ -460,4 +411,55 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     } else {
         ExitCode::from(1)
     }
+}
+
+const SCHEMA_BEGIN: &str = "<!-- schema:begin -->";
+const SCHEMA_END: &str = "<!-- schema:end -->";
+
+fn cmd_schema(args: &[String]) -> ExitCode {
+    let generated = pstore_telemetry::schema_markdown();
+    let path = match args {
+        [] => {
+            print!("{generated}");
+            return ExitCode::SUCCESS;
+        }
+        [flag, path] if flag == "--check" => Path::new(path),
+        _ => {
+            eprintln!("pstore-trace schema: expected no argument or --check <doc.md>\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("pstore-trace schema: cannot read {}: {e}", path.display());
+            return ExitCode::from(2);
+        }
+    };
+    let committed = text
+        .split_once(SCHEMA_BEGIN)
+        .and_then(|(_, rest)| rest.split_once(SCHEMA_END))
+        .map(|(tables, _)| tables.trim());
+    let Some(committed) = committed else {
+        eprintln!(
+            "pstore-trace schema: {} has no {SCHEMA_BEGIN} ... {SCHEMA_END} section",
+            path.display()
+        );
+        return ExitCode::from(2);
+    };
+    let generated = generated.trim();
+    if committed == generated {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!(
+        "pstore-trace schema: the tables in {} are not what the schema in \
+         crates/telemetry/src/event.rs generates; paste the output of \
+         `pstore-trace schema` between the markers",
+        path.display()
+    );
+    let mut lines = committed.lines().zip(generated.lines());
+    if let Some((have, want)) = lines.find(|(have, want)| have != want) {
+        eprintln!("  first difference:\n  - {have}\n  + {want}");
+    }
+    ExitCode::from(1)
 }

@@ -1,8 +1,7 @@
 //! Minimal JSON reader/writer.
 //!
-//! The build environment is offline and the vendored `serde` is a marker
-//! stub (see `vendor/serde`), so the trace pipeline carries its own tiny
-//! JSON implementation: enough to round-trip the flat-ish objects the
+//! The build environment is offline, so the trace pipeline carries its own
+//! tiny JSON implementation: enough to round-trip the flat-ish objects the
 //! telemetry layer emits (objects, arrays, strings, finite numbers, bools,
 //! null). Non-finite floats serialise as `null`, matching RFC 8259's lack
 //! of NaN/Infinity literals.

@@ -6,13 +6,14 @@
 //! 1. **Metrics** ([`metrics`]): counters, gauges, and mergeable
 //!    log-bucketed latency histograms with `SecondMetrics`-compatible
 //!    p50/p95/p99/max readout.
-//! 2. **Events and spans** ([`event`], this module): plain structured
-//!    events plus begin/end span pairs with globally unique ids, emitted
-//!    through a thread-local [`Sink`] (no-op by default, in-memory for
-//!    tests, JSONL for runs).
+//! 2. **Events and spans** ([`event`], this module): typed records of
+//!    the one event schema ([`event`] declares it) plus begin/end span
+//!    pairs with globally unique ids, emitted through a thread-local
+//!    [`Sink`] (no-op by default, in-memory for tests, JSONL for runs).
 //! 3. **Traces** ([`trace`], the `pstore-trace` binary): read a JSONL
-//!    trace back, validate span pairing/nesting, and render a run report
-//!    (reconfiguration timeline, per-phase histograms, top counters).
+//!    trace back into decoded [`Entry`]s, validate span pairing/nesting,
+//!    and render a run report (reconfiguration timeline, per-phase
+//!    histograms, top counters).
 //!
 //! # The switch surface
 //!
@@ -36,7 +37,6 @@
 //! sink on drop, so even panicking tests clean up.
 
 pub mod event;
-pub mod expose;
 pub mod json;
 pub mod metrics;
 pub mod profile;
@@ -46,18 +46,15 @@ pub mod slo;
 pub mod summary;
 pub mod sync;
 pub mod timeline;
-pub mod timeseries;
 pub mod trace;
 
-pub use event::{encode_key_versions, kinds, parse_key_versions, Event, Value};
-pub use expose::Exposer;
+pub use event::*;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use profile::{Profile, ProfileClock};
 pub use prov::RunProv;
 pub use sink::{JsonlSink, MemorySink, MemorySinkHandle, NoopSink, Sink};
 pub use slo::{RunSlo, SlaWindow};
 pub use summary::RunSummary;
-pub use timeseries::{LiveMetrics, TimeSeriesSink};
 
 use crate::sync::{AtomicU64, OnceLock, Ordering};
 use std::cell::{Cell, RefCell};
@@ -174,18 +171,20 @@ pub fn clear_time() {
     CLOCK.with(|c| c.set(f64::NAN));
 }
 
-/// Emits an event through the installed sink, stamping `seq`, the
-/// current sim clock, and a wall-clock stamp. A no-op without a sink.
-pub fn emit(mut event: Event) {
-    SINK.with(|s| {
-        if let Some(sink) = s.borrow().as_ref() {
-            event.seq = SEQ.fetch_add(1, Ordering::Relaxed);
-            let t = CLOCK.with(Cell::get);
-            event.t = if t.is_finite() { Some(t) } else { None };
-            event.wall_us = Some(wall_now_us());
-            sink.record(&event);
-        }
-    });
+/// Emits a typed record of the event schema through the installed sink,
+/// stamping `seq`, the current sim clock, and a wall-clock stamp. A no-op
+/// without a sink.
+pub fn emit(record: impl Into<Record>) {
+    if installed() {
+        emit_event(record.into().encode());
+    }
+}
+
+fn emit_event(mut event: Event) {
+    let t = CLOCK.with(Cell::get);
+    event.t = if t.is_finite() { Some(t) } else { None };
+    event.wall_us = Some(wall_now_us());
+    forward(event);
 }
 
 /// Re-emits an already-stamped event through the installed sink,
@@ -215,15 +214,25 @@ pub fn flush() {
     });
 }
 
-/// Emits a `span_begin` event for a new span and returns its id — or,
+/// Emits a `span_begin` named `name` and returns the new span's id — or,
 /// with no sink installed, returns the "no span" id 0 without building
-/// anything. `extras` become additional fields on the begin event.
-pub fn begin_span(name: &str, extras: &[(&str, Value)]) -> u64 {
+/// anything.
+pub fn begin_span(name: SpanName) -> u64 {
     if !installed() {
         return 0;
     }
-    let id = SPAN_IDS.fetch_add(1, Ordering::Relaxed);
-    emit_span(kinds::SPAN_BEGIN, name, id, extras);
+    begin_span_with(SpanBegin::new(0, name))
+}
+
+/// [`begin_span`] for a begin event that carries more than its name (a
+/// reconfiguration's `from`/`to`); `span.id` is assigned here.
+pub fn begin_span_with(mut span: SpanBegin) -> u64 {
+    if !installed() {
+        return 0;
+    }
+    span.id = SPAN_IDS.fetch_add(1, Ordering::Relaxed);
+    let id = span.id;
+    emit(span);
     id
 }
 
@@ -231,18 +240,21 @@ pub fn begin_span(name: &str, extras: &[(&str, Value)]) -> u64 {
 /// keep a "no span" sentinel without branching (inlined, so a site whose
 /// id is the constant 0 disappears).
 #[inline]
-pub fn end_span(name: &str, id: u64, extras: &[(&str, Value)]) {
+pub fn end_span(name: SpanName, id: u64) {
     if id != 0 {
-        emit_span(kinds::SPAN_END, name, id, extras);
+        emit(SpanEnd::new(id, name));
     }
 }
 
-fn emit_span(kind: &str, name: &str, id: u64, extras: &[(&str, Value)]) {
-    let mut ev = Event::new(kind).with("id", id).with("name", name);
-    for (k, v) in extras {
-        ev = ev.with(k, v.clone());
+/// [`end_span`] for a span whose work the end of the run cut short: the
+/// end event carries `truncated: true`.
+pub fn end_span_truncated(name: SpanName, id: u64) {
+    if id != 0 {
+        emit(SpanEnd {
+            truncated: Some(true),
+            ..SpanEnd::new(id, name)
+        });
     }
-    emit(ev);
 }
 
 /// RAII span: emits `span_begin` on creation and `span_end` on drop.
@@ -250,16 +262,16 @@ fn emit_span(kind: &str, name: &str, id: u64, extras: &[(&str, Value)]) {
 /// reconfiguration tracked across simulator events), use
 /// [`begin_span`]/[`end_span`] with a stored id instead.
 pub struct SpanGuard {
-    name: &'static str,
+    name: SpanName,
     id: u64,
 }
 
 impl SpanGuard {
     /// Opens a span named `name`.
-    pub fn enter(name: &'static str) -> Self {
+    pub fn enter(name: SpanName) -> Self {
         SpanGuard {
             name,
-            id: begin_span(name, &[]),
+            id: begin_span(name),
         }
     }
 
@@ -271,7 +283,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        end_span(self.name, self.id, &[]);
+        end_span(self.name, self.id);
     }
 }
 
@@ -285,49 +297,46 @@ pub fn reset_registry() {
     with_registry(MetricsRegistry::clear);
 }
 
-/// Emits a [`kinds::METRICS_SNAPSHOT`] event carrying every counter and
-/// gauge in this thread's registry, then flushes the sink. Histograms
-/// are summarised as `<name>.p50/.p95/.p99/.max/.count` fields.
+/// Emits a [`MetricsSnapshot`] carrying every counter and gauge in this
+/// thread's registry, then flushes the sink. Histograms are summarised as
+/// `<name>.p50/.p95/.p99/.max/.count` fields.
 pub fn emit_metrics_snapshot() {
     if !installed() {
         return;
     }
-    let ev = with_registry(|r| {
-        let mut ev = Event::new(kinds::METRICS_SNAPSHOT);
+    let values = with_registry(|r| {
+        let mut values: Vec<(String, Value)> = Vec::new();
         for (name, v) in r.counters() {
-            ev = ev.with(name, v);
+            values.push((name.to_string(), v.into()));
         }
         for (name, v) in r.gauges() {
-            ev = ev.with(name, v);
+            values.push((name.to_string(), v.into()));
         }
         for (name, h) in r.histograms() {
-            ev = ev
-                .with(&format!("{name}.count"), h.count())
-                .with(&format!("{name}.p50"), h.quantile(0.50))
-                .with(&format!("{name}.p95"), h.quantile(0.95))
-                .with(&format!("{name}.p99"), h.quantile(0.99))
-                .with(&format!("{name}.max"), h.max());
+            values.push((format!("{name}.count"), h.count().into()));
+            values.push((format!("{name}.p50"), h.quantile(0.50).into()));
+            values.push((format!("{name}.p95"), h.quantile(0.95).into()));
+            values.push((format!("{name}.p99"), h.quantile(0.99).into()));
+            values.push((format!("{name}.max"), h.max().into()));
         }
-        ev
+        values
     });
-    emit(ev);
+    emit(MetricsSnapshot { values });
     flush();
 }
 
-/// Builds and emits an [`Event`] when [`enabled`]; otherwise nothing is
-/// built and the field expressions are not evaluated (in a build without
-/// the `instrument` feature the whole statement folds away).
+/// Emits the typed record `$record` when [`enabled`]; otherwise nothing
+/// is built and the expression is not evaluated (in a build without the
+/// `instrument` feature the whole statement folds away).
 ///
 /// ```ignore
-/// tel_event!(kinds::CHUNK_MOVE, "from" => from_node, "to" => to_node);
+/// tel_event!(SchedulePlanned { from: b.into(), to: a.into(), rounds: count(n) });
 /// ```
 #[macro_export]
 macro_rules! tel_event {
-    ($kind:expr $(, $key:literal => $value:expr)* $(,)?) => {
+    ($record:expr) => {
         if $crate::enabled() {
-            $crate::emit(
-                $crate::Event::new($kind)$(.with($key, $value))*
-            );
+            $crate::emit($record);
         }
     };
 }
@@ -336,7 +345,7 @@ macro_rules! tel_event {
 /// scope when [`enabled`]; otherwise `$guard` is `None`.
 ///
 /// ```ignore
-/// tel_span!(guard, "planner");
+/// tel_span!(guard, SpanName::PlannerDp);
 /// ```
 #[macro_export]
 macro_rules! tel_span {
@@ -357,7 +366,7 @@ mod tests {
     #[test]
     fn emit_without_sink_is_noop() {
         assert!(!installed());
-        emit(Event::new("orphan")); // must not panic
+        emit(TxnArrive { id: 1, slot: 0 }); // must not panic
     }
 
     #[test]
@@ -367,9 +376,9 @@ mod tests {
             let _guard = install(Rc::new(sink));
             assert!(installed());
             set_time(3.25);
-            emit(Event::new("a").with("x", 1u64));
+            emit(TxnArrive { id: 1, slot: 0 });
             clear_time();
-            emit(Event::new("b"));
+            emit(TxnArrive { id: 2, slot: 0 });
         }
         assert!(!installed());
         let events = handle.events();
@@ -384,32 +393,37 @@ mod tests {
         let (sink, handle) = MemorySink::new();
         let _guard = install(Rc::new(sink));
         {
-            let span = SpanGuard::enter("outer");
+            let span = SpanGuard::enter(SpanName::Tick);
             assert_ne!(span.id(), 0);
-            emit(Event::new("inside"));
+            emit(TxnArrive { id: 1, slot: 0 });
         }
-        let events = handle.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, kinds::SPAN_BEGIN);
-        assert_eq!(events[2].kind, kinds::SPAN_END);
-        assert_eq!(events[0].field_u64("id"), events[2].field_u64("id"));
-        assert_eq!(events[0].field_str("name"), Some("outer"));
+        let (trace, errors) = decode_trace(&handle.events());
+        assert!(errors.is_empty());
+        let [Record::SpanBegin(begin), _, Record::SpanEnd(end)] =
+            [&trace[0].record, &trace[1].record, &trace[2].record]
+        else {
+            panic!("expected begin, event, end: {trace:?}");
+        };
+        assert_eq!(begin.id, end.id);
+        assert_eq!(begin.name, SpanName::Tick);
     }
 
     #[test]
     fn manual_span_ignores_zero_id() {
         let (sink, handle) = MemorySink::new();
         let _guard = install(Rc::new(sink));
-        end_span("none", 0, &[]);
+        end_span(SpanName::Reconfig, 0);
+        end_span_truncated(SpanName::Reconfig, 0);
         assert!(handle.is_empty());
-        let id = begin_span(
-            "reconfig",
-            &[("from", Value::U64(2)), ("to", Value::U64(4))],
-        );
-        end_span("reconfig", id, &[]);
+        let id = begin_span_with(SpanBegin::reconfig(0, 2, 4));
+        end_span_truncated(SpanName::Reconfig, id);
         let events = handle.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].field_u64("from"), Some(2));
+        assert_eq!(
+            events[1].field("truncated").and_then(Value::as_bool),
+            Some(true)
+        );
     }
 
     #[test]
@@ -450,12 +464,12 @@ mod tests {
         {
             let (inner, inner_h) = MemorySink::new();
             let _inner_guard = install(Rc::new(inner));
-            emit(Event::new("inner"));
+            emit(TxnArrive { id: 1, slot: 0 });
             assert_eq!(inner_h.len(), 1);
         }
-        emit(Event::new("outer"));
+        emit(TxnArrive { id: 2, slot: 0 });
         let outer_events = outer_h.events();
         assert_eq!(outer_events.len(), 1);
-        assert_eq!(outer_events[0].kind, "outer");
+        assert_eq!(outer_events[0].field_u64("id"), Some(2));
     }
 }

@@ -15,7 +15,7 @@
 //! folded lines reproduces the tree's totals (the `TEL-05` invariant in
 //! `pstore-verify`).
 
-use crate::event::{kinds, Event};
+use crate::event::{Entry, Record};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -36,12 +36,12 @@ impl ProfileClock {
         }
     }
 
-    /// The chosen stamp of `ev`, in microseconds.
-    fn stamp_us(self, ev: &Event) -> Option<f64> {
+    /// The chosen stamp of `e`, in microseconds.
+    fn stamp_us(self, e: &Entry) -> Option<f64> {
         match self {
-            ProfileClock::Sim => ev.t.map(|t| t * 1e6),
+            ProfileClock::Sim => e.t.map(|t| t * 1e6),
             #[allow(clippy::cast_precision_loss)] // micros far below 2^53
-            ProfileClock::Wall => ev.wall_us.map(|w| w as f64),
+            ProfileClock::Wall => e.wall_us.map(|w| w as f64),
         }
     }
 }
@@ -100,33 +100,23 @@ struct Agg {
 }
 
 impl Profile {
-    /// Builds the profile tree from parsed trace events.
-    pub fn from_events(events: &[Event], clock: ProfileClock) -> Profile {
+    /// Builds the profile tree from a decoded trace.
+    pub fn from_trace(trace: &[Entry], clock: ProfileClock) -> Profile {
         let mut aggs: BTreeMap<Vec<String>, Agg> = BTreeMap::new();
         let mut stack: Vec<Frame> = Vec::new();
         let mut unstamped = 0usize;
         let mut unmatched = 0usize;
 
-        for ev in events {
-            match ev.kind.as_str() {
-                kinds::SPAN_BEGIN => {
-                    let Some(id) = ev.field_u64("id") else {
-                        unmatched += 1;
-                        continue;
-                    };
-                    stack.push(Frame {
-                        id,
-                        name: ev.field_str("name").unwrap_or("?").to_string(),
-                        start_us: clock.stamp_us(ev),
-                        child_total_us: 0.0,
-                    });
-                }
-                kinds::SPAN_END => {
-                    let Some(id) = ev.field_u64("id") else {
-                        unmatched += 1;
-                        continue;
-                    };
-                    let Some(pos) = stack.iter().rposition(|f| f.id == id) else {
+        for e in trace {
+            match &e.record {
+                Record::SpanBegin(b) => stack.push(Frame {
+                    id: b.id,
+                    name: b.name.clone(),
+                    start_us: clock.stamp_us(e),
+                    child_total_us: 0.0,
+                }),
+                Record::SpanEnd(end) => {
+                    let Some(pos) = stack.iter().rposition(|f| f.id == end.id) else {
                         unmatched += 1;
                         continue;
                     };
@@ -136,8 +126,8 @@ impl Profile {
                     stack.truncate(pos + 1);
                     // `pos + 1 == stack.len()`, so this pop always succeeds.
                     let Some(frame) = stack.pop() else { continue };
-                    let duration = match (frame.start_us, clock.stamp_us(ev)) {
-                        (Some(s), Some(e)) => Some((e - s).max(0.0)),
+                    let duration = match (frame.start_us, clock.stamp_us(e)) {
+                        (Some(start), Some(stop)) => Some((stop - start).max(0.0)),
                         _ => None,
                     };
                     let Some(duration) = duration else {
@@ -411,22 +401,28 @@ fn assemble(aggs: &BTreeMap<Vec<String>, Agg>) -> Vec<ProfileNode> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{kinds, SpanBegin, SpanEnd};
 
-    fn span(kind: &str, seq: u64, id: u64, name: &str, t: f64) -> Event {
-        let mut ev = Event::new(kind).with("id", id).with("name", name);
-        ev.seq = seq;
-        ev.t = Some(t);
+    fn span(kind: &str, seq: u64, id: u64, name: &str, t: f64) -> Entry {
+        let record = if kind == kinds::SPAN_BEGIN {
+            Record::from(SpanBegin::new(id, name))
+        } else {
+            Record::from(SpanEnd::new(id, name))
+        };
         // Test fixture times are small non-negative floats, so the
         // microsecond conversion fits u64 without truncation.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        {
-            ev.wall_us = Some((t * 2e6) as u64); // wall runs at 2x sim
+        let wall_us = Some((t * 2e6) as u64); // wall runs at 2x sim
+        Entry {
+            seq,
+            t: Some(t),
+            wall_us,
+            record,
         }
-        ev
     }
 
     /// root(0..10) { a(1..3), a(4..7) { b(5..6) } }
-    fn sample_events() -> Vec<Event> {
+    fn sample_events() -> Vec<Entry> {
         vec![
             span(kinds::SPAN_BEGIN, 1, 1, "root", 0.0),
             span(kinds::SPAN_BEGIN, 2, 2, "a", 1.0),
@@ -441,7 +437,7 @@ mod tests {
 
     #[test]
     fn aggregates_same_name_siblings_and_computes_self_time() {
-        let p = Profile::from_events(&sample_events(), ProfileClock::Sim);
+        let p = Profile::from_trace(&sample_events(), ProfileClock::Sim);
         assert_eq!(p.unmatched, 0);
         assert_eq!(p.unstamped, 0);
         assert_eq!(p.roots.len(), 1);
@@ -464,14 +460,14 @@ mod tests {
 
     #[test]
     fn wall_clock_uses_wall_stamps() {
-        let p = Profile::from_events(&sample_events(), ProfileClock::Wall);
+        let p = Profile::from_trace(&sample_events(), ProfileClock::Wall);
         // The test stamps wall at 2x sim.
         assert!((p.roots[0].total_us - 20e6).abs() < 2.0);
     }
 
     #[test]
     fn folded_round_trips_and_resums() {
-        let p = Profile::from_events(&sample_events(), ProfileClock::Sim);
+        let p = Profile::from_trace(&sample_events(), ProfileClock::Sim);
         let folded = p.folded();
         assert!(folded.contains("root 1 5000000"));
         assert!(folded.contains("root;a 2 4000000"));
@@ -484,7 +480,7 @@ mod tests {
 
     #[test]
     fn corrupted_folded_output_fails_resum() {
-        let p = Profile::from_events(&sample_events(), ProfileClock::Sim);
+        let p = Profile::from_trace(&sample_events(), ProfileClock::Sim);
         let folded = p.folded().replace("root;a 2 4000000", "root;a 2 400");
         assert!(!p.folded_resum_errors(&folded).is_empty());
     }
@@ -494,7 +490,7 @@ mod tests {
         let mut events = sample_events();
         events[3].t = None; // second "a" begin loses its sim stamp
         events.push(span(kinds::SPAN_END, 9, 99, "ghost", 11.0));
-        let p = Profile::from_events(&events, ProfileClock::Sim);
+        let p = Profile::from_trace(&events, ProfileClock::Sim);
         assert_eq!(p.unstamped, 1);
         assert_eq!(p.unmatched, 1);
         // The stamped sibling still aggregated.
@@ -508,7 +504,7 @@ mod tests {
             span(kinds::SPAN_BEGIN, 2, 2, "inner", 1.0),
             span(kinds::SPAN_END, 3, 1, "outer", 5.0), // closes past inner
         ];
-        let p = Profile::from_events(&events, ProfileClock::Sim);
+        let p = Profile::from_trace(&events, ProfileClock::Sim);
         assert_eq!(p.unmatched, 1);
         assert_eq!(p.roots.len(), 1);
         assert!((p.roots[0].total_us - 5e6).abs() < 1.0);
@@ -516,8 +512,8 @@ mod tests {
 
     #[test]
     fn render_is_deterministic_and_ordered() {
-        let a = Profile::from_events(&sample_events(), ProfileClock::Sim);
-        let b = Profile::from_events(&sample_events(), ProfileClock::Sim);
+        let a = Profile::from_trace(&sample_events(), ProfileClock::Sim);
+        let b = Profile::from_trace(&sample_events(), ProfileClock::Sim);
         assert_eq!(a.render(ProfileClock::Sim), b.render(ProfileClock::Sim));
         assert!(a.render(ProfileClock::Sim).contains("sim clock"));
     }

@@ -28,8 +28,9 @@
 //! and the decision/forecast joins from the raw events and require them
 //! to reconcile with this module's output.
 
-use crate::event::{kinds, span_names, Event};
+use crate::event::{Entry, ProvDecision, ProvForecast, ProvReconfig, Record};
 use crate::slo::SLA_THRESHOLD_S;
+use crate::trace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -38,71 +39,6 @@ use std::fmt::Write as _;
 /// prediction inflation (§6): demand inside the inflated envelope was,
 /// by construction, provisioned for.
 pub const UNDER_FORECAST_MARGIN: f64 = 0.15;
-
-/// One provisioning decision (a `prov_decision` event).
-#[derive(Debug, Clone)]
-pub struct ProvDecision {
-    /// Per-controller decision id (> 0).
-    pub id: u64,
-    /// Monitoring interval the decision was made in.
-    pub interval: u64,
-    /// Machines at decision time.
-    pub machines: u64,
-    /// Machines requested.
-    pub target: u64,
-    /// Controller's stated reason (`planned`, `emergency`, ...).
-    pub reason: String,
-    /// Load that tripped the decision.
-    pub trigger: f64,
-    /// Predicted peak demand driving the size.
-    pub peak: f64,
-    /// DP plan cost (0 when no plan was involved).
-    pub cost: f64,
-    /// Seconds between the decision and its target interval (0 for
-    /// reactive and emergency decisions).
-    pub lead_s: f64,
-    /// Migration-rate multiplier requested.
-    pub rate: f64,
-    /// Sim time of the decision.
-    pub t: f64,
-}
-
-/// One completed reconfiguration (a `prov_reconfig` event).
-#[derive(Debug, Clone)]
-pub struct ProvReconfig {
-    /// Decision id this move traces back to (0 = unattributed).
-    pub id: u64,
-    /// Machines before.
-    pub from: u64,
-    /// Machines after.
-    pub to: u64,
-    /// Sim time the move started.
-    pub start: f64,
-    /// Sim seconds the move took.
-    pub duration_s: f64,
-    /// Chunks migrated.
-    pub chunks: u64,
-    /// Rows migrated.
-    pub rows: u64,
-    /// Bytes migrated.
-    pub bytes: u64,
-}
-
-/// One scored forecast (a `prov_forecast` event): a prediction joined
-/// with the observation for its target interval.
-#[derive(Debug, Clone)]
-pub struct ForecastScore {
-    /// Forecasting model name.
-    pub model: String,
-    /// Intervals ahead the prediction was made.
-    pub horizon: u64,
-    /// Target interval.
-    pub interval: u64,
-    /// Predicted demand (raw, uninflated).
-    pub predicted: f64,
-    /// Observed demand for the target interval.
-    pub observed: f64,
-}
 
 /// Accuracy of one (model, horizon) cell.
 #[derive(Debug, Clone)]
@@ -177,7 +113,7 @@ pub fn ledger_areas(intervals: &[(u64, f64)], q: f64, interval_s: f64) -> Ledger
 /// Per-(model, horizon) accuracy over scored forecasts. Zero-demand
 /// observations (|observed| < 1e-9) are excluded from MAPE — relative
 /// error is undefined there — but still count toward bias and samples.
-pub fn horizon_accuracy(scores: &[ForecastScore]) -> Vec<HorizonAccuracy> {
+pub fn horizon_accuracy(scores: &[ProvForecast]) -> Vec<HorizonAccuracy> {
     let mut cells: BTreeMap<(String, u64), (u64, u64, f64, f64)> = BTreeMap::new();
     for s in scores {
         let cell = cells
@@ -228,12 +164,12 @@ pub struct RunProv {
     pub intervals: u64,
     /// The capacity ledger.
     pub ledger: LedgerTotals,
-    /// Decisions, in time order.
-    pub decisions: Vec<ProvDecision>,
+    /// Decisions with the sim time each was taken at, in time order.
+    pub decisions: Vec<(f64, ProvDecision)>,
     /// Completed reconfigurations, in completion order.
     pub reconfigs: Vec<ProvReconfig>,
     /// Scored forecasts.
-    pub scores: Vec<ForecastScore>,
+    pub scores: Vec<ProvForecast>,
     /// Per-(model, horizon) accuracy (derived from `scores`).
     pub accuracy: Vec<HorizonAccuracy>,
     /// Under-forecast windows, in interval order.
@@ -251,236 +187,132 @@ impl RunProv {
         }
         self.reconfigs.iter().find(|r| r.id == decision_id)
     }
+
+    /// Seconds between a decision and the interval it provisioned for (0
+    /// for reactive and emergency decisions). Controllers report lead in
+    /// monitoring intervals (they don't know wall seconds); the run
+    /// header's interval length converts it.
+    pub fn lead_s(&self, decision: &ProvDecision) -> f64 {
+        #[allow(clippy::cast_precision_loss)] // interval counts far below 2^53
+        let intervals = decision.lead as f64;
+        intervals * self.interval_s
+    }
 }
 
-/// Working state while a run is being scanned.
-#[derive(Default)]
-struct RunBuilder {
-    label: String,
-    policy: String,
-    q: f64,
-    d_s: f64,
+/// Merges under-forecast intervals into windows and counts the
+/// SLA-violating seconds (at `violation_times`) inside each window's
+/// time range.
+fn under_forecast_windows(
+    scores: &[ProvForecast],
     interval_s: f64,
-    /// `(interval, machines, observed)` in event order.
-    intervals: Vec<(u64, u64, f64)>,
-    decisions: Vec<ProvDecision>,
-    reconfigs: Vec<ProvReconfig>,
-    scores: Vec<ForecastScore>,
-    /// Sim times of SLA-violating `second` events.
-    violation_times: Vec<f64>,
-}
-
-impl RunBuilder {
-    fn new(label: String) -> Self {
-        RunBuilder {
-            label,
-            interval_s: 1.0,
-            ..RunBuilder::default()
+    violation_times: &[f64],
+) -> Vec<UnderForecastWindow> {
+    // Best (largest) prediction per target interval, joined with the
+    // observation the score already carries.
+    let mut per_interval: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
+    for s in scores {
+        let cell = per_interval
+            .entry(s.interval)
+            .or_insert((f64::NEG_INFINITY, s.observed));
+        cell.0 = cell.0.max(s.predicted);
+        cell.1 = s.observed;
+    }
+    let mut windows: Vec<UnderForecastWindow> = Vec::new();
+    for (&interval, &(predicted, observed)) in &per_interval {
+        if observed <= predicted * (1.0 + UNDER_FORECAST_MARGIN) {
+            continue;
+        }
+        let ratio = if predicted > 0.0 {
+            observed / predicted
+        } else {
+            f64::INFINITY
+        };
+        match windows.last_mut() {
+            Some(w) if interval <= w.end + 2 => {
+                w.end = interval;
+                w.intervals += 1;
+                w.worst_ratio = w.worst_ratio.max(ratio);
+            }
+            _ => windows.push(UnderForecastWindow {
+                start: interval,
+                end: interval,
+                intervals: 1,
+                worst_ratio: ratio,
+                sla_seconds: 0,
+            }),
         }
     }
+    #[allow(clippy::cast_precision_loss)] // interval indices far below 2^53
+    for w in &mut windows {
+        let lo = w.start as f64 * interval_s;
+        let hi = (w.end + 1) as f64 * interval_s;
+        w.sla_seconds = u64::try_from(
+            violation_times
+                .iter()
+                .filter(|&&t| t >= lo && t < hi)
+                .count(),
+        )
+        .unwrap_or(u64::MAX);
+    }
+    windows
+}
 
-    fn observe(&mut self, ev: &Event) {
-        match ev.kind.as_str() {
-            kinds::PROV_RUN => {
-                self.q = ev.field_f64("q").unwrap_or(0.0);
-                self.d_s = ev.field_f64("d_s").unwrap_or(0.0);
-                self.interval_s = ev.field_f64("interval_s").unwrap_or(1.0);
-                self.policy = ev.field_str("policy").unwrap_or("").to_string();
+/// Analyzes one run: the ledger over its `prov_interval` stream, its
+/// decisions, reconfigurations and scored forecasts.
+fn analyze_run(label: String, run: &[Entry]) -> RunProv {
+    let mut prov = RunProv {
+        label,
+        interval_s: 1.0,
+        ..RunProv::default()
+    };
+    // `(machines, observed)` per interval, in event order.
+    let mut samples: Vec<(u64, f64)> = Vec::new();
+    // Sim times of SLA-violating `second` events.
+    let mut violation_times: Vec<f64> = Vec::new();
+    for e in run {
+        match &e.record {
+            Record::ProvRun(h) => {
+                prov.q = h.q;
+                prov.d_s = h.d_s;
+                prov.interval_s = h.interval_s;
+                prov.policy.clone_from(&h.policy);
             }
-            kinds::PROV_INTERVAL => {
-                self.intervals.push((
-                    ev.field_u64("interval").unwrap_or(0),
-                    ev.field_u64("machines").unwrap_or(0),
-                    ev.field_f64("observed").unwrap_or(0.0),
-                ));
-            }
-            kinds::PROV_FORECAST => {
-                self.scores.push(ForecastScore {
-                    model: ev.field_str("model").unwrap_or("?").to_string(),
-                    horizon: ev.field_u64("horizon").unwrap_or(0),
-                    interval: ev.field_u64("interval").unwrap_or(0),
-                    predicted: ev.field_f64("predicted").unwrap_or(0.0),
-                    observed: ev.field_f64("observed").unwrap_or(0.0),
-                });
-            }
-            kinds::PROV_DECISION => {
-                // Controllers report lead in monitoring intervals (they
-                // don't know wall seconds); the run header's interval
-                // length converts it.
-                #[allow(clippy::cast_precision_loss)] // interval counts far below 2^53
-                let lead_s = ev.field_u64("lead").unwrap_or(0) as f64 * self.interval_s;
-                self.decisions.push(ProvDecision {
-                    id: ev.field_u64("id").unwrap_or(0),
-                    interval: ev.field_u64("interval").unwrap_or(0),
-                    machines: ev.field_u64("machines").unwrap_or(0),
-                    target: ev.field_u64("target").unwrap_or(0),
-                    reason: ev.field_str("reason").unwrap_or("?").to_string(),
-                    trigger: ev.field_f64("trigger").unwrap_or(0.0),
-                    peak: ev.field_f64("peak").unwrap_or(0.0),
-                    cost: ev.field_f64("cost").unwrap_or(0.0),
-                    lead_s,
-                    rate: ev.field_f64("rate").unwrap_or(1.0),
-                    t: ev.t.unwrap_or(0.0),
-                });
-            }
-            kinds::PROV_RECONFIG => {
-                self.reconfigs.push(ProvReconfig {
-                    id: ev.field_u64("id").unwrap_or(0),
-                    from: ev.field_u64("from").unwrap_or(0),
-                    to: ev.field_u64("to").unwrap_or(0),
-                    start: ev.field_f64("start").unwrap_or(0.0),
-                    duration_s: ev.field_f64("duration_s").unwrap_or(0.0),
-                    chunks: ev.field_u64("chunks").unwrap_or(0),
-                    rows: ev.field_u64("rows").unwrap_or(0),
-                    bytes: ev.field_u64("bytes").unwrap_or(0),
-                });
-            }
-            kinds::SECOND if ev.field_f64("p99").unwrap_or(0.0) > SLA_THRESHOLD_S => {
-                if let Some(t) = ev.t {
-                    self.violation_times.push(t);
-                }
-            }
+            Record::ProvInterval(i) => samples.push((i.machines, i.observed)),
+            Record::ProvForecast(s) => prov.scores.push(s.clone()),
+            Record::ProvDecision(d) => prov.decisions.push((e.t.unwrap_or(0.0), d.clone())),
+            Record::ProvReconfig(r) => prov.reconfigs.push(r.clone()),
+            Record::Second(s) if s.p99 > SLA_THRESHOLD_S => violation_times.extend(e.t),
             _ => {}
         }
     }
-
-    /// Merges under-forecast intervals into windows and counts the
-    /// SLA-violating seconds inside each window's time range.
-    fn under_forecast_windows(&self) -> Vec<UnderForecastWindow> {
-        // Best (largest) prediction per target interval, joined with the
-        // observation the score already carries.
-        let mut per_interval: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
-        for s in &self.scores {
-            let cell = per_interval
-                .entry(s.interval)
-                .or_insert((f64::NEG_INFINITY, s.observed));
-            cell.0 = cell.0.max(s.predicted);
-            cell.1 = s.observed;
-        }
-        let mut windows: Vec<UnderForecastWindow> = Vec::new();
-        for (&interval, &(predicted, observed)) in &per_interval {
-            if observed <= predicted * (1.0 + UNDER_FORECAST_MARGIN) {
-                continue;
-            }
-            let ratio = if predicted > 0.0 {
-                observed / predicted
-            } else {
-                f64::INFINITY
-            };
-            match windows.last_mut() {
-                Some(w) if interval <= w.end + 2 => {
-                    w.end = interval;
-                    w.intervals += 1;
-                    w.worst_ratio = w.worst_ratio.max(ratio);
-                }
-                _ => windows.push(UnderForecastWindow {
-                    start: interval,
-                    end: interval,
-                    intervals: 1,
-                    worst_ratio: ratio,
-                    sla_seconds: 0,
-                }),
-            }
-        }
-        #[allow(clippy::cast_precision_loss)] // interval indices far below 2^53
-        for w in &mut windows {
-            let lo = w.start as f64 * self.interval_s;
-            let hi = (w.end + 1) as f64 * self.interval_s;
-            w.sla_seconds = u64::try_from(
-                self.violation_times
-                    .iter()
-                    .filter(|&&t| t >= lo && t < hi)
-                    .count(),
-            )
-            .unwrap_or(u64::MAX);
-        }
-        windows
-    }
-
-    fn finish(self) -> RunProv {
-        let samples: Vec<(u64, f64)> = self
-            .intervals
-            .iter()
-            .map(|&(_, machines, observed)| (machines, observed))
-            .collect();
-        let ledger = ledger_areas(&samples, self.q, self.interval_s);
-        let under_forecast = self.under_forecast_windows();
-        let accuracy = horizon_accuracy(&self.scores);
-        RunProv {
-            label: self.label,
-            policy: self.policy,
-            q: self.q,
-            d_s: self.d_s,
-            interval_s: self.interval_s,
-            intervals: u64::try_from(self.intervals.len()).unwrap_or(u64::MAX),
-            ledger,
-            decisions: self.decisions,
-            reconfigs: self.reconfigs,
-            scores: self.scores,
-            accuracy,
-            under_forecast,
-            violation_seconds: u64::try_from(self.violation_times.len()).unwrap_or(u64::MAX),
-        }
-    }
+    prov.intervals = u64::try_from(samples.len()).unwrap_or(u64::MAX);
+    prov.violation_seconds = u64::try_from(violation_times.len()).unwrap_or(u64::MAX);
+    prov.ledger = ledger_areas(&samples, prov.q, prov.interval_s);
+    prov.under_forecast = under_forecast_windows(&prov.scores, prov.interval_s, &violation_times);
+    prov.accuracy = horizon_accuracy(&prov.scores);
+    prov
 }
 
-/// True for kinds that should start an implicit run in a trace without
-/// simulator spans.
-fn is_prov_kind(kind: &str) -> bool {
-    matches!(
-        kind,
-        kinds::PROV_RUN
-            | kinds::PROV_INTERVAL
-            | kinds::PROV_FORECAST
-            | kinds::PROV_DECISION
-            | kinds::PROV_RECONFIG
-            | kinds::PROV_CHUNK
-    )
-}
-
-/// Segments a trace into simulator runs and analyzes each — the same
-/// segmentation as [`slo::analyze`](crate::slo::analyze): a run is
-/// everything between a top-level `detailed_sim`/`fast_sim` span pair;
-/// traces without simulator spans yield one implicit `{i}:trace` run
-/// when they contain any `prov_*` events.
-pub fn analyze(events: &[Event]) -> Vec<RunProv> {
-    let mut runs: Vec<RunProv> = Vec::new();
-    let mut current: Option<(RunBuilder, usize)> = None; // builder + base depth
-    let mut depth: usize = 0;
-    for ev in events {
-        let begins = ev.kind == kinds::SPAN_BEGIN;
-        let ends = ev.kind == kinds::SPAN_END;
-        let name = ev.field_str("name").unwrap_or("");
-        let is_sim = name == span_names::DETAILED_SIM || name == span_names::FAST_SIM;
-        if begins && is_sim && current.as_ref().is_none_or(|&(_, base)| depth == base) {
-            if let Some((b, _)) = current.take() {
-                runs.push(b.finish());
-            }
-            current = Some((RunBuilder::new(format!("{}:{name}", runs.len())), depth + 1));
-        }
-        if begins {
-            depth += 1;
-        }
-        if let Some((b, _)) = current.as_mut() {
-            b.observe(ev);
-        } else if is_prov_kind(&ev.kind) {
-            let mut b = RunBuilder::new(format!("{}:trace", runs.len()));
-            b.observe(ev);
-            current = Some((b, 0));
-        }
-        if ends {
-            depth = depth.saturating_sub(1);
-            let closes_run = matches!(&current, Some((_, base)) if is_sim && depth + 1 == *base);
-            if closes_run {
-                if let Some((b, _)) = current.take() {
-                    runs.push(b.finish());
-                }
-            }
-        }
-    }
-    if let Some((b, _)) = current.take() {
-        runs.push(b.finish());
-    }
+/// Segments a trace into simulator runs — the same segmentation as
+/// [`slo::analyze`](crate::slo::analyze), [`trace::sim_runs`]; traces
+/// without simulator spans yield one implicit `{i}:trace` run when they
+/// contain any `prov_*` events — and analyzes each.
+pub fn analyze(trace: &[Entry]) -> Vec<RunProv> {
+    let is_prov = |r: &Record| {
+        matches!(
+            r,
+            Record::ProvRun(_)
+                | Record::ProvInterval(_)
+                | Record::ProvForecast(_)
+                | Record::ProvDecision(_)
+                | Record::ProvReconfig(_)
+                | Record::ProvChunk(_)
+        )
+    };
+    let mut runs: Vec<RunProv> = trace::sim_runs(trace, is_prov)
+        .into_iter()
+        .map(|(label, run)| analyze_run(label, run))
+        .collect();
     // Drop sim runs that carried no prov events at all (prov disabled):
     // they would only add all-zero metric rows.
     runs.retain(|r| r.intervals > 0 || !r.decisions.is_empty() || !r.scores.is_empty());
@@ -552,7 +384,7 @@ pub fn metrics(runs: &[RunProv]) -> Vec<(String, f64)> {
 pub fn decision_times(runs: &[RunProv]) -> Vec<(f64, f64)> {
     let mut times: Vec<(f64, f64)> = runs
         .iter()
-        .flat_map(|r| r.decisions.iter().map(|d| (d.t, d.lead_s)))
+        .flat_map(|r| r.decisions.iter().map(|(t, d)| (*t, r.lead_s(d))))
         .collect();
     times.sort_by(|a, b| a.0.total_cmp(&b.0));
     times
@@ -585,7 +417,7 @@ pub fn render(runs: &[RunProv]) -> String {
     let _ = writeln!(out, "== decisions (forecast -> decision -> cost -> SLA) ==");
     let mut any = false;
     for r in runs {
-        for d in &r.decisions {
+        for (t, d) in &r.decisions {
             any = true;
             let cost = match r.reconfig_of(d.id) {
                 Some(m) => format!(
@@ -594,11 +426,11 @@ pub fn render(runs: &[RunProv]) -> String {
                 ),
                 None => "no completed reconfig".to_string(),
             };
-            let sla = sla_effect(r, d);
+            let sla = sla_effect(r, *t, d);
             let _ = writeln!(
                 out,
                 "  {:<16} t={:<8.0} #{:<3} {:<20} {}->{} trigger {:.0} peak {:.0} lead {:.0}s  {cost}  {sla}",
-                r.label, d.t, d.id, d.reason, d.machines, d.target, d.trigger, d.peak, d.lead_s
+                r.label, t, d.id, d.reason, d.machines, d.target, d.trigger, d.peak, r.lead_s(d)
             );
         }
     }
@@ -650,10 +482,10 @@ pub fn render(runs: &[RunProv]) -> String {
 /// Counts SLA-violating seconds from the decision until its
 /// reconfiguration settled (plus a one-interval tail), a rough per-move
 /// SLA effect.
-fn sla_effect(r: &RunProv, d: &ProvDecision) -> String {
-    let end = r.reconfig_of(d.id).map_or(d.t + r.interval_s, |m| {
-        m.start + m.duration_s + r.interval_s
-    });
+fn sla_effect(r: &RunProv, t: f64, d: &ProvDecision) -> String {
+    let end = r
+        .reconfig_of(d.id)
+        .map_or(t + r.interval_s, |m| m.start + m.duration_s + r.interval_s);
     // Recompute from the windows' sla counts is lossy; use decisions'
     // surrounding window over the run's recorded violating seconds.
     let hits = r
@@ -662,7 +494,7 @@ fn sla_effect(r: &RunProv, d: &ProvDecision) -> String {
         .filter(|w| {
             #[allow(clippy::cast_precision_loss)] // interval indices far below 2^53
             let lo = w.start as f64 * r.interval_s;
-            lo >= d.t && lo < end
+            lo >= t && lo < end
         })
         .map(|w| w.sla_seconds)
         .sum::<u64>();
@@ -677,55 +509,70 @@ fn sla_effect(r: &RunProv, d: &ProvDecision) -> String {
 mod tests {
     #![allow(clippy::float_cmp)] // tests assert exact arithmetic
     use super::*;
+    use crate::event::{ProvInterval, ProvRun, Second, SpanBegin, SpanEnd, SpanName};
 
-    fn seq(events: &mut [Event]) {
-        for (i, ev) in events.iter_mut().enumerate() {
-            ev.seq = u64::try_from(i).unwrap_or(u64::MAX) + 1;
+    fn seq(trace: &mut [Entry]) {
+        for (i, e) in trace.iter_mut().enumerate() {
+            e.seq = u64::try_from(i).unwrap_or(u64::MAX) + 1;
         }
     }
 
-    fn at(mut ev: Event, t: f64) -> Event {
-        ev.t = Some(t);
-        ev
+    fn sim_begin(t: f64, id: u64) -> Entry {
+        Entry::at(t, SpanBegin::new(id, SpanName::DetailedSim))
     }
 
-    fn span(kind: &str, t: f64, id: u64, name: &str) -> Event {
-        at(Event::new(kind).with("id", id).with("name", name), t)
+    fn sim_end(t: f64, id: u64) -> Entry {
+        Entry::at(t, SpanEnd::new(id, SpanName::DetailedSim))
     }
 
-    fn run_header(q: f64, interval_s: f64) -> Event {
-        at(
-            Event::new(kinds::PROV_RUN)
-                .with("q", q)
-                .with("d_s", 300.0)
-                .with("interval_s", interval_s)
-                .with("initial", 2u64)
-                .with("policy", "test"),
+    fn run_header(q: f64, interval_s: f64) -> Entry {
+        Entry::at(
             0.0,
+            ProvRun {
+                q,
+                d_s: 300.0,
+                interval_s,
+                initial: 2,
+                policy: "test".into(),
+            },
         )
     }
 
     #[allow(clippy::cast_precision_loss)] // test interval indices are tiny
-    fn interval(k: u64, observed: f64, machines: u64, interval_s: f64) -> Event {
-        at(
-            Event::new(kinds::PROV_INTERVAL)
-                .with("interval", k)
-                .with("observed", observed)
-                .with("machines", machines),
+    fn interval(k: u64, observed: f64, machines: u64, interval_s: f64) -> Entry {
+        Entry::at(
             k as f64 * interval_s,
+            ProvInterval {
+                interval: k,
+                observed,
+                machines,
+                reconfiguring: false,
+            },
         )
     }
 
+    fn score(interval: u64, horizon: u64, predicted: f64, observed: f64) -> ProvForecast {
+        ProvForecast {
+            interval,
+            horizon,
+            model: "persistence".into(),
+            predicted,
+            observed,
+        }
+    }
+
     #[allow(clippy::cast_precision_loss)] // test interval indices are tiny
-    fn forecast(k: u64, horizon: u64, predicted: f64, observed: f64) -> Event {
-        at(
-            Event::new(kinds::PROV_FORECAST)
-                .with("interval", k)
-                .with("horizon", horizon)
-                .with("model", "persistence")
-                .with("predicted", predicted)
-                .with("observed", observed),
-            k as f64 * 30.0,
+    fn forecast(k: u64, horizon: u64, predicted: f64, observed: f64) -> Entry {
+        Entry::at(k as f64 * 30.0, score(k, horizon, predicted, observed))
+    }
+
+    fn second(t: f64, p99: f64) -> Entry {
+        Entry::at(
+            t,
+            Second {
+                p99,
+                ..Second::default()
+            },
         )
     }
 
@@ -752,25 +599,13 @@ mod tests {
     #[test]
     fn mape_on_single_sample_and_zero_demand() {
         // Single sample: MAPE is just that sample's relative error.
-        let one = horizon_accuracy(&[ForecastScore {
-            model: "m".into(),
-            horizon: 1,
-            interval: 0,
-            predicted: 110.0,
-            observed: 100.0,
-        }]);
+        let one = horizon_accuracy(&[score(0, 1, 110.0, 100.0)]);
         assert_eq!(one.len(), 1);
         assert!((one[0].mape.unwrap_or(f64::NAN) - 10.0).abs() < 1e-9);
         assert!((one[0].bias - 10.0).abs() < 1e-9);
 
         // All-zero demand: MAPE undefined, bias still defined.
-        let zero = horizon_accuracy(&[ForecastScore {
-            model: "m".into(),
-            horizon: 1,
-            interval: 0,
-            predicted: 50.0,
-            observed: 0.0,
-        }]);
+        let zero = horizon_accuracy(&[score(0, 1, 50.0, 0.0)]);
         assert!(zero[0].mape.is_none());
         assert_eq!(zero[0].samples, 1);
         assert!((zero[0].bias - 50.0).abs() < 1e-9);
@@ -790,7 +625,7 @@ mod tests {
     #[test]
     fn under_forecast_windows_merge_and_respect_margin() {
         let mut events = vec![
-            span(kinds::SPAN_BEGIN, 0.0, 1, span_names::DETAILED_SIM),
+            sim_begin(0.0, 1),
             run_header(100.0, 30.0),
             // Within the 15% envelope: not under-forecast.
             forecast(1, 1, 100.0, 110.0),
@@ -799,7 +634,7 @@ mod tests {
             forecast(3, 1, 100.0, 180.0),
             // Far away: a second window.
             forecast(8, 1, 100.0, 300.0),
-            span(kinds::SPAN_END, 300.0, 1, span_names::DETAILED_SIM),
+            sim_end(300.0, 1),
         ];
         seq(&mut events);
         let runs = analyze(&events);
@@ -814,15 +649,15 @@ mod tests {
     #[test]
     fn under_forecast_windows_count_sla_seconds_inside() {
         let mut events = vec![
-            span(kinds::SPAN_BEGIN, 0.0, 1, span_names::DETAILED_SIM),
+            sim_begin(0.0, 1),
             run_header(100.0, 30.0),
             forecast(2, 1, 100.0, 250.0),
             // Violating seconds at t=65 and t=70 fall inside interval 2's
             // range [60, 90); t=100 falls outside.
-            at(Event::new(kinds::SECOND).with("p99", 0.9), 65.0),
-            at(Event::new(kinds::SECOND).with("p99", 0.8), 70.0),
-            at(Event::new(kinds::SECOND).with("p99", 0.7), 100.0),
-            span(kinds::SPAN_END, 300.0, 1, span_names::DETAILED_SIM),
+            second(65.0, 0.9),
+            second(70.0, 0.8),
+            second(100.0, 0.7),
+            sim_end(300.0, 1),
         ];
         seq(&mut events);
         let runs = analyze(&events);
@@ -834,36 +669,38 @@ mod tests {
     #[test]
     fn decisions_join_their_reconfigs() {
         let mut events = vec![
-            span(kinds::SPAN_BEGIN, 0.0, 1, span_names::DETAILED_SIM),
+            sim_begin(0.0, 1),
             run_header(100.0, 30.0),
             interval(0, 150.0, 2, 30.0),
-            at(
-                Event::new(kinds::PROV_DECISION)
-                    .with("id", 1u64)
-                    .with("interval", 0u64)
-                    .with("machines", 2u64)
-                    .with("target", 4u64)
-                    .with("reason", "planned")
-                    .with("trigger", 150.0)
-                    .with("peak", 380.0)
-                    .with("cost", 12.5)
-                    .with("lead", 10u64)
-                    .with("rate", 1.0),
+            Entry::at(
                 10.0,
+                ProvDecision {
+                    id: 1,
+                    interval: 0,
+                    machines: 2,
+                    target: 4,
+                    reason: "planned".into(),
+                    trigger: 150.0,
+                    peak: 380.0,
+                    cost: 12.5,
+                    lead: 10,
+                    rate: 1.0,
+                },
             ),
-            at(
-                Event::new(kinds::PROV_RECONFIG)
-                    .with("id", 1u64)
-                    .with("from", 2u64)
-                    .with("to", 4u64)
-                    .with("start", 10.0)
-                    .with("duration_s", 50.0)
-                    .with("chunks", 64u64)
-                    .with("rows", 4096u64)
-                    .with("bytes", 1_000_000u64),
+            Entry::at(
                 60.0,
+                ProvReconfig {
+                    id: 1,
+                    from: 2,
+                    to: 4,
+                    start: 10.0,
+                    duration_s: 50.0,
+                    chunks: 64,
+                    rows: 4096,
+                    bytes: 1_000_000,
+                },
             ),
-            span(kinds::SPAN_END, 300.0, 1, span_names::DETAILED_SIM),
+            sim_end(300.0, 1),
         ];
         seq(&mut events);
         let runs = analyze(&events);
@@ -884,12 +721,12 @@ mod tests {
     #[test]
     fn metrics_cover_ledger_decisions_and_accuracy() {
         let mut events = vec![
-            span(kinds::SPAN_BEGIN, 0.0, 1, span_names::DETAILED_SIM),
+            sim_begin(0.0, 1),
             run_header(100.0, 30.0),
             interval(0, 150.0, 2, 30.0),
             interval(1, 450.0, 2, 30.0),
             forecast(1, 1, 400.0, 450.0),
-            span(kinds::SPAN_END, 60.0, 1, span_names::DETAILED_SIM),
+            sim_end(60.0, 1),
         ];
         seq(&mut events);
         let runs = analyze(&events);
@@ -910,11 +747,7 @@ mod tests {
 
     #[test]
     fn sim_runs_without_prov_events_are_dropped() {
-        let mut events = vec![
-            span(kinds::SPAN_BEGIN, 0.0, 1, span_names::DETAILED_SIM),
-            at(Event::new(kinds::SECOND).with("p99", 0.1), 1.0),
-            span(kinds::SPAN_END, 10.0, 1, span_names::DETAILED_SIM),
-        ];
+        let mut events = vec![sim_begin(0.0, 1), second(1.0, 0.1), sim_end(10.0, 1)];
         seq(&mut events);
         assert!(analyze(&events).is_empty());
     }

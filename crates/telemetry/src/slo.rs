@@ -14,7 +14,8 @@
 //! the SLA *because of* migration interference, predictive holds it —
 //! into a measured, regression-gated artifact (`slo.*` summary metrics).
 
-use crate::event::{kinds, span_names, Event};
+use crate::event::{Entry, Record};
+use crate::trace::{self, Reconfig};
 use std::fmt::Write as _;
 
 /// The SLA threshold in seconds (the paper's 500 ms; mirrors
@@ -102,193 +103,101 @@ pub struct RunSlo {
     pub violation_times: Vec<f64>,
 }
 
-/// Working state while a run is being scanned.
-#[derive(Default)]
-struct RunBuilder {
-    label: String,
-    seconds: u64,
-    queue_s: f64,
-    exec_s: f64,
-    stall_s: f64,
-    total_s: f64,
-    /// `(second, p99, attr_stall, t)` of violating seconds, in order.
-    violations: Vec<(u64, f64, f64, f64)>,
-    reconfigs: Vec<ReconfigSpan>,
-    /// id -> index into `reconfigs` for spans still open.
-    open_reconfigs: Vec<(u64, usize)>,
-    chunk_moves: Vec<f64>,
-    t_max: f64,
-}
-
-impl RunBuilder {
-    fn new(label: String) -> Self {
-        RunBuilder {
-            label,
-            t_max: f64::NEG_INFINITY,
-            ..RunBuilder::default()
+/// Analyzes one run: attribution totals, violating seconds merged into
+/// windows, each window correlated with the run's migration activity.
+fn analyze_run(label: String, run: &[Entry]) -> RunSlo {
+    let mut slo = RunSlo {
+        label,
+        ..RunSlo::default()
+    };
+    // `(second, p99, attr_stall)` of violating seconds, in order.
+    let mut violations: Vec<(u64, f64, f64)> = Vec::new();
+    let mut chunk_moves: Vec<f64> = Vec::new();
+    let mut t_max = f64::NEG_INFINITY;
+    for e in run {
+        if let Some(t) = e.t {
+            t_max = t_max.max(t);
         }
-    }
-
-    fn observe(&mut self, ev: &Event) {
-        if let Some(t) = ev.t {
-            self.t_max = self.t_max.max(t);
-        }
-        match ev.kind.as_str() {
-            kinds::SECOND => {
-                self.seconds += 1;
-                self.queue_s += ev.field_f64("attr_queue").unwrap_or(0.0);
-                self.exec_s += ev.field_f64("attr_exec").unwrap_or(0.0);
-                let stall = ev.field_f64("attr_stall").unwrap_or(0.0);
-                self.stall_s += stall;
-                self.total_s += ev.field_f64("attr_total").unwrap_or(0.0);
-                let p99 = ev.field_f64("p99").unwrap_or(0.0);
-                if p99 > SLA_THRESHOLD_S {
-                    let second = ev.field_u64("second").unwrap_or(self.seconds - 1);
+        match &e.record {
+            Record::Second(s) => {
+                slo.seconds += 1;
+                slo.queue_s += s.attr_queue;
+                slo.exec_s += s.attr_exec;
+                slo.stall_s += s.attr_stall;
+                slo.total_s += s.attr_total;
+                if s.p99 > SLA_THRESHOLD_S {
+                    violations.push((s.second, s.p99, s.attr_stall));
                     #[allow(clippy::cast_precision_loss)] // run lengths far below 2^53
-                    let t = ev.t.unwrap_or(second as f64);
-                    self.violations.push((second, p99, stall, t));
+                    slo.violation_times.push(e.t.unwrap_or(s.second as f64));
                 }
             }
-            kinds::CHUNK_MOVE => {
-                if let Some(t) = ev.t {
-                    self.chunk_moves.push(t);
-                    for &(_, idx) in &self.open_reconfigs {
-                        self.reconfigs[idx].chunk_moves += 1;
-                    }
-                }
-            }
-            kinds::SPAN_BEGIN if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                if let (Some(id), Some(t)) = (ev.field_u64("id"), ev.t) {
-                    self.reconfigs.push(ReconfigSpan {
-                        start: t,
-                        end: t,
-                        from: ev.field_u64("from"),
-                        to: ev.field_u64("to"),
-                        chunk_moves: 0,
-                    });
-                    self.open_reconfigs.push((id, self.reconfigs.len() - 1));
-                }
-            }
-            kinds::SPAN_END if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                if let Some(id) = ev.field_u64("id") {
-                    if let Some(pos) = self.open_reconfigs.iter().position(|&(i, _)| i == id) {
-                        let (_, idx) = self.open_reconfigs.remove(pos);
-                        self.reconfigs[idx].end = ev.t.unwrap_or(self.reconfigs[idx].start);
-                    }
-                }
-            }
+            Record::ChunkMove(_) => chunk_moves.extend(e.t),
             _ => {}
         }
     }
-
-    fn finish(mut self) -> RunSlo {
-        // Spans still open at end of run extend to the last timestamp.
-        for (_, idx) in self.open_reconfigs.drain(..) {
-            if self.t_max.is_finite() {
-                self.reconfigs[idx].end = self.t_max.max(self.reconfigs[idx].start);
+    // Spans still open at end of run extend to the last timestamp.
+    slo.reconfigs = trace::reconfigs(run)
+        .into_iter()
+        .filter_map(|r: Reconfig| {
+            let start = r.start?;
+            let end = match r.end {
+                Some(end) => end,
+                None if r.finished || !t_max.is_finite() => start,
+                None => t_max.max(start),
+            };
+            Some(ReconfigSpan {
+                start,
+                end,
+                from: r.from,
+                to: r.to,
+                chunk_moves: r.chunk_moves,
+            })
+        })
+        .collect();
+    // Merge violating seconds into windows, tolerating 1-second gaps.
+    for &(second, p99, stall) in &violations {
+        match slo.windows.last_mut() {
+            Some(w) if second <= w.end + 2 => {
+                w.end = w.end.max(second);
+                w.violation_seconds += 1;
+                w.peak_p99 = w.peak_p99.max(p99);
+                w.stall_s += stall;
             }
-        }
-        // Merge violating seconds into windows, tolerating 1-second gaps.
-        let mut windows: Vec<SlaWindow> = Vec::new();
-        for &(second, p99, stall, _) in &self.violations {
-            match windows.last_mut() {
-                Some(w) if second <= w.end + 2 => {
-                    w.end = w.end.max(second);
-                    w.violation_seconds += 1;
-                    w.peak_p99 = w.peak_p99.max(p99);
-                    w.stall_s += stall;
-                }
-                _ => windows.push(SlaWindow {
-                    start: second,
-                    end: second,
-                    violation_seconds: 1,
-                    peak_p99: p99,
-                    stall_s: stall,
-                    chunk_moves: 0,
-                    reconfig: None,
-                }),
-            }
-        }
-        // Correlate each window with migration activity.
-        #[allow(clippy::cast_precision_loss)] // run lengths far below 2^53
-        for w in &mut windows {
-            let lo = w.start as f64 - MIGRATION_LEAD_S;
-            let hi = w.end as f64 + 1.0;
-            w.chunk_moves = u64::try_from(
-                self.chunk_moves
-                    .iter()
-                    .filter(|&&t| t >= lo && t <= hi)
-                    .count(),
-            )
-            .unwrap_or(u64::MAX);
-            w.reconfig = self
-                .reconfigs
-                .iter()
-                .position(|r| r.start <= hi && r.end >= lo);
-        }
-        RunSlo {
-            label: self.label,
-            seconds: self.seconds,
-            queue_s: self.queue_s,
-            exec_s: self.exec_s,
-            stall_s: self.stall_s,
-            total_s: self.total_s,
-            violation_seconds: u64::try_from(self.violations.len()).unwrap_or(u64::MAX),
-            windows,
-            reconfigs: self.reconfigs,
-            violation_times: self.violations.iter().map(|&(_, _, _, t)| t).collect(),
+            _ => slo.windows.push(SlaWindow {
+                start: second,
+                end: second,
+                violation_seconds: 1,
+                peak_p99: p99,
+                stall_s: stall,
+                chunk_moves: 0,
+                reconfig: None,
+            }),
         }
     }
+    // Correlate each window with migration activity.
+    #[allow(clippy::cast_precision_loss)] // run lengths far below 2^53
+    for w in &mut slo.windows {
+        let lo = w.start as f64 - MIGRATION_LEAD_S;
+        let hi = w.end as f64 + 1.0;
+        w.chunk_moves = u64::try_from(chunk_moves.iter().filter(|&&t| t >= lo && t <= hi).count())
+            .unwrap_or(u64::MAX);
+        w.reconfig = slo
+            .reconfigs
+            .iter()
+            .position(|r| r.start <= hi && r.end >= lo);
+    }
+    slo.violation_seconds = u64::try_from(violations.len()).unwrap_or(u64::MAX);
+    slo
 }
 
-/// Segments a trace into simulator runs and analyzes each.
-///
-/// A run is everything between a top-level (span depth 0)
-/// `detailed_sim`/`fast_sim` `span_begin` and its matching end. Traces
-/// without simulator spans yield a single implicit run labelled
-/// `0:trace` when they contain any `second` events.
-pub fn analyze(events: &[Event]) -> Vec<RunSlo> {
-    let mut runs: Vec<RunSlo> = Vec::new();
-    let mut current: Option<(RunBuilder, usize)> = None; // builder + its base depth
-    let mut depth: usize = 0;
-    for ev in events {
-        let begins = ev.kind == kinds::SPAN_BEGIN;
-        let ends = ev.kind == kinds::SPAN_END;
-        let name = ev.field_str("name").unwrap_or("");
-        let is_sim = name == span_names::DETAILED_SIM || name == span_names::FAST_SIM;
-        if begins && is_sim && current.as_ref().is_none_or(|&(_, base)| depth == base) {
-            // A sim span at the segmentation depth starts a new run (and
-            // closes any implicit run that was accumulating).
-            if let Some((b, _)) = current.take() {
-                runs.push(b.finish());
-            }
-            current = Some((RunBuilder::new(format!("{}:{name}", runs.len())), depth + 1));
-        }
-        if begins {
-            depth += 1;
-        }
-        if let Some((b, _)) = current.as_mut() {
-            b.observe(ev);
-        } else if ev.kind == kinds::SECOND {
-            // Trace without simulator spans: accumulate an implicit run.
-            let mut b = RunBuilder::new(format!("{}:trace", runs.len()));
-            b.observe(ev);
-            current = Some((b, 0));
-        }
-        if ends {
-            depth = depth.saturating_sub(1);
-            let closes_run = matches!(&current, Some((_, base)) if is_sim && depth + 1 == *base);
-            if closes_run {
-                if let Some((b, _)) = current.take() {
-                    runs.push(b.finish());
-                }
-            }
-        }
-    }
-    if let Some((b, _)) = current.take() {
-        runs.push(b.finish());
-    }
-    runs
+/// Segments a trace into simulator runs ([`trace::sim_runs`]; a trace
+/// without simulator spans yields one implicit run labelled `0:trace`
+/// when it contains any `second` events) and analyzes each.
+pub fn analyze(trace: &[Entry]) -> Vec<RunSlo> {
+    trace::sim_runs(trace, |r| matches!(r, Record::Second(_)))
+        .into_iter()
+        .map(|(label, run)| analyze_run(label, run))
+        .collect()
 }
 
 /// Flattens the analysis into `pstore-run-summary/v1` metrics:
@@ -420,40 +329,55 @@ pub fn render(runs: &[RunSlo]) -> String {
 mod tests {
     #![allow(clippy::float_cmp)] // tests assert exact arithmetic
     use super::*;
+    use crate::event::{ChunkMove, Second, SpanBegin, SpanEnd};
 
-    fn seq(events: &mut [Event]) {
-        for (i, ev) in events.iter_mut().enumerate() {
-            ev.seq = u64::try_from(i).unwrap_or(u64::MAX) + 1;
+    const SPAN_BEGIN: bool = true;
+    const SPAN_END: bool = false;
+    const DETAILED_SIM: &str = "detailed_sim";
+    const RECONFIG: &str = "reconfig";
+
+    fn seq(trace: &mut [Entry]) {
+        for (i, e) in trace.iter_mut().enumerate() {
+            e.seq = u64::try_from(i).unwrap_or(u64::MAX) + 1;
         }
     }
 
-    fn second(t: f64, second: u64, p99: f64, stall: f64) -> Event {
-        let mut ev = Event::new(kinds::SECOND)
-            .with("second", second)
-            .with("p99", p99)
-            .with("attr_queue", 1.0)
-            .with("attr_exec", 2.0)
-            .with("attr_stall", stall)
-            .with("attr_total", 3.0 + stall);
-        ev.t = Some(t);
-        ev
+    fn second(t: f64, second: u64, p99: f64, stall: f64) -> Entry {
+        Entry::at(
+            t,
+            Second {
+                second,
+                p99,
+                attr_queue: 1.0,
+                attr_exec: 2.0,
+                attr_stall: stall,
+                attr_total: 3.0 + stall,
+                ..Second::default()
+            },
+        )
     }
 
-    fn span(kind: &str, t: f64, id: u64, name: &str) -> Event {
-        let mut ev = Event::new(kind).with("id", id).with("name", name);
-        ev.t = Some(t);
-        ev
+    fn span(begin: bool, t: f64, id: u64, name: &str) -> Entry {
+        if begin {
+            Entry::at(t, SpanBegin::new(id, name))
+        } else {
+            Entry::at(t, SpanEnd::new(id, name))
+        }
+    }
+
+    fn reconfig_begin(t: f64, id: u64, from: u64, to: u64) -> Entry {
+        Entry::at(t, SpanBegin::reconfig(id, from, to))
     }
 
     #[test]
     fn windows_merge_across_single_second_gaps() {
         let mut events = vec![
-            span(kinds::SPAN_BEGIN, 0.0, 1, span_names::DETAILED_SIM),
+            span(SPAN_BEGIN, 0.0, 1, DETAILED_SIM),
             second(10.0, 10, 0.9, 0.5),
             second(11.0, 11, 0.1, 0.0), // 1-second gap: same window
             second(12.0, 12, 0.8, 0.3),
             second(20.0, 20, 0.7, 0.0), // far away: new window
-            span(kinds::SPAN_END, 30.0, 1, span_names::DETAILED_SIM),
+            span(SPAN_END, 30.0, 1, DETAILED_SIM),
         ];
         seq(&mut events);
         let runs = analyze(&events);
@@ -471,19 +395,13 @@ mod tests {
     #[test]
     fn windows_overlapping_migration_are_attributed() {
         let mut events = vec![
-            span(kinds::SPAN_BEGIN, 0.0, 1, span_names::DETAILED_SIM),
-            span(kinds::SPAN_BEGIN, 8.0, 2, kinds::SPAN_RECONFIG)
-                .with("from", 2u64)
-                .with("to", 4u64),
-            {
-                let mut mv = Event::new(kinds::CHUNK_MOVE).with("bytes", 1024u64);
-                mv.t = Some(9.0);
-                mv
-            },
+            span(SPAN_BEGIN, 0.0, 1, DETAILED_SIM),
+            reconfig_begin(8.0, 2, 2, 4),
+            Entry::at(9.0, ChunkMove::default()),
             second(10.0, 10, 0.9, 1.5),
-            span(kinds::SPAN_END, 11.0, 2, kinds::SPAN_RECONFIG),
+            span(SPAN_END, 11.0, 2, RECONFIG),
             second(40.0, 40, 0.6, 0.0), // far from any migration
-            span(kinds::SPAN_END, 50.0, 1, span_names::DETAILED_SIM),
+            span(SPAN_END, 50.0, 1, DETAILED_SIM),
         ];
         seq(&mut events);
         let runs = analyze(&events);
@@ -500,12 +418,12 @@ mod tests {
     #[test]
     fn multi_run_traces_segment_per_sim_span() {
         let mut events = vec![
-            span(kinds::SPAN_BEGIN, 0.0, 1, span_names::DETAILED_SIM),
+            span(SPAN_BEGIN, 0.0, 1, DETAILED_SIM),
             second(5.0, 5, 0.9, 0.2),
-            span(kinds::SPAN_END, 10.0, 1, span_names::DETAILED_SIM),
-            span(kinds::SPAN_BEGIN, 0.0, 2, span_names::DETAILED_SIM),
+            span(SPAN_END, 10.0, 1, DETAILED_SIM),
+            span(SPAN_BEGIN, 0.0, 2, DETAILED_SIM),
             second(5.0, 5, 0.1, 0.0),
-            span(kinds::SPAN_END, 10.0, 2, span_names::DETAILED_SIM),
+            span(SPAN_END, 10.0, 2, DETAILED_SIM),
         ];
         seq(&mut events);
         let runs = analyze(&events);
@@ -541,10 +459,10 @@ mod tests {
     #[test]
     fn attribution_totals_accumulate() {
         let mut events = vec![
-            span(kinds::SPAN_BEGIN, 0.0, 1, span_names::DETAILED_SIM),
+            span(SPAN_BEGIN, 0.0, 1, DETAILED_SIM),
             second(1.0, 1, 0.1, 0.5),
             second(2.0, 2, 0.1, 0.25),
-            span(kinds::SPAN_END, 3.0, 1, span_names::DETAILED_SIM),
+            span(SPAN_END, 3.0, 1, DETAILED_SIM),
         ];
         seq(&mut events);
         let r = &analyze(&events)[0];
@@ -558,13 +476,11 @@ mod tests {
     #[test]
     fn render_names_the_attributed_reconfig() {
         let mut events = vec![
-            span(kinds::SPAN_BEGIN, 0.0, 1, span_names::DETAILED_SIM),
-            span(kinds::SPAN_BEGIN, 8.0, 2, kinds::SPAN_RECONFIG)
-                .with("from", 2u64)
-                .with("to", 4u64),
+            span(SPAN_BEGIN, 0.0, 1, DETAILED_SIM),
+            reconfig_begin(8.0, 2, 2, 4),
             second(10.0, 10, 0.9, 1.0),
-            span(kinds::SPAN_END, 12.0, 2, kinds::SPAN_RECONFIG),
-            span(kinds::SPAN_END, 20.0, 1, span_names::DETAILED_SIM),
+            span(SPAN_END, 12.0, 2, RECONFIG),
+            span(SPAN_END, 20.0, 1, DETAILED_SIM),
         ];
         seq(&mut events);
         let runs = analyze(&events);

@@ -23,7 +23,7 @@ pub const SCHEMA: &str = "pstore-run-summary/v1";
 
 /// Metric counting the names outside every known family (see
 /// [`known_metric`]). Always present in summaries built by
-/// [`RunSummary::from_events`] or parsed by
+/// [`RunSummary::from_trace`] or parsed by
 /// [`RunSummary::from_json_str`], and gated at zero tolerance so any
 /// drift in the count is a regression.
 pub const UNKNOWN_METRICS: &str = "meta.unknown_metrics";
@@ -108,18 +108,18 @@ impl RunSummary {
         RunSummary { metrics }
     }
 
-    /// Derives the summary straight from parsed trace events, including
+    /// Derives the summary straight from a decoded trace, including
     /// the per-run SLA/attribution metrics (`slo.*`) from [`crate::slo`]
     /// and the provisioning-observatory metrics (`prov.*`) from
     /// [`crate::prov`]. Traces without `prov_*` events (the default —
     /// emission is gated) contribute no `prov.*` keys, keeping
     /// pre-existing golden summaries comparable.
-    pub fn from_events(events: &[crate::Event]) -> Self {
-        let mut summary = RunSummary::from_report(&RunReport::from_events(events));
-        for (name, value) in crate::slo::metrics(&crate::slo::analyze(events)) {
+    pub fn from_trace(trace: &[crate::Entry]) -> Self {
+        let mut summary = RunSummary::from_report(&RunReport::from_trace(trace));
+        for (name, value) in crate::slo::metrics(&crate::slo::analyze(trace)) {
             summary.metrics.insert(name, value);
         }
-        for (name, value) in crate::prov::metrics(&crate::prov::analyze(events)) {
+        for (name, value) in crate::prov::metrics(&crate::prov::analyze(trace)) {
             summary.metrics.insert(name, value);
         }
         summary.count_unknown();
@@ -140,13 +140,14 @@ impl RunSummary {
     /// fly) or a `.json` summary document.
     ///
     /// # Errors
-    /// Fails on I/O problems, malformed trace lines (reported with their
-    /// 1-based line number — the diff gate must not trust a summary
-    /// built from a corrupt trace), or a bad summary document.
+    /// Fails on I/O problems, malformed or undecodable trace lines
+    /// (reported with their 1-based line number — the diff gate must not
+    /// trust a summary built from a corrupt trace), or a bad summary
+    /// document.
     pub fn load(path: &Path) -> Result<RunSummary, String> {
         let is_trace = path.extension().is_some_and(|e| e == "jsonl");
         if is_trace {
-            let (events, errors) =
+            let (entries, errors) =
                 trace::read_jsonl(path).map_err(|e| format!("{}: {e}", path.display()))?;
             if let Some(first) = errors.first() {
                 return Err(format!(
@@ -157,7 +158,7 @@ impl RunSummary {
                     first.msg
                 ));
             }
-            Ok(RunSummary::from_events(&events))
+            Ok(RunSummary::from_trace(&entries))
         } else {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -463,36 +464,36 @@ pub fn diff(baseline: &RunSummary, candidate: &RunSummary, table: &ToleranceTabl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{kinds, Event};
+    use crate::event::{ChunkMove, Entry, ProvInterval, ProvRun, Second, SpanBegin, SpanEnd};
+    use crate::event::{Record, SpanName};
 
     fn sample_summary() -> RunSummary {
-        let mut events = Vec::new();
-        let mut begin = Event::new(kinds::SPAN_BEGIN)
-            .with("id", 1u64)
-            .with("name", kinds::SPAN_RECONFIG)
-            .with("from", 2u64)
-            .with("to", 3u64);
-        begin.seq = 1;
-        begin.t = Some(5.0);
-        events.push(begin);
-        let mut mv = Event::new(kinds::CHUNK_MOVE).with("bytes", 2048u64);
-        mv.seq = 2;
-        events.push(mv);
-        let mut end = Event::new(kinds::SPAN_END)
-            .with("id", 1u64)
-            .with("name", kinds::SPAN_RECONFIG);
-        end.seq = 3;
-        end.t = Some(8.0);
-        events.push(end);
-        for (i, p99) in [0.01f64, 0.02, 0.03].iter().enumerate() {
-            let mut sec = Event::new(kinds::SECOND)
-                .with("p99", *p99)
-                .with("throughput", 1000.0)
-                .with("reconfiguring", false);
-            sec.seq = 4 + u64::try_from(i).unwrap_or(0);
-            events.push(sec);
-        }
-        RunSummary::from_events(&events)
+        let records: Vec<Record> = vec![
+            SpanBegin::reconfig(1, 2, 3).into(),
+            ChunkMove {
+                bytes: 2048,
+                ..ChunkMove::default()
+            }
+            .into(),
+            SpanEnd::new(1, SpanName::Reconfig).into(),
+        ];
+        let seconds = [0.01f64, 0.02, 0.03].map(|p99| {
+            Record::from(Second {
+                p99,
+                throughput: 1000,
+                ..Second::default()
+            })
+        });
+        let trace: Vec<Entry> = records
+            .into_iter()
+            .chain(seconds)
+            .zip(1..)
+            .map(|(record, seq)| Entry {
+                seq,
+                ..Entry::new(record)
+            })
+            .collect();
+        RunSummary::from_trace(&trace)
     }
 
     #[test]
@@ -632,23 +633,25 @@ mod tests {
 
     #[test]
     fn prov_metrics_flow_into_event_summaries() {
-        let mut events = Vec::new();
-        let mut run = Event::new(kinds::PROV_RUN)
-            .with("q", 100.0)
-            .with("interval_s", 1.0)
-            .with("initial", 1u64)
-            .with("policy", "reactive");
-        run.seq = 1;
-        events.push(run);
-        for i in 0..3u64 {
-            let mut iv = Event::new(kinds::PROV_INTERVAL)
-                .with("interval", i)
-                .with("observed", 150.0)
-                .with("machines", 1u64);
-            iv.seq = 2 + i;
-            events.push(iv);
-        }
-        let s = RunSummary::from_events(&events);
+        let header = ProvRun {
+            q: 100.0,
+            interval_s: 1.0,
+            initial: 1,
+            policy: "reactive".into(),
+            ..ProvRun::default()
+        };
+        let intervals = (0..3).map(|interval| {
+            Entry::new(ProvInterval {
+                interval,
+                observed: 150.0,
+                machines: 1,
+                reconfiguring: false,
+            })
+        });
+        let trace: Vec<Entry> = std::iter::once(Entry::new(header))
+            .chain(intervals)
+            .collect();
+        let s = RunSummary::from_trace(&trace);
         // One machine serving 150 load against q=100 under-provisions.
         assert!(
             s.metrics

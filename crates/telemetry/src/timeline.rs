@@ -15,8 +15,8 @@
 //! fixed-seed trace: it depends only on event payloads, never on wall
 //! time.
 
-use crate::event::{kinds, Event};
-use std::collections::BTreeMap;
+use crate::event::{whole, Entry, Record};
+use crate::trace;
 use std::fmt::Write as _;
 
 /// Default number of time-bucket columns.
@@ -31,42 +31,24 @@ struct ReconfigWindow {
 }
 
 /// Renders the timeline for a trace; `width` is the column count
-/// (clamped to `[16, 512]`).
-pub fn render(events: &[Event], width: usize) -> String {
-    render_with_violations(events, width, &[])
-}
-
-/// Renders the timeline with an SLA-violation overlay: `violations` are
-/// the timestamps of violating seconds (see
-/// [`crate::slo::violation_times`]); each lands a `!` in a dedicated
-/// `sla` row aligned under the node rows, so a violation column can be
-/// read straight up against the machine activity, reconfiguration
-/// shading, and chunk moves above it.
-pub fn render_with_violations(events: &[Event], width: usize, violations: &[f64]) -> String {
-    render_full(events, width, violations, &[])
-}
-
-/// Renders the timeline with both the SLA overlay and a provisioning
-/// decision overlay: `decisions` are `(t, lead_s)` pairs (see
-/// [`crate::prov::decision_times`]). Each decision lands in a dedicated
-/// `plan` row aligned under the node rows — a predictive decision
-/// (`lead_s > 0`) prints `P` at the decision time with a `>` arrow
-/// running to the interval it provisioned for, so the lead D is visible
-/// as horizontal distance; a reactive decision prints a bare `R` at the
-/// moment it fired. Reading a `P`'s arrow against the `=` reconfiguration
-/// shading above shows whether capacity arrived before the demand it was
-/// bought for.
-pub fn render_with_decisions(
-    events: &[Event],
-    width: usize,
-    violations: &[f64],
-    decisions: &[(f64, f64)],
-) -> String {
-    render_full(events, width, violations, decisions)
-}
-
-fn render_full(
-    events: &[Event],
+/// (clamped to `[16, 512]`). Two optional overlays, each a dedicated row
+/// aligned under the node rows so a column reads straight up against the
+/// machine activity, reconfiguration shading and chunk moves above it:
+///
+/// - `violations` — timestamps of SLA-violating seconds (see
+///   [`crate::slo::violation_times`]); each lands a `!` in an `sla` row.
+/// - `decisions` — `(t, lead_s)` pairs (see
+///   [`crate::prov::decision_times`]) in a `plan` row: a predictive
+///   decision (`lead_s > 0`) prints `P` at the decision time with a `>`
+///   arrow running to the interval it provisioned for, so the lead D is
+///   visible as horizontal distance; a reactive decision prints a bare
+///   `R` at the moment it fired. Reading a `P`'s arrow against the `=`
+///   shading above shows whether capacity arrived before the demand it
+///   was bought for.
+///
+/// With both empty the output is the plain timeline, byte for byte.
+pub fn render(
+    trace: &[Entry],
     width: usize,
     violations: &[f64],
     decisions: &[(f64, f64)],
@@ -74,59 +56,34 @@ fn render_full(
     let width = width.clamp(16, 512);
     let mut seconds: Vec<(f64, u64)> = Vec::new();
     let mut moves: Vec<(f64, u64, u64)> = Vec::new();
-    let mut open: BTreeMap<u64, ReconfigWindow> = BTreeMap::new();
-    let mut windows: Vec<ReconfigWindow> = Vec::new();
     let mut t_max = f64::NEG_INFINITY;
     let mut t_min = f64::INFINITY;
 
-    for ev in events {
-        let Some(t) = ev.t else { continue };
+    for e in trace {
+        let Some(t) = e.t else { continue };
         t_min = t_min.min(t);
         t_max = t_max.max(t);
-        match ev.kind.as_str() {
-            kinds::SECOND => {
-                if let Some(m) = ev.field_u64("machines") {
-                    seconds.push((t, m));
-                }
-            }
-            kinds::CHUNK_MOVE => {
-                if let (Some(from), Some(to)) = (ev.field_u64("from"), ev.field_u64("to")) {
-                    moves.push((t, from, to));
-                }
-            }
-            kinds::SPAN_BEGIN if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                if let (Some(id), Some(from), Some(to)) =
-                    (ev.field_u64("id"), ev.field_u64("from"), ev.field_u64("to"))
-                {
-                    open.insert(
-                        id,
-                        ReconfigWindow {
-                            t_begin: t,
-                            t_end: t,
-                            from,
-                            to,
-                            finished: false,
-                        },
-                    );
-                }
-            }
-            kinds::SPAN_END if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                if let Some(id) = ev.field_u64("id") {
-                    if let Some(mut w) = open.remove(&id) {
-                        w.t_end = t;
-                        w.finished = true;
-                        windows.push(w);
-                    }
-                }
-            }
+        match &e.record {
+            // A fractional machine count (mid-move average) draws nothing.
+            Record::Second(s) => seconds.extend(whole(s.machines).map(|m| (t, m))),
+            Record::ChunkMove(mv) => moves.push((t, mv.from, mv.to)),
             _ => {}
         }
     }
     // Unclosed reconfigurations run to the end of the trace.
-    for (_, mut w) in open {
-        w.t_end = t_max;
-        windows.push(w);
-    }
+    let mut windows: Vec<ReconfigWindow> = trace::reconfigs(trace)
+        .iter()
+        .filter_map(|r| {
+            let t_begin = r.start?;
+            Some(ReconfigWindow {
+                t_begin,
+                t_end: r.end.unwrap_or(t_max),
+                from: r.from?,
+                to: r.to?,
+                finished: r.end.is_some(),
+            })
+        })
+        .collect();
     windows.sort_by(|a, b| a.t_begin.total_cmp(&b.t_begin));
 
     if !t_min.is_finite() || t_max <= t_min {
@@ -296,45 +253,36 @@ fn node_count(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{ChunkMove, Second, SpanBegin, SpanEnd, SpanName};
 
-    fn ev_at(t: f64, kind: &str) -> Event {
-        let mut ev = Event::new(kind);
-        ev.t = Some(t);
-        ev
-    }
-
-    fn sample_trace() -> Vec<Event> {
-        let mut events = Vec::new();
-        for s in 0..10 {
-            let machines = if s < 5 { 2u64 } else { 3u64 };
-            let mut ev = ev_at(f64::from(s), kinds::SECOND).with("machines", machines);
-            ev.fields.push(("p99".to_string(), 0.01f64.into()));
-            events.push(ev);
-        }
-        events.push(
-            ev_at(4.0, kinds::SPAN_BEGIN)
-                .with("id", 7u64)
-                .with("name", kinds::SPAN_RECONFIG)
-                .with("from", 2u64)
-                .with("to", 3u64),
-        );
-        events.push(
-            ev_at(4.5, kinds::CHUNK_MOVE)
-                .with("from", 0u64)
-                .with("to", 2u64)
-                .with("bytes", 4096u64),
-        );
-        events.push(
-            ev_at(6.0, kinds::SPAN_END)
-                .with("id", 7u64)
-                .with("name", kinds::SPAN_RECONFIG),
-        );
-        events
+    fn sample_trace() -> Vec<Entry> {
+        let mut trace: Vec<Entry> = (0..10u32)
+            .map(|s| {
+                let second = Second {
+                    machines: if s < 5 { 2.0 } else { 3.0 },
+                    p99: 0.01,
+                    ..Second::default()
+                };
+                Entry::at(f64::from(s), second)
+            })
+            .collect();
+        trace.push(Entry::at(4.0, SpanBegin::reconfig(7, 2, 3)));
+        trace.push(Entry::at(
+            4.5,
+            ChunkMove {
+                from: 0,
+                to: 2,
+                bytes: 4096,
+                ..ChunkMove::default()
+            },
+        ));
+        trace.push(Entry::at(6.0, SpanEnd::new(7, SpanName::Reconfig)));
+        trace
     }
 
     #[test]
     fn renders_rows_windows_and_moves() {
-        let out = render(&sample_trace(), 32);
+        let out = render(&sample_trace(), 32, &[], &[]);
         assert!(out.contains("node   0"));
         assert!(out.contains("node   2"));
         assert!(!out.contains("node   3"));
@@ -349,23 +297,23 @@ mod tests {
     #[test]
     fn deterministic_for_same_trace() {
         let trace = sample_trace();
-        assert_eq!(render(&trace, 48), render(&trace, 48));
+        assert_eq!(render(&trace, 48, &[], &[]), render(&trace, 48, &[], &[]));
     }
 
     #[test]
     fn unfinished_reconfig_is_flagged() {
         let mut trace = sample_trace();
-        trace.retain(|e| e.kind != kinds::SPAN_END);
-        let out = render(&trace, 32);
+        trace.retain(|e| !matches!(e.record, Record::SpanEnd(_)));
+        let out = render(&trace, 32, &[], &[]);
         assert!(out.contains("(unfinished)"));
     }
 
     #[test]
     fn violation_overlay_adds_aligned_sla_row() {
         let trace = sample_trace();
-        let plain = render(&trace, 32);
+        let plain = render(&trace, 32, &[], &[]);
         assert!(!plain.contains("sla"));
-        let out = render_with_violations(&trace, 32, &[4.0, 5.0, 99.0]);
+        let out = render(&trace, 32, &[4.0, 5.0, 99.0], &[]);
         assert!(out.contains("'!' SLA violation"));
         // Out-of-range timestamps are dropped from the count.
         assert!(out.contains("sla-violation seconds: 2"));
@@ -388,12 +336,7 @@ mod tests {
     #[test]
     fn decision_overlay_draws_lead_arrows_and_reactive_marks() {
         let trace = sample_trace();
-        // No decisions: output byte-identical to the plain renderer.
-        assert_eq!(
-            render_with_decisions(&trace, 32, &[], &[]),
-            render(&trace, 32)
-        );
-        let out = render_with_decisions(&trace, 32, &[], &[(2.0, 5.0), (8.0, 0.0)]);
+        let out = render(&trace, 32, &[], &[(2.0, 5.0), (8.0, 0.0)]);
         assert!(out.contains("'P>' predictive decision+lead"));
         let plan_line = out
             .lines()
@@ -420,9 +363,9 @@ mod tests {
 
     #[test]
     fn empty_trace_degrades_gracefully() {
-        let out = render(&[], 32);
+        let out = render(&[], 32, &[], &[]);
         assert!(out.contains("no timestamped events"));
-        let untimed = vec![Event::new(kinds::SECOND)];
-        assert!(render(&untimed, 32).contains("no timestamped events"));
+        let untimed = vec![Entry::new(Second::default())];
+        assert!(render(&untimed, 32, &[], &[]).contains("no timestamped events"));
     }
 }

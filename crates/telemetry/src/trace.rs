@@ -1,19 +1,22 @@
-//! Trace reading and run reports.
+//! Trace reading, the walks every analyser shares, and run reports.
 //!
 //! A trace is a JSONL file (one [`Event`] per line) written by
-//! [`crate::JsonlSink`]. This module reads traces back, validates span
-//! pairing and nesting (the checks behind `pstore-verify`'s `TEL-01` and
-//! `TEL-02`), and renders the run report printed by the `pstore-trace`
+//! [`crate::JsonlSink`]. This module reads traces back into decoded
+//! [`Entry`]s, validates span pairing and nesting (the checks behind
+//! `pstore-verify`'s `TEL-01` and `TEL-02`), segments a trace into
+//! simulator runs ([`sim_runs`]) and reconstructs its reconfigurations
+//! ([`reconfigs`]) for the `slo`, `provisioning` and `timeline`
+//! analysers, and renders the run report printed by the `pstore-trace`
 //! binary.
 
-use crate::event::{kinds, Event};
+use crate::event::{Entry, Event, MetricsSnapshot, Record, SpanName};
 use crate::json;
 use crate::metrics::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// A line that failed to parse: line number (1-based) and message.
+/// A line that failed to parse or decode: line number (1-based) and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineError {
     /// 1-based line number in the trace file.
@@ -22,15 +25,16 @@ pub struct LineError {
     pub msg: String,
 }
 
-/// Reads a JSONL trace. Blank lines are skipped; malformed lines are
-/// collected as [`LineError`]s rather than aborting the read, so a
+/// Reads and decodes a JSONL trace. Blank lines are skipped; lines that
+/// are not JSON, not an event, or do not match the schema of their kind
+/// are collected as [`LineError`]s rather than aborting the read, so a
 /// truncated trace still yields its prefix.
 ///
 /// # Errors
 /// Returns `Err` only for I/O failures (missing/unreadable file).
-pub fn read_jsonl(path: &Path) -> std::io::Result<(Vec<Event>, Vec<LineError>)> {
+pub fn read_jsonl(path: &Path) -> std::io::Result<(Vec<Entry>, Vec<LineError>)> {
     let text = std::fs::read_to_string(path)?;
-    let mut events = Vec::new();
+    let mut trace = Vec::new();
     let mut errors = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -38,13 +42,14 @@ pub fn read_jsonl(path: &Path) -> std::io::Result<(Vec<Event>, Vec<LineError>)> 
         }
         let parsed = json::parse(line)
             .map_err(|e| e.to_string())
-            .and_then(|v| Event::from_json(&v));
+            .and_then(|v| Event::from_json(&v))
+            .and_then(|ev| Entry::decode(&ev).map_err(|e| e.to_string()));
         match parsed {
-            Ok(ev) => events.push(ev),
+            Ok(entry) => trace.push(entry),
             Err(msg) => errors.push(LineError { line: idx + 1, msg }),
         }
     }
-    Ok((events, errors))
+    Ok((trace, errors))
 }
 
 /// A structural problem with the spans in a trace.
@@ -81,11 +86,6 @@ pub enum SpanError {
         /// The span's name, for the report.
         name: String,
     },
-    /// Span event missing its `id` field.
-    MissingId {
-        /// Offending event's sequence number.
-        seq: u64,
-    },
 }
 
 impl std::fmt::Display for SpanError {
@@ -108,9 +108,6 @@ impl std::fmt::Display for SpanError {
             SpanError::Unclosed { id, name } => {
                 write!(f, "span {id} (\"{name}\") never closed")
             }
-            SpanError::MissingId { seq } => {
-                write!(f, "seq {seq}: span event without an \"id\" field")
-            }
         }
     }
 }
@@ -121,45 +118,47 @@ impl std::fmt::Display for SpanError {
 /// must close the innermost open span, and no span may remain open at
 /// end of trace. This is the shared implementation behind `TEL-01`
 /// (pairing) and `TEL-02` (nesting) in `pstore-verify`.
-pub fn span_errors(events: &[Event]) -> Vec<SpanError> {
+pub fn span_errors(trace: &[Entry]) -> Vec<SpanError> {
     let mut errors = Vec::new();
     // Stack of (id, name) for open spans, in open order.
-    let mut stack: Vec<(u64, String)> = Vec::new();
-    for ev in events {
-        match ev.kind.as_str() {
-            kinds::SPAN_BEGIN => match ev.field_u64("id") {
-                None => errors.push(SpanError::MissingId { seq: ev.seq }),
-                Some(id) => {
-                    if stack.iter().any(|(open, _)| *open == id) {
-                        errors.push(SpanError::DuplicateBegin { seq: ev.seq, id });
-                    } else {
-                        let name = ev.field_str("name").unwrap_or("?").to_string();
-                        stack.push((id, name));
-                    }
+    let mut stack: Vec<(u64, &str)> = Vec::new();
+    for e in trace {
+        match &e.record {
+            Record::SpanBegin(b) => {
+                if stack.iter().any(|(open, _)| *open == b.id) {
+                    errors.push(SpanError::DuplicateBegin {
+                        seq: e.seq,
+                        id: b.id,
+                    });
+                } else {
+                    stack.push((b.id, &b.name));
                 }
-            },
-            kinds::SPAN_END => match ev.field_u64("id") {
-                None => errors.push(SpanError::MissingId { seq: ev.seq }),
-                Some(id) => match stack.last() {
-                    Some((top, _)) if *top == id => {
-                        stack.pop();
-                    }
-                    Some((top, _)) if stack.iter().any(|(open, _)| *open == id) => {
-                        errors.push(SpanError::BadNesting {
-                            seq: ev.seq,
-                            closed: id,
-                            expected: *top,
-                        });
-                        stack.retain(|(open, _)| *open != id);
-                    }
-                    _ => errors.push(SpanError::EndWithoutBegin { seq: ev.seq, id }),
-                },
+            }
+            Record::SpanEnd(end) => match stack.last() {
+                Some((top, _)) if *top == end.id => {
+                    stack.pop();
+                }
+                Some((top, _)) if stack.iter().any(|(open, _)| *open == end.id) => {
+                    errors.push(SpanError::BadNesting {
+                        seq: e.seq,
+                        closed: end.id,
+                        expected: *top,
+                    });
+                    stack.retain(|(open, _)| *open != end.id);
+                }
+                _ => errors.push(SpanError::EndWithoutBegin {
+                    seq: e.seq,
+                    id: end.id,
+                }),
             },
             _ => {}
         }
     }
     for (id, name) in stack {
-        errors.push(SpanError::Unclosed { id, name });
+        errors.push(SpanError::Unclosed {
+            id,
+            name: name.to_string(),
+        });
     }
     errors
 }
@@ -203,26 +202,26 @@ impl std::fmt::Display for OrderError {
 /// except that `t` may reset when no span is open, because a merged
 /// sweep trace restarts simulated time at 0 for each cell (cell
 /// boundaries always coincide with an empty span stack).
-pub fn order_errors(events: &[Event]) -> Vec<OrderError> {
+pub fn order_errors(trace: &[Entry]) -> Vec<OrderError> {
     let mut errors = Vec::new();
     let mut prev_seq: Option<u64> = None;
     let mut prev_t: Option<f64> = None;
     let mut open_depth: usize = 0;
-    for ev in events {
+    for e in trace {
         if let Some(prev) = prev_seq {
-            if ev.seq <= prev {
-                errors.push(OrderError::SeqNotIncreasing { prev, seq: ev.seq });
+            if e.seq <= prev {
+                errors.push(OrderError::SeqNotIncreasing { prev, seq: e.seq });
             }
         }
-        prev_seq = Some(ev.seq);
-        if let Some(t) = ev.t {
+        prev_seq = Some(e.seq);
+        if let Some(t) = e.t {
             match prev_t {
                 Some(p) if t < p => {
                     if open_depth == 0 {
                         prev_t = Some(t); // legitimate per-cell clock reset
                     } else {
                         errors.push(OrderError::TimeRegression {
-                            seq: ev.seq,
+                            seq: e.seq,
                             prev_t: p,
                             t,
                         });
@@ -231,30 +230,123 @@ pub fn order_errors(events: &[Event]) -> Vec<OrderError> {
                 _ => prev_t = Some(t),
             }
         }
-        match ev.kind.as_str() {
-            kinds::SPAN_BEGIN => open_depth += 1,
-            kinds::SPAN_END => open_depth = open_depth.saturating_sub(1),
+        match &e.record {
+            Record::SpanBegin(_) => open_depth += 1,
+            Record::SpanEnd(_) => open_depth = open_depth.saturating_sub(1),
             _ => {}
         }
     }
     errors
 }
 
-/// One completed reconfiguration reconstructed from a trace.
+/// Segments a trace into simulator runs: a run is everything from a
+/// `detailed_sim`/`fast_sim` `span_begin` at the segmentation depth
+/// (span depth 0 for a top-level run) to its matching end, labelled
+/// `{index}:{span name}` — a merged fig9-style trace holds one run per
+/// approach. Where no simulator span is open, the first record that
+/// `starts_implicit` accepts opens an implicit run labelled
+/// `{index}:trace`, which lasts until the next simulator span or the end
+/// of the trace.
+pub fn sim_runs(
+    trace: &[Entry],
+    starts_implicit: impl Fn(&Record) -> bool,
+) -> Vec<(String, &[Entry])> {
+    let mut runs: Vec<(String, &[Entry])> = Vec::new();
+    // (first entry, label, span depth inside the run) of the open run.
+    let mut current: Option<(usize, String, usize)> = None;
+    let mut depth: usize = 0;
+    for (i, e) in trace.iter().enumerate() {
+        let (begins, ends, name) = match &e.record {
+            Record::SpanBegin(b) => (true, false, b.name.as_str()),
+            Record::SpanEnd(end) => (false, true, end.name.as_str()),
+            _ => (false, false, ""),
+        };
+        let is_sim = name == SpanName::DetailedSim.as_str() || name == SpanName::FastSim.as_str();
+        if begins && is_sim && current.as_ref().is_none_or(|(_, _, base)| depth == *base) {
+            if let Some((start, label, _)) = current.take() {
+                runs.push((label, &trace[start..i]));
+            }
+            current = Some((i, format!("{}:{name}", runs.len()), depth + 1));
+        }
+        if begins {
+            depth += 1;
+        }
+        if current.is_none() && starts_implicit(&e.record) {
+            current = Some((i, format!("{}:trace", runs.len()), 0));
+        }
+        if ends {
+            depth = depth.saturating_sub(1);
+            if is_sim && matches!(&current, Some((_, _, base)) if depth + 1 == *base) {
+                if let Some((start, label, _)) = current.take() {
+                    runs.push((label, &trace[start..=i]));
+                }
+            }
+        }
+    }
+    if let Some((start, label, _)) = current {
+        runs.push((label, &trace[start..]));
+    }
+    runs
+}
+
+/// One reconfiguration reconstructed from its `reconfig` span pair.
 #[derive(Debug, Clone)]
-pub struct ReconfigSummary {
+pub struct Reconfig {
     /// Start time (sim seconds), if the begin event carried a clock.
     pub start: Option<f64>,
-    /// End time (sim seconds), if the end event carried a clock.
+    /// End time (sim seconds), if the span closed and its end event
+    /// carried a clock.
     pub end: Option<f64>,
+    /// Whether the span closed inside the walked entries.
+    pub finished: bool,
     /// Machine count before.
     pub from: Option<u64>,
     /// Machine count after.
     pub to: Option<u64>,
-    /// Chunk-move events observed while this span was open.
+    /// `chunk_move` events observed while the span was open.
     pub chunk_moves: u64,
     /// Bytes moved across those chunk moves.
     pub bytes_moved: u64,
+}
+
+/// The reconfigurations of a trace (or of one run of it), in start order.
+/// A chunk move counts toward every reconfiguration open at the time
+/// (normally one).
+pub fn reconfigs(trace: &[Entry]) -> Vec<Reconfig> {
+    let mut out: Vec<Reconfig> = Vec::new();
+    // Open reconfig spans: (span id, index into `out`).
+    let mut open: Vec<(u64, usize)> = Vec::new();
+    for e in trace {
+        match &e.record {
+            Record::SpanBegin(b) if b.name == SpanName::Reconfig => {
+                open.push((b.id, out.len()));
+                out.push(Reconfig {
+                    start: e.t,
+                    end: None,
+                    finished: false,
+                    from: b.from,
+                    to: b.to,
+                    chunk_moves: 0,
+                    bytes_moved: 0,
+                });
+            }
+            Record::SpanEnd(end) if end.name == SpanName::Reconfig => {
+                if let Some(pos) = open.iter().position(|&(id, _)| id == end.id) {
+                    let (_, idx) = open.remove(pos);
+                    out[idx].end = e.t;
+                    out[idx].finished = true;
+                }
+            }
+            Record::ChunkMove(mv) => {
+                for &(_, idx) in &open {
+                    out[idx].chunk_moves += 1;
+                    out[idx].bytes_moved += mv.bytes;
+                }
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Aggregated view of a whole trace, renderable as a text report.
@@ -262,8 +354,8 @@ pub struct ReconfigSummary {
 pub struct RunReport {
     /// Total events in the trace.
     pub events: usize,
-    /// Completed reconfigurations, in start order.
-    pub reconfigs: Vec<ReconfigSummary>,
+    /// Reconfigurations, in start order.
+    pub reconfigs: Vec<Reconfig>,
     /// Event counts by kind, descending.
     pub kind_counts: Vec<(String, usize)>,
     /// p99 histogram of `second` events outside reconfigurations.
@@ -285,87 +377,48 @@ pub struct RunReport {
     /// Structural span problems (also reported by `pstore-verify`).
     pub span_errors: Vec<SpanError>,
     /// The trailing `metrics_snapshot` event, if the run emitted one.
-    pub metrics_snapshot: Option<Event>,
+    pub metrics_snapshot: Option<MetricsSnapshot>,
 }
 
 impl RunReport {
-    /// Builds a report from parsed trace events.
-    pub fn from_events(events: &[Event]) -> Self {
+    /// Builds a report from a decoded trace.
+    pub fn from_trace(trace: &[Entry]) -> Self {
         let mut report = RunReport {
-            events: events.len(),
+            events: trace.len(),
+            reconfigs: reconfigs(trace),
+            span_errors: span_errors(trace),
             ..RunReport::default()
         };
         let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-        // Open reconfig spans: id -> index into report.reconfigs.
-        let mut open_reconfigs: BTreeMap<u64, usize> = BTreeMap::new();
-
-        for ev in events {
-            *counts.entry(ev.kind.as_str()).or_insert(0) += 1;
-            match ev.kind.as_str() {
-                kinds::SPAN_BEGIN if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                    if let Some(id) = ev.field_u64("id") {
-                        report.reconfigs.push(ReconfigSummary {
-                            start: ev.t,
-                            end: None,
-                            from: ev.field_u64("from"),
-                            to: ev.field_u64("to"),
-                            chunk_moves: 0,
-                            bytes_moved: 0,
-                        });
-                        open_reconfigs.insert(id, report.reconfigs.len() - 1);
+        for e in trace {
+            *counts.entry(e.record.kind()).or_insert(0) += 1;
+            match &e.record {
+                Record::ChunkMove(_) => report.chunk_moves += 1,
+                Record::Second(s) => {
+                    if s.reconfiguring {
+                        report.reconfig_p99.record(s.p99);
+                    } else {
+                        report.stable_p99.record(s.p99);
                     }
+                    #[allow(clippy::cast_precision_loss)] // per-second counts far below 2^53
+                    report.throughput.record(s.throughput as f64);
                 }
-                kinds::SPAN_END if ev.field_str("name") == Some(kinds::SPAN_RECONFIG) => {
-                    if let Some(idx) = ev.field_u64("id").and_then(|id| open_reconfigs.remove(&id))
-                    {
-                        report.reconfigs[idx].end = ev.t;
-                    }
-                }
-                kinds::CHUNK_MOVE => {
-                    report.chunk_moves += 1;
-                    let bytes = ev.field_u64("bytes").unwrap_or(0);
-                    // Attribute to every open reconfiguration (normally one).
-                    for idx in open_reconfigs.values() {
-                        report.reconfigs[*idx].chunk_moves += 1;
-                        report.reconfigs[*idx].bytes_moved += bytes;
-                    }
-                }
-                kinds::SECOND => {
-                    if let Some(p99) = ev.field_f64("p99") {
-                        let during = ev
-                            .field("reconfiguring")
-                            .and_then(crate::Value::as_bool)
-                            .unwrap_or(!open_reconfigs.is_empty());
-                        if during {
-                            report.reconfig_p99.record(p99);
-                        } else {
-                            report.stable_p99.record(p99);
-                        }
-                    }
-                    if let Some(tp) = ev.field_f64("throughput") {
-                        report.throughput.record(tp);
-                    }
-                }
-                kinds::SLA_VIOLATION => report.sla_violations += 1,
-                kinds::PLANNER => {
+                Record::SlaViolation(_) => report.sla_violations += 1,
+                Record::Planner(p) => {
                     report.planner_calls += 1;
-                    if ev.field("feasible").and_then(crate::Value::as_bool) == Some(true) {
-                        report.planner_feasible += 1;
-                    }
+                    report.planner_feasible += u64::from(p.feasible);
                 }
-                kinds::FORECAST_PREDICT => report.forecasts += 1,
-                kinds::METRICS_SNAPSHOT => report.metrics_snapshot = Some(ev.clone()),
+                Record::ForecastPredict(_) => report.forecasts += 1,
+                Record::MetricsSnapshot(snap) => report.metrics_snapshot = Some(snap.clone()),
                 _ => {}
             }
         }
-
         let mut kind_counts: Vec<(String, usize)> = counts
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
             .collect();
         kind_counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         report.kind_counts = kind_counts;
-        report.span_errors = span_errors(events);
         report
     }
 
@@ -435,8 +488,8 @@ impl RunReport {
             self.throughput.count()
         );
         if let Some(snap) = &self.metrics_snapshot {
-            let _ = writeln!(out, "  metrics snapshot ({} fields):", snap.fields.len());
-            for (k, v) in snap.fields.iter().take(24) {
+            let _ = writeln!(out, "  metrics snapshot ({} fields):", snap.values.len());
+            for (k, v) in snap.values.iter().take(24) {
                 let rendered = match v {
                     crate::Value::U64(n) => n.to_string(),
                     crate::Value::I64(n) => n.to_string(),
@@ -462,44 +515,57 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{ChunkMove, Second, SpanBegin, SpanEnd, TxnArrive};
 
-    fn span(kind: &str, seq: u64, id: u64, name: &str) -> Event {
-        let mut ev = Event::new(kind).with("id", id).with("name", name);
-        ev.seq = seq;
-        ev
+    fn begin(seq: u64, id: u64, name: &str) -> Entry {
+        Entry {
+            seq,
+            ..Entry::new(SpanBegin::new(id, name))
+        }
+    }
+
+    fn end(seq: u64, id: u64, name: &str) -> Entry {
+        Entry {
+            seq,
+            ..Entry::new(SpanEnd::new(id, name))
+        }
+    }
+
+    fn at(t: f64, mut e: Entry) -> Entry {
+        e.t = Some(t);
+        e
     }
 
     #[test]
     fn well_nested_spans_pass() {
-        let events = vec![
-            span(kinds::SPAN_BEGIN, 1, 1, "outer"),
-            span(kinds::SPAN_BEGIN, 2, 2, "inner"),
-            span(kinds::SPAN_END, 3, 2, "inner"),
-            span(kinds::SPAN_END, 4, 1, "outer"),
+        let trace = vec![
+            begin(1, 1, "outer"),
+            begin(2, 2, "inner"),
+            end(3, 2, "inner"),
+            end(4, 1, "outer"),
         ];
-        assert!(span_errors(&events).is_empty());
+        assert!(span_errors(&trace).is_empty());
     }
 
     #[test]
     fn detects_unmatched_and_misnested_spans() {
-        let unclosed = vec![span(kinds::SPAN_BEGIN, 1, 1, "a")];
+        let unclosed = vec![begin(1, 1, "a")];
         assert!(matches!(
             span_errors(&unclosed)[0],
             SpanError::Unclosed { id: 1, .. }
         ));
 
-        let stray_end = vec![span(kinds::SPAN_END, 1, 9, "a")];
+        let stray_end = vec![end(1, 9, "a")];
         assert!(matches!(
             span_errors(&stray_end)[0],
             SpanError::EndWithoutBegin { id: 9, .. }
         ));
 
         let crossed = vec![
-            span(kinds::SPAN_BEGIN, 1, 1, "a"),
-            span(kinds::SPAN_BEGIN, 2, 2, "b"),
-            span(kinds::SPAN_END, 3, 1, "a"),
-            span(kinds::SPAN_END, 4, 2, "b"),
+            begin(1, 1, "a"),
+            begin(2, 2, "b"),
+            end(3, 1, "a"),
+            end(4, 2, "b"),
         ];
         let errs = span_errors(&crossed);
         assert!(errs.iter().any(|e| matches!(
@@ -511,10 +577,7 @@ mod tests {
             }
         )));
 
-        let dup = vec![
-            span(kinds::SPAN_BEGIN, 1, 1, "a"),
-            span(kinds::SPAN_BEGIN, 2, 1, "a"),
-        ];
+        let dup = vec![begin(1, 1, "a"), begin(2, 1, "a")];
         assert!(span_errors(&dup)
             .iter()
             .any(|e| matches!(e, SpanError::DuplicateBegin { id: 1, .. })));
@@ -522,34 +585,25 @@ mod tests {
 
     #[test]
     fn report_reconstructs_reconfig_timeline() {
-        let mut events = Vec::new();
-        let mut begin = span(kinds::SPAN_BEGIN, 1, 5, kinds::SPAN_RECONFIG)
-            .with("from", 2u64)
-            .with("to", 4u64);
-        begin.t = Some(10.0);
-        events.push(begin);
-        let mut mv = Event::new(kinds::CHUNK_MOVE).with("bytes", 1000u64);
-        mv.seq = 2;
-        events.push(mv);
-        let mut end = span(kinds::SPAN_END, 3, 5, kinds::SPAN_RECONFIG);
-        end.t = Some(25.0);
-        events.push(end);
-        let mut sec = Event::new(kinds::SECOND)
-            .with("p99", 0.04)
-            .with("throughput", 500.0)
-            .with("reconfiguring", false);
-        sec.seq = 4;
-        events.push(sec);
-
-        let report = RunReport::from_events(&events);
+        let trace = vec![
+            Entry::at(10.0, SpanBegin::reconfig(5, 2, 4)),
+            Entry::new(ChunkMove {
+                bytes: 1000,
+                ..ChunkMove::default()
+            }),
+            at(25.0, end(3, 5, SpanName::Reconfig.as_str())),
+            Entry::new(Second {
+                p99: 0.04,
+                throughput: 500,
+                ..Second::default()
+            }),
+        ];
+        let report = RunReport::from_trace(&trace);
         assert_eq!(report.reconfigs.len(), 1);
         let r = &report.reconfigs[0];
-        assert_eq!(r.from, Some(2));
-        assert_eq!(r.to, Some(4));
-        assert_eq!(r.chunk_moves, 1);
-        assert_eq!(r.bytes_moved, 1000);
-        assert_eq!(r.start, Some(10.0));
-        assert_eq!(r.end, Some(25.0));
+        assert_eq!((r.from, r.to), (Some(2), Some(4)));
+        assert_eq!((r.chunk_moves, r.bytes_moved), (1, 1000));
+        assert_eq!((r.start, r.end, r.finished), (Some(10.0), Some(25.0), true));
         assert_eq!(report.stable_p99.count(), 1);
         assert_eq!(report.reconfig_p99.count(), 0);
         assert!(report.span_errors.is_empty());
@@ -558,19 +612,45 @@ mod tests {
     }
 
     #[test]
+    fn sim_runs_segment_on_top_level_sim_spans_and_implicit_starts() {
+        let sim = SpanName::DetailedSim.as_str();
+        let second = || Entry::new(Second::default());
+        let trace = vec![
+            second(), // implicit run 0, closed by the sim span below
+            begin(2, 1, sim),
+            begin(3, 2, "tick"),
+            end(4, 2, "tick"),
+            end(5, 1, sim),
+            Entry::new(TxnArrive::default()), // between runs: nobody's
+            begin(7, 3, sim),
+            second(),
+        ];
+        let runs = sim_runs(&trace, |r| matches!(r, Record::Second(_)));
+        let shape: Vec<(&str, usize)> = runs.iter().map(|(l, r)| (l.as_str(), r.len())).collect();
+        assert_eq!(
+            shape,
+            [("0:trace", 1), ("1:detailed_sim", 4), ("2:detailed_sim", 2)]
+        );
+        assert!(sim_runs(&trace[5..6], |r| matches!(r, Record::Second(_))).is_empty());
+    }
+
+    #[test]
     fn order_errors_flags_seq_and_time_regressions() {
-        let at = |seq: u64, t: f64, kind: &str| {
-            let mut ev = Event::new(kind);
-            ev.seq = seq;
-            ev.t = Some(t);
-            ev
+        let ev = |seq: u64, t: f64| {
+            at(
+                t,
+                Entry {
+                    seq,
+                    ..Entry::new(TxnArrive::default())
+                },
+            )
         };
         // Clean, monotone trace.
-        let clean = vec![at(1, 0.0, "a"), at(2, 1.0, "b"), at(3, 1.0, "c")];
+        let clean = vec![ev(1, 0.0), ev(2, 1.0), ev(3, 1.0)];
         assert!(order_errors(&clean).is_empty());
 
         // Duplicate / regressing seq.
-        let dup_seq = vec![at(5, 0.0, "a"), at(5, 1.0, "b"), at(3, 2.0, "c")];
+        let dup_seq = vec![ev(5, 0.0), ev(5, 1.0), ev(3, 2.0)];
         let errs = order_errors(&dup_seq);
         assert_eq!(errs.len(), 2);
         assert!(matches!(
@@ -579,14 +659,7 @@ mod tests {
         ));
 
         // t regression while a span is open is an error...
-        let mid_span = vec![
-            {
-                let mut ev = span(kinds::SPAN_BEGIN, 1, 1, "run");
-                ev.t = Some(5.0);
-                ev
-            },
-            at(2, 3.0, "x"),
-        ];
+        let mid_span = vec![at(5.0, begin(1, 1, "run")), ev(2, 3.0)];
         assert!(matches!(
             order_errors(&mid_span)[0],
             OrderError::TimeRegression { seq: 2, .. }
@@ -594,18 +667,10 @@ mod tests {
 
         // ...but a reset at an empty span stack (sweep cell boundary) is fine.
         let cell_boundary = vec![
-            {
-                let mut ev = span(kinds::SPAN_BEGIN, 1, 1, "run");
-                ev.t = Some(0.0);
-                ev
-            },
-            at(2, 9.0, "x"),
-            {
-                let mut ev = span(kinds::SPAN_END, 3, 1, "run");
-                ev.t = Some(9.0);
-                ev
-            },
-            at(4, 0.0, "next_cell_start"),
+            at(0.0, begin(1, 1, "run")),
+            ev(2, 9.0),
+            at(9.0, end(3, 1, "run")),
+            ev(4, 0.0),
         ];
         assert!(order_errors(&cell_boundary).is_empty());
     }
@@ -616,13 +681,17 @@ mod tests {
         let path = std::env::temp_dir().join("pstore_telemetry_trace_test.jsonl");
         std::fs::write(
             &path,
-            "{\"seq\":1,\"kind\":\"a\"}\nnot json\n\n{\"seq\":2,\"kind\":\"b\"}\n",
+            "{\"seq\":1,\"kind\":\"a\"}\nnot json\n\n{\"seq\":2,\"kind\":\"txn_arrive\",\"id\":1}\n",
         )
         .unwrap();
-        let (events, errors) = read_jsonl(&path).unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].line, 2);
+        let (trace, errors) = read_jsonl(&path).unwrap();
+        // The unknown kind is data; the txn_arrive without its slot is not.
+        assert_eq!(trace.len(), 1);
+        assert_eq!(
+            errors.iter().map(|e| e.line).collect::<Vec<_>>(),
+            vec![2, 4]
+        );
+        assert!(errors[1].msg.contains("\"slot\""), "{}", errors[1].msg);
         let _ = std::fs::remove_file(&path);
     }
 }

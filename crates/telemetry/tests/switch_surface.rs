@@ -3,16 +3,17 @@
 //! span helpers are inert with nothing installed.
 
 use pstore_telemetry::{
-    begin_span, enabled, install, install_with, installed, prov_enabled, spec, MemorySink,
-    SpanGuard, TraceSpec, Value, COMPILED_IN,
+    begin_span, begin_span_with, enabled, install, install_with, installed, prov_enabled, spec,
+    MemorySink, SpanBegin, SpanGuard, SpanName, TraceSpec, COMPILED_IN,
 };
 use std::rc::Rc;
 
 #[test]
 fn spans_without_a_sink_are_the_zero_sentinel() {
     assert!(!installed());
-    assert_eq!(begin_span("reconfig", &[("from", Value::U64(2))]), 0);
-    assert_eq!(SpanGuard::enter("outer").id(), 0);
+    assert_eq!(begin_span(SpanName::Reconfig), 0);
+    assert_eq!(begin_span_with(SpanBegin::reconfig(0, 2, 4)), 0);
+    assert_eq!(SpanGuard::enter(SpanName::Tick).id(), 0);
 }
 
 #[test]

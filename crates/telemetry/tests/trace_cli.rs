@@ -40,7 +40,7 @@ fn write(path: &Path, text: &str) {
 fn good_trace() -> String {
     let second = |seq: u64, s: u64, machines: u64, reconf: bool| {
         format!(
-            r#"{{"seq":{seq},"t":{s},"kind":"second","second":{s},"throughput":1000,"p50":0.004,"p95":0.01,"p99":0.02,"mean":0.005,"machines":{machines},"reconfiguring":{reconf}}}"#
+            r#"{{"seq":{seq},"t":{s},"kind":"second","second":{s},"throughput":1000,"p50":0.004,"p95":0.01,"p99":0.02,"mean":0.005,"machines":{machines},"reconfiguring":{reconf},"attr_total":5,"attr_queue":1,"attr_exec":4,"attr_stall":0,"win_p50":0.004,"win_p95":0.01,"win_p99":0.02}}"#
         )
     };
     let lines = vec![
@@ -51,7 +51,7 @@ fn good_trace() -> String {
         r#"{"seq":4,"t":2,"kind":"span_begin","id":2,"name":"reconfig","from":2,"to":3}"#
             .to_string(),
         second(5, 2, 2, true),
-        r#"{"seq":6,"t":2.5,"kind":"chunk_move","from":0,"to":2,"slot":5,"bytes":4096,"rows":16}"#
+        r#"{"seq":6,"t":2.5,"kind":"chunk_move","from":0,"to":2,"slot":5,"bytes":4096,"rows":16,"slot_completed":true}"#
             .to_string(),
         second(7, 3, 3, true),
         r#"{"seq":8,"t":4,"kind":"span_end","id":2,"name":"reconfig"}"#.to_string(),
@@ -131,6 +131,29 @@ fn truncated_line_reports_line_number_and_fails() {
     let err = stderr(&out);
     assert!(err.contains("unparseable line(s)"), "stderr: {err}");
     assert!(err.contains("line 13"), "stderr: {err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A known kind whose payload does not match its schema is reported like
+/// malformed JSON — line number, exit 1 — not analysed as a zero.
+#[test]
+fn mistyped_field_reports_line_number_and_fails() {
+    let path = tmp("mistyped.jsonl");
+    let text = prov_trace().replace(r#""target":3"#, r#""target":"six""#);
+    write(&path, &text);
+    for sub in ["report", "provisioning", "timeline"] {
+        let out = run(&[sub, path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{sub}");
+        let err = stderr(&out);
+        assert!(
+            err.contains("line 16: prov_decision"),
+            "{sub} stderr: {err}"
+        );
+        assert!(
+            err.contains(r#"field "target" is not u64"#),
+            "stderr: {err}"
+        );
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -346,6 +369,35 @@ fn timeline_overlays_decisions_when_prov_events_present() {
     assert!(text.contains('P'), "stdout: {text}");
     let _ = std::fs::remove_file(&plain);
     let _ = std::fs::remove_file(&prov);
+}
+
+/// The committed docs carry exactly the tables the schema generates, and
+/// the check fails on a copy with one field renamed.
+#[test]
+fn schema_check_passes_on_the_docs_and_fails_on_a_renamed_field() {
+    let docs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/observability.md");
+    let out = run(&["schema", "--check", docs]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+
+    let text = std::fs::read_to_string(docs).unwrap();
+    assert!(text.contains("| | `slot_completed` |"));
+    let stale = tmp("stale_schema.md");
+    write(
+        &stale,
+        &text.replace("| | `slot_completed` |", "| | `slot_done` |"),
+    );
+    let out = run(&["schema", "--check", stale.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(
+        err.contains("`slot_done`") && err.contains("`slot_completed`"),
+        "stderr: {err}"
+    );
+
+    // Printed and checked tables are the same text.
+    let printed = stdout(&run(&["schema"]));
+    assert!(text.contains(printed.trim()));
+    let _ = std::fs::remove_file(&stale);
 }
 
 #[test]

@@ -238,9 +238,12 @@ fn expected_fault_outcomes() -> Vec<Result<u64, CellFailure>> {
 /// histogram / gauge traffic derived from the seed.
 fn instrumented_cell(seed: u64) -> Cell<u64> {
     Cell::new(format!("con-cell-{seed}"), move || {
-        let span = tel::begin_span("con_work", &[("seed", tel::Value::U64(seed))]);
+        let span = tel::begin_span_with(tel::SpanBegin {
+            seed: Some(seed),
+            ..tel::SpanBegin::new(0, tel::SpanName::ConWork)
+        });
         for i in 0..4u64 {
-            tel::emit(tel::Event::new("con_tick").with("i", i).with("seed", seed));
+            tel::emit(con_tick(i, seed));
             tel::with_registry(|r| {
                 r.inc_counter("con_ticks", 1);
                 #[allow(clippy::cast_precision_loss)] // tiny probe values
@@ -249,9 +252,15 @@ fn instrumented_cell(seed: u64) -> Cell<u64> {
         }
         #[allow(clippy::cast_precision_loss)] // tiny probe values
         tel::with_registry(|r| r.set_gauge("con_last_seed", seed as f64));
-        tel::end_span("con_work", span, &[]);
+        tel::end_span(tel::SpanName::ConWork, span);
         seed * 7
     })
+}
+
+/// The per-tick event of an instrumented cell. Any registered kind would
+/// serve — the judges compare streams, not meanings.
+fn con_tick(i: u64, seed: u64) -> tel::TxnArrive {
+    tel::TxnArrive { id: i, slot: seed }
 }
 
 /// What the calling thread holds after a capturing sweep.
@@ -341,9 +350,7 @@ mod tests {
     /// two ticks each: one cell's events after another's.
     fn forwarded(cells: u64) -> Captured {
         let events = (0..cells)
-            .flat_map(|seed| {
-                (0..2u64).map(move |i| tel::Event::new("con_tick").with("i", i).with("seed", seed))
-            })
+            .flat_map(|seed| (0..2u64).map(move |i| tel::Record::from(con_tick(i, seed)).encode()))
             .collect();
         Captured {
             results: (0..cells).map(|seed| seed * 7).collect(),

@@ -28,11 +28,8 @@
 //! writer can only *remove* an edge, never invert one).
 
 use pstore_core::{InvariantId, Violation};
-use pstore_telemetry::{kinds, parse_key_versions, Event, Value};
+use pstore_telemetry::{kinds, Event, KeyVersion, Record};
 use std::collections::HashMap;
-
-/// One key-level access: `(table, key display, version)`.
-pub type KeyVersion = (u64, String, u64);
 
 /// One sampled transaction's key-level history, decoded from a widened
 /// `txn_rwset` event. The engine executes procedures directly against
@@ -99,27 +96,21 @@ impl TxnHistory {
 pub fn histories_of(events: &[Event]) -> Result<Vec<TxnHistory>, String> {
     let mut out = Vec::new();
     for ev in events.iter().filter(|e| e.kind == kinds::TXN_RWSET) {
-        let Some(rset) = ev.field_str("rset") else {
+        let Record::TxnRwset(rw) = Record::decode(ev).map_err(|e| e.to_string())? else {
             continue;
         };
-        let wset = ev
-            .field_str("wset")
-            .ok_or("txn_rwset has rset but no wset")?;
-        let id = ev.field_u64("id").ok_or("txn_rwset without id")?;
-        let reads = parse_key_versions(rset).map_err(|e| format!("txn {id} rset: {e}"))?;
-        let writes = parse_key_versions(wset).map_err(|e| format!("txn {id} wset: {e}"))?;
+        let Some(reads) = rw.rset else {
+            continue;
+        };
+        let writes = rw
+            .wset
+            .ok_or_else(|| format!("txn {}: txn_rwset has rset but no wset", rw.id))?;
         out.push(TxnHistory {
-            id,
+            id: rw.id,
             reads,
             writes,
-            restarted: ev
-                .field("restarted")
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
-            committed: ev
-                .field("committed")
-                .and_then(Value::as_bool)
-                .unwrap_or(true),
+            restarted: rw.restarted,
+            committed: rw.committed,
         });
     }
     Ok(out)
@@ -525,6 +516,7 @@ pub fn serial_witness_errors(histories: &[TxnHistory]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pstore_telemetry::TxnRwset;
 
     fn codes(violations: &[Violation]) -> Vec<&'static str> {
         violations.iter().map(|v| v.invariant.code()).collect()
@@ -620,33 +612,38 @@ mod tests {
 
     #[test]
     fn histories_decode_from_events_and_skip_capture_off_records() {
-        let thin = Event::new(kinds::TXN_RWSET).with("id", 1u64);
-        let fat = Event::new(kinds::TXN_RWSET)
-            .with("id", 2u64)
-            .with("restarted", true)
-            .with("committed", true)
-            .with(
-                "rset",
-                pstore_telemetry::encode_key_versions(vec![(0, "k".into(), 1)]),
-            )
-            .with(
-                "wset",
-                pstore_telemetry::encode_key_versions(vec![(0, "k".into(), 2)]),
-            );
-        let histories = histories_of(&[thin, fat]).unwrap();
+        let thin = TxnRwset {
+            id: 1,
+            ..TxnRwset::default()
+        };
+        let fat = TxnRwset {
+            id: 2,
+            restarted: true,
+            committed: true,
+            rset: Some(vec![(0, "k".into(), 1)]),
+            wset: Some(vec![(0, "k".into(), 2)]),
+            ..TxnRwset::default()
+        };
+        let wire = |rw: TxnRwset| Record::from(rw).encode();
+        let histories = histories_of(&[wire(thin), wire(fat.clone())]).unwrap();
         assert_eq!(histories.len(), 1);
         assert_eq!(histories[0].id, 2);
         assert!(histories[0].restarted);
         assert_eq!(histories[0].reads, vec![(0, "k".to_string(), 1)]);
         assert_eq!(histories[0].writes, vec![(0, "k".to_string(), 2)]);
 
-        let bad = Event::new(kinds::TXN_RWSET)
-            .with("id", 3u64)
-            .with("rset", "no-grammar")
-            .with("wset", "");
+        // A key-version list that does not follow the grammar is an
+        // undecodable record, reported — never skipped.
+        let mut bad = wire(fat);
+        for (key, value) in &mut bad.fields {
+            if key == "rset" {
+                *value = "no-grammar".into();
+            }
+        }
         let violations = check_events("t", &[bad]);
         assert_eq!(codes(&violations), ["ISO-01"]);
         assert!(violations[0].detail.contains("undecodable"));
+        assert!(violations[0].detail.contains("\"rset\""));
     }
 
     #[test]

@@ -66,7 +66,27 @@ pub use pstore_core::{InvariantId, Violation};
 use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
 use pstore_core::controller::Strategy;
 use pstore_sim::detailed::{run_detailed, DetailedSimConfig, DetailedSimResult};
-use pstore_telemetry::{Event, TraceSpec};
+use pstore_telemetry::{Entry, Event, TraceSpec};
+
+/// Decodes a captured trace for a checker of `invariant`: the entries,
+/// and one violation of that invariant per event that does not match the
+/// schema of its kind (a required field missing or of another type) — a
+/// checker must never reason over evidence it cannot read.
+pub(crate) fn decoded(
+    invariant: InvariantId,
+    artifact: &str,
+    events: &[Event],
+) -> (Vec<Entry>, Vec<Violation>) {
+    let (trace, errors) = pstore_telemetry::decode_trace(events);
+    let undecodable = |(seq, err)| {
+        Violation::new(
+            invariant,
+            artifact,
+            format!("seq {seq}: undecodable event: {err}"),
+        )
+    };
+    (trace, errors.into_iter().map(undecodable).collect())
+}
 
 /// One small fixed-seed detailed-simulator run of `strategy` over `load`
 /// under a capturing sink installed with `spec` — the scenario the ISO and

@@ -516,14 +516,14 @@ fn prov_sweep() -> CheckStats {
         let policy = if predictive { "predictive" } else { "reactive" };
         let artifact = format!("detailed sim prov trace policy={policy}");
         let (_result, events) = prov::captured_prov_run(predictive);
-        let runs = prov::raw_runs(&events);
+        let runs = prov::raw_runs(&pstore_telemetry::decode_trace(&events).0);
         let decisions: usize = runs.iter().map(|r| r.decisions.len()).sum();
         let reconfigs: usize = runs.iter().map(|r| r.reconfigs.len()).sum();
         let scores: usize = runs.iter().map(|r| r.scores.len()).sum();
         let leads: usize = runs
             .iter()
             .flat_map(|r| &r.decisions)
-            .filter(|d| d.lead >= 1)
+            .filter(|(_, d)| d.lead >= 1)
             .count();
         let mut violations = prov::check_events(&artifact, &events);
         if decisions == 0 || reconfigs == 0 || scores == 0 {
@@ -571,17 +571,20 @@ fn prov_sweep() -> CheckStats {
 fn emit_span_tree(rng: &mut StdRng, depth: usize, width: usize, now: &mut f64) {
     for _ in 0..width {
         pstore_telemetry::set_time(*now);
-        let id = pstore_telemetry::begin_span("reconfig", &[]);
+        let id = pstore_telemetry::begin_span(pstore_telemetry::SpanName::Reconfig);
         *now += rng.random_range(0.0..2.0);
         pstore_telemetry::set_time(*now);
-        pstore_telemetry::emit(pstore_telemetry::Event::new("chunk_move").with("bytes", 1000u64));
+        pstore_telemetry::emit(pstore_telemetry::ChunkMove {
+            bytes: 1000,
+            ..Default::default()
+        });
         if depth > 1 && rng.random_range(0u32..2) == 0 {
             let child_width = rng.random_range(1usize..=width);
             emit_span_tree(rng, depth - 1, child_width, now);
         }
         *now += rng.random_range(0.0..2.0);
         pstore_telemetry::set_time(*now);
-        pstore_telemetry::end_span("reconfig", id, &[]);
+        pstore_telemetry::end_span(pstore_telemetry::SpanName::Reconfig, id);
     }
 }
 
@@ -591,84 +594,75 @@ fn emit_span_tree(rng: &mut StdRng, depth: usize, width: usize, now: &mut f64) {
 /// read/write-set record, and a terminal commit/abort whose attribution
 /// components sum to the end-to-end latency (`TEL-06`/`TXN-01` fodder).
 fn emit_txn_traffic(rng: &mut StdRng, now: &mut f64) {
-    use pstore_telemetry::{kinds, Event};
+    use pstore_telemetry::{
+        TxnAbort, TxnArrive, TxnCommit, TxnExecute, TxnQueue, TxnRestart, TxnRwset, TxnStall,
+    };
     let txns = rng.random_range(2u64..24);
     for id in 1..=txns {
         *now += rng.random_range(0.0..0.5);
         pstore_telemetry::set_time(*now);
         let slot = rng.random_range(0u64..64);
         let migrating = rng.random_range(0u32..4) == 0;
-        pstore_telemetry::emit(
-            Event::new(kinds::TXN_ARRIVE)
-                .with("id", id)
-                .with("slot", slot),
-        );
+        pstore_telemetry::emit(TxnArrive { id, slot });
         let stall = if migrating {
             rng.random_range(0.0..0.3)
         } else {
             0.0
         };
         let queue = rng.random_range(0.0..0.2);
-        pstore_telemetry::emit(
-            Event::new(kinds::TXN_QUEUE)
-                .with("id", id)
-                .with("wait", queue + stall)
-                .with("stall", stall),
-        );
+        pstore_telemetry::emit(TxnQueue {
+            id,
+            wait: queue + stall,
+            stall,
+        });
         if stall > 0.0 {
-            pstore_telemetry::emit(
-                Event::new(kinds::TXN_STALL)
-                    .with("id", id)
-                    .with("stall", stall),
-            );
+            pstore_telemetry::emit(TxnStall { id, stall });
         }
         let exec = rng.random_range(0.001..0.05);
         let dropped = rng.random_range(0u32..8) == 0;
         if !dropped {
-            pstore_telemetry::emit(
-                Event::new(kinds::TXN_EXECUTE)
-                    .with("id", id)
-                    .with("service", exec),
-            );
+            pstore_telemetry::emit(TxnExecute { id, service: exec });
             if migrating && rng.random_range(0u32..2) == 0 {
-                pstore_telemetry::emit(
-                    Event::new(kinds::TXN_RESTART)
-                        .with("id", id)
-                        .with("slot", slot),
-                );
+                pstore_telemetry::emit(TxnRestart { id, slot });
             }
             let reads = rng.random_range(1u64..6);
             let writes = rng.random_range(0u64..3);
-            pstore_telemetry::emit(
-                Event::new(kinds::TXN_RWSET)
-                    .with("id", id)
-                    .with("slot", slot)
-                    .with("proc", "ycsb")
-                    .with("reads", reads)
-                    .with("writes", writes)
-                    .with("dest_reads", if migrating { reads.min(1) } else { 0 })
-                    .with("dest_writes", if migrating { writes.min(1) } else { 0 })
-                    .with("migrating", migrating)
-                    .with("restarted", false)
-                    .with("committed", true),
-            );
+            pstore_telemetry::emit(TxnRwset {
+                id,
+                slot,
+                proc: "ycsb".into(),
+                reads,
+                writes,
+                dest_reads: if migrating { reads.min(1) } else { 0 },
+                dest_writes: if migrating { writes.min(1) } else { 0 },
+                migrating,
+                restarted: false,
+                committed: true,
+                rset: None,
+                wset: None,
+            });
         }
-        let kind = if dropped {
-            kinds::TXN_ABORT
-        } else {
-            kinds::TXN_COMMIT
-        };
-        let mut terminal = Event::new(kind)
-            .with("id", id)
-            .with("queue", queue)
-            .with("exec", exec)
-            .with("stall", stall)
-            .with("total", queue + exec + stall)
-            .with("end", *now + queue + stall + exec);
+        let (total, end) = (queue + exec + stall, *now + queue + stall + exec);
         if dropped {
-            terminal = terminal.with("reason", "timeout");
+            pstore_telemetry::emit(TxnAbort {
+                id,
+                total,
+                queue,
+                exec,
+                stall,
+                end,
+                reason: Some("timeout".into()),
+            });
+        } else {
+            pstore_telemetry::emit(TxnCommit {
+                id,
+                total,
+                queue,
+                exec,
+                stall,
+                end,
+            });
         }
-        pstore_telemetry::emit(terminal);
     }
 }
 

@@ -30,8 +30,9 @@
 //! predictive runs through these checkers (the `prov` sweep in
 //! `main.rs`).
 
+use crate::decoded;
 use pstore_core::{InvariantId, Violation};
-use pstore_telemetry::{kinds, prov, Event};
+use pstore_telemetry::{prov, Entry, Event, ProvDecision, ProvForecast, ProvReconfig, Record};
 use std::collections::BTreeMap;
 
 /// Relative tolerance for machine-second and load comparisons (the
@@ -45,57 +46,10 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= REL_TOL * a.abs().max(b.abs()).max(1.0)
 }
 
-/// One `prov_decision` event, raw.
-#[derive(Debug, Clone)]
-pub struct RawDecision {
-    /// Per-controller decision id (1-based; 0 = unattributed).
-    pub id: u64,
-    /// Monitoring interval the decision was taken in.
-    pub interval: u64,
-    /// Machines active when the decision was taken.
-    pub machines: u64,
-    /// Machines the decision moves to.
-    pub target: u64,
-    /// Lead in monitoring intervals (0 = reactive / emergency).
-    pub lead: u64,
-    /// Simulated decision time in seconds.
-    pub t: f64,
-}
-
-/// One `prov_reconfig` event, raw.
-#[derive(Debug, Clone)]
-pub struct RawReconfig {
-    /// Decision id the move is attributed to (0 = unattributed).
-    pub id: u64,
-    /// Machine count the move started from.
-    pub from: u64,
-    /// Machine count the move ended at.
-    pub to: u64,
-    /// Simulated start time in seconds.
-    pub start: f64,
-    /// Chunks the move transferred.
-    pub chunks: u64,
-    /// Bytes the move transferred.
-    pub bytes: u64,
-}
-
-/// One `prov_forecast` event, raw.
-#[derive(Debug, Clone)]
-pub struct RawScore {
-    /// Forecast model name.
-    pub model: String,
-    /// Horizon in intervals the prediction was made at.
-    pub horizon: u64,
-    /// Target interval the prediction was scored against.
-    pub interval: u64,
-    /// Measured load of the target interval, as the score recorded it.
-    pub observed: f64,
-}
-
-/// One run's provisioning events, re-parsed independently of
-/// [`pstore_telemetry::prov::analyze`]. Runs are segmented on
-/// `prov_run` headers; prov events before the first header form an
-/// implicit run with default units.
+/// One run's provisioning records, segmented independently of
+/// [`pstore_telemetry::prov::analyze`]: runs are cut on `prov_run`
+/// headers; prov events before the first header form an implicit run
+/// with default units.
 #[derive(Debug, Clone)]
 pub struct RawRun {
     /// Display label (`run{i}`).
@@ -106,12 +60,12 @@ pub struct RawRun {
     pub interval_s: f64,
     /// `(interval, machines, observed load)` per monitor tick.
     pub intervals: Vec<(u64, u64, f64)>,
-    /// Controller decisions in emission order.
-    pub decisions: Vec<RawDecision>,
+    /// Controller decisions with their sim time, in emission order.
+    pub decisions: Vec<(f64, ProvDecision)>,
     /// Completed reconfigurations in emission order.
-    pub reconfigs: Vec<RawReconfig>,
+    pub reconfigs: Vec<ProvReconfig>,
     /// Forecast scores in emission order.
-    pub scores: Vec<RawScore>,
+    pub scores: Vec<ProvForecast>,
     /// `(decision id, bytes)` per migrated chunk.
     pub chunks: Vec<(u64, u64)>,
 }
@@ -140,75 +94,44 @@ impl RawRun {
     }
 }
 
-/// Splits a trace into runs on `prov_run` headers and decodes the raw
-/// provisioning events of each. Non-prov events are ignored, so this
-/// segmentation is independent of the span-based one in
-/// [`pstore_telemetry::prov::analyze`] — two differently-derived views
-/// of the same trace for the checkers to reconcile.
-pub fn raw_runs(events: &[Event]) -> Vec<RawRun> {
+/// Splits a decoded trace into runs on `prov_run` headers. Non-prov
+/// records are ignored, so this segmentation is independent of the
+/// span-based one in [`pstore_telemetry::prov::analyze`] — two
+/// differently-derived views of the same trace for the checkers to
+/// reconcile.
+pub fn raw_runs(trace: &[Entry]) -> Vec<RawRun> {
     let mut runs: Vec<RawRun> = Vec::new();
     let mut current: Option<RawRun> = None;
-    for ev in events {
-        if ev.kind == kinds::PROV_RUN {
-            if let Some(run) = current.take() {
-                runs.push(run);
-            }
+    for e in trace {
+        if let Record::ProvRun(header) = &e.record {
+            runs.extend(current.take());
             let mut run = RawRun::new(format!("run{}", runs.len()));
-            run.q = ev.field_f64("q").unwrap_or(0.0);
-            run.interval_s = ev.field_f64("interval_s").unwrap_or(1.0);
+            run.q = header.q;
+            run.interval_s = header.interval_s;
             current = Some(run);
             continue;
         }
-        let decodes = matches!(
-            ev.kind.as_str(),
-            kinds::PROV_INTERVAL
-                | kinds::PROV_FORECAST
-                | kinds::PROV_DECISION
-                | kinds::PROV_RECONFIG
-                | kinds::PROV_CHUNK
-        );
-        if !decodes {
+        if !matches!(
+            e.record,
+            Record::ProvInterval(_)
+                | Record::ProvForecast(_)
+                | Record::ProvDecision(_)
+                | Record::ProvReconfig(_)
+                | Record::ProvChunk(_)
+        ) {
             continue;
         }
         let run = current.get_or_insert_with(|| RawRun::new(format!("run{}", runs.len())));
-        match ev.kind.as_str() {
-            kinds::PROV_INTERVAL => run.intervals.push((
-                ev.field_u64("interval").unwrap_or(0),
-                ev.field_u64("machines").unwrap_or(0),
-                ev.field_f64("observed").unwrap_or(0.0),
-            )),
-            kinds::PROV_FORECAST => run.scores.push(RawScore {
-                model: ev.field_str("model").unwrap_or("?").to_string(),
-                horizon: ev.field_u64("horizon").unwrap_or(0),
-                interval: ev.field_u64("interval").unwrap_or(0),
-                observed: ev.field_f64("observed").unwrap_or(0.0),
-            }),
-            kinds::PROV_DECISION => run.decisions.push(RawDecision {
-                id: ev.field_u64("id").unwrap_or(0),
-                interval: ev.field_u64("interval").unwrap_or(0),
-                machines: ev.field_u64("machines").unwrap_or(0),
-                target: ev.field_u64("target").unwrap_or(0),
-                lead: ev.field_u64("lead").unwrap_or(0),
-                t: ev.t.unwrap_or(0.0),
-            }),
-            kinds::PROV_RECONFIG => run.reconfigs.push(RawReconfig {
-                id: ev.field_u64("id").unwrap_or(0),
-                from: ev.field_u64("from").unwrap_or(0),
-                to: ev.field_u64("to").unwrap_or(0),
-                start: ev.field_f64("start").unwrap_or(0.0),
-                chunks: ev.field_u64("chunks").unwrap_or(0),
-                bytes: ev.field_u64("bytes").unwrap_or(0),
-            }),
-            kinds::PROV_CHUNK => run.chunks.push((
-                ev.field_u64("id").unwrap_or(0),
-                ev.field_u64("bytes").unwrap_or(0),
-            )),
+        match &e.record {
+            Record::ProvInterval(i) => run.intervals.push((i.interval, i.machines, i.observed)),
+            Record::ProvForecast(s) => run.scores.push(s.clone()),
+            Record::ProvDecision(d) => run.decisions.push((e.t.unwrap_or(0.0), d.clone())),
+            Record::ProvReconfig(r) => run.reconfigs.push(r.clone()),
+            Record::ProvChunk(c) => run.chunks.push((c.id, c.bytes)),
             _ => unreachable!("filtered above"),
         }
     }
-    if let Some(run) = current.take() {
-        runs.push(run);
-    }
+    runs.extend(current);
     runs.retain(|r| !r.is_empty());
     runs
 }
@@ -217,14 +140,14 @@ pub fn raw_runs(events: &[Event]) -> Vec<RawRun> {
 /// the id exists). Attribution *failures* are PRV-02's business; the
 /// joined pairs feed both PRV-01 (machine-count reconciliation) and
 /// PRV-02 (ordering).
-fn joined(run: &RawRun) -> Vec<(&RawReconfig, &RawDecision)> {
+fn joined(run: &RawRun) -> Vec<(&ProvReconfig, f64, &ProvDecision)> {
     run.reconfigs
         .iter()
         .filter_map(|r| {
             run.decisions
                 .iter()
-                .find(|d| d.id == r.id && r.id > 0)
-                .map(|d| (r, d))
+                .find(|(_, d)| d.id == r.id && r.id > 0)
+                .map(|(t, d)| (r, *t, d))
         })
         .collect()
 }
@@ -241,15 +164,11 @@ fn joined(run: &RawRun) -> Vec<(&RawReconfig, &RawDecision)> {
 /// `prov_chunk` events) sums per-move chunk bytes and counts against
 /// the move's ledger row.
 pub fn check_prov_ledger(artifact: &str, events: &[Event]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    for run in raw_runs(events) {
-        let v = |detail: String| {
-            Violation::new(
-                InvariantId::ProvLedgerConservation,
-                format!("{artifact}/{}", run.label),
-                detail,
-            )
-        };
+    let invariant = InvariantId::ProvLedgerConservation;
+    let (trace, mut violations) = decoded(invariant, artifact, events);
+    for run in raw_runs(&trace) {
+        let v =
+            |detail: String| Violation::new(invariant, format!("{artifact}/{}", run.label), detail);
 
         // Every interval recorded exactly once — the integral below is
         // meaningless over a stuttering or duplicated tick stream.
@@ -310,7 +229,7 @@ pub fn check_prov_ledger(artifact: &str, events: &[Event]) -> Vec<Violation> {
 
         // An attributed move must execute exactly the machine delta its
         // decision recorded.
-        for (r, d) in joined(&run) {
+        for (r, _, d) in joined(&run) {
             if r.from != d.machines || r.to != d.target {
                 violations.push(v(format!(
                     "reconfig (decision {}) moved {} -> {} machines, but the decision \
@@ -353,18 +272,14 @@ pub fn check_prov_ledger(artifact: &str, events: &[Event]) -> Vec<Violation> {
 /// before the target interval it provisioned for (one interval of slack
 /// absorbs tick alignment).
 pub fn check_prov_causality(artifact: &str, events: &[Event]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    for run in raw_runs(events) {
-        let v = |detail: String| {
-            Violation::new(
-                InvariantId::ProvDecisionCausality,
-                format!("{artifact}/{}", run.label),
-                detail,
-            )
-        };
+    let invariant = InvariantId::ProvDecisionCausality;
+    let (trace, mut violations) = decoded(invariant, artifact, events);
+    for run in raw_runs(&trace) {
+        let v =
+            |detail: String| Violation::new(invariant, format!("{artifact}/{}", run.label), detail);
 
         let mut ids: BTreeMap<u64, u64> = BTreeMap::new();
-        for d in &run.decisions {
+        for (_, d) in &run.decisions {
             if d.id == 0 {
                 violations.push(v(format!(
                     "decision at interval {} has id 0 (ids are 1-based)",
@@ -393,11 +308,11 @@ pub fn check_prov_causality(artifact: &str, events: &[Event]) -> Vec<Violation> 
             violations.push(v(format!("decision {id} drove {count} reconfigurations")));
         }
 
-        for (r, d) in joined(&run) {
-            if r.start < d.t - REL_TOL {
+        for (r, decided_at, d) in joined(&run) {
+            if r.start < decided_at - REL_TOL {
                 violations.push(v(format!(
                     "reconfig (decision {}) started at t={} before its decision at t={}",
-                    r.id, r.start, d.t
+                    r.id, r.start, decided_at
                 )));
             }
             if d.lead >= 1 {
@@ -427,15 +342,11 @@ pub fn check_prov_causality(artifact: &str, events: &[Event]) -> Vec<Violation> 
 /// exactly once, and each score's `observed` must equal the demand the
 /// monitor recorded for that interval in the `prov_interval` stream.
 pub fn check_prov_forecast_bookkeeping(artifact: &str, events: &[Event]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    for run in raw_runs(events) {
-        let v = |detail: String| {
-            Violation::new(
-                InvariantId::ProvForecastBookkeeping,
-                format!("{artifact}/{}", run.label),
-                detail,
-            )
-        };
+    let invariant = InvariantId::ProvForecastBookkeeping;
+    let (trace, mut violations) = decoded(invariant, artifact, events);
+    for run in raw_runs(&trace) {
+        let v =
+            |detail: String| Violation::new(invariant, format!("{artifact}/{}", run.label), detail);
 
         let mut triples: BTreeMap<(String, u64, u64), u64> = BTreeMap::new();
         for s in &run.scores {
@@ -531,64 +442,84 @@ mod tests {
         violations.iter().map(|v| v.invariant.code()).collect()
     }
 
-    fn ev(kind: &str) -> Event {
-        Event::new(kind)
-    }
+    use pstore_telemetry::{ProvChunk, ProvInterval, ProvRun, Second};
 
     fn header(q: f64, interval_s: f64) -> Event {
-        ev(kinds::PROV_RUN)
-            .with("q", q)
-            .with("d_s", 300.0)
-            .with("interval_s", interval_s)
-            .with("policy", "test")
+        Record::from(ProvRun {
+            q,
+            d_s: 300.0,
+            interval_s,
+            initial: 1,
+            policy: "test".into(),
+        })
+        .encode()
     }
 
-    fn interval(k: u64, machines: u64, observed: f64) -> Event {
-        ev(kinds::PROV_INTERVAL)
-            .with("interval", k)
-            .with("machines", machines)
-            .with("observed", observed)
+    fn interval(interval: u64, machines: u64, observed: f64) -> Event {
+        Record::from(ProvInterval {
+            interval,
+            observed,
+            machines,
+            reconfiguring: false,
+        })
+        .encode()
     }
 
     fn decision(id: u64, interval: u64, machines: u64, target: u64, lead: u64, t: f64) -> Event {
-        let mut e = ev(kinds::PROV_DECISION)
-            .with("id", id)
-            .with("interval", interval)
-            .with("machines", machines)
-            .with("target", target)
-            .with("reason", if lead > 0 { "planned" } else { "reactive" })
-            .with("lead", lead);
+        let mut e = Record::from(ProvDecision {
+            id,
+            interval,
+            machines,
+            target,
+            reason: if lead > 0 { "planned" } else { "reactive" }.into(),
+            lead,
+            rate: 1.0,
+            ..ProvDecision::default()
+        })
+        .encode();
         e.t = Some(t);
         e
     }
 
     fn reconfig(id: u64, from: u64, to: u64, start: f64, chunks: u64, bytes: u64) -> Event {
-        ev(kinds::PROV_RECONFIG)
-            .with("id", id)
-            .with("from", from)
-            .with("to", to)
-            .with("start", start)
-            .with("duration_s", 25.0)
-            .with("chunks", chunks)
-            .with("rows", chunks * 10)
-            .with("bytes", bytes)
+        Record::from(ProvReconfig {
+            id,
+            from,
+            to,
+            start,
+            duration_s: 25.0,
+            chunks,
+            rows: chunks * 10,
+            bytes,
+        })
+        .encode()
     }
 
     fn score(model: &str, horizon: u64, interval: u64, observed: f64) -> Event {
-        ev(kinds::PROV_FORECAST)
-            .with("model", model)
-            .with("horizon", horizon)
-            .with("interval", interval)
-            .with("predicted", observed * 1.1)
-            .with("observed", observed)
+        Record::from(ProvForecast {
+            interval,
+            horizon,
+            model: model.into(),
+            predicted: observed * 1.1,
+            observed,
+        })
+        .encode()
     }
 
     fn chunk(id: u64, bytes: u64) -> Event {
-        ev(kinds::PROV_CHUNK)
-            .with("id", id)
-            .with("from", 1u64)
-            .with("to", 2u64)
-            .with("bytes", bytes)
+        Record::from(ProvChunk {
+            id,
+            from: 1,
+            to: 2,
+            bytes,
+        })
+        .encode()
+    }
+
+    fn runs_of(events: &[Event]) -> Vec<RawRun> {
+        let (trace, errors) = pstore_telemetry::decode_trace(events);
+        assert_eq!(errors, vec![]);
+        raw_runs(&trace)
     }
 
     /// A coherent little trace: 3 intervals, one lead-1 decision whose
@@ -616,9 +547,25 @@ mod tests {
 
     #[test]
     fn traces_without_prov_events_are_vacuously_clean() {
-        let events = vec![ev(kinds::SECOND).with("p99", 0.01)];
-        assert!(raw_runs(&events).is_empty());
+        let events = vec![Record::from(Second::default()).encode()];
+        assert!(runs_of(&events).is_empty());
         assert_eq!(check_events("t", &events), vec![]);
+    }
+
+    /// A mistyped field is a violation of the invariant being evaluated,
+    /// not a zero the ledger integrates.
+    #[test]
+    fn undecodable_prov_events_fail_the_checker_that_met_them() {
+        let mut events = clean_trace();
+        for (key, value) in &mut events[1].fields {
+            if key == "machines" {
+                *value = "one".into();
+            }
+        }
+        let violations = check_prov_ledger("t", &events);
+        assert_eq!(codes(&violations), vec!["PRV-01"]);
+        assert!(violations[0].detail.contains("\"machines\""));
+        assert_eq!(codes(&check_prov_causality("t", &events)), vec!["PRV-02"]);
     }
 
     #[test]
@@ -632,7 +579,7 @@ mod tests {
     fn reconfig_machine_mismatch_fails_prv01() {
         let mut events = clean_trace();
         // The move claims it went to 3 machines; the decision said 2.
-        events.retain(|e| e.kind != kinds::PROV_RECONFIG);
+        events.retain(|e| e.kind != pstore_telemetry::kinds::PROV_RECONFIG);
         events.push(reconfig(1, 1, 3, 0.0, 2, 1000));
         let violations = check_prov_ledger("t", &events);
         assert_eq!(codes(&violations), vec!["PRV-01"]);
@@ -642,7 +589,7 @@ mod tests {
     #[test]
     fn chunk_byte_shortfall_fails_prv01() {
         let mut events = clean_trace();
-        events.retain(|e| e.kind != kinds::PROV_CHUNK);
+        events.retain(|e| e.kind != pstore_telemetry::kinds::PROV_CHUNK);
         events.push(chunk(1, 700)); // 300 bytes vanish
         let violations = check_prov_ledger("t", &events);
         assert_eq!(codes(&violations), vec!["PRV-01"]);
@@ -677,7 +624,7 @@ mod tests {
     #[test]
     fn move_before_its_decision_fails_prv02() {
         let mut events = clean_trace();
-        events.retain(|e| e.kind != kinds::PROV_RECONFIG);
+        events.retain(|e| e.kind != pstore_telemetry::kinds::PROV_RECONFIG);
         events.push(reconfig(1, 1, 2, -5.0, 2, 1000));
         let violations = check_prov_causality("t", &events);
         assert_eq!(codes(&violations), vec!["PRV-02"]);
@@ -687,7 +634,7 @@ mod tests {
     #[test]
     fn late_start_forfeiting_the_lead_fails_prv02() {
         let mut events = clean_trace();
-        events.retain(|e| e.kind != kinds::PROV_RECONFIG);
+        events.retain(|e| e.kind != pstore_telemetry::kinds::PROV_RECONFIG);
         // Lead-1 decision at interval 0 (30 s intervals): any start after
         // t = 30 gives up the lead entirely.
         events.push(reconfig(1, 1, 2, 45.0, 2, 1000));
@@ -724,7 +671,7 @@ mod tests {
     fn runs_segment_on_prov_run_headers() {
         let mut events = clean_trace();
         events.extend(clean_trace());
-        let runs = raw_runs(&events);
+        let runs = runs_of(&events);
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].label, "run0");
         assert_eq!(runs[1].label, "run1");

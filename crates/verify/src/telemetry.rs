@@ -19,40 +19,43 @@
 //! partition access (destination-side accesses and restarts only while
 //! migrating, rwset slot matching the arrival slot).
 
+use crate::decoded;
 use pstore_core::{InvariantId, Violation};
 use pstore_telemetry::trace::{order_errors, span_errors, SpanError};
-use pstore_telemetry::{kinds, Event, Histogram, Profile, ProfileClock};
-use std::collections::BTreeMap;
+use pstore_telemetry::{Event, Histogram, Profile, ProfileClock, Record};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Checks span pairing (`TEL-01`) and nesting (`TEL-02`) over a trace.
 ///
 /// Pairing violations are ends without a begin and spans left open at end
 /// of trace; nesting violations are duplicate open ids, out-of-LIFO-order
-/// closes, and span events missing their id.
+/// closes, and events that do not decode (a span event without its id).
 pub fn check_trace_spans(artifact: &str, events: &[Event]) -> Vec<Violation> {
-    span_errors(events)
-        .into_iter()
-        .map(|err| {
-            let invariant = match err {
-                SpanError::EndWithoutBegin { .. } | SpanError::Unclosed { .. } => {
-                    InvariantId::TelemetryReconfigPairing
-                }
-                SpanError::DuplicateBegin { .. }
-                | SpanError::BadNesting { .. }
-                | SpanError::MissingId { .. } => InvariantId::TelemetrySpanNesting,
-            };
-            Violation::new(invariant, artifact, err.to_string())
-        })
-        .collect()
+    let (trace, mut violations) = decoded(InvariantId::TelemetrySpanNesting, artifact, events);
+    violations.extend(span_errors(&trace).into_iter().map(|err| {
+        let invariant = match err {
+            SpanError::EndWithoutBegin { .. } | SpanError::Unclosed { .. } => {
+                InvariantId::TelemetryReconfigPairing
+            }
+            SpanError::DuplicateBegin { .. } | SpanError::BadNesting { .. } => {
+                InvariantId::TelemetrySpanNesting
+            }
+        };
+        Violation::new(invariant, artifact, err.to_string())
+    }));
+    violations
 }
 
 /// Checks total event ordering (`TEL-04`) over a trace: `seq` strictly
 /// increases and sim-time `t` never regresses while a span is open.
 pub fn check_trace_order(artifact: &str, events: &[Event]) -> Vec<Violation> {
-    order_errors(events)
-        .into_iter()
-        .map(|err| Violation::new(InvariantId::TelemetryOrdering, artifact, err.to_string()))
-        .collect()
+    let (trace, mut violations) = decoded(InvariantId::TelemetryOrdering, artifact, events);
+    violations.extend(
+        order_errors(&trace)
+            .into_iter()
+            .map(|err| Violation::new(InvariantId::TelemetryOrdering, artifact, err.to_string())),
+    );
+    violations
 }
 
 /// Checks profile-tree time conservation (`TEL-05`): builds the span
@@ -64,12 +67,15 @@ pub fn check_profile_conservation(
     events: &[Event],
     clock: ProfileClock,
 ) -> Vec<Violation> {
-    let profile = Profile::from_events(events, clock);
-    let mut violations: Vec<Violation> = profile
-        .conservation_errors()
-        .into_iter()
-        .map(|msg| Violation::new(InvariantId::TelemetryProfileConservation, artifact, msg))
-        .collect();
+    let (trace, mut violations) =
+        decoded(InvariantId::TelemetryProfileConservation, artifact, events);
+    let profile = Profile::from_trace(&trace, clock);
+    violations.extend(
+        profile
+            .conservation_errors()
+            .into_iter()
+            .map(|msg| Violation::new(InvariantId::TelemetryProfileConservation, artifact, msg)),
+    );
     violations.extend(
         profile
             .folded_resum_errors(&profile.folded())
@@ -153,24 +159,6 @@ pub fn check_histogram_merge(artifact: &str, sets: &[Vec<f64>; 3]) -> Vec<Violat
 /// round-trip noise can separate them.
 const ATTR_SUM_TOL: f64 = 1e-6;
 
-/// True for terminal txn-lifecycle kinds.
-fn is_terminal(kind: &str) -> bool {
-    kind == kinds::TXN_COMMIT || kind == kinds::TXN_ABORT
-}
-
-/// True for non-terminal txn-lifecycle kinds that must reference an open
-/// transaction.
-fn is_mid_lifecycle(kind: &str) -> bool {
-    matches!(
-        kind,
-        kinds::TXN_QUEUE
-            | kinds::TXN_STALL
-            | kinds::TXN_EXECUTE
-            | kinds::TXN_RESTART
-            | kinds::TXN_RWSET
-    )
-}
-
 /// Checks txn-lifecycle well-formedness (`TEL-06`) over a trace:
 ///
 /// - a `txn_arrive` id stays unique until terminally resolved (resolved
@@ -183,8 +171,8 @@ fn is_mid_lifecycle(kind: &str) -> bool {
 ///
 /// Traces with no txn events (sampling off) are trivially clean.
 pub fn check_txn_lifecycle(artifact: &str, events: &[Event]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let mut open: BTreeMap<u64, u64> = BTreeMap::new(); // id -> arrive slot
+    let (trace, mut violations) = decoded(InvariantId::TelemetryTxnLifecycle, artifact, events);
+    let mut open: BTreeSet<u64> = BTreeSet::new();
     let mut push = |detail: String| {
         violations.push(Violation::new(
             InvariantId::TelemetryTxnLifecycle,
@@ -192,51 +180,50 @@ pub fn check_txn_lifecycle(artifact: &str, events: &[Event]) -> Vec<Violation> {
             detail,
         ));
     };
-    for ev in events {
-        let kind = ev.kind.as_str();
-        if kind == kinds::TXN_ARRIVE {
-            let Some(id) = ev.field_u64("id") else {
-                push(format!("seq {}: txn_arrive without an id", ev.seq));
-                continue;
-            };
-            let slot = ev.field_u64("slot").unwrap_or(0);
-            if open.insert(id, slot).is_some() {
-                push(format!(
-                    "txn {id}: re-arrived while still open (seq {})",
-                    ev.seq
-                ));
-            }
-        } else if is_mid_lifecycle(kind) || is_terminal(kind) {
-            let Some(id) = ev.field_u64("id") else {
-                push(format!("seq {}: {kind} without an id", ev.seq));
-                continue;
-            };
-            if !open.contains_key(&id) {
-                push(format!(
-                    "txn {id}: {kind} for a transaction that is not open (seq {})",
-                    ev.seq
-                ));
-                continue;
-            }
-            if is_terminal(kind) {
-                open.remove(&id);
-                let total = ev.field_f64("total").unwrap_or(f64::NAN);
-                let parts = ev.field_f64("queue").unwrap_or(f64::NAN)
-                    + ev.field_f64("exec").unwrap_or(f64::NAN)
-                    + ev.field_f64("stall").unwrap_or(f64::NAN);
-                let tol = ATTR_SUM_TOL * total.abs().max(1.0);
-                let gap = (parts - total).abs();
-                // A NaN gap (missing field) must also count as a violation.
-                if gap.is_nan() || gap > tol {
+    for e in &trace {
+        // The transaction an event belongs to and, for a terminal event,
+        // its `(total, queue + exec + stall)` attribution.
+        let (id, terminal) = match &e.record {
+            Record::TxnArrive(arrive) => {
+                if !open.insert(arrive.id) {
                     push(format!(
-                        "txn {id}: attribution {parts} != total {total} at {kind} (seq {})",
-                        ev.seq
+                        "txn {}: re-arrived while still open (seq {})",
+                        arrive.id, e.seq
                     ));
                 }
+                continue;
+            }
+            Record::TxnQueue(r) => (r.id, None),
+            Record::TxnStall(r) => (r.id, None),
+            Record::TxnExecute(r) => (r.id, None),
+            Record::TxnRestart(r) => (r.id, None),
+            Record::TxnRwset(r) => (r.id, None),
+            Record::TxnCommit(r) => (r.id, Some((r.total, r.queue + r.exec + r.stall))),
+            Record::TxnAbort(r) => (r.id, Some((r.total, r.queue + r.exec + r.stall))),
+            _ => continue,
+        };
+        let kind = e.record.kind();
+        if !open.contains(&id) {
+            push(format!(
+                "txn {id}: {kind} for a transaction that is not open (seq {})",
+                e.seq
+            ));
+            continue;
+        }
+        if let Some((total, parts)) = terminal {
+            open.remove(&id);
+            let tol = ATTR_SUM_TOL * total.abs().max(1.0);
+            let gap = (parts - total).abs();
+            // A NaN gap (a non-finite component) must also count.
+            if gap.is_nan() || gap > tol {
+                push(format!(
+                    "txn {id}: attribution {parts} != total {total} at {kind} (seq {})",
+                    e.seq
+                ));
             }
         }
     }
-    for (&id, _) in open.iter().take(10) {
+    for id in open.iter().take(10) {
         push(format!("txn {id}: arrived but never committed or aborted"));
     }
     if open.len() > 10 {
@@ -254,7 +241,7 @@ pub fn check_txn_lifecycle(artifact: &str, events: &[Event]) -> Vec<Violation> {
 /// - the rwset's `slot` (and any `txn_restart` slot) matches the slot
 ///   the transaction arrived on.
 pub fn check_txn_rwsets(artifact: &str, events: &[Event]) -> Vec<Violation> {
-    let mut violations = Vec::new();
+    let (trace, mut violations) = decoded(InvariantId::TxnReadWriteSets, artifact, events);
     let mut arrive_slot: BTreeMap<u64, u64> = BTreeMap::new();
     let mut push = |detail: String| {
         violations.push(Violation::new(
@@ -263,46 +250,35 @@ pub fn check_txn_rwsets(artifact: &str, events: &[Event]) -> Vec<Violation> {
             detail,
         ));
     };
-    for ev in events {
-        match ev.kind.as_str() {
-            kinds::TXN_ARRIVE => {
-                if let (Some(id), Some(slot)) = (ev.field_u64("id"), ev.field_u64("slot")) {
-                    arrive_slot.insert(id, slot);
+    for e in &trace {
+        match &e.record {
+            Record::TxnArrive(arrive) => {
+                arrive_slot.insert(arrive.id, arrive.slot);
+            }
+            Record::TxnCommit(r) => {
+                arrive_slot.remove(&r.id);
+            }
+            Record::TxnAbort(r) => {
+                arrive_slot.remove(&r.id);
+            }
+            Record::TxnRestart(r) => {
+                let (id, slot) = (r.id, r.slot);
+                if let Some(&declared) = arrive_slot.get(&id).filter(|&&d| d != slot) {
+                    push(format!(
+                        "txn {id}: restart on slot {slot} but arrived on slot {declared}"
+                    ));
                 }
             }
-            kinds::TXN_COMMIT | kinds::TXN_ABORT => {
-                if let Some(id) = ev.field_u64("id") {
-                    arrive_slot.remove(&id);
-                }
-            }
-            kinds::TXN_RESTART => {
-                if let (Some(id), Some(slot)) = (ev.field_u64("id"), ev.field_u64("slot")) {
-                    if let Some(&declared) = arrive_slot.get(&id) {
-                        if declared != slot {
-                            push(format!(
-                                "txn {id}: restart on slot {slot} but arrived on slot {declared}"
-                            ));
-                        }
-                    }
-                }
-            }
-            kinds::TXN_RWSET => {
-                let Some(id) = ev.field_u64("id") else {
-                    push(format!("seq {}: txn_rwset without an id", ev.seq));
-                    continue;
-                };
-                let migrating = ev.field("migrating").and_then(|v| v.as_bool()) == Some(true);
-                let restarted = ev.field("restarted").and_then(|v| v.as_bool()) == Some(true);
-                let reads = ev.field_u64("reads").unwrap_or(0);
-                let writes = ev.field_u64("writes").unwrap_or(0);
-                let dest_reads = ev.field_u64("dest_reads").unwrap_or(0);
-                let dest_writes = ev.field_u64("dest_writes").unwrap_or(0);
-                if !migrating && (dest_reads > 0 || dest_writes > 0) {
+            Record::TxnRwset(rw) => {
+                let id = rw.id;
+                let (reads, writes) = (rw.reads, rw.writes);
+                let (dest_reads, dest_writes) = (rw.dest_reads, rw.dest_writes);
+                if !rw.migrating && (dest_reads > 0 || dest_writes > 0) {
                     push(format!(
                         "txn {id}: destination accesses ({dest_reads}r/{dest_writes}w) while slot not migrating"
                     ));
                 }
-                if restarted && !migrating {
+                if rw.restarted && !rw.migrating {
                     push(format!("txn {id}: restarted outside a migration"));
                 }
                 if dest_reads > reads || dest_writes > writes {
@@ -310,13 +286,11 @@ pub fn check_txn_rwsets(artifact: &str, events: &[Event]) -> Vec<Violation> {
                         "txn {id}: destination counts {dest_reads}r/{dest_writes}w exceed totals {reads}r/{writes}w"
                     ));
                 }
-                if let (Some(slot), Some(&declared)) = (ev.field_u64("slot"), arrive_slot.get(&id))
-                {
-                    if slot != declared {
-                        push(format!(
-                            "txn {id}: rwset on slot {slot} but arrived on slot {declared}"
-                        ));
-                    }
+                let slot = rw.slot;
+                if let Some(&declared) = arrive_slot.get(&id).filter(|&&d| d != slot) {
+                    push(format!(
+                        "txn {id}: rwset on slot {slot} but arrived on slot {declared}"
+                    ));
                 }
             }
             _ => {}
@@ -328,20 +302,23 @@ pub fn check_txn_rwsets(artifact: &str, events: &[Event]) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstore_telemetry::kinds;
+    use pstore_telemetry::{
+        SpanBegin, SpanEnd, TxnAbort, TxnArrive, TxnCommit, TxnExecute, TxnQueue, TxnRestart,
+        TxnRwset,
+    };
 
-    fn begin(seq: u64, id: u64) -> Event {
-        let mut e = Event::new(kinds::SPAN_BEGIN)
-            .with("id", id)
-            .with("name", "reconfig");
+    fn ev(seq: u64, record: impl Into<Record>) -> Event {
+        let mut e = record.into().encode();
         e.seq = seq;
         e
     }
 
+    fn begin(seq: u64, id: u64) -> Event {
+        ev(seq, SpanBegin::new(id, "reconfig"))
+    }
+
     fn end(seq: u64, id: u64) -> Event {
-        let mut e = Event::new(kinds::SPAN_END).with("id", id);
-        e.seq = seq;
-        e
+        ev(seq, SpanEnd::new(id, "reconfig"))
     }
 
     #[test]
@@ -365,6 +342,28 @@ mod tests {
         assert!(v
             .iter()
             .any(|x| x.invariant == InvariantId::TelemetrySpanNesting));
+    }
+
+    /// An event that does not match the schema of its kind is reported
+    /// under the invariant being checked, never analysed as zeros.
+    #[test]
+    fn undecodable_events_violate_the_invariant_under_evaluation() {
+        let mut idless = begin(1, 10);
+        idless.fields.retain(|(k, _)| k != "id");
+        let v = check_trace_spans("t", &[idless]);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, InvariantId::TelemetrySpanNesting);
+        assert!(v[0].detail.contains("\"id\""), "{}", v[0].detail);
+
+        let mut totalless = commit(2, 3, 0.5, 0.1, 0.0);
+        totalless.fields.retain(|(k, _)| k != "total");
+        let trace = vec![ev(1, TxnArrive { id: 3, slot: 0 }), totalless];
+        let v = check_txn_lifecycle("t", &trace);
+        assert!(v.iter().all(|x| x.invariant.code() == "TEL-06"), "{v:?}");
+        assert!(v.iter().any(|x| x.detail.contains("\"total\"")), "{v:?}");
+        let v = check_txn_rwsets("t", &trace);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant.code(), "TXN-01");
     }
 
     fn stamped(mut e: Event, t: f64) -> Event {
@@ -430,37 +429,58 @@ mod tests {
         assert!(check_histogram_merge("t", &sets).is_empty());
     }
 
-    fn txn(seq: u64, kind: &str, id: u64) -> Event {
-        let mut e = Event::new(kind).with("id", id);
-        e.seq = seq;
-        e
+    fn arrive(seq: u64, id: u64, slot: u64) -> Event {
+        ev(seq, TxnArrive { id, slot })
     }
 
     fn commit(seq: u64, id: u64, queue: f64, exec: f64, stall: f64) -> Event {
-        txn(seq, kinds::TXN_COMMIT, id)
-            .with("queue", queue)
-            .with("exec", exec)
-            .with("stall", stall)
-            .with("total", queue + exec + stall)
+        ev(
+            seq,
+            TxnCommit {
+                id,
+                total: queue + exec + stall,
+                queue,
+                exec,
+                stall,
+                end: 0.0,
+            },
+        )
     }
 
     #[test]
     fn well_formed_txn_lifecycle_is_clean_and_ids_are_reusable() {
         let trace = vec![
-            txn(1, kinds::TXN_ARRIVE, 7).with("slot", 3u64),
-            txn(2, kinds::TXN_QUEUE, 7)
-                .with("wait", 0.1)
-                .with("stall", 0.0),
-            txn(3, kinds::TXN_EXECUTE, 7).with("service", 0.01),
+            arrive(1, 7, 3),
+            ev(
+                2,
+                TxnQueue {
+                    id: 7,
+                    wait: 0.1,
+                    stall: 0.0,
+                },
+            ),
+            ev(
+                3,
+                TxnExecute {
+                    id: 7,
+                    service: 0.01,
+                },
+            ),
             commit(4, 7, 0.1, 0.01, 0.0),
             // Resolved ids may be reused by a later transaction.
-            txn(5, kinds::TXN_ARRIVE, 7).with("slot", 4u64),
-            txn(6, kinds::TXN_ABORT, 7)
-                .with("reason", "timeout")
-                .with("queue", 1.0)
-                .with("exec", 0.0)
-                .with("stall", 0.5)
-                .with("total", 1.5),
+            arrive(5, 7, 4),
+            ev(
+                6,
+                TxnAbort {
+                    id: 7,
+                    total: 1.5,
+                    queue: 1.0,
+                    exec: 0.0,
+                    stall: 0.5,
+                    end: 0.0,
+                    reason: Some("timeout".into()),
+                },
+            ),
         ];
         assert!(check_txn_lifecycle("t", &trace).is_empty());
         // An empty trace (sampling off) is trivially clean.
@@ -469,7 +489,7 @@ mod tests {
 
     #[test]
     fn unresolved_unopened_and_duplicate_txns_violate_tel06() {
-        let never_resolved = vec![txn(1, kinds::TXN_ARRIVE, 1).with("slot", 0u64)];
+        let never_resolved = vec![arrive(1, 1, 0)];
         let v = check_txn_lifecycle("t", &never_resolved);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant.code(), "TEL-06");
@@ -481,8 +501,8 @@ mod tests {
             .contains("not open"));
 
         let duplicate = vec![
-            txn(1, kinds::TXN_ARRIVE, 2).with("slot", 0u64),
-            txn(2, kinds::TXN_ARRIVE, 2).with("slot", 0u64),
+            arrive(1, 2, 0),
+            arrive(2, 2, 0),
             commit(3, 2, 0.0, 0.01, 0.0),
         ];
         assert!(check_txn_lifecycle("t", &duplicate)
@@ -492,22 +512,20 @@ mod tests {
 
     #[test]
     fn attribution_that_does_not_sum_violates_tel06() {
-        let trace = vec![
-            txn(1, kinds::TXN_ARRIVE, 3).with("slot", 0u64),
-            txn(2, kinds::TXN_COMMIT, 3)
-                .with("queue", 0.5)
-                .with("exec", 0.1)
-                .with("stall", 0.0)
-                .with("total", 1.0),
-        ];
+        let mut skewed = commit(2, 3, 0.5, 0.1, 0.0);
+        for (key, value) in &mut skewed.fields {
+            if key == "total" {
+                *value = 1.0.into();
+            }
+        }
+        let trace = vec![arrive(1, 3, 0), skewed];
         let v = check_txn_lifecycle("t", &trace);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("attribution"));
     }
 
     /// An rwset record with 2 reads / 1 write and the given destination
-    /// counts and flags. (Field lookup is first-match, so overrides via
-    /// `.with` would be ignored — parameters it is.)
+    /// counts and flags.
     fn rwset(
         seq: u64,
         id: u64,
@@ -516,26 +534,32 @@ mod tests {
         migrating: bool,
         restarted: bool,
     ) -> Event {
-        txn(seq, kinds::TXN_RWSET, id)
-            .with("slot", slot)
-            .with("reads", 2u64)
-            .with("writes", 1u64)
-            .with("dest_reads", dest.0)
-            .with("dest_writes", dest.1)
-            .with("migrating", migrating)
-            .with("restarted", restarted)
-            .with("committed", true)
+        ev(
+            seq,
+            TxnRwset {
+                id,
+                slot,
+                reads: 2,
+                writes: 1,
+                dest_reads: dest.0,
+                dest_writes: dest.1,
+                migrating,
+                restarted,
+                committed: true,
+                ..TxnRwset::default()
+            },
+        )
     }
 
     #[test]
     fn consistent_rwsets_are_clean() {
         let trace = vec![
-            txn(1, kinds::TXN_ARRIVE, 5).with("slot", 9u64),
+            arrive(1, 5, 9),
             rwset(2, 5, 9, (0, 0), false, false),
             commit(3, 5, 0.0, 0.01, 0.0),
             // Migrating txns may touch the destination and restart.
-            txn(4, kinds::TXN_ARRIVE, 6).with("slot", 1u64),
-            txn(5, kinds::TXN_RESTART, 6).with("slot", 1u64),
+            arrive(4, 6, 1),
+            ev(5, TxnRestart { id: 6, slot: 1 }),
             rwset(6, 6, 1, (1, 0), true, true),
             commit(7, 6, 0.0, 0.01, 0.0),
         ];
@@ -544,19 +568,13 @@ mod tests {
 
     #[test]
     fn dest_access_outside_migration_violates_txn01() {
-        let trace = vec![
-            txn(1, kinds::TXN_ARRIVE, 5).with("slot", 9u64),
-            rwset(2, 5, 9, (0, 1), false, false),
-        ];
+        let trace = vec![arrive(1, 5, 9), rwset(2, 5, 9, (0, 1), false, false)];
         let v = check_txn_rwsets("t", &trace);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant.code(), "TXN-01");
         assert!(v[0].detail.contains("not migrating"));
 
-        let restarted = vec![
-            txn(1, kinds::TXN_ARRIVE, 5).with("slot", 9u64),
-            rwset(2, 5, 9, (0, 0), false, true),
-        ];
+        let restarted = vec![arrive(1, 5, 9), rwset(2, 5, 9, (0, 0), false, true)];
         assert!(check_txn_rwsets("t", &restarted)[0]
             .detail
             .contains("outside a migration"));
@@ -564,18 +582,12 @@ mod tests {
 
     #[test]
     fn slot_mismatch_and_overflow_violate_txn01() {
-        let trace = vec![
-            txn(1, kinds::TXN_ARRIVE, 5).with("slot", 9u64),
-            rwset(2, 5, 8, (0, 0), false, false),
-        ];
+        let trace = vec![arrive(1, 5, 9), rwset(2, 5, 8, (0, 0), false, false)];
         assert!(check_txn_rwsets("t", &trace)[0]
             .detail
             .contains("arrived on slot 9"));
 
-        let overflow = vec![
-            txn(1, kinds::TXN_ARRIVE, 5).with("slot", 9u64),
-            rwset(2, 5, 9, (5, 0), true, false),
-        ];
+        let overflow = vec![arrive(1, 5, 9), rwset(2, 5, 9, (5, 0), true, false)];
         assert!(check_txn_rwsets("t", &overflow)[0]
             .detail
             .contains("exceed totals"));

@@ -6,52 +6,54 @@
 //! trace (`TEL-05`).
 
 use proptest::prelude::*;
+use pstore_telemetry::{Event, Record, SpanBegin, SpanEnd};
 use pstore_verify::telemetry::{
     check_histogram_merge, check_profile_conservation, check_trace_order, check_trace_spans,
 };
+
+/// A wire-level `span_begin` / `span_end` with the given stamps.
+fn span(begin: bool, seq: u64, t: Option<f64>, id: u64, name: &str) -> Event {
+    let record: Record = if begin {
+        SpanBegin::new(id, name).into()
+    } else {
+        SpanEnd::new(id, name).into()
+    };
+    Event {
+        seq,
+        t,
+        ..record.encode()
+    }
+}
 
 /// Builds a balanced, sim-time-stamped span trace from a depth profile:
 /// each step either opens or closes a span (closing falls back to opening
 /// when the stack is empty; leftovers are closed at the end) and advances
 /// the clock by the paired non-negative increment. Span names vary by
 /// depth so the profiler aggregates real multi-level paths.
-fn stamped_trace(profile: &[(bool, f64)]) -> Vec<pstore_telemetry::Event> {
+fn stamped_trace(profile: &[(bool, f64)]) -> Vec<Event> {
     let names = ["outer", "mid", "inner"];
     let mut events = Vec::new();
     let mut stack: Vec<(u64, &str)> = Vec::new();
     let mut next_id = 1u64;
-    let mut seq = 1u64;
     let mut t = 0.0f64;
-    let push = |e: pstore_telemetry::Event, seq: &mut u64, t: f64| {
-        let mut e = e;
-        e.seq = *seq;
-        e.t = Some(t);
-        *seq += 1;
-        e
+    let mut push = |begin: bool, t: f64, id: u64, name: &str| {
+        let seq = events.len() as u64 + 1;
+        events.push(span(begin, seq, Some(t), id, name));
     };
     for &(open, dt) in profile {
         t += dt;
         if open || stack.is_empty() {
             let name = names[stack.len().min(names.len() - 1)];
-            let e = pstore_telemetry::Event::new(pstore_telemetry::kinds::SPAN_BEGIN)
-                .with("id", next_id)
-                .with("name", name);
-            events.push(push(e, &mut seq, t));
+            push(true, t, next_id, name);
             stack.push((next_id, name));
             next_id += 1;
         } else if let Some((id, name)) = stack.pop() {
-            let e = pstore_telemetry::Event::new(pstore_telemetry::kinds::SPAN_END)
-                .with("id", id)
-                .with("name", name);
-            events.push(push(e, &mut seq, t));
+            push(false, t, id, name);
         }
     }
     while let Some((id, name)) = stack.pop() {
         t += 0.5;
-        let e = pstore_telemetry::Event::new(pstore_telemetry::kinds::SPAN_END)
-            .with("id", id)
-            .with("name", name);
-        events.push(push(e, &mut seq, t));
+        push(false, t, id, name);
     }
     events
 }
@@ -91,31 +93,20 @@ proptest! {
         let mut events = Vec::new();
         let mut stack = Vec::new();
         let mut next_id = 1u64;
-        let mut seq = 1u64;
         for open in profile {
+            let seq = events.len() as u64 + 1;
             if open || stack.is_empty() {
-                let mut e = pstore_telemetry::Event::new(pstore_telemetry::kinds::SPAN_BEGIN)
-                    .with("id", next_id)
-                    .with("name", "reconfig");
-                e.seq = seq;
-                events.push(e);
+                events.push(span(true, seq, None, next_id, "reconfig"));
                 stack.push(next_id);
                 next_id += 1;
             } else {
                 let id = stack.pop().unwrap();
-                let mut e = pstore_telemetry::Event::new(pstore_telemetry::kinds::SPAN_END)
-                    .with("id", id);
-                e.seq = seq;
-                events.push(e);
+                events.push(span(false, seq, None, id, "reconfig"));
             }
-            seq += 1;
         }
         while let Some(id) = stack.pop() {
-            let mut e = pstore_telemetry::Event::new(pstore_telemetry::kinds::SPAN_END)
-                .with("id", id);
-            e.seq = seq;
-            events.push(e);
-            seq += 1;
+            let seq = events.len() as u64 + 1;
+            events.push(span(false, seq, None, id, "reconfig"));
         }
         let violations = check_trace_spans("proptest", &events);
         prop_assert!(
@@ -168,16 +159,8 @@ proptest! {
     /// flagged, however small the step back.
     #[test]
     fn time_regression_in_open_span_is_flagged(t0 in 1.0..1e6f64, back in 0.001..0.9f64) {
-        let mut begin = pstore_telemetry::Event::new(pstore_telemetry::kinds::SPAN_BEGIN)
-            .with("id", 1u64)
-            .with("name", "reconfig");
-        begin.seq = 1;
-        begin.t = Some(t0);
-        let mut end = pstore_telemetry::Event::new(pstore_telemetry::kinds::SPAN_END)
-            .with("id", 1u64)
-            .with("name", "reconfig");
-        end.seq = 2;
-        end.t = Some(t0 * (1.0 - back));
+        let begin = span(true, 1, Some(t0), 1, "reconfig");
+        let end = span(false, 2, Some(t0 * (1.0 - back)), 1, "reconfig");
         let violations = check_trace_order("proptest", &[begin, end]);
         prop_assert!(!violations.is_empty());
     }
@@ -185,11 +168,7 @@ proptest! {
     /// An unbalanced trace (one dangling begin) is always flagged.
     #[test]
     fn dangling_span_is_always_flagged(extra in 1u64..100) {
-        let mut e = pstore_telemetry::Event::new(pstore_telemetry::kinds::SPAN_BEGIN)
-            .with("id", extra)
-            .with("name", "reconfig");
-        e.seq = 1;
-        let violations = check_trace_spans("proptest", &[e]);
+        let violations = check_trace_spans("proptest", &[span(true, 1, None, extra, "reconfig")]);
         prop_assert_eq!(violations.len(), 1);
     }
 }

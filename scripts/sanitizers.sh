@@ -6,10 +6,9 @@
 #   scripts/sanitizers.sh thread     # one sanitizer only
 #
 # ThreadSanitizer exercises the real thread interleavings of the sweep's
-# scoped parallel map, the fault-injected parallel sweeps built on it, and
-# the telemetry sink/exposer handoff. AddressSanitizer covers the same
-# targets for memory errors that miri cannot reach once real threads are
-# involved.
+# scoped parallel map and the fault-injected parallel sweeps built on it —
+# the only threads in the tree. AddressSanitizer covers the same targets
+# for memory errors that miri cannot reach once real threads are involved.
 #
 # Requirements (both checked; the script SKIPS cleanly when absent, like
 # the miri step of static_analysis.sh, so offline toolchains still pass):
@@ -42,11 +41,10 @@ HOST="$(rustc +nightly -vV | sed -n 's/^host: //p')"
 
 # The sanitizer-instrumented targets. Each entry is "<cargo args>": the
 # sweep's parallel map with its fault-injected suite (pstore-bench holds
-# every thread the sweep spawns), and the telemetry sink/exposer tests.
-# (The engine in pstore-dbms is single-threaded; miri covers it.)
+# every thread the sweep spawns). The engine in pstore-dbms and the
+# telemetry crate are single-threaded; miri covers them.
 TARGETS=(
     "-p pstore-bench --lib"
-    "-p pstore-telemetry --lib"
 )
 
 for SAN in "${SANITIZERS[@]}"; do

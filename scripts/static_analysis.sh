@@ -86,10 +86,27 @@ step "one observation surface: no telemetry cfg, no env reads in the system crat
 grep -rn 'feature = "telemetry"' crates/{sim,dbms,core,forecast}/src && exit 1
 grep -rn 'std::env::var' crates/{sim,dbms,core,forecast,b2w}/src && exit 1
 
-step "pstore-lint: project-specific static analysis (SA-01..06)"
+step "one event schema: no field looked up by name outside event.rs"
+# A field name is spelled once, in the schema of crates/telemetry/src/event.rs;
+# everything else reads decoded records. Test code (a file's trailing
+# #[cfg(test)] module, tests/) may still poke at wire-level events. (The
+# closing parenthesis keeps `fmt::DebugStruct::field("name", &v)` out.)
+LOOKUP='\.field(_u64|_f64|_str)?\("[^"]*"\)'
+for f in $(grep -rlE "$LOOKUP" crates/{telemetry,verify,bench,sim,core,dbms,forecast}/src \
+        | grep -v '^crates/telemetry/src/event\.rs$'); do
+    awk -v file="$f" -v lookup="$LOOKUP" '/#\[cfg\(test\)\]/ { exit }
+        $0 ~ lookup { print file ":" FNR ": " $0; found = 1 }
+        END { exit found }' "$f" || exit 1
+done
+
+step "docs/observability.md carries the tables the event schema generates"
+cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
+    schema --check docs/observability.md
+
+step "pstore-lint: project-specific static analysis (SA-01, SA-03..06)"
 # Source-level rules clippy cannot express: invariant-registry coherence,
-# telemetry kind/span discipline, determinism, concurrency hygiene,
-# SAFETY comments, #[allow] justifications. See docs/static_analysis.md.
+# determinism, concurrency hygiene, SAFETY comments, #[allow]
+# justifications. See docs/static_analysis.md.
 cargo run -q --release -p pstore-lint
 
 step "pstore-verify invariant sweep"
@@ -111,17 +128,15 @@ benchmark/run.sh --seconds 2 --seed 0x0709 > /dev/null
 benchmark/run.sh --seconds 2 --seed 0x5EED > /dev/null
 restore_benchmark_lock
 
-step "telemetry smoke: traced run + live exposition + pstore-trace validation"
+step "telemetry smoke: traced run + pstore-trace validation"
 TRACE_FILE="$(mktemp "$TMP"/pstore-smoke.XXXXXX.jsonl)"
 SMOKE_SUMMARY="$(mktemp "$TMP"/pstore-smoke.XXXXXX.summary.json)"
 TEMP_FILES+=("$TRACE_FILE" "$SMOKE_SUMMARY")
-# --expose-metrics 0 serves live Prometheus text on an ephemeral port;
-# the smoke binary scrapes itself once and asserts the format.
 cargo run -q --release -p pstore-bench --features telemetry \
     --bin telemetry_smoke -- --quiet --trace "$TRACE_FILE" \
-    --summary "$SMOKE_SUMMARY" --expose-metrics 0
-# pstore-trace exits 1 on parse errors, unmatched spans, or ordering
-# violations (TEL-01/02/04).
+    --summary "$SMOKE_SUMMARY"
+# pstore-trace exits 1 on lines that do not parse or do not match the
+# event schema, unmatched spans, or ordering violations (TEL-01/02/04).
 cargo run -q --release -p pstore-telemetry --bin pstore-trace -- report "$TRACE_FILE"
 # The profiler, timeline, and slo attribution must all render the trace.
 cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
@@ -180,8 +195,8 @@ if [[ "$QUICK" == "0" ]]; then
         step "cargo miri test: telemetry unit tests"
         # Lib tests only: the trace_cli integration test spawns the
         # pstore-trace binary (unsupported under miri) and the proptest
-        # suite is impractically slow there. Socket/file-I/O unit tests
-        # carry #[cfg_attr(miri, ignore)].
+        # suite is impractically slow there. The one file-I/O unit test
+        # carries #[cfg_attr(miri, ignore)].
         cargo miri test -q -p pstore-telemetry --lib
         step "cargo miri test: verify checker unit tests"
         # Lib tests only: the pure checker logic (ISO-01..03 DSG

@@ -112,7 +112,8 @@ pub fn section(title: &str) {
 /// available parallelism), `--trace <path>`
 /// (write a telemetry JSONL trace of the run and print a summary at
 /// exit) and `--summary <path>` (write a `pstore-run-summary/v1` JSON
-/// digest at exit — the input format of `pstore-trace diff`).
+/// digest at exit — the format of the golden
+/// `results/golden/fig9_quick.summary.json`, checked with `cmp`).
 ///
 /// Tracing only produces events when the workspace is built with the
 /// `telemetry` feature (`cargo run -p pstore-bench --features telemetry
@@ -255,9 +256,14 @@ impl RunReporter {
     }
 
     /// Finalises the run: snapshots the metrics registry into the trace,
-    /// flushes the sink, prints a compact
-    /// summary of the emitted trace and, with `--summary <path>`, writes
-    /// a `pstore-run-summary/v1` JSON digest for `pstore-trace diff`.
+    /// flushes the sink, prints a compact summary of the emitted trace and,
+    /// with `--summary <path>`, writes the `pstore-run-summary/v1` document
+    /// the golden gate compares with `cmp`.
+    ///
+    /// Exits with status 1 — after the run's own output — when the trace
+    /// cannot be read back, when any of its lines does not decode (no
+    /// summary is written from a partial trace), or when the summary cannot
+    /// be written.
     pub fn finish(self) {
         let Some(path) = self.trace_path.clone() else {
             return;
@@ -269,41 +275,61 @@ impl RunReporter {
         // Drop the guard (uninstalling the sink and closing the file)
         // before reading the trace back.
         drop(self);
-        match pstore_telemetry::trace::read_jsonl(&path) {
-            Ok((events, line_errors)) => {
-                let report = pstore_telemetry::trace::RunReport::from_trace(&events);
-                if !trace_is_temp {
-                    eprintln!(
-                        "trace: {} events -> {} ({} reconfigurations, {} chunk moves, \
-                         {} planner calls, {} parse errors); inspect with `pstore-trace {}`",
-                        events.len(),
-                        path.display(),
-                        report.reconfigs.len(),
-                        report.chunk_moves,
-                        report.planner_calls,
-                        line_errors.len(),
-                        path.display(),
-                    );
-                }
-                if let Some(spath) = &summary_path {
-                    if let Some(parent) = spath.parent() {
-                        let _ = std::fs::create_dir_all(parent);
-                    }
-                    let summary = pstore_telemetry::RunSummary::from_trace(&events);
-                    match std::fs::write(spath, summary.to_json()) {
-                        Ok(()) => eprintln!("summary: wrote {}", spath.display()),
-                        Err(e) => {
-                            eprintln!("summary: failed to write {}: {e}", spath.display());
-                        }
-                    }
-                }
-            }
-            Err(e) => eprintln!("trace: failed to read back {}: {e}", path.display()),
-        }
+        let outcome = read_back(&path, summary_path.as_deref(), !trace_is_temp);
         if trace_is_temp {
             let _ = std::fs::remove_file(&path);
         }
+        if let Err(msg) = outcome {
+            eprintln!("{msg}");
+            std::process::exit(1);
+        }
     }
+}
+
+/// Reads the finished trace at `path` back, prints its one-line digest when
+/// `announce`, and writes the summary to `summary_path` if one was asked
+/// for. `Err` is the message `finish` exits 1 with.
+fn read_back(
+    path: &std::path::Path,
+    summary_path: Option<&std::path::Path>,
+    announce: bool,
+) -> Result<(), String> {
+    let (events, line_errors) = pstore_telemetry::trace::read_jsonl(path)
+        .map_err(|e| format!("trace: failed to read back {}: {e}", path.display()))?;
+    if announce {
+        let report = pstore_telemetry::trace::RunReport::from_trace(&events);
+        eprintln!(
+            "trace: {} events -> {} ({} reconfigurations, {} chunk moves, \
+             {} planner calls, {} parse errors); inspect with `pstore-trace {}`",
+            events.len(),
+            path.display(),
+            report.reconfigs.len(),
+            report.chunk_moves,
+            report.planner_calls,
+            line_errors.len(),
+            path.display(),
+        );
+    }
+    if let Some(first) = line_errors.first() {
+        return Err(format!(
+            "trace: {} line(s) of {} do not decode, first at line {}: {}; no summary written",
+            line_errors.len(),
+            path.display(),
+            first.line,
+            first.msg
+        ));
+    }
+    let Some(spath) = summary_path else {
+        return Ok(());
+    };
+    if let Some(parent) = spath.parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    let summary = pstore_telemetry::RunSummary::from_trace(&events);
+    std::fs::write(spath, summary.to_json())
+        .map_err(|e| format!("summary: failed to write {}: {e}", spath.display()))?;
+    eprintln!("summary: wrote {}", spath.display());
+    Ok(())
 }
 
 /// Writes a CSV file (numeric rows with a header) — plot-friendly dumps of
@@ -379,6 +405,19 @@ mod tests {
         write_csv(&path, &["t", "x"], vec![vec![0.0, 1.5], vec![1.0, 2.5]]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "t,x\n0,1.5\n1,2.5\n");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_trace_that_does_not_decode_gets_no_summary() {
+        let dir = std::env::temp_dir().join(format!("pstore-read-back-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, summary) = (dir.join("t.jsonl"), dir.join("s.json"));
+        std::fs::write(&trace, "garbage line\n").unwrap();
+        let err = read_back(&trace, Some(&summary), false).unwrap_err();
+        assert!(err.contains("first at line 1"), "{err}");
+        assert!(!summary.exists());
+        assert!(read_back(&dir.join("missing.jsonl"), None, false).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,7 +2,8 @@
 //! `RunReporter::from_args`, which refuses anything outside the shared
 //! grammar: exit status 2, usage on stderr, nothing on stdout, nothing
 //! run and nothing written — so `fig9_comparison --help` cannot start the
-//! multi-minute grid or rewrite `results/*.csv`.
+//! multi-minute grid or rewrite `results/*.csv`. And what the grammar
+//! asks for at exit must happen, or the exit status says it did not.
 
 #![allow(clippy::expect_used, clippy::unwrap_used)] // tests abort loudly
 
@@ -41,4 +42,20 @@ fn unknown_flags_exit_2_before_anything_runs() {
             assert_eq!(written, 0, "{bin} {flag} wrote a file");
         }
     }
+}
+
+/// The `--summary` file is what the golden gate compares with `cmp`, so a
+/// run that could not write it must not exit like one that did.
+#[test]
+fn unwritable_summary_exits_1() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table1_schedule"))
+        .args(["--quiet", "--summary", "/dev/null/x.json"])
+        .output()
+        .expect("spawn the experiment binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("summary: failed to write /dev/null/x.json"),
+        "{stderr}"
+    );
 }

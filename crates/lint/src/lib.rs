@@ -1,7 +1,7 @@
 //! `pstore-lint`: project-specific static analysis for the workspace.
 //!
 //! The dynamic correctness layers (the `pstore-verify` sweep, the
-//! trace-diff gate) catch violations when a run *executes*
+//! golden-summary gate) catch violations when a run *executes*
 //! them. This crate is the source-level complement: it enforces the
 //! conventions those layers depend on before any schedule can exhibit a
 //! violation, in the spirit of predictive analyses like IsoPredict.
@@ -328,7 +328,7 @@ pub struct LintReport {
 }
 
 impl LintReport {
-    /// Process exit code under the `pstore-trace diff` contract:
+    /// Process exit code under the `pstore-trace` contract:
     /// 0 clean, 1 findings.
     pub fn exit_code(&self) -> i32 {
         i32::from(!self.findings.is_empty())

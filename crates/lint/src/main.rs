@@ -4,7 +4,7 @@
 //! pstore-lint [--root DIR] [--json] [--quiet] [--list-rules]
 //! ```
 //!
-//! Exit codes mirror `pstore-trace diff`: **0** clean, **1** findings,
+//! Exit codes mirror `pstore-trace`: **0** clean, **1** findings,
 //! **2** usage error. `--json` prints the stable `pstore-lint/v1`
 //! document (findings, waived findings with reasons, and the workspace
 //! unsafe inventory); see `docs/static_analysis.md`.

@@ -4,10 +4,8 @@
 //! pstore-trace report   <trace.jsonl>                 # run report (default)
 //! pstore-trace profile  <trace.jsonl> [--wall] [--folded]
 //! pstore-trace timeline <trace.jsonl> [--width N]
-//! pstore-trace slo      <trace.jsonl> [--width N] [--summary <out.json>]
-//! pstore-trace provisioning <trace.jsonl> [--width N] [--summary <out.json>]
-//! pstore-trace diff     <baseline> <candidate> [--tolerances <file>]
-//!                       [--bless] [--verbose]
+//! pstore-trace slo      <trace.jsonl> [--width N]
+//! pstore-trace provisioning <trace.jsonl> [--width N]
 //! pstore-trace schema   [--check <doc.md>]
 //! pstore-trace <trace.jsonl>                          # legacy = report
 //! ```
@@ -21,34 +19,26 @@
 //! `slo` prints the latency-attribution table (queue/exec/migration-stall
 //! txn-seconds per simulator run), every SLA-violation window with the
 //! reconfiguration span or chunk moves it overlaps, and the timeline with
-//! a `!` violation overlay. `--summary` additionally writes a
-//! `pstore-run-summary/v1` document holding only the `slo.*` metrics —
-//! the shape committed as `results/golden/fig9_slo_quick.summary.json`
-//! and gated by `pstore-trace diff` in CI.
+//! a `!` violation overlay.
 //!
 //! `provisioning` reads the `prov_*` event family (emission-gated; see
 //! docs/observability.md) and prints the capacity ledger
 //! (machine-seconds provisioned vs ideal — the Fig 9 over/under areas),
 //! the planner decision audit with reasons and leads, forecast error by
 //! horizon, under-forecast windows, and the timeline with the decision
-//! overlay (`P>` predictive lead arrows, `R` reactive marks).
-//! `--summary` writes a document holding only the `prov.*` metrics —
-//! committed as `results/golden/fig9_prov_quick.summary.json`. A trace
+//! overlay (`P>` predictive lead arrows, `R` reactive marks). A trace
 //! with no `prov_*` events exits 1: the subcommand exists to audit
 //! provisioning, so a silently-gated-off run is a failure, not a pass.
 //!
-//! `diff` arguments may be `.jsonl` traces (summarised on the fly) or
-//! `.json` summary documents (e.g. the goldens under `results/golden/`).
-//! `--bless` rewrites the baseline file with the candidate's summary —
-//! the golden-refresh workflow after an intentional metrics change.
+//! The numbers both reports are built from (`slo.*`, `prov.*`) are pinned
+//! by the golden summary `results/golden/fig9_quick.summary.json`, which
+//! `RunReporter --summary` writes and the gate compares with `cmp`.
 //!
-//! Exit codes: 0 = clean; 1 = regression or structural problems
-//! (unmatched/misnested spans, lines that do not parse or do not match
-//! the schema of their kind, ordering violations, a stale schema table);
-//! 2 = usage or I/O error. CI's telemetry smoke and trace-diff steps
-//! rely on these.
+//! Exit codes: 0 = clean; 1 = structural problems (unmatched/misnested
+//! spans, lines that do not parse or do not match the schema of their
+//! kind, ordering violations, a stale schema table); 2 = usage or I/O
+//! error. The gate's and CI's telemetry steps rely on these.
 
-use pstore_telemetry::summary::{diff, RunSummary, ToleranceTable};
 use pstore_telemetry::trace::{order_errors, read_jsonl, LineError, RunReport};
 use pstore_telemetry::{prov, slo, timeline, Entry, Profile, ProfileClock};
 use std::path::{Path, PathBuf};
@@ -58,9 +48,8 @@ const USAGE: &str = "usage: pstore-trace <subcommand> ...
   report   <trace.jsonl>
   profile  <trace.jsonl> [--wall] [--folded]
   timeline <trace.jsonl> [--width N]
-  slo      <trace.jsonl> [--width N] [--summary <out.json>]
-  provisioning <trace.jsonl> [--width N] [--summary <out.json>]
-  diff     <baseline.jsonl|.json> <candidate.jsonl|.json> [--tolerances <file>] [--bless] [--verbose]
+  slo      <trace.jsonl> [--width N]
+  provisioning <trace.jsonl> [--width N]
   schema   [--check <doc.md>]
   <trace.jsonl>   (legacy: same as report)";
 
@@ -76,7 +65,6 @@ fn main() -> ExitCode {
         "timeline" => cmd_timeline(&args[1..]),
         "slo" => cmd_slo(&args[1..]),
         "provisioning" => cmd_provisioning(&args[1..]),
-        "diff" => cmd_diff(&args[1..]),
         "schema" => cmd_schema(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
@@ -107,9 +95,8 @@ fn parse_path_and_flags<'a>(
             if !allowed.contains(&arg.as_str()) {
                 return Err(format!("unknown flag \"{arg}\""));
             }
-            // Flags taking a value: --width, --summary.
-            let takes_value = matches!(arg.as_str(), "--width" | "--summary");
-            let value = if takes_value {
+            // The one flag taking a value: --width.
+            let value = if arg == "--width" {
                 Some(
                     it.next()
                         .ok_or_else(|| format!("flag \"{arg}\" needs a value"))?
@@ -132,7 +119,6 @@ fn parse_path_and_flags<'a>(
 /// What every trace subcommand starts from: its arguments parsed against
 /// the flags it allows, and the trace read and decoded.
 struct Opened<'a> {
-    sub: &'a str,
     path: PathBuf,
     flags: Vec<Flag<'a>>,
     /// `--width N`, or the default.
@@ -143,7 +129,7 @@ struct Opened<'a> {
 
 /// Opens the trace of subcommand `sub`, printing line errors to stderr.
 /// `Err` carries the exit code: 2 on a usage or I/O error.
-fn open<'a>(sub: &'a str, args: &'a [String], allowed: &[&str]) -> Result<Opened<'a>, ExitCode> {
+fn open<'a>(sub: &str, args: &'a [String], allowed: &[&str]) -> Result<Opened<'a>, ExitCode> {
     let usage = |msg: String| {
         eprintln!("pstore-trace {sub}: {msg}");
         ExitCode::from(2)
@@ -171,7 +157,6 @@ fn open<'a>(sub: &'a str, args: &'a [String], allowed: &[&str]) -> Result<Opened
         }
     }
     Ok(Opened {
-        sub,
         path,
         flags,
         width,
@@ -183,23 +168,6 @@ fn open<'a>(sub: &'a str, args: &'a [String], allowed: &[&str]) -> Result<Opened
 impl Opened<'_> {
     fn has(&self, flag: &str) -> bool {
         self.flags.iter().any(|(f, _)| *f == flag)
-    }
-
-    /// With `--summary <out.json>`, writes `metrics` there as a
-    /// `pstore-run-summary/v1` document. `Err` is exit code 2.
-    fn write_summary(&self, metrics: Vec<(String, f64)>) -> Result<(), ExitCode> {
-        let Some((_, Some(out))) = self.flags.iter().find(|(f, _)| *f == "--summary") else {
-            return Ok(());
-        };
-        let summary = RunSummary {
-            metrics: metrics.into_iter().collect(),
-        };
-        if let Err(e) = std::fs::write(out, summary.to_json()) {
-            eprintln!("pstore-trace {}: cannot write {out}: {e}", self.sub);
-            return Err(ExitCode::from(2));
-        }
-        println!("{} summary written to {out}", self.sub);
-        Ok(())
     }
 
     /// 1 when any line failed to parse or decode, else 0.
@@ -271,7 +239,7 @@ fn cmd_timeline(args: &[String]) -> ExitCode {
 }
 
 fn cmd_slo(args: &[String]) -> ExitCode {
-    let opened = match open("slo", args, &["--width", "--summary"]) {
+    let opened = match open("slo", args, &["--width"]) {
         Ok(opened) => opened,
         Err(code) => return code,
     };
@@ -283,14 +251,11 @@ fn cmd_slo(args: &[String]) -> ExitCode {
         "{}",
         timeline::render(&opened.trace, opened.width, &violations, &[])
     );
-    if let Err(code) = opened.write_summary(slo::metrics(&runs)) {
-        return code;
-    }
     opened.exit_code()
 }
 
 fn cmd_provisioning(args: &[String]) -> ExitCode {
-    let opened = match open("provisioning", args, &["--width", "--summary"]) {
+    let opened = match open("provisioning", args, &["--width"]) {
         Ok(opened) => opened,
         Err(code) => return code,
     };
@@ -315,102 +280,7 @@ fn cmd_provisioning(args: &[String]) -> ExitCode {
             &prov::decision_times(&runs),
         )
     );
-    if let Err(code) = opened.write_summary(prov::metrics(&runs)) {
-        return code;
-    }
     opened.exit_code()
-}
-
-fn cmd_diff(args: &[String]) -> ExitCode {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut tolerances: Option<PathBuf> = None;
-    let mut bless = false;
-    let mut verbose = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tolerances" => {
-                let Some(value) = it.next() else {
-                    eprintln!("pstore-trace diff: --tolerances needs a path");
-                    return ExitCode::from(2);
-                };
-                tolerances = Some(PathBuf::from(value));
-            }
-            "--bless" => bless = true,
-            "--verbose" => verbose = true,
-            _ if arg.starts_with('-') => {
-                eprintln!("pstore-trace diff: unknown flag \"{arg}\"\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            _ => paths.push(PathBuf::from(arg)),
-        }
-    }
-    if paths.len() != 2 {
-        eprintln!("pstore-trace diff: need exactly <baseline> and <candidate>\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    let (baseline_path, candidate_path) = (&paths[0], &paths[1]);
-
-    let table = match tolerances {
-        None => ToleranceTable::builtin(),
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("pstore-trace diff: cannot read {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match ToleranceTable::from_json_str(&text) {
-                Ok(table) => table,
-                Err(e) => {
-                    eprintln!(
-                        "pstore-trace diff: bad tolerance file {}: {e}",
-                        path.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
-
-    let candidate = match RunSummary::load(candidate_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("pstore-trace diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if bless {
-        if let Err(e) = std::fs::write(baseline_path, candidate.to_json()) {
-            eprintln!(
-                "pstore-trace diff: cannot bless {}: {e}",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        println!(
-            "blessed: {} now holds the summary of {}",
-            baseline_path.display(),
-            candidate_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let baseline = match RunSummary::load(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("pstore-trace diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = diff(&baseline, &candidate, &table);
-    print!("{}", report.render(verbose));
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
 }
 
 const SCHEMA_BEGIN: &str = "<!-- schema:begin -->";

@@ -194,75 +194,11 @@ fn missing_file_and_bad_usage_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = run(&["profile", "x.jsonl", "--bogus"]);
     assert_eq!(out.status.code(), Some(2));
-    let out = run(&["diff", "only_one.jsonl"]);
+    // The summary writer is `RunReporter --summary`; the reports take none.
+    let out = run(&["slo", "x.jsonl", "--summary", "out.json"]);
     assert_eq!(out.status.code(), Some(2));
     let out = run(&["timeline", "x.jsonl", "--width", "abc"]);
     assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn diff_self_is_clean_and_regression_fails_naming_metric() {
-    let trace_path = tmp("diff_base.jsonl");
-    write(&trace_path, &good_trace());
-
-    // Self-diff on the raw trace: exit 0.
-    let out = run(&[
-        "diff",
-        trace_path.to_str().unwrap(),
-        trace_path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    assert!(stdout(&out).contains("no regression"));
-
-    // Bless a golden summary from the trace: exit 0, file written.
-    let golden = tmp("diff_golden.json");
-    let out = run(&[
-        "diff",
-        golden.to_str().unwrap(),
-        trace_path.to_str().unwrap(),
-        "--bless",
-    ]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let golden_text = std::fs::read_to_string(&golden).unwrap();
-    assert!(golden_text.contains("pstore-run-summary/v1"));
-
-    // Trace vs its own golden: clean.
-    let out = run(&[
-        "diff",
-        golden.to_str().unwrap(),
-        trace_path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-
-    // Seeded regression: inflate every stable p99 sample 2x.
-    let bad_path = tmp("diff_bad.jsonl");
-    write(
-        &bad_path,
-        &good_trace().replace("\"p99\":0.02", "\"p99\":0.04"),
-    );
-    let out = run(&["diff", golden.to_str().unwrap(), bad_path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
-    let text = stdout(&out);
-    assert!(text.contains("FAIL stable_p99"), "stdout: {text}");
-
-    // A loose tolerance file waves the same regression through.
-    let tol = tmp("diff_tol.json");
-    write(
-        &tol,
-        r#"{"metrics": {"stable_p99.*": {"rel": 5.0}, "reconfig_p99.*": {"rel": 5.0}, "sla_violation_seconds": {"abs": 10}}}"#,
-    );
-    let out = run(&[
-        "diff",
-        golden.to_str().unwrap(),
-        bad_path.to_str().unwrap(),
-        "--tolerances",
-        tol.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "stdout: {}", stdout(&out));
-
-    for p in [&trace_path, &golden, &bad_path, &tol] {
-        let _ = std::fs::remove_file(p);
-    }
 }
 
 /// The good trace extended with a provisioning run: header, per-interval
@@ -293,18 +229,10 @@ fn prov_trace() -> String {
 }
 
 #[test]
-fn provisioning_renders_ledger_audit_and_summary() {
+fn provisioning_renders_ledger_and_audit() {
     let path = tmp("prov.jsonl");
     write(&path, &prov_trace());
-    let summary = tmp("prov_summary.json");
-    let out = run(&[
-        "provisioning",
-        path.to_str().unwrap(),
-        "--width",
-        "32",
-        "--summary",
-        summary.to_str().unwrap(),
-    ]);
+    let out = run(&["provisioning", path.to_str().unwrap(), "--width", "32"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("capacity ledger"), "stdout: {text}");
@@ -320,22 +248,10 @@ fn provisioning_renders_ledger_audit_and_summary() {
     );
     assert!(text.contains("1 predictive, 0 reactive"), "stdout: {text}");
 
-    let summary_text = std::fs::read_to_string(&summary).unwrap();
-    assert!(summary_text.contains("pstore-run-summary/v1"));
-    assert!(summary_text.contains("prov.run0.provisioned_machine_s"));
-    assert!(summary_text.contains("prov.total.decisions"));
-
     // Deterministic output for the same trace.
     let again = run(&["provisioning", path.to_str().unwrap(), "--width", "32"]);
-    assert_eq!(
-        text.replace(
-            &format!("provisioning summary written to {}\n", summary.display()),
-            ""
-        ),
-        stdout(&again)
-    );
+    assert_eq!(text, stdout(&again));
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&summary);
 }
 
 #[test]
@@ -398,21 +314,4 @@ fn schema_check_passes_on_the_docs_and_fails_on_a_renamed_field() {
     let printed = stdout(&run(&["schema"]));
     assert!(text.contains(printed.trim()));
     let _ = std::fs::remove_file(&stale);
-}
-
-#[test]
-fn diff_refuses_corrupt_trace() {
-    let good = tmp("diff_ok.jsonl");
-    write(&good, &good_trace());
-    let corrupt = tmp("diff_corrupt.jsonl");
-    write(&corrupt, &(good_trace() + "garbage line\n"));
-    let out = run(&["diff", good.to_str().unwrap(), corrupt.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stderr(&out).contains("malformed line"),
-        "stderr: {}",
-        stderr(&out)
-    );
-    let _ = std::fs::remove_file(&good);
-    let _ = std::fs::remove_file(&corrupt);
 }

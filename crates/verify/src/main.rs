@@ -15,14 +15,14 @@
 //!    randomized histogram merges (`TEL-*`),
 //! 6. with the `telemetry` feature: serializability of the sampled
 //!    key-level version histories from a fixed-seed detailed-sim run
-//!    with reconfiguration traffic (`ISO-01..03`) — set
-//!    `PSTORE_ISO_REPORT=<path>` to also write a JSON report of the
-//!    checked histories (CI uploads it as an artifact),
+//!    with reconfiguration traffic (`ISO-01..03`); the phase line gives
+//!    the DSG's transaction, key and edge counts,
 //! 7. with the `telemetry` feature: the provisioning observatory's
 //!    `prov_*` event family from fixed-seed reactive *and* predictive
 //!    runs (`PRV-01..03`): ledger conservation,
-//!    decision→reconfiguration causality, forecast bookkeeping — set
-//!    `PSTORE_PROV_REPORT=<path>` to also write a JSON report.
+//!    decision→reconfiguration causality, forecast bookkeeping; the phase
+//!    line gives each policy's decision, reconfiguration, score and lead
+//!    counts.
 
 use pstore_core::planner::{Planner, PlannerConfig};
 use pstore_forecast::{
@@ -96,16 +96,20 @@ fn main() {
     all.extend(stats.violations);
 
     if pstore_telemetry::COMPILED_IN {
-        let stats = iso_sweep();
+        let (stats, counts) = iso_sweep();
         report_phase(
-            "iso sweep: serializability of sampled key histories with migrations",
+            &format!(
+                "iso sweep: serializability of sampled key histories with migrations ({counts})"
+            ),
             &stats,
         );
         all.extend(stats.violations);
 
-        let stats = prov_sweep();
+        let (stats, counts) = prov_sweep();
         report_phase(
-            "prov sweep: provisioning ledger, decision causality, forecast bookkeeping, reactive and predictive",
+            &format!(
+                "prov sweep: provisioning ledger, decision causality, forecast bookkeeping ({counts})"
+            ),
             &stats,
         );
         all.extend(stats.violations);
@@ -423,15 +427,13 @@ fn concurrency_sweep() -> CheckStats {
 /// captures no histories (or induces no edges) fails — a vacuous pass
 /// proves nothing.
 ///
-/// When `PSTORE_ISO_REPORT` names a path, a JSON summary of each
-/// checked history (transaction/key/edge counts, violations) is written
-/// there for CI to upload.
-fn iso_sweep() -> CheckStats {
+/// Also returns the DSG's counts for the phase line.
+fn iso_sweep() -> (CheckStats, String) {
     use pstore_core::InvariantId;
     use pstore_verify::iso;
 
     let mut stats = CheckStats::default();
-    let mut report_lines: Vec<String> = Vec::new();
+    let mut counts = "no history decoded".to_string();
     let artifact = "detailed sim key history".to_string();
     // Sample roughly one arrival in seven.
     let (_result, events) = pstore_verify::captured_ramp_run(pstore_telemetry::TraceSpec {
@@ -460,15 +462,10 @@ fn iso_sweep() -> CheckStats {
                     format!("commit order is not a serial witness: {err}"),
                 ));
             }
-            report_lines.push(format!(
-                "{{\"txns\":{},\"keys\":{},\"wr\":{},\"ww\":{},\"rw\":{},\"violations\":{}}}",
-                d.txns,
-                d.keys,
-                d.wr,
-                d.ww,
-                d.rw,
-                violations.len()
-            ));
+            counts = format!(
+                "DSG: {} txns, {} keys, wr/ww/rw {}/{}/{}",
+                d.txns, d.keys, d.wr, d.ww, d.rw
+            );
             stats.absorb(violations);
         }
         Err(e) => stats.absorb(vec![Violation::new(
@@ -477,17 +474,7 @@ fn iso_sweep() -> CheckStats {
             format!("undecodable key history: {e}"),
         )]),
     }
-    if let Ok(path) = std::env::var("PSTORE_ISO_REPORT") {
-        let body = format!(
-            "{{\"ok\":{},\"phases\":[{}]}}\n",
-            stats.is_clean(),
-            report_lines.join(",")
-        );
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("pstore-verify: could not write iso report to {path}: {e}");
-        }
-    }
-    stats
+    (stats, counts)
 }
 
 /// Phase 8 (telemetry builds only): the `PRV-01..03` provisioning
@@ -503,15 +490,13 @@ fn iso_sweep() -> CheckStats {
 /// at least one planned decision with a real lead, or the
 /// lead-preservation check never fired.
 ///
-/// When `PSTORE_PROV_REPORT` names a path, a JSON summary of each
-/// checked trace (decision/reconfig/score counts, violations) is
-/// written there for CI to upload.
-fn prov_sweep() -> CheckStats {
+/// Also returns each policy's counts for the phase line.
+fn prov_sweep() -> (CheckStats, String) {
     use pstore_core::InvariantId;
     use pstore_verify::prov;
 
     let mut stats = CheckStats::default();
-    let mut report_lines: Vec<String> = Vec::new();
+    let mut counts = Vec::new();
     for predictive in [false, true] {
         let policy = if predictive { "predictive" } else { "reactive" };
         let artifact = format!("detailed sim prov trace policy={policy}");
@@ -545,23 +530,14 @@ fn prov_sweep() -> CheckStats {
                     .to_string(),
             ));
         }
-        report_lines.push(format!(
-            "{{\"policy\":\"{policy}\",\"decisions\":{decisions},\"reconfigs\":{reconfigs},\"scores\":{scores},\"lead_decisions\":{leads},\"violations\":{}}}",
-            violations.len()
-        ));
+        counts.push(format!("{policy} {decisions}/{reconfigs}/{scores}/{leads}"));
         stats.absorb(violations);
     }
-    if let Ok(path) = std::env::var("PSTORE_PROV_REPORT") {
-        let body = format!(
-            "{{\"ok\":{},\"phases\":[{}]}}\n",
-            stats.is_clean(),
-            report_lines.join(",")
-        );
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("pstore-verify: could not write prov report to {path}: {e}");
-        }
-    }
-    stats
+    let counts = format!(
+        "decisions/reconfigs/scores/lead decisions: {}",
+        counts.join(", ")
+    );
+    (stats, counts)
 }
 
 /// Emits a random tree of nested spans (interleaved with plain events)

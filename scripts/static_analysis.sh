@@ -130,11 +130,9 @@ restore_benchmark_lock
 
 step "telemetry smoke: traced run + pstore-trace validation"
 TRACE_FILE="$(mktemp "$TMP"/pstore-smoke.XXXXXX.jsonl)"
-SMOKE_SUMMARY="$(mktemp "$TMP"/pstore-smoke.XXXXXX.summary.json)"
-TEMP_FILES+=("$TRACE_FILE" "$SMOKE_SUMMARY")
+TEMP_FILES+=("$TRACE_FILE")
 cargo run -q --release -p pstore-bench --features telemetry \
-    --bin telemetry_smoke -- --quiet --trace "$TRACE_FILE" \
-    --summary "$SMOKE_SUMMARY"
+    --bin telemetry_smoke -- --quiet --trace "$TRACE_FILE"
 # pstore-trace exits 1 on lines that do not parse or do not match the
 # event schema, unmatched spans, or ordering violations (TEL-01/02/04).
 cargo run -q --release -p pstore-telemetry --bin pstore-trace -- report "$TRACE_FILE"
@@ -145,43 +143,26 @@ cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
     timeline "$TRACE_FILE" > /dev/null
 cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
     slo "$TRACE_FILE" > /dev/null
-# A run diffed against its own summary must be clean.
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    diff "$SMOKE_SUMMARY" "$TRACE_FILE"
 
-step "trace-diff regression gate vs results/golden/ (two --quick runs)"
+step "golden summary: fig9 --quick with prov events, cmp against results/golden/"
+# Every run is seeded and deterministic, so the check is exact: the
+# summary of this one run (counters, p99 quantiles, the slo.* SLA
+# attribution and the prov.* capacity ledger of Fig 9 / Table 2) must be
+# byte-identical to the committed golden. To re-bless after an intended
+# change, run the same command with --summary
+# results/golden/fig9_quick.summary.json and review the `git diff`.
 GOLDEN_TMP="$(mktemp -d "$TMP"/pstore-golden.XXXXXX)"
 TEMP_FILES+=("$GOLDEN_TMP")
-cargo run -q --release -p pstore-bench --features telemetry \
+PSTORE_PROV_EVENTS=1 cargo run -q --release -p pstore-bench --features telemetry \
     --bin fig9_comparison -- --quick --quiet \
     --trace "$GOLDEN_TMP/fig9_quick.jsonl" \
     --summary "$GOLDEN_TMP/fig9_quick.summary.json" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    diff results/golden/fig9_quick.summary.json "$GOLDEN_TMP/fig9_quick.summary.json"
-# SLA attribution: the slo report must render, and its slo.* metrics must
-# match the committed golden (reactive blows the SLA during chunk moves,
-# P-Store does not — the paper's headline, regression-gated).
+cmp results/golden/fig9_quick.summary.json "$GOLDEN_TMP/fig9_quick.summary.json"
+# The SLA-attribution and provisioning reports must render that trace.
 cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
     slo "$GOLDEN_TMP/fig9_quick.jsonl" > /dev/null
 cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    diff results/golden/fig9_slo_quick.summary.json "$GOLDEN_TMP/fig9_quick.summary.json"
-cargo run -q --release -p pstore-bench --features telemetry \
-    --bin table2_sla -- --quick --quiet \
-    --summary "$GOLDEN_TMP/table2_quick.summary.json" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    diff results/golden/table2_quick.summary.json "$GOLDEN_TMP/table2_quick.summary.json"
-# Provisioning observatory: the same quick workload with the prov_*
-# family enabled (the default run above stays byte-stable because
-# emission is gated). Reactive must under-provision, P-Store must not;
-# gated via the prov.* metrics in the committed golden.
-PSTORE_PROV_EVENTS=1 cargo run -q --release -p pstore-bench --features telemetry \
-    --bin fig9_comparison -- --quick --quiet \
-    --trace "$GOLDEN_TMP/fig9_prov_quick.jsonl" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    provisioning "$GOLDEN_TMP/fig9_prov_quick.jsonl" \
-    --summary "$GOLDEN_TMP/fig9_prov_quick.summary.json" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    diff results/golden/fig9_prov_quick.summary.json "$GOLDEN_TMP/fig9_prov_quick.summary.json"
+    provisioning "$GOLDEN_TMP/fig9_quick.jsonl" > /dev/null
 rm -rf "$GOLDEN_TMP"
 
 if [[ "$QUICK" == "0" ]]; then

@@ -11,7 +11,7 @@
 // lint policy only bans them in library code).
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 use pstore_bench::{section, RunReporter};
-use pstore_core::controller::{Action, Observation, ReconfigReason, ReconfigRequest, Strategy};
+use pstore_core::controller::{Action, Observation, ReconfigRequest, Strategy};
 use pstore_sim::detailed::{run_detailed, DetailedSimConfig};
 use pstore_sim::latency::SLA_THRESHOLD_S;
 
@@ -25,12 +25,7 @@ impl Strategy for HalveData {
     fn tick(&mut self, obs: &Observation) -> Action {
         if !self.issued && obs.interval >= 1 && !obs.reconfiguring {
             self.issued = true;
-            return Action::Reconfigure(ReconfigRequest {
-                target: 2,
-                rate_multiplier: 1.0,
-                reason: ReconfigReason::Planned,
-                decision_id: 0,
-            });
+            return Action::Reconfigure(ReconfigRequest::planned(2, 0));
         }
         Action::None
     }

@@ -223,12 +223,7 @@ mod tests {
         struct Grower;
         impl Strategy for Grower {
             fn tick(&mut self, _obs: &Observation) -> Action {
-                Action::Reconfigure(ReconfigRequest {
-                    target: 10,
-                    rate_multiplier: 8.0,
-                    reason: ReconfigReason::Emergency,
-                    decision_id: 0,
-                })
+                Action::Reconfigure(ReconfigRequest::emergency(10, 8.0, 0))
             }
             fn name(&self) -> &str {
                 "grower"

@@ -61,6 +61,29 @@ pub struct ReconfigRequest {
     pub decision_id: u64,
 }
 
+impl ReconfigRequest {
+    /// A move the predictive planner scheduled, at the non-disruptive rate.
+    pub fn planned(target: u32, decision_id: u64) -> Self {
+        ReconfigRequest {
+            target,
+            rate_multiplier: 1.0,
+            reason: ReconfigReason::Planned,
+            decision_id,
+        }
+    }
+
+    /// An emergency scale-out at `rate_multiplier` times the
+    /// non-disruptive rate (§4.3.1).
+    pub fn emergency(target: u32, rate_multiplier: f64, decision_id: u64) -> Self {
+        ReconfigRequest {
+            target,
+            rate_multiplier,
+            reason: ReconfigReason::Emergency,
+            decision_id,
+        }
+    }
+}
+
 /// A controller's decision for one monitoring interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Action {
@@ -99,12 +122,7 @@ mod tests {
     #[test]
     fn action_request_accessor() {
         assert!(Action::None.request().is_none());
-        let req = ReconfigRequest {
-            target: 5,
-            rate_multiplier: 1.0,
-            reason: ReconfigReason::Planned,
-            decision_id: 0,
-        };
+        let req = ReconfigRequest::planned(5, 0);
         assert_eq!(Action::Reconfigure(req).request(), Some(&req));
     }
 }

@@ -11,7 +11,8 @@
 
 use super::forecaster::LoadForecaster;
 use super::provenance::ProvScorer;
-use super::{Action, Observation, ReconfigReason, ReconfigRequest, Strategy};
+use super::{Action, Observation, ReconfigRequest, Strategy};
+use crate::moves::MoveSeq;
 use crate::planner::Planner;
 
 /// Tuning knobs of the predictive controller.
@@ -56,10 +57,11 @@ pub struct PStoreController<F: LoadForecaster> {
     stats: ControllerStats,
     label: String,
     prov: ProvScorer,
-    /// The latest raw forecast and the planning curve built from it; kept
-    /// so a tick reuses their storage.
+    /// The latest raw forecast, the planning curve built from it and the
+    /// plan made over that; kept so a tick reuses their storage.
     predictions: Vec<f64>,
     curve: Vec<f64>,
+    plan: MoveSeq,
 }
 
 /// Counters describing what the controller did (for experiment reporting).
@@ -97,6 +99,7 @@ impl<F: LoadForecaster> PStoreController<F> {
             prov: ProvScorer::new(),
             predictions: Vec::new(),
             curve: Vec::new(),
+            plan: MoveSeq::default(),
         }
     }
 
@@ -140,12 +143,11 @@ impl<F: LoadForecaster> PStoreController<F> {
             0,
             self.cfg.emergency_rate_multiplier,
         );
-        Action::Reconfigure(ReconfigRequest {
+        Action::Reconfigure(ReconfigRequest::emergency(
             target,
-            rate_multiplier: self.cfg.emergency_rate_multiplier,
-            reason: ReconfigReason::Emergency,
+            self.cfg.emergency_rate_multiplier,
             decision_id,
-        })
+        ))
     }
 }
 
@@ -196,12 +198,16 @@ impl<F: LoadForecaster> PStoreController<F> {
     /// Plans over `curve` and turns the plan's first move into this
     /// cycle's action.
     fn decide(&mut self, curve: &[f64], obs: &Observation) -> Action {
-        let Some(plan) = self.planner.best_moves(curve, obs.machines) else {
+        if self
+            .planner
+            .best_moves_into(curve, obs.machines, &mut self.plan)
+            .is_none()
+        {
             self.scale_in_streak = 0;
             return self.emergency(curve, obs);
-        };
+        }
 
-        let Some(first) = plan.first_reconfiguration() else {
+        let Some(&first) = self.plan.first_reconfiguration() else {
             self.scale_in_streak = 0;
             return Action::None;
         };
@@ -242,16 +248,11 @@ impl<F: LoadForecaster> PStoreController<F> {
                 "planned",
                 obs.load,
                 peak,
-                plan.nominal_cost(),
+                self.plan.nominal_cost(),
                 0,
                 1.0,
             );
-            return Action::Reconfigure(ReconfigRequest {
-                target: first.to,
-                rate_multiplier: 1.0,
-                reason: ReconfigReason::Planned,
-                decision_id,
-            });
+            return Action::Reconfigure(ReconfigRequest::planned(first.to, decision_id));
         }
 
         self.scale_in_streak = 0;
@@ -276,16 +277,11 @@ impl<F: LoadForecaster> PStoreController<F> {
             "planned",
             obs.load,
             peak,
-            plan.nominal_cost(),
+            self.plan.nominal_cost(),
             lead,
             1.0,
         );
-        Action::Reconfigure(ReconfigRequest {
-            target: first.to,
-            rate_multiplier: 1.0,
-            reason: ReconfigReason::Planned,
-            decision_id,
-        })
+        Action::Reconfigure(ReconfigRequest::planned(first.to, decision_id))
     }
 }
 
@@ -294,6 +290,7 @@ mod tests {
     #![allow(clippy::float_cmp)] // tests assert exact rational arithmetic
     use super::*;
     use crate::controller::forecaster::OracleForecaster;
+    use crate::controller::ReconfigReason;
     use crate::planner::{Planner, PlannerConfig};
 
     fn planner() -> Planner {

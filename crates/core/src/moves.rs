@@ -72,13 +72,17 @@ impl MoveSeq {
     /// chain (`moves[i].to == moves[i+1].from`), non-positive durations,
     /// or multi-interval no-ops.
     pub fn new(moves: Vec<Move>) -> Self {
-        let violations = check_moves(&moves);
-        assert!(
-            violations.is_empty(),
-            "invalid move sequence: {}",
-            crate::invariant::report(&violations)
-        );
+        assert_valid(&moves);
         MoveSeq { moves }
+    }
+
+    /// Replaces the moves in place, keeping the allocation: `fill` writes
+    /// into the emptied vector, and the result is checked as in
+    /// [`MoveSeq::new`].
+    pub(crate) fn refill(&mut self, fill: impl FnOnce(&mut Vec<Move>)) {
+        self.moves.clear();
+        fill(&mut self.moves);
+        assert_valid(&self.moves);
     }
 
     /// The moves in execution order.
@@ -134,8 +138,8 @@ impl MoveSeq {
 /// (Algorithm 2): `MOV-01` contiguous tiling, `MOV-02` positive duration,
 /// `MOV-03` single-interval no-ops, `MOV-04` machine-count chaining.
 ///
-/// This is the single source of truth shared by [`MoveSeq::new`]'s
-/// assertions and the `pstore-verify` checker.
+/// This is the single source of truth shared by [`MoveSeq`]'s assertions
+/// and the `pstore-verify` checker. A clean sequence costs no allocation.
 pub fn check_moves(moves: &[Move]) -> Vec<Violation> {
     let artifact = || {
         let chain: Vec<String> = moves.iter().map(ToString::to_string).collect();
@@ -174,6 +178,15 @@ pub fn check_moves(moves: &[Move]) -> Vec<Violation> {
         }
     }
     out
+}
+
+fn assert_valid(moves: &[Move]) {
+    let violations = check_moves(moves);
+    assert!(
+        violations.is_empty(),
+        "invalid move sequence: {}",
+        crate::invariant::report(&violations)
+    );
 }
 
 impl fmt::Display for MoveSeq {

@@ -6,7 +6,9 @@
 //! the plan ends with as few machines as possible. The problem has optimal
 //! substructure: the cheapest way to hold `A` machines at time `t` extends
 //! the cheapest way to hold some `B` at time `t - T(B, A)` with the move
-//! `B -> A`, which is exactly the recurrence memoised here.
+//! `B -> A`. Every move lasts at least an interval, so one forward pass
+//! over `t` fills that recurrence bottom-up, each `(t, A)` from rows
+//! already filled.
 //!
 //! The controller runs this search at every monitoring tick, so everything
 //! about a move that depends on `(B, A)` alone — its duration in intervals
@@ -15,9 +17,10 @@
 //! out once, when the planner is built, with the very expressions of
 //! [`crate::cost_model`]. The recurrence then only looks values up and
 //! compares them, so a plan and its cost are the same `f64`s the formulas
-//! give. The `(t, A)` memo is scratch the planner keeps between calls; a
-//! call allocates nothing but the sequence it returns. Table size is the
-//! sum of all move durations, `O(max_machines² · D / P)` values.
+//! give. The `(t, A)` table is scratch the planner keeps between calls, and
+//! [`Planner::best_moves_into`] backtracks into a sequence the caller
+//! keeps, so a warm search allocates nothing. Move-table size is the sum
+//! of all move durations, `O(max_machines² · D / P)` values.
 
 use crate::cost_model::{avg_machines_allocated, cap, eff_cap, machines_for_load, move_time};
 use crate::moves::{Move, MoveSeq};
@@ -83,14 +86,15 @@ pub struct Planner {
     /// `cap(n)` for `n` in `0..=max_machines` (Eq 5).
     caps: Vec<f64>,
     /// One entry per `(b, a)`, both in `0..=max_machines`, at
-    /// `b * (max_machines + 1) + a`; row and column 0 are never read.
+    /// `a * (max_machines + 1) + b` (the moves into `a` side by side); row
+    /// and column 0 are never read.
     moves: Vec<MoveEntry>,
     /// The capacity limits of every move, back to back; see
     /// [`MoveEntry::limits`].
     limits: Vec<f64>,
-    /// Memo over `(t, A)`, kept only for its allocation: every search
-    /// starts by clearing it.
-    memo: RefCell<Vec<Option<Cell>>>,
+    /// The `(t, A)` table at `t * (z + 1) + A`, kept only for its
+    /// allocation: a search writes every cell before it reads it.
+    table: RefCell<Vec<Cell>>,
 }
 
 /// What the recurrence needs to know about the move `b -> a`.
@@ -109,26 +113,19 @@ struct MoveEntry {
     limits: usize,
 }
 
+/// The cheapest way to hold `A` machines at `t`: its cost (infinite when
+/// there is none) and the machine count of the move that ends there, which
+/// started at `t - dur(prev_nodes, A)`.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     cost: f64,
-    prev_time: usize,
     prev_nodes: u32,
 }
 
-/// The inputs of one search, fixed while the recurrence runs.
-struct Search<'a> {
-    load: &'a [f64],
-    n0: u32,
-    /// Largest machine count considered; a memo row holds `0..=z`.
-    z: u32,
-}
-
-impl Search<'_> {
-    fn memo_index(&self, t: usize, a: u32) -> usize {
-        t * (self.z as usize + 1) + a as usize
-    }
-}
+const UNREACHABLE: Cell = Cell {
+    cost: f64::INFINITY,
+    prev_nodes: 0,
+};
 
 /// Equation 3 in whole intervals, rounded up; 0 for the "do nothing" move.
 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of a non-negative time
@@ -172,7 +169,7 @@ impl Planner {
                 } else {
                     dur as f64 * b.max(a) as f64
                 };
-                moves[b as usize * stride + a as usize] = MoveEntry {
+                moves[a as usize * stride + b as usize] = MoveEntry {
                     dur,
                     cost,
                     limits: limits.len(),
@@ -192,7 +189,7 @@ impl Planner {
             caps,
             moves,
             limits,
-            memo: RefCell::new(Vec::new()),
+            table: RefCell::new(Vec::new()),
         }
     }
 
@@ -234,11 +231,23 @@ impl Planner {
     /// machine-intervals as the recurrence accounts it (Algorithm 2): `n0`
     /// for the current interval plus every move's cost, in plan order.
     pub fn best_moves_with_cost(&self, load: &[f64], n0: u32) -> Option<(MoveSeq, f64)> {
+        let mut plan = MoveSeq::default();
+        let cost = self.best_moves_into(load, n0, &mut plan)?;
+        Some((plan, cost))
+    }
+
+    /// [`best_moves_with_cost`](Self::best_moves_with_cost) into a sequence
+    /// the caller keeps: `plan` is refilled in place (left empty when there
+    /// is no plan) and checked against `MOV-01..04` like any new sequence.
+    /// Once `plan` has held a plan as long and the planner has searched a
+    /// table as large, the call allocates nothing.
+    pub fn best_moves_into(&self, load: &[f64], n0: u32, plan: &mut MoveSeq) -> Option<f64> {
         assert!(n0 >= 1, "must start with at least one machine");
         assert!(!load.is_empty(), "load horizon must be non-empty");
         let t_max = load.len() - 1;
         if t_max == 0 {
-            return (load[0] <= cap(n0, self.cfg.q)).then(|| (MoveSeq::default(), n0 as f64));
+            plan.refill(|_| {});
+            return (load[0] <= cap(n0, self.cfg.q)).then_some(n0 as f64);
         }
 
         // Profiler span over the DP search (begin/end via RAII so every
@@ -250,20 +259,83 @@ impl Planner {
         let z = machines_for_load(peak, self.cfg.q)
             .max(n0)
             .clamp(1, self.cfg.max_machines);
-        let search = Search { load, n0, z };
+        let row = z as usize + 1;
+        let mut table = self.table.borrow_mut();
+        // Grown, never reset: the pass below writes each row before the
+        // rows after it read it.
+        if table.len() < (t_max + 1) * row {
+            table.resize((t_max + 1) * row, UNREACHABLE);
+        }
 
-        // Memo over (t, A); `None` = not computed. The table is shared
-        // across the final-count loop below — `cost(t, A)` is independent
-        // of the loop index, so sharing is a pure optimisation over
-        // Algorithm 1's per-iteration reset.
-        let mut memo = self.memo.borrow_mut();
-        memo.clear();
-        memo.resize(search.memo_index(t_max + 1, 0), None);
+        // Algorithm 2 bottom-up, one row per interval.
+        for t in 0..=t_max {
+            for a in 1..=z {
+                // Insufficient capacity is infinitely expensive.
+                if load[t] > self.caps[a as usize] {
+                    table[t * row + a as usize] = UNREACHABLE;
+                    continue;
+                }
+                // At t = 0 only the current allocation is held (an `n0`
+                // beyond the hardware has no column), and no move fits.
+                let mut best = if t == 0 && a == n0 {
+                    Cell {
+                        cost: a as f64,
+                        prev_nodes: a,
+                    }
+                } else {
+                    UNREACHABLE
+                };
+                // Algorithm 3 for each last move `b -> a`, cheapest checks
+                // first: it starts in the horizon, from a reachable state,
+                // for less than the best so far (a cost is never NaN, and a
+                // tie keeps the smaller `b`: Algorithm 2's strict `<`), and
+                // during it predicted load stays under the *effective*
+                // capacity (Equation 7; the naive ablation's limits are all
+                // the post-move capacity).
+                let into_a = &self.moves[a as usize * self.caps.len()..][..row];
+                for (b, mv) in (1..=z).zip(&into_a[1..]) {
+                    let Some(start) = t.checked_sub(mv.dur) else {
+                        continue;
+                    };
+                    let c = table[start * row + b as usize].cost + mv.cost;
+                    if c >= best.cost {
+                        continue;
+                    }
+                    let limits = &self.limits[mv.limits..mv.limits + mv.dur];
+                    let during = &load[start + 1..=t];
+                    if during.iter().zip(limits).any(|(load, limit)| load > limit) {
+                        continue;
+                    }
+                    best = Cell {
+                        cost: c,
+                        prev_nodes: b,
+                    };
+                }
+                table[t * row + a as usize] = best;
+            }
+        }
 
         for end_nodes in 1..=z {
-            let c = self.cost(&search, t_max, end_nodes, &mut memo);
+            let c = table[t_max * row + end_nodes as usize].cost;
             if c.is_finite() {
-                let seq = backtrack(&search, t_max, end_nodes, &memo);
+                plan.refill(|moves| {
+                    // Every move lasts at least an interval, so `t_max`
+                    // bounds their number.
+                    moves.reserve(t_max);
+                    let (mut t, mut n) = (t_max, end_nodes);
+                    while t > 0 {
+                        let from = table[t * row + n as usize].prev_nodes;
+                        let start = t - self.entry(from, n).dur;
+                        moves.push(Move {
+                            start,
+                            end: t,
+                            from,
+                            to: n,
+                        });
+                        (t, n) = (start, from);
+                    }
+                    moves.reverse();
+                });
                 pstore_telemetry::tel_event!(pstore_telemetry::Planner {
                     horizon: pstore_telemetry::count(t_max),
                     n0: n0.into(),
@@ -273,7 +345,7 @@ impl Planner {
                 });
                 #[cfg(feature = "check-invariants")]
                 {
-                    let violations = crate::moves::check_moves(seq.moves());
+                    let violations = crate::moves::check_moves(plan.moves());
                     debug_assert!(
                         violations.is_empty(),
                         "planner produced a structurally invalid sequence:\n{}",
@@ -283,14 +355,15 @@ impl Planner {
                     // that fail the Eq 7 check — that failure is its point.
                     debug_assert!(
                         !self.opts.effective_capacity_aware
-                            || self.verify_feasible(&seq, load).is_ok(),
+                            || self.verify_feasible(plan, load).is_ok(),
                         "planner produced an infeasible plan: {:?}",
-                        self.verify_feasible(&seq, load)
+                        self.verify_feasible(plan, load)
                     );
                 }
-                return Some((seq, c));
+                return Some(c);
             }
         }
+        plan.refill(|_| {});
         pstore_telemetry::tel_event!(pstore_telemetry::Planner {
             horizon: pstore_telemetry::count(t_max),
             n0: n0.into(),
@@ -302,69 +375,7 @@ impl Planner {
     }
 
     fn entry(&self, b: u32, a: u32) -> &MoveEntry {
-        &self.moves[b as usize * self.caps.len() + a as usize]
-    }
-
-    /// Algorithm 2: minimum cost of a feasible series of moves ending with
-    /// `a` nodes at time `t`.
-    fn cost(&self, s: &Search<'_>, t: usize, a: u32, memo: &mut [Option<Cell>]) -> f64 {
-        // Constraint violations and insufficient capacity are infinitely
-        // expensive.
-        if t == 0 && a != s.n0 {
-            return f64::INFINITY;
-        }
-        if s.load[t] > self.caps[a as usize] {
-            return f64::INFINITY;
-        }
-        let idx = s.memo_index(t, a);
-        if let Some(cell) = memo[idx] {
-            return cell.cost;
-        }
-        let cell = if t == 0 {
-            Cell {
-                cost: a as f64,
-                prev_time: 0,
-                prev_nodes: a,
-            }
-        } else {
-            let mut best = Cell {
-                cost: f64::INFINITY,
-                prev_time: 0,
-                prev_nodes: 0,
-            };
-            for b in 1..=s.z {
-                let c = self.sub_cost(s, t, b, a, memo);
-                if c < best.cost {
-                    best = Cell {
-                        cost: c,
-                        prev_time: t - self.entry(b, a).dur,
-                        prev_nodes: b,
-                    };
-                }
-            }
-            best
-        };
-        memo[idx] = Some(cell);
-        cell.cost
-    }
-
-    /// Algorithm 3: minimum cost ending at time `t` when the last move goes
-    /// from `b` to `a` nodes.
-    fn sub_cost(&self, s: &Search<'_>, t: usize, b: u32, a: u32, memo: &mut [Option<Cell>]) -> f64 {
-        let mv = self.entry(b, a);
-        let Some(start) = t.checked_sub(mv.dur) else {
-            // The move would need to start in the past.
-            return f64::INFINITY;
-        };
-        // During the move, predicted load must stay under the *effective*
-        // capacity (Equation 7). (The naive ablation's limits are all the
-        // post-move capacity.)
-        let limits = &self.limits[mv.limits..mv.limits + mv.dur];
-        let during = &s.load[start + 1..=t];
-        if during.iter().zip(limits).any(|(load, limit)| load > limit) {
-            return f64::INFINITY;
-        }
-        self.cost(s, start, b, memo) + mv.cost
+        &self.moves[a as usize * self.caps.len() + b as usize]
     }
 
     /// Checks that a move sequence keeps (effective) capacity above the
@@ -393,29 +404,6 @@ impl Planner {
         }
         Ok(())
     }
-}
-
-/// Walks the memo backwards from `(t_end, n_end)` to `t = 0` and returns
-/// the moves in forward order.
-fn backtrack(s: &Search<'_>, t_end: usize, n_end: u32, memo: &[Option<Cell>]) -> MoveSeq {
-    // Every move lasts at least an interval, so `t_end` bounds their number
-    // and the sequence is the search's one allocation.
-    let mut moves = Vec::with_capacity(t_end);
-    let (mut t, mut n) = (t_end, n_end);
-    while t > 0 {
-        let Some(cell) = memo[s.memo_index(t, n)] else {
-            unreachable!("backtrack visits only memoised states");
-        };
-        moves.push(Move {
-            start: cell.prev_time,
-            end: t,
-            from: cell.prev_nodes,
-            to: n,
-        });
-        (t, n) = (cell.prev_time, cell.prev_nodes);
-    }
-    moves.reverse();
-    MoveSeq::new(moves)
 }
 
 #[cfg(test)]

@@ -3,19 +3,26 @@
 use proptest::prelude::*;
 use pstore_core::cost_model::{avg_machines_allocated, cap, eff_cap, machines_for_load, move_time};
 use pstore_core::moves::{Move, MoveSeq};
+use pstore_core::params::SystemParams;
 use pstore_core::partition_plan::SlotPlan;
 use pstore_core::planner::{Planner, PlannerConfig, PlannerOptions};
 use pstore_core::schedule::MigrationSchedule;
+use pstore_forecast::generators::B2wLoadModel;
 
 /// Algorithms 1–3 transcribed with the cost model's arithmetic evaluated at
-/// every step — the planner as it was before its move tables, kept as the
-/// reference the table-driven one must equal move for move and bit for bit.
+/// every step, searched top-down with a memo — the planner as it was before
+/// its move tables and its forward pass, kept as the reference the
+/// table-driven, bottom-up one must equal move for move and bit for bit.
 struct ReferencePlanner {
     cfg: PlannerConfig,
     opts: PlannerOptions,
     /// Seeded bug: check the load one interval early against each Eq 7
     /// capacity. The comparison below must notice.
     eq7_off_by_one: bool,
+    /// Seeded bug: among equally cheap last moves take the largest source
+    /// count (`<=`) instead of the smallest (`<`). The comparison below must
+    /// notice.
+    ties_last: bool,
 }
 
 #[derive(Clone, Copy)]
@@ -33,6 +40,16 @@ struct RefSearch<'a> {
 }
 
 impl ReferencePlanner {
+    /// The faithful reference for a case's configuration.
+    fn of(case: &PlanCase) -> Self {
+        ReferencePlanner {
+            cfg: case.cfg.clone(),
+            opts: case.opts,
+            eq7_off_by_one: false,
+            ties_last: false,
+        }
+    }
+
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of a non-negative time
     fn move_intervals(&self, b: u32, a: u32) -> usize {
         if b == a {
@@ -119,7 +136,8 @@ impl ReferencePlanner {
             };
             for b in 1..=s.z {
                 let c = self.sub_cost(s, t, b, a);
-                if c < best.cost {
+                let tie = self.ties_last && c.is_finite() && c <= best.cost;
+                if c < best.cost || tie {
                     best = RefEntry {
                         cost: c,
                         prev_time: t - self.move_intervals(b, a).max(1),
@@ -165,19 +183,28 @@ struct PlanCase {
 
 /// Configurations up to 64 machines with both ablation flags, horizons up
 /// to 60 intervals, and diurnal-ish loads from a trickle to beyond the
-/// hardware; `n0` is what the first load needs, one more, anything within
-/// the hardware, or more machines than the hardware has.
+/// hardware; `n0` is what the first clean load needs, one more, anything
+/// within the hardware, or more machines than the hardware has. Up to three
+/// points of the curve may be hostile — NaN, +∞, negated or zero — which
+/// pins today's answers to such forecasts, whatever they should be.
 fn plan_case() -> impl Strategy<Value = PlanCase> {
     let cfg = (50.0f64..400.0, 0.3f64..40.0, 1u32..=8, 1u32..=64);
     let opts = (any::<bool>(), any::<bool>());
     let shape = (0.05f64..1.1, 0.0f64..1.0, 0.0f64..1.0);
     let noise = prop::collection::vec(-1.0f64..1.0, 1..=61);
     let start = (0u32..4, 0u32..64);
-    (cfg, opts, shape, noise, start).prop_map(
-        |((q, d_intervals, partitions_per_node, max_machines), opts, shape, noise, start)| {
+    let hostile = prop::collection::vec((0u32..8, 0usize..61), 0..=3);
+    (cfg, opts, shape, noise, (start, hostile)).prop_map(
+        |(
+            (q, d_intervals, partitions_per_node, max_machines),
+            opts,
+            shape,
+            noise,
+            (start, hostile),
+        )| {
             let (level, swing, phase) = shape;
             let len = noise.len() as f64;
-            let load: Vec<f64> = noise
+            let mut load: Vec<f64> = noise
                 .iter()
                 .enumerate()
                 .map(|(t, eps)| {
@@ -193,6 +220,16 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
                 (2, r) => 1 + r % max_machines,
                 (_, r) => max_machines + 1 + r % 3,
             };
+            for (kind, at) in hostile {
+                let at = at % load.len();
+                load[at] = match kind {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => -load[at],
+                    3 => 0.0,
+                    _ => load[at],
+                };
+            }
             PlanCase {
                 cfg: PlannerConfig {
                     q,
@@ -215,13 +252,21 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
 /// for move, at the same cost, bit for bit.
 fn assert_planner_equals_reference(case: &PlanCase, eq7_off_by_one: bool) {
     let reference = ReferencePlanner {
-        cfg: case.cfg.clone(),
-        opts: case.opts,
         eq7_off_by_one,
+        ..ReferencePlanner::of(case)
     };
-    let planner = Planner::with_options(case.cfg.clone(), case.opts);
+    assert_planner_equals(
+        &Planner::with_options(case.cfg.clone(), case.opts),
+        &reference,
+        case,
+    );
+}
+
+/// [`assert_planner_equals_reference`] against a given reference, with a
+/// planner that may already have searched other cases.
+fn assert_planner_equals(planner: &Planner, reference: &ReferencePlanner, case: &PlanCase) {
     let want = reference.best_moves(&case.load, case.n0);
-    // Twice: the second search runs on the memo the first one left behind.
+    // Twice: the second search runs on the table the first one left behind.
     for _ in 0..2 {
         let got = planner.best_moves_with_cost(&case.load, case.n0);
         assert_eq!(
@@ -233,6 +278,58 @@ fn assert_planner_equals_reference(case: &PlanCase, eq7_off_by_one: bool) {
     assert_eq!(
         planner.best_moves(&case.load, case.n0),
         want.map(|(seq, _)| seq)
+    );
+}
+
+/// The curves the controller plans over: a 49-tick window slid across two
+/// weeks of five-minute B2W load (peak at 80 % of the hardware, as the
+/// tick-allocation test has it) and inflated by 15 %, from every start size
+/// in 1..=10 and under all four ablation settings, on planners that keep
+/// their table from one search to the next.
+#[test]
+fn planner_equals_reference_on_b2w_windows() {
+    // Every 13th window (a prime, so the starts walk through the day's
+    // phases from one day to the next); under miri a day's, sparser.
+    let (days, stride) = if cfg!(miri) { (1, 61) } else { (14, 13) };
+    let params = SystemParams::b2w_paper();
+    let cfg = PlannerConfig {
+        q: params.q,
+        d_intervals: params.d.as_secs_f64() / 300.0,
+        partitions_per_node: params.partitions_per_node,
+        max_machines: params.max_machines,
+    };
+    let (model, _) = B2wLoadModel::four_and_a_half_months(7);
+    let ticks = model.generate(days).downsample_mean(5);
+    let scale = 1.15 * 0.8 * params.q * params.max_machines as f64 / ticks.max();
+    let load: Vec<f64> = ticks.values().iter().map(|v| v * scale).collect();
+    let (mut moving, mut infeasible) = (0, 0);
+    for (effective_capacity_aware, jit_allocation_cost) in
+        [(true, true), (true, false), (false, true), (false, false)]
+    {
+        let opts = PlannerOptions {
+            effective_capacity_aware,
+            jit_allocation_cost,
+        };
+        let planner = Planner::with_options(cfg.clone(), opts);
+        for window in load.windows(49).step_by(stride) {
+            for n0 in 1..=10 {
+                let case = PlanCase {
+                    cfg: cfg.clone(),
+                    opts,
+                    n0,
+                    load: window.to_vec(),
+                };
+                assert_planner_equals(&planner, &ReferencePlanner::of(&case), &case);
+                match planner.best_moves(&case.load, n0) {
+                    Some(plan) => moving += usize::from(plan.first_reconfiguration().is_some()),
+                    None => infeasible += 1,
+                }
+            }
+        }
+    }
+    assert!(
+        moving > 0 && infeasible > 0,
+        "{moving} plans that move, {infeasible} searches without a plan"
     );
 }
 
@@ -250,6 +347,19 @@ proptest! {
     #[should_panic(expected = "planner and reference disagree")]
     fn planner_comparison_catches_an_eq7_off_by_one(case in plan_case()) {
         assert_planner_equals_reference(&case, true);
+    }
+
+    /// ... and with the tie-break flipped, some generated case must
+    /// disagree: ties between last moves occur, and the planner resolves
+    /// them as Algorithm 2's strict `<` does.
+    #[test]
+    #[should_panic(expected = "planner and reference disagree")]
+    fn planner_comparison_catches_a_flipped_tie_break(case in plan_case()) {
+        let reference = ReferencePlanner {
+            ties_last: true,
+            ..ReferencePlanner::of(&case)
+        };
+        assert_planner_equals(&Planner::with_options(case.cfg.clone(), case.opts), &reference, &case);
     }
 
     /// Every schedule is structurally valid: each pair exactly once, rounds

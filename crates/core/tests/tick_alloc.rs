@@ -5,13 +5,15 @@
 //! The predictive controller runs forecast → plan → first move at every
 //! monitoring interval, and the long-horizon experiments (Fig 12's 4.5
 //! months × strategies × Q) run that tick tens of thousands of times per
-//! cell. Once warm it must stay off the heap except for the plan it hands
-//! back, and the weekly SPAR refit must work in the buffers it already
-//! owns rather than fault in a fresh 2 MB regression system each time.
+//! cell. Once warm it must stay off the heap — the plan, too, is refilled
+//! in a sequence the controller keeps — and the weekly SPAR refit must
+//! work in the buffers it already owns rather than fault in a fresh 2 MB
+//! regression system each time.
 
 use pstore_core::controller::forecaster::{LoadForecaster, SparForecaster};
 use pstore_core::controller::pstore::{PStoreConfig, PStoreController};
 use pstore_core::controller::{Action, Observation, Strategy};
+use pstore_core::moves::MoveSeq;
 use pstore_core::params::SystemParams;
 use pstore_core::planner::{Planner, PlannerConfig};
 use pstore_forecast::generators::B2wLoadModel;
@@ -144,11 +146,11 @@ fn seeded_controller(eval_days: usize) -> (PStoreController<SparForecaster>, Vec
 }
 
 #[test]
-fn warm_tick_allocates_only_the_plan() {
-    // Three evaluation weeks: two to warm every buffer (the memo meets its
-    // largest search, the refit its scratch, and the history store grows
-    // on the first tick and not again within this run), then a week that
-    // is measured tick by tick.
+fn warm_tick_allocates_nothing() {
+    // Three evaluation weeks: two to warm every buffer (the planner's table
+    // meets its largest search, the plan its horizon, the refit its
+    // scratch, and the history store grows on the first tick and not again
+    // within this run), then a week that is measured tick by tick.
     let (mut controller, eval) = seeded_controller(21);
     let mut machines = controller.initial_machines();
     let mut tick = |controller: &mut PStoreController<SparForecaster>, t: usize| {
@@ -194,8 +196,7 @@ fn warm_tick_allocates_only_the_plan() {
         }
     }
     assert!(planned > 2_000, "measured only {planned} ticks");
-    // The one allocation is the `MoveSeq` the planner returns.
-    assert_eq!(worst, 1, "a warm non-refit tick allocated {worst} times");
+    assert_eq!(worst, 0, "a warm non-refit tick allocated {worst} times");
     let stats = controller.stats();
     assert!(stats.planned_moves > 20, "the controller never moved");
     assert_eq!(stats.cold_cycles, 0);
@@ -206,7 +207,7 @@ fn best_moves_allocates_only_the_returned_sequence() {
     let params = SystemParams::b2w_paper();
     let planner = realtime_planner(&params);
     let load = tick_load(2, &params);
-    // The memo grows to the largest horizon x machine count searched so
+    // The table grows to the largest horizon x machine count searched so
     // far; one search over all the hardware sizes it for good.
     let full = vec![params.q * params.max_machines as f64; 49];
     assert!(planner.best_moves(&full, params.max_machines).is_some());
@@ -221,6 +222,33 @@ fn best_moves_allocates_only_the_returned_sequence() {
             usage.allocations
         );
     }
+}
+
+#[test]
+fn best_moves_into_allocates_nothing_once_warm() {
+    let params = SystemParams::b2w_paper();
+    let planner = realtime_planner(&params);
+    let load = tick_load(2, &params);
+    // One search over all the hardware sizes the table and the kept plan
+    // for every 49-tick search after it.
+    let mut plan = MoveSeq::default();
+    let full = vec![params.q * params.max_machines as f64; 49];
+    assert!(planner
+        .best_moves_into(&full, params.max_machines, &mut plan)
+        .is_some());
+    let mut feasible = 0;
+    for start in (0..TICKS_PER_DAY).step_by(7) {
+        let curve = &load[start..start + 49];
+        let n0 = planner.machines_needed(curve[0]);
+        let (usage, cost) = measure(|| planner.best_moves_into(curve, n0, &mut plan));
+        feasible += usize::from(cost.is_some());
+        assert_eq!(
+            usage.allocations, 0,
+            "best_moves_into at {start} made {} allocations",
+            usage.allocations
+        );
+    }
+    assert!(feasible > 0, "no search found a plan");
 }
 
 #[test]

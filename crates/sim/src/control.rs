@@ -140,7 +140,6 @@ impl MoveLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstore_core::controller::ReconfigReason;
 
     /// Asks for `target` machines at every tick and records what it saw.
     struct Always {
@@ -152,10 +151,8 @@ mod tests {
         fn tick(&mut self, obs: &Observation) -> Action {
             self.seen.push(*obs);
             Action::Reconfigure(ReconfigRequest {
-                target: self.target,
                 rate_multiplier: 2.0,
-                reason: ReconfigReason::Planned,
-                decision_id: 9,
+                ..ReconfigRequest::planned(self.target, 9)
             })
         }
         fn name(&self) -> &str {
@@ -192,10 +189,8 @@ mod tests {
             let request = control.step(&mut strategy, 100.0, machines, reconfiguring);
             // Everything but the target passes through untouched.
             let expected = accepted.map(|target| ReconfigRequest {
-                target,
                 rate_multiplier: 2.0,
-                reason: ReconfigReason::Planned,
-                decision_id: 9,
+                ..ReconfigRequest::planned(target, 9)
             });
             assert_eq!(request, expected, "case {interval}");
             // The strategy is shown every tick, numbered from 0 by ones.

@@ -982,12 +982,11 @@ mod tests {
             fn tick(&mut self, obs: &Observation) -> Action {
                 if !self.issued && obs.interval >= self.at_tick && !obs.reconfiguring {
                     self.issued = true;
-                    return Action::Reconfigure(pstore_core::controller::ReconfigRequest {
-                        target: self.target,
-                        rate_multiplier: self.rate,
-                        reason: pstore_core::controller::ReconfigReason::Emergency,
-                        decision_id: 0,
-                    });
+                    return Action::Reconfigure(ReconfigRequest::emergency(
+                        self.target,
+                        self.rate,
+                        0,
+                    ));
                 }
                 Action::None
             }
@@ -1077,12 +1076,7 @@ mod tests {
             fn tick(&mut self, obs: &Observation) -> Action {
                 if !self.0 && obs.interval >= 1 && !obs.reconfiguring {
                     self.0 = true;
-                    return Action::Reconfigure(pstore_core::controller::ReconfigRequest {
-                        target: 4,
-                        rate_multiplier: 8.0,
-                        reason: pstore_core::controller::ReconfigReason::Emergency,
-                        decision_id: 0,
-                    });
+                    return Action::Reconfigure(ReconfigRequest::emergency(4, 8.0, 0));
                 }
                 Action::None
             }
@@ -1134,12 +1128,7 @@ mod tests {
             fn tick(&mut self, obs: &Observation) -> Action {
                 if !self.0 && !obs.reconfiguring {
                     self.0 = true;
-                    return Action::Reconfigure(pstore_core::controller::ReconfigRequest {
-                        target: 4,
-                        rate_multiplier: 1.0,
-                        reason: pstore_core::controller::ReconfigReason::Planned,
-                        decision_id: 0,
-                    });
+                    return Action::Reconfigure(ReconfigRequest::planned(4, 0));
                 }
                 Action::None
             }

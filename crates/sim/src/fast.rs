@@ -220,7 +220,7 @@ mod tests {
     use pstore_core::controller::forecaster::OracleForecaster;
     use pstore_core::controller::pstore::{PStoreConfig, PStoreController};
     use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
-    use pstore_core::controller::{Action, Observation};
+    use pstore_core::controller::{Action, Observation, ReconfigRequest};
     use pstore_core::planner::{Planner, PlannerConfig};
     use std::time::Duration;
 
@@ -425,12 +425,7 @@ mod tests {
             fn tick(&mut self, obs: &Observation) -> Action {
                 if !self.0 && !obs.reconfiguring {
                     self.0 = true;
-                    return Action::Reconfigure(pstore_core::controller::ReconfigRequest {
-                        target: 8,
-                        rate_multiplier: 1.0,
-                        reason: pstore_core::controller::ReconfigReason::Planned,
-                        decision_id: 0,
-                    });
+                    return Action::Reconfigure(ReconfigRequest::planned(8, 0));
                 }
                 Action::None
             }
@@ -460,12 +455,7 @@ mod tests {
             fn tick(&mut self, obs: &Observation) -> Action {
                 if !self.1 && !obs.reconfiguring {
                     self.1 = true;
-                    return Action::Reconfigure(pstore_core::controller::ReconfigRequest {
-                        target: 8,
-                        rate_multiplier: self.0,
-                        reason: pstore_core::controller::ReconfigReason::Emergency,
-                        decision_id: 0,
-                    });
+                    return Action::Reconfigure(ReconfigRequest::emergency(8, self.0, 0));
                 }
                 Action::None
             }

@@ -4,7 +4,7 @@
 
 #![allow(clippy::float_cmp)] // machine counts are small exact integers
 
-use pstore::core::controller::{Action, Observation, ReconfigReason, ReconfigRequest, Strategy};
+use pstore::core::controller::{Action, Observation, ReconfigRequest, Strategy};
 use pstore::core::params::SystemParams;
 use pstore::core::schedule::MigrationSchedule;
 use pstore::sim::detailed::{run_detailed, DetailedSimConfig};
@@ -30,12 +30,7 @@ impl Strategy for Script {
             i if i > 3 => 5,
             _ => return Action::None,
         };
-        Action::Reconfigure(ReconfigRequest {
-            target,
-            rate_multiplier: 1.0,
-            reason: ReconfigReason::Planned,
-            decision_id: 0,
-        })
+        Action::Reconfigure(ReconfigRequest::planned(target, 0))
     }
     fn name(&self) -> &str {
         "script"

@@ -713,7 +713,10 @@ impl Procedure for ArchiveStockTransaction {
 
 /// Any B2W transaction — the unit of the benchmark's traces.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "each variant is named after the procedure it wraps"
+)]
 pub enum B2wTxn {
     AddLineToCart(AddLineToCart),
     DeleteLineFromCart(DeleteLineFromCart),

@@ -1,4 +1,7 @@
-#![allow(clippy::unwrap_used)] // the stream helper aborts loudly, as the tests do
+#![allow(
+    clippy::unwrap_used,
+    reason = "the stream helper aborts loudly, as the tests do"
+)]
 
 //! Allocation budget of the B2W transaction stream, generator and engine
 //! together, measured with a counting global allocator (test binary only).

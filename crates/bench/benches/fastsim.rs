@@ -1,7 +1,11 @@
 //! Microbenchmark for the slot-based long-horizon simulator: one simulated
 //! week per strategy (the unit of work behind each Fig 12 point).
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // benchmark setup aborts loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "benchmark setup aborts loudly"
+)]
 use criterion::{criterion_group, criterion_main, Criterion};
 use pstore_core::controller::baselines::StaticController;
 use pstore_core::params::SystemParams;

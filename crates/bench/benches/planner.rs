@@ -2,7 +2,11 @@
 //! planning cost over horizon length and cluster scale — the per-tick cost
 //! of the Predictive Controller's planning step.
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // benchmark setup aborts loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "benchmark setup aborts loudly"
+)]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pstore_core::planner::{Planner, PlannerConfig};
 use std::hint::black_box;

@@ -2,7 +2,11 @@
 //! (§4.4.1, including the phase-3 edge colouring) and slot-plan
 //! rebalancing (the §6 Scheduler).
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // benchmark setup aborts loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "benchmark setup aborts loudly"
+)]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pstore_core::partition_plan::SlotPlan;
 use pstore_core::schedule::MigrationSchedule;

@@ -2,7 +2,11 @@
 //! per-minute data (the weekly refit cost, §7) and forecasting a full
 //! planning horizon (the per-tick prediction cost).
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // benchmark setup aborts loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "benchmark setup aborts loudly"
+)]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pstore_forecast::generators::B2wLoadModel;
 use pstore_forecast::model::LoadPredictor;

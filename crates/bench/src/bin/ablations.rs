@@ -13,10 +13,11 @@
 //! 4. **Planning-horizon length** — too short cannot cover a full move;
 //!    longer horizons buy little beyond ~2 moves of lookahead (§5).
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::sweep::{Cell, Sweep};
 use pstore_bench::{section, RunReporter};
 use pstore_core::controller::pstore::PStoreConfig;

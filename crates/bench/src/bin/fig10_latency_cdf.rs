@@ -1,10 +1,11 @@
 //! Fig 10: CDFs of the top 1% of per-second 50th/95th/99th percentile
 //! latencies for the four elasticity approaches (same runs as Fig 9).
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::fig9::{run_all_sweep, Fig9Config};
 use pstore_bench::sweep::Sweep;
 use pstore_bench::{section, RunReporter};

@@ -6,10 +6,11 @@
 //! violation seconds (50th/95th/99th: 16/101/143 at `R`, 22/44/51 at
 //! `R x 8`).
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::{ascii_plot, section, RunReporter};
 use pstore_core::controller::forecaster::SparForecaster;
 use pstore_core::controller::pstore::PStoreConfig;

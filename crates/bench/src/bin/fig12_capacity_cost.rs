@@ -5,10 +5,11 @@
 //! schedule/static baselines) traces each strategy's capacity-cost curve.
 //! Cost is normalised to the default P-Store SPAR run, as in the paper.
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::sweep::{Cell, Sweep};
 use pstore_bench::{section, RunReporter};
 use pstore_core::params::SystemParams;

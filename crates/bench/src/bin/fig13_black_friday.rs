@@ -5,10 +5,11 @@
 //! pattern; P-Store rides the surge by combining prediction with its
 //! reactive fallback.
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::{ascii_plot2, section, RunReporter};
 use pstore_core::params::SystemParams;
 use pstore_forecast::generators::B2wLoadModel;

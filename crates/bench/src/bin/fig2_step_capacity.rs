@@ -1,10 +1,11 @@
 //! Fig 2: the ideal capacity curve mirrors a sinusoidal demand with a small
 //! buffer; the realisable allocation is an integral step function above it.
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::{ascii_plot2, section, RunReporter};
 use pstore_core::cost_model::{cap, machines_for_load};
 use pstore_forecast::generators::sine_demand;

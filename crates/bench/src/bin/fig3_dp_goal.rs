@@ -2,10 +2,11 @@
 //! moves from 2 machines at t = 0 to 4 machines at t = 9 such that
 //! capacity always exceeds predicted demand and cost is minimised.
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::{section, RunReporter};
 use pstore_core::cost_model::cap;
 use pstore_core::planner::{Planner, PlannerConfig};

@@ -3,10 +3,11 @@
 //! blocks), 3 -> 14 (three phases). One partition per server, time in
 //! units of `D`.
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::{section, RunReporter};
 use pstore_core::cost_model::{avg_machines_allocated, move_time};
 use pstore_core::schedule::MigrationSchedule;

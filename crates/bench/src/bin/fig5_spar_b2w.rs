@@ -6,10 +6,11 @@
 //! plus the §5 text comparison SPAR vs ARMA vs AR at tau = 60 min
 //! (paper: 10.4% / 12.2% / 12.5%).
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::{ascii_plot2, section, RunReporter};
 use pstore_forecast::ar::{ArConfig, ArModel};
 use pstore_forecast::arma::{ArmaConfig, ArmaModel};

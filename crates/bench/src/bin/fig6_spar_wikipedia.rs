@@ -7,10 +7,11 @@
 //! German series under 10% up to 2 hours and within 13% at 6 hours, always
 //! less predictable than English.
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::{ascii_plot2, section, RunReporter};
 use pstore_forecast::eval::{rolling_accuracy, EvalConfig};
 use pstore_forecast::generators::{WikipediaEdition, WikipediaLoadModel};

@@ -3,12 +3,15 @@
 //! 65% of the saturation point (§4.1, §8.1: saturation at 438 txn/s with 6
 //! partitions, hence `Q̂ = 350`, `Q = 285`).
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
-// Simulation seconds are tiny; indexing a load curve by them cannot truncate.
-#![allow(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "simulation seconds are tiny; indexing a load curve by them cannot truncate"
+)]
 use pstore_bench::{ascii_plot, section, RunReporter};
 use pstore_core::controller::baselines::StaticController;
 use pstore_sim::detailed::{run_detailed, DetailedSimConfig};

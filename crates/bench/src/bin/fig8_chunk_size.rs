@@ -6,10 +6,11 @@
 //! size maps to the pacing interval of a stream (1000 kB ≈ 4.1 s at
 //! `R = 244 kB/s`), which is what we sweep.
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::{section, RunReporter};
 use pstore_core::controller::{Action, Observation, ReconfigRequest, Strategy};
 use pstore_sim::detailed::{run_detailed, DetailedSimConfig};

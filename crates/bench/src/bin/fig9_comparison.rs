@@ -3,14 +3,15 @@
 //! static-4, reactive and P-Store provisioning. Also prints the Fig 10
 //! CDF summary and Table 2, which are derived from the same runs.
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::fig9::{run_all_sweep, Fig9Config};
 use pstore_bench::sweep::Sweep;
 use pstore_bench::{ascii_plot, ascii_plot2, hms, section, RunReporter};
-use pstore_sim::latency::{cdf_points, top_fraction, SLA_THRESHOLD_S};
+use pstore_sim::latency::{cdf_points, top_fraction};
 
 fn main() {
     let reporter = RunReporter::from_args();
@@ -166,7 +167,6 @@ fn main() {
     } else {
         println!("WARNING: headline shape not reproduced on this seed");
     }
-    let _ = SLA_THRESHOLD_S;
 
     reporter.finish();
 }

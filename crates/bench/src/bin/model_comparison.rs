@@ -3,10 +3,11 @@
 //! both the B2W-style and the Wikipedia-style loads, across forecasting
 //! periods — all evaluated with the same rolling-origin protocol.
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::sweep::{Cell, Sweep};
 use pstore_bench::{section, RunReporter};
 use pstore_forecast::ar::{ArConfig, ArModel};

@@ -4,10 +4,11 @@
 //! largest partition holds 0.185% more data than average (stddev 0.099%),
 //! validating the uniform-workload assumption of §4.2.
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_b2w::generator::{WorkloadConfig, WorkloadGenerator};
 use pstore_b2w::schema::b2w_catalog;
 use pstore_bench::{section, RunReporter};

@@ -8,10 +8,11 @@
 //! telemetry_smoke -- --trace /tmp/smoke.jsonl`, then `pstore-trace
 //! /tmp/smoke.jsonl` (exits non-zero on parse errors or unmatched spans).
 
-// Experiment binary: aborting with a clear message on setup failure is the
-// desired behaviour, so `expect`/`unwrap` are permitted here (the workspace
-// lint policy only bans them in library code).
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: setup failure aborts with a message; the ban is for library code"
+)]
 use pstore_bench::{section, RunReporter};
 use pstore_core::controller::forecaster::SparForecaster;
 use pstore_core::controller::pstore::{PStoreConfig, PStoreController};

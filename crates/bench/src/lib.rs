@@ -357,7 +357,11 @@ pub fn write_csv(
 }
 
 /// Formats seconds as `h:mm:ss`.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // clamped to >= 0 before truncating to whole seconds
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "clamped to >= 0 before truncating to whole seconds"
+)]
 pub fn hms(seconds: f64) -> String {
     let s = seconds.max(0.0) as u64;
     format!("{}:{:02}:{:02}", s / 3600, (s % 3600) / 60, s % 60)

@@ -7,8 +7,9 @@
 //! and reassembles the outputs so the result is **byte-identical to a
 //! serial run**, at any thread count.
 //!
-//! pstore-lint: sync-shim — this file holds the reproduction's only
-//! threads (SA-04): the private `parallel_map` below, one caller.
+//! This file holds the reproduction's only threads: the private
+//! `parallel_map` below, one caller (clippy.toml's `disallowed-methods`
+//! keeps it that way).
 //!
 //! # Determinism contract
 //!
@@ -128,6 +129,10 @@ struct CellOutcome<R> {
 /// happens-before edge between a worker's results and the caller, and
 /// sorting by index makes the output independent of which worker ran
 /// what. A worker's panic resumes on the caller once the others finish.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the one place the reproduction starts threads: cells are independent"
+)]
 fn parallel_map<T: Send, R: Send>(
     threads: usize,
     items: Vec<T>,
@@ -316,7 +321,7 @@ mod tests {
                 seed: Some(seed),
                 ..tel::SpanBegin::new(0, tel::SpanName::Work)
             });
-            #[allow(clippy::cast_precision_loss)] // tiny test values
+            #[allow(clippy::cast_precision_loss, reason = "tiny test values")]
             for i in 0..5u64 {
                 // Any registered kind serves: the tests compare streams.
                 tel::emit(tel::TxnArrive { id: i, slot: seed });
@@ -325,7 +330,7 @@ mod tests {
                     r.record_histogram("lat", 1e-3 * (seed + 1) as f64 * (i + 1) as f64);
                 });
             }
-            #[allow(clippy::cast_precision_loss)] // tiny test values
+            #[allow(clippy::cast_precision_loss, reason = "tiny test values")]
             tel::with_registry(|r| r.set_gauge("last_seed", seed as f64));
             tel::end_span(tel::SpanName::Work, span);
             seed * 10
@@ -349,7 +354,7 @@ mod tests {
     /// Strips the fields that legitimately differ across in-process
     /// runs (the global `seq` counter keeps advancing), keeping order,
     /// kinds, timestamps and payloads — including renumbered span ids.
-    #[allow(clippy::type_complexity)] // one-off test projection
+    #[allow(clippy::type_complexity, reason = "one-off test projection")]
     fn normalised(events: &[tel::Event]) -> Vec<(String, Option<f64>, Vec<(String, tel::Value)>)> {
         events
             .iter()

@@ -5,7 +5,11 @@
 //! multi-minute grid or rewrite `results/*.csv`. And what the grammar
 //! asks for at exit must happen, or the exit status says it did not.
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // tests abort loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "tests abort loudly"
+)]
 
 use std::process::Command;
 

@@ -4,7 +4,11 @@
 //! results at any thread count, because every figure binary now fans
 //! its runs through [`Sweep`].
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // tests abort loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "tests abort loudly"
+)]
 use pstore_b2w::generator::WorkloadConfig;
 use pstore_bench::fig9::{run_all_sweep, Fig9Config};
 use pstore_bench::sweep::{Cell, Sweep};

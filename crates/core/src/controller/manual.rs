@@ -144,7 +144,7 @@ impl<S: Strategy> Strategy for ManualOverride<S> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // tests assert exact rational arithmetic
+    #![allow(clippy::float_cmp, reason = "tests assert exact rational arithmetic")]
     use super::*;
     use crate::controller::baselines::StaticController;
 

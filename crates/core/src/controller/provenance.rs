@@ -73,7 +73,7 @@ impl ProvScorer {
     /// telemetry gate. `lead` is in monitoring intervals: how far ahead
     /// the demand change driving the decision sits (0 for reactive and
     /// emergency decisions).
-    #[allow(clippy::too_many_arguments)] // one argument per event column
+    #[allow(clippy::too_many_arguments, reason = "one argument per event column")]
     pub fn decision(
         &mut self,
         obs: &Observation,

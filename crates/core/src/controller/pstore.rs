@@ -287,7 +287,7 @@ impl<F: LoadForecaster> PStoreController<F> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // tests assert exact rational arithmetic
+    #![allow(clippy::float_cmp, reason = "tests assert exact rational arithmetic")]
     use super::*;
     use crate::controller::forecaster::OracleForecaster;
     use crate::controller::ReconfigReason;

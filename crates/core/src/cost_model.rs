@@ -104,7 +104,11 @@ pub fn move_cost(b: u32, a: u32, p: u32, d: f64) -> f64 {
 
 /// Machines needed to serve `load` at per-machine throughput `q`
 /// (Equation 5 solved for `n`, rounded up, at least one machine).
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of a non-negative finite ratio
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "ceil of a non-negative finite ratio"
+)]
 pub fn machines_for_load(load: f64, q: f64) -> u32 {
     assert!(q > 0.0, "Q must be positive");
     (load / q).ceil().max(1.0) as u32
@@ -144,7 +148,7 @@ pub fn eff_cap(b: u32, a: u32, f: f64, q: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // tests assert exact rational arithmetic
+    #![allow(clippy::float_cmp, reason = "tests assert exact rational arithmetic")]
     use super::*;
 
     const Q: f64 = 285.0;

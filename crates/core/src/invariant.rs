@@ -11,237 +11,211 @@
 
 use std::fmt;
 
-/// Identifier of one paper-specified invariant.
-///
-/// The `SCH-*` family covers migration schedules (§4.4.1, Table 1), the
-/// `MOV-*` family move sequences (Algorithm 2), the `PLN-*` family planner
-/// output (Algorithms 1–3, Fig 4), and the `FOR-*` family forecaster
-/// output (§5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum InvariantId {
-    /// SCH-01: a `B -> A` schedule has exactly `max(s, Δ)` rounds, the
-    /// theoretical minimum (§4.4.1).
-    ScheduleRoundCount,
-    /// SCH-02: every round is a matching — no machine appears in two
-    /// transfers of the same round (§4.4.1).
-    ScheduleRoundMatching,
-    /// SCH-03: every (sender, receiver) pair transfers exactly once, so
-    /// exactly `1/(A*B)` of the database moves per pair and data stays
-    /// evenly spread (§4.4.1, data conservation).
-    SchedulePairCoverage,
-    /// SCH-04: transfers only involve machines that are allocated during
-    /// that round (just-in-time allocation, Table 1).
-    SchedulePresence,
-    /// SCH-05: on scale-out only pre-existing machines send and only new
-    /// machines receive; scale-in mirrors this (§4.4.1).
-    ScheduleRoleDirection,
-    /// SCH-06: the `B == A` no-op schedule has no rounds.
-    ScheduleNoopEmpty,
-    /// SCH-07: the scale-in schedule is the exact time-reverse of the
-    /// corresponding scale-out schedule (§4.4.2).
-    ScheduleReversal,
-    /// SCH-08: the schedule-derived average machine allocation equals
-    /// Algorithm 4's closed form.
-    ScheduleAvgMachines,
-    /// SCH-09: per-round parallelism never exceeds Equation 2's bound and
-    /// is reached by at least one round.
-    SchedulePeakParallelism,
-    /// MOV-01: a move sequence tiles the planning horizon contiguously —
-    /// each move starts where the previous one ended (Algorithm 2).
-    MoveTiling,
-    /// MOV-02: every move has positive duration (`end > start`).
-    MoveDuration,
-    /// MOV-03: "do nothing" moves last exactly one interval (Algorithm 2,
-    /// line 9).
-    MoveNoopUnit,
-    /// MOV-04: machine counts chain across consecutive moves
-    /// (`moves[i].to == moves[i+1].from`).
-    MoveChaining,
-    /// PLN-01: predicted load never exceeds capacity, including the
-    /// *effective* capacity of Equation 7 while a move is in flight
-    /// (Fig 4).
-    PlanCapacity,
-    /// PLN-02: a plan starts at the requested machine count at `t = 0`
-    /// and spans exactly the prediction horizon (Algorithm 1).
-    PlanStart,
-    /// PLN-03: on small horizons the DP's cost equals a brute-force
-    /// enumeration oracle over all feasible move sequences (Algorithm 2's
-    /// optimal substructure).
-    PlanOptimality,
-    /// FOR-01: predictions are finite, non-NaN and non-negative (loads are
-    /// rates; a negative or non-finite prediction would corrupt every
-    /// downstream planner decision).
-    ForecastFinite,
-    /// FOR-02: SPAR reproduces a strictly periodic signal — predictions
-    /// over future periods stay close to the periodic continuation (§5.1).
-    ForecastPeriodicity,
-    /// TEL-01: every `span_begin` in a telemetry trace has exactly one
-    /// matching `span_end` (reconfigurations in particular always
-    /// terminate).
-    TelemetryReconfigPairing,
-    /// TEL-02: span events nest LIFO — an end always closes the innermost
-    /// open span, ids are unique among open spans, and no span dangles at
-    /// end of trace.
-    TelemetrySpanNesting,
-    /// TEL-03: merging latency histograms is associative and
-    /// order-insensitive on bucket contents, so per-phase histograms can
-    /// be combined in any order without changing percentile readouts.
-    TelemetryHistogramMerge,
-    /// TEL-04: trace events are totally ordered — `seq` strictly
-    /// increases and sim-time `t` never regresses while any span is open
-    /// (a reset to an earlier `t` is only legal at the boundary between
-    /// independent runs, where the span stack is empty).
-    TelemetryOrdering,
-    /// TEL-05: the span-tree profiler conserves time — a parent's total
-    /// time is at least the sum of its children's totals (self time is
-    /// never negative), and the flamegraph-folded output re-sums to the
-    /// tree it was rendered from.
-    TelemetryProfileConservation,
-    /// TEL-06: per-transaction lifecycle events are well-formed — every
-    /// `txn_arrive` is terminally resolved by exactly one `txn_commit` or
-    /// `txn_abort` before end of trace, lifecycle events never reference
-    /// a transaction id that is not currently open, and the terminal
-    /// event's latency attribution sums (`queue + exec + stall == total`
-    /// within tolerance).
-    TelemetryTxnLifecycle,
-    /// CON-01: the sweep's work queue executes every cell exactly once
-    /// and reassembles results in cell order, at any thread count
-    /// (runtime check: fault-injected sweeps lose no cell).
-    ConcurrencyQueueIntegrity,
-    /// CON-02: every cell's result (and captured telemetry) is fully
-    /// visible to the merging thread before the ordered merge starts —
-    /// the join barrier publishes all worker writes.
-    ConcurrencyMergeBarrier,
-    /// CON-03: a cell never observes telemetry-registry state from
-    /// another cell, including the previous cell run back-to-back on the
-    /// same reused worker thread.
-    ConcurrencyRegistryIsolation,
-    /// TXN-01: a transaction's recorded read/write set is consistent with
-    /// its declared partition access — destination-side accesses (and
-    /// Squall-style restarts) only occur while the slot's partition is
-    /// migrating, and the rwset record carries the slot the transaction
-    /// arrived on (§4.2).
-    TxnReadWriteSets,
-    /// ISO-01: the direct serialization graph over sampled key-level
-    /// version histories (WR edges from versions read, WW edges from
-    /// version order, RW anti-dependencies from the version a read
-    /// missed) is acyclic — the history is conflict-serializable
-    /// (IsoPredict-style checking; §4.2, migrations are transparent to
-    /// transaction semantics).
-    IsoDsgAcyclic,
-    /// ISO-02: every read observes a version installed by a transaction
-    /// at or before the reader in the commit order — no read from the
-    /// future, and the serialization order is equivalent to the commit
-    /// order.
-    IsoReadCommitOrder,
-    /// ISO-03: Squall-style restarts leave no orphan versions — each
-    /// (key, version) has exactly one installer, per-key versions are
-    /// installed in strictly increasing order, and a restarted
-    /// transaction's reads are consistent with its own writes
-    /// (read-your-restart; §4.2).
-    IsoRestartIntegrity,
-    /// PRV-01: the provisioning capacity ledger conserves machine-time —
-    /// machine-seconds provisioned equal the integral of per-interval
-    /// active machines, `provisioned - ideal == over - under` holds over
-    /// the `prov_interval` record (the Fig 9 area accounting), and every
-    /// attributed reconfiguration's machine delta matches its decision's
-    /// `machines -> target`.
-    ProvLedgerConservation,
-    /// PRV-02: decision causality — every `prov_reconfig` traces back to
-    /// exactly one `prov_decision` (ids unique, no decision drives two
-    /// moves, no move precedes its decision), and a predictive decision
-    /// with lead `L` starts its migration at least `L - 1` intervals
-    /// before the target interval it provisioned for.
-    ProvDecisionCausality,
-    /// PRV-03: forecast bookkeeping — every scored (model, horizon,
-    /// target-interval) triple appears exactly once in the
-    /// `prov_forecast` record, and each score's observation matches the
-    /// demand the `prov_interval` record holds for that interval.
-    ProvForecastBookkeeping,
+/// Declares every invariant once: its [`InvariantId`] variant, stable
+/// code, paper reference, one-line summary and checker. From each row
+/// follow the variant (documented by its summary), [`InvariantId::code`],
+/// [`InvariantId::paper_ref`], [`InvariantId::summary`],
+/// [`InvariantId::checker`] and its place in [`InvariantId::ALL`] — and
+/// the family tables of `docs/invariants.md`, which `pstore-verify`'s
+/// catalogue test compares with what these rows generate.
+macro_rules! invariants {
+    ($(
+        $variant:ident = $code:literal [$paper:literal]
+            $summary:literal => $checker:literal;
+    )+) => {
+        /// Identifier of one paper-specified invariant. Codes are
+        /// `FAM-NN`: `SCH` migration schedules, `MOV` move sequences,
+        /// `PLN` planner output, `FOR` forecasts, `TEL` telemetry traces,
+        /// `CON` the parallel sweep, `TXN` transaction records, `ISO`
+        /// serializability, `PRV` the provisioning record.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[non_exhaustive]
+        pub enum InvariantId {
+            $( #[doc = concat!("`", $code, "` (", $paper, "): ", $summary, ".")] $variant, )+
+        }
+
+        impl InvariantId {
+            /// Every invariant, in catalogue order.
+            pub const ALL: &'static [InvariantId] = &[ $( InvariantId::$variant, )+ ];
+
+            /// The stable short code used in reports and `docs/invariants.md`.
+            pub fn code(self) -> &'static str {
+                match self { $( InvariantId::$variant => $code, )+ }
+            }
+
+            /// The paper section (or figure/table/algorithm) stating the
+            /// invariant.
+            pub fn paper_ref(self) -> &'static str {
+                match self { $( InvariantId::$variant => $paper, )+ }
+            }
+
+            /// What the invariant demands, in one line.
+            pub fn summary(self) -> &'static str {
+                match self { $( InvariantId::$variant => $summary, )+ }
+            }
+
+            /// Where the invariant is checked.
+            pub fn checker(self) -> &'static str {
+                match self { $( InvariantId::$variant => $checker, )+ }
+            }
+        }
+    };
 }
 
-impl InvariantId {
-    /// The stable short code used in reports and `docs/invariants.md`.
-    pub fn code(self) -> &'static str {
-        match self {
-            InvariantId::ScheduleRoundCount => "SCH-01",
-            InvariantId::ScheduleRoundMatching => "SCH-02",
-            InvariantId::SchedulePairCoverage => "SCH-03",
-            InvariantId::SchedulePresence => "SCH-04",
-            InvariantId::ScheduleRoleDirection => "SCH-05",
-            InvariantId::ScheduleNoopEmpty => "SCH-06",
-            InvariantId::ScheduleReversal => "SCH-07",
-            InvariantId::ScheduleAvgMachines => "SCH-08",
-            InvariantId::SchedulePeakParallelism => "SCH-09",
-            InvariantId::MoveTiling => "MOV-01",
-            InvariantId::MoveDuration => "MOV-02",
-            InvariantId::MoveNoopUnit => "MOV-03",
-            InvariantId::MoveChaining => "MOV-04",
-            InvariantId::PlanCapacity => "PLN-01",
-            InvariantId::PlanStart => "PLN-02",
-            InvariantId::PlanOptimality => "PLN-03",
-            InvariantId::ForecastFinite => "FOR-01",
-            InvariantId::ForecastPeriodicity => "FOR-02",
-            InvariantId::TelemetryReconfigPairing => "TEL-01",
-            InvariantId::TelemetrySpanNesting => "TEL-02",
-            InvariantId::TelemetryHistogramMerge => "TEL-03",
-            InvariantId::TelemetryOrdering => "TEL-04",
-            InvariantId::TelemetryProfileConservation => "TEL-05",
-            InvariantId::TelemetryTxnLifecycle => "TEL-06",
-            InvariantId::ConcurrencyQueueIntegrity => "CON-01",
-            InvariantId::ConcurrencyMergeBarrier => "CON-02",
-            InvariantId::ConcurrencyRegistryIsolation => "CON-03",
-            InvariantId::TxnReadWriteSets => "TXN-01",
-            InvariantId::IsoDsgAcyclic => "ISO-01",
-            InvariantId::IsoReadCommitOrder => "ISO-02",
-            InvariantId::IsoRestartIntegrity => "ISO-03",
-            InvariantId::ProvLedgerConservation => "PRV-01",
-            InvariantId::ProvDecisionCausality => "PRV-02",
-            InvariantId::ProvForecastBookkeeping => "PRV-03",
-        }
-    }
-
-    /// The paper section (or figure/table/algorithm) stating the
-    /// invariant.
-    pub fn paper_ref(self) -> &'static str {
-        match self {
-            InvariantId::ScheduleRoundCount => "§4.4.1, Table 1",
-            InvariantId::ScheduleRoundMatching => "§4.4.1",
-            InvariantId::SchedulePairCoverage => "§4.4.1 (1/(A·B) conservation)",
-            InvariantId::SchedulePresence => "§4.4.1, Table 1 (JIT allocation)",
-            InvariantId::ScheduleRoleDirection => "§4.4.1",
-            InvariantId::ScheduleNoopEmpty => "§4.3",
-            InvariantId::ScheduleReversal => "§4.4.2",
-            InvariantId::ScheduleAvgMachines => "Algorithm 4",
-            InvariantId::SchedulePeakParallelism => "Equation 2",
-            InvariantId::MoveTiling => "Algorithm 2",
-            InvariantId::MoveDuration => "Algorithm 2",
-            InvariantId::MoveNoopUnit => "Algorithm 2, line 9",
-            InvariantId::MoveChaining => "Algorithm 1",
-            InvariantId::PlanCapacity => "Equation 7, Fig 4",
-            InvariantId::PlanStart => "Algorithm 1",
-            InvariantId::PlanOptimality => "Algorithms 1–3",
-            InvariantId::ForecastFinite => "§5",
-            InvariantId::ForecastPeriodicity => "§5.1",
-            InvariantId::TelemetryReconfigPairing => "§4.4 (moves terminate)",
-            InvariantId::TelemetrySpanNesting => "docs/observability.md",
-            InvariantId::TelemetryHistogramMerge => "docs/observability.md",
-            InvariantId::TelemetryOrdering => "docs/observability.md",
-            InvariantId::TelemetryProfileConservation => "docs/observability.md",
-            InvariantId::TelemetryTxnLifecycle => "docs/observability.md",
-            InvariantId::ConcurrencyQueueIntegrity => "§8 (experiment grids)",
-            InvariantId::ConcurrencyMergeBarrier => "§8 (determinism contract)",
-            InvariantId::ConcurrencyRegistryIsolation => "docs/observability.md",
-            InvariantId::TxnReadWriteSets => "§4.2 (Squall reconfiguration)",
-            InvariantId::IsoDsgAcyclic => "§4.2 (transparent migration; IsoPredict DSG)",
-            InvariantId::IsoReadCommitOrder => "§4.2 (commit-order equivalence)",
-            InvariantId::IsoRestartIntegrity => "§4.2 (Squall restart semantics)",
-            InvariantId::ProvLedgerConservation => "Fig 9 (capacity over/under-provision areas)",
-            InvariantId::ProvDecisionCausality => "§6 (decisions start D ahead of demand)",
-            InvariantId::ProvForecastBookkeeping => "§5 (per-horizon forecast scoring)",
-        }
-    }
+invariants! {
+    ScheduleRoundCount = "SCH-01" ["§4.4.1, Table 1"]
+        "A `B → A` schedule has exactly `max(s, Δ)` rounds, the theoretical minimum"
+        => "`MigrationSchedule::check_violations`; swept by `verify::schedule`";
+    ScheduleRoundMatching = "SCH-02" ["§4.4.1"]
+        "Every round is a matching: no machine appears in two transfers of one round"
+        => "`MigrationSchedule::check_violations`; swept by `verify::schedule`";
+    SchedulePairCoverage = "SCH-03" ["§4.4.1 (1/(A·B) conservation)"]
+        "Every (sender, receiver) pair transfers exactly once — `1/(A·B)` of the data moves \
+         per pair"
+        => "`MigrationSchedule::check_violations`; swept by `verify::schedule`";
+    SchedulePresence = "SCH-04" ["§4.4.1, Table 1 (JIT allocation)"]
+        "Transfers only involve machines allocated during that round (just-in-time allocation)"
+        => "`MigrationSchedule::check_violations`; swept by `verify::schedule`";
+    ScheduleRoleDirection = "SCH-05" ["§4.4.1"]
+        "On scale-out only pre-existing machines send and only new machines receive (scale-in \
+         mirrors)"
+        => "`MigrationSchedule::check_violations`; swept by `verify::schedule`";
+    ScheduleNoopEmpty = "SCH-06" ["§4.3"]
+        "The `B == A` no-op schedule has no rounds"
+        => "`MigrationSchedule::check_violations`; swept by `verify::schedule`";
+    ScheduleReversal = "SCH-07" ["§4.4.2"]
+        "Scale-in is the exact time-reverse of the corresponding scale-out schedule"
+        => "`verify::schedule::check_schedule_pair`";
+    ScheduleAvgMachines = "SCH-08" ["Algorithm 4"]
+        "Schedule-derived average machine allocation equals Algorithm 4's closed form"
+        => "`verify::schedule` (tolerance 1e-9)";
+    SchedulePeakParallelism = "SCH-09" ["Equation 2"]
+        "Per-round parallelism matches Equation 2's bound"
+        => "`verify::schedule`";
+    MoveTiling = "MOV-01" ["Algorithm 2"]
+        "A plan tiles the planning horizon contiguously, from interval 0 to `t_max`"
+        => "`pstore_core::check_moves` + `verify::moves::check_move_seq`";
+    MoveDuration = "MOV-02" ["Algorithm 2"]
+        "Every move has positive duration (`end > start`)"
+        => "`pstore_core::check_moves`";
+    MoveNoopUnit = "MOV-03" ["Algorithm 2, line 9"]
+        "\"Do nothing\" moves last exactly one interval"
+        => "`pstore_core::check_moves`";
+    MoveChaining = "MOV-04" ["Algorithm 1"]
+        "Machine counts chain across consecutive moves"
+        => "`pstore_core::check_moves`";
+    PlanCapacity = "PLN-01" ["Equation 7, Fig 4"]
+        "Predicted load never exceeds capacity, including Equation 7's *effective* capacity \
+         mid-move"
+        => "`verify::plan::check_plan` (independent recomputation)";
+    PlanStart = "PLN-02" ["Algorithm 1"]
+        "A plan starts at the current machine count at `t = 0`"
+        => "`verify::plan::check_plan`";
+    PlanOptimality = "PLN-03" ["Algorithms 1–3"]
+        "The DP matches an independent optimality oracle on feasibility, final machine count \
+         and cost"
+        => "`verify::plan::check_plan_optimality`";
+    ForecastFinite = "FOR-01" ["§5"]
+        "Predictions are finite and non-NaN; the production path (`OnlinePredictor::forecast`) \
+         additionally clamps negatives to zero"
+        => "`verify::forecast::check_curve` / `check_curve_finite`";
+    ForecastPeriodicity = "FOR-02" ["§5.1"]
+        "SPAR reproduces a strictly periodic signal over future periods"
+        => "`verify::forecast::check_spar_periodicity`";
+    TelemetryReconfigPairing = "TEL-01" ["§4.4 (moves terminate)"]
+        "Every `span_begin` in a trace has exactly one matching `span_end` — reconfigurations \
+         in particular always terminate"
+        => "`pstore_telemetry::trace::span_errors` via `verify::telemetry::check_trace_spans`; \
+            enforced on files by `pstore-trace` (exit 1)";
+    TelemetrySpanNesting = "TEL-02" ["docs/observability.md"]
+        "Span events nest LIFO: an end closes the innermost open span, ids are unique among \
+         open spans, no span dangles at end of trace"
+        => "`pstore_telemetry::trace::span_errors` via `verify::telemetry::check_trace_spans`; \
+            enforced on files by `pstore-trace` (exit 1)";
+    TelemetryHistogramMerge = "TEL-03" ["docs/observability.md"]
+        "Histogram merging is associative and commutative on bucket contents (per-phase \
+         histograms combine in any order without changing percentiles)"
+        => "`verify::telemetry::check_histogram_merge`; proptest in \
+            `crates/verify/tests/proptest_telemetry.rs`";
+    TelemetryOrdering = "TEL-04" ["docs/observability.md"]
+        "Trace events are totally ordered: `seq` strictly increases; sim time `t` never \
+         regresses while a span is open (resets are legal only at an empty span stack — the \
+         boundary between concatenated per-cell traces)"
+        => "`pstore_telemetry::trace::order_errors` via `verify::telemetry::check_trace_order`; \
+            enforced on files by `pstore-trace report` (exit 1)";
+    TelemetryProfileConservation = "TEL-05" ["docs/observability.md"]
+        "The span profiler conserves time: a parent's total time covers the sum of its \
+         children's totals (self time never negative), and the flamegraph-folded output \
+         re-sums to the tree it renders"
+        => "`Profile::conservation_errors` / `folded_resum_errors` via \
+            `verify::telemetry::check_profile_conservation`; proptests in \
+            `crates/verify/tests/proptest_telemetry.rs`";
+    TelemetryTxnLifecycle = "TEL-06" ["docs/observability.md"]
+        "Every traced transaction's lifecycle is well-formed: a `txn_arrive` is terminally \
+         resolved by exactly one `txn_commit`/`txn_abort`, no `txn_*` event references an \
+         unopened id, and terminal attribution sums — `queue + exec + stall == total`"
+        => "`verify::telemetry::check_txn_lifecycle`; swept with sampled txn traffic by \
+            `pstore-verify`; e2e in `crates/sim/tests/txn_trace.rs`";
+    ConcurrencyQueueIntegrity = "CON-01" ["§8 (experiment grids)"]
+        "Work-queue integrity: every cell is executed exactly once and its result lands in \
+         its own slot — panicking or stalling cells included, with failures attributed to the \
+         right cell"
+        => "`verify::concurrency::check_queue_integrity`";
+    ConcurrencyMergeBarrier = "CON-02" ["§8 (determinism contract)"]
+        "Merge barrier: the ordered merge of results and telemetry begins only after every \
+         cell's writes are visible (the scope's join is the happens-before edge from each \
+         worker to the merge) and forwards cell by cell"
+        => "`verify::concurrency::check_merge_barrier`";
+    ConcurrencyRegistryIsolation = "CON-03" ["docs/observability.md"]
+        "Registry isolation: a cell never observes another cell's telemetry-registry state, \
+         even when one worker runs two cells back-to-back"
+        => "`verify::concurrency::check_registry_isolation`";
+    TxnReadWriteSets = "TXN-01" ["§4.2 (Squall reconfiguration)"]
+        "A transaction's read/write-set record is consistent with migration state: \
+         destination-side accesses (`dest_reads`/`dest_writes`) and restarts occur only while \
+         its slot is migrating, destination counts never exceed the totals, and the record \
+         (like any restart) lands on the slot the transaction arrived at"
+        => "`verify::telemetry::check_txn_rwsets`; swept with sampled txn traffic by \
+            `pstore-verify`; e2e in `crates/sim/tests/txn_trace.rs`";
+    IsoDsgAcyclic = "ISO-01" ["§4.2 (transparent migration; IsoPredict DSG)"]
+        "The direct serialization graph over sampled key-level histories is acyclic — the \
+         execution is conflict-serializable, and any violation is reported as a named \
+         dependency cycle (`T5 -WW(t0:k)-> T7 -RW(t0:j)-> T5`)"
+        => "`verify::iso::check_dsg_acyclic`; seeded lost-update / write-skew twins in \
+            `crates/verify/tests/iso_seeded_bugs.rs`; proptests in `iso_proptests.rs`";
+    IsoReadCommitOrder = "ISO-02" ["§4.2 (commit-order equivalence)"]
+        "Every read observes a version installed at or before the reader's commit position — \
+         no read from the future, and the commit order is its own serial witness (every DSG \
+         edge points forward)"
+        => "`verify::iso::check_read_commit_order` + `serial_witness_errors`; seeded \
+            future-read twin";
+    IsoRestartIntegrity = "ISO-03" ["§4.2 (Squall restart semantics)"]
+        "Restarted transactions leave no orphan versions: each version has exactly one \
+         installer, per-key versions never regress in commit order, and a transaction never \
+         reads its own key past its last install"
+        => "`verify::iso::check_restart_integrity`";
+    ProvLedgerConservation = "PRV-01" ["Fig 9 (capacity over/under-provision areas)"]
+        "The capacity ledger conserves machine-seconds: `provisioned`, `ideal`, `over` and \
+         `under` each equal an independent integration of the raw `prov_interval` stream (with \
+         `ideal = ceil(observed/Q)·interval`, the Fig 9 area construction), `provisioned - \
+         ideal = over - under` holds as an identity, interval indices never duplicate, and \
+         each reconfiguration's endpoints, chunk count and byte total agree with the \
+         `prov_chunk` moves attributed to it"
+        => "`verify::prov::check_prov_ledger`; proptests in \
+            `crates/verify/tests/prov_proptests.rs`";
+    ProvDecisionCausality = "PRV-02" ["§6 (decisions start D ahead of demand)"]
+        "Decision causality: decision ids are unique, every `prov_reconfig` carries the id of \
+         exactly one known decision, no decision causes two reconfigurations, a \
+         reconfiguration never starts before its decision, and a predictive decision (lead ≥ \
+         1) starts its reconfiguration early enough to finish the lead ahead of the interval \
+         it provisioned for"
+        => "`verify::prov::check_prov_causality`";
+    ProvForecastBookkeeping = "PRV-03" ["§5 (per-horizon forecast scoring)"]
+        "Exactly-once forecast scoring: each `(model, horizon, target-interval)` triple is \
+         scored at most once, and every score's `observed` value equals the load the matching \
+         `prov_interval` actually recorded — accuracy numbers (MAPE/bias per horizon) are \
+         computed against reality, not against a restated forecast"
+        => "`verify::prov::check_prov_forecast_bookkeeping`";
 }
 
 impl fmt::Display for InvariantId {
@@ -318,88 +292,28 @@ mod tests {
     }
 
     #[test]
-    fn concurrency_codes_follow_family_convention() {
-        let family = [
-            InvariantId::ConcurrencyQueueIntegrity,
-            InvariantId::ConcurrencyMergeBarrier,
-            InvariantId::ConcurrencyRegistryIsolation,
-        ];
-        for (i, id) in family.iter().enumerate() {
-            assert_eq!(id.code(), format!("CON-{:02}", i + 1));
-            assert!(!id.paper_ref().is_empty());
+    fn every_registry_row_is_unique_numbered_and_described() {
+        let mut codes = std::collections::BTreeSet::new();
+        let mut rows_in_family = std::collections::BTreeMap::new();
+        for &id in InvariantId::ALL {
+            let code = id.code();
+            assert!(codes.insert(code), "{code} is registered twice");
+            let family = code.split_once('-').map_or(code, |(family, _)| family);
+            let rows = rows_in_family.entry(family).or_insert(0);
+            *rows += 1;
+            assert_eq!(
+                code,
+                format!("{family}-{rows:02}"),
+                "{family} must be numbered 01.. without gaps, in registry order"
+            );
+            for (what, text) in [
+                ("summary", id.summary()),
+                ("paper ref", id.paper_ref()),
+                ("checker", id.checker()),
+            ] {
+                assert!(!text.trim().is_empty(), "{code} has an empty {what}");
+            }
         }
-        let v = Violation::new(
-            InvariantId::ConcurrencyQueueIntegrity,
-            "sweep threads=4",
-            "cell 3 missing from results",
-        );
-        assert!(v.to_string().contains("CON-01"));
-    }
-
-    #[test]
-    fn telemetry_codes_follow_family_convention() {
-        let family = [
-            InvariantId::TelemetryReconfigPairing,
-            InvariantId::TelemetrySpanNesting,
-            InvariantId::TelemetryHistogramMerge,
-            InvariantId::TelemetryOrdering,
-            InvariantId::TelemetryProfileConservation,
-            InvariantId::TelemetryTxnLifecycle,
-        ];
-        for (i, id) in family.iter().enumerate() {
-            assert_eq!(id.code(), format!("TEL-{:02}", i + 1));
-            assert!(!id.paper_ref().is_empty());
-        }
-    }
-
-    #[test]
-    fn prov_codes_follow_family_convention() {
-        let family = [
-            InvariantId::ProvLedgerConservation,
-            InvariantId::ProvDecisionCausality,
-            InvariantId::ProvForecastBookkeeping,
-        ];
-        for (i, id) in family.iter().enumerate() {
-            assert_eq!(id.code(), format!("PRV-{:02}", i + 1));
-            assert!(!id.paper_ref().is_empty());
-        }
-        let v = Violation::new(
-            InvariantId::ProvDecisionCausality,
-            "prov reactive run",
-            "reconfig id 3 has no matching decision",
-        );
-        assert!(v.to_string().contains("PRV-02"));
-    }
-
-    #[test]
-    fn txn_family_has_code_and_paper_ref() {
-        assert_eq!(InvariantId::TxnReadWriteSets.code(), "TXN-01");
-        assert!(InvariantId::TxnReadWriteSets.paper_ref().contains("Squall"));
-        let v = Violation::new(
-            InvariantId::TxnReadWriteSets,
-            "txn 42",
-            "dest write outside migration",
-        );
-        assert!(v.to_string().contains("TXN-01"));
-    }
-
-    #[test]
-    fn iso_codes_follow_family_convention() {
-        let family = [
-            InvariantId::IsoDsgAcyclic,
-            InvariantId::IsoReadCommitOrder,
-            InvariantId::IsoRestartIntegrity,
-        ];
-        for (i, id) in family.iter().enumerate() {
-            assert_eq!(id.code(), format!("ISO-{:02}", i + 1));
-            assert!(!id.paper_ref().is_empty());
-        }
-        let v = Violation::new(
-            InvariantId::IsoDsgAcyclic,
-            "history",
-            "cycle T5 -WW(k)-> T7 -RW(k)-> T5",
-        );
-        assert!(v.to_string().contains("ISO-01"));
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl SystemParams {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // tests assert exact rational arithmetic
+    #![allow(clippy::float_cmp, reason = "tests assert exact rational arithmetic")]
     use super::*;
 
     #[test]

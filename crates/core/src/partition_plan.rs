@@ -37,7 +37,10 @@ impl SlotPlan {
     ///
     /// # Panics
     /// Panics if `machines == 0` or `num_slots < machines`.
-    #[allow(clippy::cast_possible_truncation)] // the modulo bounds each id below `machines`
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "the modulo bounds each id below `machines`"
+    )]
     pub fn balanced(machines: u32, num_slots: usize) -> Self {
         assert!(machines > 0, "need at least one machine");
         assert!(

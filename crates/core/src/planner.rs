@@ -128,7 +128,11 @@ const UNREACHABLE: Cell = Cell {
 };
 
 /// Equation 3 in whole intervals, rounded up; 0 for the "do nothing" move.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of a non-negative time
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "ceil of a non-negative time"
+)]
 fn move_intervals(cfg: &PlannerConfig, b: u32, a: u32) -> usize {
     if b == a {
         return 0;

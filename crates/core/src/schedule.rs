@@ -176,7 +176,10 @@ impl MigrationSchedule {
     }
 
     /// Number of machines allocated during round `i`.
-    #[allow(clippy::cast_possible_truncation)] // at most `max(B, A)` transient machines
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "at most `max(B, A)` transient machines"
+    )]
     pub fn machines_in_round(&self, i: usize) -> u32 {
         let stable = self.b.min(self.a);
         let transient = self
@@ -611,7 +614,11 @@ pub fn peak_parallelism(schedule: &MigrationSchedule) -> usize {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // tests assert exact rational arithmetic on tiny counts
+    #![allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact rational arithmetic on tiny counts"
+    )]
     use super::*;
     use crate::cost_model::{avg_machines_allocated, max_parallel_transfers};
 

@@ -50,7 +50,11 @@ impl ReferencePlanner {
         }
     }
 
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ceil of a non-negative time
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "ceil of a non-negative time"
+    )]
     fn move_intervals(&self, b: u32, a: u32) -> usize {
         if b == a {
             return 0;

@@ -204,7 +204,10 @@ impl Cluster {
         let plan = SlotPlan::balanced(initial_nodes, cfg.num_slots);
         let num_tables = catalog.len();
         let route_node = plan.assignments().to_vec();
-        #[allow(clippy::cast_possible_truncation)] // the bucket is below P, a u32
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "the bucket is below P, a u32"
+        )]
         let route_local: Vec<u32> = (0..cfg.num_slots as u64)
             .map(|slot| bucket_of(&slot.to_le_bytes(), cfg.partitions_per_node as u64) as u32)
             .collect();
@@ -289,7 +292,10 @@ impl Cluster {
     /// The node currently serving `slot`. In-flight slots keep routing to
     /// their migration source until the last chunk lands; the cache entry
     /// flips to the destination at that moment.
-    #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "slot ids fit usize on supported targets"
+    )]
     pub fn node_of_slot(&self, slot: u64) -> u32 {
         self.route_node[slot as usize]
     }
@@ -300,7 +306,10 @@ impl Cluster {
     /// slot-to-node assignment — `slot % machines` and `slot % P` share
     /// factors, which would leave some (node, partition) combinations
     /// permanently empty. Precomputed per slot at construction.
-    #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "slot ids fit usize on supported targets"
+    )]
     pub fn local_of_slot(&self, slot: u64) -> u32 {
         self.route_local[slot as usize]
     }
@@ -353,7 +362,10 @@ impl Cluster {
     ///
     /// # Errors
     /// Propagates the procedure's [`TxnError`] on abort.
-    #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "slot ids fit usize on supported targets"
+    )]
     pub fn execute_traced(
         &mut self,
         proc: &dyn Procedure,
@@ -388,7 +400,10 @@ impl Cluster {
     }
 
     /// `(node, local, in_flight)` routing of a slot.
-    #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "slot ids fit usize on supported targets"
+    )]
     fn routing_of(&self, slot: u64) -> (u32, u32, Option<(u32, u32)>) {
         let node = self.route_node[slot as usize];
         let dest = self.route_dest[slot as usize];
@@ -566,7 +581,10 @@ impl Cluster {
     /// # Errors
     /// Returns [`ReconfigError::NotRunning`] outside a reconfiguration and
     /// [`ReconfigError::NoSuchPair`] for an index the running one lacks.
-    #[allow(clippy::cast_possible_truncation)] // slot ids fit usize on supported targets
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "slot ids fit usize on supported targets"
+    )]
     pub fn migrate_chunk(
         &mut self,
         pair_idx: usize,

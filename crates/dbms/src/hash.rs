@@ -122,7 +122,11 @@ pub type FxBuild = BuildHasherDefault<FxHasher>;
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // tests use exact values and tiny ids
+    #![allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests use exact values and tiny ids"
+    )]
     use super::*;
     use crate::catalog::Catalog;
     use crate::cluster::{Cluster, ClusterConfig};

@@ -85,7 +85,10 @@ pub fn imbalance(loads: &[f64]) -> f64 {
 /// Detects imbalance and proposes a greedy hot-slot relocation plan, or
 /// `None` when the load is already within the threshold (or there is
 /// nothing to move).
-#[allow(clippy::cast_possible_truncation)] // slot ids and node indices fit their targets
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "slot ids and node indices fit their targets"
+)]
 pub fn plan_rebalance(
     plan: &SlotPlan,
     accesses: &HashMap<u64, u64>,
@@ -155,7 +158,11 @@ pub fn plan_rebalance(
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // tests use exact values and tiny ids
+    #![allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests use exact values and tiny ids"
+    )]
     use super::*;
 
     fn uniform_accesses(num_slots: usize, per_slot: u64) -> HashMap<u64, u64> {

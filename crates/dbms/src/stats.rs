@@ -55,7 +55,7 @@ impl SkewSummary {
     /// detailed simulator records into the telemetry metrics registry and
     /// `table0_uniformity` reads back.
     pub fn gauge_entries(&self, prefix: &str) -> Vec<(String, f64)> {
-        #[allow(clippy::cast_precision_loss)] // partition counts are tiny
+        #[allow(clippy::cast_precision_loss, reason = "partition counts are tiny")]
         let partitions = self.partitions as f64;
         vec![
             (format!("{prefix}.partitions"), partitions),
@@ -81,7 +81,11 @@ impl std::fmt::Display for SkewSummary {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // tests use exact values and tiny ids
+    #![allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests use exact values and tiny ids"
+    )]
     use super::*;
 
     #[test]

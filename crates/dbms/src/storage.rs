@@ -218,7 +218,10 @@ impl Storage {
 
     /// Per-partition report: `(node, local, accesses, bytes, rows)` for
     /// every store, in `(node, local)` order.
-    #[allow(clippy::cast_possible_truncation)] // node/partition indices fit u32
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "node/partition indices fit u32"
+    )]
     pub fn report(&self) -> Vec<(u32, u32, u64, usize, usize)> {
         let mut out = Vec::new();
         for (n, node) in self.stores.iter().enumerate() {
@@ -252,7 +255,10 @@ impl Storage {
     }
 
     /// Integrity snapshot of every store.
-    #[allow(clippy::cast_possible_truncation)] // node/partition indices fit u32
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "node/partition indices fit u32"
+    )]
     pub fn integrity(&self) -> Vec<StoreIntegrity> {
         let mut out = Vec::new();
         for (n, node) in self.stores.iter().enumerate() {

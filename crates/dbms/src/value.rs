@@ -351,8 +351,10 @@ impl KeyValue {
             }
             KeyValue::Str(s) => {
                 out.push(4);
-                // Keys are tiny; the serialised format caps strings at 4 GiB.
-                #[allow(clippy::cast_possible_truncation)]
+                #[allow(
+                    clippy::cast_possible_truncation,
+                    reason = "keys are tiny; the serialised format caps strings at 4 GiB"
+                )]
                 out.extend_from_slice(&(s.len() as u32).to_le_bytes());
                 out.extend_from_slice(s.as_bytes());
             }
@@ -375,8 +377,10 @@ impl KeyValue {
             KeyValue::Str(s) if s.len() <= 59 => {
                 let mut buf = [0u8; 64];
                 buf[0] = 4;
-                // Keys are tiny; the serialised format caps strings at 4 GiB.
-                #[allow(clippy::cast_possible_truncation)]
+                #[allow(
+                    clippy::cast_possible_truncation,
+                    reason = "keys are tiny; the serialised format caps strings at 4 GiB"
+                )]
                 buf[1..5].copy_from_slice(&(s.len() as u32).to_le_bytes());
                 buf[5..5 + s.len()].copy_from_slice(s.as_bytes());
                 f(&buf[..5 + s.len()])

@@ -1,4 +1,4 @@
-#![allow(clippy::cast_possible_truncation)] // test slot ids are tiny
+#![allow(clippy::cast_possible_truncation, reason = "test slot ids are tiny")]
 
 //! Model-based property tests: the engine must behave exactly like a flat
 //! in-memory map, no matter how operations interleave with live

@@ -192,7 +192,11 @@ impl LoadPredictor for ArmaModel {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // tests assert exact rational arithmetic on tiny values
+    #![allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact rational arithmetic on tiny values"
+    )]
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};

@@ -118,7 +118,11 @@ pub fn decompose(data: &[f64], period: usize) -> Decomposition {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // tests assert exact rational arithmetic on tiny values
+    #![allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact rational arithmetic on tiny values"
+    )]
     use super::*;
 
     fn wave(period: usize, len: usize, amp: f64, slope: f64) -> Vec<f64> {

@@ -133,8 +133,11 @@ pub fn suggest_inflation(
     }
     assert!(!ratios.is_empty(), "no origins to calibrate on");
     ratios.sort_by(f64::total_cmp);
-    // quantile is in [0, 1] and ceil() >= 0, so the cast is exact.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "quantile is in [0, 1] and ceil() >= 0, so the cast is exact"
+    )]
     let idx = ((ratios.len() as f64 * quantile).ceil() as usize).clamp(1, ratios.len()) - 1;
     ratios[idx].max(1.0)
 }

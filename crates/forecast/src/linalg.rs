@@ -403,7 +403,11 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // tests assert exact rational arithmetic on tiny values
+    #![allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact rational arithmetic on tiny values"
+    )]
     use super::*;
 
     fn assert_close(a: f64, b: f64, tol: f64) {

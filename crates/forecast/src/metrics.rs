@@ -84,7 +84,11 @@ pub fn smape(pred: &[f64], actual: &[f64]) -> Option<f64> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // tests assert exact rational arithmetic on tiny values
+    #![allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact rational arithmetic on tiny values"
+    )]
     use super::*;
 
     #[test]

@@ -120,7 +120,10 @@ impl TimeSeries {
     ///
     /// # Panics
     /// Panics if `factor` is zero.
-    #[allow(clippy::cast_possible_truncation)] // factors are tiny (e.g. 60)
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "factors are tiny (e.g. 60)"
+    )]
     pub fn downsample_sum(&self, factor: usize) -> TimeSeries {
         assert!(factor > 0, "factor must be positive");
         let values: Vec<f64> = self
@@ -192,7 +195,11 @@ impl fmt::Display for TimeSeries {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // tests assert exact rational arithmetic on tiny values
+    #![allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact rational arithmetic on tiny values"
+    )]
     use super::*;
 
     fn minutes(n: u64) -> Duration {

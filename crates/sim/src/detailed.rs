@@ -20,12 +20,11 @@
 //!   ([`MigrationSchedule`]), so machines are allocated just-in-time and
 //!   the cost accounting matches Algorithm 4.
 
-// The discrete-event simulation quantises continuous time and load into
-// slots and byte counts, and panics on broken scenario setup by design.
 #![allow(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::expect_used
+    clippy::expect_used,
+    reason = "the event loop quantises time and load into slots and bytes, and panics on broken setup by design"
 )]
 use crate::control::{ControlLoop, MoveLedger};
 use crate::latency::{
@@ -722,9 +721,15 @@ fn record_skew_sample(cluster: &Cluster) {
         return;
     }
     let report = cluster.partition_report();
-    #[allow(clippy::cast_precision_loss)] // access/byte counts are far below 2^53
+    #[allow(
+        clippy::cast_precision_loss,
+        reason = "access/byte counts are far below 2^53"
+    )]
     let access: Vec<f64> = report.iter().map(|r| r.2 as f64).collect();
-    #[allow(clippy::cast_precision_loss)]
+    #[allow(
+        clippy::cast_precision_loss,
+        reason = "access/byte counts are far below 2^53"
+    )]
     let data: Vec<f64> = report.iter().map(|r| r.3 as f64).collect();
     for (prefix, values) in [("skew.access", &access), ("skew.data", &data)] {
         let Some(summary) = SkewSummary::from_values(values) else {
@@ -814,7 +819,7 @@ pub fn per_interval_load(load_per_s: &[f64], interval_s: f64) -> Vec<f64> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // tests assert exact rational arithmetic
+    #![allow(clippy::float_cmp, reason = "tests assert exact rational arithmetic")]
     use super::*;
     use pstore_core::controller::baselines::StaticController;
     use pstore_core::controller::forecaster::OracleForecaster;

@@ -20,9 +20,11 @@
 //! assert_eq!(r.insufficient_slots, 0); // 4 x 350 > 800
 //! ```
 
-// The fast simulator quantises migration progress into rounds and f32
-// timelines.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the fast simulator quantises migration progress into rounds and f32 timelines"
+)]
 use crate::control::{ControlLoop, MoveLedger};
 use pstore_core::controller::Strategy;
 use pstore_core::cost_model::{eff_cap, move_time};
@@ -132,7 +134,7 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
     let mut capacity_timeline = Vec::new();
 
     for (slot, &demand) in load.iter().enumerate() {
-        #[allow(clippy::cast_precision_loss)] // slot counts are far below 2^53
+        #[allow(clippy::cast_precision_loss, reason = "slot counts are far below 2^53")]
         let now = slot as f64 * cfg.slot_duration_s;
         if tel::enabled() {
             tel::set_time(now);
@@ -214,7 +216,7 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // tests assert exact rational arithmetic
+    #![allow(clippy::float_cmp, reason = "tests assert exact rational arithmetic")]
     use super::*;
     use pstore_core::controller::baselines::{SimpleController, StaticController};
     use pstore_core::controller::forecaster::OracleForecaster;

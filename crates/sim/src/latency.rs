@@ -6,9 +6,11 @@
 //! (§8.2, Table 2). Fig 10 plots CDFs of the top 1% of those per-second
 //! percentiles.
 
-// Latency accounting buckets continuous completion times into whole
-// seconds and sample indices.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "latency accounting buckets completion times into whole seconds and sample indices"
+)]
 use pstore_telemetry::Histogram;
 use std::collections::VecDeque;
 
@@ -288,7 +290,7 @@ pub fn cdf_points(sorted_values: &[f64], resolution: usize) -> Vec<(f64, f64)> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // tests assert exact rational arithmetic
+    #![allow(clippy::float_cmp, reason = "tests assert exact rational arithmetic")]
     use super::*;
 
     #[test]

@@ -7,8 +7,11 @@
 //! trace days fit in a 7.2-hour experiment. Helpers here build the
 //! compressed load curves and the paper-configured controllers.
 
-// Scenario construction quantises trace time into whole slots.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "scenario construction quantises trace time into whole slots"
+)]
 use crate::detailed::per_interval_load;
 use pstore_core::controller::baselines::{SimpleController, StaticController};
 use pstore_core::controller::forecaster::{OracleForecaster, SparForecaster};
@@ -345,7 +348,7 @@ pub fn oracle_ticks(wall_seconds: &[f64], monitor_interval_s: f64) -> Vec<f64> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // tests assert exact rational arithmetic
+    #![allow(clippy::float_cmp, reason = "tests assert exact rational arithmetic")]
     use super::*;
 
     #[test]

@@ -4,8 +4,9 @@
 #![allow(
     clippy::float_cmp,
     clippy::cast_possible_truncation,
-    clippy::cast_sign_loss
-)] // tests assert exact values and cast tiny bounded quantities
+    clippy::cast_sign_loss,
+    reason = "tests assert exact values and cast tiny bounded quantities"
+)]
 
 use proptest::prelude::*;
 use pstore_core::controller::baselines::{SimpleController, StaticController};

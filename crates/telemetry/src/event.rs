@@ -45,7 +45,10 @@ impl Value {
 
     /// The value as `f64` (integers widen losslessly up to 2^53).
     pub fn as_f64(&self) -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)] // telemetry readout, 2^53 is ample
+        #[allow(
+            clippy::cast_precision_loss,
+            reason = "telemetry readout, 2^53 is ample"
+        )]
         match self {
             Value::U64(v) => Some(*v as f64),
             Value::I64(v) => Some(*v as f64),
@@ -220,11 +223,12 @@ impl Event {
             Some(_) => return Err("\"t\" is not a number".to_string()),
         };
         let wall_us = match obj.get("wall_us") {
-            Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                // checked non-negative integral above
-                Some(*n as u64)
-            }
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the guard checks non-negative and integral"
+            )]
+            Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             Some(Json::Null) | None => None,
             Some(_) => return Err("\"wall_us\" is not a non-negative integer".to_string()),
         };
@@ -244,8 +248,11 @@ impl Event {
             };
             fields.push((k.clone(), value));
         }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // checked non-negative integral above
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "checked non-negative integral above"
+        )]
         let seq = seq as u64;
         Ok(Event {
             seq,
@@ -349,8 +356,11 @@ pub fn parse_key_versions(text: &str) -> Result<Vec<(u64, String, u64)>, String>
 /// A non-negative whole number below 2^53 as a count — exactly the numbers
 /// a JSONL trace reads back as [`Value::U64`] (`300.0` is written `300`).
 pub fn whole(n: f64) -> Option<u64> {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    // guarded: integral, in-range, non-negative
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "guarded: integral, in-range, non-negative"
+    )]
     (n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n)).then_some(n as u64)
 }
 
@@ -358,7 +368,7 @@ fn num_to_value(n: f64) -> Value {
     if let Some(count) = whole(n) {
         Value::U64(count)
     } else if n.fract() == 0.0 && (-9_007_199_254_740_992.0..0.0).contains(&n) {
-        #[allow(clippy::cast_possible_truncation)] // integral, in i64 range
+        #[allow(clippy::cast_possible_truncation, reason = "integral, in i64 range")]
         Value::I64(n as i64)
     } else {
         Value::F64(n)

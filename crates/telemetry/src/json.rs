@@ -321,7 +321,7 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // exact round-trips asserted on purpose
+    #![allow(clippy::float_cmp, reason = "exact round-trips asserted on purpose")]
     use super::*;
 
     #[test]

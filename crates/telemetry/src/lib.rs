@@ -44,7 +44,6 @@ pub mod prov;
 pub mod sink;
 pub mod slo;
 pub mod summary;
-pub mod sync;
 pub mod timeline;
 pub mod trace;
 
@@ -56,9 +55,10 @@ pub use sink::{JsonlSink, MemorySink, MemorySinkHandle, NoopSink, Sink};
 pub use slo::{RunSlo, SlaWindow};
 pub use summary::RunSummary;
 
-use crate::sync::{AtomicU64, OnceLock, Ordering};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 thread_local! {
@@ -427,6 +427,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the registry is thread-local, and a second thread is what shows it"
+    )]
     fn registry_is_per_thread() {
         reset_registry();
         with_registry(|r| r.inc_counter("c", 1));

@@ -80,7 +80,7 @@ impl Histogram {
         if self.count == 0 {
             0.0
         } else {
-            #[allow(clippy::cast_precision_loss)] // counts far below 2^52
+            #[allow(clippy::cast_precision_loss, reason = "counts far below 2^52")]
             {
                 self.sum / self.count as f64
             }
@@ -116,9 +116,9 @@ impl Histogram {
         #[allow(
             clippy::cast_precision_loss,
             clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
+            clippy::cast_sign_loss,
+            reason = "rank fits u64 because count does; q clamped below"
         )]
-        // rank fits u64 because count does; q clamped below
         let rank = ((self.count as f64 * q.clamp(0.0, 1.0)).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, c) in self.counts.iter().enumerate() {
@@ -197,9 +197,9 @@ fn bucket_index(v: f64) -> usize {
     #[allow(
         clippy::cast_possible_truncation,
         clippy::cast_sign_loss,
-        clippy::cast_precision_loss
+        clippy::cast_precision_loss,
+        reason = "octaves > 0 here; index clamped to the table"
     )]
-    // octaves > 0 here; index clamped to the table
     let idx = (octaves * SUB_BUCKETS as f64).floor() as usize + 1;
     idx.min(BUCKETS - 1)
 }
@@ -209,7 +209,7 @@ fn bucket_upper(i: usize) -> f64 {
     if i == 0 {
         return MIN_VALUE;
     }
-    #[allow(clippy::cast_precision_loss)] // i <= BUCKETS
+    #[allow(clippy::cast_precision_loss, reason = "i <= BUCKETS")]
     {
         MIN_VALUE * 2f64.powf(i as f64 / SUB_BUCKETS as f64)
     }
@@ -348,9 +348,11 @@ mod tests {
             h.record(*s);
         }
         for q in [0.5, 0.95, 0.99] {
-            // Rank is ceil(q * 1000) for q in (0, 1]: small, positive,
-            // exactly representable — the casts cannot truncate or flip.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "rank is ceil(q * 1000) for q in (0, 1]: small and positive"
+            )]
             let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
             let exact = samples[rank - 1];
             // Log buckets with 8 sub-buckets per octave: <= 9% relative.

@@ -40,7 +40,7 @@ impl ProfileClock {
     fn stamp_us(self, e: &Entry) -> Option<f64> {
         match self {
             ProfileClock::Sim => e.t.map(|t| t * 1e6),
-            #[allow(clippy::cast_precision_loss)] // micros far below 2^53
+            #[allow(clippy::cast_precision_loss, reason = "micros far below 2^53")]
             ProfileClock::Wall => e.wall_us.map(|w| w as f64),
         }
     }
@@ -289,7 +289,7 @@ impl Profile {
             let mut nodes_in_subtree = 0u64;
             for l in &lines {
                 if l.path.len() >= prefix.len() && l.path[..prefix.len()] == prefix[..] {
-                    #[allow(clippy::cast_precision_loss)] // micros far below 2^53
+                    #[allow(clippy::cast_precision_loss, reason = "micros far below 2^53")]
                     {
                         resum += l.self_us as f64;
                     }
@@ -298,7 +298,7 @@ impl Profile {
             }
             // Each folded line is rounded to the nearest µs, and clamped
             // self times can under-report by at most the clamp slack.
-            #[allow(clippy::cast_precision_loss)] // node counts far below 2^53
+            #[allow(clippy::cast_precision_loss, reason = "node counts far below 2^53")]
             let tolerance = nodes_in_subtree as f64 + 1e-6 * node.total_us.abs() + 1.0;
             if (resum - node.total_us).abs() > tolerance {
                 errors.push(format!(
@@ -355,8 +355,11 @@ pub fn parse_folded(text: &str) -> Result<Vec<FoldedLine>, String> {
 /// Nearest-microsecond rounding for display (u64 keeps the folded format
 /// integer and platform-independent).
 fn round_us(us: f64) -> u64 {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    // clamped non-negative, far below 2^53 for any real run
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "clamped non-negative, far below 2^53 for any real run"
+    )]
     {
         us.round().max(0.0) as u64
     }
@@ -409,9 +412,11 @@ mod tests {
         } else {
             Record::from(SpanEnd::new(id, name))
         };
-        // Test fixture times are small non-negative floats, so the
-        // microsecond conversion fits u64 without truncation.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "fixture times are small non-negative floats; their micros fit u64"
+        )]
         let wall_us = Some((t * 2e6) as u64); // wall runs at 2x sim
         Entry {
             seq,

@@ -95,7 +95,7 @@ pub struct LedgerTotals {
 pub fn ledger_areas(intervals: &[(u64, f64)], q: f64, interval_s: f64) -> LedgerTotals {
     let mut totals = LedgerTotals::default();
     for &(machines, observed) in intervals {
-        #[allow(clippy::cast_precision_loss)] // machine counts far below 2^53
+        #[allow(clippy::cast_precision_loss, reason = "machine counts far below 2^53")]
         let have = machines as f64;
         let ideal = if q > 0.0 {
             (observed / q).ceil().max(1.0)
@@ -130,7 +130,7 @@ pub fn horizon_accuracy(scores: &[ProvForecast]) -> Vec<HorizonAccuracy> {
         .into_iter()
         .map(
             |((model, horizon), (samples, mape_n, mape_sum, bias_sum))| {
-                #[allow(clippy::cast_precision_loss)] // sample counts far below 2^53
+                #[allow(clippy::cast_precision_loss, reason = "sample counts far below 2^53")]
                 HorizonAccuracy {
                     model,
                     horizon,
@@ -193,7 +193,7 @@ impl RunProv {
     /// monitoring intervals (they don't know wall seconds); the run
     /// header's interval length converts it.
     pub fn lead_s(&self, decision: &ProvDecision) -> f64 {
-        #[allow(clippy::cast_precision_loss)] // interval counts far below 2^53
+        #[allow(clippy::cast_precision_loss, reason = "interval counts far below 2^53")]
         let intervals = decision.lead as f64;
         intervals * self.interval_s
     }
@@ -242,7 +242,10 @@ fn under_forecast_windows(
             }),
         }
     }
-    #[allow(clippy::cast_precision_loss)] // interval indices far below 2^53
+    #[allow(
+        clippy::cast_precision_loss,
+        reason = "interval indices far below 2^53"
+    )]
     for w in &mut windows {
         let lo = w.start as f64 * interval_s;
         let hi = (w.end + 1) as f64 * interval_s;
@@ -323,7 +326,7 @@ pub fn analyze(trace: &[Entry]) -> Vec<RunProv> {
 /// `prov.run{i}.*` per run plus `prov.total.*`.
 pub fn metrics(runs: &[RunProv]) -> Vec<(String, f64)> {
     let mut out = Vec::new();
-    #[allow(clippy::cast_precision_loss)] // counts far below 2^53
+    #[allow(clippy::cast_precision_loss, reason = "counts far below 2^53")]
     for (i, r) in runs.iter().enumerate() {
         out.push((
             format!("prov.run{i}.provisioned_machine_s"),
@@ -357,7 +360,7 @@ pub fn metrics(runs: &[RunProv]) -> Vec<(String, f64)> {
             out.push((format!("prov.run{i}.mape"), mape));
         }
     }
-    #[allow(clippy::cast_precision_loss)] // counts far below 2^53
+    #[allow(clippy::cast_precision_loss, reason = "counts far below 2^53")]
     if !runs.is_empty() {
         out.push((
             "prov.total.over_provision_machine_s".to_string(),
@@ -492,7 +495,10 @@ fn sla_effect(r: &RunProv, t: f64, d: &ProvDecision) -> String {
         .under_forecast
         .iter()
         .filter(|w| {
-            #[allow(clippy::cast_precision_loss)] // interval indices far below 2^53
+            #[allow(
+                clippy::cast_precision_loss,
+                reason = "interval indices far below 2^53"
+            )]
             let lo = w.start as f64 * r.interval_s;
             lo >= t && lo < end
         })
@@ -507,7 +513,7 @@ fn sla_effect(r: &RunProv, t: f64, d: &ProvDecision) -> String {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // tests assert exact arithmetic
+    #![allow(clippy::float_cmp, reason = "tests assert exact arithmetic")]
     use super::*;
     use crate::event::{ProvInterval, ProvRun, Second, SpanBegin, SpanEnd, SpanName};
 
@@ -538,7 +544,7 @@ mod tests {
         )
     }
 
-    #[allow(clippy::cast_precision_loss)] // test interval indices are tiny
+    #[allow(clippy::cast_precision_loss, reason = "test interval indices are tiny")]
     fn interval(k: u64, observed: f64, machines: u64, interval_s: f64) -> Entry {
         Entry::at(
             k as f64 * interval_s,
@@ -561,7 +567,7 @@ mod tests {
         }
     }
 
-    #[allow(clippy::cast_precision_loss)] // test interval indices are tiny
+    #[allow(clippy::cast_precision_loss, reason = "test interval indices are tiny")]
     fn forecast(k: u64, horizon: u64, predicted: f64, observed: f64) -> Entry {
         Entry::at(k as f64 * 30.0, score(k, horizon, predicted, observed))
     }

@@ -127,7 +127,7 @@ fn analyze_run(label: String, run: &[Entry]) -> RunSlo {
                 slo.total_s += s.attr_total;
                 if s.p99 > SLA_THRESHOLD_S {
                     violations.push((s.second, s.p99, s.attr_stall));
-                    #[allow(clippy::cast_precision_loss)] // run lengths far below 2^53
+                    #[allow(clippy::cast_precision_loss, reason = "run lengths far below 2^53")]
                     slo.violation_times.push(e.t.unwrap_or(s.second as f64));
                 }
             }
@@ -175,7 +175,7 @@ fn analyze_run(label: String, run: &[Entry]) -> RunSlo {
         }
     }
     // Correlate each window with migration activity.
-    #[allow(clippy::cast_precision_loss)] // run lengths far below 2^53
+    #[allow(clippy::cast_precision_loss, reason = "run lengths far below 2^53")]
     for w in &mut slo.windows {
         let lo = w.start as f64 - MIGRATION_LEAD_S;
         let hi = w.end as f64 + 1.0;
@@ -205,7 +205,7 @@ pub fn analyze(trace: &[Entry]) -> Vec<RunSlo> {
 /// per run, plus cluster-wide totals under `slo.total.*`.
 pub fn metrics(runs: &[RunSlo]) -> Vec<(String, f64)> {
     let mut out = Vec::new();
-    #[allow(clippy::cast_precision_loss)] // counts far below 2^53
+    #[allow(clippy::cast_precision_loss, reason = "counts far below 2^53")]
     for (i, r) in runs.iter().enumerate() {
         let mig = r
             .windows
@@ -220,7 +220,7 @@ pub fn metrics(runs: &[RunSlo]) -> Vec<(String, f64)> {
         ));
         out.push((format!("slo.run{i}.stall_s"), r.stall_s));
     }
-    #[allow(clippy::cast_precision_loss)] // counts far below 2^53
+    #[allow(clippy::cast_precision_loss, reason = "counts far below 2^53")]
     if !runs.is_empty() {
         out.push((
             "slo.total.windows".to_string(),
@@ -327,7 +327,7 @@ pub fn render(runs: &[RunSlo]) -> String {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::float_cmp)] // tests assert exact arithmetic
+    #![allow(clippy::float_cmp, reason = "tests assert exact arithmetic")]
     use super::*;
     use crate::event::{ChunkMove, Second, SpanBegin, SpanEnd};
 

@@ -32,7 +32,7 @@ impl RunSummary {
         let mut put = |k: &str, v: f64| {
             metrics.insert(k.to_string(), v);
         };
-        #[allow(clippy::cast_precision_loss)] // counts far below 2^53
+        #[allow(clippy::cast_precision_loss, reason = "counts far below 2^53")]
         {
             put("events", report.events as f64);
             put("reconfigs", report.reconfigs.len() as f64);
@@ -46,7 +46,7 @@ impl RunSummary {
             put("span_errors", report.span_errors.len() as f64);
         }
         let mut put_hist = |prefix: &str, h: &Histogram| {
-            #[allow(clippy::cast_precision_loss)] // counts far below 2^53
+            #[allow(clippy::cast_precision_loss, reason = "counts far below 2^53")]
             metrics.insert(format!("{prefix}.count"), h.count() as f64);
             metrics.insert(format!("{prefix}.p50"), h.quantile(0.50));
             metrics.insert(format!("{prefix}.p95"), h.quantile(0.95));
@@ -55,7 +55,7 @@ impl RunSummary {
         };
         put_hist("stable_p99", &report.stable_p99);
         put_hist("reconfig_p99", &report.reconfig_p99);
-        #[allow(clippy::cast_precision_loss)] // counts far below 2^53
+        #[allow(clippy::cast_precision_loss, reason = "counts far below 2^53")]
         metrics.insert(
             "throughput.count".to_string(),
             report.throughput.count() as f64,

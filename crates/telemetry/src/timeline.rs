@@ -93,10 +93,13 @@ pub fn render(
     let nodes = node_count(&seconds, &windows, &moves);
     let span = t_max - t_min;
     let bucket = |t: f64| -> usize {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // clamped into [0, width-1]
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "clamped into [0, width-1]"
+        )]
         {
-            #[allow(clippy::cast_precision_loss)] // width <= 512
+            #[allow(clippy::cast_precision_loss, reason = "width <= 512")]
             let raw = ((t - t_min) / span * width as f64).floor();
             (raw.max(0.0) as usize).min(width - 1)
         }
@@ -144,7 +147,7 @@ pub fn render(
         out,
         "  t = {t_min:.1}s .. {t_max:.1}s  ({:.2}s per column, {width} columns)",
         span / {
-            #[allow(clippy::cast_precision_loss)] // width <= 512
+            #[allow(clippy::cast_precision_loss, reason = "width <= 512")]
             {
                 width as f64
             }

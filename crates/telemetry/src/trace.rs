@@ -400,7 +400,10 @@ impl RunReport {
                     } else {
                         report.stable_p99.record(s.p99);
                     }
-                    #[allow(clippy::cast_precision_loss)] // per-second counts far below 2^53
+                    #[allow(
+                        clippy::cast_precision_loss,
+                        reason = "per-second counts far below 2^53"
+                    )]
                     report.throughput.record(s.throughput as f64);
                 }
                 Record::SlaViolation(_) => report.sla_violations += 1,

@@ -2,7 +2,11 @@
 //! exit codes, and robustness to malformed traces (truncated lines,
 //! unknown kinds, out-of-order seq) — the CLI must report line-numbered
 //! errors and exit non-zero instead of panicking.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers abort loudly on harness failures"
+)]
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};

@@ -246,11 +246,11 @@ fn instrumented_cell(seed: u64) -> Cell<u64> {
             tel::emit(con_tick(i, seed));
             tel::with_registry(|r| {
                 r.inc_counter("con_ticks", 1);
-                #[allow(clippy::cast_precision_loss)] // tiny probe values
+                #[allow(clippy::cast_precision_loss, reason = "tiny probe values")]
                 r.record_histogram("con_lat", 1e-3 * (seed + 1) as f64 * (i + 1) as f64);
             });
         }
-        #[allow(clippy::cast_precision_loss)] // tiny probe values
+        #[allow(clippy::cast_precision_loss, reason = "tiny probe values")]
         tel::with_registry(|r| r.set_gauge("con_last_seed", seed as f64));
         tel::end_span(tel::SpanName::ConWork, span);
         seed * 7

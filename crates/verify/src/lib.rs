@@ -52,6 +52,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod catalogue;
 pub mod concurrency;
 pub mod forecast;
 pub mod iso;

@@ -1,10 +1,11 @@
 //! Checks for move sequences against a planning horizon (Algorithm 2).
 //!
-//! The structural checks `MOV-02..04` (durations, no-op length, chaining
-//! contiguity) live in [`pstore_core::check_moves`] so the producer can
-//! assert them too; this module layers the horizon-tiling check on top: a plan for
-//! a horizon of `t_max` intervals must start at interval 0 and end exactly
-//! at `t_max`, with no gap before the first move or after the last.
+//! The structural checks `MOV-02` (durations), `MOV-03` (no-op length) and
+//! `MOV-04` (chaining contiguity) live in [`pstore_core::check_moves`] so
+//! the producer can assert them too; this module layers the horizon-tiling
+//! check on top: a plan for a horizon of `t_max` intervals must start at
+//! interval 0 and end exactly at `t_max`, with no gap before the first
+//! move or after the last.
 
 use pstore_core::{check_moves, InvariantId, MoveSeq, Violation};
 

@@ -219,8 +219,11 @@ pub fn brute_force_optimum(cfg: &PlannerConfig, load: &[f64], n0: u32) -> Option
             continue;
         }
         for a in 1..=z {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            // ceil of a non-negative finite move time
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "ceil of a non-negative finite move time"
+            )]
             let dur = if a == b {
                 1
             } else {
@@ -283,8 +286,11 @@ pub fn memoised_optimum(cfg: &PlannerConfig, load: &[f64], n0: u32) -> Option<(u
     let mut dur = vec![vec![1usize; zu + 1]; zu + 1];
     for b in 1..=z {
         for a in (b + 1)..=z {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            // ceil of a non-negative finite move time
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "ceil of a non-negative finite move time"
+            )]
             let d =
                 (move_time(b, a, cfg.partitions_per_node, cfg.d_intervals).ceil() as usize).max(1);
             dur[b as usize][a as usize] = d;

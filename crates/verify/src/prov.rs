@@ -184,11 +184,11 @@ pub fn check_prov_ledger(artifact: &str, events: &[Event]) -> Vec<Violation> {
 
         if !run.intervals.is_empty() && run.q > 0.0 {
             // Independent integrals of the raw per-interval stream.
-            #[allow(clippy::cast_precision_loss)] // machine counts far below 2^53
+            #[allow(clippy::cast_precision_loss, reason = "machine counts far below 2^53")]
             let (mut provisioned, mut ideal, mut over, mut under) = (0.0f64, 0.0f64, 0.0, 0.0);
             for &(_, machines, observed) in &run.intervals {
                 let need = (observed / run.q).ceil().max(1.0);
-                #[allow(clippy::cast_precision_loss)] // machine counts far below 2^53
+                #[allow(clippy::cast_precision_loss, reason = "machine counts far below 2^53")]
                 let have = machines as f64;
                 provisioned += have * run.interval_s;
                 ideal += need * run.interval_s;
@@ -319,7 +319,10 @@ pub fn check_prov_causality(artifact: &str, events: &[Event]) -> Vec<Violation> 
                 // The decision provisioned for demand at
                 // `interval + lead`; starting any later than one interval
                 // after the decision tick forfeits the predicted lead.
-                #[allow(clippy::cast_precision_loss)] // interval indices far below 2^53
+                #[allow(
+                    clippy::cast_precision_loss,
+                    reason = "interval indices far below 2^53"
+                )]
                 let latest = (d.interval + 1) as f64 * run.interval_s;
                 if r.start > latest + REL_TOL {
                     violations.push(v(format!(

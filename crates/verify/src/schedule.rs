@@ -1,8 +1,9 @@
 //! Cross-checks for migration schedules (§4.4.1, Table 1, Fig 4).
 //!
 //! [`check_schedule_pair`] plans the scale-out and scale-in schedules for a
-//! machine-count pair and validates, on top of the structural `SCH-01..06`
-//! checks that live in `pstore-core`:
+//! machine-count pair and validates, on top of the structural checks that
+//! live in `pstore-core` (`SCH-01` round count, `SCH-02` matching, `SCH-03`
+//! pair coverage, `SCH-04` presence, `SCH-05` roles, `SCH-06` no-op):
 //!
 //! * `SCH-07` — the scale-in schedule is the exact time-reverse of the
 //!   scale-out schedule with every transfer flipped (§4.4.1).

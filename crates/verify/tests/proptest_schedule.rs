@@ -1,5 +1,6 @@
 //! Property tests: every randomly chosen machine-count pair must plan to a
-//! schedule with zero invariant violations (`SCH-01..09`).
+//! schedule with zero invariant violations: `SCH-01`, `SCH-02`, `SCH-03`,
+//! `SCH-04`, `SCH-05`, `SCH-06`, `SCH-07`, `SCH-08` and `SCH-09` all hold.
 
 use proptest::prelude::*;
 use pstore_verify::schedule::check_schedule_pair;

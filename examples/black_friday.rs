@@ -4,7 +4,11 @@
 //!
 //! Run with: `cargo run --release --example black_friday`
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // example code: abort loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "example code: abort loudly"
+)]
 use pstore::core::controller::manual::{ManualOverride, Reservation};
 use pstore::core::params::SystemParams;
 use pstore::forecast::generators::B2wLoadModel;

@@ -5,7 +5,11 @@
 //!
 //! Run with: `cargo run --release --example live_migration`
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // example code: abort loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "example code: abort loudly"
+)]
 use pstore::b2w::generator::{WorkloadConfig, WorkloadGenerator};
 use pstore::b2w::schema::b2w_catalog;
 use pstore::dbms::cluster::{Cluster, ClusterConfig};

@@ -2,7 +2,11 @@
 //! schedule — the P-Store pipeline in ~60 lines.
 //!
 //! Run with: `cargo run --release --example quickstart`
-#![allow(clippy::expect_used, clippy::unwrap_used)] // example code: abort loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "example code: abort loudly"
+)]
 
 use pstore::core::planner::{Planner, PlannerConfig};
 use pstore::core::schedule::MigrationSchedule;

@@ -4,7 +4,11 @@
 //!
 //! Run with: `cargo run --release --example retail_day`
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // example code: abort loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "example code: abort loudly"
+)]
 use pstore::core::params::SystemParams;
 use pstore::sim::detailed::{run_detailed, DetailedSimConfig};
 use pstore::sim::latency::SLA_THRESHOLD_S;

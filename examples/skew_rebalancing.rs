@@ -4,7 +4,11 @@
 //!
 //! Run with: `cargo run --release --example skew_rebalancing`
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // example code: abort loudly
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "example code: abort loudly"
+)]
 use pstore::b2w::generator::{WorkloadConfig, WorkloadGenerator};
 use pstore::b2w::procedures::GetStockQuantity;
 use pstore::b2w::schema::b2w_catalog;

@@ -1,5 +1,8 @@
 //! End-to-end tests of the `pstore` CLI binary.
-#![allow(clippy::expect_used)] // test helpers abort loudly on harness failures
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers abort loudly on harness failures"
+)]
 
 use std::process::Command;
 

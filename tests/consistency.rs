@@ -1,7 +1,11 @@
 //! Cross-crate consistency: the engine must preserve benchmark invariants
 //! through arbitrary live reconfigurations under traffic.
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // test helpers abort loudly on harness failures
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test helpers abort loudly on harness failures"
+)]
 use pstore::b2w::generator::{WorkloadConfig, WorkloadGenerator};
 use pstore::b2w::procedures::GetStock;
 use pstore::b2w::schema::{b2w_catalog, tables};

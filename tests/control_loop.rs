@@ -2,7 +2,7 @@
 //! strategy they must show it the same observations up to the first move
 //! and accept the same request at the same tick.
 
-#![allow(clippy::float_cmp)] // machine counts are small exact integers
+#![allow(clippy::float_cmp, reason = "machine counts are small exact integers")]
 
 use pstore::core::controller::{Action, Observation, ReconfigRequest, Strategy};
 use pstore::core::params::SystemParams;

@@ -1,7 +1,12 @@
 //! End-to-end integration: predictor + planner + controller + engine +
 //! benchmark, exercised together through the detailed simulator.
 
-#![allow(clippy::expect_used, clippy::unwrap_used, clippy::float_cmp)] // test helpers abort loudly; exact-value asserts
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "test helpers abort loudly; exact-value asserts"
+)]
 use pstore::core::controller::baselines::StaticController;
 use pstore::core::params::SystemParams;
 use pstore::sim::detailed::{run_detailed, DetailedSimConfig};

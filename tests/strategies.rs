@@ -1,7 +1,11 @@
 //! Long-horizon strategy ordering: the Fig 12 relationships must hold on
 //! the fast simulator over a synthetic month.
 
-#![allow(clippy::expect_used, clippy::unwrap_used)] // test helpers abort loudly on harness failures
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test helpers abort loudly on harness failures"
+)]
 use pstore::core::params::SystemParams;
 use pstore::forecast::generators::B2wLoadModel;
 use pstore::sim::fast::{run_fast, FastSimConfig, FastSimResult};

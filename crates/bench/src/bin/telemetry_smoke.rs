@@ -4,8 +4,8 @@
 //! snapshots, skew samples and forecaster events — so that CI can verify
 //! the emitted JSONL trace with `pstore-trace`.
 //!
-//! Run with `cargo run -p pstore-bench --features telemetry --bin
-//! telemetry_smoke -- --trace /tmp/smoke.jsonl`, then `pstore-trace
+//! Run with `cargo run -p pstore-bench --bin telemetry_smoke -- --trace
+//! /tmp/smoke.jsonl`, then `pstore-trace
 //! /tmp/smoke.jsonl` (exits non-zero on parse errors or unmatched spans).
 
 #![allow(

@@ -115,11 +115,10 @@ pub fn section(title: &str) {
 /// digest at exit — the format of the golden
 /// `results/golden/fig9_quick.summary.json`, checked with `cmp`).
 ///
-/// Tracing only produces events when the workspace is built with the
-/// `telemetry` feature (`cargo run -p pstore-bench --features telemetry
-/// --bin fig9_comparison -- --trace /tmp/fig9.jsonl`); without it the
-/// instrumentation compiles away and `--trace` writes an empty file (a
-/// warning is printed). The emitted file is readable by `pstore-trace`.
+/// `cargo run -p pstore-bench --bin fig9_comparison -- --trace
+/// /tmp/fig9.jsonl` writes the run's trace; the file is readable by
+/// `pstore-trace`. Without `--trace` or `--summary` no sink is installed
+/// and the run emits nothing.
 ///
 /// This is also the one place the environment chooses what a trace
 /// contains: `PSTORE_PROV_EVENTS=1` (or `true`/`on`) adds the
@@ -192,13 +191,6 @@ impl RunReporter {
             trace_path = Some(
                 std::env::temp_dir()
                     .join(format!("pstore_summary_trace_{}.jsonl", std::process::id())),
-            );
-        }
-
-        if !pstore_telemetry::COMPILED_IN && trace_path.is_some() {
-            eprintln!(
-                "warning: --trace/--summary given but this binary was built without the \
-                 `telemetry` feature; the trace will be empty"
             );
         }
 

@@ -204,7 +204,7 @@ impl Sweep {
     /// under that sink's `TraceSpec`; otherwise the cells run
     /// uninstrumented, same as the serial path.
     pub fn run<R: Send + 'static>(&self, cells: Vec<Cell<R>>) -> Vec<R> {
-        let capture = tel::installed().then(tel::spec);
+        let capture = tel::enabled().then(tel::spec);
         let outcomes = parallel_map(self.threads(), cells, |cell| run_cell(cell, capture));
 
         // Single-threaded deterministic merge, in cell order.
@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn without_a_sink_cells_run_uninstrumented() {
-        assert!(!tel::installed());
+        assert!(!tel::enabled());
         tel::reset_registry();
         let results = Sweep::new(2).run((0..4).map(synthetic_cell).collect());
         assert_eq!(results, vec![0, 10, 20, 30]);

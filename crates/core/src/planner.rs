@@ -347,17 +347,16 @@ impl Planner {
                     cost: Some(c),
                     end_machines: Some(end_nodes.into()),
                 });
-                #[cfg(feature = "check-invariants")]
-                {
+                if cfg!(debug_assertions) {
                     let violations = crate::moves::check_moves(plan.moves());
-                    debug_assert!(
+                    assert!(
                         violations.is_empty(),
                         "planner produced a structurally invalid sequence:\n{}",
                         crate::invariant::report(&violations)
                     );
                     // The effective-capacity ablation knowingly emits plans
                     // that fail the Eq 7 check — that failure is its point.
-                    debug_assert!(
+                    assert!(
                         !self.opts.effective_capacity_aware
                             || self.verify_feasible(plan, load).is_ok(),
                         "planner produced an infeasible plan: {:?}",

@@ -80,10 +80,9 @@ impl MigrationSchedule {
             to: a.into(),
             rounds: pstore_telemetry::count(schedule.rounds.len()),
         });
-        #[cfg(feature = "check-invariants")]
-        {
+        if cfg!(debug_assertions) {
             let violations = schedule.check_violations();
-            debug_assert!(
+            assert!(
                 violations.is_empty(),
                 "MigrationSchedule::plan({b}, {a}) violated its own invariants:\n{}",
                 crate::invariant::report(&violations)

@@ -353,12 +353,12 @@ impl Cluster {
     }
 
     /// [`execute_at_slot`](Self::execute_at_slot), tagging a transaction
-    /// its caller sampled with a `trace_id`: with telemetry on, the engine
-    /// then also emits that transaction's `txn_rwset` record (and
-    /// `txn_restart` when it touched a migration destination) under the id
-    /// — with key-level read/write sets when
+    /// its caller sampled with a `trace_id`: the engine then tallies that
+    /// transaction's read/write set and, with a sink installed, emits its
+    /// `txn_rwset` record (and `txn_restart` when it touched a migration
+    /// destination) under the id — with key-level read/write sets when
     /// [`track_versions`](Self::track_versions) is on. Untagged
-    /// executions carry no per-transaction trace traffic.
+    /// executions tally nothing and carry no per-transaction trace traffic.
     ///
     /// # Errors
     /// Propagates the procedure's [`TxnError`] on abort.
@@ -379,10 +379,9 @@ impl Cluster {
         );
         let (node, local, in_flight) = self.routing_of(slot);
         self.slot_access_totals[slot as usize] += 1;
-        let capture = trace_id.is_some() && self.storage.track_versions();
         let fate = self
             .storage
-            .execute(proc, slot, node, local, in_flight, capture);
+            .execute(proc, slot, node, local, in_flight, trace_id.is_some());
         account(&mut self.stats, &mut self.procedure_stats, &fate);
         if let Some(id) = trace_id {
             if tel::enabled() {

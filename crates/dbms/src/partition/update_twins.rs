@@ -208,7 +208,7 @@ impl Twin {
             ),
             false => TxnCtx::settled(SLOT, NUM_SLOTS, &mut self.source),
         };
-        ctx.set_capture(capture);
+        ctx.set_traced(capture);
         let outcomes = ops.iter().map(|op| run(&mut ctx, op, how)).collect();
         let shown = Shown {
             outcomes,
@@ -429,8 +429,8 @@ proptest! {
         assert_twins_agree(&case, true, false, true, How::UpdateBumpsBeforeItRewrites);
     }
 
-    /// The tally is only kept in telemetry builds; the captured history
-    /// shows the extra reads in any.
+    /// The tally and the captured history both show the extra reads; the
+    /// history is compared first.
     #[test]
     #[cfg_attr(miri, ignore)]
     #[should_panic(expected = "key_reads differ")]

@@ -136,7 +136,8 @@ impl Storage {
 
     /// Executes one transaction on partition `local` of `node` — or, for
     /// an in-flight slot, across partition `local` of its `(from, to)`
-    /// migration endpoints.
+    /// migration endpoints. A `traced` transaction tallies its read/write
+    /// set and, with version counting on, captures its key history.
     pub fn execute(
         &mut self,
         proc: &dyn Procedure,
@@ -144,16 +145,18 @@ impl Storage {
         node: u32,
         local: u32,
         in_flight: Option<(u32, u32)>,
-        capture: bool,
+        traced: bool,
     ) -> TxnFate {
-        let num_slots = self.num_slots;
+        let (num_slots, capture) = (self.num_slots, self.track_versions);
         let l = local as usize;
         let (result, touched_dest, rwset, key_reads, key_writes) = match in_flight {
             None => {
                 let store = &mut self.stores[node as usize][l];
                 store.record_access();
                 let mut ctx = TxnCtx::settled(slot, num_slots, store);
-                ctx.set_capture(capture);
+                if traced {
+                    ctx.set_traced(capture);
+                }
                 let result = proc.execute(&mut ctx);
                 (
                     result,
@@ -176,7 +179,9 @@ impl Storage {
                 let empty = MovedKeys::default();
                 let moved = self.moved.get(&slot).unwrap_or(&empty);
                 let mut ctx = TxnCtx::migrating(slot, num_slots, source, dest, moved);
-                ctx.set_capture(capture);
+                if traced {
+                    ctx.set_traced(capture);
+                }
                 let result = proc.execute(&mut ctx);
                 (
                     result,

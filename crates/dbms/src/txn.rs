@@ -86,9 +86,8 @@ enum Side {
 
 /// Counts of row accesses made by one transaction, split by migration
 /// side — the read/write-set record behind the `txn_rwset` trace event
-/// and the TXN-01 invariant. The counters only tick in telemetry builds
-/// (`pstore_telemetry::COMPILED_IN`); without the feature every access
-/// point folds down to the bare store operation.
+/// and the TXN-01 invariant. The counters only tick for a traced
+/// transaction ([`TxnCtx::set_traced`]); an untraced one stays all-zero.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RwSet {
     /// Rows read, both sides (each prefix scan counts as one read).
@@ -109,61 +108,6 @@ pub struct RwSet {
 /// migrations and Squall restarts.
 pub type KeyAccess = (TableId, Key, u64);
 
-/// Fault-injection knob for the `ISO-*` seeded-bug twin tests (test
-/// builds and the `iso-seeded-bugs` feature only; never compiled into
-/// release artifacts otherwise). An armed bug makes *captured reads lie
-/// about the version they observed* — the engine still executes
-/// correctly, but the recorded history carries the signature of a real
-/// isolation anomaly, proving the ISO-01..03 checkers in `pstore-verify`
-/// would catch one. Thread-local and off by default, so the hook is
-/// inert even in builds that carry it.
-#[cfg(any(test, feature = "iso-seeded-bugs"))]
-pub mod seeded_bugs {
-    use std::cell::Cell;
-
-    /// Which read-capture anomaly to fabricate.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub enum ReadBug {
-        /// Record versions faithfully (default).
-        #[default]
-        None,
-        /// Record each read one version *older* than observed — the
-        /// stale-read signature behind lost updates and write skew
-        /// (ISO-01 cycles).
-        StaleRead,
-        /// Record each read one version *newer* than observed — a read
-        /// from the future (ISO-02).
-        FutureRead,
-    }
-
-    thread_local! {
-        static READ_BUG: Cell<ReadBug> = const { Cell::new(ReadBug::None) };
-    }
-
-    /// Arms `bug` for captured reads on this thread until re-armed with
-    /// [`ReadBug::None`].
-    pub fn arm(bug: ReadBug) {
-        READ_BUG.with(|b| b.set(bug));
-    }
-
-    /// The currently armed bug.
-    pub fn armed() -> ReadBug {
-        READ_BUG.with(Cell::get)
-    }
-}
-
-/// The version a captured read records: the observed version, distorted
-/// by the armed seeded bug in test builds.
-fn captured_read_version(v: u64) -> u64 {
-    #[cfg(any(test, feature = "iso-seeded-bugs"))]
-    let v = match seeded_bugs::armed() {
-        seeded_bugs::ReadBug::None => v,
-        seeded_bugs::ReadBug::StaleRead => v.saturating_sub(1),
-        seeded_bugs::ReadBug::FutureRead => v + 1,
-    };
-    v
-}
-
 /// Execution context: a view over the partition(s) holding the routing
 /// slot. During live migration of the slot the view spans the source and
 /// destination partitions, consulting the migrated-key set per access — the
@@ -182,18 +126,21 @@ pub struct TxnCtx<'a> {
     /// Set when any access hit the destination side (lets the engine track
     /// migration-overlap statistics).
     pub touched_dest: bool,
-    /// Read/write-set tally of this transaction. Stays all-zero unless
-    /// the `telemetry` feature is on (see [`RwSet`]).
+    /// Read/write-set tally of this transaction. Stays all-zero unless it
+    /// is traced (see [`RwSet`]).
     pub rwset: RwSet,
+    /// Set for a transaction the engine was asked to trace: its accesses
+    /// are tallied into [`rwset`](Self::rwset).
+    traced: bool,
     /// When set, every access also records a key-level [`KeyAccess`]
-    /// entry (the sampled serializability history; telemetry builds
-    /// only). Off by default: unsampled transactions never clone keys.
+    /// entry (the sampled serializability history). Off by default:
+    /// unsampled transactions never clone keys.
     capture: bool,
     /// `(table, key, version-observed)` per read, in program order.
-    /// Filled only while [`set_capture`](TxnCtx::set_capture) is on.
+    /// Filled only while capturing (see [`set_traced`](Self::set_traced)).
     pub key_reads: Vec<KeyAccess>,
     /// `(table, key, version-installed)` per write, in program order.
-    /// Filled only while [`set_capture`](TxnCtx::set_capture) is on.
+    /// Filled only while capturing.
     pub key_writes: Vec<KeyAccess>,
 }
 
@@ -208,6 +155,7 @@ impl<'a> TxnCtx<'a> {
             checked: None,
             touched_dest: false,
             rwset: RwSet::default(),
+            traced: false,
             capture: false,
             key_reads: Vec::new(),
             key_writes: Vec::new(),
@@ -230,6 +178,7 @@ impl<'a> TxnCtx<'a> {
             checked: None,
             touched_dest: false,
             rwset: RwSet::default(),
+            traced: false,
             capture: false,
             key_reads: Vec::new(),
             key_writes: Vec::new(),
@@ -241,10 +190,12 @@ impl<'a> TxnCtx<'a> {
         self.slot
     }
 
-    /// Turns key-level history capture on or off for this transaction
-    /// (the sampled ISO-01..03 record; see [`KeyAccess`]).
-    pub fn set_capture(&mut self, on: bool) {
-        self.capture = on;
+    /// Marks this transaction traced: its accesses are tallied into
+    /// [`rwset`](Self::rwset) and, with `capture`, also recorded key by
+    /// key (the sampled ISO-01..03 record; see [`KeyAccess`]).
+    pub fn set_traced(&mut self, capture: bool) {
+        self.traced = true;
+        self.capture = capture;
     }
 
     /// Enforces the single-partition discipline: every key a procedure
@@ -271,11 +222,10 @@ impl<'a> TxnCtx<'a> {
         self.checked = Some(part.clone());
     }
 
-    /// Tallies a read into the read/write set (telemetry builds only:
-    /// the branch is on a constant, so other builds carry no tally).
+    /// Tallies a read into the read/write set of a traced transaction.
     #[inline]
     fn note_read(&mut self, dest: bool) {
-        if pstore_telemetry::COMPILED_IN {
+        if self.traced {
             self.rwset.reads += 1;
             if dest {
                 self.rwset.dest_reads += 1;
@@ -283,11 +233,11 @@ impl<'a> TxnCtx<'a> {
         }
     }
 
-    /// Tallies a write/delete into the read/write set (telemetry builds
-    /// only).
+    /// Tallies a write/delete into the read/write set of a traced
+    /// transaction.
     #[inline]
     fn note_write(&mut self, dest: bool) {
-        if pstore_telemetry::COMPILED_IN {
+        if self.traced {
             self.rwset.writes += 1;
             if dest {
                 self.rwset.dest_writes += 1;
@@ -338,8 +288,7 @@ impl<'a> TxnCtx<'a> {
         self.touched_dest |= side == Side::Dest;
         if self.capture {
             let v = self.store(side).version_of(self.slot, table, key);
-            self.key_reads
-                .push((table, key.clone(), captured_read_version(v)));
+            self.key_reads.push((table, key.clone(), v));
         }
         side
     }
@@ -442,7 +391,7 @@ impl<'a> TxnCtx<'a> {
                 if capture {
                     // The version read is the one this write supersedes.
                     let observed = installed.saturating_sub(1);
-                    reads.push((table, key.clone(), captured_read_version(observed)));
+                    reads.push((table, key.clone(), observed));
                     writes.push((table, key.clone(), installed));
                 }
                 rewrite(row);
@@ -463,7 +412,7 @@ impl<'a> TxnCtx<'a> {
         }
         self.touched_dest |= at_dest > 0;
         self.note_read(at_dest > 0);
-        if pstore_telemetry::COMPILED_IN {
+        if self.traced {
             self.rwset.writes += at_source + at_dest;
             self.rwset.dest_writes += at_dest;
         }
@@ -518,7 +467,7 @@ impl<'a> TxnCtx<'a> {
                         }
                         _ => source.version_of(slot, table, k),
                     };
-                    key_reads.push((table, k.clone(), captured_read_version(v)));
+                    key_reads.push((table, k.clone(), v));
                 }
                 visit(k, row);
             },
@@ -711,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn rwset_tallies_accesses_by_side() {
+    fn rwset_tallies_by_side_only_when_traced() {
         let slot = slot_of("cart-9");
         let moved_key = Key::str_int("cart-9", 1);
         let staying_key = Key::str_int("cart-9", 2);
@@ -720,40 +669,29 @@ mod tests {
         dst.put(slot, 0, moved_key.clone(), row(10));
         src.put(slot, 0, staying_key.clone(), row(20));
         let moved = MovedKeys::from_iter([(0usize, moved_key.clone())]);
-        let mut ctx = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
-        let _ = ctx.get(0, &moved_key); // dest read
-        let _ = ctx.get(0, &staying_key); // source read
-        ctx.put(0, moved_key.clone(), row(11)); // dest write
-        let _ = ctx.scan_prefix(0, &Key::str("cart-9")); // read hitting dest
-        let _ = ctx.delete(0, &staying_key); // source write
-        if !pstore_telemetry::COMPILED_IN {
-            return assert_eq!(ctx.rwset, RwSet::default());
-        }
+        let accesses = |ctx: &mut TxnCtx<'_>| {
+            let _ = ctx.get(0, &moved_key); // dest read
+            let _ = ctx.get(0, &staying_key); // source read
+            ctx.put(0, moved_key.clone(), row(11)); // dest write
+            let _ = ctx.scan_prefix(0, &Key::str("cart-9")); // read hitting dest
+            ctx.update_prefix(0, &Key::str("cart-9"), |_| {}); // read, 2 writes
+            let _ = ctx.delete(0, &staying_key); // source write
+            ctx.rwset
+        };
+        let mut traced = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
+        traced.set_traced(false);
         assert_eq!(
-            ctx.rwset,
+            accesses(&mut traced),
             RwSet {
-                reads: 3,
-                writes: 2,
-                dest_reads: 2,
-                dest_writes: 1,
+                reads: 4,
+                writes: 4,
+                dest_reads: 3,
+                dest_writes: 2,
             }
         );
-    }
-
-    #[test]
-    fn rwset_stays_zero_without_telemetry() {
-        // The tally methods fold to no-ops without the feature: the
-        // record stays at its default regardless of access activity.
-        if pstore_telemetry::COMPILED_IN {
-            return;
-        }
-        let slot = slot_of("a");
-        let mut store = PartitionStore::new(1);
-        let mut ctx = TxnCtx::settled(slot, SLOTS, &mut store);
-        ctx.put(0, Key::str("a"), row(1));
-        let _ = ctx.get(0, &Key::str("a"));
-        let _ = ctx.scan_prefix(0, &Key::str("a"));
-        assert_eq!(ctx.rwset, RwSet::default());
+        assert!(traced.key_reads.is_empty() && traced.key_writes.is_empty());
+        let mut untraced = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
+        assert_eq!(accesses(&mut untraced), RwSet::default());
     }
 
     #[test]
@@ -769,7 +707,7 @@ mod tests {
         src.put(slot, 0, staying_key.clone(), row(20));
         let moved = MovedKeys::from_iter([(0usize, moved_key.clone())]);
         let mut ctx = TxnCtx::migrating(slot, SLOTS, &mut src, &mut dst, &moved);
-        ctx.set_capture(true);
+        ctx.set_traced(true);
         let _ = ctx.get(0, &staying_key); // never txn-written: observes 0
         ctx.put(0, staying_key.clone(), row(21)); // installs 1
         let _ = ctx.get(0, &staying_key); // observes 1
@@ -803,7 +741,7 @@ mod tests {
         // An unsampled transaction's writes still advance the chain a
         // later sampled transaction observes.
         let mut ctx = TxnCtx::settled(slot, SLOTS, &mut store);
-        ctx.set_capture(true);
+        ctx.set_traced(true);
         let _ = ctx.get(0, &k);
         assert_eq!(ctx.key_reads, vec![(0, k, 1)]);
     }

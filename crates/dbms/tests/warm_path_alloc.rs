@@ -220,13 +220,12 @@ fn a_warm_update_and_a_refused_insert_allocate_nothing() {
 
 /// With no sink installed the span helpers return the id-0 sentinel
 /// without building a name, an event or anything else — `tel_span!` sits
-/// on the planner's path in every `--features telemetry` build, traced or
-/// not.
+/// on the planner's path in every run, traced or not.
 #[test]
 fn span_helpers_never_allocate_without_a_sink() {
     use pstore_telemetry::{begin_span, end_span, end_span_truncated, SpanGuard, SpanName};
 
-    assert!(!pstore_telemetry::installed());
+    assert!(!pstore_telemetry::enabled());
     let (n, ids) = allocations(|| {
         let mut ids = 0u64;
         for _ in 0..PROBE_KEYS {

@@ -382,8 +382,7 @@ impl<'a> Sim<'a> {
             self.mig_backlog[n][l]
         };
         let stall_cap = backlog.min((frontier - at).max(0.0));
-        let sampled =
-            tel::COMPILED_IN && self.sample_every > 0 && id.is_multiple_of(self.sample_every);
+        let sampled = self.sample_every > 0 && id.is_multiple_of(self.sample_every);
         // A sampled transaction's lifecycle events are all stamped at its
         // arrival (end times travel as fields).
         if sampled {
@@ -1176,9 +1175,6 @@ mod tests {
     #[test]
     fn prov_events_trace_the_control_loop_when_enabled() {
         use tel::kinds;
-        if !tel::COMPILED_IN {
-            return; // nothing is emitted; `tests/trace_contract.rs` pins that
-        }
 
         // Same ramp that forces the reactive controller to scale out.
         let mut load: Vec<f64> = (0..120).map(|s| 250.0 + 550.0 * s as f64 / 120.0).collect();

@@ -3,11 +3,6 @@
 //! that the TEL-06 (lifecycle/attribution) and TXN-01 (read/write-set)
 //! checkers in `pstore-verify` accept, alongside the existing span and
 //! ordering invariants.
-//!
-//! Only compiled with the `telemetry` feature (the static-analysis gate
-//! runs `cargo test -p pstore-sim --features telemetry`); without it the
-//! sim emits nothing and there is nothing to replay.
-#![cfg(feature = "telemetry")]
 
 use pstore_b2w::generator::WorkloadConfig;
 use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};

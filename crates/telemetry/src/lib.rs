@@ -18,15 +18,14 @@
 //! # The switch surface
 //!
 //! What a run emits is decided in this crate and nowhere else
-//! (docs/observability.md, "Switch surface"). The build: the `instrument`
-//! feature — the one target every other crate's `telemetry` feature
-//! forwards to — sets [`COMPILED_IN`]; instrumentation sites are ordinary
-//! code behind [`enabled`], [`prov_enabled`] or the [`tel_event!`] /
-//! [`tel_span!`] macros, which without the feature are constant `false`,
-//! so the sites fold away: no sink lookup, no allocation, no branch. The pipe itself — [`install`], [`emit`],
-//! [`forward`], spans, sinks — works in both builds. The run: the
-//! [`TraceSpec`] installed with the sink ([`install_with`]) selects the
-//! optional event families; library code never reads the environment.
+//! (docs/observability.md, "Switch surface"). There is one build:
+//! instrumentation sites are ordinary code behind [`enabled`],
+//! [`prov_enabled`] or the [`tel_event!`] / [`tel_span!`] macros, which
+//! are false without an installed sink, so an untraced run pays one
+//! thread-local lookup per site and builds nothing. The sink itself
+//! ([`install`]) decides whether a run emits, and the [`TraceSpec`]
+//! installed with it ([`install_with`]) selects the optional event
+//! families; library code never reads the environment.
 //!
 //! # Threading model
 //!
@@ -67,11 +66,6 @@ thread_local! {
     static REGISTRY: RefCell<MetricsRegistry> = RefCell::new(MetricsRegistry::new());
     static SPEC: Cell<TraceSpec> = const { Cell::new(TraceSpec { prov: false, txn_sample_every: 0 }) };
 }
-
-/// Whether the instrumentation sites of the simulator stack are compiled
-/// in (this crate's `instrument` feature, reached through any crate's
-/// `telemetry` feature).
-pub const COMPILED_IN: bool = cfg!(feature = "instrument");
 
 /// Which optional event families a traced run emits on top of the default
 /// trace. Installed together with the sink ([`install_with`]) and restored
@@ -136,8 +130,10 @@ impl Drop for SinkGuard {
     }
 }
 
-/// True when a sink is installed on this thread, in either build.
-pub fn installed() -> bool {
+/// The instrumentation sites' predicate: a sink is installed on this
+/// thread. Untraced runs skip all event construction.
+#[inline]
+pub fn enabled() -> bool {
     SINK.with(|s| s.borrow().is_some())
 }
 
@@ -145,14 +141,6 @@ pub fn installed() -> bool {
 /// when none is).
 pub fn spec() -> TraceSpec {
     SPEC.with(Cell::get)
-}
-
-/// The instrumentation sites' predicate: compiled in *and* a sink is
-/// installed on this thread. Constant `false` without the `instrument`
-/// feature; with it, untraced runs still skip all event construction.
-#[inline]
-pub fn enabled() -> bool {
-    COMPILED_IN && installed()
 }
 
 /// [`enabled`] and the installed spec asks for the `prov_*` family.
@@ -175,7 +163,7 @@ pub fn clear_time() {
 /// stamping `seq`, the current sim clock, and a wall-clock stamp. A no-op
 /// without a sink.
 pub fn emit(record: impl Into<Record>) {
-    if installed() {
+    if enabled() {
         emit_event(record.into().encode());
     }
 }
@@ -218,7 +206,7 @@ pub fn flush() {
 /// with no sink installed, returns the "no span" id 0 without building
 /// anything.
 pub fn begin_span(name: SpanName) -> u64 {
-    if !installed() {
+    if !enabled() {
         return 0;
     }
     begin_span_with(SpanBegin::new(0, name))
@@ -227,7 +215,7 @@ pub fn begin_span(name: SpanName) -> u64 {
 /// [`begin_span`] for a begin event that carries more than its name (a
 /// reconfiguration's `from`/`to`); `span.id` is assigned here.
 pub fn begin_span_with(mut span: SpanBegin) -> u64 {
-    if !installed() {
+    if !enabled() {
         return 0;
     }
     span.id = SPAN_IDS.fetch_add(1, Ordering::Relaxed);
@@ -301,7 +289,7 @@ pub fn reset_registry() {
 /// thread's registry, then flushes the sink. Histograms are summarised as
 /// `<name>.p50/.p95/.p99/.max/.count` fields.
 pub fn emit_metrics_snapshot() {
-    if !installed() {
+    if !enabled() {
         return;
     }
     let values = with_registry(|r| {
@@ -326,8 +314,7 @@ pub fn emit_metrics_snapshot() {
 }
 
 /// Emits the typed record `$record` when [`enabled`]; otherwise nothing
-/// is built and the expression is not evaluated (in a build without the
-/// `instrument` feature the whole statement folds away).
+/// is built and the expression is not evaluated.
 ///
 /// ```ignore
 /// tel_event!(SchedulePlanned { from: b.into(), to: a.into(), rounds: count(n) });
@@ -365,7 +352,7 @@ mod tests {
 
     #[test]
     fn emit_without_sink_is_noop() {
-        assert!(!installed());
+        assert!(!enabled());
         emit(TxnArrive { id: 1, slot: 0 }); // must not panic
     }
 
@@ -374,13 +361,13 @@ mod tests {
         let (sink, handle) = MemorySink::new();
         {
             let _guard = install(Rc::new(sink));
-            assert!(installed());
+            assert!(enabled());
             set_time(3.25);
             emit(TxnArrive { id: 1, slot: 0 });
             clear_time();
             emit(TxnArrive { id: 2, slot: 0 });
         }
-        assert!(!installed());
+        assert!(!enabled());
         let events = handle.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].t, Some(3.25));

@@ -1,11 +1,10 @@
 //! Pluggable event sinks.
 //!
 //! A [`Sink`] receives every emitted [`Event`]. Three implementations
-//! cover the crate's needs: [`NoopSink`] (the default — emission is
-//! additionally compiled out entirely in consumer crates when their
-//! `telemetry` feature is off), [`MemorySink`] for tests, and
-//! [`JsonlSink`] for runs that want a trace file `pstore-trace` can
-//! read back.
+//! cover the crate's needs: [`NoopSink`] (every event is built, then
+//! dropped; with no sink installed at all nothing is built),
+//! [`MemorySink`] for tests, and [`JsonlSink`] for runs that want a trace
+//! file `pstore-trace` can read back.
 
 use crate::event::Event;
 use std::cell::RefCell;

@@ -38,7 +38,7 @@
 //! artifact, the invariant id (`SCH-01` ...) and an explanation, so a single
 //! run can report every broken invariant at once. The invariant ids and the
 //! [`Violation`] type are shared with `pstore-core`, whose producers also
-//! self-check under the `check-invariants` feature — the checkers here are
+//! self-check in every debug build — the checkers here are
 //! the *cross-artifact* layer on top (they compare schedules against their
 //! mirrors, plans against oracles, closed forms against constructions).
 //!
@@ -92,7 +92,7 @@ pub(crate) fn decoded(
 
 /// One small fixed-seed detailed-simulator run of `strategy` over `load`
 /// under a capturing sink installed with `spec` — the scenario the ISO and
-/// PRV sweeps replay. Captures nothing unless telemetry is compiled in.
+/// PRV sweeps replay.
 pub fn captured_run(
     load: Vec<f64>,
     spec: TraceSpec,

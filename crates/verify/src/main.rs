@@ -13,11 +13,11 @@
 //! 4. forecaster output on periodic and noisy series (`FOR-*`),
 //! 5. telemetry span traces generated through the live span API plus
 //!    randomized histogram merges (`TEL-*`),
-//! 6. with the `telemetry` feature: serializability of the sampled
+//! 6. serializability of the sampled
 //!    key-level version histories from a fixed-seed detailed-sim run
 //!    with reconfiguration traffic (`ISO-01..03`); the phase line gives
 //!    the DSG's transaction, key and edge counts,
-//! 7. with the `telemetry` feature: the provisioning observatory's
+//! 7. the provisioning observatory's
 //!    `prov_*` event family from fixed-seed reactive *and* predictive
 //!    runs (`PRV-01..03`): ledger conservation,
 //!    decision→reconfiguration causality, forecast bookkeeping; the phase
@@ -95,25 +95,21 @@ fn main() {
     );
     all.extend(stats.violations);
 
-    if pstore_telemetry::COMPILED_IN {
-        let (stats, counts) = iso_sweep();
-        report_phase(
-            &format!(
-                "iso sweep: serializability of sampled key histories with migrations ({counts})"
-            ),
-            &stats,
-        );
-        all.extend(stats.violations);
+    let (stats, counts) = iso_sweep();
+    report_phase(
+        &format!("iso sweep: serializability of sampled key histories with migrations ({counts})"),
+        &stats,
+    );
+    all.extend(stats.violations);
 
-        let (stats, counts) = prov_sweep();
-        report_phase(
-            &format!(
-                "prov sweep: provisioning ledger, decision causality, forecast bookkeeping ({counts})"
-            ),
-            &stats,
-        );
-        all.extend(stats.violations);
-    }
+    let (stats, counts) = prov_sweep();
+    report_phase(
+        &format!(
+            "prov sweep: provisioning ledger, decision causality, forecast bookkeeping ({counts})"
+        ),
+        &stats,
+    );
+    all.extend(stats.violations);
 
     if all.is_empty() {
         println!("pstore-verify: all invariants hold");
@@ -416,7 +412,7 @@ fn concurrency_sweep() -> CheckStats {
     stats
 }
 
-/// Phase 7 (telemetry builds only): the `ISO-01..03` serializability
+/// Phase 7: the `ISO-01..03` serializability
 /// sweep. Replays the ramp scenario — fixed seed, reactive scale-out,
 /// live chunk migrations — decodes the sampled key-level version
 /// histories out of the captured trace, and checks DSG acyclicity,
@@ -477,7 +473,7 @@ fn iso_sweep() -> (CheckStats, String) {
     (stats, counts)
 }
 
-/// Phase 8 (telemetry builds only): the `PRV-01..03` provisioning
+/// Phase 8: the `PRV-01..03` provisioning
 /// sweep. Replays fixed-seed detailed runs with provenance events on —
 /// the reactive ramp and a predictive flat-then-step scenario under the
 /// P-Store controller with an oracle forecaster — and checks the

@@ -4,30 +4,44 @@
 //! asserts the seeded history is clean — which must fail, proving the
 //! discriminating power is intact.
 //!
-//! The bugs are injected through `pstore_dbms::txn::seeded_bugs` (the
-//! `iso-seeded-bugs` feature): an armed bug makes the engine's *capture
-//! layer* lie about the version each read observed, so the recorded
-//! history carries the exact signature of a lost update (stale read
-//! before a blind install), a write skew (two crossed stale reads), or
-//! a read from the future — while execution itself stays correct. The
-//! workloads below run against the real partition store and execution
-//! context with version tracking on, i.e. the same capture path the
-//! engine uses for sampled transactions.
+//! The bugs are injected where the captured accesses are folded into a
+//! history: an armed [`ReadBug`] makes each recorded read lie about the
+//! version it observed, so the history carries the exact signature of a
+//! lost update (stale read before a blind install), a write skew (two
+//! crossed stale reads), or a read from the future — while execution
+//! itself stays correct. The workloads below run against the real
+//! partition store and execution context with version tracking on, i.e.
+//! the same capture path the engine uses for sampled transactions.
 
 use pstore_dbms::partition::PartitionStore;
-use pstore_dbms::txn::seeded_bugs::{arm, ReadBug};
 use pstore_dbms::txn::TxnCtx;
 use pstore_dbms::value::{Key, Row, Value};
 use pstore_verify::iso::{
     check_dsg_acyclic, check_key_histories, check_read_commit_order, TxnHistory,
 };
 
+/// Which read-capture anomaly the history fold fabricates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReadBug {
+    /// Record versions faithfully.
+    None,
+    /// Record each read one version *older* than observed — the
+    /// stale-read signature behind lost updates and write skew (ISO-01
+    /// cycles).
+    StaleRead,
+    /// Record each read one version *newer* than observed — a read from
+    /// the future (ISO-02).
+    FutureRead,
+}
+
 /// A one-table, one-slot engine surface: each `txn` call executes a
 /// closure against a fresh settled context with key capture on (the
-/// sampled path), then folds the captured accesses into a history.
+/// sampled path), then folds the captured accesses into a history,
+/// distorting its reads as the armed [`ReadBug`] says.
 struct MiniEngine {
     store: PartitionStore,
     histories: Vec<TxnHistory>,
+    bug: ReadBug,
 }
 
 impl MiniEngine {
@@ -37,6 +51,7 @@ impl MiniEngine {
         MiniEngine {
             store,
             histories: Vec::new(),
+            bug: ReadBug::None,
         }
     }
 
@@ -44,12 +59,17 @@ impl MiniEngine {
         // num_slots = 1: every key hashes to slot 0, so the
         // single-partition discipline is trivially satisfied.
         let mut ctx = TxnCtx::settled(0, 1, &mut self.store);
-        ctx.set_capture(true);
+        ctx.set_traced(true);
         f(&mut ctx);
         let id = self.histories.len() as u64 + 1;
         let mut h = TxnHistory::new(id);
         for (table, key, version) in &ctx.key_reads {
-            h = h.read(*table as u64, &key.to_string(), *version);
+            let version = match self.bug {
+                ReadBug::None => *version,
+                ReadBug::StaleRead => version.saturating_sub(1),
+                ReadBug::FutureRead => version + 1,
+            };
+            h = h.read(*table as u64, &key.to_string(), version);
         }
         for (table, key, version) in &ctx.key_writes {
             h = h.write(*table as u64, &key.to_string(), *version);
@@ -72,7 +92,7 @@ fn lost_update_history() -> Vec<TxnHistory> {
     e.txn(|ctx| {
         ctx.put(0, k.clone(), row(1));
     });
-    arm(ReadBug::StaleRead);
+    e.bug = ReadBug::StaleRead;
     for bump in [2, 3] {
         e.txn(|ctx| {
             let cur = ctx.get(0, &k);
@@ -80,7 +100,6 @@ fn lost_update_history() -> Vec<TxnHistory> {
             ctx.put(0, k.clone(), row(bump));
         });
     }
-    arm(ReadBug::None);
     e.histories
 }
 
@@ -99,12 +118,11 @@ fn write_skew_history() -> Vec<TxnHistory> {
         ctx.get(0, &a);
         ctx.put(0, b.clone(), row(2));
     });
-    arm(ReadBug::StaleRead);
+    e.bug = ReadBug::StaleRead;
     e.txn(|ctx| {
         ctx.get(0, &b);
         ctx.put(0, a.clone(), row(2));
     });
-    arm(ReadBug::None);
     e.histories
 }
 
@@ -116,19 +134,19 @@ fn future_read_history() -> Vec<TxnHistory> {
     e.txn(|ctx| {
         ctx.put(0, k.clone(), row(1));
     });
-    arm(ReadBug::FutureRead);
+    e.bug = ReadBug::FutureRead;
     e.txn(|ctx| {
         ctx.get(0, &k);
     });
-    arm(ReadBug::None);
+    e.bug = ReadBug::None;
     e.txn(|ctx| {
         ctx.put(0, k.clone(), row(2));
     });
     e.histories
 }
 
-/// Control: the same workloads with no bug armed are clean — the hook
-/// is inert by default, and the real capture path is serializable.
+/// Control: the same workloads with no bug armed are clean — the fold
+/// is faithful by default, and the real capture path is serializable.
 #[test]
 fn unseeded_workloads_are_clean() {
     let mut e = MiniEngine::new();

@@ -64,8 +64,7 @@ for SAN in "${SANITIZERS[@]}"; do
     # the ISO/PRV phases run whole simulations inside it.
     RUSTFLAGS="-Zsanitizer=$SAN" \
     CARGO_TARGET_DIR="target/san-$SAN" \
-        cargo +nightly run -q -Zbuild-std --target "$HOST" \
-        -p pstore-verify --features telemetry
+        cargo +nightly run -q -Zbuild-std --target "$HOST" -p pstore-verify
 done
 
 echo

@@ -75,17 +75,13 @@ cargo fmt --all --check
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
-step "cargo clippy (telemetry feature) -- -D warnings"
-cargo clippy -q -p pstore-bench -p pstore-sim --all-targets \
-    --features telemetry -- -D warnings
-
-step "one observation surface: no telemetry cfg, no env reads, no wall clock in the system crates"
-# What gets emitted is decided in pstore-telemetry (its `instrument`
-# feature and the installed TraceSpec) and what the environment says is
-# read by the binaries; the system crates do neither. Nor do they read the
-# wall clock: sim time comes from the event loop, and the one wall-clock
-# stamp (`wall_us`) is pstore-telemetry's.
-grep -rn 'feature = "telemetry"' crates/{sim,dbms,core,forecast}/src && exit 1
+step "one observation surface: no build switch, no env reads, no wall clock in the system crates"
+# There is one build: what a run emits is decided by the sink installed in
+# pstore-telemetry and its TraceSpec, so no code may branch on a cargo
+# feature. What the environment says is read by the binaries; the system
+# crates do not. Nor do they read the wall clock: sim time comes from the
+# event loop, and the one wall-clock stamp (`wall_us`) is pstore-telemetry's.
+grep -rnE 'cfg!?\(.*feature' crates/*/src crates/*/tests src tests examples && exit 1
 grep -rn 'std::env::var' crates/{sim,dbms,core,forecast,b2w}/src && exit 1
 grep -rnE '(Instant|SystemTime)::now' crates/{sim,dbms,core,forecast,b2w}/src && exit 1
 
@@ -112,9 +108,7 @@ step "docs/invariants.md carries the tables the invariant registry generates; ev
 cargo test -q -p pstore-verify --lib catalogue
 
 step "pstore-verify invariant sweep"
-# The telemetry feature arms the ISO-01..03 and PRV-01..03 phases, which
-# replay captured detailed-simulator traces.
-cargo run -q --release -p pstore-verify --features telemetry
+cargo run -q --release -p pstore-verify
 
 step "microbenchmarks compile (cargo bench --no-run)"
 cargo bench -q --no-run
@@ -133,7 +127,7 @@ restore_benchmark_lock
 step "telemetry smoke: traced run + pstore-trace validation"
 TRACE_FILE="$(mktemp "$TMP"/pstore-smoke.XXXXXX.jsonl)"
 TEMP_FILES+=("$TRACE_FILE")
-cargo run -q --release -p pstore-bench --features telemetry \
+cargo run -q --release -p pstore-bench \
     --bin telemetry_smoke -- --quiet --trace "$TRACE_FILE"
 # pstore-trace exits 1 on lines that do not parse or do not match the
 # event schema, unmatched spans, or ordering violations (TEL-01/02/04).
@@ -155,7 +149,7 @@ step "golden summary: fig9 --quick with prov events, cmp against results/golden/
 # results/golden/fig9_quick.summary.json and review the `git diff`.
 GOLDEN_TMP="$(mktemp -d "$TMP"/pstore-golden.XXXXXX)"
 TEMP_FILES+=("$GOLDEN_TMP")
-PSTORE_PROV_EVENTS=1 cargo run -q --release -p pstore-bench --features telemetry \
+PSTORE_PROV_EVENTS=1 cargo run -q --release -p pstore-bench \
     --bin fig9_comparison -- --quick --quiet \
     --trace "$GOLDEN_TMP/fig9_quick.jsonl" \
     --summary "$GOLDEN_TMP/fig9_quick.summary.json" > /dev/null
@@ -170,8 +164,6 @@ rm -rf "$GOLDEN_TMP"
 if [[ "$QUICK" == "0" ]]; then
     step "property-test suites"
     cargo test -q -p pstore-verify --tests
-    step "pstore-sim tests with telemetry feature (incl. the trace_contract pins)"
-    cargo test -q -p pstore-sim --features telemetry
     if cargo miri --version > /dev/null 2>&1; then
         step "cargo miri test: UB check on core crates + dbms engine"
         cargo miri test -q -p pstore-core -p pstore-forecast -p pstore-dbms

@@ -47,7 +47,7 @@
 //! parallelism.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::rc::Rc;
 use std::sync::{Mutex, PoisonError};
 
@@ -77,41 +77,6 @@ impl<R> Cell<R> {
     /// The cell's display label.
     pub fn label(&self) -> &str {
         &self.label
-    }
-}
-
-/// Why a cell failed under [`Sweep::run_fallible`]: which cell (by
-/// index and label) and the panic message it died with.
-///
-/// Failure attribution is deterministic: for a fixed cell list the same
-/// cells fail with the same messages at any thread count, because each
-/// failure is captured on the worker inside the cell's own closure and
-/// travels through the ordered result path like any other result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellFailure {
-    /// Position of the failed cell in the input grid.
-    pub index: usize,
-    /// The failed cell's display label.
-    pub label: String,
-    /// The panic payload, when it was a string (the common
-    /// `panic!`/`assert!` case); a placeholder otherwise.
-    pub message: String,
-}
-
-impl std::fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cell {} ({}): {}", self.index, self.label, self.message)
-    }
-}
-
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -217,42 +182,6 @@ impl Sweep {
             results.push(outcome.result);
         }
         results
-    }
-
-    /// Fault-injected variant of [`Sweep::run`]: a panicking cell does
-    /// not abort the sweep — it comes back as
-    /// `Err(`[`CellFailure`]`)` in its own slot while every other cell
-    /// completes normally.
-    ///
-    /// The determinism contract extends to failures: the `Vec` always
-    /// has one entry per input cell, in cell order, and which cells
-    /// failed (and with what message) is independent of the thread
-    /// count. A cell's telemetry captured *before* its panic is still
-    /// forwarded — it is part of the cell's deterministic event stream.
-    pub fn run_fallible<R: Send + 'static>(
-        &self,
-        cells: Vec<Cell<R>>,
-    ) -> Vec<Result<R, CellFailure>> {
-        let wrapped: Vec<Cell<Result<R, CellFailure>>> = cells
-            .into_iter()
-            .enumerate()
-            .map(|(index, cell)| {
-                let label = cell.label;
-                let run = cell.run;
-                let wrapped_label = label.clone();
-                Cell::new(wrapped_label, move || {
-                    // The catch sits *inside* the cell closure, so the
-                    // worker's telemetry guard and registry resets in
-                    // `run_cell` unwind-safely around it.
-                    catch_unwind(AssertUnwindSafe(run)).map_err(|payload| CellFailure {
-                        index,
-                        label,
-                        message: panic_message(payload.as_ref()),
-                    })
-                })
-            })
-            .collect();
-        self.run(wrapped)
     }
 }
 
@@ -456,85 +385,22 @@ mod tests {
         assert_eq!(tel::with_registry(|r| r.counter("ticks")), 0);
     }
 
-    /// A fault-injection grid: panicking (str and String payloads) and
-    /// stalling cells mixed with healthy ones.
-    fn faulty_grid() -> Vec<Cell<u64>> {
-        (0..6u64)
-            .map(|i| {
-                Cell::new(format!("cell-{i}"), move || match i {
-                    2 => panic!("injected fault in cell 2"),
-                    4 => {
-                        let msg = format!("injected String fault in cell {i}");
-                        std::panic::panic_any(msg)
-                    }
-                    5 => {
-                        // A stalling cell: finishes long after its
-                        // neighbours; must not perturb ordering.
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        i * 100
-                    }
-                    _ => i * 100,
-                })
-            })
-            .collect()
-    }
-
-    #[test]
-    fn fault_injected_sweep_is_deterministic_across_thread_counts() {
-        let expected: Vec<Result<u64, CellFailure>> = (0..6u64)
-            .map(|i| match i {
-                2 => Err(CellFailure {
-                    index: 2,
-                    label: "cell-2".to_string(),
-                    message: "injected fault in cell 2".to_string(),
-                }),
-                4 => Err(CellFailure {
-                    index: 4,
-                    label: "cell-4".to_string(),
-                    message: "injected String fault in cell 4".to_string(),
-                }),
-                _ => Ok(i * 100),
-            })
-            .collect();
-        let r1 = Sweep::new(1).run_fallible(faulty_grid());
-        let r4 = Sweep::new(4).run_fallible(faulty_grid());
-        assert_eq!(r1, expected, "threads=1: wrong results or attribution");
-        assert_eq!(r4, expected, "threads=4: wrong results or attribution");
-    }
-
-    /// Regression (ISSUE 4 satellite): one panicking cell must not
-    /// poison the workers — under `run_fallible` the other cells of the
-    /// same sweep complete, under plain `run` the panic resumes on the
-    /// caller, and either way later sweeps are unaffected.
+    /// One panicking cell must not poison the workers: under `run` the
+    /// panic resumes on the caller with its payload once the other workers
+    /// finish, and later sweeps on the same thread are unaffected.
     #[test]
     fn panicking_cell_does_not_poison_the_pool() {
-        let grid = || {
+        let resumed = std::panic::catch_unwind(|| {
             let mut cells: Vec<Cell<u64>> = (0..8u64)
                 .map(|i| Cell::new(format!("ok-{i}"), move || i))
                 .collect();
             cells[3] = Cell::new("bad", || panic!("boom"));
-            cells
-        };
-        let resumed = catch_unwind(|| Sweep::new(4).run(grid()));
-        assert_eq!(
-            resumed.map_err(|p| panic_message(p.as_ref())),
-            Err("boom".to_string())
-        );
-        let expected: Vec<Result<u64, CellFailure>> = (0..8u64)
-            .map(|i| {
-                if i == 3 {
-                    Err(CellFailure {
-                        index: 3,
-                        label: "bad".to_string(),
-                        message: "boom".to_string(),
-                    })
-                } else {
-                    Ok(i)
-                }
-            })
-            .collect();
-        assert_eq!(Sweep::new(4).run_fallible(grid()), expected);
-        // Sweeping still works afterwards on the same thread.
+            Sweep::new(4).run(cells)
+        });
+        let payload = resumed
+            .err()
+            .and_then(|p| p.downcast_ref::<&str>().copied());
+        assert_eq!(payload, Some("boom"));
         let again = Sweep::new(4).run((0..4u64).map(|i| Cell::new("c", move || i)).collect());
         assert_eq!(again, vec![0, 1, 2, 3]);
     }

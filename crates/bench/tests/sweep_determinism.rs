@@ -2,7 +2,9 @@
 //! simulator cells (the synthetic-cell contract lives in
 //! `src/sweep.rs`): the same cell grid must produce bit-identical
 //! results at any thread count, because every figure binary now fans
-//! its runs through [`Sweep`].
+//! its runs through [`Sweep`]. The full fig9 `--quick` grid is held to
+//! the same contract by `scripts/static_analysis.sh`'s golden step, which
+//! runs it at `--threads 4` and compares with a `--threads 1` blessing.
 
 #![allow(
     clippy::expect_used,
@@ -10,7 +12,6 @@
     reason = "tests abort loudly"
 )]
 use pstore_b2w::generator::WorkloadConfig;
-use pstore_bench::fig9::{run_all_sweep, Fig9Config};
 use pstore_bench::sweep::{Cell, Sweep};
 use pstore_core::controller::baselines::StaticController;
 use pstore_core::params::SystemParams;
@@ -89,23 +90,6 @@ fn repeated_parallel_runs_are_identical() {
     let a = fingerprint(&Sweep::new(4).run(grid_cells()));
     let b = fingerprint(&Sweep::new(4).run(grid_cells()));
     assert_eq!(a, b, "two --threads 4 sweeps of the same grid diverged");
-}
-
-/// The real thing, scaled to one day: `fig9 --quick --threads 1` vs
-/// `--threads 8` must agree byte-for-byte. Minutes-long in debug builds,
-/// so ignored by default; the full `scripts/static_analysis.sh` gate runs
-/// it via `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "expensive: run with --release -- --ignored (the full static-analysis gate does)"]
-fn fig9_quick_is_identical_serial_vs_parallel() {
-    let cfg = Fig9Config {
-        days: 1,
-        seed: 42,
-        quick: true,
-    };
-    let (_, serial) = run_all_sweep(&cfg, &Sweep::new(1));
-    let (_, parallel) = run_all_sweep(&cfg, &Sweep::new(8));
-    assert_eq!(fingerprint(&serial), fingerprint(&parallel));
 }
 
 /// Cells capture under the caller's `TraceSpec`: the sweep hands the spec

@@ -1,10 +1,10 @@
 //! Structured invariant diagnostics shared by the library and the
-//! `pstore-verify` static checker.
+//! `pstore-verify` checkers.
 //!
 //! Every paper-specified invariant the system relies on has a stable
 //! identifier here, anchored to the section of the SIGMOD 2018 paper that
 //! states it (see `docs/invariants.md` for the full catalogue). Checkers —
-//! both the in-library `check_*` methods and the `pstore-verify` sweep —
+//! both the in-library `check_*` methods and the `pstore-verify` checkers —
 //! report failures as [`Violation`] values instead of ad-hoc strings, so
 //! the library and the verifier can never drift apart on what "valid"
 //! means.
@@ -26,8 +26,8 @@ macro_rules! invariants {
         /// Identifier of one paper-specified invariant. Codes are
         /// `FAM-NN`: `SCH` migration schedules, `MOV` move sequences,
         /// `PLN` planner output, `FOR` forecasts, `TEL` telemetry traces,
-        /// `CON` the parallel sweep, `TXN` transaction records, `ISO`
-        /// serializability, `PRV` the provisioning record.
+        /// `TXN` transaction records, `ISO` serializability, `PRV` the
+        /// provisioning record.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[non_exhaustive]
         pub enum InvariantId {
@@ -154,29 +154,17 @@ invariants! {
         "Every traced transaction's lifecycle is well-formed: a `txn_arrive` is terminally \
          resolved by exactly one `txn_commit`/`txn_abort`, no `txn_*` event references an \
          unopened id, and terminal attribution sums — `queue + exec + stall == total`"
-        => "`verify::telemetry::check_txn_lifecycle`; swept with sampled txn traffic by \
-            `pstore-verify`; e2e in `crates/sim/tests/txn_trace.rs`";
-    ConcurrencyQueueIntegrity = "CON-01" ["§8 (experiment grids)"]
-        "Work-queue integrity: every cell is executed exactly once and its result lands in \
-         its own slot — panicking or stalling cells included, with failures attributed to the \
-         right cell"
-        => "`verify::concurrency::check_queue_integrity`";
-    ConcurrencyMergeBarrier = "CON-02" ["§8 (determinism contract)"]
-        "Merge barrier: the ordered merge of results and telemetry begins only after every \
-         cell's writes are visible (the scope's join is the happens-before edge from each \
-         worker to the merge) and forwards cell by cell"
-        => "`verify::concurrency::check_merge_barrier`";
-    ConcurrencyRegistryIsolation = "CON-03" ["docs/observability.md"]
-        "Registry isolation: a cell never observes another cell's telemetry-registry state, \
-         even when one worker runs two cells back-to-back"
-        => "`verify::concurrency::check_registry_isolation`";
+        => "`verify::telemetry::check_txn_lifecycle`; swept with sampled txn traffic in \
+            `crates/verify/tests/proptest_telemetry.rs`; e2e in \
+            `crates/verify/tests/sim_traces.rs`";
     TxnReadWriteSets = "TXN-01" ["§4.2 (Squall reconfiguration)"]
         "A transaction's read/write-set record is consistent with migration state: \
          destination-side accesses (`dest_reads`/`dest_writes`) and restarts occur only while \
          its slot is migrating, destination counts never exceed the totals, and the record \
          (like any restart) lands on the slot the transaction arrived at"
-        => "`verify::telemetry::check_txn_rwsets`; swept with sampled txn traffic by \
-            `pstore-verify`; e2e in `crates/sim/tests/txn_trace.rs`";
+        => "`verify::telemetry::check_txn_rwsets`; swept with sampled txn traffic in \
+            `crates/verify/tests/proptest_telemetry.rs`; e2e in \
+            `crates/verify/tests/sim_traces.rs`";
     IsoDsgAcyclic = "ISO-01" ["§4.2 (transparent migration; IsoPredict DSG)"]
         "The direct serialization graph over sampled key-level histories is acyclic — the \
          execution is conflict-serializable, and any violation is reported as a named \

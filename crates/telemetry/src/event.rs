@@ -646,7 +646,7 @@ schema! {
         name: String = "Span name; the instrumented crates use `SpanName` only.",
         from: Option<u64> = "`reconfig` spans: machine count before the move.",
         to: Option<u64> = "`reconfig` spans: machine count after the move.",
-        seed: Option<u64> = "`work` / `con_work` spans: the probe cell's seed.",
+        seed: Option<u64> = "`work` spans: the probe cell's seed.",
     }
     /// A span closed; ends must nest LIFO (`TEL-01`/`TEL-02`).
     SPAN_END = "span_end" => SpanEnd {
@@ -895,8 +895,6 @@ span_names! {
     Tick = "tick",
     /// One chunk-granularity migration step inside a `reconfig` span.
     ChunkStep = "chunk_step",
-    /// Per-cell unit of work in `pstore-verify`'s concurrency probes.
-    ConWork = "con_work",
     /// Per-cell unit of work in the sweep's own tests.
     Work = "work",
 }

@@ -138,7 +138,7 @@ impl EdgeKind {
     }
 }
 
-/// Size summary of a DSG, for sweep reports.
+/// Size summary of a DSG: what a check of a captured history covered.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DsgStats {
     /// Sampled transactions with captured accesses.

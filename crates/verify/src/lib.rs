@@ -16,10 +16,6 @@
 //! * [`telemetry`] — telemetry traces and metrics: span pairing and LIFO
 //!   nesting over event streams, histogram-merge associativity
 //!   (`TEL-01..03`, see docs/observability.md).
-//! * [`concurrency`] — the parallel sweep surface: fault-injected sweeps
-//!   lose no cell and attribute failures deterministically, the ordered
-//!   merge observes every cell's results and telemetry, cells never see
-//!   another cell's registry state (`CON-01..03`).
 //! * [`prov`] — the provisioning observatory's `prov_*` event family:
 //!   the capacity ledger conserves machine-seconds against the raw
 //!   per-interval stream (`PRV-01`), every reconfiguration traces to
@@ -42,10 +38,14 @@
 //! the *cross-artifact* layer on top (they compare schedules against their
 //! mirrors, plans against oracles, closed forms against constructions).
 //!
-//! The `pstore-verify` binary sweeps every `(A, B)` pair up to 64 machines
-//! plus randomized planner and forecast scenarios and exits non-zero on any
-//! violation; `scripts/static_analysis.sh` runs it as part of CI. The full
-//! catalogue of invariants lives in `docs/invariants.md`.
+//! The crate's integration tests drive the checkers, and `cargo test`
+//! runs them: `tests/schedule.rs` every `(A, B)` pair up to 64 machines,
+//! `tests/proptest_plan.rs` randomized planner scenarios and the
+//! optimality oracle, `tests/forecast.rs` the forecasting models,
+//! `tests/proptest_telemetry.rs` randomized traces, and
+//! `tests/sim_traces.rs` the traces of fixed-seed detailed-simulator runs
+//! (`ISO-*`, `PRV-*`, `TEL-06`, `TXN-01`). The full catalogue of
+//! invariants lives in `docs/invariants.md`.
 //!
 //! [`MigrationSchedule`]: pstore_core::schedule::MigrationSchedule
 //! [`MoveSeq`]: pstore_core::MoveSeq
@@ -54,7 +54,6 @@
 
 #[cfg(test)]
 mod catalogue;
-pub mod concurrency;
 pub mod forecast;
 pub mod iso;
 pub mod moves;
@@ -65,10 +64,7 @@ pub mod telemetry;
 
 pub use pstore_core::{InvariantId, Violation};
 
-use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
-use pstore_core::controller::Strategy;
-use pstore_sim::detailed::{run_detailed, DetailedSimConfig, DetailedSimResult};
-use pstore_telemetry::{Entry, Event, TraceSpec};
+use pstore_telemetry::{Entry, Event};
 
 /// Decodes a captured trace for a checker of `invariant`: the entries,
 /// and one violation of that invariant per event that does not match the
@@ -88,68 +84,4 @@ pub(crate) fn decoded(
         )
     };
     (trace, errors.into_iter().map(undecodable).collect())
-}
-
-/// One small fixed-seed detailed-simulator run of `strategy` over `load`
-/// under a capturing sink installed with `spec` — the scenario the ISO and
-/// PRV sweeps replay.
-pub fn captured_run(
-    load: Vec<f64>,
-    spec: TraceSpec,
-    strategy: &mut dyn Strategy,
-) -> (DetailedSimResult, Vec<Event>) {
-    let mut cfg = DetailedSimConfig::paper_defaults(load, 0xBEEF);
-    // The paper's 300 s decision interval would outlast these few-minute
-    // loads; tighten it so the controller actually reconfigures mid-run.
-    cfg.params.interval = std::time::Duration::from_secs(30);
-    cfg.params.d = std::time::Duration::from_secs(300);
-    cfg.workload.num_skus = 2_000;
-    cfg.workload.initial_carts = 600;
-    cfg.num_slots = 360;
-    cfg.warmup_txns = 20_000;
-    let (sink, handle) = pstore_telemetry::MemorySink::new();
-    let guard = pstore_telemetry::install_with(std::rc::Rc::new(sink), spec);
-    let result = run_detailed(&cfg, strategy);
-    drop(guard);
-    (result, handle.events())
-}
-
-/// [`captured_run`] of the reactive ramp: load climbs 300 → 700 txn/s over
-/// 60 s and holds, forcing the reactive controller into a live scale-out,
-/// so transactions meet chunk migrations.
-pub fn captured_ramp_run(spec: TraceSpec) -> (DetailedSimResult, Vec<Event>) {
-    let mut load: Vec<f64> = (0..60)
-        .map(|s| 300.0 + 400.0 * f64::from(s) / 60.0)
-        .collect();
-    load.extend(vec![700.0; 120]);
-    let mut reactive = ReactiveController::new(ReactiveConfig {
-        trigger_fraction: 0.9,
-        headroom: 0.2,
-        smoothing_window: 2,
-        scale_in_patience: 10,
-        ..ReactiveConfig::default()
-    });
-    captured_run(load, spec, &mut reactive)
-}
-
-/// Outcome of one checker sweep: artifacts examined and violations found.
-#[derive(Debug, Clone, Default)]
-pub struct CheckStats {
-    /// Number of artifacts (schedules, plans, curves, ...) examined.
-    pub artifacts: usize,
-    /// Violations collected across all artifacts.
-    pub violations: Vec<Violation>,
-}
-
-impl CheckStats {
-    /// Folds one artifact's violations into the running stats.
-    pub fn absorb(&mut self, violations: Vec<Violation>) {
-        self.artifacts += 1;
-        self.violations.extend(violations);
-    }
-
-    /// Whether the sweep found no violations.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
 }

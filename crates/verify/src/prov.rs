@@ -26,9 +26,8 @@
 //!   `observed` matches the demand the monitor recorded for that
 //!   interval.
 //!
-//! The `pstore-verify` binary replays fixed-seed reactive and
-//! predictive runs through these checkers (the `prov` sweep in
-//! `main.rs`).
+//! `tests/sim_traces.rs` replays fixed-seed reactive and predictive
+//! detailed-simulator runs through these checkers.
 
 use crate::decoded;
 use pstore_core::{InvariantId, Violation};
@@ -393,48 +392,6 @@ pub fn check_events(artifact: &str, events: &[Event]) -> Vec<Violation> {
     violations.extend(check_prov_causality(artifact, events));
     violations.extend(check_prov_forecast_bookkeeping(artifact, events));
     violations
-}
-
-/// One fixed-seed detailed run with provisioning events on, under a
-/// capturing sink: the reactive ramp shared with the iso sweep, or (for
-/// `predictive`) a flat-then-step load under the P-Store controller with
-/// an oracle forecaster, so the trace contains planned decisions with a
-/// real lead. Shared with the prov sweep in `main.rs`.
-pub fn captured_prov_run(
-    predictive: bool,
-) -> (pstore_sim::detailed::DetailedSimResult, Vec<Event>) {
-    use pstore_core::controller::forecaster::OracleForecaster;
-    use pstore_core::controller::pstore::{PStoreConfig, PStoreController};
-    use pstore_core::planner::{Planner, PlannerConfig};
-
-    let spec = pstore_telemetry::TraceSpec {
-        prov: true,
-        ..Default::default()
-    };
-    if !predictive {
-        return crate::captured_ramp_run(spec);
-    }
-    // Flat 250 txn/s, then a step to 800: the oracle sees the step a
-    // full horizon ahead, so the planner issues lead >= 1 decisions.
-    let mut load = vec![250.0; 120];
-    load.extend(vec![800.0; 120]);
-    let mut pstore = PStoreController::new(
-        Planner::new(PlannerConfig {
-            q: 285.0,
-            d_intervals: 300.0 / 30.0,
-            partitions_per_node: 6,
-            max_machines: 10,
-        }),
-        OracleForecaster::new(pstore_sim::detailed::per_interval_load(&load, 30.0)),
-        PStoreConfig {
-            horizon: 10,
-            prediction_inflation: 1.0,
-            scale_in_confirmations: 3,
-            emergency_rate_multiplier: 1.0,
-            initial_machines: 1,
-        },
-    );
-    crate::captured_run(load, spec, &mut pstore)
 }
 
 #[cfg(test)]

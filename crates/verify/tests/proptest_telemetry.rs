@@ -1,15 +1,21 @@
-//! Property tests for the `TEL-*` telemetry invariants: histogram merging
-//! is associative/commutative on arbitrary sample sets (`TEL-03`), span
+//! The `TEL-*` telemetry invariants and `TXN-01`: histogram merging is
+//! associative/commutative on arbitrary sample sets (`TEL-03`), span
 //! traces produced through the live API always pair and nest
 //! (`TEL-01`/`TEL-02`), sim-time-stamped traces are totally ordered
-//! (`TEL-04`), and the span profiler conserves time on any balanced
-//! trace (`TEL-05`).
+//! (`TEL-04`), the span profiler conserves time on any balanced trace
+//! (`TEL-05`), and randomized transaction traffic keeps well-formed
+//! lifecycles (`TEL-06`) and read/write sets (`TXN-01`) — over a seeded
+//! sweep of live-API traces, and under proptest.
 
 use proptest::prelude::*;
 use pstore_telemetry::{Event, Record, SpanBegin, SpanEnd};
 use pstore_verify::telemetry::{
     check_histogram_merge, check_profile_conservation, check_trace_order, check_trace_spans,
+    check_txn_lifecycle, check_txn_rwsets,
 };
+use pstore_verify::Violation;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 /// A wire-level `span_begin` / `span_end` with the given stamps.
 fn span(begin: bool, seq: u64, t: Option<f64>, id: u64, name: &str) -> Event {
@@ -69,6 +75,162 @@ fn sample_set() -> impl Strategy<Value = Vec<f64>> {
         ],
         0..64,
     )
+}
+
+/// 64 randomized traces, each a span tree and transaction traffic
+/// emitted through the live API under a sim clock and checked against
+/// `TEL-01`/`TEL-02`, `TEL-04`, `TEL-05`, `TEL-06` and `TXN-01`, plus a
+/// histogram merge of three random sample sets (`TEL-03`) per trace:
+/// six artifacts per case.
+#[test]
+fn live_api_traces_and_histogram_merges_are_clean() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0004);
+    let mut checks: Vec<Vec<Violation>> = Vec::new();
+    for case in 0..64 {
+        // A well-formed randomized span tree through the real begin/end
+        // API — sim-time-stamped so the profiler has real durations to
+        // aggregate — captured by an in-memory sink.
+        let (sink, handle) = pstore_telemetry::MemorySink::new();
+        let guard = pstore_telemetry::install(std::rc::Rc::new(sink));
+        let depth = rng.random_range(1usize..=4);
+        let width = rng.random_range(1usize..=4);
+        let mut now = 0.0;
+        emit_span_tree(&mut rng, depth, width, &mut now);
+        emit_txn_traffic(&mut rng, &mut now);
+        pstore_telemetry::clear_time();
+        drop(guard);
+        let events = handle.events();
+        let artifact = format!("span trace {case}");
+        checks.push(check_trace_spans(&artifact, &events));
+        checks.push(check_trace_order(&artifact, &events));
+        checks.push(check_profile_conservation(
+            &artifact,
+            &events,
+            pstore_telemetry::ProfileClock::Sim,
+        ));
+        checks.push(check_txn_lifecycle(&artifact, &events));
+        checks.push(check_txn_rwsets(&artifact, &events));
+
+        // Random sample sets, including empties and extreme magnitudes.
+        let mut set = || -> Vec<f64> {
+            let n = rng.random_range(0usize..200);
+            (0..n)
+                .map(|_| {
+                    let exp = rng.random_range(-7.0..6.0f64);
+                    10f64.powf(exp)
+                })
+                .collect()
+        };
+        let sets = [set(), set(), set()];
+        checks.push(check_histogram_merge(
+            &format!("histogram merge {case}"),
+            &sets,
+        ));
+    }
+    assert_eq!(checks.concat(), vec![]);
+    assert_eq!(checks.len(), 384);
+}
+
+/// Emits a random tree of nested spans (interleaved with plain events)
+/// through the live telemetry API. `now` is the sim clock, advanced by a
+/// random positive step around every event so traces are totally ordered
+/// (`TEL-04`) and spans have real durations for the profiler (`TEL-05`).
+fn emit_span_tree(rng: &mut StdRng, depth: usize, width: usize, now: &mut f64) {
+    for _ in 0..width {
+        pstore_telemetry::set_time(*now);
+        let id = pstore_telemetry::begin_span(pstore_telemetry::SpanName::Reconfig);
+        *now += rng.random_range(0.0..2.0);
+        pstore_telemetry::set_time(*now);
+        pstore_telemetry::emit(pstore_telemetry::ChunkMove {
+            bytes: 1000,
+            ..Default::default()
+        });
+        if depth > 1 && rng.random_range(0u32..2) == 0 {
+            let child_width = rng.random_range(1usize..=width);
+            emit_span_tree(rng, depth - 1, child_width, now);
+        }
+        *now += rng.random_range(0.0..2.0);
+        pstore_telemetry::set_time(*now);
+        pstore_telemetry::end_span(pstore_telemetry::SpanName::Reconfig, id);
+    }
+}
+
+/// Emits randomized per-transaction lifecycle traffic through the live
+/// telemetry API, mirroring what the detailed simulator samples: arrive,
+/// queue (with optional migration stall), execute or timeout-drop, a
+/// read/write-set record, and a terminal commit/abort whose attribution
+/// components sum to the end-to-end latency (`TEL-06`/`TXN-01` fodder).
+fn emit_txn_traffic(rng: &mut StdRng, now: &mut f64) {
+    use pstore_telemetry::{
+        TxnAbort, TxnArrive, TxnCommit, TxnExecute, TxnQueue, TxnRestart, TxnRwset, TxnStall,
+    };
+    let txns = rng.random_range(2u64..24);
+    for id in 1..=txns {
+        *now += rng.random_range(0.0..0.5);
+        pstore_telemetry::set_time(*now);
+        let slot = rng.random_range(0u64..64);
+        let migrating = rng.random_range(0u32..4) == 0;
+        pstore_telemetry::emit(TxnArrive { id, slot });
+        let stall = if migrating {
+            rng.random_range(0.0..0.3)
+        } else {
+            0.0
+        };
+        let queue = rng.random_range(0.0..0.2);
+        pstore_telemetry::emit(TxnQueue {
+            id,
+            wait: queue + stall,
+            stall,
+        });
+        if stall > 0.0 {
+            pstore_telemetry::emit(TxnStall { id, stall });
+        }
+        let exec = rng.random_range(0.001..0.05);
+        let dropped = rng.random_range(0u32..8) == 0;
+        if !dropped {
+            pstore_telemetry::emit(TxnExecute { id, service: exec });
+            if migrating && rng.random_range(0u32..2) == 0 {
+                pstore_telemetry::emit(TxnRestart { id, slot });
+            }
+            let reads = rng.random_range(1u64..6);
+            let writes = rng.random_range(0u64..3);
+            pstore_telemetry::emit(TxnRwset {
+                id,
+                slot,
+                proc: "ycsb".into(),
+                reads,
+                writes,
+                dest_reads: if migrating { reads.min(1) } else { 0 },
+                dest_writes: if migrating { writes.min(1) } else { 0 },
+                migrating,
+                restarted: false,
+                committed: true,
+                rset: None,
+                wset: None,
+            });
+        }
+        let (total, end) = (queue + exec + stall, *now + queue + stall + exec);
+        if dropped {
+            pstore_telemetry::emit(TxnAbort {
+                id,
+                total,
+                queue,
+                exec,
+                stall,
+                end,
+                reason: Some("timeout".into()),
+            });
+        } else {
+            pstore_telemetry::emit(TxnCommit {
+                id,
+                total,
+                queue,
+                exec,
+                stall,
+                end,
+            });
+        }
+    }
 }
 
 proptest! {

@@ -6,9 +6,10 @@
 #   scripts/sanitizers.sh thread     # one sanitizer only
 #
 # ThreadSanitizer exercises the real thread interleavings of the sweep's
-# scoped parallel map and the fault-injected parallel sweeps built on it —
-# the only threads in the tree. AddressSanitizer covers the same targets
-# for memory errors that miri cannot reach once real threads are involved.
+# scoped parallel map and of real detailed-simulator cells swept through
+# it — the only threads in the tree. AddressSanitizer covers the same
+# targets for memory errors that miri cannot reach once real threads are
+# involved.
 #
 # Requirements (both checked; the script SKIPS cleanly when absent, like
 # the miri step of static_analysis.sh, so offline toolchains still pass):
@@ -40,11 +41,13 @@ fi
 HOST="$(rustc +nightly -vV | sed -n 's/^host: //p')"
 
 # The sanitizer-instrumented targets. Each entry is "<cargo args>": the
-# sweep's parallel map with its fault-injected suite (pstore-bench holds
-# every thread the sweep spawns). The engine in pstore-dbms and the
-# telemetry crate are single-threaded; miri covers them.
+# sweep's parallel map with its unit tests, and detailed-simulator cells
+# swept on 8 threads (pstore-bench holds every thread the sweep spawns).
+# The engine in pstore-dbms and the telemetry crate are single-threaded;
+# miri covers them.
 TARGETS=(
     "-p pstore-bench --lib"
+    "-p pstore-bench --test sweep_determinism"
 )
 
 for SAN in "${SANITIZERS[@]}"; do
@@ -58,13 +61,6 @@ for SAN in "${SANITIZERS[@]}"; do
         CARGO_TARGET_DIR="target/san-$SAN" \
             cargo +nightly test -q -Zbuild-std --target "$HOST" $T
     done
-    step "pstore-verify sweep incl. ISO serializability phase ($SAN sanitizer)"
-    # The full invariant sweep under real instrumented threads: the
-    # CON-01..03 runtime checkers drive the production sweep, and
-    # the ISO/PRV phases run whole simulations inside it.
-    RUSTFLAGS="-Zsanitizer=$SAN" \
-    CARGO_TARGET_DIR="target/san-$SAN" \
-        cargo +nightly run -q -Zbuild-std --target "$HOST" -p pstore-verify
 done
 
 echo

@@ -8,10 +8,18 @@
 //! arise when periodic lag columns are strongly correlated.
 //!
 //! There is one solver, [`lstsq_in_place`]: it reduces a caller-built
-//! `[A | b]` buffer where it lies and walks it only along its rows. SPAR's
-//! weekly refit on the control path builds its 19 000-row system straight
-//! into a buffer it keeps and calls that; [`lstsq`] and [`ridge`] copy a
-//! [`Matrix`] into a fresh buffer and call the same function.
+//! `[A | b]` buffer where it lies. The buffer is stored **by columns**,
+//! `b` last, so every pass of a Householder step walks whole columns in
+//! memory order. SPAR's weekly refit on the control path writes its
+//! 19 000-row system straight into that layout in a buffer it keeps;
+//! [`lstsq`] and [`ridge`] copy a [`Matrix`] into a fresh one. Both call
+//! the same function.
+//!
+//! The layout changes where the numbers lie, not which numbers are added:
+//! each dot product, column norm and update still sums the same terms in
+//! ascending row order, starting from zero, as the textbook
+//! column-at-a-time loop does, so the solution is that loop's, bit for bit
+//! (`tests/linalg_props.rs` keeps it as the reference).
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -223,146 +231,207 @@ pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
 /// `lambda == 0`).
 pub fn ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, SolveError> {
     assert_eq!(a.rows(), b.len(), "rhs length must match rows");
-    let mut system = Vec::with_capacity((a.rows() + a.cols()) * (a.cols() + 1));
-    for (r, rhs) in b.iter().enumerate() {
-        system.extend_from_slice(a.row(r));
-        system.push(*rhs);
+    let (rows, cols) = (a.rows(), a.cols());
+    let m = rows + ridge_rows(cols, lambda);
+    let mut system = vec![0.0; m * (cols + 1)];
+    for (c, column) in system.chunks_exact_mut(m).enumerate() {
+        for (r, x) in column[..rows].iter_mut().enumerate() {
+            *x = if c < cols { a[(r, c)] } else { b[r] };
+        }
     }
-    push_ridge_rows(&mut system, a.cols(), lambda);
-    lstsq_in_place(&mut system, a.cols(), &mut Vec::new())
+    write_ridge_rows(&mut system, cols, lambda);
+    lstsq_in_place(&mut system, cols)
 }
 
-/// Appends the `cols` rows `[sqrt(lambda) * I | 0]` that turn a
-/// least-squares system laid out for [`lstsq_in_place`] into its
-/// ridge-regularised form; nothing for `lambda == 0`.
+/// How many rows `[sqrt(lambda) * I | 0]` the ridge-regularised form of a
+/// `cols`-column system has below its observations: `cols`, or none for
+/// `lambda == 0`.
 ///
 /// # Panics
-/// Panics on a negative `lambda`.
-pub fn push_ridge_rows(system: &mut Vec<f64>, cols: usize, lambda: f64) {
+/// Panics on a negative (or NaN) `lambda`.
+pub fn ridge_rows(cols: usize, lambda: f64) -> usize {
     assert!(lambda >= 0.0, "lambda must be non-negative");
     if lambda == 0.0 {
-        return;
-    }
-    let s = lambda.sqrt();
-    let first = system.len();
-    system.resize(first + cols * (cols + 1), 0.0);
-    for k in 0..cols {
-        system[first + k * (cols + 1) + k] = s;
+        0
+    } else {
+        cols
     }
 }
 
-/// Solves `min ||A x - b||` for a system the caller has laid out row by
-/// row, `[a_i1 .. a_in | b_i]`, `cols + 1` values per row, and reduces it
-/// in place (the contents of `system` afterwards are the triangular factor
-/// and reflected right-hand side, of no use to the caller). `scratch` is
-/// working storage that a caller solving repeatedly keeps between calls;
-/// its contents do not matter.
+/// Writes `[sqrt(lambda) * I | 0]` into the last [`ridge_rows`] rows of a
+/// system laid out for [`lstsq_in_place`]: every value of those rows, the
+/// zeros included, since a reused buffer may hold anything there.
 ///
-/// Each Householder step makes two passes over the rows at and below the
-/// pivot, both along the rows as they lie in memory: one accumulating the
-/// reflection's dot product with every trailing column (the right-hand
-/// side is simply the last of them), one applying the update — and picking
-/// up the next column and its sum of squares on the way, so no pass ever
-/// walks down a column of the row-major system. Every scalar is still the
-/// sum of the same terms added in the same (ascending row) order as the
-/// textbook column-at-a-time loop, so the solution is that loop's, bit for
-/// bit.
+/// # Panics
+/// As [`ridge_rows`].
+pub fn write_ridge_rows(system: &mut [f64], cols: usize, lambda: f64) {
+    let ridge = ridge_rows(cols, lambda);
+    if ridge == 0 {
+        return;
+    }
+    let m = system.len() / (cols + 1);
+    let s = lambda.sqrt();
+    for (c, column) in system.chunks_exact_mut(m).enumerate() {
+        let block = &mut column[m - ridge..];
+        block.fill(0.0);
+        if c < cols {
+            block[c] = s;
+        }
+    }
+}
+
+/// Solves `min ||A x - b||` for a system the caller has laid out column by
+/// column — the `cols` columns of `A`, then `b`, each `m` values long, so
+/// `system.len() == (cols + 1) * m` — and reduces it in place (the contents
+/// of `system` afterwards are of no use to the caller).
+///
+/// Each Householder step turns column `k` from its pivot down into the
+/// reflection's vector `v` where it lies, then reflects the trailing
+/// columns, `b` last, in groups of up to eight: one pass down
+/// a group sums each column's dot product with `v` in an accumulator of its
+/// own, then each column of the group takes its update. The first group's
+/// pass also sums `v'v` and column `k`'s own dot product with `v`, and its
+/// first column's update also sums the next step's column norm. Of column
+/// `k` only the diagonal is ever read again, so only the diagonal is
+/// updated. Every scalar is the sum of the same terms added in the same
+/// (ascending row) order, from zero, as in the textbook column-at-a-time
+/// loop, so the solution is that loop's, bit for bit.
 ///
 /// # Errors
 /// As [`lstsq`].
 ///
 /// # Panics
-/// Panics if `cols` is zero or `system` is not a whole number of rows.
-pub fn lstsq_in_place(
-    system: &mut [f64],
-    cols: usize,
-    scratch: &mut Vec<f64>,
-) -> Result<Vec<f64>, SolveError> {
-    let (n, width) = (cols, cols + 1);
+/// Panics if `cols` is zero or `system` is not a whole number of columns.
+pub fn lstsq_in_place(system: &mut [f64], cols: usize) -> Result<Vec<f64>, SolveError> {
+    let n = cols;
     assert!(n > 0, "a system needs at least one column");
-    assert_eq!(system.len() % width, 0, "system must be whole rows");
-    let m = system.len() / width;
+    assert_eq!(system.len() % (n + 1), 0, "system must be whole columns");
+    let m = system.len() / (n + 1);
     if m < n {
         return Err(SolveError::Underdetermined { rows: m, cols: n });
     }
 
-    // `column[k..]` is column k from its pivot down and `norm2` its sum of
-    // squares whenever step k begins; `scale` has one slot per column.
-    scratch.clear();
-    scratch.resize(m + width, 0.0);
-    let (column, scale) = scratch.split_at_mut(m);
-    let gather = |system: &[f64], column: &mut [f64], k: usize| {
-        let mut norm2 = 0.0f64;
-        for (slot, row) in column[k..]
-            .iter_mut()
-            .zip(system[k * width..].chunks_exact(width))
-        {
-            *slot = row[k];
-            norm2 += row[k] * row[k];
-        }
-        norm2
-    };
-
-    let mut norm2 = gather(system, column, 0);
+    // Column k's sum of squares from its pivot down whenever step k begins.
+    let mut norm2 = system[..m].iter().fold(0.0, |s, x| s + x * x);
     for k in 0..n {
-        // Householder vector for column k, rows k..m.
         let norm = norm2.sqrt();
         if norm < 1e-12 {
             return Err(SolveError::RankDeficient { column: k });
         }
-        let alpha = if column[k] >= 0.0 { -norm } else { norm };
-        let v = &mut column[k..];
+        let (reduced, trailing) = system.split_at_mut((k + 1) * m);
+        // Householder vector for column k, rows k..m.
+        let v = &mut reduced[k * m + k..];
+        let pivot = v[0];
+        let alpha = if pivot >= 0.0 { -norm } else { norm };
         v[0] -= alpha;
-        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-        let below = &mut system[k * width..];
-        if vnorm2 < 1e-24 {
-            // Column already reduced; just set the diagonal.
-            below[k] = alpha;
-            norm2 = gather(system, column, k + 1);
-            continue;
-        }
+        let v = &*v;
 
         // Apply the reflection H = I - 2 v v^T / (v^T v) to the trailing
         // columns and the right-hand side.
-        let scale = &mut scale[k..];
-        scale.fill(0.0);
-        for (row, vi) in below.chunks_exact(width).zip(v.iter()) {
-            for (dot, x) in scale.iter_mut().zip(&row[k..]) {
-                *dot += vi * x;
+        let (first, mut rest) = trailing.split_at_mut(m * (n - k).min(8));
+        // `|v[0]| = |pivot| + norm`, so `v'v >= 2 norm^2`: past the rank
+        // check every quotient by it is finite.
+        let (dots, vnorm2, own_dot) = dot_products::<true>(first, m, v, pivot);
+        for (j, (column, dot)) in first.chunks_exact_mut(m).zip(dots).enumerate() {
+            let scale = 2.0 * dot / vnorm2;
+            if j == 0 {
+                // Column k + 1 (after the last step the right-hand side,
+                // which nobody reads), and its norm for the next step.
+                column[k] -= scale * v[0];
+                norm2 = 0.0;
+                for (x, vi) in column[k + 1..].iter_mut().zip(&v[1..]) {
+                    *x -= scale * vi;
+                    norm2 += *x * *x;
+                }
+            } else {
+                reflect(&mut column[k..], v, scale);
             }
         }
-        for dot in scale.iter_mut() {
-            *dot = 2.0 * *dot / vnorm2;
-        }
-        norm2 = 0.0;
-        for (i, (row, vi)) in below.chunks_exact_mut(width).zip(v.iter_mut()).enumerate() {
-            for (x, s) in row[k..].iter_mut().zip(scale.iter()) {
-                *x -= s * *vi;
+        while !rest.is_empty() {
+            let (group, tail) = rest.split_at_mut(rest.len().min(8 * m));
+            let (dots, ..) = dot_products::<false>(group, m, v, pivot);
+            for (column, dot) in group.chunks_exact_mut(m).zip(dots) {
+                reflect(&mut column[k..], v, 2.0 * dot / vnorm2);
             }
-            if i > 0 {
-                // Column k + 1 (or, after the last step, the right-hand
-                // side, which nobody reads) for the next step.
-                *vi = row[k + 1];
-                norm2 += row[k + 1] * row[k + 1];
-            }
+            rest = tail;
         }
+        reduced[k * m + k] = pivot - 2.0 * own_dot / vnorm2 * v[0];
     }
 
     // Back substitution on the upper-triangular system R x = Q^T b.
     let mut x = vec![0.0; n];
     for k in (0..n).rev() {
-        let row = &system[k * width..(k + 1) * width];
-        let mut s = row[n];
+        let mut s = system[n * m + k];
         for c in k + 1..n {
-            s -= row[c] * x[c];
+            s -= system[c * m + k] * x[c];
         }
-        let diag = row[k];
+        let diag = system[k * m + k];
         if diag.abs() < 1e-12 {
             return Err(SolveError::RankDeficient { column: k });
         }
         x[k] = s / diag;
     }
     Ok(x)
+}
+
+/// The dot products of `v` (rows `m - v.len()..m`) with each column of
+/// `group`, summed in one pass down the rows, and with `OWN` also `v'v`
+/// and the dot product of
+/// `v` with the column it was made from, whose pivot `v[0]` replaced.
+/// A group is up to eight whole columns of `m` values.
+fn dot_products<const OWN: bool>(
+    group: &[f64],
+    m: usize,
+    v: &[f64],
+    pivot: f64,
+) -> ([f64; 8], f64, f64) {
+    match group.len() / m {
+        8 => dot_products_of::<8, OWN>(group, m, v, pivot),
+        7 => dot_products_of::<7, OWN>(group, m, v, pivot),
+        6 => dot_products_of::<6, OWN>(group, m, v, pivot),
+        5 => dot_products_of::<5, OWN>(group, m, v, pivot),
+        4 => dot_products_of::<4, OWN>(group, m, v, pivot),
+        3 => dot_products_of::<3, OWN>(group, m, v, pivot),
+        2 => dot_products_of::<2, OWN>(group, m, v, pivot),
+        _ => dot_products_of::<1, OWN>(group, m, v, pivot),
+    }
+}
+
+/// [`dot_products`] over exactly `W` columns, so that each sum lives in a
+/// register of its own.
+fn dot_products_of<const W: usize, const OWN: bool>(
+    group: &[f64],
+    m: usize,
+    v: &[f64],
+    pivot: f64,
+) -> ([f64; 8], f64, f64) {
+    let k = m - v.len();
+    let columns: [&[f64]; W] = std::array::from_fn(|j| &group[j * m + k..(j + 1) * m]);
+    let mut dots: [f64; W] = std::array::from_fn(|j| 0.0 + v[0] * columns[j][0]);
+    // Below the pivot the column `v` was made from is `v`, so its dot
+    // product and `v'v` add the same squares after different first terms.
+    let (mut vnorm2, mut own_dot) = (0.0 + v[0] * v[0], 0.0 + v[0] * pivot);
+    for i in 1..v.len() {
+        let vi = v[i];
+        if OWN {
+            let square = vi * vi;
+            vnorm2 += square;
+            own_dot += square;
+        }
+        for j in 0..W {
+            dots[j] += vi * columns[j][i];
+        }
+    }
+    let mut out = [0.0; 8];
+    out[..W].copy_from_slice(&dots);
+    (out, vnorm2, own_dot)
+}
+
+/// `x -= scale * v`, element by element.
+fn reflect(column: &mut [f64], v: &[f64], scale: f64) {
+    for (x, vi) in column.iter_mut().zip(v) {
+        *x -= scale * vi;
+    }
 }
 
 /// Cholesky factorisation of a symmetric positive-definite matrix.

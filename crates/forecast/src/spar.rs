@@ -18,6 +18,16 @@
 //! configurable set of forecast offsets so one coefficient vector serves
 //! the whole planning horizon.
 //!
+//! A fit writes that regression straight into the layout the solver
+//! takes, [`lstsq_in_place`]'s `[A | b]` stored by columns, in a
+//! [`FitScratch`] a refitting forecaster keeps: each column top to
+//! bottom, one row per origin and pooled `tau` in origin-major order, the
+//! ridge rows last. Only where the values lie differs from a row-major
+//! build; the rows, their order and every value (each sample's offset is
+//! computed once, by the same expression) are the same, and the solver
+//! adds the same terms in the same order, so the coefficients are the
+//! same bits.
+//!
 //! ```
 //! use pstore_forecast::spar::{SparConfig, SparModel};
 //! use pstore_forecast::model::LoadPredictor;
@@ -32,7 +42,7 @@
 //! assert!((pred - data[data.len() - 48]).abs() < 1e-6);
 //! ```
 
-use crate::linalg::{lstsq_in_place, push_ridge_rows};
+use crate::linalg::{lstsq_in_place, ridge_rows, write_ridge_rows};
 use crate::model::{FitError, LoadPredictor};
 
 /// Configuration for a SPAR fit.
@@ -84,7 +94,7 @@ impl SparConfig {
 
     /// Minimum history length required for fitting or predicting.
     pub fn min_history(&self) -> usize {
-        self.n_periods * self.period + self.m_recent + 1
+        Shape::of(self).min_history()
     }
 }
 
@@ -97,20 +107,61 @@ impl Default for SparConfig {
 /// A fitted SPAR model.
 #[derive(Debug, Clone)]
 pub struct SparModel {
-    config: SparConfig,
-    /// `a_k` coefficients, `a[k-1]` multiplies `y(t + tau - k*T)`.
-    a: Vec<f64>,
-    /// `b_j` coefficients, `b[j-1]` multiplies `dy(t - j)`.
-    b: Vec<f64>,
+    shape: Shape,
+    /// The `a_k` then the `b_j`: `coefficients[k-1]` multiplies
+    /// `y(t + tau - k*T)` and `coefficients[n + j - 1]` multiplies `dy(t - j)`.
+    coefficients: Vec<f64>,
 }
 
-/// Working storage for [`SparModel::fit_with`]: the regression system and
-/// the solver's scratch. A forecaster that refits on a schedule keeps one,
-/// so a refit after the first writes into memory it already owns.
+/// What of a [`SparConfig`] a fitted model predicts with.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    period: usize,
+    n_periods: usize,
+    m_recent: usize,
+}
+
+impl Shape {
+    fn of(cfg: &SparConfig) -> Self {
+        Shape {
+            period: cfg.period,
+            n_periods: cfg.n_periods,
+            m_recent: cfg.m_recent,
+        }
+    }
+
+    fn min_history(self) -> usize {
+        self.n_periods * self.period + self.m_recent + 1
+    }
+
+    /// `dy(s) = y(s) - (1/n) * sum_{k=1..n} y(s - k*T)`, the offset of
+    /// sample `s` from its periodic average.
+    fn offset(self, data: &[f64], s: usize) -> f64 {
+        let periodic_mean = (1..=self.n_periods)
+            .map(|k| data[s - k * self.period])
+            .sum::<f64>()
+            / self.n_periods as f64;
+        data[s] - periodic_mean
+    }
+
+    /// The `dy(t - j)` features for `j = 1..=m` at forecast origin `t`
+    /// (an index into `data`, with `data[t]` the latest observation).
+    fn recent_offsets(self, data: &[f64], t: usize) -> impl Iterator<Item = f64> + '_ {
+        (1..=self.m_recent).map(move |j| self.offset(data, t - j))
+    }
+}
+
+/// Working storage for [`SparModel::fit_with`]: the regression system,
+/// stored by columns as [`lstsq_in_place`] takes it, and each sample's
+/// offset `dy`. A forecaster that refits on a schedule keeps one: the
+/// system is sized at the first fit for the most rows its configuration
+/// can give, and the offsets grow only with the window, so a refit whose
+/// window is no longer than an earlier one writes into memory it already
+/// owns.
 #[derive(Debug, Clone, Default)]
 pub struct FitScratch {
     system: Vec<f64>,
-    solver: Vec<f64>,
+    offsets: Vec<f64>,
 }
 
 impl SparModel {
@@ -125,9 +176,9 @@ impl SparModel {
     }
 
     /// [`fit`](Self::fit) over caller-kept working storage: features,
-    /// targets and ridge rows are written straight into `scratch` and
-    /// factorised there. The coefficients do not depend on what the
-    /// scratch held before.
+    /// targets and ridge rows are written straight into `scratch`, column
+    /// by column, and factorised there. The coefficients do not depend on
+    /// what the scratch held before.
     ///
     /// # Errors
     /// As [`fit`](Self::fit).
@@ -136,19 +187,43 @@ impl SparModel {
         config: &SparConfig,
         scratch: &mut FitScratch,
     ) -> Result<Self, FitError> {
-        let cfg = config.clone();
-        validate(&cfg);
-        let taus = if cfg.taus.is_empty() {
-            vec![1]
+        validate(config);
+        let cols = scratch.build(train, config)?;
+        let coefficients = lstsq_in_place(&mut scratch.system, cols)
+            .map_err(|e| FitError::Numerical(e.to_string()))?;
+        Ok(SparModel {
+            shape: Shape::of(config),
+            coefficients,
+        })
+    }
+
+    /// The periodic coefficients `a_k`.
+    pub fn periodic_coefficients(&self) -> &[f64] {
+        &self.coefficients[..self.shape.n_periods]
+    }
+
+    /// The recent-offset coefficients `b_j`.
+    pub fn recent_coefficients(&self) -> &[f64] {
+        &self.coefficients[self.shape.n_periods..]
+    }
+}
+
+impl FitScratch {
+    /// Writes the regression system for `train` into `self.system`, laid
+    /// out for [`lstsq_in_place`], and returns its number of columns.
+    fn build(&mut self, train: &[f64], config: &SparConfig) -> Result<usize, FitError> {
+        let taus: &[usize] = if config.taus.is_empty() {
+            &[1]
         } else {
-            cfg.taus.clone()
+            &config.taus
         };
         let max_tau = taus.iter().max().copied().unwrap_or(1);
-        let p = cfg.n_periods * cfg.period;
+        let shape = Shape::of(config);
+        let (period, n, m) = (shape.period, shape.n_periods, shape.m_recent);
         // Forecast origin t needs: t - m - n*T >= 0 and t + tau < len and
         // t + tau - n*T >= 0. The first condition dominates.
-        let first_origin = p + cfg.m_recent;
-        let required = first_origin + max_tau + cfg.n_periods + cfg.m_recent + 1;
+        let first_origin = n * period + m;
+        let required = first_origin + max_tau + n + m + 1;
         if train.len() < required {
             return Err(FitError::NotEnoughData {
                 required,
@@ -158,58 +233,65 @@ impl SparModel {
 
         let last_origin = train.len() - 1 - max_tau;
         let origins_available = last_origin - first_origin + 1;
-        let rows_wanted = cfg.max_rows.max(cfg.n_periods + cfg.m_recent + 1);
+        let rows_wanted = config.max_rows.max(n + m + 1);
         let stride = (origins_available * taus.len())
             .div_ceil(rows_wanted)
             .max(1);
-
-        // One row `[periodic lags | recent offsets | target]` per origin
-        // and pooled tau; the offsets are the origin's, shared by its rows.
-        let cols = cfg.n_periods + cfg.m_recent;
-        let system = &mut scratch.system;
-        system.clear();
-        for t in (first_origin..=last_origin).step_by(stride) {
-            let origin_offsets = system.len() + cfg.n_periods;
-            for (i, &tau) in taus.iter().enumerate() {
-                system.extend((1..=cfg.n_periods).map(|k| train[t + tau - k * cfg.period]));
-                if i == 0 {
-                    system.extend(recent_offsets(train, t, &cfg));
-                } else {
-                    system.extend_from_within(origin_offsets..origin_offsets + cfg.m_recent);
-                }
-                system.push(train[t + tau]);
-            }
-        }
-        let nrows = system.len() / (cols + 1);
+        let cols = n + m;
+        let nrows = origins_available.div_ceil(stride) * taus.len();
         if nrows < cols {
             return Err(FitError::NotEnoughData {
                 required,
                 available: train.len(),
             });
         }
-        push_ridge_rows(system, cols, cfg.ridge_lambda);
-        let x = lstsq_in_place(system, cols, &mut scratch.solver)
-            .map_err(|e| FitError::Numerical(e.to_string()))?;
-        Ok(SparModel {
-            a: x[..cfg.n_periods].to_vec(),
-            b: x[cfg.n_periods..].to_vec(),
-            config: cfg,
-        })
-    }
 
-    /// The periodic coefficients `a_k`.
-    pub fn periodic_coefficients(&self) -> &[f64] {
-        &self.a
-    }
-
-    /// The recent-offset coefficients `b_j`.
-    pub fn recent_coefficients(&self) -> &[f64] {
-        &self.b
-    }
-
-    /// The configuration the model was fitted with.
-    pub fn config(&self) -> &SparConfig {
-        &self.config
+        // One row `[periodic lags | recent offsets | target]` per origin
+        // and pooled tau, origin-major, then the ridge rows; written a
+        // column at a time, every value by index. Each sample's offset is
+        // computed once, however many origins reach back to it.
+        let ridge = ridge_rows(cols, config.ridge_lambda);
+        let rows = nrows + ridge;
+        let FitScratch { system, offsets } = self;
+        let first_offset = first_origin - m;
+        offsets.clear();
+        offsets.extend((first_offset..last_origin).map(|s| shape.offset(train, s)));
+        // Every value is written below, so the buffer keeps nothing across
+        // fits. It is sized once for the most rows this configuration can
+        // give — `nrows <= rows_wanted + taus.len()` for any window, by the
+        // choice of stride — so a forecaster whose window grows neither
+        // copies its system nor holds two at once.
+        let len = rows * (cols + 1);
+        if system.capacity() < len {
+            *system = Vec::with_capacity((rows_wanted + taus.len() + ridge) * (cols + 1));
+        }
+        system.resize(len, 0.0);
+        for (c, column) in system.chunks_exact_mut(rows).enumerate() {
+            let origins = column[..nrows]
+                .chunks_exact_mut(taus.len())
+                .zip((first_origin..=last_origin).step_by(stride));
+            if c < n {
+                let back = (c + 1) * period;
+                for (cells, t) in origins {
+                    for (x, tau) in cells.iter_mut().zip(taus) {
+                        *x = train[t + tau - back];
+                    }
+                }
+            } else if c < cols {
+                let j = c - n + 1;
+                for (cells, t) in origins {
+                    cells.fill(offsets[t - j - first_offset]);
+                }
+            } else {
+                for (cells, t) in origins {
+                    for (x, tau) in cells.iter_mut().zip(taus) {
+                        *x = train[t + tau];
+                    }
+                }
+            }
+        }
+        write_ridge_rows(system, cols, config.ridge_lambda);
+        Ok(cols)
     }
 }
 
@@ -223,34 +305,17 @@ fn validate(cfg: &SparConfig) {
     );
 }
 
-/// The `dy(t - j)` features for `j = 1..=m` at forecast origin `t`
-/// (an index into `data`, with `data[t]` the latest observation).
-fn recent_offsets<'a>(
-    data: &'a [f64],
-    t: usize,
-    cfg: &'a SparConfig,
-) -> impl Iterator<Item = f64> + 'a {
-    (1..=cfg.m_recent).map(move |j| {
-        let idx = t - j;
-        let periodic_mean = (1..=cfg.n_periods)
-            .map(|k| data[idx - k * cfg.period])
-            .sum::<f64>()
-            / cfg.n_periods as f64;
-        data[idx] - periodic_mean
-    })
-}
-
 impl LoadPredictor for SparModel {
     fn min_history(&self) -> usize {
-        self.config.min_history()
+        self.shape.min_history()
     }
 
     fn predict(&self, history: &[f64], tau: usize) -> f64 {
         assert!(tau >= 1, "tau must be at least 1");
         assert!(
-            tau <= self.config.period,
+            tau <= self.shape.period,
             "tau ({tau}) beyond one period ({}) is not supported by SPAR",
-            self.config.period
+            self.shape.period
         );
         assert!(
             history.len() >= self.min_history(),
@@ -260,13 +325,17 @@ impl LoadPredictor for SparModel {
         );
         let t = history.len() - 1; // forecast origin index
         let mut y = 0.0;
-        for (k, a_k) in self.a.iter().enumerate() {
+        for (k, a_k) in self.periodic_coefficients().iter().enumerate() {
             // Periodic lag y(t + tau - k*T); k*T >= T >= tau keeps it in
             // the past.
-            let idx = t + tau - (k + 1) * self.config.period;
+            let idx = t + tau - (k + 1) * self.shape.period;
             y += a_k * history[idx];
         }
-        for (b_j, dy) in self.b.iter().zip(recent_offsets(history, t, &self.config)) {
+        for (b_j, dy) in self
+            .recent_coefficients()
+            .iter()
+            .zip(self.shape.recent_offsets(history, t))
+        {
             y += b_j * dy;
         }
         y
@@ -281,7 +350,7 @@ impl LoadPredictor for SparModel {
     fn predict_horizon_into(&self, history: &[f64], h: usize, out: &mut Vec<f64>) {
         // Offsets are shared by every tau; compute them once.
         assert!(
-            h <= self.config.period,
+            h <= self.shape.period,
             "horizon beyond one period is not supported by SPAR"
         );
         assert!(
@@ -290,18 +359,18 @@ impl LoadPredictor for SparModel {
         );
         let t = history.len() - 1;
         let transient: f64 = self
-            .b
+            .recent_coefficients()
             .iter()
-            .zip(recent_offsets(history, t, &self.config))
+            .zip(self.shape.recent_offsets(history, t))
             .map(|(b, d)| b * d)
             .sum();
         out.clear();
         out.extend((1..=h).map(|tau| {
             let periodic: f64 = self
-                .a
+                .periodic_coefficients()
                 .iter()
                 .enumerate()
-                .map(|(k, a_k)| a_k * history[t + tau - (k + 1) * self.config.period])
+                .map(|(k, a_k)| a_k * history[t + tau - (k + 1) * self.shape.period])
                 .sum();
             periodic + transient
         }));
@@ -382,7 +451,7 @@ mod tests {
         let model = SparModel::fit(&data[..train_len], &cfg).unwrap();
 
         let mut zeroed = model.clone();
-        zeroed.b.iter_mut().for_each(|b| *b = 0.0);
+        zeroed.coefficients[cfg.n_periods..].fill(0.0);
 
         let origin = shift_start + cfg.m_recent + 2;
         let (mut err_full, mut err_periodic) = (0.0, 0.0);
@@ -439,6 +508,82 @@ mod tests {
         let data = periodic_signal(cfg.period, cfg.period * 9);
         let model = SparModel::fit(&data[..cfg.period * 8], &cfg).unwrap();
         let _ = model.predict(&data, cfg.period + 1);
+    }
+
+    /// The coefficients' bit patterns.
+    fn coefficient_bits(model: &SparModel) -> Vec<u64> {
+        model.coefficients.iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// Five-minute B2W ticks with the live forecaster's 13-column shape
+    /// (fewer rows, for a debug build), and per-minute B2W load with the
+    /// 37-column B2W default.
+    fn narrow_and_wide() -> ((Vec<f64>, SparConfig), (Vec<f64>, SparConfig)) {
+        use crate::generators::B2wLoadModel;
+        let (model, _) = B2wLoadModel::four_and_a_half_months(7);
+        let ticks = model.generate(14).downsample_mean(5).values().to_vec();
+        let tick = SparConfig {
+            period: 288,
+            n_periods: 7,
+            m_recent: 6,
+            taus: vec![1, 3, 6, 12],
+            ridge_lambda: 1e-4,
+            max_rows: 3_000,
+        };
+        let minutes = model.generate(9).values().to_vec();
+        let wide = SparConfig {
+            max_rows: 4_000,
+            ..SparConfig::b2w_default()
+        };
+        ((ticks, tick), (minutes, wide))
+    }
+
+    #[test]
+    fn a_reused_scratch_fits_what_a_fresh_one_does() {
+        let ((ticks, tick), (minutes, wide)) = narrow_and_wide();
+        // Two windows of different lengths, then the wide system, then a
+        // narrow one again over the wide one's leftovers.
+        let fits = [
+            (&ticks[..12 * 288], &tick),
+            (&ticks[300..300 + 10 * 288 + 17], &tick),
+            (&minutes[..], &wide),
+            (&ticks[..12 * 288], &tick),
+        ];
+        let mut scratch = FitScratch::default();
+        for (i, (data, cfg)) in fits.into_iter().enumerate() {
+            let reused = SparModel::fit_with(data, cfg, &mut scratch).unwrap();
+            let fresh = SparModel::fit(data, cfg).unwrap();
+            assert_eq!(
+                coefficient_bits(&reused),
+                coefficient_bits(&fresh),
+                "fit {i}"
+            );
+        }
+    }
+
+    /// The twin of the test above: a build that wrote only the ridge rows'
+    /// diagonal, leaving the rest of those rows as the wider system before
+    /// it left them, must not pass for a fresh fit.
+    #[test]
+    #[should_panic(expected = "stale ridge rows")]
+    fn ridge_rows_left_stale_are_caught() {
+        let ((ticks, tick), (minutes, wide)) = narrow_and_wide();
+        let window = &ticks[..12 * 288];
+        let fresh = SparModel::fit(window, &tick).unwrap();
+        let mut scratch = FitScratch::default();
+        SparModel::fit_with(&minutes, &wide, &mut scratch).unwrap();
+        let stale = scratch.system.clone();
+        let cols = scratch.build(window, &tick).unwrap();
+        let rows = scratch.system.len() / (cols + 1);
+        for c in 0..=cols {
+            for r in (0..cols).filter(|&r| r != c) {
+                let i = c * rows + rows - cols + r;
+                scratch.system[i] = stale[i];
+            }
+        }
+        let coefficients = lstsq_in_place(&mut scratch.system, cols).unwrap();
+        let bits: Vec<u64> = coefficients.iter().map(|c| c.to_bits()).collect();
+        assert_eq!(bits, coefficient_bits(&fresh), "stale ridge rows");
     }
 
     #[test]

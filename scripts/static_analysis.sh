@@ -111,6 +111,14 @@ step "pstore-verify: the invariant checkers' tests, the registry catalogue inclu
 # prints the block to paste between the markers.
 cargo test -q --package pstore-verify
 
+step "pstore-forecast tests in release: the SPAR and solver bit pins as the optimiser builds them"
+# pinned_regression.rs and linalg_props.rs pin coefficients bit for bit
+# against recorded literals and a column-at-a-time reference. Tier-1 runs
+# them in debug only, yet the solver's accumulator groups and update loops
+# are code that a release build unrolls and vectorises, so they run here as
+# that build compiles them.
+cargo test -q --release -p pstore-forecast
+
 step "microbenchmarks compile (cargo bench --no-run)"
 cargo bench -q --no-run
 

@@ -8,7 +8,11 @@
 //! the cheapest way to hold some `B` at time `t - T(B, A)` with the move
 //! `B -> A`. Every move lasts at least an interval, so one forward pass
 //! over `t` fills that recurrence bottom-up, each `(t, A)` from rows
-//! already filled.
+//! already filled. Where moves are short against the interval, most of
+//! those into `A` last exactly one, so they start in the row before; they
+//! are read from the fewest machines that row can hold up. A last move is
+//! passed over only where its start cell is known to be unreachable, so
+//! every cell, and every tie-break, is what the full scan gives.
 //!
 //! The controller runs this search at every monitoring tick, so everything
 //! about a move that depends on `(B, A)` alone — its duration in intervals
@@ -26,6 +30,7 @@ use crate::cost_model::{avg_machines_allocated, cap, eff_cap, machines_for_load,
 use crate::moves::{Move, MoveSeq};
 use crate::params::SystemParams;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Planner configuration, in planning-interval units.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,8 +88,9 @@ impl Default for PlannerOptions {
 pub struct Planner {
     cfg: PlannerConfig,
     opts: PlannerOptions,
-    /// `cap(n)` for `n` in `0..=max_machines` (Eq 5).
-    caps: Vec<f64>,
+    /// One entry per machine count `n` in `0..=max_machines`; entry 0 is
+    /// never read.
+    columns: Vec<Column>,
     /// One entry per `(b, a)`, both in `0..=max_machines`, at
     /// `a * (max_machines + 1) + b` (the moves into `a` side by side); row
     /// and column 0 are never read.
@@ -95,6 +101,18 @@ pub struct Planner {
     /// The `(t, A)` table at `t * (z + 1) + A`, kept only for its
     /// allocation: a search writes every cell before it reads it.
     table: RefCell<Vec<Cell>>,
+}
+
+/// What the recurrence needs to know about holding `n` machines.
+#[derive(Debug, Clone, Copy)]
+struct Column {
+    /// `cap(n)` (Eq 5).
+    cap: f64,
+    /// The widest run `lo..=hi` of counts around `n` whose move into `n`
+    /// lasts one interval, the stretched "do nothing" move among them: the
+    /// last move from any of them starts in the row before.
+    lo: u32,
+    hi: u32,
 }
 
 /// What the recurrence needs to know about the move `b -> a`.
@@ -160,7 +178,6 @@ impl Planner {
         assert!(cfg.max_machines > 0, "max_machines must be positive");
 
         let stride = cfg.max_machines as usize + 1;
-        let caps = (0..=cfg.max_machines).map(|n| cap(n, cfg.q)).collect();
         let mut moves = vec![MoveEntry::default(); stride * stride];
         let mut limits = Vec::new();
         for b in 1..=cfg.max_machines {
@@ -187,10 +204,27 @@ impl Planner {
                 }));
             }
         }
+        let columns = (0..=cfg.max_machines)
+            .map(|n| {
+                let one_interval = |b: u32| moves[n as usize * stride + b as usize].dur == 1;
+                let (mut lo, mut hi) = (n, n);
+                while lo > 1 && one_interval(lo - 1) {
+                    lo -= 1;
+                }
+                while hi < cfg.max_machines && one_interval(hi + 1) {
+                    hi += 1;
+                }
+                Column {
+                    cap: cap(n, cfg.q),
+                    lo,
+                    hi,
+                }
+            })
+            .collect();
         Planner {
             cfg,
             opts,
-            caps,
+            columns,
             moves,
             limits,
             table: RefCell::new(Vec::new()),
@@ -271,14 +305,32 @@ impl Planner {
             table.resize((t_max + 1) * row, UNREACHABLE);
         }
 
-        // Algorithm 2 bottom-up, one row per interval.
+        // The fewest machines whose capacity covers some row's load: below
+        // it every row's cells are unreachable. A NaN load exceeds no
+        // capacity, so the least load is NaN when any load is.
+        let least = load.iter().fold(
+            f64::INFINITY,
+            |m, &l| if l < m || l.is_nan() { l } else { m },
+        );
+        let mut floor = 1;
+        while floor <= z && least > self.columns[floor as usize].cap {
+            floor += 1;
+        }
+
+        // Algorithm 2 bottom-up, one row per interval. `prev_a_min` is the
+        // previous row's fewest sufficient machines: that row's cells below
+        // it are unreachable (all of them before row 0).
+        let mut prev_a_min = z + 1;
         for t in 0..=t_max {
+            let mut a_min = z + 1;
             for a in 1..=z {
+                let column = self.columns[a as usize];
                 // Insufficient capacity is infinitely expensive.
-                if load[t] > self.caps[a as usize] {
+                if load[t] > column.cap {
                     table[t * row + a as usize] = UNREACHABLE;
                     continue;
                 }
+                a_min = a_min.min(a);
                 // At t = 0 only the current allocation is held (an `n0`
                 // beyond the hardware has no column), and no move fits.
                 let mut best = if t == 0 && a == n0 {
@@ -289,25 +341,45 @@ impl Planner {
                 } else {
                     UNREACHABLE
                 };
-                // Algorithm 3 for each last move `b -> a`, cheapest checks
-                // first: it starts in the horizon, from a reachable state,
-                // for less than the best so far (a cost is never NaN, and a
-                // tie keeps the smaller `b`: Algorithm 2's strict `<`), and
-                // during it predicted load stays under the *effective*
-                // capacity (Equation 7; the naive ablation's limits are all
-                // the post-move capacity).
-                let into_a = &self.moves[a as usize * self.caps.len()..][..row];
-                for (b, mv) in (1..=z).zip(&into_a[1..]) {
-                    let Some(start) = t.checked_sub(mv.dur) else {
-                        continue;
-                    };
-                    let c = table[start * row + b as usize].cost + mv.cost;
-                    if c >= best.cost {
-                        continue;
+                // Algorithm 3 for each last move `b -> a`, `b` ascending,
+                // cheapest checks first: it starts in the horizon, from a
+                // reachable state, for less than the best so far (a cost is
+                // never NaN, and a tie keeps the smaller `b`: Algorithm 2's
+                // strict `<`), and during it predicted load stays under the
+                // *effective* capacity (Equation 7; the naive ablation's
+                // limits are all the post-move capacity). A `b` is passed
+                // over only where its cell is known to be unreachable.
+                let into_a = &self.moves[a as usize * self.columns.len()..][..row];
+                let relax = |bs: Range<u32>, best: &mut Cell| {
+                    for b in bs {
+                        let mv = &into_a[b as usize];
+                        let Some(start) = t.checked_sub(mv.dur) else {
+                            continue;
+                        };
+                        let c = table[start * row + b as usize].cost + mv.cost;
+                        if c >= best.cost {
+                            continue;
+                        }
+                        let limits = &self.limits[mv.limits..mv.limits + mv.dur];
+                        let during = &load[start + 1..=t];
+                        if during.iter().zip(limits).any(|(load, limit)| load > limit) {
+                            continue;
+                        }
+                        *best = Cell {
+                            cost: c,
+                            prev_nodes: b,
+                        };
                     }
-                    let limits = &self.limits[mv.limits..mv.limits + mv.dur];
-                    let during = &load[start + 1..=t];
-                    if during.iter().zip(limits).any(|(load, limit)| load > limit) {
+                };
+                // Below the run, moves of any length, from counts some row
+                // can hold.
+                relax(floor..column.lo, &mut best);
+                // The run: one-interval moves from row `t - 1`, from counts
+                // it can hold.
+                for b in column.lo.max(prev_a_min)..=column.hi.min(z) {
+                    let mv = &into_a[b as usize];
+                    let c = table[(t - 1) * row + b as usize].cost + mv.cost;
+                    if c >= best.cost || load[t] > self.limits[mv.limits] {
                         continue;
                     }
                     best = Cell {
@@ -315,8 +387,11 @@ impl Planner {
                         prev_nodes: b,
                     };
                 }
+                // Above the run, moves of any length.
+                relax(column.hi + 1..z + 1, &mut best);
                 table[t * row + a as usize] = best;
             }
+            prev_a_min = a_min;
         }
 
         for end_nodes in 1..=z {
@@ -378,7 +453,7 @@ impl Planner {
     }
 
     fn entry(&self, b: u32, a: u32) -> &MoveEntry {
-        &self.moves[a as usize * self.caps.len() + b as usize]
+        &self.moves[a as usize * self.columns.len() + b as usize]
     }
 
     /// Checks that a move sequence keeps (effective) capacity above the
@@ -707,6 +782,37 @@ mod tests {
         let b = flat.best_moves(&load, 2).expect("feasible");
         jit.verify_feasible(&a, &load).unwrap();
         flat.verify_feasible(&b, &load).unwrap();
+    }
+
+    fn run(planner: &Planner, a: u32) -> std::ops::RangeInclusive<u32> {
+        let column = planner.columns[a as usize];
+        column.lo..=column.hi
+    }
+
+    #[test]
+    fn one_interval_runs_of_the_realtime_planner() {
+        // The controller's planner: intervals of 300 s, D = 4646 s, P = 6.
+        let planner = Planner::new(PlannerConfig::from_params(&SystemParams::b2w_paper()));
+        assert_eq!(run(&planner, 1), 1..=1);
+        assert_eq!(run(&planner, 2), 2..=8);
+        assert_eq!(run(&planner, 9), 3..=10);
+        for a in 1..=10 {
+            let run = run(&planner, a);
+            assert!(run.contains(&a));
+            for b in 1..=10 {
+                let one = planner.move_intervals(b, a) <= 1;
+                assert!(!run.contains(&b) || one, "{b} -> {a} in the run");
+            }
+        }
+    }
+
+    #[test]
+    fn slow_moves_leave_only_the_noop_in_the_run() {
+        let planner = slow_planner(10);
+        for a in 1..=10 {
+            assert!((1..=10).all(|b| b == a || planner.move_intervals(b, a) > 1));
+            assert_eq!(run(&planner, a), a..=a);
+        }
     }
 
     #[test]

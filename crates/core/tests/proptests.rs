@@ -1,6 +1,7 @@
 //! Property-based tests for the P-Store core algorithms.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use pstore_core::cost_model::{avg_machines_allocated, cap, eff_cap, machines_for_load, move_time};
 use pstore_core::moves::{Move, MoveSeq};
 use pstore_core::params::SystemParams;
@@ -334,6 +335,50 @@ fn planner_equals_reference_on_b2w_windows() {
     assert!(
         moving > 0 && infeasible > 0,
         "{moving} plans that move, {infeasible} searches without a plan"
+    );
+}
+
+/// How many of the cases `planner_equals_arithmetic_reference` draws reach
+/// each path of the planner's candidate scan, pinned so that a narrower
+/// strategy cannot silently stop exercising one. The planner reads
+/// one-interval moves into `A` straight from the row before, from that
+/// row's fewest sufficient machines `a_min` up, and skips every count under
+/// `floor`, the fewest machines whose capacity covers some row's load. The
+/// paths: moves into some `A` that last longer than an interval (the
+/// generic loops around the run); `floor > 1`; a NaN load that pulls
+/// `floor` down to 1 (it exceeds no capacity); and a +∞ load before the
+/// last row, whose `a_min` is past `Z` and so empties the next row's runs.
+#[test]
+fn plan_cases_reach_every_candidate_path() {
+    let mut rng = TestRng::from_test_name("planner_equals_arithmetic_reference");
+    let (mut multi_interval, mut floor_above_one, mut nan_floor, mut inf_row) = (0, 0, 0, 0);
+    for _ in 0..ProptestConfig::default().cases {
+        let case = plan_case().generate(&mut rng);
+        let planner = Planner::with_options(case.cfg.clone(), case.opts);
+        let (load, q) = (&case.load, case.cfg.q);
+        let peak = load.iter().copied().fold(0.0, f64::max);
+        let z = machines_for_load(peak, q)
+            .max(case.n0)
+            .clamp(1, case.cfg.max_machines);
+        let a_min = |l: f64| {
+            (1..=z)
+                .find(|&a| l.is_nan() || l <= cap(a, q))
+                .unwrap_or(z + 1)
+        };
+        let floor = |skip_nan: bool| {
+            let rows = load.iter().filter(|l| !(skip_nan && l.is_nan()));
+            rows.map(|&l| a_min(l)).min().unwrap_or(z + 1)
+        };
+        multi_interval +=
+            usize::from((1..=z).any(|a| (1..=z).any(|b| planner.move_intervals(b, a) > 1)));
+        floor_above_one += usize::from(floor(false) > 1);
+        nan_floor += usize::from(load.iter().any(|l| l.is_nan()) && floor(true) > 1);
+        inf_row += usize::from(load[..load.len() - 1].contains(&f64::INFINITY));
+    }
+    assert_eq!(
+        (multi_interval, floor_above_one, nan_floor, inf_row),
+        (214, 120, 26, 52),
+        "cases with multi-interval moves, floor > 1, a NaN lowering floor, a +inf row"
     );
 }
 

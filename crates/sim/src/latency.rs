@@ -11,11 +11,9 @@
     clippy::cast_sign_loss,
     reason = "latency accounting buckets completion times into whole seconds and sample indices"
 )]
+pub use pstore_telemetry::slo::SLA_THRESHOLD_S;
 use pstore_telemetry::Histogram;
 use std::collections::VecDeque;
-
-/// The paper's SLA threshold: 500 ms.
-pub const SLA_THRESHOLD_S: f64 = 0.5;
 
 /// Sliding-window width (seconds) for the windowed percentile series:
 /// per-second log-bucketed histograms are retained for this many seconds

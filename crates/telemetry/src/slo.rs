@@ -18,8 +18,7 @@ use crate::event::{Entry, Record};
 use crate::trace::{self, Reconfig};
 use std::fmt::Write as _;
 
-/// The SLA threshold in seconds (the paper's 500 ms; mirrors
-/// `pstore_sim::latency::SLA_THRESHOLD_S`).
+/// The SLA threshold in seconds (the paper's 500 ms).
 pub const SLA_THRESHOLD_S: f64 = 0.5;
 
 /// Attribution lead, in seconds: migration activity ending at most this

@@ -119,6 +119,15 @@ step "pstore-forecast tests in release: the SPAR and solver bit pins as the opti
 # that build compiles them.
 cargo test -q --release -p pstore-forecast
 
+step "pstore-core tests in release: the planner against its arithmetic reference as the optimiser builds it"
+# proptests.rs compares the table-driven planner with a top-down transcription
+# of Algorithms 1-3, plan for plan and cost bit for cost bit, over generated
+# cases with hostile loads and both ablations. Tier-1 runs it in debug only,
+# with overflow checks and the planner's own re-validation of every plan on;
+# the controller runs the release build, so the comparison runs here as that
+# build compiles it too.
+cargo test -q --release -p pstore-core
+
 step "microbenchmarks compile (cargo bench --no-run)"
 cargo bench -q --no-run
 

@@ -5,8 +5,8 @@
 //! the emitted JSONL trace with `pstore-trace`.
 //!
 //! Run with `cargo run -p pstore-bench --bin telemetry_smoke -- --trace
-//! /tmp/smoke.jsonl`, then `pstore-trace
-//! /tmp/smoke.jsonl` (exits non-zero on parse errors or unmatched spans).
+//! /tmp/smoke.jsonl`, then `pstore-trace explain /tmp/smoke.jsonl` (exits
+//! 1 on lines that do not decode, unmatched spans or out-of-order events).
 
 #![allow(
     clippy::expect_used,

@@ -93,13 +93,6 @@ pub fn run_approach(
     result
 }
 
-/// Runs all four approaches over one shared trace at the default
-/// ([`Sweep::new`] with 0) thread count. Returns the trace and results in
-/// [`Approach::ALL`] order.
-pub fn run_all(cfg: &Fig9Config) -> (ExperimentTrace, Vec<DetailedSimResult>) {
-    run_all_sweep(cfg, &Sweep::new(0))
-}
-
 /// Runs all four approaches over one shared trace as cells of `sweep`
 /// (each run is deterministic and independent; results and any captured
 /// telemetry are reassembled in [`Approach::ALL`] order regardless of

@@ -116,8 +116,8 @@ pub fn section(title: &str) {
 /// `results/golden/fig9_quick.summary.json`, checked with `cmp`).
 ///
 /// `cargo run -p pstore-bench --bin fig9_comparison -- --trace
-/// /tmp/fig9.jsonl` writes the run's trace; the file is readable by
-/// `pstore-trace`. Without `--trace` or `--summary` no sink is installed
+/// /tmp/fig9.jsonl` writes the run's trace; `pstore-trace explain` reads
+/// it back. Without `--trace` or `--summary` no sink is installed
 /// and the run emits nothing.
 ///
 /// This is also the one place the environment chooses what a trace
@@ -292,7 +292,7 @@ fn read_back(
         let report = pstore_telemetry::trace::RunReport::from_trace(&events);
         eprintln!(
             "trace: {} events -> {} ({} reconfigurations, {} chunk moves, \
-             {} planner calls, {} parse errors); inspect with `pstore-trace {}`",
+             {} planner calls, {} parse errors); inspect with `pstore-trace explain {}`",
             events.len(),
             path.display(),
             report.reconfigs.len(),

@@ -142,7 +142,7 @@ invariants! {
          regresses while a span is open (resets are legal only at an empty span stack — the \
          boundary between concatenated per-cell traces)"
         => "`pstore_telemetry::trace::order_errors` via `verify::telemetry::check_trace_order`; \
-            enforced on files by `pstore-trace report` (exit 1)";
+            enforced on files by `pstore-trace` (exit 1)";
     TelemetryProfileConservation = "TEL-05" ["docs/observability.md"]
         "The span profiler conserves time: a parent's total time covers the sum of its \
          children's totals (self time never negative), and the flamegraph-folded output \

@@ -60,11 +60,6 @@ impl PairTransfer {
         self.next >= self.slots.len()
     }
 
-    /// Slots not yet fully moved.
-    pub fn remaining_slots(&self) -> usize {
-        self.slots.len() - self.next
-    }
-
     /// The slot the next chunk will draw from, if any remain.
     pub fn current_slot(&self) -> Option<u64> {
         self.slots.get(self.next).copied()

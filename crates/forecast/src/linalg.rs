@@ -149,11 +149,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {

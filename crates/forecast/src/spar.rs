@@ -79,19 +79,6 @@ impl SparConfig {
         }
     }
 
-    /// An hourly-data setting with a weekly period (`T = 168`), matching the
-    /// Wikipedia experiment (§5).
-    pub fn hourly_weekly() -> Self {
-        SparConfig {
-            period: 168,
-            n_periods: 4,
-            m_recent: 24,
-            taus: vec![1, 2, 3, 4, 5, 6],
-            ridge_lambda: 1e-4,
-            max_rows: 20_000,
-        }
-    }
-
     /// Minimum history length required for fitting or predicting.
     pub fn min_history(&self) -> usize {
         Shape::of(self).min_history()

@@ -649,7 +649,7 @@ impl<'a> Sim<'a> {
         }
         // Flush the recorder's trailing seconds before the root span
         // closes, so their `second` events land inside the run and trace
-        // analyses (`pstore-trace slo`) attribute them to it rather than to
+        // analyses (`slo::analyze`) attribute them to it rather than to
         // a phantom between-runs segment.
         let seconds = self.recorder.finish();
         let violations = count_sla_violations(&seconds, SLA_THRESHOLD_S);

@@ -11,9 +11,10 @@
 //!    pairs with globally unique ids, emitted through a thread-local
 //!    [`Sink`] (no-op by default, in-memory for tests, JSONL for runs).
 //! 3. **Traces** ([`trace`], the `pstore-trace` binary): read a JSONL
-//!    trace back into decoded [`Entry`]s, validate span pairing/nesting,
-//!    and render a run report (reconfiguration timeline, per-phase
-//!    histograms, top counters).
+//!    trace back into decoded [`Entry`]s, validate span pairing/nesting
+//!    and ordering, and explain the run (`pstore-trace explain`: the run
+//!    report, span profile, SLA attribution, provisioning audit and
+//!    timeline).
 //!
 //! # The switch surface
 //!

@@ -5,9 +5,8 @@
 //! [`Entry`]s, validates span pairing and nesting (the checks behind
 //! `pstore-verify`'s `TEL-01` and `TEL-02`), segments a trace into
 //! simulator runs ([`sim_runs`]) and reconstructs its reconfigurations
-//! ([`reconfigs`]) for the `slo`, `provisioning` and `timeline`
-//! analysers, and renders the run report printed by the `pstore-trace`
-//! binary.
+//! ([`reconfigs`]) for the `slo`, `prov` and `timeline` analysers, and
+//! renders the run report, the first section of `pstore-trace explain`.
 
 use crate::event::{Entry, Event, MetricsSnapshot, Record, SpanName};
 use crate::json;
@@ -374,7 +373,7 @@ pub struct RunReport {
     pub forecasts: u64,
     /// Count of `chunk_move` events (anywhere in the trace).
     pub chunk_moves: u64,
-    /// Structural span problems (also reported by `pstore-verify`).
+    /// Structural span problems (TEL-01/02); `pstore-trace` exits 1 on any.
     pub span_errors: Vec<SpanError>,
     /// The trailing `metrics_snapshot` event, if the run emitted one.
     pub metrics_snapshot: Option<MetricsSnapshot>,

@@ -1,13 +1,17 @@
-//! End-to-end tests of the `pstore-trace` binary: subcommand behaviour,
-//! exit codes, and robustness to malformed traces (truncated lines,
-//! unknown kinds, out-of-order seq) — the CLI must report line-numbered
-//! errors and exit non-zero instead of panicking.
+//! End-to-end tests of the `pstore-trace` binary: what `explain` prints
+//! (the library renders, in order), exit codes, and robustness to
+//! malformed traces (truncated lines, unknown kinds, out-of-order seq,
+//! unmatched spans) — the CLI must report line-numbered errors and exit
+//! non-zero instead of panicking.
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
     reason = "test helpers abort loudly on harness failures"
 )]
 
+use pstore_telemetry::timeline::{self, DEFAULT_WIDTH};
+use pstore_telemetry::trace::{read_jsonl, RunReport};
+use pstore_telemetry::{prov, slo, Profile, ProfileClock};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -68,19 +72,6 @@ fn good_trace() -> String {
 }
 
 #[test]
-fn report_subcommand_and_legacy_form_agree() {
-    let path = tmp("good.jsonl");
-    write(&path, &good_trace());
-    let sub = run(&["report", path.to_str().unwrap()]);
-    let legacy = run(&[path.to_str().unwrap()]);
-    assert!(sub.status.success(), "stderr: {}", stderr(&sub));
-    assert!(legacy.status.success());
-    assert_eq!(stdout(&sub), stdout(&legacy));
-    assert!(stdout(&sub).contains("reconfigurations (1 total"));
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn profile_renders_tree_and_folded_deterministically() {
     let path = tmp("profile.jsonl");
     write(&path, &good_trace());
@@ -107,30 +98,12 @@ fn profile_renders_tree_and_folded_deterministically() {
 }
 
 #[test]
-fn timeline_renders_gantt() {
-    let path = tmp("timeline.jsonl");
-    write(&path, &good_trace());
-    let out = run(&["timeline", path.to_str().unwrap(), "--width", "32"]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("== timeline =="));
-    assert!(text.contains("node   0"));
-    assert!(text.contains("2 -> 3"));
-    assert!(text.contains("chunk moves: 1"));
-    assert_eq!(
-        text,
-        stdout(&run(&["timeline", path.to_str().unwrap(), "--width", "32"]))
-    );
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn truncated_line_reports_line_number_and_fails() {
     let path = tmp("truncated.jsonl");
     let mut text = good_trace();
     text.push_str("{\"seq\":13,\"t\":7,\"kind\":\"seco"); // mid-write truncation
     write(&path, &text);
-    let out = run(&["report", path.to_str().unwrap()]);
+    let out = run(&["explain", path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
     let err = stderr(&out);
     assert!(err.contains("unparseable line(s)"), "stderr: {err}");
@@ -145,7 +118,7 @@ fn mistyped_field_reports_line_number_and_fails() {
     let path = tmp("mistyped.jsonl");
     let text = prov_trace().replace(r#""target":3"#, r#""target":"six""#);
     write(&path, &text);
-    for sub in ["report", "provisioning", "timeline"] {
+    for sub in ["explain", "profile"] {
         let out = run(&[sub, path.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(1), "{sub}");
         let err = stderr(&out);
@@ -166,19 +139,23 @@ fn unknown_kind_is_tolerated_not_fatal() {
     let path = tmp("unknown_kind.jsonl");
     let text = good_trace() + "{\"seq\":13,\"t\":7,\"kind\":\"experimental_new_kind\",\"x\":1}\n";
     write(&path, &text);
-    let out = run(&["report", path.to_str().unwrap()]);
+    let out = run(&["explain", path.to_str().unwrap()]);
     // Unknown kinds are forward-compatible data, not corruption.
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("experimental_new_kind"));
     let _ = std::fs::remove_file(&path);
 }
 
+/// The good trace with one `seq` going backwards (TEL-04).
+fn out_of_order_trace() -> String {
+    good_trace().replace("{\"seq\":6,", "{\"seq\":3,")
+}
+
 #[test]
 fn out_of_order_seq_fails_with_ordering_violation() {
     let path = tmp("out_of_order.jsonl");
-    let text = good_trace().replace("{\"seq\":6,", "{\"seq\":3,");
-    write(&path, &text);
-    let out = run(&["report", path.to_str().unwrap()]);
+    write(&path, &out_of_order_trace());
+    let out = run(&["explain", path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
     assert!(
         stderr(&out).contains("ordering violation"),
@@ -188,21 +165,66 @@ fn out_of_order_seq_fails_with_ordering_violation() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `profile` ends with the same structural check as `explain`.
+#[test]
+fn profile_fails_on_an_out_of_order_trace() {
+    let path = tmp("profile_out_of_order.jsonl");
+    write(&path, &out_of_order_trace());
+    let out = run(&["profile", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("ordering violation"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The good trace with the reconfiguration's `span_end` missing, so the
+/// span never closes and `detailed_sim` ends over it (TEL-01/02).
+#[test]
+fn explain_fails_on_an_unmatched_span() {
+    let path = tmp("unmatched_span.jsonl");
+    let end = r#"{"seq":8,"t":4,"kind":"span_end","id":2,"name":"reconfig"}"#;
+    let text = good_trace().replace(&format!("{end}\n"), "");
+    assert_ne!(text, good_trace());
+    write(&path, &text);
+    let out = run(&["explain", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("span error(s)"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn missing_file_and_bad_usage_exit_2() {
-    let out = run(&["report", "/nonexistent/definitely_missing.jsonl"]);
+    let path = tmp("usage.jsonl");
+    write(&path, &good_trace());
+    let path = path.to_str().unwrap();
+    let out = run(&["explain", "/nonexistent/definitely_missing.jsonl"]);
     assert_eq!(out.status.code(), Some(2));
-    let out = run(&[]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run(&["profile"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run(&["profile", "x.jsonl", "--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    // The summary writer is `RunReporter --summary`; the reports take none.
-    let out = run(&["slo", "x.jsonl", "--summary", "out.json"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run(&["timeline", "x.jsonl", "--width", "abc"]);
-    assert_eq!(out.status.code(), Some(2));
+    for args in [
+        &[][..],
+        &["explain"],
+        &["profile"],
+        &["profile", path, "--bogus"],
+        // The bare-path form, the subcommands `explain` replaced, and the
+        // timeline width are gone.
+        &[path],
+        &["report", path],
+        &["slo", path],
+        &["explain", path, "--width", "32"],
+        // The summary writer is `RunReporter --summary`.
+        &["explain", path, "--summary", "out.json"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stdout(&out).is_empty(), "{args:?}");
+    }
+    let _ = std::fs::remove_file(path);
 }
 
 /// The good trace extended with a provisioning run: header, per-interval
@@ -232,11 +254,94 @@ fn prov_trace() -> String {
         )
 }
 
+/// The five library renders `explain` is made of, in order, separated
+/// by one blank line: the run report, the sim-clock profile, the SLA
+/// attribution, the provisioning audit (only with `prov_*` events), and
+/// the timeline with both overlays.
+fn library_renders(path: &Path) -> String {
+    let (trace, errors) = read_jsonl(path).unwrap();
+    assert!(errors.is_empty(), "{errors:?}");
+    let slo_runs = slo::analyze(&trace);
+    let prov_runs = prov::analyze(&trace);
+    let mut sections = vec![
+        RunReport::from_trace(&trace).render(),
+        Profile::from_trace(&trace, ProfileClock::Sim).render(ProfileClock::Sim),
+        slo::render(&slo_runs),
+    ];
+    if !prov_runs.is_empty() {
+        sections.push(prov::render(&prov_runs));
+    }
+    sections.push(timeline::render(
+        &trace,
+        DEFAULT_WIDTH,
+        &slo::violation_times(&slo_runs),
+        &prov::decision_times(&prov_runs),
+    ));
+    sections.join("\n")
+}
+
+#[test]
+fn explain_prints_the_library_renders_in_order() {
+    for (name, text) in [("good", good_trace()), ("prov", prov_trace())] {
+        let path = tmp(&format!("explain_{name}.jsonl"));
+        write(&path, &text);
+        let out = run(&["explain", path.to_str().unwrap()]);
+        assert!(out.status.success(), "{name} stderr: {}", stderr(&out));
+        assert_eq!(stdout(&out), library_renders(&path), "{name}");
+        // Deterministic output for the same trace.
+        let again = run(&["explain", path.to_str().unwrap()]);
+        assert_eq!(stdout(&out), stdout(&again), "{name}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// `explain`'s last section is the Gantt timeline of nodes and moves.
+#[test]
+fn timeline_renders_gantt() {
+    let path = tmp("timeline.jsonl");
+    write(&path, &good_trace());
+    let out = run(&["explain", path.to_str().unwrap()]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("== timeline =="), "stdout: {text}");
+    assert!(text.contains("node   0"), "stdout: {text}");
+    assert!(text.contains("2 -> 3"), "stdout: {text}");
+    assert!(text.contains("chunk moves: 1"), "stdout: {text}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The timeline gains a `plan` row only when the trace carries
+/// provisioning decisions.
+#[test]
+fn timeline_overlays_decisions_when_prov_events_present() {
+    let plain = tmp("timeline_plain.jsonl");
+    write(&plain, &good_trace());
+    let out = run(&["explain", plain.to_str().unwrap()]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(!stdout(&out).contains("plan     |"));
+
+    let prov = tmp("timeline_prov.jsonl");
+    write(&prov, &prov_trace());
+    let out = run(&["explain", prov.to_str().unwrap()]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    // The decision overlay for the lead-2 decision.
+    assert!(
+        text.contains("'P>' predictive decision+lead"),
+        "stdout: {text}"
+    );
+    assert!(text.contains("plan     |"), "stdout: {text}");
+    let _ = std::fs::remove_file(&plain);
+    let _ = std::fs::remove_file(&prov);
+}
+
+/// On a trace with `prov_*` events `explain` adds the provisioning audit:
+/// the capacity ledger, the decision chain and the forecast error.
 #[test]
 fn provisioning_renders_ledger_and_audit() {
-    let path = tmp("prov.jsonl");
+    let path = tmp("provisioning.jsonl");
     write(&path, &prov_trace());
-    let out = run(&["provisioning", path.to_str().unwrap(), "--width", "32"]);
+    let out = run(&["explain", path.to_str().unwrap()]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("capacity ledger"), "stdout: {text}");
@@ -245,50 +350,24 @@ fn provisioning_renders_ledger_and_audit() {
         "stdout: {text}"
     );
     assert!(text.contains("forecast error"), "stdout: {text}");
-    // The timeline carries the decision overlay for the lead-2 decision.
-    assert!(
-        text.contains("'P>' predictive decision+lead"),
-        "stdout: {text}"
-    );
     assert!(text.contains("1 predictive, 0 reactive"), "stdout: {text}");
-
-    // Deterministic output for the same trace.
-    let again = run(&["provisioning", path.to_str().unwrap(), "--width", "32"]);
-    assert_eq!(text, stdout(&again));
     let _ = std::fs::remove_file(&path);
 }
 
+/// A trace without `prov_*` events is not an error: `explain` prints the
+/// report, profile and SLA sections and no capacity ledger.
 #[test]
-fn provisioning_without_prov_events_exits_1() {
-    let path = tmp("prov_none.jsonl");
+fn explain_without_prov_events_exits_0_and_prints_no_ledger() {
+    let path = tmp("explain_plain.jsonl");
     write(&path, &good_trace());
-    let out = run(&["provisioning", path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        stderr(&out).contains("no prov_* events"),
-        "stderr: {}",
-        stderr(&out)
-    );
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn timeline_overlays_decisions_when_prov_events_present() {
-    let plain = tmp("timeline_plain.jsonl");
-    write(&plain, &good_trace());
-    let out = run(&["timeline", plain.to_str().unwrap(), "--width", "32"]);
-    assert!(out.status.success());
-    assert!(!stdout(&out).contains("plan     |"));
-
-    let prov = tmp("timeline_prov.jsonl");
-    write(&prov, &prov_trace());
-    let out = run(&["timeline", prov.to_str().unwrap(), "--width", "32"]);
+    let out = run(&["explain", path.to_str().unwrap()]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("plan     |"), "stdout: {text}");
-    assert!(text.contains('P'), "stdout: {text}");
-    let _ = std::fs::remove_file(&plain);
-    let _ = std::fs::remove_file(&prov);
+    assert!(text.contains("reconfigurations (1 total"), "stdout: {text}");
+    assert!(text.contains("span profile (sim clock)"), "stdout: {text}");
+    assert!(text.contains("== latency attribution"), "stdout: {text}");
+    assert!(!text.contains("capacity ledger"), "stdout: {text}");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The committed docs carry exactly the tables the schema generates, and

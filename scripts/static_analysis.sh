@@ -149,14 +149,9 @@ cargo run -q --release -p pstore-bench \
     --bin telemetry_smoke -- --quiet --trace "$TRACE_FILE"
 # pstore-trace exits 1 on lines that do not parse or do not match the
 # event schema, unmatched spans, or ordering violations (TEL-01/02/04).
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- report "$TRACE_FILE"
-# The profiler, timeline, and slo attribution must all render the trace.
+cargo run -q --release -p pstore-telemetry --bin pstore-trace -- explain "$TRACE_FILE"
 cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
     profile "$TRACE_FILE" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    timeline "$TRACE_FILE" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    slo "$TRACE_FILE" > /dev/null
 
 step "golden: fig9 --quick --threads 4 with prov events, cmp against the serial blessing in results/golden/"
 # Every run is seeded and deterministic, so the check is exact: the
@@ -177,11 +172,9 @@ PSTORE_PROV_EVENTS=1 cargo run -q --release -p pstore-bench \
 cmp results/golden/fig9_quick.summary.json "$GOLDEN_TMP/fig9_quick.summary.json"
 cmp results/golden/fig9_quick.stdout "$GOLDEN_TMP/fig9_quick.stdout"
 git diff --exit-code -- 'results/fig9_*.csv'
-# The SLA-attribution and provisioning reports must render that trace.
+# The run must explain cleanly from that trace.
 cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    slo "$GOLDEN_TMP/fig9_quick.jsonl" > /dev/null
-cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-    provisioning "$GOLDEN_TMP/fig9_quick.jsonl" > /dev/null
+    explain "$GOLDEN_TMP/fig9_quick.jsonl" > /dev/null
 rm -rf "$GOLDEN_TMP"
 
 if [[ "$QUICK" == "0" ]]; then

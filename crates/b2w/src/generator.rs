@@ -70,7 +70,7 @@ impl Procedure for SeedStock {
         ctx.put(
             tables::STOCK,
             Key::str(self.sku.clone()),
-            Row(vec![
+            Row::new([
                 Value::Str(self.sku.clone()),
                 Value::Int(self.quantity),
                 Value::Int(0),

@@ -62,12 +62,12 @@ impl Procedure for AddLineToCart {
         let cart_key = Key::str(self.cart_id.clone());
         let line_total = self.quantity as f64 * self.unit_price;
         let known = ctx.update(tables::CART, "CART", &cart_key, |cart| {
-            let total = match cart.0[3] {
+            let total = match cart[3] {
                 Value::Float(t) => t,
                 _ => 0.0,
             };
-            cart.0[3] = Value::Float(total + line_total);
-            cart.0[4] = Value::Int(self.now);
+            cart.set(3, Value::Float(total + line_total));
+            cart.set(4, Value::Int(self.now));
             Ok(())
         });
         if known.is_err() {
@@ -75,7 +75,7 @@ impl Procedure for AddLineToCart {
             ctx.put(
                 tables::CART,
                 cart_key,
-                Row(vec![
+                Row::new([
                     s(&self.cart_id),
                     s(&self.customer_id),
                     s(status::OPEN),
@@ -87,7 +87,7 @@ impl Procedure for AddLineToCart {
         ctx.put(
             tables::CART_LINE,
             Key::str_int(self.cart_id.clone(), self.line_id),
-            Row(vec![
+            Row::new([
                 s(&self.cart_id),
                 Value::Int(self.line_id),
                 s(&self.sku),
@@ -129,15 +129,15 @@ impl Procedure for DeleteLineFromCart {
         // Keep the cart total consistent, if there is a cart.
         let cart_key = Key::str(self.cart_id.clone());
         let _ = ctx.update(tables::CART, "CART", &cart_key, |cart| {
-            let qty = line.0[3].as_int().unwrap_or(0) as f64;
-            let price = match line.0[4] {
+            let qty = line[3].as_int().unwrap_or(0) as f64;
+            let price = match line[4] {
                 Value::Float(p) => p,
                 _ => 0.0,
             };
-            if let Value::Float(t) = cart.0[3] {
-                cart.0[3] = Value::Float((t - qty * price).max(0.0));
+            if let Value::Float(t) = cart[3] {
+                cart.set(3, Value::Float((t - qty * price).max(0.0)));
             }
-            cart.0[4] = Value::Int(self.now);
+            cart.set(4, Value::Int(self.now));
             Ok(())
         });
         Ok(TxnOutput::None)
@@ -213,12 +213,12 @@ impl Procedure for ReserveCart {
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let cart_key = Key::str(self.cart_id.clone());
         ctx.update(tables::CART, "CART", &cart_key, |cart| {
-            cart.0[2] = s(status::RESERVED);
-            cart.0[4] = Value::Int(self.now);
+            cart.set(2, s(status::RESERVED));
+            cart.set(4, Value::Int(self.now));
             Ok(())
         })?;
         let n = ctx.update_prefix(tables::CART_LINE, &cart_key, |line| {
-            line.0[5] = s(status::RESERVED);
+            line.set(5, s(status::RESERVED));
         });
         Ok(TxnOutput::Count(n))
     }
@@ -264,7 +264,7 @@ impl Procedure for GetStockQuantity {
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let row = ctx.get_required(tables::STOCK, "STOCK", &Key::str(self.sku.clone()))?;
-        Ok(TxnOutput::Value(row.0[1].clone()))
+        Ok(TxnOutput::Value(row[1].clone()))
     }
 }
 
@@ -288,16 +288,16 @@ impl Procedure for ReserveStock {
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.sku.clone());
         ctx.update(tables::STOCK, "STOCK", &key, |row| {
-            let available = row.0[1].as_int().unwrap_or(0);
+            let available = row[1].as_int().unwrap_or(0);
             if available < self.quantity {
                 return Err(TxnError::Aborted(format!(
                     "insufficient stock for {}: {} < {}",
                     self.sku, available, self.quantity
                 )));
             }
-            let reserved = row.0[2].as_int().unwrap_or(0);
-            row.0[1] = Value::Int(available - self.quantity);
-            row.0[2] = Value::Int(reserved + self.quantity);
+            let reserved = row[2].as_int().unwrap_or(0);
+            row.set(1, Value::Int(available - self.quantity));
+            row.set(2, Value::Int(reserved + self.quantity));
             Ok(TxnOutput::None)
         })
     }
@@ -322,16 +322,16 @@ impl Procedure for PurchaseStock {
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.sku.clone());
         ctx.update(tables::STOCK, "STOCK", &key, |row| {
-            let reserved = row.0[2].as_int().unwrap_or(0);
+            let reserved = row[2].as_int().unwrap_or(0);
             if reserved < self.quantity {
                 return Err(TxnError::Aborted(format!(
                     "cannot purchase unreserved stock for {}",
                     self.sku
                 )));
             }
-            let purchased = row.0[3].as_int().unwrap_or(0);
-            row.0[2] = Value::Int(reserved - self.quantity);
-            row.0[3] = Value::Int(purchased + self.quantity);
+            let purchased = row[3].as_int().unwrap_or(0);
+            row.set(2, Value::Int(reserved - self.quantity));
+            row.set(3, Value::Int(purchased + self.quantity));
             Ok(TxnOutput::None)
         })
     }
@@ -356,16 +356,16 @@ impl Procedure for CancelStockReservation {
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.sku.clone());
         ctx.update(tables::STOCK, "STOCK", &key, |row| {
-            let reserved = row.0[2].as_int().unwrap_or(0);
+            let reserved = row[2].as_int().unwrap_or(0);
             if reserved < self.quantity {
                 return Err(TxnError::Aborted(format!(
                     "cannot release more than reserved for {}",
                     self.sku
                 )));
             }
-            let available = row.0[1].as_int().unwrap_or(0);
-            row.0[1] = Value::Int(available + self.quantity);
-            row.0[2] = Value::Int(reserved - self.quantity);
+            let available = row[1].as_int().unwrap_or(0);
+            row.set(1, Value::Int(available + self.quantity));
+            row.set(2, Value::Int(reserved - self.quantity));
             Ok(TxnOutput::None)
         })
     }
@@ -400,7 +400,7 @@ impl Procedure for CreateStockTransaction {
             tables::STOCK_TXN,
             "STOCK_TXN",
             Key::str(self.stock_txn_id.clone()),
-            Row(vec![
+            Row::new([
                 s(&self.stock_txn_id),
                 s(&self.sku),
                 s(&self.cart_id),
@@ -455,7 +455,7 @@ impl Procedure for UpdateStockTransaction {
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
         let key = Key::str(self.stock_txn_id.clone());
         ctx.update(tables::STOCK_TXN, "STOCK_TXN", &key, |row| {
-            row.0[4] = s(&self.new_status);
+            row.set(4, s(&self.new_status));
             Ok(TxnOutput::None)
         })
     }
@@ -490,7 +490,7 @@ impl Procedure for CreateCheckout {
             tables::CHECKOUT,
             "CHECKOUT",
             Key::str(self.checkout_id.clone()),
-            Row(vec![
+            Row::new([
                 s(&self.checkout_id),
                 s(&self.cart_id),
                 s(status::OPEN),
@@ -537,7 +537,7 @@ impl Procedure for CreateCheckoutPayment {
             tables::CHECKOUT_PAYMENT,
             "CHECKOUT_PAYMENT",
             Key::str_int(self.checkout_id.clone(), self.payment_id),
-            Row(vec![
+            Row::new([
                 s(&self.checkout_id),
                 Value::Int(self.payment_id),
                 s(&self.method),
@@ -545,7 +545,7 @@ impl Procedure for CreateCheckoutPayment {
                 s(status::OPEN),
             ]),
         )?;
-        checkout.0[2] = s(status::PAID);
+        checkout.set(2, s(status::PAID));
         ctx.put(tables::CHECKOUT, checkout_key, checkout);
         Ok(TxnOutput::None)
     }
@@ -585,7 +585,7 @@ impl Procedure for AddLineToCheckout {
         ctx.put(
             tables::CHECKOUT_LINE,
             Key::str_int(self.checkout_id.clone(), self.line_id),
-            Row(vec![
+            Row::new([
                 s(&self.checkout_id),
                 Value::Int(self.line_id),
                 s(&self.sku),
@@ -824,7 +824,7 @@ mod tests {
                 ctx.put(
                     tables::STOCK,
                     Key::str(self.0.clone()),
-                    Row(vec![
+                    Row::new([
                         Value::Str(self.0.as_str().into()),
                         Value::Int(self.1),
                         Value::Int(0),
@@ -863,7 +863,7 @@ mod tests {
         };
         assert_eq!(rows.len(), 4); // cart + 3 lines
                                    // Total = 3 lines x 2 x 10.
-        assert_eq!(rows[0].1 .0[3], Value::Float(60.0));
+        assert_eq!(rows[0].1[3], Value::Float(60.0));
 
         c.execute(&DeleteLineFromCart {
             cart_id: "cart-1".into(),
@@ -880,7 +880,7 @@ mod tests {
             panic!("expected rows");
         };
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].1 .0[3], Value::Float(40.0));
+        assert_eq!(rows[0].1[3], Value::Float(40.0));
 
         let TxnOutput::Count(n) = c
             .execute(&DeleteCart {
@@ -935,9 +935,62 @@ mod tests {
         else {
             panic!("expected row");
         };
-        assert_eq!(row.0[1], Value::Int(7)); // available 6 + 1 released
-        assert_eq!(row.0[2], Value::Int(0)); // reserved all consumed
-        assert_eq!(row.0[3], Value::Int(3)); // purchased
+        assert_eq!(row[1], Value::Int(7)); // available 6 + 1 released
+        assert_eq!(row[2], Value::Int(0)); // reserved all consumed
+        assert_eq!(row[3], Value::Int(3)); // purchased
+    }
+
+    /// A read hands out the stored row itself, shared: a later write to
+    /// the stored row copies it first, and so does a write to the row
+    /// handed out, so neither sees the other's.
+    #[test]
+    fn a_returned_row_and_the_stored_row_do_not_see_each_others_writes() {
+        let mut c = cluster();
+        seed_stock(&mut c, "sku-9", 10);
+        let get_stock = |c: &mut Cluster| match c.execute(&GetStock {
+            sku: "sku-9".into(),
+        }) {
+            Ok(TxnOutput::Row(row)) => row,
+            other => panic!("expected a row, got {other:?}"),
+        };
+        let mut returned = get_stock(&mut c);
+        c.execute(&ReserveStock {
+            sku: "sku-9".into(),
+            quantity: 4,
+        })
+        .unwrap();
+        assert_eq!(&returned[1..3], &[Value::Int(10), Value::Int(0)]);
+        returned.set(1, Value::Int(-1));
+        assert_eq!(&get_stock(&mut c)[1..3], &[Value::Int(6), Value::Int(4)]);
+
+        c.execute(&AddLineToCart {
+            cart_id: "cart-1".into(),
+            customer_id: "cust-1".into(),
+            line_id: 0,
+            sku: "sku-9".into(),
+            quantity: 1,
+            unit_price: 5.0,
+            now: 1,
+        })
+        .unwrap();
+        let get_cart = |c: &mut Cluster| match c.execute(&GetCart {
+            cart_id: "cart-1".into(),
+        }) {
+            Ok(TxnOutput::Rows(rows)) => rows,
+            other => panic!("expected rows, got {other:?}"),
+        };
+        let mut returned = get_cart(&mut c);
+        c.execute(&ReserveCart {
+            cart_id: "cart-1".into(),
+            now: 2,
+        })
+        .unwrap();
+        let open = Value::Str(status::OPEN.into());
+        assert_eq!((&returned[0].1[2], &returned[1].1[5]), (&open, &open));
+        returned[1].1.set(5, Value::Null);
+        let stored = get_cart(&mut c);
+        let reserved = Value::Str(status::RESERVED.into());
+        assert_eq!((&stored[0].1[2], &stored[1].1[5]), (&reserved, &reserved));
     }
 
     #[test]
@@ -1005,7 +1058,7 @@ mod tests {
             panic!("expected rows");
         };
         assert_eq!(rows.len(), 3); // checkout + line + payment
-        assert_eq!(rows[0].1 .0[2], Value::Str(status::PAID.into()));
+        assert_eq!(rows[0].1[2], Value::Str(status::PAID.into()));
 
         c.execute(&DeleteLineFromCheckout {
             checkout_id: "chk-1".into(),
@@ -1046,7 +1099,7 @@ mod tests {
         else {
             panic!("expected row");
         };
-        assert_eq!(row.0[4], Value::Str(status::PURCHASED.into()));
+        assert_eq!(row[4], Value::Str(status::PURCHASED.into()));
     }
 
     #[test]
@@ -1080,8 +1133,8 @@ mod tests {
         else {
             panic!("expected rows");
         };
-        assert_eq!(rows[0].1 .0[2], Value::Str(status::RESERVED.into()));
-        assert_eq!(rows[1].1 .0[5], Value::Str(status::RESERVED.into()));
+        assert_eq!(rows[0].1[2], Value::Str(status::RESERVED.into()));
+        assert_eq!(rows[1].1[5], Value::Str(status::RESERVED.into()));
     }
 
     #[test]

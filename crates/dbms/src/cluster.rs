@@ -918,7 +918,7 @@ mod tests {
             ctx.put(
                 0,
                 Key::str(self.key.clone()),
-                Row(vec![Value::Int(self.value)]),
+                Row::new([Value::Int(self.value)]),
             );
             Ok(TxnOutput::None)
         }
@@ -969,7 +969,7 @@ mod tests {
                     key: format!("key-{i}"),
                 })
                 .unwrap_or_else(|e| panic!("key-{i} lost: {e}"));
-            assert_eq!(out, TxnOutput::Row(Row(vec![Value::Int(i as i64)])));
+            assert_eq!(out, TxnOutput::Row(Row::new([Value::Int(i as i64)])));
         }
     }
 
@@ -1084,7 +1084,7 @@ mod tests {
                     key: format!("key-{i}"),
                 })
                 .unwrap();
-            assert_eq!(out, TxnOutput::Row(Row(vec![Value::Int(1000 + i as i64)])));
+            assert_eq!(out, TxnOutput::Row(Row::new([Value::Int(1000 + i as i64)])));
         }
         assert_eq!(c.total_rows(), 200);
     }
@@ -1490,7 +1490,7 @@ mod tests {
                 let get = Get { key: key.clone() };
                 assert_eq!(
                     at_slot(&mut c, &get),
-                    Ok(TxnOutput::Row(Row(vec![Value::Int(model[&key])])))
+                    Ok(TxnOutput::Row(Row::new([Value::Int(model[&key])])))
                 );
                 // Overwrite half of them mid-flight; the new value must
                 // be what the next round reads, whichever side holds it.
@@ -1522,7 +1522,7 @@ mod tests {
             .export_table(0)
             .unwrap()
             .into_iter()
-            .map(|(k, row)| match (&k.parts()[0], &row.0[0]) {
+            .map(|(k, row)| match (&k.parts()[0], &row[0]) {
                 (KeyValue::Str(s), Value::Int(v)) => (s.to_string(), *v),
                 other => panic!("unexpected row shape {other:?}"),
             })

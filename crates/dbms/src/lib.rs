@@ -41,8 +41,23 @@
 //!     fn name(&self) -> &'static str { "Put" }
 //!     fn routing_key(&self) -> KeyValue { KeyValue::Str(self.0.clone()) }
 //!     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
-//!         ctx.put(0, Key::str(&self.0), Row(vec![Value::Int(self.1)]));
+//!         ctx.put(0, Key::str(&self.0), Row::new([Value::Int(self.1)]));
 //!         Ok(TxnOutput::None)
+//!     }
+//! }
+//!
+//! // A rewrite writes columns through `set`, where the row lies; the
+//! // row keeps its modelled size as it goes.
+//! struct Add(Text, i64);
+//! impl Procedure for Add {
+//!     fn name(&self) -> &'static str { "Add" }
+//!     fn routing_key(&self) -> KeyValue { KeyValue::Str(self.0.clone()) }
+//!     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
+//!         ctx.update(0, "KV", &Key::str(&self.0), |row| {
+//!             let v = row[0].as_int().unwrap_or(0) + self.1;
+//!             row.set(0, Value::Int(v));
+//!             Ok(TxnOutput::None)
+//!         })
 //!     }
 //! }
 //!
@@ -51,9 +66,10 @@
 //!     fn name(&self) -> &'static str { "Get" }
 //!     fn routing_key(&self) -> KeyValue { KeyValue::Str(self.0.clone()) }
 //!     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
-//!         // Reads borrow the stored row; only what is returned is copied.
+//!         // A read hands out the stored row itself: cloning a `Row`
+//!         // shares it, and a later write to either copies it first.
 //!         let row = ctx.get_required(0, "KV", &Key::str(&self.0))?;
-//!         Ok(TxnOutput::Value(row.0[0].clone()))
+//!         Ok(TxnOutput::Row(row.clone()))
 //!     }
 //! }
 //!
@@ -64,8 +80,9 @@
 //! cluster.run_reconfiguration_to_completion(1_000_000).unwrap();
 //! assert_eq!(cluster.active_nodes(), 4);
 //! assert_eq!(cluster.total_rows(), 1);
+//! cluster.execute(&Add("cart-1".into(), 1)).unwrap();
 //! let got = cluster.execute(&Get("cart-1".into())).unwrap();
-//! assert_eq!(got, TxnOutput::Value(Value::Int(42)));
+//! assert_eq!(got, TxnOutput::Row(Row::new([Value::Int(43)])));
 //! # let _ = kv;
 //! ```
 

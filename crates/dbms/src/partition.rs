@@ -152,8 +152,9 @@ impl PartitionStore {
     /// Advances a key's write version and returns the new (installed)
     /// version. No-op returning 0 when tracking is off. Called by the
     /// transaction layer only, beside its `put`, `update` and `delete`
-    /// ([`insert_new`](Self::insert_new) and
-    /// [`update_prefix`](Self::update_prefix) advance it by themselves) —
+    /// ([`insert_new`](Self::insert_new),
+    /// [`update_prefix`](Self::update_prefix) and
+    /// [`delete_prefix`](Self::delete_prefix) advance it by themselves) —
     /// migration re-installs rows without bumping, so a key's history
     /// survives chunk moves intact.
     pub fn bump_version(&mut self, slot: u64, table: TableId, key: &Key) -> u64 {
@@ -286,6 +287,41 @@ impl PartitionStore {
             }
             let installed = bump(&mut self.versions, tracked, tables, slot, table, key);
             rewrite_in_place(&mut data.bytes, row, |row| rewrite(key, row, installed));
+            n += 1;
+        }
+        n
+    }
+
+    /// Removes every row [`prefix_rows`](Self::prefix_rows) yields, in
+    /// key order and in one pass, as a transaction's delete of it: the
+    /// byte estimate drops by the row's size and, while versions are
+    /// tracked, the key's counter advances. `deleted` is given the key
+    /// and the version the delete installs (0 while tracking is off).
+    /// Returns how many rows there were.
+    pub fn delete_prefix(
+        &mut self,
+        slot: u64,
+        table: TableId,
+        prefix: &Key,
+        mut deleted: impl FnMut(&Key, u64),
+    ) -> u64 {
+        let Some(data) = self.slots.get_mut(&slot) else {
+            return 0;
+        };
+        let (tracked, tables) = (self.track_versions, self.num_tables);
+        // The table's rows from the prefix on (`Key::int(i64::MIN)` is the
+        // least key): those with the prefix come first.
+        let from_prefix = (table, prefix.clone())..(table + 1, Key::int(i64::MIN));
+        let mut n = 0;
+        for ((_, key), row) in data
+            .rows
+            .extract_if(from_prefix, |(_, key), _| key.starts_with(prefix))
+        {
+            let installed = bump(&mut self.versions, tracked, tables, slot, table, &key);
+            data.bytes = data
+                .bytes
+                .saturating_sub(key.size_estimate() + row.size_estimate());
+            deleted(&key, installed);
             n += 1;
         }
         n
@@ -504,12 +540,13 @@ impl PartitionStore {
             .collect()
     }
 
-    /// Recomputes resident bytes from the actual rows (integrity audits).
+    /// Recomputes resident bytes from the actual values, not the sizes
+    /// the rows carry (integrity audits).
     pub fn recompute_bytes(&self) -> usize {
         self.slots
             .values()
             .flat_map(|data| &data.rows)
-            .map(|((_, k), row)| k.size_estimate() + row.size_estimate())
+            .map(|((_, k), row)| k.size_estimate() + Row::modelled_size(row))
             .sum()
     }
 }
@@ -523,7 +560,7 @@ mod tests {
     use crate::value::Value;
 
     fn row(v: i64) -> Row {
-        Row(vec![Value::Int(v)])
+        Row::new([Value::Int(v)])
     }
 
     #[test]
@@ -592,7 +629,7 @@ mod tests {
         assert!(emptied);
         let order: Vec<(TableId, i64)> = rows
             .iter()
-            .map(|(t, _, r)| (*t, r.0[0].as_int().unwrap()))
+            .map(|(t, _, r)| (*t, r[0].as_int().unwrap()))
             .collect();
         assert_eq!(order, vec![(0, 0), (0, 1), (1, 11), (2, 20), (2, 21)]);
     }
@@ -664,7 +701,7 @@ mod tests {
         assert_eq!(src.version_of(2, 0, &k), 2);
         // A tombstoned key keeps its chain alive.
         let dead = Key::str("gone");
-        src.put(2, 0, dead.clone(), Row(vec![Value::Int(1)]));
+        src.put(2, 0, dead.clone(), Row::new([Value::Int(1)]));
         src.bump_version(2, 0, &dead);
         src.delete(2, 0, &dead);
         src.bump_version(2, 0, &dead);
@@ -680,7 +717,7 @@ mod tests {
         assert_eq!(dst.version_of(2, 0, &dead), 2);
         assert_eq!(src.version_of(2, 0, &k), 0);
         // Migration re-install must not advance the chain.
-        dst.install_rows(2, vec![(0, k.clone(), Row(vec![Value::Int(9)]))]);
+        dst.install_rows(2, vec![(0, k.clone(), Row::new([Value::Int(9)]))]);
         assert_eq!(dst.version_of(2, 0, &k), 2);
         // Disabling clears state.
         dst.set_track_versions(false);

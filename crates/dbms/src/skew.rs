@@ -252,7 +252,7 @@ mod tests {
                 KeyValue::Str(self.0.as_str().into())
             }
             fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
-                ctx.put(0, Key::str(self.0.clone()), Row(vec![Value::Int(1)]));
+                ctx.put(0, Key::str(self.0.clone()), Row::new([Value::Int(1)]));
                 Ok(TxnOutput::None)
             }
         }

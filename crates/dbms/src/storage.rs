@@ -306,7 +306,7 @@ mod tests {
     }
 
     fn row(i: usize) -> Row {
-        Row(vec![Value::Int(i as i64)])
+        Row::new([Value::Int(i as i64)])
     }
 
     /// The whole move and the cut one through `two_nodes`, in both index

@@ -382,31 +382,57 @@ impl<'a> TxnCtx<'a> {
         prefix: &Key,
         mut rewrite: impl FnMut(&mut Row),
     ) -> u64 {
-        self.check_slot(prefix);
-        let (slot, capture) = (self.slot, self.capture);
-        let (reads, writes) = (&mut self.key_reads, &mut self.key_writes);
-        let (first_read, first_write) = (reads.len(), writes.len());
-        let mut rewrite_at = |store: &mut PartitionStore| {
+        let slot = self.slot;
+        self.write_prefix(table, prefix, |store, record| {
             store.update_prefix(slot, table, prefix, |key, row, installed| {
-                if capture {
-                    // The version read is the one this write supersedes.
-                    let observed = installed.saturating_sub(1);
-                    reads.push((table, key.clone(), observed));
-                    writes.push((table, key.clone(), installed));
-                }
+                record(key, installed);
                 rewrite(row);
             })
+        })
+    }
+
+    /// Deletes every row with the given key prefix, in one pass per
+    /// migration side; returns how many. Tallied as the `scan_prefix` and
+    /// the `delete` per row it stands for: one read, a write per row.
+    pub fn delete_prefix(&mut self, table: TableId, prefix: &Key) -> u64 {
+        let slot = self.slot;
+        self.write_prefix(table, prefix, |store, record| {
+            store.delete_prefix(slot, table, prefix, record)
+        })
+    }
+
+    /// Runs `at_side` on the source and, in flight, on the destination,
+    /// and tallies what it wrote as one read of the prefix and a write
+    /// per row. `at_side` writes a store's rows with the prefix and hands
+    /// each key, with the version its write installs, to `record`.
+    fn write_prefix(
+        &mut self,
+        table: TableId,
+        prefix: &Key,
+        mut at_side: impl FnMut(&mut PartitionStore, &mut dyn FnMut(&Key, u64)) -> u64,
+    ) -> u64 {
+        self.check_slot(prefix);
+        let capture = self.capture;
+        let (reads, writes) = (&mut self.key_reads, &mut self.key_writes);
+        let (first_read, first_write) = (reads.len(), writes.len());
+        let mut record = |key: &Key, installed: u64| {
+            if capture {
+                // The version read is the one this write supersedes.
+                let observed = installed.saturating_sub(1);
+                reads.push((table, key.clone(), observed));
+                writes.push((table, key.clone(), installed));
+            }
         };
         // A row lies at the destination exactly when its key is in the
         // moved set, so each store's rows are that side's keys.
-        let at_source = rewrite_at(self.source);
+        let at_source = at_side(self.source, &mut record);
         let at_dest = match &mut self.dest {
-            Some((dest, _)) => rewrite_at(dest),
+            Some((dest, _)) => at_side(dest, &mut record),
             None => 0,
         };
         if capture && at_source > 0 && at_dest > 0 {
-            // The scan reads, and the puts write, in key order across the
-            // sides; the keys are distinct and of one table.
+            // The scan reads, and the writes land, in key order across
+            // the sides; the keys are distinct and of one table.
             reads[first_read..].sort_unstable_by(|a, b| a.1.cmp(&b.1));
             writes[first_write..].sort_unstable_by(|a, b| a.1.cmp(&b.1));
         }
@@ -493,19 +519,6 @@ impl<'a> TxnCtx<'a> {
         self.scan_prefix_with(table, prefix, |k, row| rows.push((k.clone(), row.clone())));
         rows
     }
-
-    /// Deletes every row with the given key prefix; returns how many.
-    pub fn delete_prefix(&mut self, table: TableId, prefix: &Key) -> u64 {
-        let mut keys = Vec::new();
-        self.scan_prefix_with(table, prefix, |k, _| keys.push(k.clone()));
-        let mut n = 0;
-        for k in keys {
-            if self.delete(table, &k).is_some() {
-                n += 1;
-            }
-        }
-        n
-    }
 }
 
 /// Visits two key-ordered row streams as one key-ordered stream. A key
@@ -546,7 +559,7 @@ mod tests {
     const SLOTS: u64 = 64;
 
     fn row(v: i64) -> Row {
-        Row(vec![Value::Int(v)])
+        Row::new([Value::Int(v)])
     }
 
     /// The slot a key with routing part `root` maps to.

@@ -8,6 +8,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
 /// Longest string a [`Text`] stores inline.
 const INLINE_CAP: usize = 22;
@@ -525,29 +526,84 @@ impl fmt::Display for Key {
     }
 }
 
-/// A row: a tuple of column values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Row(pub Vec<Value>);
+/// A row: a tuple of column values, shared rather than copied.
+///
+/// Cloning a row bumps a reference count, so a read can hand out the
+/// stored row itself; [`set`](Row::set) copies the values only while
+/// another holder still shares them. The row carries its modelled size,
+/// which `set` keeps, so the engine's byte accounting never walks the
+/// values. Reads go through `Deref<Target = [Value]>`. `Rc`, not `Arc`:
+/// a cluster is single-threaded.
+#[derive(Clone)]
+pub struct Row {
+    values: Rc<[Value]>,
+    /// [`Row::modelled_size`] of `values`.
+    size: usize,
+}
 
 impl Row {
-    /// Estimated in-memory size in bytes.
+    /// Builds a row in one allocation.
+    pub fn new<const N: usize>(values: [Value; N]) -> Self {
+        let size = Row::modelled_size(&values);
+        Row {
+            values: Rc::from(values),
+            size,
+        }
+    }
+
+    /// The modelled in-memory size of a row holding `values`: a row
+    /// header and the values' estimates.
+    pub fn modelled_size(values: &[Value]) -> usize {
+        16 + values.iter().map(Value::size_estimate).sum::<usize>()
+    }
+
+    /// Estimated in-memory size in bytes, carried rather than measured.
     pub fn size_estimate(&self) -> usize {
-        16 + self.0.iter().map(Value::size_estimate).sum::<usize>()
+        self.size
     }
 
-    /// Column accessor.
-    pub fn get(&self, col: usize) -> &Value {
-        &self.0[col]
+    /// Writes column `col`, copying the values first if another holder
+    /// shares them, and moves the modelled size by the difference.
+    pub fn set(&mut self, col: usize, value: Value) {
+        let held = &mut Rc::make_mut(&mut self.values)[col];
+        self.size = self.size - held.size_estimate() + value.size_estimate();
+        *held = value;
     }
 
-    /// Number of columns.
-    pub fn len(&self) -> usize {
-        self.0.len()
+    /// Seeded bug for the twin tests: a `set` that leaves the modelled
+    /// size where it was.
+    #[cfg(test)]
+    pub(crate) fn set_skipping_size(&mut self, col: usize, value: Value) {
+        Rc::make_mut(&mut self.values)[col] = value;
     }
+}
 
-    /// Whether the row has no columns.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+impl From<Vec<Value>> for Row {
+    fn from(values: Vec<Value>) -> Self {
+        Row {
+            size: Row::modelled_size(&values),
+            values: values.into(),
+        }
+    }
+}
+
+impl std::ops::Deref for Row {
+    type Target = [Value];
+    fn deref(&self) -> &[Value] {
+        &self.values
+    }
+}
+
+impl PartialEq for Row {
+    /// The values; the size follows from them.
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values
+    }
+}
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Row").field(&&*self.values).finish()
     }
 }
 
@@ -574,6 +630,7 @@ mod tests {
         assert_eq!(size_of::<Value>(), 24);
         assert_eq!(size_of::<KeyValue>(), 24);
         assert!(size_of::<Key>() <= 48);
+        assert_eq!(size_of::<Row>(), 24);
         fn shared_across_threads<T: Send + Sync>() {}
         shared_across_threads::<Text>();
         shared_across_threads::<Key>();
@@ -649,8 +706,23 @@ mod tests {
     fn value_size_estimates_are_sane() {
         assert_eq!(Value::Int(7).size_estimate(), 8);
         assert!(Value::Str("abcdef".into()).size_estimate() > 6);
-        let row = Row(vec![Value::Int(1), Value::Str("x".into())]);
-        assert!(row.size_estimate() > 8);
+        let row = Row::new([Value::Int(1), Value::Str("x".into())]);
+        assert_eq!(row.size_estimate(), 16 + 8 + 25);
+        assert_eq!(Row::from(row.to_vec()).size_estimate(), row.size_estimate());
+    }
+
+    #[test]
+    fn a_row_is_shared_until_it_is_set_and_keeps_its_size() {
+        let stored = Row::new([Value::Int(1), Value::Str("ab".into())]);
+        let mut written = stored.clone();
+        written.set(1, Value::Str("abcdef".into()));
+        written.set(0, Value::Null);
+        assert_eq!(&stored[..], &[Value::Int(1), Value::Str("ab".into())]);
+        assert_eq!(&written[..], &[Value::Null, Value::Str("abcdef".into())]);
+        for row in [&stored, &written] {
+            assert_eq!(row.size_estimate(), Row::modelled_size(row));
+        }
+        assert_eq!(format!("{written:?}"), r#"Row([Null, Str("abcdef")])"#);
     }
 
     #[test]

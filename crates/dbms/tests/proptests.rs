@@ -37,7 +37,7 @@ impl Procedure for Put {
         KeyValue::Str(self.0.as_str().into())
     }
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
-        ctx.put(0, Key::str(self.0.clone()), Row(vec![Value::Int(self.1)]));
+        ctx.put(0, Key::str(self.0.clone()), Row::new([Value::Int(self.1)]));
         Ok(TxnOutput::None)
     }
 }
@@ -242,7 +242,7 @@ proptest! {
                 Op::Get(k) => {
                     let out = cluster.execute(&Get(key_name(k))).unwrap();
                     match model.get(&key_name(k)) {
-                        Some(&v) => prop_assert_eq!(out, TxnOutput::Row(Row(vec![Value::Int(v)]))),
+                        Some(&v) => prop_assert_eq!(out, TxnOutput::Row(Row::new([Value::Int(v)]))),
                         None => prop_assert_eq!(out, TxnOutput::None),
                     }
                 }
@@ -273,7 +273,7 @@ proptest! {
         prop_assert_eq!(cluster.total_rows(), model.len());
         for (k, &v) in &model {
             let out = cluster.execute(&Get(k.clone())).unwrap();
-            prop_assert_eq!(out, TxnOutput::Row(Row(vec![Value::Int(v)])));
+            prop_assert_eq!(out, TxnOutput::Row(Row::new([Value::Int(v)])));
         }
     }
 
@@ -409,7 +409,7 @@ fn move_key(id: u16) -> Key {
 }
 
 fn move_row(id: u16, payload: u8) -> Row {
-    Row(vec![
+    Row::new([
         Value::Int(i64::from(id)),
         Value::from("x".repeat(payload as usize).as_str()),
     ])
@@ -552,7 +552,7 @@ fn handed_over_empty_slots_too(
     let out = src.migrate_chunk_to(dst, moved, slot, budget);
     if out == (0, 0, true) {
         let key = Key::int(-1);
-        dst.put(slot, 0, key.clone(), Row(vec![]));
+        dst.put(slot, 0, key.clone(), Row::new([]));
         dst.delete(slot, 0, &key);
     }
     out
@@ -744,11 +744,11 @@ fn modelled_sizes_of_b2w_rows_are_pinned() {
     ];
     for (table, key, row, key_size, row_size) in rows {
         assert_eq!(key.size_estimate(), key_size, "{table} key");
-        assert_eq!(Row(row).size_estimate(), row_size, "{table} row");
+        assert_eq!(Row::from(row).size_estimate(), row_size, "{table} row");
     }
     let line = (
         Key::str_int(cart, 2),
-        Row(vec![s(cart), int(2), Value::Null, Value::Bool(true)]),
+        Row::new([s(cart), int(2), Value::Null, Value::Bool(true)]),
     );
     assert_eq!(
         format!("{line:?}"),

@@ -15,7 +15,7 @@ use pstore_dbms::catalog::{columns, Catalog, ColumnType, TableSchema};
 use pstore_dbms::cluster::{Cluster, ClusterConfig};
 use pstore_dbms::partition::PartitionStore;
 use pstore_dbms::txn::{Procedure, TxnCtx, TxnError, TxnOutput};
-use pstore_dbms::value::{Key, KeyValue, Row, Value};
+use pstore_dbms::value::{Key, KeyValue, Row, Text, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
@@ -177,7 +177,7 @@ fn a_warm_update_and_a_refused_insert_allocate_nothing() {
     let mut store = PartitionStore::new(1);
     let keys: Vec<Key> = (0..PROBE_KEYS).map(|i| Key::str_int("cart-7", i)).collect();
     for (i, key) in (0..).zip(&keys) {
-        store.put(0, 0, key.clone(), Row(vec![Value::Int(i), Value::Int(0)]));
+        store.put(0, 0, key.clone(), Row::new([Value::Int(i), Value::Int(0)]));
     }
     // One routing component for every key: any slot count will do.
     let mut ctx = TxnCtx::settled(0, 1, &mut store);
@@ -186,8 +186,8 @@ fn a_warm_update_and_a_refused_insert_allocate_nothing() {
         for key in &keys {
             sum += ctx
                 .update(0, "KV", key, |row| {
-                    let bumped = row.0[0].as_int().unwrap_or(0) + 1;
-                    row.0[1] = Value::Int(bumped);
+                    let bumped = row[0].as_int().unwrap_or(0) + 1;
+                    row.set(1, Value::Int(bumped));
                     Ok(bumped)
                 })
                 .unwrap();
@@ -200,7 +200,7 @@ fn a_warm_update_and_a_refused_insert_allocate_nothing() {
     // The rows to offer are built first: they are the caller's.
     let offered: Vec<(Key, Row)> = keys
         .iter()
-        .map(|k| (k.clone(), Row(vec![Value::Null])))
+        .map(|k| (k.clone(), Row::new([Value::Null])))
         .collect();
     let (n, refused) = allocations(|| {
         offered
@@ -213,9 +213,131 @@ fn a_warm_update_and_a_refused_insert_allocate_nothing() {
     assert_eq!(n, 0, "{refused} refused inserts allocated {n} times");
     assert_eq!(
         store.get(0, 0, &keys[3]),
-        Some(&Row(vec![Value::Int(3), Value::Int(4)]))
+        Some(&Row::new([Value::Int(3), Value::Int(4)]))
     );
     assert_eq!(store.total_bytes(), store.recompute_bytes());
+}
+
+/// The tables of [`DeleteFamily`]: a parent row and two child tables of
+/// rows under its key, as CART and CART_LINE, or CHECKOUT and its lines
+/// and payments.
+const PARENT: usize = 0;
+const CHILD_TABLES: [usize; 2] = [1, 2];
+const CHILDREN: i64 = 4;
+
+fn family_catalog() -> Catalog {
+    let mut cat = Catalog::new();
+    for name in ["PARENT", "LINE", "PAYMENT"] {
+        cat.add_table(TableSchema::new(
+            name,
+            columns(&[("id", ColumnType::Str), ("n", ColumnType::Int)]),
+            1,
+        ));
+    }
+    cat
+}
+
+/// Writes a parent row and [`CHILDREN`] rows in each of its child
+/// tables.
+struct LoadFamily<'a>(&'a DeleteFamily);
+
+impl Procedure for LoadFamily<'_> {
+    fn name(&self) -> &'static str {
+        "LoadFamily"
+    }
+    fn routing_key(&self) -> KeyValue {
+        self.0.routing_key()
+    }
+    fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
+        let id = &self.0.id;
+        let row = |n| Row::new([Value::Str(id.clone()), Value::Int(n)]);
+        ctx.put(PARENT, Key::str(id.clone()), row(0));
+        for &table in self.0.children {
+            for n in 0..CHILDREN {
+                ctx.put(table, Key::str_int(id.clone(), n), row(n));
+            }
+        }
+        Ok(TxnOutput::None)
+    }
+}
+
+/// B2W's `DeleteCart` (one child table) and `DeleteCheckout` (two): a
+/// prefix delete per child table, then the parent's row.
+struct DeleteFamily {
+    id: Text,
+    children: &'static [usize],
+}
+
+impl Procedure for DeleteFamily {
+    fn name(&self) -> &'static str {
+        match self.children.len() {
+            1 => "DeleteCart",
+            _ => "DeleteCheckout",
+        }
+    }
+    fn routing_key(&self) -> KeyValue {
+        KeyValue::Str(self.id.clone())
+    }
+    fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
+        let key = Key::str(self.id.clone());
+        let mut n = 0;
+        for &table in self.children {
+            n += ctx.delete_prefix(table, &key);
+        }
+        n += u64::from(ctx.delete(PARENT, &key).is_some());
+        Ok(TxnOutput::Count(n))
+    }
+}
+
+/// A prefix delete removes its rows where they lie, in one pass: a warm
+/// `DeleteCart` or `DeleteCheckout` allocates nothing (deleting key by
+/// key allocated the list of keys).
+#[test]
+fn a_warm_delete_cart_and_delete_checkout_allocate_nothing() {
+    let mut cluster = Cluster::new(
+        family_catalog(),
+        ClusterConfig {
+            partitions_per_node: 4,
+            num_slots: 128,
+        },
+        3,
+    );
+    let deletes: Vec<DeleteFamily> = (0..2 * PROBE_KEYS)
+        .map(|i| DeleteFamily {
+            id: Text::format(format_args!("cart-{i:012x}")),
+            children: if i % 2 == 0 {
+                &CHILD_TABLES[..1]
+            } else {
+                &CHILD_TABLES
+            },
+        })
+        .collect();
+    for d in &deletes {
+        cluster.execute(&LoadFamily(d)).unwrap();
+    }
+    let (warm_up, measured) = deletes.split_at(deletes.len() / 2);
+    let mut delete = |d: &DeleteFamily| {
+        let slot = cluster.slot_of_routing(&d.routing_key());
+        cluster.execute_at_slot(d, slot).unwrap()
+    };
+    for d in warm_up {
+        delete(d);
+    }
+    let (n, deleted) = allocations(|| {
+        let mut deleted = 0;
+        for d in measured {
+            let TxnOutput::Count(rows) = delete(d) else {
+                unreachable!("a delete counts its rows")
+            };
+            let children = CHILDREN * i64::try_from(d.children.len()).unwrap();
+            assert_eq!(rows, u64::try_from(1 + children).unwrap());
+            deleted += rows;
+        }
+        deleted
+    });
+    assert_eq!(n, 0, "{} warm deletes allocated {n} times", measured.len());
+    assert!(deleted > 0);
+    assert_eq!(cluster.total_rows(), 0);
 }
 
 /// With no sink installed the span helpers return the id-0 sentinel
@@ -270,7 +392,7 @@ fn cart_line(i: usize) -> (Key, Row) {
     let i = i as i64;
     (
         Key::str_int("cart-7", i),
-        Row(vec![Value::Int(i), Value::Int(-i)]),
+        Row::new([Value::Int(i), Value::Int(-i)]),
     )
 }
 

@@ -246,9 +246,9 @@ struct Sim<'a> {
     /// The current second's arrival times, sorted ascending, drained by
     /// cursor. Arrivals vastly outnumber every other event, so keeping them
     /// out of the heap turns n pushes and n pops of `O(log heap)` each into
-    /// one sort of an already-allocated buffer per second. A stable sort
-    /// preserves generation order on (measure-zero) exact-time ties, which
-    /// is what the old per-arrival heap seq numbers did.
+    /// one sort of an already-allocated buffer per second. The sort need
+    /// not be stable: times `total_cmp` calls equal have identical bits,
+    /// so no order among them can show.
     arrivals: Vec<f64>,
     next_arrival: usize,
     /// Arrival ordinal, doubling as the sampled per-txn trace id.
@@ -475,7 +475,7 @@ impl<'a> Sim<'a> {
             for _ in 0..n {
                 self.arrivals.push(time + self.rng.random_range(0.0..1.0));
             }
-            self.arrivals.sort_by(f64::total_cmp);
+            self.arrivals.sort_unstable_by(f64::total_cmp);
             self.queue.push(time + 1.0, Event::Second(s + 1));
         }
     }

@@ -126,8 +126,11 @@ impl LatencyRecorder {
     }
 
     fn flush_second(&mut self) {
-        let mut samples = std::mem::take(&mut self.samples);
-        samples.sort_by(f64::total_cmp);
+        // Sorted and cleared where it lies, so the buffer keeps its
+        // capacity from second to second. Unstable is enough: values
+        // `total_cmp` calls equal have identical bits.
+        self.samples.sort_unstable_by(f64::total_cmp);
+        let samples = &self.samples;
         let n = samples.len();
         let pick = |q: f64| -> f64 {
             if n == 0 {
@@ -142,7 +145,7 @@ impl LatencyRecorder {
             samples.iter().sum::<f64>() / n as f64
         };
         let mut second_hist = Histogram::new();
-        for &s in &samples {
+        for &s in samples {
             second_hist.record(s);
         }
         if self.window.len() >= QUANTILE_WINDOW_S {
@@ -216,6 +219,7 @@ impl LatencyRecorder {
             }
         }
         self.seconds.push(metrics);
+        self.samples.clear();
         self.current_second += 1;
     }
 

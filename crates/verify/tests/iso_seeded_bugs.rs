@@ -79,7 +79,7 @@ impl MiniEngine {
 }
 
 fn row(v: i64) -> Row {
-    Row(vec![Value::Int(v)])
+    Row::new([Value::Int(v)])
 }
 
 /// T1 seeds `k`; with the stale-read bug armed, T2 and T3 each

@@ -128,6 +128,15 @@ step "pstore-core tests in release: the planner against its arithmetic reference
 # build compiles it too.
 cargo test -q --release -p pstore-core
 
+step "allocation pins in release: the untraced simulators, the engine's warm path and the B2W stream"
+# trace_contract.rs pins one allocation count per build profile and
+# simulator, warm_path_alloc.rs the engine paths that allocate nothing and
+# stream_alloc.rs the budget of the whole B2W stream. Tier-1 runs them in
+# debug only, which leaves the release literal checked by nothing, and the
+# benchmark's allocs_per_op is a release build's count.
+cargo test -q --release -p pstore-sim --test trace_contract \
+    -p pstore-dbms --test warm_path_alloc -p pstore-b2w --test stream_alloc
+
 step "microbenchmarks compile (cargo bench --no-run)"
 cargo bench -q --no-run
 

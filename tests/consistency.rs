@@ -45,7 +45,7 @@ fn stock_units(cluster: &mut Cluster, sku: &str) -> i64 {
     else {
         panic!("expected a row");
     };
-    row.0[1].as_int().unwrap() + row.0[2].as_int().unwrap() + row.0[3].as_int().unwrap()
+    row[1].as_int().unwrap() + row[2].as_int().unwrap() + row[3].as_int().unwrap()
 }
 
 #[test]
@@ -103,7 +103,7 @@ fn cart_totals_stay_consistent_with_their_lines() {
         fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<TxnOutput, TxnError> {
             let key = Key::str(self.cart_id.clone());
             let cart = ctx.get_required(tables::CART, "CART", &key)?;
-            let total = match cart.0[3] {
+            let total = match cart[3] {
                 Value::Float(t) => t,
                 _ => 0.0,
             };
@@ -111,8 +111,8 @@ fn cart_totals_stay_consistent_with_their_lines() {
             let sum: f64 = lines
                 .iter()
                 .map(|(_, l)| {
-                    let q = l.0[3].as_int().unwrap_or(0) as f64;
-                    match l.0[4] {
+                    let q = l[3].as_int().unwrap_or(0) as f64;
+                    match l[4] {
                         Value::Float(p) => q * p,
                         _ => 0.0,
                     }

@@ -40,9 +40,7 @@
 pub mod generator;
 pub mod procedures;
 pub mod schema;
-pub mod trace;
 
 pub use generator::{SeedStock, WorkloadConfig, WorkloadGenerator};
 pub use procedures::B2wTxn;
 pub use schema::b2w_catalog;
-pub use trace::{Trace, TraceEntry};

@@ -5,7 +5,7 @@
 //! (cart id, checkout id, SKU, or stock-transaction id), so every Table 4
 //! procedure is single-partition.
 
-use pstore_dbms::catalog::{columns, Catalog, ColumnType, TableId, TableSchema};
+use pstore_dbms::catalog::{columns, Catalog, ColumnType, TableSchema};
 
 /// Dense table ids, fixed by construction order in [`b2w_catalog`].
 pub mod tables {
@@ -26,17 +26,6 @@ pub mod tables {
     /// Stock transactions (reservation records); key `stock_txn_id`.
     pub const STOCK_TXN: TableId = 6;
 }
-
-/// Human-readable table names matching the ids above.
-pub const TABLE_NAMES: [&str; 7] = [
-    "CART",
-    "CART_LINE",
-    "CHECKOUT",
-    "CHECKOUT_LINE",
-    "CHECKOUT_PAYMENT",
-    "STOCK",
-    "STOCK_TXN",
-];
 
 /// Builds the B2W catalog. Table ids match [`tables`].
 pub fn b2w_catalog() -> Catalog {
@@ -138,12 +127,6 @@ pub fn b2w_catalog() -> Catalog {
     cat
 }
 
-/// Returns the table id for a name (panics on unknown name; test helper).
-pub fn table_id(cat: &Catalog, name: &str) -> TableId {
-    cat.table_id(name)
-        .unwrap_or_else(|| panic!("unknown table {name}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,7 +135,16 @@ mod tests {
     fn catalog_has_all_seven_tables_in_order() {
         let cat = b2w_catalog();
         assert_eq!(cat.len(), 7);
-        for (i, name) in TABLE_NAMES.iter().enumerate() {
+        let names = [
+            "CART",
+            "CART_LINE",
+            "CHECKOUT",
+            "CHECKOUT_LINE",
+            "CHECKOUT_PAYMENT",
+            "STOCK",
+            "STOCK_TXN",
+        ];
+        for (i, name) in names.iter().enumerate() {
             assert_eq!(cat.table_id(name), Some(i), "{name}");
             assert_eq!(cat.table(i).name, *name);
         }

@@ -52,19 +52,8 @@ pub struct Fig9Config {
     pub quick: bool,
 }
 
-impl Fig9Config {
-    /// The paper's setting: a randomly chosen 3-day period.
-    pub fn paper(seed: u64) -> Self {
-        Fig9Config {
-            days: 3,
-            seed,
-            quick: false,
-        }
-    }
-}
-
 /// Builds the detailed-sim configuration for the shared trace.
-pub fn sim_config(cfg: &Fig9Config, trace: &ExperimentTrace) -> DetailedSimConfig {
+fn sim_config(cfg: &Fig9Config, trace: &ExperimentTrace) -> DetailedSimConfig {
     let mut sim = DetailedSimConfig::paper_defaults(trace.wall_seconds.clone(), cfg.seed);
     if cfg.quick {
         sim.workload.num_skus = 2_000;
@@ -76,7 +65,7 @@ pub fn sim_config(cfg: &Fig9Config, trace: &ExperimentTrace) -> DetailedSimConfi
 }
 
 /// Runs one approach over the trace.
-pub fn run_approach(
+fn run_approach(
     cfg: &Fig9Config,
     trace: &ExperimentTrace,
     approach: Approach,

@@ -93,16 +93,6 @@ pub enum Action {
     Reconfigure(ReconfigRequest),
 }
 
-impl Action {
-    /// The request, if this action reconfigures.
-    pub fn request(&self) -> Option<&ReconfigRequest> {
-        match self {
-            Action::None => None,
-            Action::Reconfigure(r) => Some(r),
-        }
-    }
-}
-
 /// A provisioning policy: maps observations to actions.
 pub trait Strategy: Send {
     /// Steps the controller by one monitoring interval.
@@ -113,16 +103,4 @@ pub trait Strategy: Send {
 
     /// The cluster size this policy wants at start-up.
     fn initial_machines(&self) -> u32;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn action_request_accessor() {
-        assert!(Action::None.request().is_none());
-        let req = ReconfigRequest::planned(5, 0);
-        assert_eq!(Action::Reconfigure(req).request(), Some(&req));
-    }
 }

@@ -1,6 +1,7 @@
 //! The analytical model of data migrations (§4.4 of the paper):
-//! parallelism (Eq 2), duration (Eq 3), cost (Eq 4, Algorithm 4), and
-//! capacity / effective capacity (Eq 5, Eq 7).
+//! parallelism (Eq 2), duration (Eq 3), machines allocated (Algorithm 4;
+//! the planner's move cost, Eq 4, is their product) and capacity /
+//! effective capacity (Eq 5, Eq 7).
 //!
 //! All functions are pure; `d` (time to move the whole database once with a
 //! single thread pair) can be expressed in any time unit and results come
@@ -94,12 +95,6 @@ pub fn avg_machines_allocated(b: u32, a: u32) -> f64 {
     let phase3 = t3 * m3;
 
     phase1 + phase2 + phase3
-}
-
-/// Cost `C(B, A)` of a move (Equation 4): elapsed time multiplied by the
-/// average machines allocated, in machine-time units of `d`.
-pub fn move_cost(b: u32, a: u32, p: u32, d: f64) -> f64 {
-    move_time(b, a, p, d) * avg_machines_allocated(b, a)
 }
 
 /// Machines needed to serve `load` at per-machine throughput `q`
@@ -275,15 +270,6 @@ mod tests {
                 assert!(avg <= b.max(a) as f64 + 1e-9);
             }
         }
-    }
-
-    // ---- Equation 4 ----
-
-    #[test]
-    fn move_cost_is_time_times_alloc() {
-        let t = move_time(3, 9, 1, 1.0);
-        assert!(close(move_cost(3, 9, 1, 1.0), t * 7.5));
-        assert_eq!(move_cost(4, 4, 1, 1.0), 0.0);
     }
 
     // ---- Equation 5 ----

@@ -6,7 +6,7 @@
 //! particular database engine:
 //!
 //! * [`cost_model`] — the analytical migration model: parallelism (Eq 2),
-//!   move duration (Eq 3), move cost (Eq 4 + Algorithm 4), capacity (Eq 5)
+//!   move duration (Eq 3), machines allocated (Algorithm 4), capacity (Eq 5)
 //!   and effective capacity during reconfiguration (Eq 7).
 //! * [`schedule`] — round-by-round migration schedules with just-in-time
 //!   machine allocation (§4.4.1, Table 1, Fig 4), including the three-phase

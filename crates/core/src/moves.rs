@@ -105,24 +105,6 @@ impl MoveSeq {
         self.moves.last().map(|m| m.to)
     }
 
-    /// Nominal machine count at the *end* of interval `t`: during a move
-    /// the pre-move count (`from`) is reported, switching to `to` once the
-    /// move completes at `t == end`. Intra-move allocation detail lives in
-    /// the cost model (Algorithm 4), not here. Returns `None` only for an
-    /// empty sequence.
-    pub fn machines_at(&self, t: usize) -> Option<u32> {
-        let first = self.moves.first()?;
-        if t < first.start {
-            return Some(first.from);
-        }
-        for m in &self.moves {
-            if t < m.end {
-                return Some(m.from);
-            }
-        }
-        self.final_machines()
-    }
-
     /// Total cost in machine-intervals using the nominal (post-move)
     /// allocation per move; the planner's internal cost additionally models
     /// intra-move allocation (Algorithm 4).
@@ -322,35 +304,6 @@ mod tests {
                 to: 4,
             },
         ]);
-    }
-
-    #[test]
-    fn machines_at_reports_the_timeline() {
-        let seq = MoveSeq::new(vec![
-            Move {
-                start: 0,
-                end: 1,
-                from: 2,
-                to: 2,
-            },
-            Move {
-                start: 1,
-                end: 4,
-                from: 2,
-                to: 5,
-            },
-            Move {
-                start: 4,
-                end: 5,
-                from: 5,
-                to: 5,
-            },
-        ]);
-        assert_eq!(seq.machines_at(0), Some(2));
-        assert_eq!(seq.machines_at(2), Some(2)); // mid-move: pre-move count
-        assert_eq!(seq.machines_at(4), Some(5)); // move landed
-        assert_eq!(seq.machines_at(99), Some(5));
-        assert_eq!(MoveSeq::default().machines_at(0), None);
     }
 
     #[test]

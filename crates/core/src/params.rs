@@ -65,32 +65,6 @@ impl SystemParams {
     pub fn d_intervals(&self) -> f64 {
         self.d.as_secs_f64() / self.interval.as_secs_f64()
     }
-
-    /// Derives `Q` and `Q̂` from a measured single-node saturation
-    /// throughput using the paper's 65% / 80% rule (§4.1).
-    pub fn from_saturation(
-        saturation: f64,
-        d: Duration,
-        partitions_per_node: u32,
-        interval: Duration,
-        max_machines: u32,
-    ) -> Self {
-        assert!(saturation > 0.0, "saturation must be positive");
-        SystemParams {
-            q: 0.65 * saturation,
-            q_hat: 0.80 * saturation,
-            d,
-            partitions_per_node,
-            interval,
-            max_machines,
-        }
-    }
-
-    /// Returns a copy with a different target throughput `Q` (the knob swept
-    /// in Fig 12 to trade cost against capacity headroom).
-    pub fn with_q(&self, q: f64) -> Self {
-        SystemParams { q, ..self.clone() }
-    }
 }
 
 #[cfg(test)]
@@ -108,29 +82,9 @@ mod tests {
     }
 
     #[test]
-    fn from_saturation_applies_paper_percentages() {
-        let p = SystemParams::from_saturation(
-            438.0,
-            Duration::from_secs(4646),
-            6,
-            Duration::from_secs(300),
-            10,
-        );
-        assert!((p.q - 284.7).abs() < 0.01);
-        assert!((p.q_hat - 350.4).abs() < 0.01);
-    }
-
-    #[test]
     fn d_intervals_converts_units() {
         let p = SystemParams::b2w_paper();
         assert!((p.d_intervals() - 4646.0 / 300.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn with_q_overrides_only_q() {
-        let p = SystemParams::b2w_paper().with_q(200.0);
-        assert_eq!(p.q, 200.0);
-        assert_eq!(p.q_hat, 350.0);
     }
 
     #[test]

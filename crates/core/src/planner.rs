@@ -28,7 +28,6 @@
 
 use crate::cost_model::{avg_machines_allocated, cap, eff_cap, machines_for_load, move_time};
 use crate::moves::{Move, MoveSeq};
-use crate::params::SystemParams;
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -43,19 +42,6 @@ pub struct PlannerConfig {
     pub partitions_per_node: u32,
     /// Hard cap on cluster size.
     pub max_machines: u32,
-}
-
-impl PlannerConfig {
-    /// Derives the planning units from the system parameters.
-    pub fn from_params(params: &SystemParams) -> Self {
-        params.validate();
-        PlannerConfig {
-            q: params.q,
-            d_intervals: params.d_intervals(),
-            partitions_per_node: params.partitions_per_node,
-            max_machines: params.max_machines,
-        }
-    }
 }
 
 /// Behavioural switches for ablation studies. The defaults reproduce the
@@ -234,11 +220,6 @@ impl Planner {
     /// The configuration.
     pub fn config(&self) -> &PlannerConfig {
         &self.cfg
-    }
-
-    /// The ablation options the move tables were built with.
-    pub fn options(&self) -> PlannerOptions {
-        self.opts
     }
 
     /// Machines needed to serve `load` at target throughput `Q`.
@@ -487,6 +468,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::SystemParams;
 
     /// Planner with Q = 100 and fast (1-interval) moves, making expected
     /// plans easy to compute by hand.
@@ -792,7 +774,13 @@ mod tests {
     #[test]
     fn one_interval_runs_of_the_realtime_planner() {
         // The controller's planner: intervals of 300 s, D = 4646 s, P = 6.
-        let planner = Planner::new(PlannerConfig::from_params(&SystemParams::b2w_paper()));
+        let params = SystemParams::b2w_paper();
+        let planner = Planner::new(PlannerConfig {
+            q: params.q,
+            d_intervals: params.d.as_secs_f64() / 300.0,
+            partitions_per_node: params.partitions_per_node,
+            max_machines: params.max_machines,
+        });
         assert_eq!(run(&planner, 1), 1..=1);
         assert_eq!(run(&planner, 2), 2..=8);
         assert_eq!(run(&planner, 9), 3..=10);

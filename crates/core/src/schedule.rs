@@ -370,37 +370,6 @@ impl MigrationSchedule {
     }
 }
 
-impl Round {
-    /// Expands the machine-level transfers of this round into the `p`
-    /// parallel partition streams each runs (partition `i` of the sender
-    /// pairs with partition `i` of the receiver, §4.4.1's "at most one
-    /// transfer per partition").
-    pub fn partition_streams(&self, p: u32) -> Vec<PartitionStream> {
-        assert!(p > 0, "partitions per machine must be positive");
-        self.transfers
-            .iter()
-            .flat_map(|t| {
-                (0..p).map(move |i| PartitionStream {
-                    from_machine: t.from,
-                    to_machine: t.to,
-                    partition: i,
-                })
-            })
-            .collect()
-    }
-}
-
-/// One partition-to-partition stream of a machine-pair transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionStream {
-    /// Sending machine.
-    pub from_machine: u32,
-    /// Receiving machine.
-    pub to_machine: u32,
-    /// Partition index on both sides.
-    pub partition: u32,
-}
-
 /// One sampled point of the Fig 4 trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryPoint {
@@ -780,20 +749,6 @@ mod tests {
         assert!(sent.values().all(|&c| c == 11));
         assert_eq!(recv.len(), 11);
         assert!(recv.values().all(|&c| c == 3));
-    }
-
-    #[test]
-    fn partition_streams_expand_each_pair_p_ways() {
-        let s = MigrationSchedule::plan(3, 9);
-        let round = &s.rounds()[0];
-        let streams = round.partition_streams(6);
-        assert_eq!(streams.len(), round.transfers.len() * 6);
-        // No partition appears twice on the same machine side.
-        let mut seen = std::collections::HashSet::new();
-        for st in &streams {
-            assert!(seen.insert((st.from_machine, st.partition)));
-            assert!(seen.insert((st.to_machine, st.partition)));
-        }
     }
 
     #[test]

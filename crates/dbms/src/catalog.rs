@@ -62,16 +62,6 @@ impl TableSchema {
             key_columns,
         }
     }
-
-    /// Index of the partitioning column (always the first key column).
-    pub fn partition_column(&self) -> usize {
-        0
-    }
-
-    /// Column index by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
 }
 
 /// The set of tables in the database.
@@ -163,14 +153,6 @@ mod tests {
         assert_eq!(cat.table(id).name, "CART");
         assert_eq!(cat.table_id("MISSING"), None);
         assert_eq!(cat.len(), 1);
-    }
-
-    #[test]
-    fn partition_column_is_first_key_column() {
-        let s = cart_schema();
-        assert_eq!(s.partition_column(), 0);
-        assert_eq!(s.column_index("total"), Some(2));
-        assert_eq!(s.column_index("nope"), None);
     }
 
     #[test]

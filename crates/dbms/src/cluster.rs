@@ -59,11 +59,6 @@ impl PairTransfer {
     pub fn is_done(&self) -> bool {
         self.next >= self.slots.len()
     }
-
-    /// The slot the next chunk will draw from, if any remain.
-    pub fn current_slot(&self) -> Option<u64> {
-        self.slots.get(self.next).copied()
-    }
 }
 
 /// An in-progress reconfiguration: the plan it moves towards and what is
@@ -1337,7 +1332,7 @@ mod tests {
                     let pair = c
                         .pair_transfers()
                         .iter()
-                        .find(|p| p.current_slot() == Some(slot as u64))
+                        .find(|p| p.slots.get(p.next) == Some(&(slot as u64)))
                         .expect("a marked slot is some pair's current one");
                     assert_eq!((pair.from, pair.to), (c.route_node[slot], dest));
                 }

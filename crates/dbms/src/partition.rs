@@ -353,13 +353,6 @@ impl PartitionStore {
             .map(|((_, k), row)| (k, row))
     }
 
-    /// All rows in `table` within `slot` whose key starts with `prefix`.
-    pub fn scan_prefix(&self, slot: u64, table: TableId, prefix: &Key) -> Vec<(Key, Row)> {
-        self.prefix_rows(slot, table, prefix)
-            .map(|(k, r)| (k.clone(), r.clone()))
-            .collect()
-    }
-
     /// Removes and returns up to `budget_bytes` worth of rows from `slot`,
     /// one row at a time in `(table, key)` order, stopping at the row
     /// that reaches the budget. Returns `(rows, bytes, slot_now_empty)`.
@@ -391,13 +384,6 @@ impl PartitionStore {
             self.slots.remove(&slot);
         }
         (out, moved, empty)
-    }
-
-    /// Installs rows delivered by a migration chunk.
-    pub fn install_rows(&mut self, slot: u64, rows: Vec<(TableId, Key, Row)>) {
-        for (tid, key, row) in rows {
-            self.put(slot, tid, key, row);
-        }
     }
 
     /// Moves up to `budget` bytes (at least one row) of `slot` from this
@@ -593,7 +579,8 @@ mod tests {
             p.put(3, 0, Key::str_int("cart-7", i), row(i));
         }
         p.put(3, 0, Key::str_int("cart-8", 0), row(99));
-        let lines = p.scan_prefix(3, 0, &Key::str("cart-7"));
+        let cart = Key::str("cart-7");
+        let lines: Vec<_> = p.prefix_rows(3, 0, &cart).collect();
         assert_eq!(lines.len(), 5);
         assert!(lines.windows(2).all(|w| w[0].0 < w[1].0));
     }
@@ -613,12 +600,13 @@ mod tests {
         }
         // A prefix scan stops at the table's edge although the next
         // table's keys carry the same prefix.
-        let lines = p.scan_prefix(3, 1, &Key::str("cart-7"));
+        let cart = Key::str("cart-7");
+        let lines: Vec<_> = p.prefix_rows(3, 1, &cart).collect();
         assert_eq!(
             lines,
             vec![
-                (Key::str_int("cart-7", 0), row(10)),
-                (Key::str_int("cart-7", 1), row(11)),
+                (&Key::str_int("cart-7", 0), &row(10)),
+                (&Key::str_int("cart-7", 1), &row(11)),
             ]
         );
         assert_eq!(p.export_slot_table(3, 2).len(), 2);
@@ -660,7 +648,9 @@ mod tests {
         }
         let (rows, bytes, _) = src.extract_chunk(4, usize::MAX);
         let mut dst = PartitionStore::new(2);
-        dst.install_rows(4, rows);
+        for (table, key, row) in rows {
+            dst.put(4, table, key, row);
+        }
         assert_eq!(dst.total_rows(), 6);
         assert_eq!(dst.slot_bytes(4), bytes);
         for i in 0..6 {
@@ -717,7 +707,7 @@ mod tests {
         assert_eq!(dst.version_of(2, 0, &dead), 2);
         assert_eq!(src.version_of(2, 0, &k), 0);
         // Migration re-install must not advance the chain.
-        dst.install_rows(2, vec![(0, k.clone(), Row::new([Value::Int(9)]))]);
+        dst.put(2, 0, k.clone(), Row::new([Value::Int(9)]));
         assert_eq!(dst.version_of(2, 0, &k), 2);
         // Disabling clears state.
         dst.set_track_versions(false);

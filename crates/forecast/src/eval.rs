@@ -88,23 +88,6 @@ pub fn rolling_accuracy(
         .collect()
 }
 
-/// Compares several models at a single tau; returns `(name, MRE)` pairs in
-/// the models' order.
-pub fn compare_models(
-    models: &[&dyn LoadPredictor],
-    data: &[f64],
-    tau: usize,
-    cfg: &EvalConfig,
-) -> Vec<(String, f64)> {
-    models
-        .iter()
-        .map(|m| {
-            let acc = rolling_accuracy(*m, data, &[tau], cfg);
-            (m.name().to_string(), acc[0].mre)
-        })
-        .collect()
-}
-
 /// Calibrates the prediction-inflation factor the controller applies
 /// (§8.2 inflates by a fixed 15%): the smallest multiplier `f` such that
 /// `f * prediction >= actual` in at least `quantile` of rolling-origin
@@ -181,17 +164,6 @@ mod tests {
         );
         assert!(sparse[0].samples < dense[0].samples);
         assert!((sparse[0].mre - dense[0].mre).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compare_models_preserves_order_and_names() {
-        let data = periodic(12, 12 * 8);
-        let good = SeasonalNaive::new(12);
-        let bad = SeasonalNaive::new(11); // wrong period
-        let out = compare_models(&[&good, &bad], &data, 1, &EvalConfig::dense(12 * 5));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, "seasonal-naive");
-        assert!(out[0].1 < out[1].1, "correct period should score better");
     }
 
     #[test]

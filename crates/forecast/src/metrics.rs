@@ -62,26 +62,6 @@ pub fn mape(pred: &[f64], actual: &[f64]) -> Option<f64> {
     mre(pred, actual).map(|m| m * 100.0)
 }
 
-/// Symmetric MAPE in percent: `mean(2|p-a| / (|p|+|a|)) * 100`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn smape(pred: &[f64], actual: &[f64]) -> Option<f64> {
-    assert_eq!(pred.len(), actual.len(), "series must have equal length");
-    let eps = 1e-9;
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (p, a) in pred.iter().zip(actual) {
-        let denom = p.abs() + a.abs();
-        if denom < eps {
-            continue;
-        }
-        sum += 2.0 * (p - a).abs() / denom;
-        n += 1;
-    }
-    (n > 0).then(|| sum / n as f64 * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(
@@ -97,7 +77,6 @@ mod tests {
         assert_eq!(mre(&a, &a), Some(0.0));
         assert_eq!(mae(&a, &a), 0.0);
         assert_eq!(rmse(&a, &a), 0.0);
-        assert_eq!(smape(&a, &a), Some(0.0));
     }
 
     #[test]
@@ -143,12 +122,5 @@ mod tests {
         let pred = [11.0];
         let actual = [10.0];
         assert!((mape(&pred, &actual).unwrap() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn smape_is_symmetric() {
-        let a = [10.0, 20.0];
-        let b = [12.0, 18.0];
-        assert_eq!(smape(&a, &b), smape(&b, &a));
     }
 }

@@ -1,6 +1,5 @@
 //! Common interface for load-prediction models.
 
-use crate::series::TimeSeries;
 use std::fmt;
 
 /// Error produced when fitting a forecasting model.
@@ -70,41 +69,6 @@ pub trait LoadPredictor: Send + Sync {
     fn name(&self) -> &str;
 }
 
-/// Rolling-origin (walk-forward) evaluation of a predictor.
-///
-/// For every origin `t` in `test` with enough preceding history, predicts
-/// `tau` slots ahead and pairs the prediction with the realised value.
-/// `full` must contain the training prefix followed by the test region;
-/// `test_start` is the index in `full` where evaluation begins.
-///
-/// Returns `(predictions, actuals)` aligned pairs.
-pub fn rolling_forecast(
-    model: &dyn LoadPredictor,
-    full: &TimeSeries,
-    test_start: usize,
-    tau: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let vals = full.values();
-    let mut preds = Vec::new();
-    let mut actuals = Vec::new();
-    let min_hist = model.min_history();
-    // With history `vals[..t]` the last observation is index t - 1, so a
-    // tau-slot-ahead forecast targets index t - 1 + tau.
-    let first_origin = (test_start + 1).saturating_sub(tau).max(min_hist);
-    for t in first_origin.. {
-        let target = t - 1 + tau;
-        if target >= vals.len() {
-            break;
-        }
-        if target < test_start {
-            continue;
-        }
-        preds.push(model.predict(&vals[..t], tau));
-        actuals.push(vals[target]);
-    }
-    (preds, actuals)
-}
-
 /// A trivial seasonal-naive predictor: forecast the value one period ago.
 ///
 /// Used as a sanity baseline in tests and experiments.
@@ -156,6 +120,7 @@ mod tests {
         reason = "tests assert exact rational arithmetic on tiny values"
     )]
     use super::*;
+    use crate::series::TimeSeries;
     use std::time::Duration;
 
     fn periodic_series(period: usize, reps: usize) -> TimeSeries {
@@ -182,19 +147,6 @@ mod tests {
         let model = SeasonalNaive::new(10);
         let pred = model.predict(&s.values()[..30], 15);
         assert_eq!(pred, s.values()[30 + 14]);
-    }
-
-    #[test]
-    fn rolling_forecast_aligns_predictions_and_actuals() {
-        let s = periodic_series(8, 6);
-        let model = SeasonalNaive::new(8);
-        let (preds, actuals) = rolling_forecast(&model, &s, 32, 4);
-        assert_eq!(preds.len(), actuals.len());
-        assert!(!preds.is_empty());
-        // Exact periodicity: predictions must match actuals exactly.
-        for (p, a) in preds.iter().zip(&actuals) {
-            assert_eq!(p, a);
-        }
     }
 
     #[test]

@@ -239,32 +239,6 @@ pub fn pstore_spar_fast(
     )
 }
 
-/// P-Store for the fast simulator with an explicit planner (ablation
-/// studies pass planners with modified options).
-pub fn pstore_with_planner_fast(
-    train_minutes: &[f64],
-    eval_first_load: f64,
-    params: &SystemParams,
-    planner: Planner,
-) -> PStoreController<SparForecaster> {
-    let q = planner.config().q;
-    let mut forecaster =
-        SparForecaster::new(tick_spar_config(), 7 * TICKS_PER_DAY, 40 * TICKS_PER_DAY);
-    forecaster.seed(&per_tick(train_minutes));
-    PStoreController::new(
-        planner,
-        forecaster,
-        PStoreConfig {
-            horizon: 48,
-            prediction_inflation: 1.15,
-            scale_in_confirmations: 3,
-            emergency_rate_multiplier: 1.0,
-            initial_machines: ((eval_first_load * 1.15 / q).ceil() as u32)
-                .clamp(1, params.max_machines),
-        },
-    )
-}
-
 /// A greedy-lookahead controller (DP ablation) for the fast simulator.
 pub fn greedy_fast(
     train_minutes: &[f64],
@@ -412,16 +386,6 @@ mod tests {
             &mut pstore_spar_fast(train, eval[0], &params, params.q),
         );
         assert!(spar.reconfigurations > 0);
-        let planner = realtime_planner(&params, params.q);
-        let custom = run_fast(
-            &cfg,
-            eval,
-            &mut pstore_with_planner_fast(train, eval[0], &params, planner),
-        );
-        assert!(custom.reconfigurations > 0);
-        // Same planner/forecaster settings -> same behaviour.
-        assert_eq!(spar.cost_machine_slots, custom.cost_machine_slots);
-
         let greedy = run_fast(
             &cfg,
             eval,

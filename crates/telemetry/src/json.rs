@@ -50,14 +50,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Appends a JSON string literal (with escaping) to `out`.

@@ -159,33 +159,6 @@ impl Histogram {
             && self.min.to_bits() == other.min.to_bits()
             && self.max.to_bits() == other.max.to_bits()
     }
-
-    /// Serialises as a JSON object with sparse bucket encoding
-    /// (`[[index, count], ...]`).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"count\":");
-        let _ = write!(out, "{}", self.count);
-        out.push_str(",\"sum\":");
-        crate::json::write_f64(&mut out, self.sum);
-        out.push_str(",\"min\":");
-        crate::json::write_f64(&mut out, self.min());
-        out.push_str(",\"max\":");
-        crate::json::write_f64(&mut out, self.max());
-        out.push_str(",\"buckets\":[");
-        let mut first = true;
-        for (i, c) in self.counts.iter().enumerate() {
-            if *c > 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{i},{c}]");
-            }
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Maps a non-negative finite sample to its bucket index.
@@ -418,19 +391,5 @@ mod tests {
         assert_eq!(r.counter("moves"), 15);
         assert_close(r.gauge("skew").unwrap(), 2.0, 1e-12);
         assert_eq!(r.histogram("lat").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn histogram_json_is_parseable_and_sparse() {
-        let mut h = Histogram::new();
-        h.record(0.1);
-        h.record(0.2);
-        let parsed = crate::json::parse(&h.to_json()).unwrap();
-        let obj = parsed.as_obj().unwrap();
-        assert_close(obj["count"].as_num().unwrap(), 2.0, 1e-12);
-        let crate::json::Json::Arr(buckets) = &obj["buckets"] else {
-            panic!("buckets not an array");
-        };
-        assert!(buckets.len() <= 2);
     }
 }

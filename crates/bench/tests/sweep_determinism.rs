@@ -3,8 +3,9 @@
 //! `src/sweep.rs`): the same cell grid must produce bit-identical
 //! results at any thread count, because every figure binary now fans
 //! its runs through [`Sweep`]. The full fig9 `--quick` grid is held to
-//! the same contract by `scripts/static_analysis.sh`'s golden step, which
-//! runs it at `--threads 4` and compares with a `--threads 1` blessing.
+//! the same contract by the `fig9-golden` step of
+//! `scripts/static_analysis.sh`, which runs it at `--threads 4` and
+//! compares with a `--threads 1` blessing.
 
 #![allow(
     clippy::expect_used,

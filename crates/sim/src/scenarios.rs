@@ -16,6 +16,7 @@ use pstore_core::controller::baselines::{SimpleController, StaticController};
 use pstore_core::controller::forecaster::{OracleForecaster, SparForecaster};
 use pstore_core::controller::pstore::{PStoreConfig, PStoreController};
 use pstore_core::controller::reactive::{ReactiveConfig, ReactiveController};
+use pstore_core::cost_model::machines_for_load;
 use pstore_core::params::SystemParams;
 use pstore_core::planner::{Planner, PlannerConfig};
 use pstore_forecast::generators::B2wLoadModel;
@@ -141,20 +142,10 @@ pub fn pstore_spar(
     trace: &ExperimentTrace,
     params: &SystemParams,
 ) -> PStoreController<SparForecaster> {
-    let mut forecaster =
-        SparForecaster::new(tick_spar_config(), 7 * TICKS_PER_DAY, 40 * TICKS_PER_DAY);
-    let train_ticks = per_tick(trace.training_minutes());
-    forecaster.seed(&train_ticks);
     PStoreController::new(
         compressed_planner(params, params.q),
-        forecaster,
-        PStoreConfig {
-            horizon: 48,
-            prediction_inflation: 1.15,
-            scale_in_confirmations: 3,
-            emergency_rate_multiplier: 1.0,
-            initial_machines: initial_machines_for(trace, params),
-        },
+        seeded_spar(trace.training_minutes()),
+        paper_pstore_config(initial_machines_for(trace, params)),
     )
 }
 
@@ -164,17 +155,10 @@ pub fn pstore_oracle(
     trace: &ExperimentTrace,
     params: &SystemParams,
 ) -> PStoreController<OracleForecaster> {
-    let eval_ticks = per_tick(trace.eval_minutes());
     PStoreController::new(
         compressed_planner(params, params.q),
-        OracleForecaster::new(eval_ticks),
-        PStoreConfig {
-            horizon: 48,
-            prediction_inflation: 1.15,
-            scale_in_confirmations: 3,
-            emergency_rate_multiplier: 1.0,
-            initial_machines: initial_machines_for(trace, params),
-        },
+        OracleForecaster::new(per_tick(trace.eval_minutes())),
+        paper_pstore_config(initial_machines_for(trace, params)),
     )
 }
 
@@ -222,20 +206,10 @@ pub fn pstore_spar_fast(
     params: &SystemParams,
     q: f64,
 ) -> PStoreController<SparForecaster> {
-    let mut forecaster =
-        SparForecaster::new(tick_spar_config(), 7 * TICKS_PER_DAY, 40 * TICKS_PER_DAY);
-    forecaster.seed(&per_tick(train_minutes));
     PStoreController::new(
         realtime_planner(params, q),
-        forecaster,
-        PStoreConfig {
-            horizon: 48,
-            prediction_inflation: 1.15,
-            scale_in_confirmations: 3,
-            emergency_rate_multiplier: 1.0,
-            initial_machines: ((eval_first_load * 1.15 / q).ceil() as u32)
-                .clamp(1, params.max_machines),
-        },
+        seeded_spar(train_minutes),
+        paper_pstore_config(initial_machines(eval_first_load, q, params)),
     )
 }
 
@@ -246,16 +220,13 @@ pub fn greedy_fast(
     params: &SystemParams,
     q: f64,
 ) -> pstore_core::controller::GreedyLookahead<SparForecaster> {
-    let mut forecaster =
-        SparForecaster::new(tick_spar_config(), 7 * TICKS_PER_DAY, 40 * TICKS_PER_DAY);
-    forecaster.seed(&per_tick(train_minutes));
     pstore_core::controller::GreedyLookahead::new(
-        forecaster,
+        seeded_spar(train_minutes),
         48,
         q,
         1.15,
         params.max_machines,
-        ((eval_first_load * 1.15 / q).ceil() as u32).clamp(1, params.max_machines),
+        initial_machines(eval_first_load, q, params),
     )
 }
 
@@ -269,13 +240,7 @@ pub fn pstore_oracle_fast(
     PStoreController::new(
         realtime_planner(params, q),
         OracleForecaster::new(per_tick(eval_minutes)),
-        PStoreConfig {
-            horizon: 48,
-            prediction_inflation: 1.15,
-            scale_in_confirmations: 3,
-            emergency_rate_multiplier: 1.0,
-            initial_machines: ((first * 1.15 / q).ceil() as u32).clamp(1, params.max_machines),
-        },
+        paper_pstore_config(initial_machines(first, q, params)),
     )
 }
 
@@ -302,7 +267,33 @@ pub fn reactive_fast(
 /// Machines needed for the load at the start of the evaluation window.
 fn initial_machines_for(trace: &ExperimentTrace, params: &SystemParams) -> u32 {
     let first = trace.eval_minutes().first().copied().unwrap_or(0.0);
-    ((first * 1.15 / params.q).ceil() as u32).clamp(1, params.max_machines)
+    initial_machines(first, params.q, params)
+}
+
+/// Machines for `first_load` inflated by 15 %, at `q` per machine, within
+/// the cluster's bounds.
+fn initial_machines(first_load: f64, q: f64, params: &SystemParams) -> u32 {
+    machines_for_load(first_load * 1.15, q).clamp(1, params.max_machines)
+}
+
+/// The paper's P-Store setting: a 48-interval horizon, predictions
+/// inflated by 15 %, three confirmations before a scale-in.
+fn paper_pstore_config(initial_machines: u32) -> PStoreConfig {
+    PStoreConfig {
+        horizon: 48,
+        prediction_inflation: 1.15,
+        scale_in_confirmations: 3,
+        emergency_rate_multiplier: 1.0,
+        initial_machines,
+    }
+}
+
+/// SPAR over [`tick_spar_config`], seeded with `train_minutes` in ticks.
+fn seeded_spar(train_minutes: &[f64]) -> SparForecaster {
+    let mut forecaster =
+        SparForecaster::new(tick_spar_config(), 7 * TICKS_PER_DAY, 40 * TICKS_PER_DAY);
+    forecaster.seed(&per_tick(train_minutes));
+    forecaster
 }
 
 /// Averages a per-minute series into per-tick (5-minute) values.

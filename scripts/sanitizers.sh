@@ -12,7 +12,7 @@
 # involved.
 #
 # Requirements (both checked; the script SKIPS cleanly when absent, like
-# the miri step of static_analysis.sh, so offline toolchains still pass):
+# the miri steps of static_analysis.sh, so offline toolchains still pass):
 #   * a nightly toolchain (`-Zsanitizer` / `-Zbuild-std` are unstable);
 #   * the nightly `rust-src` component (std must be rebuilt instrumented).
 

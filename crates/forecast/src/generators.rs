@@ -45,7 +45,8 @@ pub struct B2wLoadModel {
     pub noise_sigma: f64,
     /// AR(1) persistence of the multiplicative noise in (0, 1).
     pub noise_persistence: f64,
-    /// Expected number of promotion spikes per day.
+    /// Probability that a day has a promotion spike. A day has at most
+    /// one, so values of 1 and above put one on every day.
     pub promos_per_day: f64,
     /// Day indices (0-based) that receive a Black-Friday style surge.
     pub black_friday_days: Vec<usize>,
@@ -82,71 +83,83 @@ impl B2wLoadModel {
             .map(|_| 1.0 + self.daily_jitter * randn(&mut rng))
             .collect();
 
-        // Promotion bumps: Poisson-ish arrival per day during shopping hours.
-        let mut promos: Vec<(usize, usize, f64)> = Vec::new(); // (start, dur, boost)
-        for day in 0..days {
-            if rng.random_range(0.0..1.0) < self.promos_per_day {
-                let start = day * MINUTES_PER_DAY + rng.random_range(9 * 60..21 * 60);
-                let dur = rng.random_range(30..180);
-                let boost = rng.random_range(0.25..0.8);
-                promos.push((start, dur, boost));
-            }
-        }
+        // Promotion bumps: at most one per day, drawn in shopping hours. It
+        // starts between 09:00 and 21:00 and lasts 30–179 minutes, so it
+        // ends before midnight and is the only promotion its day's minutes
+        // can fall in. (start minute of the day, duration, boost)
+        let promos: Vec<Option<(usize, usize, f64)>> = (0..days)
+            .map(|_| {
+                (rng.random_range(0.0..1.0) < self.promos_per_day).then(|| {
+                    let start = rng.random_range(9 * 60..21 * 60);
+                    let dur = rng.random_range(30..180);
+                    let boost = rng.random_range(0.25..0.8);
+                    debug_assert!(start + dur < MINUTES_PER_DAY);
+                    (start, dur, boost)
+                })
+            })
+            .collect();
+
+        // Diurnal wave: trough near 04:00, peak near 16:00. It depends on
+        // the minute of the day alone, so it is worked out once per minute.
+        let diurnal: Vec<f64> = (0..MINUTES_PER_DAY)
+            .map(|m| {
+                let minute = m as f64;
+                let phase = 2.0 * PI * (minute - 4.0 * 60.0) / MINUTES_PER_DAY as f64;
+                let s = (1.0 - phase.cos()) / 2.0; // 0 at 04:00, 1 at 16:00
+                self.trough + (self.peak - self.trough) * s.powf(1.15)
+            })
+            .collect();
 
         let mut noise = 0.0f64;
         let rho = self.noise_persistence;
         let innov = self.noise_sigma * (1.0 - rho * rho).sqrt();
 
         let mut values = Vec::with_capacity(n);
-        for t in 0..n {
-            let day = t / MINUTES_PER_DAY;
-            let minute = (t % MINUTES_PER_DAY) as f64;
-
-            // Diurnal wave: trough near 04:00, peak near 16:00.
-            let phase = 2.0 * PI * (minute - 4.0 * 60.0) / MINUTES_PER_DAY as f64;
-            let s = (1.0 - phase.cos()) / 2.0; // 0 at 04:00, 1 at 16:00
-            let mut load = self.trough + (self.peak - self.trough) * s.powf(1.15);
-
+        for (day, &promo) in promos.iter().enumerate() {
             // Weekly modulation (days 5, 6 of each week slightly lower).
-            let dow = day % 7;
-            let weekly = match dow {
+            let weekly = match day % 7 {
                 5 => 1.0 - self.weekly_amplitude,
                 6 => 1.0 - 0.6 * self.weekly_amplitude,
                 _ => 1.0 + 0.2 * self.weekly_amplitude,
             };
-            load *= weekly;
+            let black_friday = self.black_friday_days.contains(&day);
 
-            // Smoothly interpolated per-day amplitude drift.
-            let frac = minute / MINUTES_PER_DAY as f64;
-            let amp = day_factors[day] * (1.0 - frac) + day_factors[day + 1] * frac;
-            load *= amp;
+            for (m, &base) in diurnal.iter().enumerate() {
+                let minute = m as f64;
+                let mut load = base * weekly;
 
-            // Persistent multiplicative noise.
-            noise = rho * noise + innov * randn(&mut rng);
-            load *= (1.0 + noise).max(0.05);
+                // Smoothly interpolated per-day amplitude drift.
+                let frac = minute / MINUTES_PER_DAY as f64;
+                let amp = day_factors[day] * (1.0 - frac) + day_factors[day + 1] * frac;
+                load *= amp;
 
-            // Promotion bumps (raised-cosine shape).
-            for &(start, dur, boost) in &promos {
-                if t >= start && t < start + dur {
-                    let x = (t - start) as f64 / dur as f64;
-                    load *= 1.0 + boost * (PI * x).sin();
+                // Persistent multiplicative noise.
+                noise = rho * noise + innov * randn(&mut rng);
+                load *= (1.0 + noise).max(0.05);
+
+                // Promotion bump (raised-cosine shape).
+                if let Some((start, dur, boost)) = promo {
+                    if m >= start && m < start + dur {
+                        let x = (m - start) as f64 / dur as f64;
+                        load *= 1.0 + boost * (PI * x).sin();
+                    }
                 }
-            }
 
-            // Black Friday: sharp morning ramp, sustained surge all day.
-            if self.black_friday_days.contains(&day) {
-                let h = minute / 60.0;
-                let surge = if h < 6.0 {
-                    1.0 + 0.3 * (h / 6.0)
-                } else {
-                    // Ramp to the full boost by 10:00, hold through midnight.
-                    let ramp = ((h - 6.0) / 4.0).min(1.0);
-                    1.3 + (self.black_friday_boost - 1.3) * ramp
-                };
-                load *= surge;
-            }
+                // Black Friday: sharp morning ramp, sustained surge all day.
+                if black_friday {
+                    let h = minute / 60.0;
+                    let surge = if h < 6.0 {
+                        1.0 + 0.3 * (h / 6.0)
+                    } else {
+                        // Ramp to the full boost by 10:00, hold through midnight.
+                        let ramp = ((h - 6.0) / 4.0).min(1.0);
+                        1.3 + (self.black_friday_boost - 1.3) * ramp
+                    };
+                    load *= surge;
+                }
 
-            values.push(load.max(0.0));
+                values.push(load.max(0.0));
+            }
         }
         TimeSeries::new(Duration::from_secs(60), values)
     }
@@ -280,7 +293,6 @@ pub fn day_with_unexpected_spike(
     }
     .generate(1);
     let mut values = base.values().to_vec();
-    let n = values.len();
     for (t, v) in values.iter_mut().enumerate() {
         if t < spike_start_min {
             continue;
@@ -295,7 +307,6 @@ pub fn day_with_unexpected_spike(
             1.0 + (spike_factor - 1.0) * (-decay).exp()
         };
         *v *= mult;
-        let _ = n;
     }
     TimeSeries::new(Duration::from_secs(60), values)
 }

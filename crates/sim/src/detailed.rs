@@ -50,7 +50,8 @@ pub struct DetailedSimConfig {
     /// System parameters (`Q`, `Q̂`, `D`, `P`, hardware cap).
     pub params: SystemParams,
     /// Offered load per wall-clock second (txn/s). The run lasts
-    /// `load.len()` seconds.
+    /// `load.len()` seconds. A +∞ second is refused; NaN and negative
+    /// seconds get no arrivals.
     pub load: Vec<f64>,
     /// RNG seed for arrivals and service jitter.
     pub seed: u64,
@@ -208,6 +209,15 @@ struct ActiveMigration {
 pub fn run_detailed(cfg: &DetailedSimConfig, strategy: &mut dyn Strategy) -> DetailedSimResult {
     cfg.params.validate();
     assert!(cfg.monitor_interval_s > 0.0, "monitor interval must be > 0");
+    // A second's load is its Poisson rate: +∞ would ask for unboundedly many
+    // arrivals. NaN and negative loads mean no arrivals.
+    if let Some(s) = cfg
+        .load
+        .iter()
+        .position(|l| l.is_infinite() && l.is_sign_positive())
+    {
+        panic!("load of second {s} is +inf: a second's arrivals must be finite");
+    }
     // Root span for the whole run; the sim clock starts at 0 so setup
     // and warm-up events are stamped (at t=0, they take no sim time).
     let run_span = if tel::enabled() {
@@ -849,6 +859,13 @@ mod tests {
             warmup_txns: 20_000,
             ..DetailedSimConfig::paper_defaults(load, seed)
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "load of second 1 is +inf")]
+    fn an_infinite_load_second_is_refused() {
+        let cfg = test_cfg(vec![400.0, f64::INFINITY], 1);
+        run_detailed(&cfg, &mut StaticController::new(4));
     }
 
     #[test]

@@ -145,7 +145,6 @@ mod tests {
             "STOCK_TXN",
         ];
         for (i, name) in names.iter().enumerate() {
-            assert_eq!(cat.table_id(name), Some(i), "{name}");
             assert_eq!(cat.table(i).name, *name);
         }
     }

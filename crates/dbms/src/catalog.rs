@@ -1,7 +1,5 @@
 //! Table schemas and the database catalog.
 
-use std::collections::HashMap;
-
 /// Column data type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
@@ -68,7 +66,6 @@ impl TableSchema {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Catalog {
     tables: Vec<TableSchema>,
-    by_name: HashMap<String, TableId>,
 }
 
 impl Catalog {
@@ -83,12 +80,11 @@ impl Catalog {
     /// Panics if a table with the same name exists.
     pub fn add_table(&mut self, schema: TableSchema) -> TableId {
         assert!(
-            !self.by_name.contains_key(&schema.name),
+            self.tables.iter().all(|t| t.name != schema.name),
             "duplicate table {}",
             schema.name
         );
         let id = self.tables.len();
-        self.by_name.insert(schema.name.clone(), id);
         self.tables.push(schema);
         id
     }
@@ -96,11 +92,6 @@ impl Catalog {
     /// Schema by id.
     pub fn table(&self, id: TableId) -> &TableSchema {
         &self.tables[id]
-    }
-
-    /// Id by name.
-    pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.by_name.get(name).copied()
     }
 
     /// Number of tables.
@@ -149,9 +140,7 @@ mod tests {
     fn catalog_round_trips_tables() {
         let mut cat = Catalog::new();
         let id = cat.add_table(cart_schema());
-        assert_eq!(cat.table_id("CART"), Some(id));
         assert_eq!(cat.table(id).name, "CART");
-        assert_eq!(cat.table_id("MISSING"), None);
         assert_eq!(cat.len(), 1);
     }
 

@@ -5,11 +5,12 @@
 //! This is the vehicle for the paper's §8.1–8.2 experiments (Figs 7–11,
 //! Table 2). Timing model:
 //!
-//! * Each partition is a serial FIFO server. A transaction arriving at `t`
-//!   starts at `max(t, busy_until)` and occupies the partition for a jittered
-//!   service time; its latency is queueing plus service. With the default
-//!   calibration (6 partitions/node, ~13.7 ms mean service) a node saturates
-//!   near 438 txn/s, reproducing Fig 7 and the paper's `Q̂ = 350` / `Q = 285`.
+//! * Each partition is a serial FIFO server, a [`PartitionQueue`]; a
+//!   transaction's latency is its wait plus its jittered service time. The
+//!   default calibration is 6 partitions/node at a mean service of
+//!   6/490 s ≈ 12.2 ms (the comment in [`DetailedSimConfig::paper_defaults`]
+//!   says why not 6/438), so a node saturates near the paper's 438 txn/s
+//!   (Fig 7, `Q̂ = 350`, `Q = 285`).
 //! * Live migration streams run one per machine pair, paced so that a
 //!   single stream moves data at rate `R = db_bytes / D`. Every chunk
 //!   additionally *occupies* the source and destination partitions for a
@@ -191,6 +192,47 @@ impl EventQueue {
     }
 }
 
+/// One partition's serial FIFO executor and its migration-stall state.
+///
+/// An arrival at `at` waits until `busy_until`, then holds the partition
+/// for its service time. A migration chunk's burst occupies the partition
+/// the same way, from `max(busy_until, now)`; it adds to `backlog`, and
+/// `frontier` is `busy_until` right after the last burst. Of an arrival's
+/// wait, at most `backlog` and at most the time left to `frontier` is
+/// migration stall; the rest is queueing. An arrival at or after the
+/// frontier resets the backlog: the bursts have drained, so later waits are
+/// pure queueing.
+#[derive(Clone, Default)]
+struct PartitionQueue {
+    busy_until: f64,
+    backlog: f64,
+    frontier: f64,
+}
+
+impl PartitionQueue {
+    /// An arrival at `at`: its wait, and the cap on the wait's stall share.
+    fn wait(&mut self, at: f64) -> (f64, f64) {
+        if at >= self.frontier {
+            self.backlog = 0.0;
+        }
+        let wait = (self.busy_until - at).max(0.0);
+        (wait, self.backlog.min((self.frontier - at).max(0.0)))
+    }
+
+    /// Serves an arrival at `at` for `service`; returns its end time.
+    fn serve(&mut self, at: f64, service: f64) -> f64 {
+        self.busy_until = self.busy_until.max(at) + service;
+        self.busy_until
+    }
+
+    /// A migration burst of `burst` seconds at `at`.
+    fn burst(&mut self, at: f64, burst: f64) {
+        self.busy_until = self.busy_until.max(at) + burst;
+        self.backlog += burst;
+        self.frontier = self.busy_until;
+    }
+}
+
 struct ActiveMigration {
     schedule: MigrationSchedule,
     current_round: usize,
@@ -241,16 +283,8 @@ struct Sim<'a> {
     cluster: Cluster,
     gen: WorkloadGenerator,
     rng: StdRng,
-    /// Busy-until time of every partition, `[node][local]`.
-    busy: Vec<Vec<f64>>,
-    /// Latency-attribution state, parallel to `busy`. `mig_backlog` is the
-    /// outstanding chunk-burst service time injected into each partition;
-    /// `stall_frontier` is the partition's busy-until as of the last burst.
-    /// An arrival inside the frontier window has up to `mig_backlog` of its
-    /// wait attributed to migration interference; once a partition drains
-    /// past its frontier the backlog resets — later waits are pure queueing.
-    mig_backlog: Vec<Vec<f64>>,
-    stall_frontier: Vec<Vec<f64>>,
+    /// Every partition's queue, indexed `node * P + local`.
+    queues: Vec<PartitionQueue>,
     recorder: LatencyRecorder,
     queue: EventQueue,
     /// The current second's arrival times, sorted ascending, drained by
@@ -303,7 +337,6 @@ impl<'a> Sim<'a> {
         warm_up(&mut cluster, &mut gen, cfg.warmup_txns);
         let mut recorder = LatencyRecorder::new();
         recorder.set_machines(cluster.active_nodes() as f64);
-        let idle = vec![vec![0.0f64; p as usize]; cfg.params.max_machines as usize];
         let mut queue = EventQueue::default();
         queue.push(0.0, Event::Second(0));
         queue.push(0.0, Event::Monitor);
@@ -314,9 +347,7 @@ impl<'a> Sim<'a> {
             cluster,
             gen,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xD15C),
-            busy: idle.clone(),
-            mig_backlog: idle.clone(),
-            stall_frontier: idle,
+            queues: vec![PartitionQueue::default(); cfg.params.max_machines as usize * p as usize],
             recorder,
             queue,
             arrivals: Vec::new(),
@@ -379,19 +410,8 @@ impl<'a> Sim<'a> {
         // re-hashing the routing key.
         let slot = self.cluster.slot_of_routing(&txn.routing_key());
         let (node, local) = self.cluster.partition_of_slot(slot);
-        let (n, l) = (node as usize, local as usize);
-        let wait = (self.busy[n][l] - at).max(0.0);
-        // Migration-interference share of the wait (see the state comments
-        // on `Sim`): bounded by the wait itself, by the outstanding burst
-        // backlog, and by the remaining frontier window.
-        let frontier = self.stall_frontier[n][l];
-        let backlog = if at >= frontier {
-            self.mig_backlog[n][l] = 0.0;
-            0.0
-        } else {
-            self.mig_backlog[n][l]
-        };
-        let stall_cap = backlog.min((frontier - at).max(0.0));
+        let q = node as usize * cfg.params.partitions_per_node as usize + local as usize;
+        let (wait, stall_cap) = self.queues[q].wait(at);
         let sampled = self.sample_every > 0 && id.is_multiple_of(self.sample_every);
         // A sampled transaction's lifecycle events are all stamped at its
         // arrival (end times travel as fields).
@@ -399,73 +419,66 @@ impl<'a> Sim<'a> {
             tel::set_time(at);
             tel::emit(tel::TxnArrive { id, slot });
         }
-        if wait > cfg.max_queue_delay_s {
-            // Client timeout: the request is shed, observed at the timeout
-            // latency, and never executes.
+        // Client timeout: a request that would wait longer is shed, observed
+        // at the timeout latency, and never executes.
+        let shed = wait > cfg.max_queue_delay_s;
+        let waited = wait.min(cfg.max_queue_delay_s);
+        let stall = waited.min(stall_cap);
+        let queue = waited - stall;
+        let (exec, end, abort) = if shed {
             self.dropped += 1;
-            let stall = cfg.max_queue_delay_s.min(stall_cap);
-            let queue = cfg.max_queue_delay_s - stall;
-            self.recorder
-                .record_attributed(at, queue, cfg.service_mean_s, stall);
-            if sampled {
-                let exec = cfg.service_mean_s;
-                emit_txn_wait(id, queue + stall, stall);
-                tel::emit(tel::TxnAbort {
+            let exec = cfg.service_mean_s;
+            (exec, at + queue + exec + stall, Some("timeout"))
+        } else {
+            // Sampled transactions carry a trace tag: the engine then emits
+            // their `txn_rwset` (and `txn_restart`) itself.
+            let trace_id = sampled.then_some(id);
+            let ok = self.cluster.execute_traced(&txn, slot, trace_id).is_ok();
+            if ok {
+                self.committed += 1;
+            } else {
+                self.aborted += 1;
+            }
+            let service = cfg.service_mean_s
+                * (1.0
+                    + self
+                        .rng
+                        .random_range(-cfg.service_jitter..cfg.service_jitter));
+            let end = self.queues[q].serve(at, service);
+            (service, end, (!ok).then_some("business"))
+        };
+        self.recorder.record_attributed(at, queue, exec, stall);
+        if sampled {
+            tel::emit(tel::TxnQueue {
+                id,
+                wait: queue + stall,
+                stall,
+            });
+            if stall > 0.0 {
+                tel::emit(tel::TxnStall { id, stall });
+            }
+            if !shed {
+                tel::emit(tel::TxnExecute { id, service: exec });
+            }
+            let total = queue + exec + stall;
+            match abort {
+                None => tel::emit(tel::TxnCommit {
                     id,
-                    total: queue + exec + stall,
+                    total,
                     queue,
                     exec,
                     stall,
-                    end: at + queue + exec + stall,
-                    reason: Some("timeout".into()),
-                });
-            }
-            return;
-        }
-        // Sampled transactions carry a trace tag: the engine then emits
-        // their `txn_rwset` (and `txn_restart`) itself.
-        let trace_id = sampled.then_some(id);
-        let ok = self.cluster.execute_traced(&txn, slot, trace_id).is_ok();
-        if ok {
-            self.committed += 1;
-        } else {
-            self.aborted += 1;
-        }
-        let service = cfg.service_mean_s
-            * (1.0
-                + self
-                    .rng
-                    .random_range(-cfg.service_jitter..cfg.service_jitter));
-        let b = &mut self.busy[n][l];
-        let start = b.max(at);
-        *b = start + service;
-        let end = *b;
-        let stall = wait.min(stall_cap);
-        let queue = wait - stall;
-        self.recorder.record_attributed(at, queue, service, stall);
-        if sampled {
-            emit_txn_wait(id, queue + stall, stall);
-            tel::emit(tel::TxnExecute { id, service });
-            let total = queue + service + stall;
-            if ok {
-                tel::emit(tel::TxnCommit {
+                    end,
+                }),
+                Some(reason) => tel::emit(tel::TxnAbort {
                     id,
                     total,
                     queue,
-                    exec: service,
+                    exec,
                     stall,
                     end,
-                });
-            } else {
-                tel::emit(tel::TxnAbort {
-                    id,
-                    total,
-                    queue,
-                    exec: service,
-                    stall,
-                    end,
-                    reason: Some("business".into()),
-                });
+                    reason: Some(reason.into()),
+                }),
             }
         }
     }
@@ -609,14 +622,11 @@ impl<'a> Sim<'a> {
         let fill = (moved as f64 / chunk_bytes as f64).min(1.0);
         let burst = cfg.migration_cpu_fraction * cfg.chunk_pacing_s * fill;
         if burst > 0.0 {
+            let p = cfg.params.partitions_per_node as usize;
             for node in [from, to] {
-                let n = node as usize;
-                for (local, part) in self.busy[n].iter_mut().enumerate() {
-                    *part = part.max(time) + burst;
-                    // Arrivals landing before the new frontier see this
-                    // burst as migration stall, not queueing.
-                    self.mig_backlog[n][local] += burst;
-                    self.stall_frontier[n][local] = *part;
+                let first = node as usize * p;
+                for queue in &mut self.queues[first..first + p] {
+                    queue.burst(time, burst);
                 }
             }
         }
@@ -694,31 +704,15 @@ fn warm_up(cluster: &mut Cluster, gen: &mut WorkloadGenerator, warmup_txns: usiz
         0
     };
     for proc in gen.seed_stock_procedures() {
-        let slot = cluster.slot_of_routing(&proc.routing_key());
-        let seeded = cluster.execute_at_slot(&proc, slot);
-        assert!(seeded.is_ok(), "stock seeding failed");
+        assert!(cluster.execute(&proc).is_ok(), "stock seeding failed");
     }
     for txn in gen.initial_load() {
-        let slot = cluster.slot_of_routing(&txn.routing_key());
-        let loaded = cluster.execute_at_slot(&txn, slot);
-        assert!(loaded.is_ok(), "initial cart load failed");
+        assert!(cluster.execute(&txn).is_ok(), "initial cart load failed");
     }
     for _ in 0..warmup_txns {
-        let txn = gen.next_txn();
-        let slot = cluster.slot_of_routing(&txn.routing_key());
-        let _ = cluster.execute_at_slot(&txn, slot);
+        let _ = cluster.execute(&gen.next_txn());
     }
     tel::end_span(tel::SpanName::Warmup, warmup_span);
-}
-
-/// Emits the wait portion of a sampled transaction's lifecycle: one
-/// `txn_queue` event (total wait and its migration-stall share) plus a
-/// `txn_stall` event when migration interference contributed at all.
-fn emit_txn_wait(id: u64, wait: f64, stall: f64) {
-    tel::emit(tel::TxnQueue { id, wait, stall });
-    if stall > 0.0 {
-        tel::emit(tel::TxnStall { id, stall });
-    }
 }
 
 /// Records access- and data-skew summaries over the cluster's partitions
@@ -859,6 +853,69 @@ mod tests {
             warmup_txns: 20_000,
             ..DetailedSimConfig::paper_defaults(load, seed)
         }
+    }
+
+    /// One queue under Poisson arrivals and the simulator's jittered
+    /// service against M/G/1's Pollaczek–Khinchine mean wait. Service is
+    /// `m·(1 + U(−j, j))`, so `E[S²] = m²(1 + j²/3)` and
+    /// `Wq = ρ·m·(1 + j²/3) / (2(1 − ρ))`. The bound is the run's own: 4
+    /// standard errors of 20 batch means of 100 000 arrivals each.
+    #[test]
+    fn a_partition_queue_waits_as_pollaczek_khinchine_says() {
+        const BATCHES: usize = 20;
+        const PER_BATCH: usize = 100_000;
+        let (m, j) = (6.0 / 490.0, 0.3);
+        for (seed, rho) in [(1, 0.3), (2, 0.7), (3, 0.9)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut queue = PartitionQueue::default();
+            let mut at = 0.0;
+            let batches: Vec<f64> = (0..BATCHES)
+                .map(|_| {
+                    let mut waited = 0.0;
+                    for _ in 0..PER_BATCH {
+                        at -= (1.0 - rng.random_range(0.0..1.0f64)).ln() * m / rho;
+                        waited += queue.wait(at).0;
+                        queue.serve(at, m * (1.0 + rng.random_range(-j..j)));
+                    }
+                    waited / PER_BATCH as f64
+                })
+                .collect();
+            let mean = batches.iter().sum::<f64>() / BATCHES as f64;
+            let var =
+                batches.iter().map(|b| (b - mean).powi(2)).sum::<f64>() / (BATCHES - 1) as f64;
+            let se = (var / BATCHES as f64).sqrt();
+            let pk = rho * m * (1.0 + j * j / 3.0) / (2.0 * (1.0 - rho));
+            assert!(
+                (mean - pk).abs() <= 4.0 * se,
+                "rho {rho}: mean wait {mean} against PK {pk} (ratio {:.3}, z {:.2})",
+                mean / pk,
+                (mean - pk) / se
+            );
+        }
+    }
+
+    /// The stall rule, step by step: a burst on an idle queue, an arrival
+    /// inside its frontier (all of its wait is stall), one after it (none
+    /// is, and the backlog resets), then a burst behind queued work.
+    #[test]
+    fn a_burst_is_stall_until_its_frontier_passes() {
+        let mut queue = PartitionQueue::default();
+        queue.burst(1.0, 0.5);
+        assert_eq!(
+            (queue.busy_until, queue.backlog, queue.frontier),
+            (1.5, 0.5, 1.5)
+        );
+        assert_eq!(queue.wait(1.25), (0.25, 0.25));
+        assert_eq!(queue.serve(1.25, 0.5), 2.0);
+        assert_eq!(queue.wait(1.75), (0.25, 0.0));
+        assert_eq!(queue.backlog, 0.0);
+        queue.burst(1.75, 0.25);
+        assert_eq!(
+            (queue.busy_until, queue.backlog, queue.frontier),
+            (2.25, 0.25, 2.25)
+        );
+        // 0.375 s of wait, of which only the new burst's 0.25 s is stall.
+        assert_eq!(queue.wait(1.875), (0.375, 0.25));
     }
 
     #[test]

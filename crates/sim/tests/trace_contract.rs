@@ -342,9 +342,9 @@ fn fast_traces_are_pinned() {
 fn an_untraced_run_allocates_the_pinned_counts() {
     assert!(!pstore_telemetry::enabled());
     let (detailed, fast) = if cfg!(debug_assertions) {
-        (91_609, 1_024)
+        (91_568, 1_024)
     } else {
-        (91_598, 752)
+        (91_557, 752)
     };
     assert_eq!(allocations(detailed_run).0, detailed, "detailed run");
     assert_eq!(allocations(fast_run).0, fast, "fast run");

@@ -26,7 +26,10 @@
 //!   ids are renumbered to `(cell + 1) << 32 | ordinal` during the
 //!   replay — the raw ids from the global allocator depend on thread
 //!   interleaving, the renumbered ones only on the cell's own event
-//!   stream. Sequence numbers are re-stamped in forwarding order.
+//!   stream. Sequence numbers are re-stamped in forwarding order. Each
+//!   cell starts with the sim clock unset, so an event it emits before
+//!   setting the clock carries no `t`, whichever cell the worker ran
+//!   before.
 //! * **Metrics** (counters, gauges, histograms) recorded by a cell land
 //!   in the worker thread's registry, are snapshotted per cell, and are
 //!   merged into the calling thread's registry in cell order. Counter
@@ -198,8 +201,10 @@ fn run_cell<R>(cell: Cell<R>, capture: Option<tel::TraceSpec>) -> CellOutcome<R>
     };
     let (sink, handle) = tel::MemorySink::new();
     // Worker threads are reused across cells; start each cell from a
-    // clean registry so metrics cannot leak between cells.
+    // clean registry and an unset sim clock so neither metrics nor time
+    // can leak between cells.
     tel::reset_registry();
+    tel::clear_time();
     let guard = tel::install_with(Rc::new(sink), spec);
     let result = (cell.run)();
     drop(guard);
@@ -424,5 +429,37 @@ mod tests {
         drop(guard);
         tel::reset_registry();
         assert_eq!(observed, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn cells_start_with_an_unset_sim_clock() {
+        // An event a cell emits before setting the clock (a forecaster
+        // trained before its run starts) must not carry the time the
+        // previous cell on the same worker left behind: one thread must
+        // write what several do.
+        let (sink, handle) = tel::MemorySink::new();
+        let guard = tel::install(Rc::new(sink));
+        let cells: Vec<Cell<()>> = (1..=3u32)
+            .map(|i| {
+                Cell::new("clock", move || {
+                    tel::emit(tel::TxnArrive {
+                        id: u64::from(i),
+                        slot: 0,
+                    });
+                    tel::set_time(f64::from(i));
+                    tel::emit(tel::TxnArrive {
+                        id: u64::from(i),
+                        slot: 1,
+                    });
+                })
+            })
+            .collect();
+        Sweep::new(1).run(cells);
+        drop(guard);
+        let stamps: Vec<Option<f64>> = handle.events().iter().map(|e| e.t).collect();
+        assert_eq!(
+            stamps,
+            vec![None, Some(1.0), None, Some(2.0), None, Some(3.0)]
+        );
     }
 }

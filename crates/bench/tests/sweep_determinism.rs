@@ -17,6 +17,9 @@ use pstore_bench::sweep::{Cell, Sweep};
 use pstore_core::controller::baselines::StaticController;
 use pstore_core::params::SystemParams;
 use pstore_sim::detailed::{run_detailed, DetailedSimConfig, DetailedSimResult};
+use pstore_telemetry::{trace::read_jsonl, Record, SpanName};
+use std::path::Path;
+use std::process::Command;
 use std::time::Duration;
 
 /// A deliberately tiny detailed-sim cell (runs in debug-mode test time).
@@ -109,4 +112,54 @@ fn cells_capture_under_the_callers_trace_spec() {
     let seen = Sweep::new(2).run(cells);
     drop(guard);
     assert_eq!(seen, vec![spec; 3]);
+}
+
+/// Runs `telemetry_smoke --quiet --trace <path>` and returns the trace.
+fn smoke_trace(path: &Path) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_telemetry_smoke"))
+        .args(["--quiet", "--trace"])
+        .arg(path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::read(path).unwrap()
+}
+
+/// A trace carries sim time and payloads only, so two runs of the same
+/// seeded binary write the same bytes. The trace must hold the run's
+/// scale-out and scale-in as closed `reconfig` spans, so that two empty
+/// or truncated traces cannot pass.
+#[test]
+fn a_seeded_traced_run_writes_the_same_bytes_twice() {
+    let path = std::env::temp_dir().join(format!(
+        "pstore_sweep_determinism_{}.jsonl",
+        std::process::id()
+    ));
+    let first = smoke_trace(&path);
+    let second = smoke_trace(&path);
+    let (trace, errors) = read_jsonl(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert!(errors.is_empty(), "{errors:?}");
+    let reconfig = |begin: bool| {
+        trace
+            .iter()
+            .filter(|e| match &e.record {
+                Record::SpanBegin(s) => begin && s.name == SpanName::Reconfig,
+                Record::SpanEnd(s) => !begin && s.name == SpanName::Reconfig,
+                _ => false,
+            })
+            .count()
+    };
+    assert!(reconfig(true) >= 2, "{} reconfig spans", reconfig(true));
+    assert_eq!(reconfig(true), reconfig(false));
+    assert!(
+        first == second,
+        "two runs of the same seed wrote different traces ({} and {} bytes)",
+        first.len(),
+        second.len()
+    );
 }

@@ -603,7 +603,7 @@ impl Cluster {
         let local = self.route_local[slot as usize];
 
         // Per-chunk work span: nests inside the open reconfiguration
-        // span and makes extract/install cost visible to the profiler.
+        // span.
         let step_span = if tel::enabled() {
             tel::begin_span(tel::SpanName::ChunkStep)
         } else {

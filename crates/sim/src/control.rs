@@ -14,7 +14,7 @@ pub(crate) struct ControlLoop {
     max_machines: u32,
     /// Ticks taken so far: the next [`Observation::interval`].
     interval: usize,
-    /// Whether every `Strategy::tick` is profiled as a `tick` span. The
+    /// Whether every `Strategy::tick` is traced as a `tick` span. The
     /// detailed simulator's traces carry one per decision; the slot
     /// simulator's, which cover months of ticks, never have.
     tick_span: bool,

@@ -117,7 +117,7 @@ pub fn run_fast(cfg: &FastSimConfig, load: &[f64], strategy: &mut dyn Strategy) 
     let p = cfg.params.partitions_per_node;
     let d_s = cfg.params.d.as_secs_f64();
 
-    // Root span for the whole run (profiled by `pstore-trace profile`).
+    // Root span for the whole run.
     let run_span = if tel::enabled() {
         tel::set_time(0.0);
         tel::begin_span(tel::SpanName::FastSim)

@@ -1,7 +1,7 @@
 //! The trace is the contract: what one small reactive scale-out run emits
 //! under each [`TraceSpec`], pinned as per-kind event counts plus an FNV
-//! digest over `(kind, t, fields)` — `seq`, `wall_us` and span ids, which
-//! legitimately vary, are left out. The literals were recorded on the
+//! digest over `(kind, t, fields)` — `seq` and span ids, which count
+//! whatever else the process emitted, are left out. The literals were recorded on the
 //! commit before the simulators' emission moved behind `TraceSpec`, from
 //! the config fields it replaced. With no sink installed the same runs
 //! must allocate exactly the pinned counts: an untraced run builds nothing

@@ -2,22 +2,17 @@
 //!
 //! ```text
 //! pstore-trace explain <trace.jsonl>
-//! pstore-trace profile <trace.jsonl> [--wall] [--folded]
 //! pstore-trace schema  [--check <doc.md>]
 //! ```
 //!
 //! `explain` decodes the trace once and prints, separated by blank lines:
 //! the run report (event counts, reconfigurations, latency histograms,
-//! span errors, the final metrics snapshot); the span profile on the sim
-//! clock, i.e. where the run's time went; the latency attribution with
+//! span errors, the final metrics snapshot); the latency attribution with
 //! every SLA-violation window and the reconfiguration or chunk moves it
 //! overlaps; the provisioning audit (capacity ledger, each decision with
 //! its forecast, lead and outcome, forecast error by horizon,
 //! under-forecast windows), only when the trace carries `prov_*` events;
 //! and the timeline with the `!` violation and `P>`/`R` decision overlays.
-//!
-//! `profile` prints the span tree on the sim clock (`--wall`: the
-//! `wall_us` stamps) or, with `--folded`, flamegraph-folded lines.
 //!
 //! `schema` prints the event-kind/field and span-name tables generated
 //! from the one schema in `crates/telemetry/src/event.rs`; `--check`
@@ -29,22 +24,19 @@
 //! the golden summary `results/golden/fig9_quick.summary.json`, which
 //! `RunReporter --summary` writes and the gate compares with `cmp`.
 //!
-//! Exit codes: 0 = clean; 1 = a line that does not parse or does not
-//! match the schema of its kind, an unmatched or misnested span
-//! (TEL-01/02), an ordering violation (TEL-04), or a stale schema table;
-//! 2 = usage or I/O error. The gate's and CI's telemetry steps rely on
-//! these.
+//! Exit codes: 0 = clean; 1 = a trace with no events, a line that does
+//! not parse or does not match the schema of its kind, an unmatched or
+//! misnested span (TEL-01/02), an ordering violation (TEL-04), or a stale
+//! schema table; 2 = usage or I/O error. The gate's and CI's telemetry
+//! steps rely on these.
 
-use pstore_telemetry::trace::{
-    order_errors, read_jsonl, span_errors, LineError, RunReport, SpanError,
-};
-use pstore_telemetry::{prov, slo, timeline, Entry, Profile, ProfileClock};
-use std::path::{Path, PathBuf};
+use pstore_telemetry::trace::{order_errors, read_jsonl, RunReport};
+use pstore_telemetry::{prov, slo, timeline};
+use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: pstore-trace <subcommand> ...
   explain <trace.jsonl>
-  profile <trace.jsonl> [--wall] [--folded]
   schema  [--check <doc.md>]";
 
 fn main() -> ExitCode {
@@ -55,7 +47,6 @@ fn main() -> ExitCode {
     };
     match first.as_str() {
         "explain" => cmd_explain(&args[1..]),
-        "profile" => cmd_profile(&args[1..]),
         "schema" => cmd_schema(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
@@ -68,40 +59,26 @@ fn main() -> ExitCode {
     }
 }
 
-/// A trace read and decoded, with the flags its subcommand was given.
-struct Opened<'a> {
-    flags: Vec<&'a str>,
-    trace: Vec<Entry>,
-    line_errors: Vec<LineError>,
-}
-
-/// Parses `<trace.jsonl> [flags...]` against the flags subcommand `sub`
-/// allows and reads the trace, printing line errors to stderr. `Err`
-/// carries the exit code: 2 on a usage or I/O error.
-fn open<'a>(sub: &str, args: &'a [String], allowed: &[&str]) -> Result<Opened<'a>, ExitCode> {
-    let usage = |msg: String| {
-        eprintln!("pstore-trace {sub}: {msg}\n{USAGE}");
-        ExitCode::from(2)
-    };
-    let mut path = None;
-    let mut flags = Vec::new();
-    for arg in args {
-        if arg.starts_with('-') {
-            if !allowed.contains(&arg.as_str()) {
-                return Err(usage(format!("unknown flag \"{arg}\"")));
-            }
-            flags.push(arg.as_str());
-        } else if path.is_none() {
-            path = Some(PathBuf::from(arg));
-        } else {
-            return Err(usage(format!("unexpected argument \"{arg}\"")));
+/// Reads and decodes one trace and prints its explanation. Exits 2 on a
+/// usage or I/O error; 1 when the trace has no events (nothing printed),
+/// a line failed to parse or decode, a span did not pair or nest
+/// (TEL-01/02) or the events are out of order (TEL-04); else 0. Every
+/// error goes to stderr.
+fn cmd_explain(args: &[String]) -> ExitCode {
+    let path = match args {
+        [path] if !path.starts_with('-') => Path::new(path),
+        _ => {
+            eprintln!("pstore-trace explain: expected one trace path\n{USAGE}");
+            return ExitCode::from(2);
         }
-    }
-    let path = path.ok_or_else(|| usage("missing trace path".to_string()))?;
-    let (trace, line_errors) = read_jsonl(&path).map_err(|e| {
-        eprintln!("pstore-trace: cannot read {}: {e}", path.display());
-        ExitCode::from(2)
-    })?;
+    };
+    let (trace, line_errors) = match read_jsonl(path) {
+        Ok(read) => read,
+        Err(e) => {
+            eprintln!("pstore-trace: cannot read {}: {e}", path.display());
+            return ExitCode::from(2);
+        }
+    };
     if !line_errors.is_empty() {
         eprintln!(
             "pstore-trace: {} unparseable line(s) in {}:",
@@ -112,87 +89,41 @@ fn open<'a>(sub: &str, args: &'a [String], allowed: &[&str]) -> Result<Opened<'a
             eprintln!("  line {}: {}", e.line, e.msg);
         }
     }
-    Ok(Opened {
-        flags,
-        trace,
-        line_errors,
-    })
-}
-
-impl Opened<'_> {
-    fn has(&self, flag: &str) -> bool {
-        self.flags.contains(&flag)
+    if trace.is_empty() {
+        eprintln!("pstore-trace: no events in {}", path.display());
+        return ExitCode::from(1);
     }
-
-    /// The exit code every trace subcommand ends with: 1 when a line
-    /// failed to parse or decode, a span did not pair or nest (TEL-01/02:
-    /// `span_errors`, which the caller has already computed for this
-    /// trace) or the events are out of order (TEL-04), else 0. Span and
-    /// ordering errors go to stderr.
-    fn exit_code(&self, span_errors: &[SpanError]) -> ExitCode {
-        let ordering = order_errors(&self.trace);
-        if !span_errors.is_empty() {
-            eprintln!("pstore-trace: {} span error(s):", span_errors.len());
-            for e in span_errors.iter().take(10) {
-                eprintln!("  {e}");
-            }
-        }
-        if !ordering.is_empty() {
-            eprintln!("pstore-trace: {} ordering violation(s):", ordering.len());
-            for e in ordering.iter().take(10) {
-                eprintln!("  {e}");
-            }
-        }
-        let failed =
-            !self.line_errors.is_empty() || !span_errors.is_empty() || !ordering.is_empty();
-        ExitCode::from(u8::from(failed))
-    }
-}
-
-fn cmd_explain(args: &[String]) -> ExitCode {
-    let opened = match open("explain", args, &[]) {
-        Ok(opened) => opened,
-        Err(code) => return code,
-    };
-    let trace = &opened.trace;
-    let report = RunReport::from_trace(trace);
-    let slo_runs = slo::analyze(trace);
-    let prov_runs = prov::analyze(trace);
-    let mut sections = vec![
-        report.render(),
-        Profile::from_trace(trace, ProfileClock::Sim).render(ProfileClock::Sim),
-        slo::render(&slo_runs),
-    ];
+    let report = RunReport::from_trace(&trace);
+    let slo_runs = slo::analyze(&trace);
+    let prov_runs = prov::analyze(&trace);
+    let mut sections = vec![report.render(), slo::render(&slo_runs)];
     if !prov_runs.is_empty() {
         sections.push(prov::render(&prov_runs));
     }
     sections.push(timeline::render(
-        trace,
+        &trace,
         timeline::DEFAULT_WIDTH,
         &slo::violation_times(&slo_runs),
         &prov::decision_times(&prov_runs),
     ));
     print!("{}", sections.join("\n"));
-    opened.exit_code(&report.span_errors)
-}
 
-fn cmd_profile(args: &[String]) -> ExitCode {
-    let opened = match open("profile", args, &["--wall", "--folded"]) {
-        Ok(opened) => opened,
-        Err(code) => return code,
-    };
-    let clock = if opened.has("--wall") {
-        ProfileClock::Wall
-    } else {
-        ProfileClock::Sim
-    };
-    let prof = Profile::from_trace(&opened.trace, clock);
-    if opened.has("--folded") {
-        print!("{}", prof.folded());
-    } else {
-        print!("{}", prof.render(clock));
+    let span_errors = &report.span_errors;
+    let ordering = order_errors(&trace);
+    if !span_errors.is_empty() {
+        eprintln!("pstore-trace: {} span error(s):", span_errors.len());
+        for e in span_errors.iter().take(10) {
+            eprintln!("  {e}");
+        }
     }
-    opened.exit_code(&span_errors(&opened.trace))
+    if !ordering.is_empty() {
+        eprintln!("pstore-trace: {} ordering violation(s):", ordering.len());
+        for e in ordering.iter().take(10) {
+            eprintln!("  {e}");
+        }
+    }
+    let failed = !line_errors.is_empty() || !span_errors.is_empty() || !ordering.is_empty();
+    ExitCode::from(u8::from(failed))
 }
 
 const SCHEMA_BEGIN: &str = "<!-- schema:begin -->";

@@ -105,12 +105,6 @@ pub struct Event {
     pub seq: u64,
     /// Simulated time in seconds, if a clock was set when emitting.
     pub t: Option<f64>,
-    /// Wall-clock microseconds since the process's telemetry epoch,
-    /// stamped at emission. Unlike `t` (which tracks *simulated* time and
-    /// is deterministic for a fixed seed), `wall_us` measures real
-    /// elapsed time and differs run to run — it is what the span-tree
-    /// profiler (`pstore-trace profile --wall`) aggregates.
-    pub wall_us: Option<u64>,
     /// Stable event kind; one of the [`kinds`] constants.
     pub kind: String,
     /// Flat key/value payload, in insertion order.
@@ -118,13 +112,12 @@ pub struct Event {
 }
 
 impl Event {
-    /// Creates an event of `kind` with no fields (seq/t/wall filled at
+    /// Creates an event of `kind` with no fields (seq and t filled at
     /// emit).
     pub fn new(kind: &str) -> Self {
         Event {
             seq: 0,
             t: None,
-            wall_us: None,
             kind: kind.to_string(),
             fields: Vec::new(),
         }
@@ -165,10 +158,6 @@ impl Event {
         if let Some(t) = self.t {
             out.push_str(",\"t\":");
             json::write_f64(&mut out, t);
-        }
-        if let Some(w) = self.wall_us {
-            out.push_str(",\"wall_us\":");
-            let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{w}"));
         }
         out.push_str(",\"kind\":");
         json::write_str(&mut out, &self.kind);
@@ -222,19 +211,9 @@ impl Event {
             Some(Json::Null) | None => None,
             Some(_) => return Err("\"t\" is not a number".to_string()),
         };
-        let wall_us = match obj.get("wall_us") {
-            #[allow(
-                clippy::cast_possible_truncation,
-                clippy::cast_sign_loss,
-                reason = "the guard checks non-negative and integral"
-            )]
-            Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            Some(Json::Null) | None => None,
-            Some(_) => return Err("\"wall_us\" is not a non-negative integer".to_string()),
-        };
         let mut fields = Vec::new();
         for (k, v) in obj {
-            if k == "seq" || k == "t" || k == "wall_us" || k == "kind" {
+            if k == "seq" || k == "t" || k == "kind" {
                 continue;
             }
             let value = match v {
@@ -257,7 +236,6 @@ impl Event {
         Ok(Event {
             seq,
             t,
-            wall_us,
             kind,
             fields,
         })
@@ -640,7 +618,7 @@ macro_rules! schema {
 
 schema! {
     /// A span opened (the engine's and fast simulator's `reconfig`, the
-    /// profiler spans of `SpanName`).
+    /// other spans of `SpanName`).
     SPAN_BEGIN = "span_begin" => SpanBegin {
         id: u64 = "Process-unique span id (> 0); pairs the begin with its end.",
         name: String = "Span name; the instrumented crates use `SpanName` only.",
@@ -949,8 +927,6 @@ pub struct Entry {
     pub seq: u64,
     /// Simulated time in seconds, if a clock was set when emitting.
     pub t: Option<f64>,
-    /// Wall-clock microseconds since the process's telemetry epoch.
-    pub wall_us: Option<u64>,
     /// The decoded payload.
     pub record: Record,
 }
@@ -961,7 +937,6 @@ impl Entry {
         Entry {
             seq: 0,
             t: None,
-            wall_us: None,
             record: record.into(),
         }
     }
@@ -982,7 +957,6 @@ impl Entry {
         Ok(Entry {
             seq: ev.seq,
             t: ev.t,
-            wall_us: ev.wall_us,
             record: Record::decode(ev)?,
         })
     }
@@ -992,7 +966,6 @@ impl Entry {
         Event {
             seq: self.seq,
             t: self.t,
-            wall_us: self.wall_us,
             ..self.record.encode()
         }
     }
@@ -1076,23 +1049,6 @@ mod tests {
         assert!(Event::from_json(&nested).is_err());
         let arr = crate::json::parse("[1,2]").unwrap();
         assert!(Event::from_json(&arr).is_err());
-    }
-
-    #[test]
-    fn wall_clock_stamp_round_trips() {
-        let mut ev = Event::new("x");
-        ev.seq = 1;
-        ev.wall_us = Some(12_345_678);
-        let line = ev.to_json_line();
-        assert!(line.contains("\"wall_us\":12345678"));
-        let parsed = Event::from_json(&crate::json::parse(&line).unwrap()).unwrap();
-        assert_eq!(parsed.wall_us, Some(12_345_678));
-        // Absent stamp parses back as None (older traces stay readable).
-        let old = crate::json::parse(r#"{"seq":1,"kind":"x"}"#).unwrap();
-        assert_eq!(Event::from_json(&old).unwrap().wall_us, None);
-        // A fractional or negative stamp is rejected.
-        let bad = crate::json::parse(r#"{"seq":1,"kind":"x","wall_us":1.5}"#).unwrap();
-        assert!(Event::from_json(&bad).is_err());
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! 3. **Traces** ([`trace`], the `pstore-trace` binary): read a JSONL
 //!    trace back into decoded [`Entry`]s, validate span pairing/nesting
 //!    and ordering, and explain the run (`pstore-trace explain`: the run
-//!    report, span profile, SLA attribution, provisioning audit and
-//!    timeline).
+//!    report, SLA attribution, provisioning audit and timeline).
 //!
 //! # The switch surface
 //!
@@ -39,7 +38,6 @@
 pub mod event;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod prov;
 pub mod sink;
 pub mod slo;
@@ -49,7 +47,6 @@ pub mod trace;
 
 pub use event::*;
 pub use metrics::{Histogram, MetricsRegistry};
-pub use profile::{Profile, ProfileClock};
 pub use prov::RunProv;
 pub use sink::{JsonlSink, MemorySink, MemorySinkHandle, NoopSink, Sink};
 pub use slo::{RunSlo, SlaWindow};
@@ -58,8 +55,6 @@ pub use summary::RunSummary;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 thread_local! {
     static SINK: RefCell<Option<Rc<dyn Sink>>> = const { RefCell::new(None) };
@@ -89,16 +84,6 @@ pub struct TraceSpec {
 static SEQ: AtomicU64 = AtomicU64::new(1);
 /// Global span-id source; 0 is reserved for "no span".
 static SPAN_IDS: AtomicU64 = AtomicU64::new(1);
-/// Process-wide wall-clock epoch: the first emission anchors it, and all
-/// `wall_us` stamps are microseconds since then.
-static WALL_EPOCH: OnceLock<Instant> = OnceLock::new();
-
-/// Microseconds of wall-clock time since the process's telemetry epoch
-/// (the first call anchors the epoch at "now", returning 0).
-pub fn wall_now_us() -> u64 {
-    let epoch = WALL_EPOCH.get_or_init(Instant::now);
-    u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
 
 /// Installs `sink` as this thread's event sink with the default
 /// [`TraceSpec`]. The returned guard restores the previous sink and spec
@@ -161,19 +146,14 @@ pub fn clear_time() {
 }
 
 /// Emits a typed record of the event schema through the installed sink,
-/// stamping `seq`, the current sim clock, and a wall-clock stamp. A no-op
-/// without a sink.
+/// stamping `seq` and the current sim clock. A no-op without a sink.
 pub fn emit(record: impl Into<Record>) {
     if enabled() {
-        emit_event(record.into().encode());
+        let mut event = record.into().encode();
+        let t = CLOCK.with(Cell::get);
+        event.t = t.is_finite().then_some(t);
+        forward(event);
     }
-}
-
-fn emit_event(mut event: Event) {
-    let t = CLOCK.with(Cell::get);
-    event.t = if t.is_finite() { Some(t) } else { None };
-    event.wall_us = Some(wall_now_us());
-    forward(event);
 }
 
 /// Re-emits an already-stamped event through the installed sink,

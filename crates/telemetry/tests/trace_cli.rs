@@ -1,8 +1,8 @@
 //! End-to-end tests of the `pstore-trace` binary: what `explain` prints
 //! (the library renders, in order), exit codes, and robustness to
 //! malformed traces (truncated lines, unknown kinds, out-of-order seq,
-//! unmatched spans) — the CLI must report line-numbered errors and exit
-//! non-zero instead of panicking.
+//! unmatched spans, no events at all) — the CLI must report line-numbered
+//! errors and exit non-zero instead of panicking.
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -11,7 +11,7 @@
 
 use pstore_telemetry::timeline::{self, DEFAULT_WIDTH};
 use pstore_telemetry::trace::{read_jsonl, RunReport};
-use pstore_telemetry::{prov, slo, Profile, ProfileClock};
+use pstore_telemetry::{prov, slo};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -43,8 +43,7 @@ fn write(path: &Path, text: &str) {
 }
 
 /// A small well-formed trace in event-time order: one reconfiguration
-/// with a chunk move, nested spans for the profiler, and per-second
-/// samples.
+/// with a chunk move, nested spans, and per-second samples.
 fn good_trace() -> String {
     let second = |seq: u64, s: u64, machines: u64, reconf: bool| {
         format!(
@@ -52,7 +51,7 @@ fn good_trace() -> String {
         )
     };
     let lines = vec![
-        r#"{"seq":1,"t":0,"wall_us":0,"kind":"span_begin","id":1,"name":"detailed_sim"}"#
+        r#"{"seq":1,"t":0,"kind":"span_begin","id":1,"name":"detailed_sim"}"#
             .to_string(),
         second(2, 0, 2, false),
         second(3, 1, 2, false),
@@ -69,32 +68,6 @@ fn good_trace() -> String {
         r#"{"seq":12,"t":6,"kind":"span_end","id":1,"name":"detailed_sim"}"#.to_string(),
     ];
     lines.join("\n") + "\n"
-}
-
-#[test]
-fn profile_renders_tree_and_folded_deterministically() {
-    let path = tmp("profile.jsonl");
-    write(&path, &good_trace());
-    let tree = run(&["profile", path.to_str().unwrap()]);
-    assert!(tree.status.success(), "stderr: {}", stderr(&tree));
-    let text = stdout(&tree);
-    assert!(text.contains("span profile (sim clock)"));
-    assert!(text.contains("detailed_sim"));
-    assert!(text.contains("reconfig"));
-
-    let folded = run(&["profile", path.to_str().unwrap(), "--folded"]);
-    let folded_text = stdout(&folded);
-    // reconfig span: t=2..4 => 2s total; detailed_sim self = 6s - 2s.
-    assert!(folded_text.contains("detailed_sim 1 4000000"));
-    assert!(folded_text.contains("detailed_sim;reconfig 1 2000000"));
-
-    let again = run(&["profile", path.to_str().unwrap(), "--folded"]);
-    assert_eq!(folded_text, stdout(&again));
-
-    let wall = run(&["profile", path.to_str().unwrap(), "--wall"]);
-    assert!(wall.status.success());
-    assert!(stdout(&wall).contains("wall clock"));
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -118,19 +91,14 @@ fn mistyped_field_reports_line_number_and_fails() {
     let path = tmp("mistyped.jsonl");
     let text = prov_trace().replace(r#""target":3"#, r#""target":"six""#);
     write(&path, &text);
-    for sub in ["explain", "profile"] {
-        let out = run(&[sub, path.to_str().unwrap()]);
-        assert_eq!(out.status.code(), Some(1), "{sub}");
-        let err = stderr(&out);
-        assert!(
-            err.contains("line 16: prov_decision"),
-            "{sub} stderr: {err}"
-        );
-        assert!(
-            err.contains(r#"field "target" is not u64"#),
-            "stderr: {err}"
-        );
-    }
+    let out = run(&["explain", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("line 16: prov_decision"), "stderr: {err}");
+    assert!(
+        err.contains(r#"field "target" is not u64"#),
+        "stderr: {err}"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -147,31 +115,12 @@ fn unknown_kind_is_tolerated_not_fatal() {
 }
 
 /// The good trace with one `seq` going backwards (TEL-04).
-fn out_of_order_trace() -> String {
-    good_trace().replace("{\"seq\":6,", "{\"seq\":3,")
-}
-
 #[test]
 fn out_of_order_seq_fails_with_ordering_violation() {
     let path = tmp("out_of_order.jsonl");
-    write(&path, &out_of_order_trace());
+    write(&path, &good_trace().replace("{\"seq\":6,", "{\"seq\":3,"));
     let out = run(&["explain", path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
-    assert!(
-        stderr(&out).contains("ordering violation"),
-        "stderr: {}",
-        stderr(&out)
-    );
-    let _ = std::fs::remove_file(&path);
-}
-
-/// `profile` ends with the same structural check as `explain`.
-#[test]
-fn profile_fails_on_an_out_of_order_trace() {
-    let path = tmp("profile_out_of_order.jsonl");
-    write(&path, &out_of_order_trace());
-    let out = run(&["profile", path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
     assert!(
         stderr(&out).contains("ordering violation"),
         "stderr: {}",
@@ -199,6 +148,25 @@ fn explain_fails_on_an_unmatched_span() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A run that emitted nothing is not a clean run: an empty file (and one
+/// of blank lines only) exits 1 with nothing on stdout.
+#[test]
+fn explain_fails_on_a_trace_with_no_events() {
+    let path = tmp("empty.jsonl");
+    for text in ["", "\n\n"] {
+        write(&path, text);
+        let out = run(&["explain", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{text:?}");
+        assert!(stdout(&out).is_empty(), "{text:?}");
+        assert!(
+            stderr(&out).contains("no events"),
+            "stderr: {}",
+            stderr(&out)
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn missing_file_and_bad_usage_exit_2() {
     let path = tmp("usage.jsonl");
@@ -209,14 +177,15 @@ fn missing_file_and_bad_usage_exit_2() {
     for args in [
         &[][..],
         &["explain"],
-        &["profile"],
-        &["profile", path, "--bogus"],
-        // The bare-path form, the subcommands `explain` replaced, and the
-        // timeline width are gone.
+        &["explain", path, "--bogus"],
+        // The bare-path form, the subcommands `explain` replaced, the
+        // timeline width and the span profiler are gone.
         &[path],
         &["report", path],
         &["slo", path],
         &["explain", path, "--width", "32"],
+        &["profile", path],
+        &["explain", path, "--wall"],
         // The summary writer is `RunReporter --summary`.
         &["explain", path, "--summary", "out.json"],
     ] {
@@ -254,10 +223,10 @@ fn prov_trace() -> String {
         )
 }
 
-/// The five library renders `explain` is made of, in order, separated
-/// by one blank line: the run report, the sim-clock profile, the SLA
-/// attribution, the provisioning audit (only with `prov_*` events), and
-/// the timeline with both overlays.
+/// The four library renders `explain` is made of, in order, separated
+/// by one blank line: the run report, the SLA attribution, the
+/// provisioning audit (only with `prov_*` events), and the timeline with
+/// both overlays.
 fn library_renders(path: &Path) -> String {
     let (trace, errors) = read_jsonl(path).unwrap();
     assert!(errors.is_empty(), "{errors:?}");
@@ -265,7 +234,6 @@ fn library_renders(path: &Path) -> String {
     let prov_runs = prov::analyze(&trace);
     let mut sections = vec![
         RunReport::from_trace(&trace).render(),
-        Profile::from_trace(&trace, ProfileClock::Sim).render(ProfileClock::Sim),
         slo::render(&slo_runs),
     ];
     if !prov_runs.is_empty() {
@@ -355,7 +323,7 @@ fn provisioning_renders_ledger_and_audit() {
 }
 
 /// A trace without `prov_*` events is not an error: `explain` prints the
-/// report, profile and SLA sections and no capacity ledger.
+/// report and SLA sections and no capacity ledger.
 #[test]
 fn explain_without_prov_events_exits_0_and_prints_no_ledger() {
     let path = tmp("explain_plain.jsonl");
@@ -364,7 +332,6 @@ fn explain_without_prov_events_exits_0_and_prints_no_ledger() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("reconfigurations (1 total"), "stdout: {text}");
-    assert!(text.contains("span profile (sim clock)"), "stdout: {text}");
     assert!(text.contains("== latency attribution"), "stdout: {text}");
     assert!(!text.contains("capacity ledger"), "stdout: {text}");
     let _ = std::fs::remove_file(&path);

@@ -7,9 +7,7 @@
 //! that merging latency histograms is associative and commutative on
 //! bucket contents, so per-phase histograms can be combined in any order
 //! without changing percentile readouts. `TEL-04` (total event ordering)
-//! reuses [`pstore_telemetry::trace::order_errors`], and `TEL-05`
-//! (profile-tree time conservation) checks the span profiler's
-//! aggregation and folded rendering against each other.
+//! reuses [`pstore_telemetry::trace::order_errors`].
 //!
 //! The per-transaction family rides the same traces: `TEL-06` checks
 //! txn-lifecycle well-formedness (every `txn_arrive` terminally resolved
@@ -22,7 +20,7 @@
 use crate::decoded;
 use pstore_core::{InvariantId, Violation};
 use pstore_telemetry::trace::{order_errors, span_errors, SpanError};
-use pstore_telemetry::{Event, Histogram, Profile, ProfileClock, Record};
+use pstore_telemetry::{Event, Histogram, Record};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Checks span pairing (`TEL-01`) and nesting (`TEL-02`) over a trace.
@@ -54,39 +52,6 @@ pub fn check_trace_order(artifact: &str, events: &[Event]) -> Vec<Violation> {
         order_errors(&trace)
             .into_iter()
             .map(|err| Violation::new(InvariantId::TelemetryOrdering, artifact, err.to_string())),
-    );
-    violations
-}
-
-/// Checks profile-tree time conservation (`TEL-05`): builds the span
-/// profile of a trace under `clock`, then verifies that every parent's
-/// total time covers the sum of its children's totals and that the
-/// flamegraph-folded rendering re-sums to the same tree.
-pub fn check_profile_conservation(
-    artifact: &str,
-    events: &[Event],
-    clock: ProfileClock,
-) -> Vec<Violation> {
-    let (trace, mut violations) =
-        decoded(InvariantId::TelemetryProfileConservation, artifact, events);
-    let profile = Profile::from_trace(&trace, clock);
-    violations.extend(
-        profile
-            .conservation_errors()
-            .into_iter()
-            .map(|msg| Violation::new(InvariantId::TelemetryProfileConservation, artifact, msg)),
-    );
-    violations.extend(
-        profile
-            .folded_resum_errors(&profile.folded())
-            .into_iter()
-            .map(|msg| {
-                Violation::new(
-                    InvariantId::TelemetryProfileConservation,
-                    artifact,
-                    format!("folded output diverges from tree: {msg}"),
-                )
-            }),
     );
     violations
 }
@@ -404,19 +369,6 @@ mod tests {
             stamped(end(4, 11), 1.0),
         ];
         assert!(check_trace_order("t", &trace).is_empty());
-    }
-
-    #[test]
-    fn nested_span_profile_conserves_time() {
-        let trace = vec![
-            stamped(begin(1, 10), 0.0),
-            stamped(begin(2, 11), 1.0),
-            stamped(end(3, 11), 2.0),
-            stamped(begin(4, 12), 2.5),
-            stamped(end(5, 12), 3.5),
-            stamped(end(6, 10), 4.0),
-        ];
-        assert!(check_profile_conservation("t", &trace, ProfileClock::Sim).is_empty());
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //! associative/commutative on arbitrary sample sets (`TEL-03`), span
 //! traces produced through the live API always pair and nest
 //! (`TEL-01`/`TEL-02`), sim-time-stamped traces are totally ordered
-//! (`TEL-04`), the span profiler conserves time on any balanced trace
-//! (`TEL-05`), and randomized transaction traffic keeps well-formed
+//! (`TEL-04`), and randomized transaction traffic keeps well-formed
 //! lifecycles (`TEL-06`) and read/write sets (`TXN-01`) — over a seeded
 //! sweep of live-API traces, and under proptest.
 
 use proptest::prelude::*;
 use pstore_telemetry::{Event, Record, SpanBegin, SpanEnd};
 use pstore_verify::telemetry::{
-    check_histogram_merge, check_profile_conservation, check_trace_order, check_trace_spans,
-    check_txn_lifecycle, check_txn_rwsets,
+    check_histogram_merge, check_trace_order, check_trace_spans, check_txn_lifecycle,
+    check_txn_rwsets,
 };
 use pstore_verify::Violation;
 use rand::rngs::StdRng;
@@ -35,7 +34,7 @@ fn span(begin: bool, seq: u64, t: Option<f64>, id: u64, name: &str) -> Event {
 /// each step either opens or closes a span (closing falls back to opening
 /// when the stack is empty; leftovers are closed at the end) and advances
 /// the clock by the paired non-negative increment. Span names vary by
-/// depth so the profiler aggregates real multi-level paths.
+/// depth.
 fn stamped_trace(profile: &[(bool, f64)]) -> Vec<Event> {
     let names = ["outer", "mid", "inner"];
     let mut events = Vec::new();
@@ -79,17 +78,16 @@ fn sample_set() -> impl Strategy<Value = Vec<f64>> {
 
 /// 64 randomized traces, each a span tree and transaction traffic
 /// emitted through the live API under a sim clock and checked against
-/// `TEL-01`/`TEL-02`, `TEL-04`, `TEL-05`, `TEL-06` and `TXN-01`, plus a
+/// `TEL-01`/`TEL-02`, `TEL-04`, `TEL-06` and `TXN-01`, plus a
 /// histogram merge of three random sample sets (`TEL-03`) per trace:
-/// six artifacts per case.
+/// five artifacts per case.
 #[test]
 fn live_api_traces_and_histogram_merges_are_clean() {
     let mut rng = StdRng::seed_from_u64(0x5EED_0004);
     let mut checks: Vec<Vec<Violation>> = Vec::new();
     for case in 0..64 {
         // A well-formed randomized span tree through the real begin/end
-        // API — sim-time-stamped so the profiler has real durations to
-        // aggregate — captured by an in-memory sink.
+        // API, sim-time-stamped and captured by an in-memory sink.
         let (sink, handle) = pstore_telemetry::MemorySink::new();
         let guard = pstore_telemetry::install(std::rc::Rc::new(sink));
         let depth = rng.random_range(1usize..=4);
@@ -103,11 +101,6 @@ fn live_api_traces_and_histogram_merges_are_clean() {
         let artifact = format!("span trace {case}");
         checks.push(check_trace_spans(&artifact, &events));
         checks.push(check_trace_order(&artifact, &events));
-        checks.push(check_profile_conservation(
-            &artifact,
-            &events,
-            pstore_telemetry::ProfileClock::Sim,
-        ));
         checks.push(check_txn_lifecycle(&artifact, &events));
         checks.push(check_txn_rwsets(&artifact, &events));
 
@@ -128,13 +121,13 @@ fn live_api_traces_and_histogram_merges_are_clean() {
         ));
     }
     assert_eq!(checks.concat(), vec![]);
-    assert_eq!(checks.len(), 384);
+    assert_eq!(checks.len(), 320);
 }
 
 /// Emits a random tree of nested spans (interleaved with plain events)
 /// through the live telemetry API. `now` is the sim clock, advanced by a
 /// random positive step around every event so traces are totally ordered
-/// (`TEL-04`) and spans have real durations for the profiler (`TEL-05`).
+/// (`TEL-04`).
 fn emit_span_tree(rng: &mut StdRng, depth: usize, width: usize, now: &mut f64) {
     for _ in 0..width {
         pstore_telemetry::set_time(*now);
@@ -278,23 +271,14 @@ proptest! {
         );
     }
 
-    /// TEL-04 + TEL-05: any balanced span trace stamped with a monotone
-    /// sim clock passes the ordering checker, and its span profile
-    /// conserves time (parent totals cover child totals; the folded
-    /// rendering re-sums to the tree).
+    /// TEL-04: any balanced span trace stamped with a monotone sim clock
+    /// passes the ordering checker.
     #[test]
-    fn stamped_traces_are_ordered_and_profile_conserves(
+    fn stamped_traces_are_ordered(
         profile in prop::collection::vec((any::<bool>(), 0.0..2.0f64), 0..40)
     ) {
         let events = stamped_trace(&profile);
         let violations = check_trace_order("proptest", &events);
-        prop_assert!(
-            violations.is_empty(),
-            "{}",
-            pstore_core::invariant::report(&violations)
-        );
-        let violations =
-            check_profile_conservation("proptest", &events, pstore_telemetry::ProfileClock::Sim);
         prop_assert!(
             violations.is_empty(),
             "{}",

@@ -33,7 +33,7 @@ STEPS=(
   "core-release      test    test_core_release     pstore-core tests in release: the planner against its arithmetic reference"
   "alloc-pins        test    test_alloc_pins       allocation pins in release: untraced simulators, engine warm path, B2W stream"
   "sweep-determinism test    test_sweep            the parallel map and detailed-sim cells, serial vs parallel, in release"
-  "telemetry-smoke   test    telemetry_smoke       traced run + pstore-trace explain and profile"
+  "telemetry-smoke   test    telemetry_smoke       traced run + pstore-trace explain"
   "fig9-golden       golden  fig9_golden           fig9 --quick --threads 4 with prov events, cmp against the serial blessing"
   "miri-core         miri    miri_core             cargo miri test: UB check on core crates + dbms engine"
   "miri-telemetry    miri    miri_telemetry        cargo miri test: telemetry unit tests"
@@ -53,12 +53,12 @@ check_one_surface() {
     # There is one build: what a run emits is decided by the sink installed
     # in pstore-telemetry and its TraceSpec, so no code may branch on a
     # cargo feature. What the environment says is read by the binaries; the
-    # system crates do not. Nor do they read the wall clock: sim time comes
-    # from the event loop, and the one wall-clock stamp (`wall_us`) is
-    # pstore-telemetry's.
+    # system crates do not. Nor do they or pstore-telemetry read the wall
+    # clock: sim time comes from the event loop, and a trace carries no
+    # wall-clock stamp, so a seeded run writes the same trace byte for byte.
     forbid -E 'cfg!?\(.*feature' crates/*/src crates/*/tests src tests examples
     forbid 'std::env::var' crates/{sim,dbms,core,forecast,b2w}/src
-    forbid -E '(Instant|SystemTime)::now' crates/{sim,dbms,core,forecast,b2w}/src
+    forbid -E '(Instant|SystemTime)::now' crates/{sim,dbms,core,forecast,b2w,telemetry}/src
 }
 
 check_one_schema() {
@@ -139,11 +139,10 @@ telemetry_smoke() {
     TEMP_FILES+=("$trace")
     cargo run -q --release -p pstore-bench \
         --bin telemetry_smoke -- --quiet --trace "$trace"
-    # pstore-trace exits 1 on lines that do not parse or do not match the
-    # event schema, unmatched spans, or ordering violations (TEL-01/02/04).
+    # pstore-trace exits 1 on a trace with no events, lines that do not
+    # parse or do not match the event schema, unmatched spans, or ordering
+    # violations (TEL-01/02/04).
     cargo run -q --release -p pstore-telemetry --bin pstore-trace -- explain "$trace"
-    cargo run -q --release -p pstore-telemetry --bin pstore-trace -- \
-        profile "$trace" > /dev/null
 }
 
 fig9_golden() {
